@@ -97,10 +97,15 @@ class AscentLevel:
         raise ValueError(f"index {tau} not covered")
 
     def restrict(self, alpha: Ordinal) -> "AscentLevel":
-        return AscentLevel.make(
+        """The family tau -> f(tau)|alpha. Restriction keeps every cell's
+        progression and every exception key, so the partition that `make`
+        checked still holds and is not checked again."""
+        if alpha == self.height:
+            return self
+        return AscentLevel(
             alpha,
-            [Cell(c.ap, c.template.restrict(alpha)) for c in self.cells],
-            [(k, v.restrict(alpha)) for k, v in self.exceptions])
+            tuple(Cell(c.ap, c.template.restrict(alpha)) for c in self.cells),
+            tuple((k, v.restrict(alpha)) for k, v in self.exceptions))
 
     def append_entries(self, per_cell: "AppendScheme") -> "AscentLevel":
         """One more coordinate: cell templates gain their scheme entry, each
@@ -397,6 +402,28 @@ def paths_agree_below(p1: AscentPath, p2: AscentPath, eta: Ordinal) -> bool:
 
 
 
+def supp_chain_violations(heights, levels, acceptable) -> list[tuple[Ordinal, Ordinal, UPSet]]:
+    """(a, b, supp) for every pair of the chain's levels whose support is
+    not acceptable, in all-pairs order.
+
+    `acceptable` must be closed under finite intersection and supersets (the
+    co-bounded sets, the filter generated by X). By the chain lemma in the
+    `ascentlab.conditions` docstring, adjacent pairs of a chain whose level
+    heights do not decrease decide all pairs, so all pairs are enumerated
+    only when an adjacent pair fails or the heights decrease."""
+    chain = list(zip(levels, levels[1:]))
+    if all(f.height <= g.height for f, g in chain) and all(
+            acceptable(supp(f, g)) for f, g in chain):
+        return []
+    out = []
+    for i, a in enumerate(heights):
+        for j in range(i + 1, len(heights)):
+            s = supp(levels[i], levels[j])
+            if not acceptable(s):
+                out.append((a, heights[j], s))
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class AscentReport:
     """check_ascent outcome; `violation` describes the first failure."""
@@ -422,22 +449,22 @@ def check_ascent(path: AscentPath, mode: str, x: XSequence | None = None,
         for w, rule in path.tails:
             eta = max(eta, Ordinal(w, rule.start + len(rule.schemes) + 1))
     probes = path.probe_heights(eta)
-    for alpha in probes:
+    levels = [path.level_at(alpha) for alpha in probes]
+    for alpha, lvl in zip(probes, levels):
         if alpha.is_zero:
-            for c in path.level_at(alpha).cells:
+            for c in lvl.cells:
                 if c.template.dom != Ordinal(0, 0):
                     return AscentReport(False, mode, "level 0 must be the empty family")
             continue
         if mode == "me_filter":
-            rep = me_family(path.level_at(alpha))
+            rep = me_family(lvl)
             if not rep.ok:
                 return AscentReport(False, mode, f"level {alpha}: {rep.detail}")
-    for i, a in enumerate(probes):
-        for b in probes[i + 1:]:
-            s = supp(path.level_at(a), path.level_at(b))
-            good = is_cobounded(s) if mode == "theta" else filter_classify(s, x).in_filter
-            if not good:
-                return AscentReport(False, mode, f"supp({a},{b}) = {s} unacceptable")
+    good = is_cobounded if mode == "theta" else (lambda s: filter_classify(s, x).in_filter)
+    bad = supp_chain_violations(probes, levels, good)
+    if bad:
+        a, b, s = bad[0]
+        return AscentReport(False, mode, f"supp({a},{b}) = {s} unacceptable")
     return AscentReport(True, mode)
 
 

@@ -14,7 +14,7 @@ import sys
 import time
 from typing import Any, Optional
 
-from .foundations import Ordinal, OMEGA_NAT, ProfileViolation
+from .foundations import Ordinal, OrdinalBoundError, OMEGA_NAT, ProfileViolation
 from .aposet import THETA, PathDescriptor, check_antichain, is_bad
 from .amalgam import HypothesisViolated, NotUniformTail, amalgamate
 from .conditions import (
@@ -363,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-RECOVERABLE = (InputError, sz.FormatError, ProfileViolation, WrongVariant,
-               InvalidBeta, NoCatalog, NotUniformTail, HypothesisViolated,
+RECOVERABLE = (InputError, sz.FormatError, OrdinalBoundError, ProfileViolation,
+               WrongVariant, InvalidBeta, NoCatalog, NotUniformTail, HypothesisViolated,
                SealTripleInvalid, OracleMismatch, BadPi, KeyError)
 
 

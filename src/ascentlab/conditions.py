@@ -7,6 +7,16 @@ as an explicit prefix plus a uniform tail rule (each step appends one fixed
 entry per cell). Validation is exact at every explicitly represented height
 and at the rule generators; between tail levels comparability propagates as
 a ⊆-chain because appending never edits existing coordinates.
+
+Chain lemma. For levels of heights α ≤ β ≤ γ and any index τ, f_α(τ) ⊑ f_β(τ)
+and f_β(τ) ⊑ f_γ(τ) give f_α(τ) ⊑ f_γ(τ), so
+supp(f_α, f_β) ∩ supp(f_β, f_γ) ⊆ supp(f_α, f_γ). The co-bounded sets and the
+filter generated by X are both closed under finite intersection and under
+supersets, so when every adjacent pair of a height-ordered chain of levels has
+an acceptable support, every pair has. Clause C2 (through
+`ascent.supp_chain_violations`) and `game.check_run_invariants` therefore
+check adjacent pairs only, and enumerate all pairs only after an adjacent
+pair fails, which keeps their violation lists those of the all-pairs check.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from .foundations import (
 from .ascent import (
     AppendScheme, AscentLevel, AscentPath, TailRule, graft_levels, me_cross,
     me_family, me_set_concrete, paths_agree_below, root_level,
-    standard_append, supp,
+    standard_append, supp, supp_chain_violations,
 )
 from .nodes import SymNode, delta, entry_affine, mk_entry
 from .trees import ROOT_TREE, SymTree, check_tree, vanishing_levels
@@ -132,8 +142,9 @@ def check_condition(cond: Condition, variant: Optional[str] = None) -> Condition
         c1 = False
         bad.append("clause C1 (structure): ascent path does not cover all heights")
     probes = cond.probe_heights()
-    for alpha in probes:
-        if cond.level(alpha).height != alpha:
+    levels = [cond.level(alpha) for alpha in probes]
+    for alpha, lvl in zip(probes, levels):
+        if lvl.height != alpha:
             c1 = False
             bad.append(f"clause C1 (structure): level at {alpha} has wrong height")
     base = cond.level(ZERO) if cond.path.has(ZERO) else None
@@ -144,17 +155,14 @@ def check_condition(cond: Condition, variant: Optional[str] = None) -> Condition
 
     # C2: ascent path of the variant's kind
     c2 = True
-    for i, a in enumerate(probes):
-        for b in probes[i + 1:]:
-            s = supp(cond.level(a), cond.level(b))
-            if not _supp_ok(variant, s, x):
-                c2 = False
-                bad.append(f"clause C2 (ascent-path): supp({a},{b}) = {s} unacceptable")
+    for a, b, s in supp_chain_violations(probes, levels, lambda s: _supp_ok(variant, s, x)):
+        c2 = False
+        bad.append(f"clause C2 (ascent-path): supp({a},{b}) = {s} unacceptable")
     if variant in (S_X, S_F):
-        for alpha in probes:
+        for alpha, lvl in zip(probes, levels):
             if alpha.is_zero:
                 continue
-            rep = me_family(cond.level(alpha))
+            rep = me_family(lvl)
             if not rep.ok:
                 c2 = False
                 bad.append(f"clause C2 (ascent-path): level {alpha} not mutually exclusive: {rep.detail}")
@@ -189,10 +197,9 @@ def check_condition(cond: Condition, variant: Optional[str] = None) -> Condition
 
     # C4: for every t in a nonzero level, {tau : t ME f(level)(tau)} in F
     c4 = True
-    for alpha in probes:
+    for alpha, lvl in zip(probes, levels):
         if alpha.is_zero:
             continue
-        lvl = cond.level(alpha)
         kind = cond.tree.level_kind(alpha) if alpha < cond.tree.height else "appends"
         if kind == "appends":
             ok, why = _append_fibers_ok(lvl, x)

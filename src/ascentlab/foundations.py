@@ -29,6 +29,12 @@ class BadHeight(ValueError):
     """An evaluation or restriction point lies outside a node's domain."""
 
 
+class PostconditionFailed(AssertionError):
+    """A decision procedure's result failed its own re-check: a defect in
+    the library, not in its input. Raised explicitly, so `python -O` keeps
+    the check."""
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class Ordinal:
     """Ordinal below omega*W in normal form omega*w + n.
@@ -417,7 +423,8 @@ class XSequence:
         n = k // self.base + 1
         if k in self.entry(n):
             n += 1
-        assert k not in self.entry(n)
+        if k in self.entry(n):
+            raise PostconditionFailed(f"escape index {n} for {k}: {k} is in X_{n}")
         return n
 
     def escape_finite(self, points) -> int:
@@ -473,11 +480,13 @@ def filter_classify(y: UPSet, x: XSequence = DEFAULT_X) -> FilterVerdict:
         n = max(1, z.threshold)
         while n > 1 and (n - 1) in z:
             n -= 1
-        assert x.entry(n).is_subset(y)
+        if not x.entry(n).is_subset(y):
+            raise PostconditionFailed(f"filter witness {n}: X_{n} is not a subset of {y}")
         return FilterVerdict("in_filter", n)
     if z.is_finite:
         n = max(1, (z.max_member() + 1) if not z.is_empty else 1)
-        assert x.entry(n).disjoint(y)
+        if not x.entry(n).disjoint(y):
+            raise PostconditionFailed(f"ideal witness {n}: X_{n} meets {y}")
         return FilterVerdict("in_ideal", n)
     return FilterVerdict("neither")
 

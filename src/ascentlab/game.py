@@ -268,23 +268,42 @@ class InvariantReport:
     failures: tuple[str, ...] = ()
 
 
+def _chain_holds(moves, tops, xxi) -> bool:
+    """(order) and (i) between consecutive moves, (iii) between consecutive
+    even stages, on tops of non-decreasing height. leq_s is transitive and,
+    by the chain lemma in the `ascentlab.conditions` docstring, supports of
+    such a chain intersect into the support of its outer pair; so when this
+    holds, every pair of moves passes all three."""
+    for i in range(1, len(moves)):
+        fa, fb = tops[i - 1], tops[i]
+        if fa.height > fb.height or not leq_s(moves[i].cond, moves[i - 1].cond) \
+                or not xxi.is_subset(supp(fa, fb)):
+            return False
+    even_tops = [f for mv, f in zip(moves, tops) if mv.z is not None]
+    return all(supp(fa, fb) == FULL_SET for fa, fb in zip(even_tops, even_tops[1:]))
+
+
 def check_run_invariants(t: Transcript, x: XSequence = DEFAULT_X) -> InvariantReport:
     """Re-verify the three strategy requirements over the whole transcript:
     filter support between all stages, the auxiliary-branch requirements at
-    even stages, full support and branch coherence between even stages."""
+    even stages, full support and branch coherence between even stages.
+    All pairs of moves are enumerated only when the consecutive ones fail."""
     fails: list[str] = []
     moves = t.moves
     xxi = x.entry(t.xi)
-    for i, a in enumerate(moves):
-        for b in moves[i + 1:]:
-            if not leq_s(b.cond, a.cond):
-                fails.append(f"(order) stage {b.stage} does not extend {a.stage}")
-                continue
-            s = supp(a.cond.top, b.cond.top)
-            if not xxi.is_subset(s):
-                fails.append(f"(i) stages {a.stage},{b.stage}: support misses the filter set")
-            if a.z is not None and b.z is not None and s != FULL_SET:
-                fails.append(f"(iii) even stages {a.stage},{b.stage}: support not full")
+    tops = [mv.cond.top for mv in moves]
+    if not _chain_holds(moves, tops, xxi):
+        for i, a in enumerate(moves):
+            for j in range(i + 1, len(moves)):
+                b = moves[j]
+                if not leq_s(b.cond, a.cond):
+                    fails.append(f"(order) stage {b.stage} does not extend {a.stage}")
+                    continue
+                s = supp(tops[i], tops[j])
+                if not xxi.is_subset(s):
+                    fails.append(f"(i) stages {a.stage},{b.stage}: support misses the filter set")
+                if a.z is not None and b.z is not None and s != FULL_SET:
+                    fails.append(f"(iii) even stages {a.stage},{b.stage}: support not full")
     for mv in moves:
         if mv.z is None:
             continue

@@ -104,3 +104,69 @@ def brute_me(s: SymNode, t: SymNode, per_block: int = 64) -> bool:
             if s.eval_at(eps) == t.eval_at(eps):
                 return False
     return True
+
+
+# -- all-pairs references for the chain checks ----------------------------------
+# These keep the pairwise loops that the chain lemma (ascentlab.conditions)
+# lets the library replace by adjacent pairs; they reuse the library's supp
+# and leq_s, which have their own oracles above and in the test modules.
+
+
+def all_pairs_chain_violations(heights, levels, acceptable):
+    """Every pair of the chain with an unacceptable support, in pair order."""
+    from ascentlab.ascent import supp
+    out = []
+    for i, a in enumerate(heights):
+        for j in range(i + 1, len(heights)):
+            s = supp(levels[i], levels[j])
+            if not acceptable(s):
+                out.append((a, heights[j], s))
+    return out
+
+
+def restrict_via_make(level, alpha: Ordinal):
+    """Restriction rebuilt through AscentLevel.make, which re-carves and
+    re-checks the partition."""
+    from ascentlab.ascent import AscentLevel, Cell
+    return AscentLevel.make(
+        alpha,
+        [Cell(c.ap, c.template.restrict(alpha)) for c in level.cells],
+        [(k, v.restrict(alpha)) for k, v in level.exceptions])
+
+
+def all_pairs_run_invariants(t, x: XSequence):
+    """check_run_invariants with requirements (order), (i) and (iii)
+    checked on every pair of moves."""
+    from ascentlab.amalgam import HypothesisViolated, check_z_bullets
+    from ascentlab.ascent import supp
+    from ascentlab.conditions import leq_s
+    from ascentlab.foundations import FULL_SET
+    from ascentlab.game import InvariantReport
+    fails: list[str] = []
+    moves = t.moves
+    xxi = x.entry(t.xi)
+    for i, a in enumerate(moves):
+        for b in moves[i + 1:]:
+            if not leq_s(b.cond, a.cond):
+                fails.append(f"(order) stage {b.stage} does not extend {a.stage}")
+                continue
+            s = supp(a.cond.top, b.cond.top)
+            if not xxi.is_subset(s):
+                fails.append(f"(i) stages {a.stage},{b.stage}: support misses the filter set")
+            if a.z is not None and b.z is not None and s != FULL_SET:
+                fails.append(f"(iii) even stages {a.stage},{b.stage}: support not full")
+    for mv in moves:
+        if mv.z is None:
+            continue
+        try:
+            check_z_bullets(mv.stage, mv.cond, mv.z, t.mu, False)
+        except HypothesisViolated as e:
+            fails.append(f"(ii) stage {mv.stage}: {e.bullet}")
+    evens = [mv for mv in moves if mv.z is not None]
+    for a, b in zip(evens, evens[1:]):
+        for k in a.z.probe_keys():
+            if b.z.in_domain(k):
+                va, vb = a.z.at(k), b.z.at(k)
+                if vb.restrict(va.dom) != va:
+                    fails.append(f"(iii) branch {k} not increasing at stage {b.stage}")
+    return InvariantReport(not fails, tuple(fails))

@@ -1,0 +1,148 @@
+"""The chain lemma's shortcuts against their all-pairs references.
+
+C2 in check_condition and check_ascent, and requirements (order), (i) and
+(iii) of check_run_invariants, check adjacent pairs and enumerate all pairs
+only after one fails; AscentLevel.restrict skips AscentLevel.make. Each must
+give exactly what the all-pairs or make-based reference in oracles.py gives,
+on valid inputs and on inputs corrupted so that an adjacent pair fails.
+"""
+
+import dataclasses
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ascentlab import ascent, conditions
+from ascentlab.ascent import (
+    AP, AscentLevel, Cell, check_ascent, constant_level, fill_level,
+    restrict_level_domain,
+)
+from ascentlab.conditions import VARIANTS, Condition, check_condition
+from ascentlab.fixtures import random_tower
+from ascentlab.foundations import DEFAULT_X, Ordinal, UPSet
+from ascentlab.game import check_run_invariants, play_game, random_opponent
+from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node
+from oracles import all_pairs_chain_violations, all_pairs_run_invariants, restrict_via_make
+
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+# -- C2: check_condition and check_ascent ---------------------------------------
+
+def corrupt_level(cond: Condition, k: int, keep: UPSet) -> Condition:
+    """Level k replaced, off the index set `keep`, by a constant odd label
+    that no standard (even) ascent label matches."""
+    h = Ordinal(0, k)
+    cells, exc = restrict_level_domain(cond.level(h), keep)
+    bad = fill_level(h, cells, exc, constant_level(h, const_node(7, h)))
+    return Condition(cond.tree, cond.path.with_level(h, bad), cond.variant, cond.x)
+
+
+@st.composite
+def towers(draw):
+    cond = random_tower(random.Random(draw(st.integers(0, 10**6))), max_height=6)
+    if draw(st.booleans()):
+        k = draw(st.integers(1, cond.eta.n))
+        step = draw(st.sampled_from([1, 2, 4]))
+        residues = draw(st.frozensets(st.integers(0, step - 1), max_size=step - 1))
+        cond = corrupt_level(cond, k, UPSet.make(0, step, residues, frozenset()))
+    return cond
+
+
+@PROPERTY
+@given(towers())
+def test_check_condition_matches_all_pairs(cond):
+    for variant in VARIANTS:
+        got = check_condition(cond, variant)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conditions, "supp_chain_violations", all_pairs_chain_violations)
+            want = check_condition(cond, variant)
+        assert got.variant == want.variant
+        assert got.clauses == want.clauses
+        assert got.violations == want.violations
+        assert got.checked_heights == want.checked_heights
+
+
+@PROPERTY
+@given(towers())
+def test_check_ascent_matches_all_pairs(cond):
+    for mode in ("theta", "me_filter"):
+        got = check_ascent(cond.path, mode, cond.x, cond.eta)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ascent, "supp_chain_violations", all_pairs_chain_violations)
+            want = check_ascent(cond.path, mode, cond.x, cond.eta)
+        assert got == want
+
+
+def test_corrupted_level_fails_adjacent_pair():
+    cond = corrupt_level(random_tower(random.Random(3), max_height=6), 2,
+                         UPSet.make(0, 2, frozenset({1}), frozenset()))
+    rep = check_condition(cond, "stheta")
+    assert not rep.clause("C2")
+    assert any("supp(1,2)" in v for v in rep.violations)
+
+
+# -- restriction --------------------------------------------------------------
+
+ENTRIES = st.one_of(st.integers(0, 9), st.builds(Ramp, st.integers(1, 4), st.integers(0, 9)))
+
+
+def nodes_of(height: Ordinal, entries):
+    words = st.builds(BlockWord.make, st.lists(entries, max_size=2),
+                      st.lists(entries, min_size=1, max_size=2))
+    return st.builds(SymNode, st.tuples(*[words] * height.w),
+                     st.tuples(*[entries] * height.n))
+
+
+@st.composite
+def levels_and_heights(draw):
+    height = Ordinal(draw(st.integers(0, 2)), draw(st.integers(0, 3)))
+    step = draw(st.integers(1, 4))
+    cells = [Cell(AP(r, step), draw(nodes_of(height, ENTRIES))) for r in range(step)]
+    exc = draw(st.dictionaries(st.integers(0, 12), nodes_of(height, st.integers(0, 9)),
+                               max_size=3))
+    level = AscentLevel.make(height, cells, exc)
+    w = draw(st.integers(0, height.w))
+    n = draw(st.integers(0, height.n if w == height.w else 4))
+    return level, Ordinal(w, n)
+
+
+@PROPERTY
+@given(levels_and_heights())
+def test_restrict_matches_make(case):
+    level, alpha = case
+    assert level.restrict(alpha) == restrict_via_make(level, alpha)
+    assert level.restrict(level.height) is level
+
+
+# -- game run invariants ----------------------------------------------------------
+
+@st.composite
+def transcripts(draw):
+    mu = draw(st.sampled_from([Ordinal(0, 8), Ordinal(0, 14), Ordinal(1, 4)]))
+    t = play_game(mu, random_opponent(draw(st.integers(0, 10**6))), draw(st.integers(0, 2)))
+    corruption = draw(st.sampled_from(["none", "stale", "swap"]))
+    moves = list(t.moves)
+    i = draw(st.integers(2, len(moves) - 1))
+    if corruption == "stale":      # a move repeats an earlier condition
+        moves[i] = dataclasses.replace(moves[i], cond=moves[i - 2].cond)
+    elif corruption == "swap":     # two consecutive moves out of order
+        moves[i - 1], moves[i] = moves[i], moves[i - 1]
+    return dataclasses.replace(t, moves=tuple(moves))
+
+
+def outcome(check, t):
+    """The report, or the error raised: a swap can put the auxiliary
+    branches of two even stages out of order, which the branch-coherence
+    part of (iii) does not handle; both sides must then fail alike."""
+    try:
+        return check(t, DEFAULT_X)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=20, deadline=None)
+@given(transcripts())
+def test_run_invariants_match_all_pairs(t):
+    assert outcome(check_run_invariants, t) == outcome(all_pairs_run_invariants, t)

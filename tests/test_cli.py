@@ -54,6 +54,13 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_ordinal_beyond_bound_exit_2(capsys):
+    code, rep = run_cli(["game", "--mu", "w4"], capsys)
+    assert code == 2
+    assert rep["command"] == "game"
+    assert "exceeds" in rep["error"]
+
+
 def test_extend_roundtrip(cond_file, tmp_path, capsys):
     out = tmp_path / "ext.json"
     code, rep = run_cli(["extend", "--beta", "1", "-o", str(out), cond_file], capsys)

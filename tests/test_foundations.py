@@ -1,13 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ascentlab.foundations import (
     DEFAULT_X, EVENS, ODDS, FULL_SET, EMPTY_SET, GT, LT, EQ,
-    Ordinal, OrdinalBoundError, ProfileViolation, UPSet, XSequence,
-    filter_classify, finite_set, is_cobounded, multiples, ord_compare,
-    singleton, upset_algebra,
+    Ordinal, OrdinalBoundError, PostconditionFailed, ProfileViolation, UPSet,
+    XSequence, filter_classify, finite_set, is_cobounded, multiples,
+    ord_compare, singleton, upset_algebra,
 )
 from oracles import brute_classify, brute_op, upset_window
 
@@ -177,6 +181,47 @@ def test_escape_witnesses():
     n = DEFAULT_X.escape_finite([4, 8, 40])
     for k in (4, 8, 40):
         assert k not in DEFAULT_X.entry(n)
+
+
+class OddsX(XSequence):
+    """Entries that contradict the base filter_classify scales by, so every
+    witness it derives fails its re-check."""
+
+    def entry(self, n: int) -> UPSet:
+        return ODDS
+
+
+POSTCONDITION_CHECKS = {
+    "filter witness": lambda x: filter_classify(multiples(4), x),
+    "ideal witness": lambda x: filter_classify(ODDS, x),
+    "escape index": lambda x: x.escape_index(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSTCONDITION_CHECKS))
+def test_postconditions_fire(name):
+    with pytest.raises(PostconditionFailed, match=name):
+        POSTCONDITION_CHECKS[name](OddsX(EVENS, 4))
+
+
+def test_postconditions_fire_under_optimize():
+    script = (
+        "import sys\n"
+        "from test_foundations import POSTCONDITION_CHECKS, OddsX, EVENS, PostconditionFailed\n"
+        "fired = []\n"
+        "for name, check in sorted(POSTCONDITION_CHECKS.items()):\n"
+        "    try:\n"
+        "        check(OddsX(EVENS, 4))\n"
+        "    except PostconditionFailed:\n"
+        "        fired.append(name)\n"
+        "print(sys.flags.optimize, len(fired))\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", str(len(POSTCONDITION_CHECKS))]
 
 
 @given(st.integers(0, 200), st.integers(0, 200))
