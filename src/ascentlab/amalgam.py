@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .foundations import FULL_SET, Ordinal, UPSet
-from .ascent import AP, AppendScheme, AscentLevel, Cell, supp
-from .nodes import Entry, SymNode, eq_star, mutually_exclusive
+from .foundations import FULL_SET, Ordinal, PostconditionFailed, singleton
+from .ascent import AP, AppendScheme, AscentLevel, Cell, me_cross, me_set_concrete, supp
+from .nodes import Entry, SymNode, eq_star
 from .conditions import (
     Condition, S_X, TailRule, check_condition, leq_s, one_step_with,
 )
@@ -236,37 +236,26 @@ def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap,
             if all(isinstance(e, int) for e in word.prefix + word.tail):
                 raise HypothesisViolated("z-pairwise",
                                          f"block {w} cell instances eventually coincide")
-    f0 = top.at(0)
+    # exclusivity against the whole nonzero family, decided exactly by
+    # me_set_concrete: any collision away from index 0 is fatal, and the
+    # least such index is the witness
+    f0, zero = top.at(0), singleton(0)
     for k, v in nodes:
         if eq_star(v, f0):
             raise HypothesisViolated("z-vs-zero", f"z({k}) =* top family at 0")
-        for tau in (1, 2, 3, 5, 8):
-            if not mutually_exclusive(v, top.at(tau)):
-                raise HypothesisViolated("z-exclusive", f"z({k}) meets top family at {tau}")
-    # symbolic exclusivity against the whole nonzero family: any collision
-    # between a z value and a top template away from index 0 is fatal
-    for k, v in nodes:
-        from .ascent import me_set_concrete
-        ok_set = me_set_concrete(v, top)
-        bad = ok_set.complement().difference(_singleton_zero())
+        bad = me_set_concrete(v, top).complement().difference(zero)
         if not bad.is_empty:
             raise HypothesisViolated("z-exclusive", f"z({k}) meets top family at {bad.min_member()}")
     if z.cells:
-        from .ascent import AscentLevel, me_cross
         probe = AscentLevel(eta, tuple(c for _, c in z.cells), ())
         rep = me_cross(probe, top)
         if rep.has_moving:
             raise HypothesisViolated("z-exclusive", "a branch cell meets the family cofinally")
-        if not rep.static_bad.difference(_singleton_zero()).is_empty:
+        if not rep.static_bad.difference(zero).is_empty:
             raise HypothesisViolated("z-exclusive", "a branch cell meets the family off 0")
         for i0, row in rep.special_rows:
-            if not row.difference(_singleton_zero()).is_empty:
+            if not row.difference(zero).is_empty:
                 raise HypothesisViolated("z-exclusive", f"branch {i0} meets the family off 0")
-
-
-def _singleton_zero() -> UPSet:
-    from .foundations import singleton
-    return singleton(0)
 
 
 def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
@@ -350,27 +339,27 @@ def _verify_conclusions(ch: ChainDescriptor, sample: list[ChainMember],
         raise HypothesisViolated("height-sup", "a member reaches the limit height")
     for m in ch.members:
         if not leq_s(out, m.cond):
-            raise AssertionError(f"amalgam does not extend stage {m.beta}")
+            raise PostconditionFailed(f"amalgam does not extend stage {m.beta}")
         if supp(m.cond.top, out.top) != FULL_SET:
-            raise AssertionError(f"amalgam lost full support to stage {m.beta}")
+            raise PostconditionFailed(f"amalgam lost full support to stage {m.beta}")
         for k in m.z.probe_keys():
             if z_gamma.in_domain(k):
                 v = m.z.at(k)
                 if z_gamma.at(k).restrict(v.dom) != v:
-                    raise AssertionError(f"z union at {k} does not extend stage {m.beta}")
+                    raise PostconditionFailed(f"z union at {k} does not extend stage {m.beta}")
     # membership characterization: admitted branches and their grafts are in,
     # the vanishing union is out
     for i in z_gamma.probe_keys():
         if not tree_contains(out.tree, z_gamma.at(i)):
-            raise AssertionError(f"z union at {i} missing from the top level")
+            raise PostconditionFailed(f"z union at {i} missing from the top level")
     for tau in (0, 1, 4):
         if not tree_contains(out.tree, out.top.at(tau)):
-            raise AssertionError("ascent union missing from the top level")
+            raise PostconditionFailed("ascent union missing from the top level")
     if tree_contains(out.tree, vanish):
-        raise AssertionError("the skipped z-branch is in the tree")
+        raise PostconditionFailed("the skipped z-branch is in the tree")
     van = vanishing_levels(out.tree, "full")
     if eta not in van.levels or not van.closed:
-        raise AssertionError("new limit level is not recorded vanishing")
+        raise PostconditionFailed("new limit level is not recorded vanishing")
     rep = check_condition(out, S_X)
     if not rep.ok:
-        raise AssertionError("amalgam fails validation: " + "; ".join(rep.violations))
+        raise PostconditionFailed("amalgam fails validation: " + "; ".join(rep.violations))

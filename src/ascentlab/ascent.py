@@ -251,11 +251,9 @@ def supp(f: AscentLevel, g: AscentLevel) -> UPSet:
 
 
 def level_extensional_eq(f: AscentLevel, g: AscentLevel) -> bool:
-    """Same family regardless of cell decomposition."""
-    if f.height != g.height:
-        return False
-    return supp(f, g) == FULL_SET and all(
-        f.at(t) == g.at(t) for t in list(f.exc_dict()) + list(g.exc_dict()))
+    """Same family regardless of cell decomposition: nodes of one height are
+    comparable only when equal, so a full support decides it."""
+    return f.height == g.height and supp(f, g) == FULL_SET
 
 
 def graft_levels(low: AscentLevel, high: AscentLevel) -> AscentLevel:
@@ -323,20 +321,25 @@ class AscentPath:
                 return rule
         return None
 
-    def has(self, alpha: Ordinal) -> bool:
-        if any(h == alpha for h, _ in self.levels):
-            return True
-        rule = self.tail_for(alpha.w)
-        return rule is not None and alpha.n >= rule.start
-
-    def level_at(self, alpha: Ordinal) -> AscentLevel:
+    def source(self, alpha: Ordinal) -> AscentLevel | TailRule | None:
+        """The explicit level at alpha, else the tail rule generating it, else
+        None. The level at alpha depends only on its source and alpha (a rule
+        is deterministic in n), so two paths whose source at alpha is one
+        object hold the same level there and need no comparison."""
         for h, lvl in self.levels:
             if h == alpha:
                 return lvl
         rule = self.tail_for(alpha.w)
-        if rule is not None and alpha.n >= rule.start:
-            return rule.level_at(alpha.n)
-        raise KeyError(f"height {alpha} not represented")
+        return rule if rule is not None and alpha.n >= rule.start else None
+
+    def has(self, alpha: Ordinal) -> bool:
+        return self.source(alpha) is not None
+
+    def level_at(self, alpha: Ordinal) -> AscentLevel:
+        src = self.source(alpha)
+        if src is None:
+            raise KeyError(f"height {alpha} not represented")
+        return src.level_at(alpha.n) if isinstance(src, TailRule) else src
 
     def with_level(self, alpha: Ordinal, lvl: AscentLevel) -> "AscentPath":
         return AscentPath.make(dict(self.levels) | {alpha: lvl}, self.tails)
@@ -374,13 +377,15 @@ class AscentPath:
 
 def paths_agree_below(p1: AscentPath, p2: AscentPath, eta: Ordinal) -> bool:
     """f2 restricted to eta+1 equals f1, decided exactly: all explicitly
-    represented heights are compared extensionally and tail rules beyond the
+    represented heights are compared extensionally, except where both paths
+    share the source (see `AscentPath.source`), and tail rules beyond the
     comparison window are pure appends of compared levels."""
     probes = sorted(set(p1.probe_heights(eta)) | set(p2.probe_heights(eta)))
     for alpha in probes:
-        if not (p1.has(alpha) and p2.has(alpha)):
+        s1, s2 = p1.source(alpha), p2.source(alpha)
+        if s1 is None or s2 is None:
             return False
-        if not level_extensional_eq(p1.level_at(alpha), p2.level_at(alpha)):
+        if s1 is not s2 and not level_extensional_eq(p1.level_at(alpha), p2.level_at(alpha)):
             return False
     for w in range(eta.w + 1):
         r1, r2 = p1.tail_for(w), p2.tail_for(w)

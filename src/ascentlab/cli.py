@@ -373,6 +373,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     started = time.monotonic()
     try:
+        for name in ("xi", "label_base"):  # an X-sequence index, a label offset
+            if getattr(args, name, 0) < 0:
+                raise InputError(f"--{name.replace('_', '-')} must be a natural")
         code = args.fn(args)
     except RECOVERABLE as e:
         print(json.dumps({"command": args.cmd, "error": str(e)}, sort_keys=True))

@@ -316,6 +316,6 @@ def check_run_invariants(t: Transcript, x: XSequence = DEFAULT_X) -> InvariantRe
         for k in a.z.probe_keys():
             if b.z.in_domain(k):
                 va, vb = a.z.at(k), b.z.at(k)
-                if vb.restrict(va.dom) != va:
+                if vb.dom < va.dom or vb.restrict(va.dom) != va:
                     fails.append(f"(iii) branch {k} not increasing at stage {b.stage}")
     return InvariantReport(not fails, tuple(fails))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .foundations import (
-    EMPTY_SET, FULL_SET, Ordinal, UPSet, ZERO, filter_classify, finite_set,
+    EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, UPSet, ZERO, filter_classify, finite_set,
 )
 from .ascent import (
     AP, AscentLevel, Cell, PiecewiseMap, fill_level, identity_map,
@@ -198,7 +198,7 @@ def build_intermediate(cond: Condition, triple: SealTriple) -> Condition:
     below = fill_level(cond.eta, graft_cells, graft_exc, top)
     mid = one_step_with(cond, below, standard_append(below), verify=True)
     if not y.complement().is_subset(supp(top, mid.top)):
-        raise AssertionError("intermediate step lost the off-Y support")
+        raise PostconditionFailed("intermediate step lost the off-Y support")
     return mid
 
 
@@ -250,12 +250,12 @@ def seal_step(cond: Condition, triple: SealTriple, xi: int,
     # the two routing guarantees, re-verified exactly
     g_alpha_level = sp.level(alpha)
     if not a_set.is_subset(supp(g_alpha_level, new_top)):
-        raise AssertionError("guarantee lost: the off-Y filter part is unsupported")
+        raise PostconditionFailed("guarantee lost: the off-Y filter part is unsupported")
     for tau in _sample_members(xset.intersect(y)):
         lhs = g_alpha_level.at(tau)
         rhs = graft(triple.x_family.at(tau), new_top.at(triple.pi.apply(tau)))
         if lhs != rhs.restrict(lhs.dom):
-            raise AssertionError(f"guarantee lost: absorption fails at {tau}")
+            raise PostconditionFailed(f"guarantee lost: absorption fails at {tau}")
     return out, alpha
 
 
@@ -316,10 +316,10 @@ def absorb_node(cond: Condition, t: SymNode, xi: int) -> tuple[Condition, Ordina
     out = one_step_with(cond, below, standard_append(below), verify=True)
     s = supp(top, out.top)
     if not filter_classify(s, cond.x).in_filter:
-        raise AssertionError("absorption lost the filter support")
+        raise PostconditionFailed("absorption lost the filter support")
     alpha = out.eta
     if out.top.at(tau0).restrict(t.dom) != t:
-        raise AssertionError("absorption failed to swallow the node")
+        raise PostconditionFailed("absorption failed to swallow the node")
     return out, alpha, tau0
 
 

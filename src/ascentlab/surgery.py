@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .foundations import FULL_SET, ProfileViolation, UPSet, XSequence
+from .foundations import FULL_SET, PostconditionFailed, ProfileViolation, UPSet, XSequence
 from .ascent import (
     AscentLevel, PiecewiseMap, identity_map, level_reindex, me_family,
     order_iso, restrict_level_domain, restrict_map,
@@ -102,16 +102,16 @@ def branch_surgery(path: PathDescriptor, n0: int,
     # consequences, re-verified
     merep = me_family(AscentLevel(lam, tuple(kept_cells), tuple(kept_exc)))
     if not merep.ok:
-        raise AssertionError(f"kept branches are not mutually exclusive: {merep.detail}")
+        raise PostconditionFailed(f"kept branches are not mutually exclusive: {merep.detail}")
     if tree_contains(out.tree, fam.branch(n0)):
-        raise AssertionError("the omitted branch is in the tree")
+        raise PostconditionFailed("the omitted branch is in the tree")
     van = vanishing_levels(out.tree, "full")
     expected = vanishing_levels(base.tree, "full").levels | {lam}
     if van.levels != expected:
-        raise AssertionError(f"vanishing levels {set(van.levels)} != {set(expected)}")
+        raise PostconditionFailed(f"vanishing levels {set(van.levels)} != {set(expected)}")
     if not leq_s(out, base):
-        raise AssertionError("surgery does not extend the path")
+        raise PostconditionFailed("surgery does not extend the path")
     rep = check_condition(out, S_X)
     if not rep.ok:
-        raise AssertionError("surgery output invalid: " + "; ".join(rep.violations))
+        raise PostconditionFailed("surgery output invalid: " + "; ".join(rep.violations))
     return out

@@ -8,6 +8,8 @@ computed with these helpers.
 
 from __future__ import annotations
 
+import math
+
 from ascentlab.foundations import UPSet, XSequence
 from ascentlab.nodes import SymNode
 from ascentlab.foundations import Ordinal
@@ -167,6 +169,50 @@ def all_pairs_run_invariants(t, x: XSequence):
         for k in a.z.probe_keys():
             if b.z.in_domain(k):
                 va, vb = a.z.at(k), b.z.at(k)
-                if vb.restrict(va.dom) != va:
+                if vb.dom < va.dom or vb.restrict(va.dom) != va:
                     fails.append(f"(iii) branch {k} not increasing at stage {b.stage}")
     return InvariantReport(not fails, tuple(fails))
+
+
+# -- references for the shared-structure shortcuts ------------------------------
+
+
+def brute_me_set(t: SymNode, level, bound: int = 64) -> set[int]:
+    """Indices tau < bound whose level node is mutually exclusive with t,
+    one node at a time."""
+    from ascentlab.nodes import mutually_exclusive
+    return {tau for tau in range(bound) if mutually_exclusive(t, level.at(tau))}
+
+
+def levels_equal(f, g) -> bool:
+    """Extensional equality with the explicit points compared one by one."""
+    from ascentlab.ascent import supp
+    from ascentlab.foundations import FULL_SET
+    if f.height != g.height:
+        return False
+    return supp(f, g) == FULL_SET and all(
+        f.at(t) == g.at(t) for t in list(f.exc_dict()) + list(g.exc_dict()))
+
+
+def all_probes_paths_agree(p1, p2, eta: Ordinal) -> bool:
+    """paths_agree_below comparing the levels at every probe height, shared
+    or not."""
+    probes = sorted(set(p1.probe_heights(eta)) | set(p2.probe_heights(eta)))
+    for alpha in probes:
+        if not (p1.has(alpha) and p2.has(alpha)):
+            return False
+        if not levels_equal(p1.level_at(alpha), p2.level_at(alpha)):
+            return False
+    for w in range(eta.w + 1):
+        r1, r2 = p1.tail_for(w), p2.tail_for(w)
+        if (r1 is None) != (r2 is None):
+            if w < eta.w:
+                return False
+            continue
+        if r1 is not None:
+            span = math.lcm(len(r1.schemes), len(r2.schemes))
+            base = max(r1.start, r2.start)
+            for k in range(span + 1):
+                if not levels_equal(r1.level_at(base + k), r2.level_at(base + k)):
+                    return False
+    return True

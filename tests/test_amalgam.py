@@ -90,3 +90,15 @@ def test_closed_delta_interval():
     out, z = amalgamate(ch)
     assert z.in_domain(Ordinal(1, 1))
     assert check_condition(out, S_X).ok
+
+
+def test_failed_reverification_raises_postcondition(monkeypatch):
+    """A conclusion that fails its re-check is a library defect, reported as
+    PostconditionFailed (an explicit raise, kept under python -O)."""
+    from ascentlab import amalgam
+    from ascentlab.conditions import ConditionReport
+    from ascentlab.foundations import PostconditionFailed
+    monkeypatch.setattr(amalgam, "check_condition", lambda cond, variant: ConditionReport(
+        variant, (("C1", False),), ("forced",), ()))
+    with pytest.raises(PostconditionFailed, match="amalgam fails validation: forced"):
+        amalgamate(uniform_chain(3, Ordinal(1, 2)))

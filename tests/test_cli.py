@@ -61,6 +61,24 @@ def test_ordinal_beyond_bound_exit_2(capsys):
     assert "exceeds" in rep["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["game", "--mu", "w1n4", "--xi", "-1"],
+    ["seal", "--xi", "-1"],
+    ["absorb", "--node", "[5]", "--xi", "-1"],
+    ["derive-branches", "--xi", "-1"],
+    ["extend", "--beta", "1", "--label-base", "-1"],
+], ids=lambda argv: argv[0])
+def test_negative_natural_exit_2(argv, cond_file, capsys):
+    flag = argv[-2]
+    if argv[0] in ("seal", "absorb", "extend"):
+        argv = argv + [cond_file]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"command": argv[0], "error": f"{flag} must be a natural"}
+
+
 def test_extend_roundtrip(cond_file, tmp_path, capsys):
     out = tmp_path / "ext.json"
     code, rep = run_cli(["extend", "--beta", "1", "-o", str(out), cond_file], capsys)

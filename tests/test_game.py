@@ -102,6 +102,19 @@ def test_tampered_transcript_fails_invariants():
     assert any("(ii)" in f for f in rep.failures)
 
 
+def test_swapped_even_stages_fail_invariants_without_raising():
+    """Stage 6 and the limit stage are consecutive II moves; swapped, the
+    later stage's branches are shorter, which (iii) reports as a failure."""
+    t = play_game(Ordinal(1, 4), onestep_opponent(), 0)
+    moves = list(t.moves)
+    i = next(i for i in range(1, len(moves))
+             if moves[i - 1].z is not None and moves[i].z is not None)
+    moves[i - 1], moves[i] = moves[i], moves[i - 1]
+    rep = check_run_invariants(Transcript(t.mu, t.xi, tuple(moves), t.verdict))
+    assert not rep.ok
+    assert f"(iii) branch w+1 not increasing at stage {moves[i].stage}" in rep.failures
+
+
 def test_empty_transcript_vacuous():
     rep = check_run_invariants(Transcript(Ordinal(0, 4), 0, (), "II_completed"))
     assert rep.ok

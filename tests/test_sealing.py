@@ -139,6 +139,16 @@ def test_absorb_simple_node():
     assert leq_s(out, c)
 
 
+def test_absorb_failed_reverification_raises_postcondition(monkeypatch):
+    from types import SimpleNamespace
+    from ascentlab import sealing
+    from ascentlab.foundations import PostconditionFailed
+    monkeypatch.setattr(sealing, "filter_classify",
+                        lambda s, x: SimpleNamespace(in_filter=False))
+    with pytest.raises(PostconditionFailed, match="lost the filter support"):
+        absorb_node(tower(1), node(5), 1)
+
+
 def test_absorb_with_conflict_swap():
     c = tower(1)
     out, alpha, tau = absorb_node(c, node(0), 1)

@@ -69,3 +69,13 @@ def test_surgery_eta_nu():
     assert eta == OMEGA
     from ascentlab.foundations import OMEGA_NAT
     assert nu == OMEGA_NAT
+
+
+def test_failed_reverification_raises_postcondition(monkeypatch):
+    from ascentlab import surgery
+    from ascentlab.conditions import ConditionReport
+    from ascentlab.foundations import PostconditionFailed
+    monkeypatch.setattr(surgery, "check_condition", lambda cond, variant: ConditionReport(
+        variant, (("C1", False),), ("forced",), ()))
+    with pytest.raises(PostconditionFailed, match="surgery output invalid: forced"):
+        branch_surgery(uniform_path(3), 2)
