@@ -15,11 +15,11 @@ admitted branch, so no graft of it lands in the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .foundations import FULL_SET, Ordinal, PostconditionFailed, singleton
-from .ascent import AP, AppendScheme, AscentLevel, Cell, me_cross, me_set_concrete, supp
+from .ascent import AppendScheme, AscentLevel, Cell, me_cross, me_set_concrete, supp
 from .nodes import Entry, SymNode, eq_star
 from .conditions import (
     Condition, S_X, TailRule, check_condition, leq_s, one_step_with,
@@ -101,29 +101,29 @@ class ZMap:
                     out.append(key)
         return sorted(out)
 
-    def stepped(self, new_lo: Ordinal, tokens: tuple[ZToken, ...]) -> "ZMap":
-        """The next member's z-map: keys <= new_lo drop out, every value
-        gains the resolved token entries."""
+    def above(self, new_lo: Ordinal) -> "ZMap":
+        """The map on the keys above new_lo: lower keys and lower blocks drop
+        out, and a cell straddling new_lo is re-based past it."""
         cells = []
         for w, cell in self.cells:
-            ap, tmpl = cell.ap, cell.template
-            if w == new_lo.w and ap.start <= new_lo.n:
-                skip = (new_lo.n - ap.start) // ap.step + 1
-                ap = AP(ap.member(skip), ap.step)
-                tmpl = tmpl.reindex(1, skip)
-            ext = tmpl
-            for e in resolve_tokens(tokens, tmpl):
-                ext = ext.append(e)
-            cells.append((w, Cell(ap, ext)))
-        entries = []
-        for k, v in self.entries:
-            if k <= new_lo:
+            if w < new_lo.w:
                 continue
-            ext = v
-            for e in resolve_tokens(tokens, v):
-                ext = ext.append(e)
-            entries.append((k, ext))
+            if w == new_lo.w and cell.ap.start <= new_lo.n:
+                cell = cell.drop((new_lo.n - cell.ap.start) // cell.ap.step + 1)
+            cells.append((w, cell))
+        entries = [(k, v) for k, v in self.entries if k > new_lo]
         return ZMap.make(new_lo, self.hi, self.closed_hi, cells, entries)
+
+    def stepped(self, new_lo: Ordinal, tokens: tuple[ZToken, ...]) -> "ZMap":
+        """The next member's z-map: the map above new_lo, every value gaining
+        the resolved token entries."""
+        def grow(v: SymNode) -> SymNode:
+            for e in resolve_tokens(tokens, v):
+                v = v.append(e)
+            return v
+        z = self.above(new_lo)
+        return replace(z, cells=tuple((w, Cell(c.ap, grow(c.template))) for w, c in z.cells),
+                       entries=tuple((k, grow(v)) for k, v in z.entries))
 
     def limit_value(self, i: Ordinal, tokens: tuple[ZToken, ...]) -> SymNode:
         """Union of this key's values along the uniform tail."""
@@ -133,19 +133,11 @@ class ZMap:
     def limit_map(self, new_lo: Ordinal, tokens: tuple[ZToken, ...]) -> "ZMap":
         """The whole map's unions along the tail, on the keys above the new
         limit stage; full-block key ranges stay cells."""
-        cells = []
-        for w, cell in self.cells:
-            ap, tmpl = cell.ap, cell.template
-            if w < new_lo.w:
-                continue
-            if w == new_lo.w and ap.start <= new_lo.n:
-                skip = (new_lo.n - ap.start) // ap.step + 1
-                ap = AP(ap.member(skip), ap.step)
-                tmpl = tmpl.reindex(1, skip)
-            cells.append((w, Cell(ap, tmpl.extend_to_limit(resolve_tokens(tokens, tmpl)))))
-        entries = [(k, v.extend_to_limit(resolve_tokens(tokens, v)))
-                   for k, v in self.entries if k > new_lo]
-        return ZMap.make(new_lo, self.hi, self.closed_hi, cells, entries)
+        def close(v: SymNode) -> SymNode:
+            return v.extend_to_limit(resolve_tokens(tokens, v))
+        z = self.above(new_lo)
+        return replace(z, cells=tuple((w, Cell(c.ap, close(c.template))) for w, c in z.cells),
+                       entries=tuple((k, close(v)) for k, v in z.entries))
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,7 +288,10 @@ def amalgamate(ch: ChainDescriptor) -> tuple[Condition, ZMap]:
     """The limit lower bound: closed-form unions for the ascent top and the
     z-branches, a branch catalog making the new level's members exactly the
     grafts of lower nodes onto admitted branches, and the skipped z-branch
-    recorded vanishing. Every conclusion is re-verified before returning."""
+    recorded vanishing. Every conclusion is re-verified before returning
+    (PostconditionFailed otherwise): the result extends every member, its
+    vanishing levels are closed and contain the new limit, and it passes
+    check_condition."""
     sample = validate_chain(ch)
     last = ch.members[-1]
     tail = ch.tail

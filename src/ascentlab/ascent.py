@@ -37,6 +37,10 @@ class Cell:
     def at(self, tau: int) -> SymNode:
         return self.template.instantiate(self.ap.position(tau))
 
+    def drop(self, p: int) -> "Cell":
+        """The cell without its first p positions, re-based to position 0."""
+        return Cell(AP(self.ap.member(p), self.ap.step), self.template.reindex(1, p))
+
 
 @dataclass(frozen=True, slots=True)
 class AscentLevel:
@@ -51,16 +55,14 @@ class AscentLevel:
         exc = dict(exceptions.items() if isinstance(exceptions, dict) else exceptions)
         carved = []
         for c in cells:
-            ap, tmpl = c.ap, c.template
-            hole = min((k for k in exc if k in ap), default=None)
+            hole = min((k for k in exc if k in c.ap), default=None)
             while hole is not None:
-                hm = ap.position(hole)
+                hm = c.ap.position(hole)
                 for m in range(hm):
-                    exc[ap.member(m)] = tmpl.instantiate(m)
-                ap = AP(ap.member(hm + 1), ap.step)
-                tmpl = tmpl.reindex(1, hm + 1)
-                hole = min((k for k in exc if k in ap), default=None)
-            carved.append(Cell(ap, tmpl))
+                    exc[c.ap.member(m)] = c.template.instantiate(m)
+                c = c.drop(hm + 1)
+                hole = min((k for k in exc if k in c.ap), default=None)
+            carved.append(c)
         lvl = AscentLevel(height,
                           tuple(sorted(carved, key=lambda c: (c.ap.start, c.ap.step))),
                           tuple(sorted((int(k), v) for k, v in exc.items())))

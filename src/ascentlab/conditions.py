@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .foundations import (
-    DEFAULT_X, FULL_SET, OMEGA_NAT, Ordinal, UPSet, XSequence, ZERO,
-    filter_classify, is_cobounded,
+    DEFAULT_X, FULL_SET, OMEGA_NAT, Ordinal, PostconditionFailed, UPSet, XSequence,
+    ZERO, filter_classify, is_cobounded,
 )
 from .ascent import (
     AppendScheme, AscentLevel, AscentPath, TailRule, graft_levels, me_cross,
@@ -291,50 +291,56 @@ def raw_append(level: AscentLevel) -> AppendScheme:
     return AppendScheme(tuple(entries), labels)
 
 
+def extend_with_top(cond: Condition, new_top: AscentLevel, verify: bool) -> Condition:
+    """The condition one height up with the given top level, its new tree
+    level the full append level. With verify, an S_X or S_F top level is
+    checked mutually exclusive and clause C4 holds at its appended
+    coordinate; raises ValueError otherwise."""
+    tree = SymTree.make(cond.tree.height.succ(), cond.tree.explicit, cond.tree.catalogs)
+    out = Condition(tree, cond.path.with_level(cond.eta.succ(), new_top), cond.variant, cond.x)
+    if verify and cond.variant in (S_X, S_F):
+        rep = me_family(new_top)
+        if not rep.ok:
+            raise ValueError(f"one-step produced a non-exclusive family: {rep.detail}")
+        ok, why = _append_fibers_ok(new_top, cond.x)
+        if not ok:
+            raise ValueError(f"one-step violates the exclusivity filter: {why}")
+    return out
+
+
 def one_step_with(cond: Condition, below: AscentLevel, scheme: AppendScheme,
                   verify: bool = True) -> Condition:
-    """Shared one-step core: new top = below-level plus appended labels; the
-    new tree level is the full append level."""
+    """Shared one-step core: new top = below-level plus appended labels. With
+    verify, also the checks of `extend_with_top` and an acceptable support
+    from the previous top to the new one."""
     if below.height != cond.eta:
         raise ValueError("below-parts must live on the current top level")
     new_top = below.append_entries(scheme)
-    tree = SymTree.make(cond.tree.height.succ(), cond.tree.explicit, cond.tree.catalogs)
-    path = cond.path.with_level(cond.eta.succ(), new_top)
-    out = Condition(tree, path, cond.variant, cond.x)
-    if verify:
-        if cond.variant in (S_X, S_F):
-            rep = me_family(new_top)
-            if not rep.ok:
-                raise ValueError(f"one-step produced a non-exclusive family: {rep.detail}")
-            ok, why = _append_fibers_ok(new_top, cond.x)
-            if not ok:
-                raise ValueError(f"one-step violates the exclusivity filter: {why}")
-        s = supp(cond.top, new_top)
-        if not _supp_ok(cond.variant, s, cond.x):
-            raise ValueError("one-step lost comparability with the previous top")
+    out = extend_with_top(cond, new_top, verify)
+    if verify and not _supp_ok(cond.variant, supp(cond.top, new_top), cond.x):
+        raise ValueError("one-step lost comparability with the previous top")
     return out
 
 
 def one_step_extension(cond: Condition, beta: Ordinal, nu: object = 0,
-                       label_base: int = 0, verify: bool = True) -> Condition:
+                       label_base: int = 0) -> Condition:
     """One more level: graft level beta over the top, append fresh even labels.
 
-    Verifies the two support postconditions exactly: the old beta-top support
-    is carried into the new top, and the beta support becomes everything.
+    Guarantees, verified exactly before returning: the checks of
+    `one_step_with`, and two postconditions (PostconditionFailed otherwise):
+    the old beta-top support is carried into the new top, and the beta
+    support becomes everything.
     """
     if beta > cond.eta:
         raise InvalidBeta(f"beta {beta} above top {cond.eta}")
     if nu not in (0, OMEGA_NAT) and not (isinstance(nu, int) and nu >= 0):
         raise ValueError("nu must be a natural or omega")
     below = graft_levels(cond.level(beta), cond.top)
-    out = one_step_with(cond, below, standard_append(below, shift=label_base), verify=verify)
-    if verify:
-        s_old = supp(cond.level(beta), cond.top)
-        s_new = supp(cond.top, out.top)
-        if not s_old.is_subset(s_new):
-            raise ValueError("one-step lost the old support")
-        if supp(cond.level(beta), out.top) != FULL_SET:
-            raise ValueError("one-step beta support is not everything")
+    out = one_step_with(cond, below, standard_append(below, shift=label_base))
+    if not supp(cond.level(beta), cond.top).is_subset(supp(cond.top, out.top)):
+        raise PostconditionFailed("one-step lost the old support")
+    if supp(cond.level(beta), out.top) != FULL_SET:
+        raise PostconditionFailed("one-step beta support is not everything")
     return out
 
 

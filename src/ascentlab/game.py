@@ -18,7 +18,7 @@ chain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .foundations import DEFAULT_X, FULL_SET, Ordinal, XSequence, ZERO, W_LIMIT
@@ -116,26 +116,15 @@ def _fresh_z(cond: Condition, lo: Ordinal, mu: Ordinal, offset: int) -> ZMap:
 
 
 def _z_graft_step(prev: ZMap, new_lo: Ordinal, cond: Condition, offset: int) -> ZMap:
-    """Successor-stage auxiliary family: every branch grows by the 0-column's
-    values and one fresh odd label."""
+    """Successor-stage auxiliary family: every branch above new_lo grows by
+    the 0-column's values and one fresh odd label."""
     eta = cond.eta
     col0 = cond.top.at(0).restrict(eta.pred())
-    cells = []
-    for w, cell in prev.cells:
-        ap, tmpl = cell.ap, cell.template
-        if w == new_lo.w and ap.start <= new_lo.n:
-            skip = (new_lo.n - ap.start) // ap.step + 1
-            ap = AP(ap.member(skip), ap.step)
-            tmpl = tmpl.reindex(1, skip)
-        merged = graft(tmpl, col0).append(
-            Ramp(16 * ap.step, 16 * ap.start + 2 * w + 1 + 32 * offset))
-        cells.append((w, Cell(ap, merged)))
-    entries = []
-    for k, v in prev.entries:
-        if k <= new_lo:
-            continue
-        entries.append((k, graft(v, col0).append(odd_label(k, offset))))
-    return ZMap.make(new_lo, prev.hi, prev.closed_hi, cells, entries)
+    z = prev.above(new_lo)
+    cells = tuple((w, Cell(c.ap, graft(c.template, col0).append(
+        Ramp(16 * c.ap.step, 16 * c.ap.start + 2 * w + 1 + 32 * offset)))) for w, c in z.cells)
+    entries = tuple((k, graft(v, col0).append(odd_label(k, offset))) for k, v in z.entries)
+    return replace(z, cells=cells, entries=entries)
 
 
 def strategy_ii_move(state: GameState, stage: Optional[Ordinal] = None) -> Move:

@@ -28,7 +28,9 @@ from .ascent import (
     restrict_level_domain, restrict_map, standard_append, supp,
 )
 from .nodes import SymNode, eq_star, graft, mk_entry, node_patch
-from .conditions import Condition, S_X, WrongVariant, leq_s, one_step_with
+from .conditions import (
+    Condition, S_X, WrongVariant, extend_with_top, leq_s, one_step_with,
+)
 from .trees import SymTree, family_in_tree, tree_contains
 
 
@@ -159,22 +161,6 @@ def _route_pieces(sigma: PiecewiseMap, alpha_lvl: AscentLevel, top_lvl: AscentLe
     return cells_out, exc_out
 
 
-def _extend_with_top(cond: Condition, new_top: AscentLevel,
-                     verify: bool = True) -> Condition:
-    from .conditions import _append_fibers_ok
-    tree = SymTree.make(cond.tree.height.succ(), cond.tree.explicit, cond.tree.catalogs)
-    out = Condition(tree, cond.path.with_level(cond.eta.succ(), new_top),
-                    cond.variant, cond.x)
-    if verify:
-        rep = me_family(new_top)
-        if not rep.ok:
-            raise ValueError(f"routing produced a non-exclusive family: {rep.detail}")
-        ok, why = _append_fibers_ok(new_top, cond.x)
-        if not ok:
-            raise ValueError(f"routing violates the exclusivity filter: {why}")
-    return out
-
-
 def build_intermediate(cond: Condition, triple: SealTriple) -> Condition:
     """The first sealing move: a one-step that keeps the family off Y and
     grafts the prescribed nodes over their pi-targets on Y."""
@@ -245,7 +231,7 @@ def seal_step(cond: Condition, triple: SealTriple, xi: int,
     cells = [c for cs, _ in pieces for c in cs]
     exc = [e for _, es in pieces for e in es]
     new_top = AscentLevel.make(sp.eta.succ(), cells, exc)
-    out = _extend_with_top(sp, new_top, verify=True)
+    out = extend_with_top(sp, new_top, verify=True)
 
     # the two routing guarantees, re-verified exactly
     g_alpha_level = sp.level(alpha)

@@ -65,7 +65,8 @@ def validate_pi(pi: PiecewiseMap, x: XSequence, n0: int) -> None:
 def branch_surgery(path: PathDescriptor, n0: int,
                    pi: Optional[PiecewiseMap] = None) -> Condition:
     """The new condition of limit-plus-one height; every stated consequence
-    is re-verified before returning."""
+    is re-verified before returning (PostconditionFailed otherwise): the
+    result extends path.base under leq_s and passes check_condition."""
     x = path.base.x
     x.validate("s4")
     if n0 not in x.x0 or n0 in x.entry(1):

@@ -216,3 +216,26 @@ def all_probes_paths_agree(p1, p2, eta: Ordinal) -> bool:
                 if not levels_equal(r1.level_at(base + k), r2.level_at(base + k)):
                     return False
     return True
+
+
+def zmap_window(z, blocks: int, bound: int) -> dict:
+    """Every key (w, n) with w < blocks and n < bound that the map defines,
+    with its value, each key looked up on its own: its explicit entry, else
+    the first cell over its block whose progression holds n, instantiated at
+    n's position."""
+    entries = dict(z.entries)
+    out = {}
+    for w in range(blocks):
+        for n in range(bound):
+            k = Ordinal(w, n)
+            if not z.in_domain(k):
+                continue
+            if k in entries:
+                out[k] = entries[k]
+                continue
+            for cw, cell in z.cells:
+                start, step = cell.ap.start, cell.ap.step
+                if cw == w and n >= start and (n - start) % step == 0:
+                    out[k] = cell.template.instantiate((n - start) // step)
+                    break
+    return out

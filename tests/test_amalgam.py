@@ -1,14 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ascentlab.foundations import FULL_SET, OMEGA, Ordinal
+from ascentlab.foundations import AP, FULL_SET, OMEGA, Ordinal
 from ascentlab.amalgam import (
-    ChainDescriptor, HypothesisViolated, NotUniformTail, amalgamate,
+    ChainDescriptor, HypothesisViolated, NotUniformTail, ZMap, amalgamate,
 )
-from ascentlab.ascent import supp
+from ascentlab.ascent import Cell, supp
 from ascentlab.conditions import S_X, check_condition, leq_s
 from ascentlab.fixtures import uniform_chain
 from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node
 from ascentlab.trees import tree_contains, vanishing_levels
+from oracles import zmap_window
+from test_chain_lemma import ENTRIES, nodes_of
 
 
 def test_uniform_fixture_amalgam():
@@ -102,3 +105,39 @@ def test_failed_reverification_raises_postcondition(monkeypatch):
         variant, (("C1", False),), ("forced",), ()))
     with pytest.raises(PostconditionFailed, match="amalgam fails validation: forced"):
         amalgamate(uniform_chain(3, Ordinal(1, 2)))
+
+
+# -- ZMap.above: the one re-base of a z-map past a new stage --------------------
+
+@st.composite
+def zmaps_and_cuts(draw):
+    """A z-map on (lo, hi) and a cut new_lo above lo, with a cell straddling
+    new_lo, a cell in a block below new_lo's, random extra cells and entries."""
+    new_lo = Ordinal(draw(st.integers(1, 2)), draw(st.integers(0, 20)))
+    lo = Ordinal(0, draw(st.integers(0, 5)))
+    hi = Ordinal(3, draw(st.integers(0, 30)))
+    template = nodes_of(Ordinal(1, 1), ENTRIES)
+    straddle = Cell(AP(draw(st.integers(0, new_lo.n)), draw(st.integers(1, 4))), draw(template))
+    below = Cell(AP(draw(st.integers(0, 5)), draw(st.integers(1, 3))), draw(template))
+    cells = [(new_lo.w, straddle), (draw(st.integers(0, new_lo.w - 1)), below)]
+    cells += draw(st.lists(st.tuples(st.integers(0, 3), st.builds(
+        Cell, st.builds(AP, st.integers(0, 25), st.integers(1, 4)), template)), max_size=2))
+    keys = st.builds(Ordinal, st.integers(0, 3), st.integers(0, 30))
+    entries = draw(st.dictionaries(keys, nodes_of(Ordinal(1, 1), st.integers(0, 9)), max_size=4))
+    order = draw(st.permutations(range(len(cells))))
+    return ZMap.make(lo, hi, draw(st.booleans()), [cells[i] for i in order], entries), new_lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(zmaps_and_cuts())
+def test_zmap_above_matches_pointwise(case):
+    z, new_lo = case
+    got = z.above(new_lo)
+    assert (got.lo, got.hi, got.closed_hi) == (new_lo, z.hi, z.closed_hi)
+    want = {k: v for k, v in zmap_window(z, 4, 48).items() if k > new_lo}
+    assert zmap_window(got, 4, 48) == want
+    for k in got.probe_keys():
+        assert k > new_lo and got.at(k) == z.at(k)
+    # no key at or below new_lo is left, in the domain or in any cell
+    assert not any(got.in_domain(k) for k in (new_lo, z.lo, Ordinal(0, 0)))
+    assert all(Ordinal(w, c.ap.start) > new_lo for w, c in got.cells)

@@ -67,6 +67,11 @@ def test_ordinal_beyond_bound_exit_2(capsys):
     ["absorb", "--node", "[5]", "--xi", "-1"],
     ["derive-branches", "--xi", "-1"],
     ["extend", "--beta", "1", "--label-base", "-1"],
+    pytest.param(["seal", "--hit-steps", "-1"], id="seal-hit-steps"),
+    pytest.param(["surgery", "--n0", "2", "--fixture-prefix", "-1"], id="surgery-fixture-prefix"),
+    pytest.param(["derive-branches", "--fixture-prefix", "-1"], id="derive-branches-fixture-prefix"),
+    pytest.param(["demo-bad-antichain", "--count", "-1"], id="demo-bad-antichain-count"),
+    pytest.param(["demo-bad-antichain", "--pad", "-1"], id="demo-bad-antichain-pad"),
 ], ids=lambda argv: argv[0])
 def test_negative_natural_exit_2(argv, cond_file, capsys):
     flag = argv[-2]
@@ -77,6 +82,20 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
     assert code == 2
     assert out.count("\n") == 1
     assert json.loads(out) == {"command": argv[0], "error": f"{flag} must be a natural"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--beta", "1", "--nu", "abc"],
+    ["extend", "--beta", "1", "--nu", "-3"],
+    ["absorb", "--node", '["x"]'],
+], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int"])
+def test_bad_value_exit_2(argv, cond_file, capsys):
+    code = main(argv + [cond_file])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    rep = json.loads(out)
+    assert rep["command"] == argv[0] and argv[-1] in rep["error"]
 
 
 def test_extend_roundtrip(cond_file, tmp_path, capsys):
@@ -107,7 +126,7 @@ def test_game_cli(capsys):
 
 
 def test_demo_bad_antichain_cli(capsys):
-    code, rep = run_cli(["demo-bad-antichain", "--count", "5", "--search-bound", "32"], capsys)
+    code, rep = run_cli(["demo-bad-antichain", "--count", "5"], capsys)
     assert code == 0
     assert rep["pairwise_incompatible"] == "10/10"
 

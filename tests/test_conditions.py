@@ -109,3 +109,20 @@ def test_towers_validate_sx():
     for k in (2, 4):
         rep = check_condition(tower(k))
         assert rep.ok, rep.violations
+
+
+def test_failed_support_postcondition_raises(monkeypatch):
+    """A below-level that drops the graft of level beta (here: the top with
+    indices 0 and 1 swapped) passes the one-step checks but loses the old
+    support; that is a library defect, reported as PostconditionFailed (an
+    explicit raise, kept under python -O)."""
+    from ascentlab import conditions
+    from ascentlab.ascent import AscentLevel
+    from ascentlab.foundations import PostconditionFailed
+
+    def swapped_top(low, high):
+        return AscentLevel.make(high.height, high.cells,
+                                dict(high.exceptions) | {0: high.at(1), 1: high.at(0)})
+    monkeypatch.setattr(conditions, "graft_levels", swapped_top)
+    with pytest.raises(PostconditionFailed, match="one-step lost the old support"):
+        one_step_extension(tower(2), Ordinal(0, 1))
