@@ -792,7 +792,7 @@ def fill_level(height: Ordinal, cells, exceptions, filler: AscentLevel) -> Ascen
 
 def _member_stable(u: UPSet) -> tuple[int, int]:
     """(first stable rank, members per period)."""
-    return u.rank(u.threshold), len(u.residues)
+    return u.lmask.bit_count(), u.rmask.bit_count()
 
 
 def order_iso(source: UPSet, target: UPSet, skip: int = 0) -> PiecewiseMap:

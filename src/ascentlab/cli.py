@@ -25,7 +25,7 @@ from .fixtures import bad_path_conditions, uniform_path
 from .game import check_run_invariants, onestep_opponent, play_game, random_opponent
 from .nodes import node
 from .sealing import (
-    OracleHit, OracleMismatch, SealTripleInvalid, absorb_node, identity_triple,
+    NodeNotInTree, OracleHit, OracleMismatch, SealTripleInvalid, absorb_node, identity_triple,
     seal_step, transposition_triple,
 )
 from .surgery import BadPi, branch_surgery
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 RECOVERABLE = (InputError, sz.FormatError, OrdinalBoundError, ProfileViolation,
                WrongVariant, InvalidBeta, NoCatalog, NotUniformTail, HypothesisViolated,
-               SealTripleInvalid, OracleMismatch, BadPi, KeyError)
+               SealTripleInvalid, OracleMismatch, NodeNotInTree, BadPi, KeyError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -375,6 +375,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         for name in ("xi", "label_base", "fixture_prefix", "count", "pad", "hit_steps"):
             if getattr(args, name, 0) < 0:
                 raise InputError(f"--{name.replace('_', '-')} must be a natural")
+        # an antichain demonstration needs at least one pair
+        if getattr(args, "count", 2) < 2:
+            raise InputError("--count must be at least 2")
         code = args.fn(args)
     except RECOVERABLE as e:
         print(json.dumps({"command": args.cmd, "error": str(e)}, sort_keys=True))

@@ -6,11 +6,18 @@ values can be shared freely. Heights live below omega*W for a small
 configurable block bound W; sets of naturals are restricted to the
 ultimately periodic class, where boolean algebra and filter membership
 are exactly decidable.
+
+A `UPSet` is two int bitmasks, its residues mod the period and its
+members below the threshold, kept in a normal form with the least period
+and then the least threshold, so equality is structural. A boolean
+operation restates both sides at the common period (the lcm) and the
+larger threshold and is then one bit operation per mask.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -165,41 +172,35 @@ class AP:
 class UPSet:
     """Ultimately periodic subset of omega in canonical normal form.
 
-    Membership of k >= threshold depends only on k mod period; members below
-    the threshold are listed explicitly in `low`. The constructor `make`
-    minimizes the period and then the threshold, so structural equality
-    coincides with extensional equality.
+    A set is two ints beside its threshold t and period p. Bit k of
+    `lmask` is set iff k < t is a member; for k >= t, k is a member iff
+    bit k mod p of `rmask` is set. `residues` and `low` give the same bits
+    as frozensets.
+
+    Normal form: p is the least period of the tail, and t the least point
+    from which that period holds, so if t > 0 the membership of t-1
+    differs from the periodic rule at t-1. `make` and every operation
+    return this form, so structural equality and the hash coincide with
+    extensional equality.
     """
 
     threshold: int
     period: int
-    residues: frozenset[int]
-    low: frozenset[int]
+    rmask: int
+    lmask: int
 
     @staticmethod
     def make(threshold: int, period: int, residues: frozenset[int] | set[int],
              low: frozenset[int] | set[int] = frozenset()) -> "UPSet":
         if period < 1 or threshold < 0:
             raise ValueError("period must be >= 1 and threshold >= 0")
-        residues = frozenset(r % period for r in residues)
-        low = frozenset(k for k in low if 0 <= k < threshold)
-        # minimal period: smallest divisor d of period whose classes refine residues
-        for d in _divisors(period):
-            proj = frozenset(r % d for r in residues)
-            if frozenset(r for r in range(period) if r % d in proj) == residues:
-                period, residues = d, proj
-                break
-        # minimal threshold: absorb low points that already match the rule
-        t = threshold
-        low_set = set(low)
-        while t > 0:
-            k = t - 1
-            if (k in low_set) == (k % period in residues):
-                low_set.discard(k)
-                t = k
-            else:
-                break
-        return UPSet(t, period, residues, frozenset(low_set))
+        rmask = lmask = 0
+        for r in residues:
+            rmask |= 1 << (r % period)
+        for k in low:
+            if 0 <= k < threshold:
+                lmask |= 1 << k
+        return _normal(threshold, period, rmask, lmask)
 
     @staticmethod
     def from_window(members, period: int, threshold: int) -> "UPSet":
@@ -208,50 +209,71 @@ class UPSet:
         residues = frozenset(k % period for k in members if threshold <= k < threshold + period)
         return UPSet.make(threshold, period, residues, frozenset(k for k in members if k < threshold))
 
+    @property
+    def residues(self) -> frozenset[int]:
+        return frozenset(_bits(self.rmask))
+
+    @property
+    def low(self) -> frozenset[int]:
+        return frozenset(_bits(self.lmask))
+
     def __contains__(self, k: int) -> bool:
         if k < 0:
             return False
         if k < self.threshold:
-            return k in self.low
-        return k % self.period in self.residues
+            return bool(self.lmask >> k & 1)
+        return bool(self.rmask >> (k % self.period) & 1)
+
+    def _tail(self) -> int:
+        """rmask rotated so that bit i is the membership of threshold + i."""
+        p, s = self.period, self.threshold % self.period
+        return (self.rmask >> s | self.rmask << (p - s)) & ((1 << p) - 1)
 
     # -- algebra ---------------------------------------------------------
+
+    def _masks_at(self, t: int, p: int) -> tuple[int, int]:
+        """(rmask, lmask) of self restated with threshold t >= its own and
+        period p, a multiple of its own."""
+        rmask = self.rmask if p == self.period else self.rmask * _repunit(p, self.period)
+        lmask = self.lmask
+        if t > self.threshold:
+            lmask |= _tile(self.rmask, self.period, t) >> self.threshold << self.threshold
+        return rmask, lmask
 
     def _combine(self, other: "UPSet", op) -> "UPSet":
         p = math.lcm(self.period, other.period)
         t = max(self.threshold, other.threshold)
-        # beyond t, membership on both sides depends only on k mod p
-        residues = frozenset(r for r in range(p)
-                             if op((t + ((r - t) % p)) in self, (t + ((r - t) % p)) in other))
-        low = frozenset(k for k in range(t) if op(k in self, k in other))
-        return UPSet.make(t, p, residues, low)
+        ra, la = self._masks_at(t, p)
+        rb, lb = other._masks_at(t, p)
+        return _normal(t, p, op(ra, rb), op(la, lb))
 
     def union(self, other: "UPSet") -> "UPSet":
-        return self._combine(other, lambda a, b: a or b)
+        return self._combine(other, operator.or_)
 
     def intersect(self, other: "UPSet") -> "UPSet":
-        return self._combine(other, lambda a, b: a and b)
+        return self._combine(other, operator.and_)
 
     def difference(self, other: "UPSet") -> "UPSet":
-        return self._combine(other, lambda a, b: a and not b)
+        return self._combine(other, _and_not)
 
     def complement(self) -> "UPSet":
-        return UPSet.make(self.threshold, self.period,
-                          frozenset(range(self.period)) - self.residues,
-                          frozenset(range(self.threshold)) - self.low)
+        # flipping every bit keeps both minimality conditions, so the
+        # result is already in normal form
+        return UPSet(self.threshold, self.period, self.rmask ^ ((1 << self.period) - 1),
+                     self.lmask ^ ((1 << self.threshold) - 1))
 
     # -- queries ---------------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return not self.residues and not self.low
+        return not self.rmask and not self.lmask
 
     @property
     def is_finite(self) -> bool:
-        return not self.residues
+        return not self.rmask
 
     def is_cobounded(self) -> bool:
-        return len(self.residues) == self.period
+        return self.rmask == (1 << self.period) - 1
 
     def is_subset(self, other: "UPSet") -> bool:
         return self.difference(other).is_empty
@@ -270,45 +292,43 @@ class UPSet:
             k += 1
 
     def min_member(self) -> int:
-        if self.is_empty:
+        if self.lmask:
+            return _lowest_bit(self.lmask)
+        if not self.rmask:
             raise ValueError("empty set has no minimum")
-        return next(iter(self.iter_members()))
+        return self.threshold + _lowest_bit(self._tail())
 
     def max_member(self) -> int:
         if not self.is_finite:
             raise ValueError("infinite set has no maximum")
-        if not self.low:
+        if not self.lmask:
             raise ValueError("empty set has no maximum")
-        return max(self.low)
+        return self.lmask.bit_length() - 1
 
     def rank(self, k: int) -> int:
         """Number of members strictly below k."""
         if k <= self.threshold:
-            return sum(1 for j in self.low if j < k)
+            return (self.lmask & ((1 << max(k, 0)) - 1)).bit_count()
         full, rem = divmod(k - self.threshold, self.period)
-        head = sum(1 for r in range(rem) if (self.threshold + r) % self.period in self.residues)
-        return len(self.low) + full * len(self.residues) + head
+        head = (self._tail() & ((1 << rem) - 1)).bit_count()
+        return self.lmask.bit_count() + full * self.rmask.bit_count() + head
 
     def nth(self, n: int) -> int:
         """The n-th member (0-based)."""
-        lows = sorted(self.low)
+        lows = _bits(self.lmask)
         if n < len(lows):
             return lows[n]
-        if not self.residues:
+        if not self.rmask:
             raise ValueError(f"set has only {len(lows)} members")
         n -= len(lows)
-        offs = [r for r in range(self.period)
-                if (self.threshold + r) % self.period in self.residues]
+        offs = _bits(self._tail())
         q, r = divmod(n, len(offs))
         return self.threshold + q * self.period + offs[r]
 
     def to_aps(self) -> tuple[list[AP], list[int]]:
         """Decompose into infinite arithmetic progressions plus a finite patch."""
-        aps = []
-        for r in range(self.period):
-            if (self.threshold + r) % self.period in self.residues:
-                aps.append(AP(self.threshold + r, self.period))
-        return aps, sorted(self.low)
+        aps = [AP(self.threshold + r, self.period) for r in _bits(self._tail())]
+        return aps, _bits(self.lmask)
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -318,8 +338,71 @@ class UPSet:
         return "UPSet{" + ",".join(map(str, shown)) + tail + "}"
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _normal(t: int, p: int, rmask: int, lmask: int) -> UPSet:
+    """The normal form of the set with threshold t, period p, residue mask
+    rmask < 2**p and low mask lmask < 2**t."""
+    # Least period. The periods of the tail that divide p are the multiples
+    # of its least period d, so while some prime q leaves p/q a period, d
+    # divides p/q; at the end no p/q is a period, so p == d. The word has
+    # period p/q iff shifting it by p/q matches its first p - p/q bits.
+    if p > 1:
+        for q in _prime_factors(p):
+            while p % q == 0:
+                d = p // q
+                if rmask >> d != rmask & ((1 << (p - d)) - 1):
+                    break
+                p, rmask = d, rmask & ((1 << d) - 1)
+    # Least threshold: drop t while the low bit at t-1 equals the periodic rule.
+    while t:
+        k = t - 1
+        if (lmask >> k ^ rmask >> (k % p)) & 1:
+            break
+        lmask &= (1 << k) - 1
+        t = k
+    return UPSet(t, p, rmask, lmask)
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _repunit(n: int, p: int) -> int:
+    """The mask with bits 0, p, 2p, ... below n; p divides n."""
+    return ((1 << n) - 1) // ((1 << p) - 1)
+
+
+def _tile(rmask: int, p: int, n: int) -> int:
+    """Bits [0, n) of the period-p word rmask repeated."""
+    whole = -(-n // p) * p
+    return rmask * _repunit(whole, p) & ((1 << n) - 1)
+
+
+def _and_not(a: int, b: int) -> int:
+    return a & ~b
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 EMPTY_SET = UPSet.make(0, 1, frozenset())

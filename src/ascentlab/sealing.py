@@ -50,6 +50,10 @@ class LimitDomainUnsupported(ValueError):
     pass
 
 
+class NodeNotInTree(ValueError):
+    """The node to absorb is not in the condition's tree."""
+
+
 @dataclass(frozen=True, slots=True)
 class SealTriple:
     """Prescribed family x, ideal set Y, injection pi: Y -> Y."""
@@ -126,8 +130,7 @@ def check_triple(triple: SealTriple, cond: Condition) -> bool:
 
 
 def _sample_members(u: UPSet, extra: int = 3) -> list[int]:
-    out = sorted(u.low)
-    aps, _ = u.to_aps()
+    aps, out = u.to_aps()
     for ap in aps:
         out.extend(ap.member(m) for m in range(extra))
     return sorted(set(out))
@@ -272,7 +275,7 @@ def absorb_node(cond: Condition, t: SymNode, xi: int) -> tuple[Condition, Ordina
     if not t.dom.is_finite:
         raise LimitDomainUnsupported(f"node of height {t.dom} cannot be absorbed")
     if not tree_contains(cond.tree, t):
-        raise ValueError("node to absorb is not in the tree")
+        raise NodeNotInTree("node to absorb is not in the tree")
     xset = cond.x.entry(xi)
     if t.dom.is_zero:
         return cond, ZERO, xset.min_member()

@@ -39,11 +39,12 @@ def dec_ordinal(d: Any) -> Ordinal:
 
 
 def enc_upset(u: UPSet) -> dict:
-    periodic_low = {k for k in range(u.threshold) if k % u.period in u.residues}
+    periodic_low = {k for k in range(u.threshold) if u.rmask >> (k % u.period) & 1}
+    low = u.low
     return {"threshold": u.threshold, "period": u.period,
             "residues": sorted(u.residues),
-            "patch_add": sorted(set(u.low) - periodic_low),
-            "patch_remove": sorted(periodic_low - set(u.low))}
+            "patch_add": sorted(low - periodic_low),
+            "patch_remove": sorted(periodic_low - low)}
 
 def dec_upset(d: Any) -> UPSet:
     _expect(isinstance(d, dict) and "period" in d, f"bad set {d!r}")

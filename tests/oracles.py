@@ -46,6 +46,31 @@ def brute_classify(y: UPSet, x: XSequence, max_n: int, window: int) -> tuple[str
     return "neither", None
 
 
+# -- raw descriptions of ultimately periodic sets --------------------------------
+# A raw set is a tuple (t, p, residues, low): k < t is a member iff k is in
+# low, and k >= t iff k mod p is in residues. Nothing here calls UPSet.make
+# or reads a UPSet, so these are the reference for its normal form.
+
+
+def raw_member(raw, k: int) -> bool:
+    t, p, residues, low = raw
+    return k in low if k < t else k % p in residues
+
+
+def raw_window(raw, bound: int) -> set[int]:
+    return {k for k in range(bound) if raw_member(raw, k)}
+
+
+def enc_from_window(t: int, p: int, member) -> dict:
+    """serialize.enc_upset's dict for the set decided pointwise by `member`,
+    written with threshold t and period p."""
+    residues = sorted(r for r in range(p) if member(t + (r - t) % p))
+    periodic = {k for k in range(t) if k % p in residues}
+    low = {k for k in range(t) if member(k)}
+    return {"threshold": t, "period": p, "residues": residues,
+            "patch_add": sorted(low - periodic), "patch_remove": sorted(periodic - low)}
+
+
 def unroll_positions(node: SymNode, per_block: int) -> list[Ordinal]:
     """Coordinate sample covering every periodic class of every block."""
     out: list[Ordinal] = []

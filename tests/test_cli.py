@@ -84,18 +84,24 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
     assert json.loads(out) == {"command": argv[0], "error": f"{flag} must be a natural"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["extend", "--beta", "1", "--nu", "abc"],
-    ["extend", "--beta", "1", "--nu", "-3"],
-    ["absorb", "--node", '["x"]'],
-], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int"])
-def test_bad_value_exit_2(argv, cond_file, capsys):
-    code = main(argv + [cond_file])
+@pytest.mark.parametrize("argv, error", [
+    (["extend", "--beta", "1", "--nu", "abc"], "abc"),
+    (["extend", "--beta", "1", "--nu", "-3"], "-3"),
+    (["absorb", "--node", '["x"]'], '["x"]'),
+    (["absorb", "--node", "[1,2,3,4,5,6]"], "not in the tree"),
+    (["demo-bad-antichain", "--count", "0"], "--count must be at least 2"),
+    (["demo-bad-antichain", "--count", "1"], "--count must be at least 2"),
+], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
+        "demo-bad-antichain-count-0", "demo-bad-antichain-count-1"])
+def test_bad_value_exit_2(argv, error, cond_file, capsys):
+    if argv[0] in ("absorb", "extend"):
+        argv = argv + [cond_file]
+    code = main(argv)
     out = capsys.readouterr().out
     assert code == 2
     assert out.count("\n") == 1
     rep = json.loads(out)
-    assert rep["command"] == argv[0] and argv[-1] in rep["error"]
+    assert rep["command"] == argv[0] and error in rep["error"]
 
 
 def test_extend_roundtrip(cond_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -5,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ascentlab.foundations import (
     DEFAULT_X, EVENS, ODDS, FULL_SET, EMPTY_SET, GT, LT, EQ,
@@ -13,7 +14,10 @@ from ascentlab.foundations import (
     XSequence, filter_classify, finite_set, is_cobounded, multiples,
     ord_compare, singleton, upset_algebra,
 )
-from oracles import brute_classify, brute_op, upset_window
+from ascentlab.serialize import dec_upset, enc_upset
+from oracles import (
+    brute_classify, brute_op, enc_from_window, raw_member, raw_window, upset_window,
+)
 
 
 def rand_upset(rng: random.Random) -> UPSet:
@@ -243,3 +247,106 @@ def test_upset_algebra_laws(parts):
     assert a.union(a) == a and a.intersect(a) == a
     assert a.complement().complement() == a
     assert a.difference(b) == a
+
+
+# -- normal form, against raw descriptions read pointwise ------------------------
+
+
+@st.composite
+def raw_upsets(draw):
+    """A raw set (t, p, residues, low) with p <= 24. The residues repeat a
+    word of a length d dividing p, so the least period is often a proper
+    divisor of p (12, 18 and 24 have repeated prime factors), and the low
+    part mostly follows the periodic rule, so the threshold often drops."""
+    p = draw(st.one_of(st.sampled_from([12, 18, 24]), st.integers(1, 24)))
+    d = draw(st.sampled_from([q for q in range(1, p + 1) if p % q == 0]))
+    word = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    residues = {r for r in range(p) if word[r % d]}
+    residues ^= draw(st.sets(st.integers(0, p - 1), max_size=1))
+    t = draw(st.integers(0, 12))
+    low = {k for k in range(t) if k % p in residues}
+    low ^= draw(st.sets(st.integers(0, 11), max_size=2)) & set(range(t))
+    return t, p, frozenset(residues), frozenset(low)
+
+
+def restated(raw, extra_t: int, factor: int):
+    """The same set with a larger threshold and a multiple of the period."""
+    t, p = raw[0] + extra_t, raw[1] * factor
+    residues = frozenset(r for r in range(p) if raw_member(raw, t + (r - t) % p))
+    return t, p, residues, frozenset(k for k in range(t) if raw_member(raw, k))
+
+
+def made(raw) -> UPSet:
+    """UPSet.make on a raw set, checked pointwise against it."""
+    u = UPSet.make(*raw)
+    bound = max(u.threshold, raw[0]) + math.lcm(u.period, raw[1])
+    assert upset_window(u, bound) == raw_window(raw, bound)
+    return u
+
+
+NORMAL_FORM = settings(max_examples=300, deadline=None)
+
+
+@NORMAL_FORM
+@given(raw_upsets(), raw_upsets(), st.integers(0, 5), st.integers(1, 3), st.booleans())
+def test_normal_form_equal_iff_windows_agree(ra, rb, extra_t, factor, restate):
+    if restate:
+        rb = restated(ra, extra_t, factor)
+    a, b = made(ra), made(rb)
+    bound = a.threshold + b.threshold + 2 * math.lcm(a.period, b.period)
+    agree = raw_window(ra, bound) == raw_window(rb, bound)
+    assert (a == b) == agree
+    if agree:
+        assert hash(a) == hash(b)
+
+
+@NORMAL_FORM
+@given(raw_upsets())
+def test_normal_form_is_minimal(raw):
+    u = made(raw)
+    t, p = u.threshold, u.period
+    for d in range(1, p):
+        if p % d == 0:
+            assert any(raw_member(raw, k) != raw_member(raw, k + d) for k in range(t, t + p)), d
+    if t:
+        assert raw_member(raw, t - 1) != raw_member(raw, t - 1 + p)
+
+
+@NORMAL_FORM
+@given(raw_upsets(), raw_upsets())
+def test_queries_match_window(ra, rb):
+    a, b = made(ra), made(rb)
+    span = max(ra[0], rb[0]) + math.lcm(ra[1], rb[1])  # both repeat from here on
+    wa, wb = raw_window(ra, span), raw_window(rb, span)
+    tail = raw_window(ra, ra[0] + ra[1]) - set(range(ra[0]))
+    assert a.is_empty == (not wa)
+    assert a.is_cobounded() == (len(tail) == ra[1])
+    if wa:
+        assert a.min_member() == min(wa)
+        assert [a.nth(n) for n in range(len(wa))] == sorted(wa)
+    else:
+        with pytest.raises(ValueError):
+            a.min_member()
+    if wa and not tail:
+        assert a.max_member() == max(wa)
+    else:
+        with pytest.raises(ValueError):
+            a.max_member()
+    below = 0
+    for k in range(span + 2 * ra[1]):
+        assert a.rank(k) == below, k
+        below += raw_member(ra, k)
+    assert a.is_subset(b) == (wa <= wb)
+    assert a.disjoint(b) == (not wa & wb)
+    for kind in ("union", "intersect", "difference", "complement"):
+        got = upset_algebra(kind, a, b)
+        assert upset_window(got, span) == brute_op(kind, a, b, span), kind
+
+
+@NORMAL_FORM
+@given(raw_upsets())
+def test_encoding_matches_window(raw):
+    u = made(raw)
+    enc = enc_upset(u)
+    assert dec_upset(enc) == u
+    assert enc == enc_from_window(u.threshold, u.period, lambda k: raw_member(raw, k))
