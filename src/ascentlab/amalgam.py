@@ -15,7 +15,7 @@ admitted branch, so no graft of it lands in the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .foundations import FULL_SET, Ordinal, PostconditionFailed, singleton
@@ -141,10 +141,31 @@ class ZMap:
 
 
 @dataclass(frozen=True, slots=True)
+class ZBullets:
+    """Evidence that `check_z_bullets(beta, cond, z, delta, closed)` passed.
+    The check is a function of these five immutable values, so it certifies
+    a chain member whose cond and z are these very objects."""
+
+    beta: Ordinal
+    cond: Condition
+    z: ZMap
+    delta: Ordinal
+    closed: bool
+
+
+@dataclass(frozen=True, slots=True)
 class ChainMember:
     beta: Ordinal
     cond: Condition
     z: ZMap
+    bullets: Optional[ZBullets] = field(default=None, compare=False, repr=False)
+
+    def proved(self, delta: Ordinal, closed: bool) -> bool:
+        """Whether the carried evidence covers this member on the z-domain
+        (beta, delta): its cond and z by identity, the rest by value."""
+        ev = self.bullets
+        return (ev is not None and ev.cond is self.cond and ev.z is self.z
+                and ev.beta == self.beta and ev.delta == delta and ev.closed == closed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,10 +208,13 @@ class ChainDescriptor:
 
 
 def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap,
-                    delta: Ordinal, closed: bool) -> None:
+                    delta: Ordinal, closed: bool) -> ZBullets:
     """The four per-stage z requirements, on the represented keys plus the
     cell structure (last-entry injectivity decides eventual difference at
-    successor heights). Raises HypothesisViolated with the failing bullet."""
+    successor heights). Raises HypothesisViolated with the failing bullet;
+    on success returns the ZBullets record of the five arguments, which
+    `validate_chain` accepts in place of a second check of the same
+    objects."""
     if (z.lo, z.hi, z.closed_hi) != (beta, delta, closed):
         raise HypothesisViolated("z-domain", f"z of stage {beta} has domain "
                                  f"({z.lo},{z.hi}{']' if z.closed_hi else ')'}")
@@ -248,11 +272,23 @@ def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap,
         for i0, row in rep.special_rows:
             if not row.difference(zero).is_empty:
                 raise HypothesisViolated("z-exclusive", f"branch {i0} meets the family off 0")
+    return ZBullets(beta, cond, z, delta, closed)
 
 
 def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
     """Check every amalgamation hypothesis; returns the members extended by
-    two generated tail members for the rule-level checks."""
+    two generated tail members for the rule-level checks.
+
+    A member skips the z-bullets only when it carries the ZBullets record
+    of a passed check of its own cond and z objects (`is`), its own stage
+    and the chain's z-domain endpoint (`ChainMember.proved`). Members decoded
+    from JSON, built by fixtures or by the tail rule, and limit-stage moves
+    carry no record and are checked in full. `decreasing` and `full-supp`
+    are decided on adjacent members: leq_s is transitive, and by the chain
+    lemma in the `ascentlab.conditions` docstring FULL ∩ FULL ⊆ supp of the
+    outer pair. After an adjacent failure the all-pairs loop runs, so the
+    raised error is the first one in pair order. `z-coherent` keeps all
+    pairs."""
     if not ch.members:
         raise HypothesisViolated("nonempty", "chain has no members")
     if not ch.gamma.is_limit:
@@ -269,13 +305,17 @@ def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
             raise HypothesisViolated("variant", "chain members must be S_X conditions")
         if not (m.beta < ch.gamma):
             raise HypothesisViolated("gamma-cofinal", f"stage {m.beta} at or above gamma")
-        check_z_bullets(m.beta, m.cond, m.z, ch.delta, ch.closed_delta)
+        if not m.proved(ch.delta, ch.closed_delta):
+            check_z_bullets(m.beta, m.cond, m.z, ch.delta, ch.closed_delta)
+    adjacent_ok = all(leq_s(b.cond, a.cond) and supp(a.cond.top, b.cond.top) == FULL_SET
+                      for a, b in zip(sample, sample[1:]))
     for i, m1 in enumerate(sample):
         for m2 in sample[i + 1:]:
-            if not leq_s(m2.cond, m1.cond):
-                raise HypothesisViolated("decreasing", f"stage {m2.beta} does not extend {m1.beta}")
-            if supp(m1.cond.top, m2.cond.top) != FULL_SET:
-                raise HypothesisViolated("full-supp", f"stages {m1.beta},{m2.beta}")
+            if not adjacent_ok:
+                if not leq_s(m2.cond, m1.cond):
+                    raise HypothesisViolated("decreasing", f"stage {m2.beta} does not extend {m1.beta}")
+                if supp(m1.cond.top, m2.cond.top) != FULL_SET:
+                    raise HypothesisViolated("full-supp", f"stages {m1.beta},{m2.beta}")
             for k in m1.z.probe_keys():
                 if m2.z.in_domain(k):
                     v1, v2 = m1.z.at(k), m2.z.at(k)

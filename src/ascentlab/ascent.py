@@ -314,9 +314,6 @@ class AscentPath:
                 raise ValueError(f"level at {h} has height {lvl.height}")
         return AscentPath(levels, tails)
 
-    def level_dict(self) -> dict[Ordinal, AscentLevel]:
-        return dict(self.levels)
-
     def tail_for(self, w: int) -> Optional[TailRule]:
         for bw, rule in self.tails:
             if bw == w:

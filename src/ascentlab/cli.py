@@ -15,7 +15,7 @@ import time
 from typing import Any, Optional
 
 from .foundations import Ordinal, OrdinalBoundError, OMEGA_NAT, ProfileViolation
-from .aposet import THETA, PathDescriptor, check_antichain, is_bad
+from .aposet import THETA, NotLinked, PathDescriptor, check_antichain, is_bad
 from .amalgam import HypothesisViolated, NotUniformTail, amalgamate
 from .conditions import (
     Condition, InvalidBeta, WrongVariant, check_condition, eta_nu, leq_s,
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 RECOVERABLE = (InputError, sz.FormatError, OrdinalBoundError, ProfileViolation,
                WrongVariant, InvalidBeta, NoCatalog, NotUniformTail, HypothesisViolated,
-               SealTripleInvalid, OracleMismatch, NodeNotInTree, BadPi, KeyError)
+               SealTripleInvalid, OracleMismatch, NodeNotInTree, BadPi, NotLinked, KeyError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

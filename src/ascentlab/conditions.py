@@ -14,9 +14,11 @@ supp(f_α, f_β) ∩ supp(f_β, f_γ) ⊆ supp(f_α, f_γ). The co-bounded sets 
 filter generated by X are both closed under finite intersection and under
 supersets, so when every adjacent pair of a height-ordered chain of levels has
 an acceptable support, every pair has. Clause C2 (through
-`ascent.supp_chain_violations`) and `game.check_run_invariants` therefore
-check adjacent pairs only, and enumerate all pairs only after an adjacent
-pair fails, which keeps their violation lists those of the all-pairs check.
+`ascent.supp_chain_violations`), `game.check_run_invariants` and the
+`decreasing` and `full-supp` requirements of `amalgam.validate_chain`
+therefore check adjacent pairs only, and enumerate all pairs only after an
+adjacent pair fails, which keeps their violation lists, and the error
+`validate_chain` raises, those of the all-pairs check.
 """
 
 from __future__ import annotations
@@ -71,9 +73,6 @@ class Condition:
     @property
     def top(self) -> AscentLevel:
         return self.path.level_at(self.eta)
-
-    def with_variant(self, variant: str) -> "Condition":
-        return Condition(self.tree, self.path, variant, self.x)
 
     def probe_heights(self) -> list[Ordinal]:
         return self.path.probe_heights(self.eta)

@@ -28,7 +28,7 @@ from .conditions import (
     Condition, S_X, leq_s, one_step_extension, root_condition,
 )
 from .amalgam import (
-    ChainDescriptor, ChainMember, ChainTail, HypothesisViolated, ZMap,
+    ChainDescriptor, ChainMember, ChainTail, HypothesisViolated, ZBullets, ZMap,
     amalgamate, check_z_bullets,
 )
 from .fixtures import odd_label
@@ -51,6 +51,8 @@ class Move:
     mover: str                      # "I" or "II"
     cond: Condition
     z: Optional[ZMap] = None
+    # what II's own check of (stage, cond, z) proved; not part of the move
+    bullets: Optional[ZBullets] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +93,7 @@ class GameState:
         out = []
         for mv in self.moves:
             if mv.z is not None and ZERO < mv.stage < below:
-                out.append(ChainMember(mv.stage, mv.cond, mv.z))
+                out.append(ChainMember(mv.stage, mv.cond, mv.z, mv.bullets))
         return out
 
 
@@ -147,8 +149,7 @@ def strategy_ii_move(state: GameState, stage: Optional[Ordinal] = None) -> Move:
         if alpha.z is None:
             raise StateCorrupt(f"stage {alpha.stage} lacks its auxiliary family")
         z = _z_graft_step(alpha.z, stage, cond, state.z_offset)
-    check_z_bullets(stage, cond, z, state.mu, False)
-    return Move(stage, "II", cond, z)
+    return Move(stage, "II", cond, z, check_z_bullets(stage, cond, z, state.mu, False))
 
 
 def _game_tail(state: GameState) -> ChainTail:

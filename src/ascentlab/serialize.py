@@ -1,6 +1,7 @@
-"""JSON encodings for every on-disk object: conditions, chains, paths,
-triples, transcripts. Decoding goes through the canonical constructors, so
-a round-trip reproduces structurally identical values."""
+"""JSON encodings for every on-disk object: conditions, chains, paths and
+transcripts are encoded, sealing triples only decoded. Decoding goes through
+the canonical constructors, so a round-trip reproduces structurally
+identical values."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from .trees import BranchCatalog, CatalogFamily, CatalogSingle, SymTree
 from .amalgam import ChainDescriptor, ChainMember, ChainTail, ZMap
 from .aposet import PathDescriptor
 from .sealing import SealTriple
-from .game import Move, Transcript
+from .game import Transcript
 
 FORMAT = 1
 
@@ -246,21 +247,12 @@ def dec_path_descriptor(d: Any) -> PathDescriptor:
                           dec_tail_rule(d["rule"]) if d.get("rule") else None)
 
 
-def enc_map(m: PiecewiseMap) -> dict:
-    return {"pieces": [{"start": p.ap.start, "step": p.ap.step, "a": p.a, "b": p.b}
-                       for p in m.pieces],
-            "points": [[k, v] for k, v in m.points]}
-
 def dec_map(d: Any) -> PiecewiseMap:
     return PiecewiseMap(
         tuple(MapPiece(AP(int(p["start"]), int(p["step"])), int(p["a"]), int(p["b"]))
               for p in d.get("pieces", ())),
         tuple((int(k), int(v)) for k, v in d.get("points", ())))
 
-
-def enc_triple(t: SealTriple) -> dict:
-    return {"format": FORMAT, "x_family": enc_level(t.x_family),
-            "y": enc_upset(t.y), "pi": enc_map(t.pi)}
 
 def dec_triple(d: Any) -> SealTriple:
     _expect(d.get("format") == FORMAT, "unknown triple format")
@@ -283,14 +275,3 @@ def enc_transcript(t: Transcript) -> dict:
             "verdict": t.verdict,
             "illegal_stage": enc_ordinal(t.illegal_stage) if t.illegal_stage else None,
             "notes": list(t.notes), "moves": moves, "conditions": conds}
-
-def dec_transcript(d: Any) -> Transcript:
-    _expect(d.get("format") == FORMAT, "unknown transcript format")
-    conds = [dec_condition(c) for c in d["conditions"]]
-    moves = tuple(Move(dec_ordinal(m["stage"]), str(m["mover"]),
-                       conds[int(m["condition_ref"])],
-                       dec_zmap(m["z"]) if m.get("z") else None)
-                  for m in d["moves"])
-    return Transcript(dec_ordinal(d["mu"]), int(d["xi"]), moves, str(d["verdict"]),
-                      dec_ordinal(d["illegal_stage"]) if d.get("illegal_stage") else None,
-                      tuple(d.get("notes", ())))

@@ -191,32 +191,102 @@ def tree_contains(tree: SymTree, s: SymNode) -> bool:
 
 
 def family_in_tree(tree: SymTree, cells, exceptions) -> bool:
-    """Membership of every member of a templated family.
+    """Membership of every member of a templated family: the exceptions one
+    by one, and every instance of each cell's template."""
+    return (all(tree_contains(tree, v) for _, v in exceptions)
+            and all(_template_in_tree(tree, c.template) for c in cells))
 
-    Levels between the probe anchors are full append levels, so a member
-    sits in the tree iff its restriction to the deepest anchor below it
-    does; when that restriction is template-uniform (no ramps below the
-    anchor) one check covers the whole cell, and otherwise the anchored
-    entries are affine in the position, so agreement of finitely many
-    instances decides the rest."""
-    for _, v in exceptions:
-        if not tree_contains(tree, v):
-            return False
-    for c in cells:
-        probes = [h for h in tree.probe_heights() if h < c.template.dom]
-        anchor = max(probes) if probes else ZERO
-        base = c.template.restrict(anchor)
-        if base.is_concrete():
-            if not tree_contains(tree, base):
-                return False
+
+def _template_in_tree(tree: SymTree, t: SymNode) -> bool:
+    """Whether every instance t(m), m >= 0, of a template lies in the tree.
+
+    Let a be the deepest height at or below dom(t) whose level is not an
+    append level: the root, an explicit level or a limit. The levels above a
+    up to dom(t) are full append levels, so t(m) is in the tree iff t(m)|a
+    is, and:
+    - when t|a is concrete, one tree_contains decides every instance;
+    - when a is explicit, t|a has a ramp (slope >= 1), so its instances are
+      infinitely many distinct nodes and cannot all lie in the finite level;
+    - when a is a limit, `_limit_template_in_tree` decides."""
+    d = t.dom
+    if d >= tree.height:
+        return False
+    if t.is_concrete():
+        return tree_contains(tree, t)
+    anchor = Ordinal(d.w, 0)
+    for h, _ in tree.explicit:
+        if h > d:
+            break
+        if h > anchor:
+            anchor = h
+    base = t.restrict(anchor)
+    if base.is_concrete():
+        return tree_contains(tree, base)
+    return anchor.is_limit and _limit_template_in_tree(tree, base)
+
+
+def _limit_template_in_tree(tree: SymTree, b: SymNode) -> bool:
+    """Every instance of b, a template at a limit height with a ramp, lies in
+    the tree.
+
+    Exact by a generic-position argument. `_match_admitted` and
+    `eq_star_threshold` compare b(m) with an admitted catalog branch entry by
+    entry, and each entry of b(m) is affine in m. A family branch T(p) can
+    match b(m) only at the p solving the first tail-window equation with a
+    ramp of T, c*p + d = a*m + e; that p is affine in m on each class of m
+    modulo c / gcd(a, c), so those classes are split off first. Within a
+    class, two entries affine in m agree for every m or for at most one m
+    (a root), and p >= 0 holds from a bound on. Past every root and bound,
+    M, all instances take the same branch and threshold thr: the instances
+    below M are checked one by one, and those from M on lie in the tree iff
+    every instance of b(M + m) restricted to thr does."""
+    cat = tree.catalog_at(b.dom)
+    sources = [s.node for s in cat.singles if s.admitted] + \
+        [c.template for f in cat.families if f.admitted for c in f.cells]
+    modulus, bound = 1, 0
+    for t in sources:
+        if t.dom != b.dom:
             continue
-        for m in (0, 1, 2, 7):
-            if not tree_contains(tree, c.at(c.ap.member(m))):
-                return False
-    return True
+        top_b, top_t = b.blocks[-1], t.blocks[-1]
+        start = max(len(top_b.prefix), len(top_t.prefix))
+        window = range(start, start + math.lcm(len(top_b.tail), len(top_t.tail)))
+        pivot = next((j for j in window if not isinstance(top_t.eval(j), int)), None)
+        slope, shift = 0, 0                          # T's position p = slope*m + shift
+        if pivot is not None:
+            (a, e), (c, dd) = entry_affine(top_b.eval(pivot)), entry_affine(top_t.eval(pivot))
+            if a % c:
+                modulus = math.lcm(modulus, c // math.gcd(a, c))
+                continue
+            if (e - dd) % c:
+                continue
+            slope, shift = a // c, (e - dd) // c
+            if shift < 0:
+                if slope == 0:
+                    continue
+                bound = max(bound, -(shift // slope))
+        for wb, wt in zip(b.blocks, t.blocks):
+            for j in range(wb.window(wt)):
+                (a, e), (c, dd) = entry_affine(wb.eval(j)), entry_affine(wt.eval(j))
+                alpha, beta = a - c * slope, c * shift + dd - e
+                if alpha and beta % alpha == 0 and beta // alpha >= 0:
+                    bound = max(bound, beta // alpha + 1)
+    if modulus > 1:
+        return all(_limit_template_in_tree(tree, b.reindex(modulus, r))
+                   for r in range(modulus))
+    if not all(tree_contains(tree, b.instantiate(m)) for m in range(bound)):
+        return False
+    tail = b.reindex(1, bound) if bound else b
+    match = _match_admitted(tail.instantiate(0), cat)
+    return match is not None and _template_in_tree(tree, tail.restrict(match[1]))
 
 
 def _level_contains(tree: SymTree, s: SymNode) -> bool:
+    """Membership of s at its own height d. A limit level is decided by its
+    catalog, an explicit level by its list. Every other successor level is a
+    full append level, and so is every level between it and the deepest
+    explicit height h below d in d's block (or the block's start when there
+    is none): s is in the tree iff s.restrict(h) is, so one restrict jumps
+    the whole run of append levels."""
     d = s.dom
     if d.is_zero:
         return True
@@ -226,10 +296,15 @@ def _level_contains(tree: SymTree, s: SymNode) -> bool:
             return False
         _, thr = match
         return _level_contains(tree, s.restrict(thr))
-    nodes = tree.explicit_at(d)
-    if nodes is not None:
-        return s in nodes
-    return _level_contains(tree, s.restrict(d.pred()))
+    floor = Ordinal(d.w, 0)
+    for h, nodes in tree.explicit:
+        if h >= d:
+            if h == d:
+                return s in nodes
+            break
+        if h > floor:
+            floor = h
+    return _level_contains(tree, s.restrict(floor))
 
 
 @dataclass(frozen=True, slots=True)

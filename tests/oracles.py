@@ -264,3 +264,76 @@ def zmap_window(z, blocks: int, bound: int) -> dict:
                     out[k] = cell.template.instantiate((n - start) // step)
                     break
     return out
+
+
+# -- references for the game-run shortcuts ----------------------------------------
+
+
+def stepwise_tree_contains(tree, s: SymNode) -> bool:
+    """tree_contains stepping down one successor level at a time: a limit
+    level through its catalog, an explicit level through its list, any
+    other level through the level below it."""
+    from ascentlab.trees import _match_admitted
+    if s.dom >= tree.height:
+        return False
+    while True:
+        d = s.dom
+        if d.is_zero:
+            return True
+        if d.is_limit:
+            match = _match_admitted(s, tree.catalog_at(d))
+            if match is None:
+                return False
+            s = s.restrict(match[1])
+            continue
+        nodes = tree.explicit_at(d)
+        if nodes is not None:
+            return s in nodes
+        s = s.restrict(d.pred())
+
+
+def brute_family_in_tree(tree, cells, exceptions, bound: int = 64) -> bool:
+    """family_in_tree on the members at cell positions below `bound`, each
+    through tree_contains."""
+    from ascentlab.trees import tree_contains
+    return (all(tree_contains(tree, v) for _, v in exceptions)
+            and all(tree_contains(tree, c.template.instantiate(m))
+                    for c in cells for m in range(bound)))
+
+
+def all_pairs_validate_chain(ch):
+    """validate_chain with every member's z-bullets checked, whatever
+    evidence it carries, and every requirement on every pair of members."""
+    from ascentlab.amalgam import HypothesisViolated, NotUniformTail, check_z_bullets
+    from ascentlab.ascent import supp
+    from ascentlab.conditions import S_X, leq_s
+    from ascentlab.foundations import FULL_SET
+    if not ch.members:
+        raise HypothesisViolated("nonempty", "chain has no members")
+    if not ch.gamma.is_limit:
+        raise HypothesisViolated("gamma-limit", f"{ch.gamma} is not a limit")
+    if not (ch.delta > ch.gamma):
+        raise HypothesisViolated("delta-range", f"delta {ch.delta} not above gamma {ch.gamma}")
+    if ch.tail is None:
+        raise NotUniformTail("a cofinal chain below a limit needs a uniform tail")
+    if len(ch.tail.z_tokens) != len(ch.tail.schemes):
+        raise HypothesisViolated("tail-shape", "z tokens must match the append cycle")
+    sample = ch.sample_members()
+    for m in sample:
+        if m.cond.variant != S_X:
+            raise HypothesisViolated("variant", "chain members must be S_X conditions")
+        if not (m.beta < ch.gamma):
+            raise HypothesisViolated("gamma-cofinal", f"stage {m.beta} at or above gamma")
+        check_z_bullets(m.beta, m.cond, m.z, ch.delta, ch.closed_delta)
+    for i, m1 in enumerate(sample):
+        for m2 in sample[i + 1:]:
+            if not leq_s(m2.cond, m1.cond):
+                raise HypothesisViolated("decreasing", f"stage {m2.beta} does not extend {m1.beta}")
+            if supp(m1.cond.top, m2.cond.top) != FULL_SET:
+                raise HypothesisViolated("full-supp", f"stages {m1.beta},{m2.beta}")
+            for k in m1.z.probe_keys():
+                if m2.z.in_domain(k):
+                    v1, v2 = m1.z.at(k), m2.z.at(k)
+                    if v2.restrict(v1.dom) != v1:
+                        raise HypothesisViolated("z-coherent", f"z({k}) not increasing")
+    return sample

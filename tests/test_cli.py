@@ -16,6 +16,16 @@ def run_cli(argv, capsys):
     return code, json.loads(out)
 
 
+def unlinked_path_file(tmp_path) -> str:
+    """The standard path with one ramp intercept of its level 2 moved by 1,
+    so that heights 1 and 2 are no longer linked at index 0."""
+    d = sz.enc_path_descriptor(uniform_path())
+    d["base"]["path"]["levels"][2]["level"]["cells"][0]["template"]["final"][0]["ramp"]["b"] += 1
+    p = tmp_path / "unlinked.json"
+    p.write_text(json.dumps(d))
+    return str(p)
+
+
 @pytest.fixture()
 def cond_file(tmp_path):
     p = tmp_path / "cond.json"
@@ -91,11 +101,16 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
     (["absorb", "--node", "[1,2,3,4,5,6]"], "not in the tree"),
     (["demo-bad-antichain", "--count", "0"], "--count must be at least 2"),
     (["demo-bad-antichain", "--count", "1"], "--count must be at least 2"),
+    (["derive-branches", "--path"], "heights 1,2 not linked at index 0"),
+    (["surgery", "--n0", "2", "--path"], "heights 1,2 not linked at index 0"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
-        "demo-bad-antichain-count-0", "demo-bad-antichain-count-1"])
-def test_bad_value_exit_2(argv, error, cond_file, capsys):
+        "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
+        "derive-branches-not-linked", "surgery-not-linked"])
+def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     if argv[0] in ("absorb", "extend"):
         argv = argv + [cond_file]
+    if argv[-1] == "--path":
+        argv = argv + [unlinked_path_file(tmp_path)]
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 2

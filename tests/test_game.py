@@ -1,15 +1,23 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ascentlab import amalgam, game
 from ascentlab.foundations import OMEGA_NAT, Ordinal, ZERO
-from ascentlab.amalgam import ChainDescriptor, amalgamate
-from ascentlab.conditions import S_X, check_condition, eta_nu
+from ascentlab.amalgam import (
+    ChainDescriptor, HypothesisViolated, ZMap, amalgamate, validate_chain,
+)
+from ascentlab.ascent import constant_level
+from ascentlab.conditions import Condition, S_X, check_condition, eta_nu
 from ascentlab.game import (
     GameState, Move, NotIIsTurn, Transcript, check_run_invariants,
     misbehaving_opponent, onestep_opponent, play_game, random_opponent,
     strategy_ii_move, _game_tail,
 )
+from ascentlab.nodes import const_node
+from oracles import all_pairs_validate_chain
 
 
 def test_strategy_opening_and_stage2():
@@ -139,3 +147,149 @@ def test_two_limit_game_random_opponent():
     assert t.verdict == "II_completed"
     rep = check_run_invariants(t)
     assert rep.ok, rep.failures
+
+
+# -- evidence: II's check of each stage's z-hypotheses is not repeated -------------
+
+def limit_chains(mu, opponent, xi) -> list[ChainDescriptor]:
+    """The chains II's limit moves hand to amalgamate in one run."""
+    chains = []
+
+    def record(ch):
+        chains.append(ch)
+        return amalgamate(ch)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game, "amalgamate", record)
+        assert play_game(mu, opponent, xi).verdict == "II_completed"
+    return chains
+
+
+def outcome(validate, ch):
+    try:
+        return validate(ch)
+    except HypothesisViolated as e:
+        return e.bullet, str(e)
+
+
+def z_checked_stages(ch) -> list[Ordinal]:
+    """Stages whose z-bullets validate_chain checks in full."""
+    seen = []
+
+    def record(beta, *args):
+        seen.append(beta)
+        return check_z_bullets(beta, *args)
+
+    check_z_bullets = amalgam.check_z_bullets
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amalgam, "check_z_bullets", record)
+        validate_chain(ch)
+    return seen
+
+
+def with_member(ch, i, **changes) -> ChainDescriptor:
+    members = list(ch.members)
+    members[i] = dataclasses.replace(members[i], **changes)
+    return dataclasses.replace(ch, members=tuple(members))
+
+
+def duplicated_z(z: ZMap) -> ZMap:
+    """z with the value at its least key copied onto its second key."""
+    k1, k2 = z.probe_keys()[:2]
+    return ZMap.make(z.lo, z.hi, z.closed_hi, (), dict(z.entries) | {k1: z.at(k2), k2: z.at(k2)})
+
+
+def relabelled(cond: Condition) -> Condition:
+    """cond with its level at height 1 replaced by a constant odd label: its
+    tree and top level, which the z-bullets read, are unchanged, but it no
+    longer extends any member of height at least 1."""
+    h = Ordinal(0, 1)
+    return Condition(cond.tree, cond.path.with_level(h, constant_level(h, const_node(7, h))),
+                     cond.variant, cond.x)
+
+
+@st.composite
+def game_chains(draw):
+    mu = draw(st.sampled_from([Ordinal(1, 2), Ordinal(1, 4), Ordinal(2, 2)]))
+    chains = limit_chains(mu, random_opponent(draw(st.integers(0, 10**6))),
+                          draw(st.integers(0, 2)))
+    ch = draw(st.sampled_from(chains))
+    i = draw(st.integers(0, len(ch.members) - 1))
+    m = ch.members[i]
+    corruption = draw(st.sampled_from(["none", "strip", "z", "cond", "beta", "swap"]))
+    if corruption == "strip":
+        ch = dataclasses.replace(ch, members=tuple(
+            dataclasses.replace(mb, bullets=None) for mb in ch.members))
+    elif corruption == "z" and len(m.z.probe_keys()) > 1:
+        ch = with_member(ch, i, z=duplicated_z(m.z))
+    elif corruption == "cond":
+        ch = with_member(ch, i, cond=relabelled(m.cond))
+    elif corruption == "beta":
+        ch = with_member(ch, i, beta=Ordinal(m.beta.w, m.beta.n + 1))
+    elif corruption == "swap" and i > 0:
+        members = list(ch.members)
+        members[i - 1], members[i] = members[i], members[i - 1]
+        ch = dataclasses.replace(ch, members=tuple(members))
+    return ch
+
+
+@settings(max_examples=40, deadline=None)
+@given(game_chains())
+def test_validate_chain_matches_all_pairs(ch):
+    assert outcome(validate_chain, ch) == outcome(all_pairs_validate_chain, ch)
+
+
+def test_game_chain_members_carry_evidence():
+    """Finite-stage members skip their z-bullets; the limit-stage member and
+    the two generated tail members are checked in full."""
+    chains = limit_chains(Ordinal(2, 2), onestep_opponent(), 0)
+    first, second = chains
+    assert all(m.bullets is not None for m in first.members)
+    assert z_checked_stages(first) == [Ordinal(0, 8), Ordinal(0, 10)]
+    assert [m.beta for m in second.members if m.bullets is None] == [Ordinal(1, 0)]
+    assert z_checked_stages(second) == [Ordinal(1, 0), Ordinal(1, 8), Ordinal(1, 10)]
+
+
+def test_chains_without_evidence_are_checked_in_full():
+    from ascentlab import serialize as sz
+    from ascentlab.fixtures import uniform_chain
+    decoded = sz.dec_chain(sz.enc_chain(limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]))
+    for ch in (uniform_chain(3, Ordinal(1, 2)), decoded):
+        assert z_checked_stages(ch) == [m.beta for m in ch.sample_members()]
+
+
+def test_evidence_is_bound_to_the_member_objects():
+    ch = limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]
+    m = ch.members[1]
+    copy_z = ZMap.make(m.z.lo, m.z.hi, m.z.closed_hi, m.z.cells, m.z.entries)
+    copy_cond = Condition(m.cond.tree, m.cond.path, m.cond.variant, m.cond.x)
+    assert copy_z == m.z and copy_z is not m.z and copy_cond == m.cond
+    tail = [Ordinal(0, 8), Ordinal(0, 10)]
+    assert z_checked_stages(ch) == tail
+    assert z_checked_stages(with_member(ch, 1, z=copy_z)) == [m.beta] + tail
+    assert z_checked_stages(with_member(ch, 1, cond=copy_cond)) == [m.beta] + tail
+    other = ch.members[2]
+    assert z_checked_stages(with_member(ch, 1, bullets=other.bullets)) == [m.beta] + tail
+    closed = dataclasses.replace(ch, closed_delta=True)
+    assert all(not mb.proved(closed.delta, True) for mb in closed.members)
+
+
+def test_corrupted_member_with_stale_evidence_raises():
+    ch = limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]
+    m = ch.members[1]
+    bad = with_member(ch, 1, z=duplicated_z(m.z))
+    assert bad.members[1].bullets is m.bullets
+    with pytest.raises(HypothesisViolated) as e:
+        validate_chain(bad)
+    assert e.value.bullet == "z-pairwise"
+
+
+def test_decreasing_failure_names_the_first_pair_in_order():
+    """A member that extends none of its predecessors fails against the
+    first member before its neighbour."""
+    ch = limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]
+    bad = with_member(ch, 2, cond=relabelled(ch.members[2].cond))
+    with pytest.raises(HypothesisViolated) as e:
+        validate_chain(bad)
+    assert str(e.value) == (f"chain hypothesis failed (decreasing): stage "
+                            f"{ch.members[2].beta} does not extend {ch.members[0].beta}")

@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ascentlab.foundations import AP, OMEGA, OMEGA_NAT, Ordinal
 from ascentlab.ascent import Cell
 from ascentlab.nodes import BlockWord, EMPTY_NODE, Ramp, SymNode, const_node, node
 from ascentlab.trees import (
     ROOT_TREE, BranchCatalog, CatalogFamily, CatalogSingle, NoCatalog,
-    SymTree, check_tree, tree_contains, vanishing_levels,
+    SymTree, check_tree, family_in_tree, tree_contains, vanishing_levels,
 )
+from oracles import brute_family_in_tree, stepwise_tree_contains
+
+PROPERTY = settings(max_examples=200, deadline=None)
 
 
 def appended_tree(levels: int) -> SymTree:
@@ -144,3 +148,110 @@ def test_tree_contains_matches_enumeration_small():
                         or (depth == 1 and entries[0] in (0, 1))
                         or (depth == 2 and entries in ((0, 0), (1, 1))))
             assert tree_contains(fixture, s) == expected, entries
+
+
+# -- one restrict per block, and exact family membership ---------------------------
+
+LABELS = st.integers(0, 3)
+ENTRIES = st.one_of(LABELS, st.builds(Ramp, st.integers(1, 2), st.integers(0, 3)))
+
+
+def nodes_at(height: Ordinal, entries=LABELS):
+    """Nodes of the given height (at most one complete block)."""
+    words = st.builds(BlockWord.make, st.lists(entries, max_size=2),
+                      st.lists(entries, min_size=1, max_size=2))
+    return st.builds(SymNode, st.tuples(*[words] * height.w),
+                     st.tuples(*[entries] * height.n))
+
+
+@st.composite
+def limit_catalogs(draw):
+    fams = tuple(CatalogFamily(tuple(Cell(AP(0, 1), t) for t in draw(
+        st.lists(nodes_at(OMEGA, ENTRIES), min_size=1, max_size=2))), draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 2))))
+    singles = tuple(CatalogSingle(f"s{i}", draw(nodes_at(OMEGA)), draw(st.booleans()))
+                    for i in range(draw(st.integers(0, 2))))
+    return BranchCatalog(fams, singles)
+
+
+@st.composite
+def sparse_trees(draw):
+    """Trees with explicit levels at random finite and omega+n heights and,
+    past omega, a random catalog; neither normal nor homogeneous in general."""
+    height = draw(st.sampled_from([Ordinal(0, k) for k in range(1, 7)]
+                                  + [Ordinal(1, k) for k in range(1, 5)]))
+    explicit = {}
+    for h in draw(st.sets(st.sampled_from([Ordinal(0, n) for n in range(1, 6)]
+                                          + [Ordinal(1, n) for n in range(1, 4)]), max_size=3)):
+        if h < height:
+            explicit[h] = tuple(draw(st.lists(nodes_at(h), min_size=1, max_size=4)))
+    catalogs = {OMEGA: draw(limit_catalogs())} if height > OMEGA else {}
+    return SymTree.make(height, explicit, catalogs)
+
+
+@st.composite
+def trees_and_nodes(draw):
+    """A tree and a node drawn from one of its explicit levels, perturbed,
+    extended, or made up."""
+    tree = draw(sparse_trees())
+    listed = [v for _, nodes in tree.explicit for v in nodes]
+    heights = [h for h in [Ordinal(0, n) for n in range(7)] + [Ordinal(1, n) for n in range(5)]
+               if h <= tree.height]
+    s = draw(st.sampled_from(listed)) if listed and draw(st.booleans()) \
+        else draw(nodes_at(draw(st.sampled_from(heights))))
+    if s.final and draw(st.booleans()):
+        j = draw(st.integers(0, len(s.final) - 1))
+        s = SymNode(s.blocks, s.final[:j] + (draw(LABELS),) + s.final[j + 1:])
+    for e in draw(st.lists(LABELS, max_size=2)):
+        s = s.append(e)
+    return tree, s
+
+
+@PROPERTY
+@given(trees_and_nodes())
+def test_tree_contains_matches_stepwise(case):
+    tree, s = case
+    assert tree_contains(tree, s) == stepwise_tree_contains(tree, s)
+
+
+@st.composite
+def trees_and_templates(draw):
+    tree = draw(sparse_trees())
+    heights = [h for h in [Ordinal(0, n) for n in range(6)] + [Ordinal(1, n) for n in range(4)]
+               if h <= tree.height]
+    return tree, draw(nodes_at(draw(st.sampled_from(heights)), ENTRIES))
+
+
+@PROPERTY
+@given(trees_and_templates())
+def test_family_in_tree_matches_members(case):
+    """Labels and ramp constants below 4 keep every exceptional position and
+    every class modulus of the generic argument far below 64."""
+    tree, tmpl = case
+    cells = [Cell(AP(0, 1), tmpl)]
+    assert family_in_tree(tree, cells, ()) == brute_family_in_tree(tree, cells, ())
+
+
+def test_family_ramp_at_explicit_height_is_outside():
+    """Level 1 is {<0>}: the cell <m> has <1> outside, at the family's own
+    height."""
+    tree = SymTree.make(Ordinal(0, 2), explicit={Ordinal(0, 1): (node(0),)})
+    assert not tree_contains(tree, node(1))
+    assert not family_in_tree(tree, [Cell(AP(0, 1), node(Ramp(1, 0)))], ())
+
+
+def test_family_ramp_below_explicit_height_is_outside():
+    """Level 1 is {<0>,<1>,<2>,<7>}: the template <m,5> has <3,5> outside,
+    which no sample of m in {0,1,2,7} meets."""
+    tree = SymTree.make(Ordinal(0, 3), explicit={
+        Ordinal(0, 1): (node(0), node(1), node(2), node(7))})
+    assert not tree_contains(tree, node(3, 5))
+    assert not family_in_tree(tree, [Cell(AP(0, 1), node(Ramp(1, 0), 5))], ())
+
+
+def test_family_at_limit_follows_catalog_family():
+    """Every <2m+2 repeated> is a catalog branch <2p repeated> at p = m+1;
+    the odd branches <2m+1 repeated> match nothing."""
+    tree = simple_limit_tree()
+    assert family_in_tree(tree, [Cell(AP(0, 1), const_node(Ramp(2, 2), OMEGA))], ())
+    assert not family_in_tree(tree, [Cell(AP(0, 1), const_node(Ramp(2, 1), OMEGA))], ())
