@@ -12,6 +12,12 @@ cell pair by cell pair: on a refined progression each coordinate slot pins
 agreement to all positions, one position, or none, so the result is again
 ultimately periodic. Family mutual exclusivity is per-coordinate injectivity
 of tau -> f(tau)(eps), decided by solving the affine collision equations.
+
+Three primitives carry all of this index arithmetic, each written once:
+`foundations._root` solves a*m = c for a position m >= 0; `Cell.on` (and
+`MapPiece.affine_on` for map pieces) re-bases a cell onto a sub-progression
+of its own; `_meet` pairs two cell lists on their progression intersections,
+both sides re-based onto the intersection.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Iterator, Optional
 
 from .foundations import (
     AP, EMPTY_SET, FULL_SET, BadHeight, Ordinal, UPSet, XSequence,
-    filter_classify, finite_set, solve_congruence,
+    _root, filter_classify, finite_set, solve_congruence,
 )
 from .nodes import Entry, Ramp, SymNode, entry_affine, graft, mk_entry, mutually_exclusive
 
@@ -37,9 +43,24 @@ class Cell:
     def at(self, tau: int) -> SymNode:
         return self.template.instantiate(self.ap.position(tau))
 
+    def on(self, ap: AP) -> "Cell":
+        """The cell restricted to a sub-progression ap of its own, re-based so
+        that position m of the result is index ap.member(m)."""
+        return Cell(ap, self.template.reindex(ap.step // self.ap.step, self.ap.position(ap.start)))
+
     def drop(self, p: int) -> "Cell":
         """The cell without its first p positions, re-based to position 0."""
-        return Cell(AP(self.ap.member(p), self.ap.step), self.template.reindex(1, p))
+        return self.on(AP(self.ap.member(p), self.ap.step))
+
+
+def _meet(xs, ys) -> Iterator[tuple[Cell, Cell]]:
+    """Each pair of cells, one from each list, whose progressions meet: both
+    re-based onto their intersection, so position m is one index on both."""
+    for x in xs:
+        for y in ys:
+            inter = x.ap.intersect(y.ap)
+            if inter is not None:
+                yield x.on(inter), y.on(inter)
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,34 +188,16 @@ class Piece:
 def refine(f: AscentLevel, g: AscentLevel) -> list[Piece]:
     """Common refinement of the two index partitions; exact and finite.
 
-    Exception indices of either level are excluded from that level's cells
-    by the partition invariant, so cell-cell intersections never contain
-    them; every index is covered by exactly one piece of the other kind."""
-    pieces: list[Piece] = []
+    Both levels satisfy the partition invariant that `AscentLevel.make`
+    checks and `restrict` keeps: the cells and the exception keys of a level
+    are pairwise disjoint and cover omega. An exception key of f lies in no
+    cell of f, so in no intersection of an f cell with a g cell, and likewise
+    for g. So every index is covered by exactly one piece: a point piece at
+    each exception key of either level, or one cell-cell intersection."""
     points = set(f.exc_dict()) | set(g.exc_dict())
-    for tau in sorted(points):
-        pieces.append(Piece(None, tau, f.at(tau), g.at(tau)))
-    for cf in f.cells:
-        for cg in g.cells:
-            inter = cf.ap.intersect(cg.ap)
-            if inter is None:
-                continue
-            hole = next((k for k in points if k in inter), None)
-            while hole is not None:
-                # an exception of one level sitting inside the other's cell:
-                # emit the skipped stretch pointwise and continue past it
-                hm = inter.position(hole)
-                for m in range(hm + 1):
-                    tau = inter.member(m)
-                    if tau not in points:
-                        pieces.append(Piece(None, tau, f.at(tau), g.at(tau)))
-                inter = AP(inter.member(hm + 1), inter.step)
-                hole = next((k for k in points if k in inter), None)
-            a_f, b_f = inter.step // cf.ap.step, cf.ap.position(inter.start)
-            a_g, b_g = inter.step // cg.ap.step, cg.ap.position(inter.start)
-            pieces.append(Piece(inter, None,
-                                cf.template.reindex(a_f, b_f),
-                                cg.template.reindex(a_g, b_g)))
+    pieces = [Piece(None, tau, f.at(tau), g.at(tau)) for tau in sorted(points)]
+    pieces.extend(Piece(cf.ap, None, cf.template, cg.template)
+                  for cf, cg in _meet(f.cells, g.cells))
     return pieces
 
 
@@ -219,10 +222,9 @@ def _agree_positions(u: SymNode, v: SymNode) -> tuple[str, int]:
             continue
         if au == av:  # parallel, never equal
             return ("none", 0)
-        num, den = bv - bu, au - av
-        if num % den != 0 or num // den < 0:
+        m0 = _root(au - av, bv - bu)
+        if m0 is None:
             return ("none", 0)
-        m0 = num // den
         if state[0] == "all":
             state = ("one", m0)
         elif state[1] != m0:
@@ -354,23 +356,20 @@ class AscentPath:
         return sorted(out)
 
     def covers(self, eta: Ordinal) -> bool:
-        """Every height <= eta is represented."""
+        """Every height <= eta is represented. A block's rule represents every
+        n from its start on, so block w is covered iff every n below the
+        rule's start (capped at eta.n + 1 in eta's own block) is explicit; a
+        block below eta.w without a rule holds infinitely many heights, which
+        finitely many explicit levels cannot cover."""
         for w in range(eta.w + 1):
-            ns = {h.n for h, _ in self.levels if h.w == w}
             rule = self.tail_for(w)
-            limit = eta.n if w == eta.w else None
-            n = 0
-            while True:
-                if limit is not None and n > limit:
-                    break
-                covered = n in ns or (rule is not None and n >= rule.start)
-                if not covered:
-                    return False
-                if limit is None and rule is not None and n >= rule.start:
-                    break
-                if limit is None and n > 4096:
-                    return False
-                n += 1
+            if rule is None and w < eta.w:
+                return False
+            end = rule.start if rule is not None else eta.n + 1
+            if w == eta.w:
+                end = min(end, eta.n + 1)
+            if len({h.n for h, _ in self.levels if h.w == w and h.n < end}) < end:
+                return False
         return True
 
 
@@ -525,11 +524,10 @@ def _pieces_collide(p1, p2, same_piece: bool) -> Optional[tuple[int, int]]:
     if a1 == 0:
         (kind1, loc1, a1, b1), (kind2, loc2, a2, b2) = p2, p1
     if a2 == 0:
-        if (b2 - b1) % a1 == 0 and (b2 - b1) // a1 >= 0:
-            i1 = loc1.member((b2 - b1) // a1)
-            i2 = loc2.member(0) if kind2 == "cell" else loc2
-            return (i1, i2)
-        return None
+        m1 = _root(a1, b2 - b1)
+        if m1 is None:
+            return None
+        return (loc1.member(m1), loc2.member(0) if kind2 == "cell" else loc2)
     # both slopes positive: a1*m1 - a2*m2 = b2 - b1 solvable over m1, m2 >= 0
     g = math.gcd(a1, a2)
     if (b2 - b1) % g != 0:
@@ -589,8 +587,9 @@ def _collision_set(t: SymNode, template: SymNode):
             if ev == et:
                 return "all"
             continue
-        if (et - bv) % av == 0 and (et - bv) // av >= 0:
-            hits.add((et - bv) // av)
+        m = _root(av, et - bv)
+        if m is not None:
+            hits.add(m)
     return hits if hits else "none"
 
 
@@ -631,11 +630,13 @@ def me_cross(probe: AscentLevel, level: AscentLevel) -> CrossMEReport:
                     if bp == bl:
                         static = static.union(lc.ap.upset())
                 elif ap_ == 0:
-                    if (bp - bl) % al == 0 and (bp - bl) // al >= 0:
-                        static_pts.add(lc.ap.member((bp - bl) // al))
+                    m = _root(al, bp - bl)
+                    if m is not None:
+                        static_pts.add(lc.ap.member(m))
                 elif al == 0:
-                    if (bl - bp) % ap_ == 0 and (bl - bp) // ap_ >= 0:
-                        i0 = pc.ap.member((bl - bp) // ap_)
+                    m = _root(ap_, bl - bp)
+                    if m is not None:
+                        i0 = pc.ap.member(m)
                         rows[i0] = rows.get(i0, EMPTY_SET).union(lc.ap.upset())
                 else:
                     # both slopes positive: collisions exist iff the affine
@@ -669,6 +670,11 @@ class MapPiece:
     ap: AP       # domain indices
     a: int       # value = a*position + b
     b: int
+
+    def affine_on(self, ap: AP) -> tuple[int, int]:
+        """(a, b) with value(ap.member(m)) = a*m + b, for a sub-progression
+        ap of the piece's domain."""
+        return self.a * (ap.step // self.ap.step), self.a * self.ap.position(ap.start) + self.b
 
 
 @dataclass(frozen=True, slots=True)
@@ -742,10 +748,7 @@ def restrict_map(m: PiecewiseMap, dom: UPSet) -> PiecewiseMap:
     for p in m.pieces:
         sub = dom.intersect(p.ap.upset())
         aps, singles = sub.to_aps()
-        for ap in aps:
-            a = p.a * (ap.step // p.ap.step)
-            b = p.a * p.ap.position(ap.start) + p.b
-            pieces.append(MapPiece(ap, a, b))
+        pieces.extend(MapPiece(ap, *p.affine_on(ap)) for ap in aps)
         points.extend((k, p.a * p.ap.position(k) + p.b) for k in singles)
     return PiecewiseMap(tuple(pieces), tuple(sorted(points)))
 
@@ -754,9 +757,7 @@ def map_affine_on(m: PiecewiseMap, ap: AP) -> tuple[int, int]:
     """(a, b) with m(ap.member(k)) = a*k + b, when ap sits inside one piece."""
     for p in m.pieces:
         if ap.start in p.ap and ap.step % p.ap.step == 0:
-            a = p.a * (ap.step // p.ap.step)
-            b = p.a * p.ap.position(ap.start) + p.b
-            return a, b
+            return p.affine_on(ap)
     raise ValueError(f"{ap} not inside one piece of the map")
 
 
@@ -770,9 +771,7 @@ def restrict_level_domain(level: AscentLevel, dom: UPSet):
     for c in level.cells:
         sub = dom.intersect(c.ap.upset())
         aps, singles = sub.to_aps()
-        for ap in aps:
-            cells.append(Cell(ap, c.template.reindex(ap.step // c.ap.step,
-                                                     c.ap.position(ap.start))))
+        cells.extend(c.on(ap) for ap in aps)
         exc.extend((k, c.at(k)) for k in singles)
     return cells, exc
 

@@ -1,7 +1,7 @@
 """Batch driver: every constructor and checker over the JSON formats.
 
 Reports are machine-readable JSON on stdout and deterministic for a fixed
-argv and seed (wall-clock timing goes to stderr). Exit codes: 0 when every
+argv (wall-clock timing goes to stderr). Exit codes: 0 when every
 requested check passes, 1 when a check fails, 2 on malformed input.
 """
 
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p, condition=True):
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
         p.add_argument("--x-sequence", default="default",
                        help="default or a JSON file with {x0, base}")
         if condition:
@@ -304,14 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("amalgamate", help="limit lower bound of a described chain")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("chain", help="chain JSON file")
     p.add_argument("-o", "--out")
     p.add_argument("--z-out", help="write the z union map here")
     p.set_defaults(fn=cmd_amalgamate)
 
     p = sub.add_parser("game", help="play the descending game")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random opponent")
     p.add_argument("--mu", required=True, help="run length, e.g. 6 or w1n4")
     p.add_argument("--opponent", choices=["onestep", "random"], default="onestep")
     p.add_argument("--xi", type=int, default=0)
@@ -324,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_vlevels)
 
     p = sub.add_parser("demo-bad-antichain", help="the naive poset's antichain")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--pad", type=int, default=1, help="plain steps between bad ones")
     p.set_defaults(fn=cmd_demo_bad)
@@ -344,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_absorb)
 
     p = sub.add_parser("surgery", help="branch surgery over a path")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--path", help="path descriptor JSON file")
     p.add_argument("--fixture-prefix", type=int, default=4)
@@ -352,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_surgery)
 
     p = sub.add_parser("derive-branches", help="cofinal branches along a path")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--xi", type=int, default=0)
     p.add_argument("--path", help="path descriptor JSON file")
     p.add_argument("--fixture-prefix", type=int, default=4)

@@ -127,6 +127,14 @@ def solve_congruence(a: int, b: int, m: int) -> Optional[tuple[int, int]]:
     return x0, m2
 
 
+def _root(a: int, c: int) -> Optional[int]:
+    """The m >= 0 with a*m = c, or None when there is none or a = 0. Exact
+    for either sign of a: Python's % and // floor consistently."""
+    if a and c % a == 0 and c // a >= 0:
+        return c // a
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class AP:
     """Infinite arithmetic progression {start + m*step : m >= 0}."""
@@ -508,13 +516,6 @@ class XSequence:
             n += 1
         if k in self.entry(n):
             raise PostconditionFailed(f"escape index {n} for {k}: {k} is in X_{n}")
-        return n
-
-    def escape_finite(self, points) -> int:
-        """A single n with X_n disjoint from the given finite set of points."""
-        n = 1
-        for k in points:
-            n = max(n, self.escape_index(k))
         return n
 
 

@@ -20,14 +20,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .foundations import (
-    EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, UPSet, ZERO, filter_classify, finite_set,
+    EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, UPSet, ZERO, _root, filter_classify,
+    finite_set,
 )
 from .ascent import (
-    AP, AscentLevel, Cell, PiecewiseMap, fill_level, identity_map,
+    AP, AscentLevel, Cell, MapPiece, PiecewiseMap, _meet, fill_level, identity_map,
     level_reindex, map_affine_on, me_family, order_iso,
     restrict_level_domain, restrict_map, standard_append, supp,
 )
-from .nodes import SymNode, eq_star, graft, mk_entry, node_patch
+from .nodes import SymNode, entry_affine, eq_star, graft, mk_entry, node_patch
 from .conditions import (
     Condition, S_X, WrongVariant, extend_with_top, leq_s, one_step_with,
 )
@@ -146,17 +147,11 @@ def _route_pieces(sigma: PiecewiseMap, alpha_lvl: AscentLevel, top_lvl: AscentLe
         merged = graft(lnode, top_lvl.at(k)).append(2 * sigma.apply(k))
         exc_out.append((k, merged))
     for lc in lcells:
-        a_sig, b_sig = map_affine_on(sigma, lc.ap)
-        for tc in top_lvl.cells:
-            inter = lc.ap.intersect(tc.ap)
-            if inter is None:
-                continue
-            left = lc.template.reindex(inter.step // lc.ap.step, lc.ap.position(inter.start))
-            right = tc.template.reindex(inter.step // tc.ap.step, tc.ap.position(inter.start))
-            a = a_sig * (inter.step // lc.ap.step)
-            b = a_sig * lc.ap.position(inter.start) + b_sig
+        sig = MapPiece(lc.ap, *map_affine_on(sigma, lc.ap))
+        for left, right in _meet((lc,), top_lvl.cells):
+            a, b = sig.affine_on(left.ap)
             label = mk_entry(2 * a, 2 * b)
-            cells_out.append(Cell(inter, graft(left, right).append(label)))
+            cells_out.append(Cell(left.ap, graft(left.template, right.template).append(label)))
         for k, tnode in top_lvl.exceptions:
             if k in lc.ap:
                 merged = graft(lc.at(k), tnode).append(2 * sigma.apply(k))
@@ -175,15 +170,8 @@ def build_intermediate(cond: Condition, triple: SealTriple) -> Condition:
     pi_cells, pi_exc = level_reindex(top, restrict_map(triple.pi, y))
     pid = dict(pi_exc)
     graft_exc = [(k, graft(v, pid[k])) for k, v in y_exc if k in pid]
-    graft_cells = []
-    for xc in y_cells:
-        for pc in pi_cells:
-            inter = xc.ap.intersect(pc.ap)
-            if inter is None:
-                continue
-            lx = xc.template.reindex(inter.step // xc.ap.step, xc.ap.position(inter.start))
-            lp = pc.template.reindex(inter.step // pc.ap.step, pc.ap.position(inter.start))
-            graft_cells.append(Cell(inter, graft(lx, lp)))
+    graft_cells = [Cell(lx.ap, graft(lx.template, lp.template))
+                   for lx, lp in _meet(y_cells, pi_cells)]
     below = fill_level(cond.eta, graft_cells, graft_exc, top)
     mid = one_step_with(cond, below, standard_append(below), verify=True)
     if not y.complement().is_subset(supp(top, mid.top)):
@@ -315,15 +303,12 @@ def absorb_node(cond: Condition, t: SymNode, xi: int) -> tuple[Condition, Ordina
 def _value_owner(level: AscentLevel, eps: Ordinal, val: int) -> Optional[int]:
     """The unique family index whose node takes the value at the coordinate,
     if any (the family is exclusive, so fibers have at most one index)."""
-    from .nodes import entry_affine
     for k, v in level.exceptions:
         if v.eval_at(eps) == val:
             return k
     for c in level.cells:
         a, b = entry_affine(c.template.entry_at(eps))
-        if a == 0:
-            if b == val:
-                return c.ap.member(0)
-        elif (val - b) % a == 0 and (val - b) // a >= 0:
-            return c.ap.member((val - b) // a)
+        m = 0 if a == 0 and b == val else _root(a, val - b)
+        if m is not None:
+            return c.ap.member(m)
     return None

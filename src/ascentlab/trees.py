@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .foundations import OMEGA_NAT, Ordinal, ZERO
+from .foundations import OMEGA_NAT, Ordinal, ZERO, _root
 from .nodes import SymNode, entry_affine, eq_star_threshold, graft
 from .ascent import Cell
 
@@ -146,9 +146,9 @@ def _family_match_positions(s: SymNode, tmpl: SymNode):
             if es != b:
                 return set()
         else:
-            if (es - b) % a != 0 or (es - b) // a < 0:
+            m0 = _root(a, es - b)
+            if m0 is None:
                 return set()
-            m0 = (es - b) // a
             if state == "all":
                 state = {m0}
             elif m0 not in state:
@@ -267,9 +267,9 @@ def _limit_template_in_tree(tree: SymTree, b: SymNode) -> bool:
         for wb, wt in zip(b.blocks, t.blocks):
             for j in range(wb.window(wt)):
                 (a, e), (c, dd) = entry_affine(wb.eval(j)), entry_affine(wt.eval(j))
-                alpha, beta = a - c * slope, c * shift + dd - e
-                if alpha and beta % alpha == 0 and beta // alpha >= 0:
-                    bound = max(bound, beta // alpha + 1)
+                root = _root(a - c * slope, c * shift + dd - e)
+                if root is not None:
+                    bound = max(bound, root + 1)
     if modulus > 1:
         return all(_limit_template_in_tree(tree, b.reindex(modulus, r))
                    for r in range(modulus))
@@ -339,7 +339,9 @@ def _explicit_below_finite(tree: SymTree, beta: Ordinal) -> Optional[list[SymNod
 
 def check_tree(tree: SymTree) -> StructReport:
     """Structural report: downward closure, normality, uniform homogeneity,
-    successor height, per-level sizes at the probe heights."""
+    successor height, per-level sizes at the probe heights. Downward closure
+    skips height 0, where every restriction is the root, which every tree
+    holds."""
     notes: list[str] = []
     down = True
     normal = True
@@ -357,7 +359,7 @@ def check_tree(tree: SymTree) -> StructReport:
                     down = False
                     notes.append(f"node of height {s.dom} listed at level {beta}")
                     continue
-                for alpha in [h for h in probes if h < beta]:
+                for alpha in [h for h in probes if ZERO < h < beta]:
                     if not _level_contains(tree, s.restrict(alpha)):
                         down = False
                         notes.append(f"restriction of a level-{beta} node missing at {alpha}")
@@ -370,7 +372,7 @@ def check_tree(tree: SymTree) -> StructReport:
                 if single.node.dom != beta:
                     down = False
                     notes.append(f"catalog branch {single.tag} has wrong domain")
-            for alpha in [h for h in probes if h < beta]:
+            for alpha in [h for h in probes if ZERO < h < beta]:
                 restricted_cells = [Cell(c.ap, c.template.restrict(alpha))
                                     for f in cat.families if f.admitted for c in f.cells]
                 restricted_singles = [(0, s.node.restrict(alpha))

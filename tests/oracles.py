@@ -199,6 +199,28 @@ def all_pairs_run_invariants(t, x: XSequence):
     return InvariantReport(not fails, tuple(fails))
 
 
+# -- reference for me_cross ---------------------------------------------------------
+
+
+def cross_collisions(probe, level, indices, bound: int, per_block: int = 16) -> dict[int, set[int]]:
+    """{i: {tau < bound : probe(i) and level(tau) share a value}} for each
+    probe index i, node by node on the coordinates j < per_block of every
+    complete block and every coordinate of the final stretch."""
+    h = level.height
+    coords = [Ordinal(w, j) for w in range(h.w) for j in range(per_block)] + \
+        [Ordinal(h.w, j) for j in range(h.n)]
+    holders: dict[tuple[Ordinal, int], set[int]] = {}   # (coordinate, value) -> taus
+    for tau in range(bound):
+        node = level.at(tau)
+        for eps in coords:
+            holders.setdefault((eps, node.eval_at(eps)), set()).add(tau)
+    out = {}
+    for i in indices:
+        node = probe.at(i)
+        out[i] = set().union(*(holders.get((eps, node.eval_at(eps)), ()) for eps in coords))
+    return out
+
+
 # -- references for the shared-structure shortcuts ------------------------------
 
 

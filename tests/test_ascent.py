@@ -1,17 +1,20 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ascentlab.foundations import (
-    AP, EVENS, FULL_SET, ODDS, Ordinal, UPSet, finite_set, multiples,
+    AP, EMPTY_SET, EVENS, FULL_SET, ODDS, OMEGA, Ordinal, UPSet, finite_set, multiples,
 )
 from ascentlab.ascent import (
-    AscentLevel, Cell, PiecewiseMap, constant_level, graft_levels,
+    AscentLevel, AscentPath, Cell, PiecewiseMap, TailRule, constant_level, graft_levels,
     identity_map, level_extensional_eq, level_reindex, me_cross, me_family,
     me_set_concrete, order_iso, root_level, standard_append, supp,
 )
 from ascentlab.nodes import EMPTY_NODE, Ramp, SymNode, const_node, graft, node, mutually_exclusive
-from oracles import upset_window
+from oracles import cross_collisions, upset_window
+from test_chain_lemma import ENTRIES, nodes_of
 
 
 def brute_supp(f: AscentLevel, g: AscentLevel, bound: int = 96) -> set[int]:
@@ -131,6 +134,111 @@ def test_me_cross_static_and_rows():
     # same family: every probe index collides exactly at its own tau: moving
     assert rep.has_moving
     assert rep.static_bad.is_empty
+
+
+def test_me_cross_special_row_and_static_point():
+    """The probe <m+3> meets the constant level <7> at probe index 4 only,
+    for every tau: a special row. The constant probe <5> meets the level
+    <tau+2> at tau = 3 only, for every probe index: a static point."""
+    rep = me_cross(AscentLevel.make(Ordinal(0, 1), [Cell(AP(0, 1), node(Ramp(1, 3)))]),
+                   constant_level(Ordinal(0, 1), node(7)))
+    assert rep.special_rows == ((4, FULL_SET),)
+    assert rep.static_bad.is_empty and not rep.has_moving
+    rep = me_cross(constant_level(Ordinal(0, 1), node(5)),
+                   AscentLevel.make(Ordinal(0, 1), [Cell(AP(0, 1), node(Ramp(1, 2)))]))
+    assert rep.static_bad == finite_set({3})
+    assert rep.special_rows == () and not rep.has_moving
+
+
+@st.composite
+def families_at(draw, height: Ordinal):
+    """A level of the given height: one cell per residue of a step up to 4,
+    templates with constant and ramp entries, up to three exceptions."""
+    step = draw(st.integers(1, 4))
+    cells = [Cell(AP(r, step), draw(nodes_of(height, ENTRIES))) for r in range(step)]
+    exc = draw(st.dictionaries(st.integers(0, 12), nodes_of(height, st.integers(0, 9)),
+                               max_size=3))
+    return AscentLevel.make(height, cells, exc)
+
+
+@st.composite
+def cross_cases(draw):
+    height = Ordinal(draw(st.integers(0, 1)), draw(st.integers(0, 3)))
+    return draw(families_at(height)), draw(families_at(height))
+
+
+def slot_classes(*levels: AscentLevel) -> int:
+    """An upper bound on the coordinate classes two members of the levels
+    can be compared on: per block the longest prefix plus the lcm of the
+    tails, then the final stretch."""
+    nodes = [c.template for f in levels for c in f.cells] + \
+        [v for f in levels for _, v in f.exceptions]
+    h = levels[0].height
+    return h.n + sum(max(len(v.blocks[w].prefix) for v in nodes)
+                     + math.lcm(*(len(v.blocks[w].tail) for v in nodes))
+                     for w in range(h.w))
+
+
+PROBES, TAUS = 64, 320
+
+
+@settings(max_examples=150, deadline=None)
+@given(cross_cases())
+def test_me_cross_matches_window(case):
+    """Against the window oracle: every reported row index collides with its
+    whole row and every static index with some probe index; every other
+    collision needs has_moving, and those number at most one per (level
+    cell, slot class) plus one per level exception for each probe index
+    (a slot with a ramp on the level side has one root position)."""
+    probe, level = case
+    rep = me_cross(probe, level)
+    rows = dict(rep.special_rows)
+    hits = cross_collisions(probe, level, set(range(PROBES)) | set(rows), TAUS)
+    static = upset_window(rep.static_bad, TAUS)
+    for i0, row in rows.items():
+        assert upset_window(row, TAUS) <= hits[i0]
+    for tau in static:
+        assert any(tau in hits[i] for i in range(PROBES))
+    moving_bound = slot_classes(probe, level) * len(level.cells) + len(level.exceptions)
+    for i in range(PROBES):
+        rest = hits[i] - static - upset_window(rows.get(i, EMPTY_SET), TAUS)
+        assert not rest or rep.has_moving
+        assert len(rest) <= moving_bound
+
+
+# -- ascent paths ---------------------------------------------------------------
+
+def bare_level(h: Ordinal) -> AscentLevel:
+    """A level with no pieces: `covers` reads heights only."""
+    return AscentLevel(h, (), ())
+
+
+@pytest.mark.parametrize("start, covered", [(10, True), (4200, True), (4201, False)])
+def test_covers_decides_from_rule_start(start, covered):
+    """Explicit levels at 0..4199 and omega, with a block-0 rule from
+    `start`: covered exactly when no height below the start is missing."""
+    levels = [(Ordinal(0, n), bare_level(Ordinal(0, n))) for n in range(4200)]
+    levels.append((OMEGA, bare_level(OMEGA)))
+    rule = TailRule(start, bare_level(Ordinal(0, start)), ())
+    path = AscentPath.make(levels, {0: rule})
+    assert path.covers(OMEGA) == covered
+    assert path.covers(Ordinal(0, 4300)) == covered
+    assert path.covers(Ordinal(0, 4199))
+
+
+def test_covers_block_without_rule():
+    """A block below eta's with no rule fails however many levels it lists;
+    eta's own block needs only the heights up to eta."""
+    levels = [(Ordinal(0, n), bare_level(Ordinal(0, n))) for n in range(5)]
+    levels += [(Ordinal(1, n), bare_level(Ordinal(1, n))) for n in range(3)]
+    path = AscentPath.make(levels)
+    assert path.covers(Ordinal(0, 4))
+    assert not path.covers(Ordinal(0, 5))
+    assert not path.covers(OMEGA)
+    with_rule = AscentPath.make(levels, {0: TailRule(5, bare_level(Ordinal(0, 5)), ())})
+    assert with_rule.covers(Ordinal(1, 2))
+    assert not with_rule.covers(Ordinal(1, 3))
+    assert not with_rule.covers(Ordinal(2, 0))
 
 
 # -- graft and appends ----------------------------------------------------------

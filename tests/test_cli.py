@@ -119,6 +119,22 @@ def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     assert rep["command"] == argv[0] and error in rep["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["extend", "--beta", "1"], ["amalgamate"], ["vlevels"], ["seal"],
+    ["absorb", "--node", "[5]"], ["demo-bad-antichain"], ["surgery", "--n0", "2"],
+    ["derive-branches"],
+], ids=lambda argv: argv[0])
+def test_seed_only_on_game(argv, cond_file, capsys):
+    """Only the random game opponent reads a seed; every other subcommand
+    rejects --seed as an unknown argument (argparse's exit 2)."""
+    if argv[0] not in ("demo-bad-antichain", "surgery", "derive-branches"):
+        argv = argv + [cond_file]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_extend_roundtrip(cond_file, tmp_path, capsys):
     out = tmp_path / "ext.json"
     code, rep = run_cli(["extend", "--beta", "1", "-o", str(out), cond_file], capsys)

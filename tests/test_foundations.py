@@ -182,9 +182,6 @@ def test_escape_witnesses():
     for k in (0, 3, 4, 17, 40):
         n = DEFAULT_X.escape_index(k)
         assert k not in DEFAULT_X.entry(n)
-    n = DEFAULT_X.escape_finite([4, 8, 40])
-    for k in (4, 8, 40):
-        assert k not in DEFAULT_X.entry(n)
 
 
 class OddsX(XSequence):

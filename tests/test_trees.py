@@ -255,3 +255,17 @@ def test_family_at_limit_follows_catalog_family():
     tree = simple_limit_tree()
     assert family_in_tree(tree, [Cell(AP(0, 1), const_node(Ramp(2, 2), OMEGA))], ())
     assert not family_in_tree(tree, [Cell(AP(0, 1), const_node(Ramp(2, 1), OMEGA))], ())
+
+
+def test_family_at_limit_checks_its_last_root_instance():
+    """The catalog admits the constant branches 5, 6 and 7. The template
+    <m+5 repeated> meets them at the roots m = 0, 1, 2 only, so the
+    instances m <= 2 lie in the tree and m = 3 on do not: the instance at
+    the last root is checked one by one, never taken as the generic
+    instance past it."""
+    cat = BranchCatalog((), tuple(CatalogSingle(f"c{v}", const_node(v, OMEGA)) for v in (5, 6, 7)))
+    tree = SymTree.make(Ordinal(1, 1), catalogs={OMEGA: cat})
+    cells = [Cell(AP(0, 1), const_node(Ramp(1, 5), OMEGA))]
+    assert [tree_contains(tree, const_node(5 + m, OMEGA)) for m in range(4)] == [True] * 3 + [False]
+    assert not family_in_tree(tree, cells, ())
+    assert not brute_family_in_tree(tree, cells, ())
