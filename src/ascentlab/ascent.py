@@ -13,11 +13,16 @@ agreement to all positions, one position, or none, so the result is again
 ultimately periodic. Family mutual exclusivity is per-coordinate injectivity
 of tau -> f(tau)(eps), decided by solving the affine collision equations.
 
-Three primitives carry all of this index arithmetic, each written once:
-`foundations._root` solves a*m = c for a position m >= 0; `Cell.on` (and
-`MapPiece.affine_on` for map pieces) re-bases a cell onto a sub-progression
-of its own; `_meet` pairs two cell lists on their progression intersections,
-both sides re-based onto the intersection.
+The index arithmetic is written once. `foundations._root` solves a*m = c
+for a position m >= 0, and `AP.intersect` is the one meet of two
+progressions. A `Cell` (index -> node) and a `MapPiece` (index -> value)
+share two primitives: `at(k)` evaluates at an index, and `on(ap)` re-bases
+onto a sub-progression of the own domain; a map piece also has its image
+`values` and its `inverse`. Built on these: `_meet` pairs two cell lists on
+their progression intersections; `_split` cuts cells or map pieces to an
+index set (`restrict_level_domain`, `restrict_map`); `_routed` pairs each
+map piece with each level cell its values meet (`level_reindex` and the
+sealing routing).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Iterator, Optional
 
 from .foundations import (
     AP, EMPTY_SET, FULL_SET, BadHeight, Ordinal, UPSet, XSequence,
-    _root, filter_classify, finite_set, solve_congruence,
+    _root, filter_classify, finite_set,
 )
 from .nodes import Entry, Ramp, SymNode, entry_affine, graft, mk_entry, mutually_exclusive
 
@@ -528,16 +533,12 @@ def _pieces_collide(p1, p2, same_piece: bool) -> Optional[tuple[int, int]]:
         if m1 is None:
             return None
         return (loc1.member(m1), loc2.member(0) if kind2 == "cell" else loc2)
-    # both slopes positive: a1*m1 - a2*m2 = b2 - b1 solvable over m1, m2 >= 0
-    g = math.gcd(a1, a2)
-    if (b2 - b1) % g != 0:
+    # both slopes positive: the least value the two progressions share
+    p1, p2 = MapPiece(loc1, a1, b1), MapPiece(loc2, a2, b2)
+    common = p1.values.intersect(p2.values)
+    if common is None:
         return None
-    sol = solve_congruence(a1, (b2 - b1) % a2, a2)
-    m1, _ = sol
-    while a1 * m1 + b1 - b2 < 0:
-        m1 += a2 // g
-    m2 = (a1 * m1 + b1 - b2) // a2
-    return (loc1.member(m1), loc2.member(m2))
+    return (p1.inverse().at(common.start), p2.inverse().at(common.start))
 
 
 def me_family(level: AscentLevel) -> MEReport:
@@ -667,14 +668,27 @@ def me_cross(probe: AscentLevel, level: AscentLevel) -> CrossMEReport:
 
 @dataclass(frozen=True, slots=True)
 class MapPiece:
+    """Index ap.member(m) maps to value a*m + b."""
+
     ap: AP       # domain indices
-    a: int       # value = a*position + b
+    a: int
     b: int
 
-    def affine_on(self, ap: AP) -> tuple[int, int]:
-        """(a, b) with value(ap.member(m)) = a*m + b, for a sub-progression
-        ap of the piece's domain."""
-        return self.a * (ap.step // self.ap.step), self.a * self.ap.position(ap.start) + self.b
+    @property
+    def values(self) -> AP:
+        """The image progression {b + a*m}; needs a >= 1."""
+        return AP(self.b, self.a)
+
+    def at(self, k: int) -> int:
+        return self.a * self.ap.position(k) + self.b
+
+    def on(self, ap: AP) -> "MapPiece":
+        """The piece restricted to a sub-progression ap of its domain, re-based
+        so that position m of the result is index ap.member(m)."""
+        return MapPiece(ap, self.a * (ap.step // self.ap.step), self.at(ap.start))
+
+    def inverse(self) -> "MapPiece":
+        return MapPiece(self.values, self.ap.step, self.ap.start)
 
 
 @dataclass(frozen=True, slots=True)
@@ -698,7 +712,7 @@ class PiecewiseMap:
     def image(self) -> UPSet:
         out = finite_set([v for _, v in self.points])
         for p in self.pieces:
-            out = out.union(AP(p.b, p.a).upset() if p.a >= 1 else finite_set([p.b]))
+            out = out.union(p.values.upset() if p.a >= 1 else finite_set([p.b]))
         return out
 
     def apply(self, tau: int) -> int:
@@ -707,17 +721,12 @@ class PiecewiseMap:
                 return v
         for p in self.pieces:
             if tau in p.ap:
-                return p.a * p.ap.position(tau) + p.b
+                return p.at(tau)
         raise ValueError(f"{tau} outside map domain")
 
     def inverse(self) -> "PiecewiseMap":
-        pieces = []
-        for p in self.pieces:
-            if p.a < 1:
-                raise ValueError("constant piece is not invertible")
-            # value progression {b + a*m}; positions map back into p.ap
-            pieces.append(MapPiece(AP(p.b, p.a), p.ap.step, p.ap.start))
-        return PiecewiseMap(tuple(pieces), tuple((v, k) for k, v in self.points))
+        return PiecewiseMap(tuple(p.inverse() for p in self.pieces),
+                            tuple((v, k) for k, v in self.points))
 
     def is_injective(self) -> bool:
         vals = [v for _, v in self.points]
@@ -727,7 +736,7 @@ class PiecewiseMap:
         for p in self.pieces:
             if p.a < 1:
                 return False
-            imgs.append(AP(p.b, p.a).upset())
+            imgs.append(p.values.upset())
         for i, u in enumerate(imgs):
             for v in imgs[i + 1:]:
                 if not u.disjoint(v):
@@ -741,39 +750,29 @@ def identity_map(dom: UPSet) -> PiecewiseMap:
                         tuple((k, k) for k in singles))
 
 
+def _split(parts, dom: UPSet) -> tuple[list, list]:
+    """Each part (a `Cell` or a `MapPiece`) on the indices of its progression
+    inside dom: the infinite progressions of that set re-based with `on`, its
+    finitely many other indices k as points (k, part.at(k))."""
+    pieces, points = [], []
+    for p in parts:
+        aps, singles = dom.intersect(p.ap.upset()).to_aps()
+        pieces.extend(p.on(ap) for ap in aps)
+        points.extend((k, p.at(k)) for k in singles)
+    return pieces, points
+
+
 def restrict_map(m: PiecewiseMap, dom: UPSet) -> PiecewiseMap:
     """The map on the part of its domain inside dom."""
-    points = [(k, v) for k, v in m.points if k in dom]
-    pieces: list[MapPiece] = []
-    for p in m.pieces:
-        sub = dom.intersect(p.ap.upset())
-        aps, singles = sub.to_aps()
-        pieces.extend(MapPiece(ap, *p.affine_on(ap)) for ap in aps)
-        points.extend((k, p.a * p.ap.position(k) + p.b) for k in singles)
+    pieces, points = _split(m.pieces, dom)
+    points.extend((k, v) for k, v in m.points if k in dom)
     return PiecewiseMap(tuple(pieces), tuple(sorted(points)))
-
-
-def map_affine_on(m: PiecewiseMap, ap: AP) -> tuple[int, int]:
-    """(a, b) with m(ap.member(k)) = a*k + b, when ap sits inside one piece."""
-    for p in m.pieces:
-        if ap.start in p.ap and ap.step % p.ap.step == 0:
-            return p.affine_on(ap)
-    raise ValueError(f"{ap} not inside one piece of the map")
 
 
 def restrict_level_domain(level: AscentLevel, dom: UPSet):
     """(cells, exceptions) fragments of the family on the given index set."""
-    cells: list[Cell] = []
-    exc: list[tuple[int, SymNode]] = []
-    for k, v in level.exceptions:
-        if k in dom:
-            exc.append((k, v))
-    for c in level.cells:
-        sub = dom.intersect(c.ap.upset())
-        aps, singles = sub.to_aps()
-        cells.extend(c.on(ap) for ap in aps)
-        exc.extend((k, c.at(k)) for k in singles)
-    return cells, exc
+    cells, exc = _split(level.cells, dom)
+    return cells, [(k, v) for k, v in level.exceptions if k in dom] + exc
 
 
 def fill_level(height: Ordinal, cells, exceptions, filler: AscentLevel) -> AscentLevel:
@@ -812,40 +811,38 @@ def order_iso(source: UPSet, target: UPSet, skip: int = 0) -> PiecewiseMap:
     return PiecewiseMap(tuple(pieces), points)
 
 
-def level_reindex(level: AscentLevel, sigma: PiecewiseMap) -> list:
-    """Pieces of the family i -> level(sigma(i)), for i in sigma's domain.
-
-    Returns (cells, exceptions) fragments to be assembled into a level by
-    the caller (who may combine several routed fragments)."""
-    cells: list[Cell] = []
-    exc: list[tuple[int, SymNode]] = []
-    level_exc = level.exc_dict()
-    for i0, v in sigma.points:
-        exc.append((i0, level.at(v)))
+def _routed(sigma: PiecewiseMap, level: AscentLevel) -> Iterator[tuple[MapPiece, Cell]]:
+    """Each sigma piece paired with each level cell its values meet: the piece
+    restricted to the indices it sends into the cell, and the cell pulled
+    back onto those indices, so position m of both is one index i, whose
+    cell node is level(sigma(i))."""
     for mp in sigma.pieces:
-        # values {mp.b + mp.a * m}: route into the level's pieces
-        for lc in level.cells:
-            sol = solve_congruence(mp.a, lc.ap.start - mp.b, lc.ap.step)
-            if sol is None:
-                continue
-            m0, mstep = sol
-            while mp.a * m0 + mp.b < lc.ap.start:
-                m0 += mstep
-            # domain sub-progression: positions m = m0 + mstep*k of mp.ap
-            dom_ap = AP(mp.ap.member(m0), mp.ap.step * mstep)
-            a_pos = (mp.a * mstep) // lc.ap.step
-            b_pos = (mp.a * m0 + mp.b - lc.ap.start) // lc.ap.step
-            cells.append(Cell(dom_ap, lc.template.reindex(a_pos, b_pos)))
-        for k in level_exc:
-            if k >= mp.b and (k - mp.b) % mp.a == 0:
-                m = (k - mp.b) // mp.a
-                exc.append((mp.ap.member(m), level_exc[k]))
-    # routed cells cover {i : sigma(i) in some level cell} and the exception
-    # entries the rest of sigma's domain; the two are disjoint because level
-    # cells exclude exception keys
+        for c in level.cells:
+            inter = mp.values.intersect(c.ap)
+            if inter is not None:
+                sig = mp.inverse().on(inter).inverse()
+                yield sig, Cell(sig.ap, c.on(inter).template)
+
+
+def _routed_points(sigma: PiecewiseMap, level: AscentLevel) -> tuple[tuple[int, SymNode], ...]:
+    """(i, level(sigma(i))) for each point i of sigma and each i that a sigma
+    piece sends to a level exception; the indices no `_routed` cell holds,
+    because level cells exclude exception keys."""
+    exc = [(i0, level.at(v)) for i0, v in sigma.points]
+    for mp in sigma.pieces:
+        inv = mp.inverse()
+        exc.extend((inv.at(k), v) for k, v in level.exceptions if k in inv.ap)
     seen: dict[int, SymNode] = {}
     for k, v in exc:
         if k in seen and seen[k] != v:
             raise ValueError(f"conflicting reindex at {k}")
         seen[k] = v
-    return cells, tuple(sorted(seen.items()))
+    return tuple(sorted(seen.items()))
+
+
+def level_reindex(level: AscentLevel, sigma: PiecewiseMap):
+    """Pieces of the family i -> level(sigma(i)), for i in sigma's domain.
+
+    Returns (cells, exceptions) fragments to be assembled into a level by
+    the caller (who may combine several routed fragments)."""
+    return [c for _, c in _routed(sigma, level)], _routed_points(sigma, level)

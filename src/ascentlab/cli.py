@@ -18,7 +18,7 @@ from .foundations import Ordinal, OrdinalBoundError, OMEGA_NAT, ProfileViolation
 from .aposet import THETA, NotLinked, PathDescriptor, check_antichain, is_bad
 from .amalgam import HypothesisViolated, NotUniformTail, amalgamate
 from .conditions import (
-    Condition, InvalidBeta, WrongVariant, check_condition, eta_nu, leq_s,
+    VARIANTS, Condition, InvalidBeta, WrongVariant, check_condition, eta_nu, leq_s,
     one_step_extension,
 )
 from .fixtures import bad_path_conditions, uniform_path
@@ -76,9 +76,6 @@ def _write(path: Optional[str], payload: Any) -> None:
 def _emit(report: dict, ok: bool) -> int:
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0 if ok else 1
-
-
-VARIANT_NAMES = {"sx": "sx", "sf": "sf", "stheta": "stheta"}
 
 
 def cmd_validate(args) -> int:
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--out", help="write the resulting condition here")
 
     p = sub.add_parser("validate", help="check a condition clause by clause")
-    p.add_argument("--variant", choices=sorted(VARIANT_NAMES), default=None)
+    p.add_argument("--variant", choices=sorted(VARIANTS), default=None)
     common(p)
     p.set_defaults(fn=cmd_validate)
 

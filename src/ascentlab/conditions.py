@@ -178,10 +178,7 @@ def check_condition(cond: Condition, variant: Optional[str] = None) -> Condition
                 bad.append(f"clause C2 (ascent-path): tail base for block {w} breaks the chain")
     clauses["C2"] = c2
 
-    if variant == S_THETA:
-        return ConditionReport(variant, tuple(clauses.items()), tuple(bad), tuple(probes))
-
-    if variant == S_F:
+    if variant in (S_THETA, S_F):
         return ConditionReport(variant, tuple(clauses.items()), tuple(bad), tuple(probes))
 
     # C3: vanishing levels closed, top limit level vanishing

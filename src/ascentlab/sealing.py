@@ -24,9 +24,9 @@ from .foundations import (
     finite_set,
 )
 from .ascent import (
-    AP, AscentLevel, Cell, MapPiece, PiecewiseMap, _meet, fill_level, identity_map,
-    level_reindex, map_affine_on, me_family, order_iso,
-    restrict_level_domain, restrict_map, standard_append, supp,
+    AscentLevel, Cell, PiecewiseMap, _meet, _routed, _routed_points, fill_level,
+    identity_map, level_reindex, me_family, order_iso, restrict_level_domain, restrict_map,
+    standard_append, supp,
 )
 from .nodes import SymNode, entry_affine, eq_star, graft, mk_entry, node_patch
 from .conditions import (
@@ -122,10 +122,8 @@ def check_triple(triple: SealTriple, cond: Condition) -> bool:
         if not eq_star(xf.at(k), top.at(pi.apply(k))):
             return False
     for p in pi.pieces:
-        a, b = map_affine_on(pi, p.ap)
-        for m in (0, 1, 2):
-            k = p.ap.member(m)
-            if not eq_star(xf.at(k), top.at(a * m + b)):
+        for k in map(p.ap.member, (0, 1, 2)):
+            if not eq_star(xf.at(k), top.at(p.at(k))):
                 return False
     return True
 
@@ -142,19 +140,17 @@ def _route_pieces(sigma: PiecewiseMap, alpha_lvl: AscentLevel, top_lvl: AscentLe
     over sigma's domain."""
     cells_out: list[Cell] = []
     exc_out: list[tuple[int, SymNode]] = []
-    lcells, lexc = level_reindex(alpha_lvl, sigma)
-    for k, lnode in lexc:
+    for k, lnode in _routed_points(sigma, alpha_lvl):
         merged = graft(lnode, top_lvl.at(k)).append(2 * sigma.apply(k))
         exc_out.append((k, merged))
-    for lc in lcells:
-        sig = MapPiece(lc.ap, *map_affine_on(sigma, lc.ap))
+    for sig, lc in _routed(sigma, alpha_lvl):
         for left, right in _meet((lc,), top_lvl.cells):
-            a, b = sig.affine_on(left.ap)
-            label = mk_entry(2 * a, 2 * b)
+            s = sig.on(left.ap)
+            label = mk_entry(2 * s.a, 2 * s.b)
             cells_out.append(Cell(left.ap, graft(left.template, right.template).append(label)))
         for k, tnode in top_lvl.exceptions:
             if k in lc.ap:
-                merged = graft(lc.at(k), tnode).append(2 * sigma.apply(k))
+                merged = graft(lc.at(k), tnode).append(2 * sig.at(k))
                 exc_out.append((k, merged))
     return cells_out, exc_out
 
@@ -237,16 +233,7 @@ def seal_step(cond: Condition, triple: SealTriple, xi: int,
 
 
 def _pi_preimage(pi: PiecewiseMap, values: UPSet) -> UPSet:
-    out = finite_set([k for k, v in pi.points if v in values])
-    for p in pi.pieces:
-        img = AP(p.b, p.a).upset().intersect(values)
-        aps, singles = img.to_aps()
-        inv = pi.inverse()
-        for ap in aps:
-            a, b = map_affine_on(inv, ap)
-            out = out.union(AP(b, a).upset() if a else finite_set([b]))
-        out = out.union(finite_set([inv.apply(v) for v in singles]))
-    return out
+    return restrict_map(pi.inverse(), values).image()
 
 
 # ---------------------------------------------------------------------------

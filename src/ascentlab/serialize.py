@@ -247,11 +247,24 @@ def dec_path_descriptor(d: Any) -> PathDescriptor:
                           dec_tail_rule(d["rule"]) if d.get("rule") else None)
 
 
+def _int_field(d: Any, key: str, where: str, least: Optional[int] = None) -> int:
+    """d[key], an int not below `least` when given; FormatError naming the
+    field otherwise."""
+    v = d.get(key) if isinstance(d, dict) else None
+    _expect(type(v) is int and (least is None or v >= least),
+            f"{where}.{key}: expected an int{'' if least is None else f' >= {least}'}, got {v!r}")
+    return v
+
+
 def dec_map(d: Any) -> PiecewiseMap:
-    return PiecewiseMap(
-        tuple(MapPiece(AP(int(p["start"]), int(p["step"])), int(p["a"]), int(p["b"]))
-              for p in d.get("pieces", ())),
-        tuple((int(k), int(v)) for k, v in d.get("points", ())))
+    """A piece's slope `a` is only checked to be an int: a constant or
+    decreasing piece is well formed and fails `is_injective`."""
+    pieces = []
+    for i, p in enumerate(d.get("pieces", ())):
+        where = f"pi.pieces[{i}]"
+        ap = AP(_int_field(p, "start", where, 0), _int_field(p, "step", where, 1))
+        pieces.append(MapPiece(ap, _int_field(p, "a", where), _int_field(p, "b", where, 0)))
+    return PiecewiseMap(tuple(pieces), tuple((int(k), int(v)) for k, v in d.get("points", ())))
 
 
 def dec_triple(d: Any) -> SealTriple:

@@ -55,7 +55,7 @@ def validate_pi(pi: PiecewiseMap, x: XSequence, n0: int) -> None:
     x1 = x.entry(1)
     fixed = restrict_map(pi, x1)
     for p in fixed.pieces:
-        if p.a != p.ap.step or p.b != p.ap.start:
+        if p.values != p.ap:
             raise BadPi("map moves a point of the deeper filter set")
     for k, v in fixed.points:
         if k != v:

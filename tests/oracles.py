@@ -359,3 +359,62 @@ def all_pairs_validate_chain(ch):
                     if v2.restrict(v1.dom) != v1:
                         raise HypothesisViolated("z-coherent", f"z({k}) not increasing")
     return sample
+
+
+# -- references for piecewise maps and reindexed families ---------------------------
+# Maps and level fragments are read off their raw fields one index at a time:
+# k lies in the progression (start, step) iff k >= start and step divides
+# k - start, and its position there is (k - start) // step.
+
+
+def _raw_position(start: int, step: int, k: int) -> int | None:
+    if k >= start and (k - start) % step == 0:
+        return (k - start) // step
+    return None
+
+
+def map_window(m, indices) -> dict[int, int]:
+    """{k: m(k)} for each k of `indices` in the map's domain, from its raw
+    points and pieces; an index held by two of them fails."""
+    out: dict[int, int] = {}
+    for k in indices:
+        hits = [v for i, v in m.points if i == k]
+        for p in m.pieces:
+            pos = _raw_position(p.ap.start, p.ap.step, k)
+            if pos is not None:
+                hits.append(p.a * pos + p.b)
+        if len(hits) > 1:
+            raise AssertionError(f"index {k} lies in {len(hits)} parts of the map")
+        if hits:
+            out[k] = hits[0]
+    return out
+
+
+def fragments_window(cells, exceptions, indices) -> dict[int, SymNode]:
+    """{k: node} for each k of `indices` that the cells and exceptions cover,
+    a cell's node instantiated at k's raw position; an index covered twice
+    fails."""
+    out: dict[int, SymNode] = {}
+    for k in indices:
+        hits = [v for i, v in exceptions if i == k]
+        for c in cells:
+            pos = _raw_position(c.ap.start, c.ap.step, k)
+            if pos is not None:
+                hits.append(c.template.instantiate(pos))
+        if len(hits) > 1:
+            raise AssertionError(f"index {k} covered {len(hits)} times")
+        if hits:
+            out[k] = hits[0]
+    return out
+
+
+def reindex_window(level, sigma, indices) -> dict[int, SymNode]:
+    """{i: level(sigma(i))} for each i of `indices` in sigma's domain."""
+    sig = map_window(sigma, indices)
+    nodes = fragments_window(level.cells, level.exceptions, set(sig.values()))
+    return {i: nodes[v] for i, v in sig.items()}
+
+
+def preimage_window(m, values: UPSet, indices) -> set[int]:
+    """The i of `indices` in the map's domain with m(i) in values."""
+    return {i for i, v in map_window(m, indices).items() if v in values}

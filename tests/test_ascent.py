@@ -10,10 +10,13 @@ from ascentlab.foundations import (
 from ascentlab.ascent import (
     AscentLevel, AscentPath, Cell, PiecewiseMap, TailRule, constant_level, graft_levels,
     identity_map, level_extensional_eq, level_reindex, me_cross, me_family,
-    me_set_concrete, order_iso, root_level, standard_append, supp,
+    me_set_concrete, order_iso, restrict_level_domain, restrict_map, root_level,
+    standard_append, supp,
 )
 from ascentlab.nodes import EMPTY_NODE, Ramp, SymNode, const_node, graft, node, mutually_exclusive
-from oracles import cross_collisions, upset_window
+from oracles import (
+    cross_collisions, fragments_window, map_window, reindex_window, upset_window,
+)
 from test_chain_lemma import ENTRIES, nodes_of
 
 
@@ -319,6 +322,81 @@ def test_level_reindex_routes_exceptions():
     d = dict(exc)
     assert d[5] == node(9)
     assert d[6] == lvl.at(3)
+
+
+@st.composite
+def index_sets(draw, infinite: bool = False):
+    """A set of indices: a period dividing 12, a threshold below 12, random
+    residues (at least one when infinite) and a random patch below the
+    threshold, whose members become the single points of a split."""
+    p = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    t = draw(st.integers(0, 11))
+    residues = draw(st.frozensets(st.integers(0, p - 1), min_size=int(infinite)))
+    low = draw(st.frozensets(st.integers(0, t - 1))) if t else frozenset()
+    return UPSet.make(t, p, residues, low)
+
+
+@st.composite
+def index_maps(draw):
+    """An injective map: order_iso between two infinite sets (points below
+    the stable rank, pieces above), identity_map of a set, or an order_iso
+    cut down by restrict_map (more points)."""
+    kind = draw(st.sampled_from(["iso", "identity", "restricted"]))
+    if kind == "identity":
+        return identity_map(draw(index_sets()))
+    m = order_iso(draw(index_sets(True)), draw(index_sets(True)), draw(st.integers(0, 3)))
+    return m if kind == "iso" else restrict_map(m, draw(index_sets()))
+
+
+WINDOW = 80
+MAPS = settings(max_examples=120, deadline=None)
+
+
+@MAPS
+@given(index_maps(), index_sets())
+def test_restrict_map_matches_window(m, dom):
+    want = {k: v for k, v in map_window(m, range(WINDOW)).items() if k in dom}
+    assert map_window(restrict_map(m, dom), range(WINDOW)) == want
+
+
+@MAPS
+@given(st.integers(0, 3).flatmap(lambda n: families_at(Ordinal(0, n))), index_sets())
+def test_restrict_level_domain_matches_window(level, dom):
+    full = fragments_window(level.cells, level.exceptions, range(WINDOW))
+    cells, exc = restrict_level_domain(level, dom)
+    assert fragments_window(cells, exc, range(WINDOW)) == {
+        k: v for k, v in full.items() if k in dom}
+
+
+@MAPS
+@given(st.integers(0, 3).flatmap(lambda n: families_at(Ordinal(0, n))), index_maps())
+def test_level_reindex_matches_window(level, sigma):
+    """i -> level(sigma(i)) on random levels with exceptions."""
+    cells, exc = level_reindex(level, sigma)
+    assert fragments_window(cells, exc, range(WINDOW)) == reindex_window(
+        level, sigma, range(WINDOW))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 20), st.integers(1, 6), st.integers(0, 20))
+def test_me_family_witness_on_two_ramps(a1, b1, a2, b2):
+    """Two ramp cells collide iff their value progressions meet, and the
+    reported pair holds the least shared value, one index from each cell.
+    That value is below max(b1, b2) + lcm(a1, a2), so the window of 128
+    indices holds every position it can sit at."""
+    lvl = AscentLevel.make(Ordinal(0, 1), [Cell(AP(0, 2), SymNode((), (Ramp(a1, b1),))),
+                                           Cell(AP(1, 2), SymNode((), (Ramp(a2, b2),)))])
+    value = {k: v.eval_at(Ordinal(0, 0)) for k, v in fragments_window(
+        lvl.cells, lvl.exceptions, range(128)).items()}
+    shared = {v for k, v in value.items() if k % 2 == 0} & {v for k, v in value.items() if k % 2}
+    rep = me_family(lvl)
+    assert rep.ok == (not shared)
+    if shared:
+        import re
+        i1, i2 = map(int, re.search(r"indices (\d+),(\d+) share a value at \(0,0\)",
+                                    rep.detail).groups())
+        assert {i1 % 2, i2 % 2} == {0, 1}
+        assert value[i1] == value[i2] == min(shared)
 
 
 # -- check_ascent ---------------------------------------------------------------

@@ -26,6 +26,23 @@ def unlinked_path_file(tmp_path) -> str:
     return str(p)
 
 
+def bad_triple_file(tmp_path, field: str, value) -> str:
+    """A sealing triple for tower(2) with Y the odds and pi the order shift on
+    them, its one map piece's `field` set to `value`."""
+    from ascentlab.ascent import fill_level, level_reindex, order_iso
+    from ascentlab.foundations import ODDS
+    c = tower(2)
+    pi = order_iso(ODDS, ODDS, skip=1)
+    cells, exc = level_reindex(c.top, pi)
+    piece = {"start": pi.pieces[0].ap.start, "step": pi.pieces[0].ap.step,
+             "a": pi.pieces[0].a, "b": pi.pieces[0].b} | {field: value}
+    d = {"format": sz.FORMAT, "x_family": sz.enc_level(fill_level(c.eta, cells, exc, c.top)),
+         "y": sz.enc_upset(ODDS), "pi": {"pieces": [piece], "points": []}}
+    p = tmp_path / "triple.json"
+    p.write_text(json.dumps(d))
+    return str(p)
+
+
 @pytest.fixture()
 def cond_file(tmp_path):
     p = tmp_path / "cond.json"
@@ -103,11 +120,20 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
     (["demo-bad-antichain", "--count", "1"], "--count must be at least 2"),
     (["derive-branches", "--path"], "heights 1,2 not linked at index 0"),
     (["surgery", "--n0", "2", "--path"], "heights 1,2 not linked at index 0"),
+    (["seal", "--triple-file", ("b", -1)], "pi.pieces[0].b: expected an int >= 0, got -1"),
+    (["seal", "--triple-file", ("start", -1)], "pi.pieces[0].start: expected an int >= 0"),
+    (["seal", "--triple-file", ("step", 0)], "pi.pieces[0].step: expected an int >= 1, got 0"),
+    (["seal", "--triple-file", ("a", "x")], "pi.pieces[0].a: expected an int, got 'x'"),
+    (["seal", "--triple-file", ("a", 0)], "triple fails its requirements"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
         "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
-        "derive-branches-not-linked", "surgery-not-linked"])
+        "derive-branches-not-linked", "surgery-not-linked",
+        "seal-piece-b-negative", "seal-piece-start-negative", "seal-piece-step-0",
+        "seal-piece-a-not-int", "seal-piece-a-0"])
 def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
-    if argv[0] in ("absorb", "extend"):
+    if isinstance(argv[-1], tuple):
+        argv = argv[:-1] + [bad_triple_file(tmp_path, *argv[-1])]
+    if argv[0] in ("absorb", "extend", "seal"):
         argv = argv + [cond_file]
     if argv[-1] == "--path":
         argv = argv + [unlinked_path_file(tmp_path)]

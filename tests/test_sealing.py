@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from ascentlab.foundations import EMPTY_SET, FULL_SET, Ordinal, ZERO, finite_set
 from ascentlab.ascent import PiecewiseMap, supp
@@ -11,6 +12,8 @@ from ascentlab.sealing import (
     transposition_triple,
 )
 from ascentlab.trees import tree_contains
+from oracles import preimage_window, upset_window
+from test_ascent import index_maps, index_sets
 
 
 def make_hit(mid_like, steps: int = 1, alpha=None) -> OracleHit:
@@ -202,3 +205,14 @@ def test_seal_infinite_y_triple():
     assert check_condition(out, S_X).ok and leq_s(out, c)
     from ascentlab.ascent import supp
     assert c.x.entry(1).difference(ODDS).is_subset(supp(out.level(alpha), out.top))
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_maps(), index_sets())
+def test_pi_preimage_matches_window(pi, values):
+    """The indices pi sends into `values`. The maps are mostly not
+    involutions (order isomorphisms between unrelated sets), so taking the
+    image through pi instead of its inverse shows."""
+    from ascentlab.sealing import _pi_preimage
+    window = range(80)
+    assert upset_window(_pi_preimage(pi, values), 80) == preimage_window(pi, values, window)
