@@ -311,6 +311,11 @@ class AscentPath:
 
     levels: tuple[tuple[Ordinal, AscentLevel], ...]
     tails: tuple[tuple[int, TailRule], ...] = ()
+    # height -> level, built once; the first listed level wins, as in a scan
+    _by_height: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_height", dict(reversed(self.levels)))
 
     @staticmethod
     def make(levels, tails=()) -> "AscentPath":
@@ -332,9 +337,9 @@ class AscentPath:
         None. The level at alpha depends only on its source and alpha (a rule
         is deterministic in n), so two paths whose source at alpha is one
         object hold the same level there and need no comparison."""
-        for h, lvl in self.levels:
-            if h == alpha:
-                return lvl
+        lvl = self._by_height.get(alpha)
+        if lvl is not None:
+            return lvl
         rule = self.tail_for(alpha.w)
         return rule if rule is not None and alpha.n >= rule.start else None
 
@@ -348,7 +353,7 @@ class AscentPath:
         return src.level_at(alpha.n) if isinstance(src, TailRule) else src
 
     def with_level(self, alpha: Ordinal, lvl: AscentLevel) -> "AscentPath":
-        return AscentPath.make(dict(self.levels) | {alpha: lvl}, self.tails)
+        return AscentPath.make(self._by_height | {alpha: lvl}, self.tails)
 
     def probe_heights(self, eta: Ordinal) -> list[Ordinal]:
         """Heights checked exactly: explicit ones plus one scheme cycle and
@@ -356,8 +361,9 @@ class AscentPath:
         out = {h for h, _ in self.levels if h <= eta}
         for w, rule in self.tails:
             for n in range(rule.start, rule.start + len(rule.schemes) + 2):
-                if Ordinal(w, n) <= eta and not any(h == Ordinal(w, n) for h, _ in self.levels):
-                    out.add(Ordinal(w, n))
+                h = Ordinal(w, n)
+                if h <= eta:
+                    out.add(h)
         return sorted(out)
 
     def covers(self, eta: Ordinal) -> bool:

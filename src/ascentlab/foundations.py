@@ -7,6 +7,11 @@ configurable block bound W; sets of naturals are restricted to the
 ultimately periodic class, where boolean algebra and filter membership
 are exactly decidable.
 
+A height is an `Ordinal`, a tuple (w, n) that CPython compares and hashes
+in C; it equals the plain pair. Its constructor validates the range and is
+the path for every height that comes from outside; `succ` and `pred`
+cannot leave the range and skip the check (see `Ordinal`).
+
 A `UPSet` is two int bitmasks, its residues mod the period and its
 members below the threshold, kept in a normal form with the least period
 and then the least threshold, so equality is structural. A boolean
@@ -42,22 +47,38 @@ class PostconditionFailed(AssertionError):
     the check."""
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Ordinal:
-    """Ordinal below omega*W in normal form omega*w + n.
+class Ordinal(tuple):
+    """Ordinal below omega*W in normal form omega*w + n, held as the pair
+    (w, n).
 
-    Comparison is lexicographic on (w, n), which the derived dataclass
-    order provides directly.
+    An `Ordinal` is a tuple, so order, `==` and `hash` are the tuple's own,
+    computed in C: lexicographic on (w, n), which is the ordinal order in
+    normal form. It equals the plain pair, `Ordinal(1, 2) == (1, 2)`, and
+    hashes as it. `json` would write it as a list, so
+    `serialize.enc_ordinal` stays the only encoder.
+
+    The constructor validates: a negative part raises `ValueError` and
+    w > W_LIMIT raises `OrdinalBoundError`. It is the path for every height
+    that comes from outside (decoders, the CLI) or from arithmetic that can
+    leave the range (`next_limit`). `succ` and `pred` (after its successor
+    check) keep w and leave n >= 0, so from a valid ordinal they cannot
+    leave the range; they build the pair directly and skip the check.
     """
 
-    w: int = 0
-    n: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.w < 0 or self.n < 0:
-            raise ValueError(f"negative ordinal parts ({self.w}, {self.n})")
-        if self.w > W_LIMIT:
-            raise OrdinalBoundError(f"omega*{self.w}+{self.n} exceeds omega*{W_LIMIT}")
+    def __new__(cls, w: int = 0, n: int = 0) -> "Ordinal":
+        if w < 0 or n < 0:
+            raise ValueError(f"negative ordinal parts ({w}, {n})")
+        if w > W_LIMIT:
+            raise OrdinalBoundError(f"omega*{w}+{n} exceeds omega*{W_LIMIT}")
+        return tuple.__new__(cls, (w, n))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    w = property(operator.itemgetter(0), doc="The block index: omega*w + n.")
+    n = property(operator.itemgetter(1), doc="The offset in the block.")
 
     @property
     def is_zero(self) -> bool:
@@ -76,15 +97,12 @@ class Ordinal:
         return self.w == 0
 
     def succ(self) -> "Ordinal":
-        return Ordinal(self.w, self.n + 1)
+        return tuple.__new__(Ordinal, (self.w, self.n + 1))
 
     def pred(self) -> "Ordinal":
         if self.n == 0:
             raise ValueError(f"{self} is not a successor")
-        return Ordinal(self.w, self.n - 1)
-
-    def plus(self, k: int) -> "Ordinal":
-        return Ordinal(self.w, self.n + k)
+        return tuple.__new__(Ordinal, (self.w, self.n - 1))
 
     def next_limit(self) -> "Ordinal":
         """The least limit ordinal strictly above self."""
@@ -106,11 +124,7 @@ OMEGA_NAT = math.inf
 
 def ord_compare(a: Ordinal, b: Ordinal) -> int:
     """Lexicographic comparison on (w, n); returns LT, EQ or GT."""
-    if (a.w, a.n) < (b.w, b.n):
-        return LT
-    if (a.w, a.n) > (b.w, b.n):
-        return GT
-    return EQ
+    return (a > b) - (a < b)
 
 
 def solve_congruence(a: int, b: int, m: int) -> Optional[tuple[int, int]]:

@@ -13,7 +13,7 @@ structural equality of nodes coincides with extensional equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .foundations import BadHeight, Ordinal, ZERO
@@ -110,10 +110,11 @@ class SymNode:
 
     blocks: tuple[BlockWord, ...] = ()
     final: tuple[Entry, ...] = ()
+    # the domain, set once here; equality, hash and repr read only the fields above
+    dom: Ordinal = field(init=False, compare=False, repr=False)
 
-    @property
-    def dom(self) -> Ordinal:
-        return Ordinal(len(self.blocks), len(self.final))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dom", Ordinal(len(self.blocks), len(self.final)))
 
     def eval_at(self, eps: Ordinal) -> int:
         e = self.entry_at(eps)

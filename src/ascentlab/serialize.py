@@ -29,14 +29,36 @@ def _expect(cond: bool, msg: str) -> None:
         raise FormatError(msg)
 
 
+def _int_field(d: Any, key: str, where: str, least: Optional[int] = None) -> int:
+    """d[key], an int not below `least` when given; FormatError naming the
+    field otherwise."""
+    v = d.get(key) if isinstance(d, dict) else None
+    _expect(type(v) is int and (least is None or v >= least),
+            f"{where}.{key}: expected an int{'' if least is None else f' >= {least}'}, got {v!r}")
+    return v
+
+
+def _list_field(d: dict, key: str, where: str) -> list:
+    """d[key], a list, empty when absent."""
+    v = d.get(key, [])
+    _expect(isinstance(v, list), f"{where}.{key}: expected a list, got {v!r}")
+    return v
+
+
+def _nat_pair(p: Any, where: str) -> tuple[int, int]:
+    _expect(isinstance(p, list) and len(p) == 2
+            and all(type(v) is int and v >= 0 for v in p),
+            f"{where}: expected a pair of ints >= 0, got {p!r}")
+    return p[0], p[1]
+
+
 # -- scalars -----------------------------------------------------------------
 
 def enc_ordinal(o: Ordinal) -> dict:
     return {"w": o.w, "n": o.n}
 
 def dec_ordinal(d: Any) -> Ordinal:
-    _expect(isinstance(d, dict) and "w" in d and "n" in d, f"bad ordinal {d!r}")
-    return Ordinal(int(d["w"]), int(d["n"]))
+    return Ordinal(_int_field(d, "w", "ordinal", 0), _int_field(d, "n", "ordinal", 0))
 
 
 def enc_upset(u: UPSet) -> dict:
@@ -247,24 +269,17 @@ def dec_path_descriptor(d: Any) -> PathDescriptor:
                           dec_tail_rule(d["rule"]) if d.get("rule") else None)
 
 
-def _int_field(d: Any, key: str, where: str, least: Optional[int] = None) -> int:
-    """d[key], an int not below `least` when given; FormatError naming the
-    field otherwise."""
-    v = d.get(key) if isinstance(d, dict) else None
-    _expect(type(v) is int and (least is None or v >= least),
-            f"{where}.{key}: expected an int{'' if least is None else f' >= {least}'}, got {v!r}")
-    return v
-
-
 def dec_map(d: Any) -> PiecewiseMap:
     """A piece's slope `a` is only checked to be an int: a constant or
     decreasing piece is well formed and fails `is_injective`."""
+    _expect(isinstance(d, dict), f"pi: expected an object, got {d!r}")
     pieces = []
-    for i, p in enumerate(d.get("pieces", ())):
+    for i, p in enumerate(_list_field(d, "pieces", "pi")):
         where = f"pi.pieces[{i}]"
         ap = AP(_int_field(p, "start", where, 0), _int_field(p, "step", where, 1))
         pieces.append(MapPiece(ap, _int_field(p, "a", where), _int_field(p, "b", where, 0)))
-    return PiecewiseMap(tuple(pieces), tuple((int(k), int(v)) for k, v in d.get("points", ())))
+    return PiecewiseMap(tuple(pieces), tuple(_nat_pair(p, f"pi.points[{i}]")
+                                             for i, p in enumerate(_list_field(d, "points", "pi"))))
 
 
 def dec_triple(d: Any) -> SealTriple:

@@ -241,6 +241,19 @@ def levels_equal(f, g) -> bool:
         f.at(t) == g.at(t) for t in list(f.exc_dict()) + list(g.exc_dict()))
 
 
+def scan_source(path, alpha: Ordinal):
+    """`AscentPath.source` by a linear scan of the raw fields: the first
+    listed level at alpha, else the first rule of alpha's block when alpha.n
+    is at or past its start, else None."""
+    for h, lvl in path.levels:
+        if h == alpha:
+            return lvl
+    for w, rule in path.tails:
+        if w == alpha.w:
+            return rule if alpha.n >= rule.start else None
+    return None
+
+
 def all_probes_paths_agree(p1, p2, eta: Ordinal) -> bool:
     """paths_agree_below comparing the levels at every probe height, shared
     or not."""

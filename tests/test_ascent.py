@@ -15,7 +15,7 @@ from ascentlab.ascent import (
 )
 from ascentlab.nodes import EMPTY_NODE, Ramp, SymNode, const_node, graft, node, mutually_exclusive
 from oracles import (
-    cross_collisions, fragments_window, map_window, reindex_window, upset_window,
+    cross_collisions, fragments_window, map_window, reindex_window, scan_source, upset_window,
 )
 from test_chain_lemma import ENTRIES, nodes_of
 
@@ -242,6 +242,31 @@ def test_covers_block_without_rule():
     assert with_rule.covers(Ordinal(1, 2))
     assert not with_rule.covers(Ordinal(1, 3))
     assert not with_rule.covers(Ordinal(2, 0))
+
+
+@st.composite
+def sparse_paths(draw):
+    """Paths of bare levels at scattered heights below omega*3, with rules
+    on some blocks."""
+    heights = draw(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 8)), max_size=12))
+    starts = draw(st.dictionaries(st.integers(0, 2), st.integers(0, 10), max_size=3))
+    return AscentPath.make({Ordinal(*h): bare_level(Ordinal(*h)) for h in heights},
+                           {w: TailRule(n, bare_level(Ordinal(w, n)), ()) for w, n in starts.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_paths())
+def test_source_matches_scan(path):
+    """The height index answers as a scan of `levels` does, on listed heights,
+    on heights a rule generates and on heights the path does not hold; a
+    replaced level is found at its height."""
+    for w in range(4):
+        for n in range(12):
+            alpha = Ordinal(w, n)
+            assert path.source(alpha) is scan_source(path, alpha)
+    alpha = Ordinal(1, 5)
+    lvl = bare_level(alpha)
+    assert path.with_level(alpha, lvl).source(alpha) is lvl
 
 
 # -- graft and appends ----------------------------------------------------------

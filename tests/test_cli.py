@@ -28,17 +28,33 @@ def unlinked_path_file(tmp_path) -> str:
 
 def bad_triple_file(tmp_path, field: str, value) -> str:
     """A sealing triple for tower(2) with Y the odds and pi the order shift on
-    them, its one map piece's `field` set to `value`."""
+    them, with `value` set as its one map piece's `field`, as pi's `points`,
+    or as the whole `pi`."""
     from ascentlab.ascent import fill_level, level_reindex, order_iso
     from ascentlab.foundations import ODDS
     c = tower(2)
     pi = order_iso(ODDS, ODDS, skip=1)
     cells, exc = level_reindex(c.top, pi)
     piece = {"start": pi.pieces[0].ap.start, "step": pi.pieces[0].ap.step,
-             "a": pi.pieces[0].a, "b": pi.pieces[0].b} | {field: value}
+             "a": pi.pieces[0].a, "b": pi.pieces[0].b}
     d = {"format": sz.FORMAT, "x_family": sz.enc_level(fill_level(c.eta, cells, exc, c.top)),
          "y": sz.enc_upset(ODDS), "pi": {"pieces": [piece], "points": []}}
+    if field == "pi":
+        d["pi"] = value
+    elif field == "points":
+        d["pi"]["points"] = value
+    else:
+        piece[field] = value
     p = tmp_path / "triple.json"
+    p.write_text(json.dumps(d))
+    return str(p)
+
+
+def bad_height_file(tmp_path, height) -> str:
+    """The tower(2) condition with `height` as its tree's height."""
+    d = sz.enc_condition(tower(2))
+    d["tree"]["height"] = height
+    p = tmp_path / "height.json"
     p.write_text(json.dumps(d))
     return str(p)
 
@@ -125,14 +141,25 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
     (["seal", "--triple-file", ("step", 0)], "pi.pieces[0].step: expected an int >= 1, got 0"),
     (["seal", "--triple-file", ("a", "x")], "pi.pieces[0].a: expected an int, got 'x'"),
     (["seal", "--triple-file", ("a", 0)], "triple fails its requirements"),
+    (["seal", "--triple-file", ("pi", [1])], "pi: expected an object, got [1]"),
+    (["seal", "--triple-file", ("points", [["x", 3]])],
+     "pi.points[0]: expected a pair of ints >= 0, got ['x', 3]"),
+    (["seal", "--triple-file", ("points", [[1]])], "pi.points[0]: expected a pair of ints >= 0"),
+    (["validate", {"w": 0, "n": -1}], "ordinal.n: expected an int >= 0, got -1"),
+    (["validate", {"w": "x", "n": 0}], "ordinal.w: expected an int >= 0, got 'x'"),
+    (["validate", {"w": None, "n": 0}], "ordinal.w: expected an int >= 0, got None"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
         "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
         "derive-branches-not-linked", "surgery-not-linked",
         "seal-piece-b-negative", "seal-piece-start-negative", "seal-piece-step-0",
-        "seal-piece-a-not-int", "seal-piece-a-0"])
+        "seal-piece-a-not-int", "seal-piece-a-0", "seal-pi-not-object",
+        "seal-point-not-int", "seal-point-not-pair", "validate-height-negative",
+        "validate-height-not-int", "validate-height-null"])
 def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     if isinstance(argv[-1], tuple):
         argv = argv[:-1] + [bad_triple_file(tmp_path, *argv[-1])]
+    if isinstance(argv[-1], dict):
+        argv = argv[:-1] + [bad_height_file(tmp_path, argv[-1])]
     if argv[0] in ("absorb", "extend", "seal"):
         argv = argv + [cond_file]
     if argv[-1] == "--path":

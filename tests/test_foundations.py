@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascentlab.foundations import (
     DEFAULT_X, EVENS, ODDS, FULL_SET, EMPTY_SET, GT, LT, EQ,
-    Ordinal, OrdinalBoundError, PostconditionFailed, ProfileViolation, UPSet,
+    W_LIMIT, Ordinal, OrdinalBoundError, PostconditionFailed, ProfileViolation, UPSet,
     XSequence, filter_classify, finite_set, is_cobounded, multiples,
     ord_compare, singleton, upset_algebra,
 )
@@ -48,6 +50,65 @@ def test_ordinal_structure():
 def test_ordinal_bound_rejected():
     with pytest.raises(OrdinalBoundError):
         Ordinal(4, 0)
+
+
+PAIRS = st.tuples(st.integers(0, W_LIMIT), st.integers(0, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS, PAIRS)
+def test_ordinal_agrees_with_pair(p, q):
+    """Order, equality and hash are those of the plain pair (w, n)."""
+    a, b = Ordinal(*p), Ordinal(*q)
+    assert (a.w, a.n) == tuple(a) == p
+    assert a == p and hash(a) == hash(p)
+    assert (a < b, a <= b, a == b, a != b, a > b, a >= b) == (
+        p < q, p <= q, p == q, p != q, p > q, p >= q)
+    assert (hash(a) == hash(b)) == (hash(p) == hash(q))
+    assert ord_compare(a, b) == (LT if p < q else GT if p > q else EQ)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS)
+def test_trusted_arithmetic_matches_constructor(p):
+    """succ and pred skip the check; they give what the validating
+    constructor gives. next_limit validates."""
+    w, n = p
+    a = Ordinal(w, n)
+    assert type(a.succ()) is Ordinal and a.succ() == Ordinal(w, n + 1)
+    if n > 0:
+        assert type(a.pred()) is Ordinal and a.pred() == Ordinal(w, n - 1)
+    else:
+        with pytest.raises(ValueError, match="not a successor"):
+            a.pred()
+    if w < W_LIMIT:
+        assert a.next_limit() == Ordinal(w + 1, 0)
+    else:
+        with pytest.raises(OrdinalBoundError):
+            a.next_limit()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, W_LIMIT + 3), st.integers(-3, 5))
+def test_ordinal_constructor_validates(w, n):
+    if w < 0 or n < 0:
+        with pytest.raises(ValueError, match="negative"):
+            Ordinal(w, n)
+    elif w > W_LIMIT:
+        with pytest.raises(OrdinalBoundError):
+            Ordinal(w, n)
+    else:
+        assert Ordinal(w, n) == Ordinal(w=w, n=n) == (w, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(PAIRS)
+def test_ordinal_copy_and_pickle(p):
+    a = Ordinal(*p)
+    copies = [copy.copy(a), copy.deepcopy(a)]
+    copies += [pickle.loads(pickle.dumps(a, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies:
+        assert type(c) is Ordinal and c == a and repr(c) == repr(a)
 
 
 # -- upset algebra ----------------------------------------------------------

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from ascentlab.foundations import BadHeight, Ordinal, ZERO, OMEGA
+from ascentlab import serialize as sz
 from ascentlab.nodes import (
     EMPTY_NODE, BlockWord, Ramp, SymNode, const_node, delta, eq_star,
-    eq_star_threshold, eval_at, graft, mutually_exclusive, node, restrict,
+    eq_star_threshold, eval_at, graft, mutually_exclusive, node, node_patch, restrict,
 )
 from oracles import brute_delta, brute_eq_star, brute_me
 
@@ -148,6 +149,67 @@ def test_me_vs_eq_star_on_restriction():
     assert mutually_exclusive(s, t)
     d = min(s.dom, t.dom)
     assert not eq_star(restrict(s, d), restrict(t, d))
+
+
+# -- the stored domain ----------------------------------------------------------
+
+def rand_entry(rng: random.Random):
+    return rng.randrange(0, 6) if rng.random() < 0.7 else Ramp(rng.randrange(1, 3), rng.randrange(0, 4))
+
+
+def rand_template(rng: random.Random) -> SymNode:
+    blocks = tuple(BlockWord.make([rand_entry(rng) for _ in range(rng.randrange(0, 3))],
+                                  [rand_entry(rng) for _ in range(rng.randrange(1, 3))])
+                   for _ in range(rng.randrange(0, 3)))
+    return SymNode(blocks, tuple(rand_entry(rng) for _ in range(rng.randrange(0, 4))))
+
+
+def rand_point(rng: random.Random, s: SymNode) -> Ordinal:
+    """A point below s.dom (s must have a nonzero domain)."""
+    w = rng.randrange(s.dom.w + (s.dom.n > 0))
+    if w < s.dom.w:
+        return Ordinal(w, rng.randrange(6))
+    return Ordinal(w, rng.randrange(s.dom.n))
+
+
+def test_dom_stored_on_every_route():
+    """dom is set once at construction and matches the node's fields after
+    every operation that builds a node."""
+    def check(t: SymNode) -> None:
+        assert t.dom == Ordinal(len(t.blocks), len(t.final)) and type(t.dom) is Ordinal
+
+    rng = random.Random(9)
+    for _ in range(400):
+        s, t = rand_template(rng), rand_template(rng)
+        out = [s, s.append(rand_entry(rng)), s.reindex(rng.randrange(1, 4), rng.randrange(3)),
+               s.instantiate(rng.randrange(5)), graft(s, t), graft(t, s),
+               sz.dec_node(sz.enc_node(s)), s.restrict(Ordinal(0, 0))]
+        if not s.dom.is_zero:
+            out += [s.restrict(rand_point(rng, s)),
+                    node_patch(s, {rand_point(rng, s): rng.randrange(6)})]
+        if len(s.blocks) < 3:
+            out.append(s.extend_to_limit((rand_entry(rng),)))
+        for u in out:
+            check(u)
+
+
+def test_equal_nodes_from_different_routes():
+    """Equality and hash read only blocks and final, so nodes built by
+    different routes are interchangeable as set members and dict keys."""
+    pairs = [
+        (node(1, 2, 3).restrict(Ordinal(0, 2)), node(1, 2)),
+        (graft(node(1), node(5, 2)), node(1, 2)),
+        (SymNode((BlockWord.make((3,), (3,)),), ()), const_node(3, OMEGA)),
+        (const_node(3, Ordinal(1, 2)).restrict(OMEGA).append(3).append(3),
+         const_node(3, Ordinal(1, 2))),
+        (node(Ramp(2, 1)).reindex(1, 0).instantiate(2), node(5)),
+        (node_patch(node(4, 0), {Ordinal(0, 1): 6}), node(4, 6)),
+        (node(0).extend_to_limit((0,)), const_node(0, OMEGA)),
+        (sz.dec_node(sz.enc_node(const_node(3, Ordinal(1, 2)))), const_node(3, Ordinal(1, 2))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and a.dom == b.dom and repr(a) == repr(b)
+        assert len({a, b}) == 1 and {a: 1}[b] == 1
 
 
 # -- randomized agreement with the evaluation oracle --------------------------
