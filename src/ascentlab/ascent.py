@@ -17,7 +17,8 @@ The index arithmetic is written once. `foundations._root` solves a*m = c
 for a position m >= 0, and `AP.intersect` is the one meet of two
 progressions. A `Cell` (index -> node) and a `MapPiece` (index -> value)
 share two primitives: `at(k)` evaluates at an index, and `on(ap)` re-bases
-onto a sub-progression of the own domain; a map piece also has its image
+onto a sub-progression of the own domain (`on` of a cell's own progression
+is the cell itself); a map piece also has its image
 `values` and its `inverse`. Built on these: `_meet` pairs two cell lists on
 their progression intersections; `_split` cuts cells or map pieces to an
 index set (`restrict_level_domain`, `restrict_map`); `_routed` pairs each
@@ -50,7 +51,10 @@ class Cell:
 
     def on(self, ap: AP) -> "Cell":
         """The cell restricted to a sub-progression ap of its own, re-based so
-        that position m of the result is index ap.member(m)."""
+        that position m of the result is index ap.member(m). On its own
+        progression (re-base factor 1, offset 0) that is the cell itself."""
+        if ap == self.ap:
+            return self
         return Cell(ap, self.template.reindex(ap.step // self.ap.step, self.ap.position(ap.start)))
 
     def drop(self, p: int) -> "Cell":
@@ -218,7 +222,10 @@ def _slot_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
 
 def _agree_positions(u: SymNode, v: SymNode) -> tuple[str, int]:
     """Where two same-domain templates agree as functions of the piece
-    position m: ('all', 0), ('one', m0) or ('none', 0)."""
+    position m: ('all', 0), ('one', m0) or ('none', 0). Equal templates
+    agree at every position."""
+    if u == v:
+        return ("all", 0)
     state: tuple[str, int] = ("all", 0)
     for eu, ev in _slot_pairs(u, v):
         au, bu = entry_affine(eu)
@@ -416,26 +423,49 @@ def paths_agree_below(p1: AscentPath, p2: AscentPath, eta: Ordinal) -> bool:
 
 
 
-def supp_chain_violations(heights, levels, acceptable) -> list[tuple[Ordinal, Ordinal, UPSet]]:
+def supp_chain_violations(heights, levels, acceptable, adjacent) -> list[tuple[Ordinal, Ordinal, UPSet]]:
     """(a, b, supp) for every pair of the chain's levels whose support is
-    not acceptable, in all-pairs order.
+    not acceptable, in all-pairs order; `adjacent[i]` is
+    supp(levels[i], levels[i + 1]), which no pair computes again.
 
     `acceptable` must be closed under finite intersection and supersets (the
     co-bounded sets, the filter generated by X). By the chain lemma in the
     `ascentlab.conditions` docstring, adjacent pairs of a chain whose level
     heights do not decrease decide all pairs, so all pairs are enumerated
     only when an adjacent pair fails or the heights decrease."""
-    chain = list(zip(levels, levels[1:]))
-    if all(f.height <= g.height for f, g in chain) and all(
-            acceptable(supp(f, g)) for f, g in chain):
+    if all(f.height <= g.height for f, g in zip(levels, levels[1:])) and all(
+            acceptable(s) for s in adjacent):
         return []
     out = []
     for i, a in enumerate(heights):
         for j in range(i + 1, len(heights)):
-            s = supp(levels[i], levels[j])
+            s = adjacent[i] if j == i + 1 else supp(levels[i], levels[j])
             if not acceptable(s):
                 out.append((a, heights[j], s))
     return out
+
+
+def _me_chain(heights, levels, adjacent) -> Iterator[tuple[Ordinal, MEReport]]:
+    """(alpha, me_family(level)) for each nonzero level of a height-ordered
+    chain, in order; `adjacent` as in `supp_chain_violations`.
+
+    By the append lemma in the `ascentlab.conditions` docstring, a level at
+    the successor of the height before it, whose support with that level is
+    full, needs only its new coordinate checked when the level before is
+    mutually exclusive. That coordinate is the last one `me_family` walks,
+    and every coordinate before it passes, so the report is the full walk's."""
+    known = False   # the level before has its height and is mutually exclusive
+    for i, (alpha, lvl) in enumerate(zip(heights, levels)):
+        if alpha.is_zero:
+            known = lvl.height == alpha
+            continue
+        beta = heights[i - 1] if i else None
+        if known and lvl.height == alpha == beta.succ() and adjacent[i - 1] == FULL_SET:
+            rep = _me_walk(lvl, [(beta.w, beta.n)])
+        else:
+            rep = me_family(lvl)
+        known = rep.ok and lvl.height == alpha
+        yield alpha, rep
 
 
 @dataclass(frozen=True, slots=True)
@@ -464,18 +494,16 @@ def check_ascent(path: AscentPath, mode: str, x: XSequence | None = None,
             eta = max(eta, Ordinal(w, rule.start + len(rule.schemes) + 1))
     probes = path.probe_heights(eta)
     levels = [path.level_at(alpha) for alpha in probes]
-    for alpha, lvl in zip(probes, levels):
-        if alpha.is_zero:
-            for c in lvl.cells:
-                if c.template.dom != Ordinal(0, 0):
-                    return AscentReport(False, mode, "level 0 must be the empty family")
-            continue
-        if mode == "me_filter":
-            rep = me_family(lvl)
+    if probes and probes[0].is_zero and any(
+            c.template.dom != Ordinal(0, 0) for c in levels[0].cells):
+        return AscentReport(False, mode, "level 0 must be the empty family")
+    adjacent = [supp(f, g) for f, g in zip(levels, levels[1:])]
+    if mode == "me_filter":
+        for alpha, rep in _me_chain(probes, levels, adjacent):
             if not rep.ok:
                 return AscentReport(False, mode, f"level {alpha}: {rep.detail}")
     good = is_cobounded if mode == "theta" else (lambda s: filter_classify(s, x).in_filter)
-    bad = supp_chain_violations(probes, levels, good)
+    bad = supp_chain_violations(probes, levels, good, adjacent)
     if bad:
         a, b, s = bad[0]
         return AscentReport(False, mode, f"supp({a},{b}) = {s} unacceptable")
@@ -547,9 +575,10 @@ def _pieces_collide(p1, p2, same_piece: bool) -> Optional[tuple[int, int]]:
     return (p1.inverse().at(common.start), p2.inverse().at(common.start))
 
 
-def me_family(level: AscentLevel) -> MEReport:
-    """Pairwise mutual exclusivity of the whole family, decided exactly."""
-    for (w, j) in _coordinate_classes(level):
+def _me_walk(level: AscentLevel, coords) -> MEReport:
+    """Injectivity of tau -> f(tau)(eps) at each coordinate (w, j) in turn,
+    decided exactly; the first collision found is the report's detail."""
+    for (w, j) in coords:
         pieces = _value_pieces(level, w, j)
         for i, p1 in enumerate(pieces):
             hit = _pieces_collide(p1, p1, same_piece=True)
@@ -560,6 +589,11 @@ def me_family(level: AscentLevel) -> MEReport:
                 if hit and hit[0] != hit[1]:
                     return MEReport(False, f"indices {hit[0]},{hit[1]} share a value at ({w},{j})")
     return MEReport(True)
+
+
+def me_family(level: AscentLevel) -> MEReport:
+    """Pairwise mutual exclusivity of the whole family, decided exactly."""
+    return _me_walk(level, _coordinate_classes(level))
 
 
 def me_set_concrete(t: SymNode, level: AscentLevel) -> UPSet:

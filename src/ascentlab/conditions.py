@@ -19,6 +19,17 @@ an acceptable support, every pair has. Clause C2 (through
 therefore check adjacent pairs only, and enumerate all pairs only after an
 adjacent pair fails, which keeps their violation lists, and the error
 `validate_chain` raises, those of the all-pairs check.
+
+Append lemma. Let β be a height and α = β + 1. If supp(f_β, f_α) is
+everything, then f_α(τ)↾β = f_β(τ) for every τ, so at every coordinate
+ε < β the map τ ↦ f_α(τ)(ε) is τ ↦ f_β(τ)(ε). Mutual exclusivity is
+injectivity at each coordinate, so when f_β is mutually exclusive, f_α is
+exactly when it is injective at its new coordinate β. Clause C2 and
+`ascent.check_ascent` (through `ascent._me_chain`) therefore check only
+coordinate β of a level whose probe follows β's with a full adjacent
+support and an exclusive level below, and walk every coordinate otherwise.
+Coordinate β is the last one `me_family` walks, so a failure there reads
+as the full walk's.
 """
 
 from __future__ import annotations
@@ -31,8 +42,8 @@ from .foundations import (
     ZERO, filter_classify, is_cobounded,
 )
 from .ascent import (
-    AppendScheme, AscentLevel, AscentPath, TailRule, graft_levels, me_cross,
-    me_family, me_set_concrete, paths_agree_below, root_level,
+    AppendScheme, AscentLevel, AscentPath, TailRule, _me_chain, graft_levels,
+    me_cross, me_family, me_set_concrete, paths_agree_below, root_level,
     standard_append, supp, supp_chain_violations,
 )
 from .nodes import SymNode, delta, entry_affine, mk_entry
@@ -154,25 +165,27 @@ def check_condition(cond: Condition, variant: Optional[str] = None) -> Condition
 
     # C2: ascent path of the variant's kind
     c2 = True
-    for a, b, s in supp_chain_violations(probes, levels, lambda s: _supp_ok(variant, s, x)):
+    adjacent = [supp(f, g) for f, g in zip(levels, levels[1:])]
+    for a, b, s in supp_chain_violations(probes, levels, lambda s: _supp_ok(variant, s, x), adjacent):
         c2 = False
         bad.append(f"clause C2 (ascent-path): supp({a},{b}) = {s} unacceptable")
     if variant in (S_X, S_F):
-        for alpha, lvl in zip(probes, levels):
-            if alpha.is_zero:
-                continue
-            rep = me_family(lvl)
+        for alpha, rep in _me_chain(probes, levels, adjacent):
             if not rep.ok:
                 c2 = False
                 bad.append(f"clause C2 (ascent-path): level {alpha} not mutually exclusive: {rep.detail}")
     # tail levels are pure appends of each other by construction, so the
     # pairwise checks at the sampled cycle extend to the whole tail; what
-    # needs checking is that the tail base joins the explicit prefix
+    # needs checking is that the tail base joins the explicit prefix; when
+    # the two are adjacent probe levels, their support is already in `adjacent`
+    by_pair = {(id(f), id(g)): s for f, g, s in zip(levels, levels[1:], adjacent)}
     for w, rule in cond.path.tails:
         prev = Ordinal(w, rule.start - 1) if rule.start else None
         if prev is not None and cond.path.has(prev) and prev <= cond.eta:
             below = cond.path.level_at(prev)
-            s = supp(below, rule.base)
+            s = by_pair.get((id(below), id(rule.base)))
+            if s is None:
+                s = supp(below, rule.base)
             if not _supp_ok(variant, s, x):
                 c2 = False
                 bad.append(f"clause C2 (ascent-path): tail base for block {w} breaks the chain")

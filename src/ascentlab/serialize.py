@@ -38,11 +38,21 @@ def _int_field(d: Any, key: str, where: str, least: Optional[int] = None) -> int
     return v
 
 
+def _object(d: Any, where: str) -> dict:
+    _expect(isinstance(d, dict), f"{where}: expected an object, got {d!r}")
+    return d
+
+
 def _list_field(d: dict, key: str, where: str) -> list:
     """d[key], a list, empty when absent."""
     v = d.get(key, [])
     _expect(isinstance(v, list), f"{where}.{key}: expected a list, got {v!r}")
     return v
+
+
+def _objects(d: dict, key: str, where: str) -> list[dict]:
+    """d[key], a list of objects, empty when absent."""
+    return [_object(e, f"{where}.{key}[{i}]") for i, e in enumerate(_list_field(d, key, where))]
 
 
 def _nat_pair(p: Any, where: str) -> tuple[int, int]:
@@ -122,8 +132,8 @@ def dec_node(d: Any, ap: Optional[AP] = None) -> SymNode:
 def enc_cell(c: Cell) -> dict:
     return {"start": c.ap.start, "step": c.ap.step, "template": enc_node(c.template)}
 
-def dec_cell(d: Any) -> Cell:
-    ap = AP(int(d["start"]), int(d["step"]))
+def dec_cell(d: Any, where: str = "cell") -> Cell:
+    ap = AP(_int_field(d, "start", where, 0), _int_field(d, "step", where, 1))
     return Cell(ap, dec_node(d["template"], ap))
 
 
@@ -132,10 +142,18 @@ def enc_level(lvl: AscentLevel) -> dict:
             "cells": [enc_cell(c) for c in lvl.cells],
             "exceptions": {str(k): enc_node(v) for k, v in lvl.exceptions}}
 
-def dec_level(d: Any) -> AscentLevel:
-    return AscentLevel.make(dec_ordinal(d["height"]),
-                            [dec_cell(c) for c in d["cells"]],
-                            {int(k): dec_node(v) for k, v in d.get("exceptions", {}).items()})
+def dec_level(d: Any, where: str = "level") -> AscentLevel:
+    exc = _object(d, where).get("exceptions", {})
+    _expect(isinstance(exc, dict) and all(k.isdecimal() for k in exc),
+            f"{where}.exceptions: expected an object keyed by indices, got {exc!r}")
+    height = dec_ordinal(d.get("height"))
+    cells = [dec_cell(c, f"{where}.cells[{i}]")
+             for i, c in enumerate(_list_field(d, "cells", where))]
+    exceptions = {int(k): dec_node(v) for k, v in exc.items()}
+    try:
+        return AscentLevel.make(height, cells, exceptions)
+    except ValueError as e:   # pieces that overlap, leave an index out or have another height
+        raise FormatError(f"{where}: {e}") from None
 
 
 def enc_scheme(s: AppendScheme) -> dict:
@@ -151,8 +169,8 @@ def enc_tail_rule(r: TailRule) -> dict:
     return {"start": r.start, "base": enc_level(r.base),
             "schemes": [enc_scheme(s) for s in r.schemes]}
 
-def dec_tail_rule(d: Any) -> TailRule:
-    return TailRule(int(d["start"]), dec_level(d["base"]),
+def dec_tail_rule(d: Any, where: str = "rule") -> TailRule:
+    return TailRule(int(d["start"]), dec_level(d["base"], f"{where}.base"),
                     tuple(dec_scheme(s) for s in d["schemes"]))
 
 
@@ -161,10 +179,13 @@ def enc_path(p: AscentPath) -> dict:
                        for h, lvl in p.levels],
             "tails": [{"block": w, "rule": enc_tail_rule(r)} for w, r in p.tails]}
 
-def dec_path(d: Any) -> AscentPath:
+def dec_path(d: Any, where: str = "path") -> AscentPath:
+    _expect("levels" in _object(d, where), f"{where}.levels: missing")
     return AscentPath.make(
-        {dec_ordinal(e["height"]): dec_level(e["level"]) for e in d["levels"]},
-        {int(e["block"]): dec_tail_rule(e["rule"]) for e in d.get("tails", ())})
+        {dec_ordinal(e["height"]): dec_level(e["level"], f"{where}.levels[{i}].level")
+         for i, e in enumerate(_objects(d, "levels", where))},
+        {int(e["block"]): dec_tail_rule(e["rule"], f"{where}.tails[{i}].rule")
+         for i, e in enumerate(d.get("tails", ()))})
 
 
 # -- trees ---------------------------------------------------------------------
@@ -190,13 +211,15 @@ def enc_tree(t: SymTree) -> dict:
             "catalogs": [{"height": enc_ordinal(h), "catalog": enc_catalog(c)}
                          for h, c in t.catalogs]}
 
-def dec_tree(d: Any) -> SymTree:
+def dec_tree(d: Any, where: str = "tree") -> SymTree:
+    _object(d, where)
     return SymTree.make(
-        dec_ordinal(d["height"]),
-        {dec_ordinal(e["height"]): tuple(dec_node(n) for n in e["nodes"])
-         for e in d.get("explicit", ())},
-        {dec_ordinal(e["height"]): dec_catalog(e["catalog"])
-         for e in d.get("catalogs", ())})
+        dec_ordinal(d.get("height")),
+        {dec_ordinal(e.get("height")):
+         tuple(dec_node(n) for n in _list_field(e, "nodes", f"{where}.explicit[{i}]"))
+         for i, e in enumerate(_objects(d, "explicit", where))},
+        {dec_ordinal(e.get("height")): dec_catalog(e["catalog"])
+         for e in _objects(d, "catalogs", where)})
 
 
 # -- the big composites ----------------------------------------------------------
@@ -272,7 +295,7 @@ def dec_path_descriptor(d: Any) -> PathDescriptor:
 def dec_map(d: Any) -> PiecewiseMap:
     """A piece's slope `a` is only checked to be an int: a constant or
     decreasing piece is well formed and fails `is_injective`."""
-    _expect(isinstance(d, dict), f"pi: expected an object, got {d!r}")
+    _object(d, "pi")
     pieces = []
     for i, p in enumerate(_list_field(d, "pieces", "pi")):
         where = f"pi.pieces[{i}]"
@@ -284,7 +307,7 @@ def dec_map(d: Any) -> PiecewiseMap:
 
 def dec_triple(d: Any) -> SealTriple:
     _expect(d.get("format") == FORMAT, "unknown triple format")
-    return SealTriple(dec_level(d["x_family"]), dec_upset(d["y"]), dec_map(d["pi"]))
+    return SealTriple(dec_level(d["x_family"], "x_family"), dec_upset(d["y"]), dec_map(d["pi"]))
 
 
 def enc_transcript(t: Transcript) -> dict:

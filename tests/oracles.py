@@ -135,12 +135,15 @@ def brute_me(s: SymNode, t: SymNode, per_block: int = 64) -> bool:
 
 # -- all-pairs references for the chain checks ----------------------------------
 # These keep the pairwise loops that the chain lemma (ascentlab.conditions)
-# lets the library replace by adjacent pairs; they reuse the library's supp
-# and leq_s, which have their own oracles above and in the test modules.
+# lets the library replace by adjacent pairs, and the full exclusivity walk
+# that the append lemma lets it cut to one coordinate; they reuse the
+# library's supp, leq_s and me_family, which have their own oracles above
+# and in the test modules.
 
 
-def all_pairs_chain_violations(heights, levels, acceptable):
-    """Every pair of the chain with an unacceptable support, in pair order."""
+def all_pairs_chain_violations(heights, levels, acceptable, adjacent=None):
+    """Every pair of the chain with an unacceptable support, in pair order;
+    the adjacent supports are computed again rather than read from `adjacent`."""
     from ascentlab.ascent import supp
     out = []
     for i, a in enumerate(heights):
@@ -149,6 +152,21 @@ def all_pairs_chain_violations(heights, levels, acceptable):
             if not acceptable(s):
                 out.append((a, heights[j], s))
     return out
+
+
+def full_walk_me_chain(heights, levels, adjacent=None):
+    """(alpha, me_family(level)) for every nonzero level of the chain, each
+    level's coordinates all walked; `adjacent` is not read."""
+    from ascentlab.ascent import me_family
+    for alpha, lvl in zip(heights, levels):
+        if not alpha.is_zero:
+            yield alpha, me_family(lvl)
+
+
+def agree_window(u: SymNode, v: SymNode, bound: int) -> set[int]:
+    """The cell positions m < bound at which two templates instantiate to
+    one node."""
+    return {m for m in range(bound) if u.instantiate(m) == v.instantiate(m)}
 
 
 def restrict_via_make(level, alpha: Ordinal):

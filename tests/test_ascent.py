@@ -8,14 +8,15 @@ from ascentlab.foundations import (
     AP, EMPTY_SET, EVENS, FULL_SET, ODDS, OMEGA, Ordinal, UPSet, finite_set, multiples,
 )
 from ascentlab.ascent import (
-    AscentLevel, AscentPath, Cell, PiecewiseMap, TailRule, constant_level, graft_levels,
-    identity_map, level_extensional_eq, level_reindex, me_cross, me_family,
+    AscentLevel, AscentPath, Cell, PiecewiseMap, TailRule, _agree_positions, constant_level,
+    graft_levels, identity_map, level_extensional_eq, level_reindex, me_cross, me_family,
     me_set_concrete, order_iso, restrict_level_domain, restrict_map, root_level,
     standard_append, supp,
 )
 from ascentlab.nodes import EMPTY_NODE, Ramp, SymNode, const_node, graft, node, mutually_exclusive
 from oracles import (
-    cross_collisions, fragments_window, map_window, reindex_window, scan_source, upset_window,
+    agree_window, cross_collisions, fragments_window, map_window, reindex_window, scan_source,
+    upset_window,
 )
 from test_chain_lemma import ENTRIES, nodes_of
 
@@ -400,6 +401,48 @@ def test_level_reindex_matches_window(level, sigma):
     cells, exc = level_reindex(level, sigma)
     assert fragments_window(cells, exc, range(WINDOW)) == reindex_window(
         level, sigma, range(WINDOW))
+
+
+# -- identity fast paths --------------------------------------------------------
+
+@MAPS
+@given(st.integers(0, 3).flatmap(lambda n: families_at(Ordinal(0, n))),
+       st.integers(0, 3), st.integers(1, 3), st.data())
+def test_cell_on_matches_window(level, p, q, data):
+    """A cell re-based onto its own progression is itself; onto a proper
+    sub-progression (every q-th member from the p-th) it holds the nodes
+    that reindexing the level along the identity on that progression gives."""
+    c = data.draw(st.sampled_from(level.cells))
+    assert c.on(c.ap) is c
+    if (p, q) == (0, 1):
+        p = 1
+    ap = AP(c.ap.member(p), c.ap.step * q)
+    sub = c.on(ap)
+    assert sub.ap == ap
+    assert fragments_window([sub], (), range(WINDOW)) == reindex_window(
+        level, identity_map(ap.upset()), range(WINDOW))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda w: st.integers(0, 3).map(lambda n: Ordinal(w, n)))
+       .flatmap(lambda h: st.tuples(nodes_of(h, ENTRIES), nodes_of(h, ENTRIES))),
+       st.booleans())
+def test_agree_positions_matches_window(pair, equal):
+    """The positions where two templates agree, against instantiating both
+    at each position of a window: equal templates (the fast path) agree at
+    all, others at all, one or none. Roots of the affine entries lie below
+    10, so the window decides the verdict."""
+    u, v = pair
+    if equal:
+        v = SymNode(u.blocks, u.final)
+    got = _agree_positions(u, v)
+    agree = agree_window(u, v, 32)
+    if agree == set(range(32)):
+        assert got == ("all", 0)
+    elif len(agree) == 1:
+        assert got == ("one", agree.pop())
+    else:
+        assert not agree and got == ("none", 0)
 
 
 @settings(max_examples=200, deadline=None)

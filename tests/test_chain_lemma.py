@@ -2,9 +2,12 @@
 
 C2 in check_condition and check_ascent, and requirements (order), (i) and
 (iii) of check_run_invariants, check adjacent pairs and enumerate all pairs
-only after one fails; AscentLevel.restrict skips AscentLevel.make. Each must
-give exactly what the all-pairs or make-based reference in oracles.py gives,
-on valid inputs and on inputs corrupted so that an adjacent pair fails.
+only after one fails; by the append lemma, C2 checks only the new coordinate
+of a level whose full support joins it to an exclusive level one height
+below; AscentLevel.restrict skips AscentLevel.make. Each must give exactly
+what the all-pairs, full-walk or make-based reference in oracles.py gives,
+on valid inputs and on inputs corrupted so that an adjacent pair fails or
+an appended coordinate collides.
 """
 
 import dataclasses
@@ -15,15 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 from ascentlab import ascent, conditions
 from ascentlab.ascent import (
-    AP, AscentLevel, Cell, check_ascent, constant_level, fill_level,
+    AP, AppendScheme, AscentLevel, Cell, check_ascent, constant_level, fill_level,
     restrict_level_domain,
 )
-from ascentlab.conditions import VARIANTS, Condition, check_condition
-from ascentlab.fixtures import random_tower
+from ascentlab.conditions import S_THETA, S_X, VARIANTS, Condition, check_condition
+from ascentlab.fixtures import bad_path_conditions, random_tower
 from ascentlab.foundations import DEFAULT_X, Ordinal, UPSet
 from ascentlab.game import check_run_invariants, play_game, random_opponent
-from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node
-from oracles import all_pairs_chain_violations, all_pairs_run_invariants, restrict_via_make
+from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, mk_entry
+from oracles import (
+    all_pairs_chain_violations, all_pairs_run_invariants, full_walk_me_chain, restrict_via_make,
+)
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -81,6 +86,80 @@ def test_corrupted_level_fails_adjacent_pair():
     rep = check_condition(cond, "stheta")
     assert not rep.clause("C2")
     assert any("supp(1,2)" in v for v in rep.violations)
+
+
+# -- C2 exclusivity: the append lemma against the full walk -------------------
+
+def append_collision(cond: Condition, k: int, entries, labels) -> Condition:
+    """Level k rebuilt as level k - 1 plus the given appended entries (one
+    per cell of level k - 1) and exception labels, which may collide."""
+    below = cond.level(Ordinal(0, k - 1))
+    scheme = AppendScheme(tuple(entries[i % len(entries)] for i in range(len(below.cells))),
+                          {key: labels[i % len(labels)]
+                           for i, (key, _) in enumerate(below.exceptions)})
+    lvl = below.append_entries(scheme)
+    return Condition(cond.tree, cond.path.with_level(Ordinal(0, k), lvl), cond.variant, cond.x)
+
+
+APPENDED = st.one_of(st.integers(0, 5), st.builds(mk_entry, st.integers(1, 3), st.integers(0, 5)))
+
+
+@st.composite
+def exclusivity_cases(draw):
+    """Random towers (some with a level corrupted below the top, as in
+    `towers`), or towers whose level k has a random appended coordinate:
+    the top, or a level below it, so that the levels above fall back to the
+    full walk."""
+    cond = draw(towers())
+    if draw(st.booleans()):
+        k = draw(st.integers(1, cond.eta.n))
+        cond = append_collision(cond, k, draw(st.lists(APPENDED, min_size=1, max_size=4)),
+                                draw(st.lists(st.integers(0, 5), min_size=1, max_size=4)))
+    return cond
+
+
+def assert_matches_full_walk(cond: Condition) -> None:
+    for variant in VARIANTS:
+        got = check_condition(cond, variant)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conditions, "_me_chain", full_walk_me_chain)
+            want = check_condition(cond, variant)
+        assert (got.clauses, got.violations, got.checked_heights) == (
+            want.clauses, want.violations, want.checked_heights)
+    for mode in ("theta", "me_filter"):
+        got = check_ascent(cond.path, mode, cond.x, cond.eta)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ascent, "_me_chain", full_walk_me_chain)
+            want = check_ascent(cond.path, mode, cond.x, cond.eta)
+        assert got == want
+
+
+@PROPERTY
+@given(exclusivity_cases())
+def test_exclusivity_matches_full_walk(cond):
+    assert_matches_full_walk(cond)
+
+
+def test_exclusivity_matches_full_walk_on_bad_path():
+    conds, _ = bad_path_conditions(4, pad=1)
+    for cond in conds:
+        assert_matches_full_walk(cond)
+    assert not check_condition(conds[-1], S_X).clause("C2")
+    assert check_condition(conds[-1], S_THETA).ok
+
+
+def test_appended_collision_reported_at_new_coordinate():
+    """A colliding new coordinate on the top is found by the one-coordinate
+    check, with the full walk's detail."""
+    cond = random_tower(random.Random(5), max_height=6)
+    top = cond.eta.n
+    bad = append_collision(cond, top, [0], [0])
+    rep = check_condition(bad, S_X)
+    assert not rep.clause("C2")
+    assert [v for v in rep.violations if v.startswith("clause C2")] == [
+        f"clause C2 (ascent-path): level {top} not mutually exclusive: "
+        f"indices 0,1 share a value at (0,{top - 1})"]
+    assert_matches_full_walk(bad)
 
 
 # -- restriction --------------------------------------------------------------

@@ -50,11 +50,20 @@ def bad_triple_file(tmp_path, field: str, value) -> str:
     return str(p)
 
 
-def bad_height_file(tmp_path, height) -> str:
-    """The tower(2) condition with `height` as its tree's height."""
+def set_at(keys, value):
+    """An edit of a JSON document: the entry reached through `keys` set to `value`."""
+    def edit(d):
+        for k in keys[:-1]:
+            d = d[k]
+        d[keys[-1]] = value
+    return edit
+
+
+def edited_condition_file(tmp_path, edit) -> str:
+    """The tower(2) condition's encoding after `edit`."""
     d = sz.enc_condition(tower(2))
-    d["tree"]["height"] = height
-    p = tmp_path / "height.json"
+    edit(d)
+    p = tmp_path / "edited.json"
     p.write_text(json.dumps(d))
     return str(p)
 
@@ -145,21 +154,30 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
     (["seal", "--triple-file", ("points", [["x", 3]])],
      "pi.points[0]: expected a pair of ints >= 0, got ['x', 3]"),
     (["seal", "--triple-file", ("points", [[1]])], "pi.points[0]: expected a pair of ints >= 0"),
-    (["validate", {"w": 0, "n": -1}], "ordinal.n: expected an int >= 0, got -1"),
-    (["validate", {"w": "x", "n": 0}], "ordinal.w: expected an int >= 0, got 'x'"),
-    (["validate", {"w": None, "n": 0}], "ordinal.w: expected an int >= 0, got None"),
+    (["validate", set_at(("tree", "height"), {"w": 0, "n": -1})],
+     "ordinal.n: expected an int >= 0, got -1"),
+    (["validate", set_at(("tree", "height"), {"w": "x", "n": 0})],
+     "ordinal.w: expected an int >= 0, got 'x'"),
+    (["validate", set_at(("tree", "height"), {"w": None, "n": 0})],
+     "ordinal.w: expected an int >= 0, got None"),
+    (["validate", set_at(("path", "levels", 1, "level", "cells", 0, "start"), "x")],
+     "path.levels[1].level.cells[0].start: expected an int >= 0, got 'x'"),
+    (["validate", set_at(("tree", "explicit"), 5)], "tree.explicit: expected a list, got 5"),
+    (["validate", set_at(("path", "levels", 1, "level"), [1])],
+     "path.levels[1].level: expected an object, got [1]"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
         "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
         "derive-branches-not-linked", "surgery-not-linked",
         "seal-piece-b-negative", "seal-piece-start-negative", "seal-piece-step-0",
         "seal-piece-a-not-int", "seal-piece-a-0", "seal-pi-not-object",
         "seal-point-not-int", "seal-point-not-pair", "validate-height-negative",
-        "validate-height-not-int", "validate-height-null"])
+        "validate-height-not-int", "validate-height-null", "validate-cell-start-not-int",
+        "validate-tree-explicit-not-list", "validate-level-not-object"])
 def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     if isinstance(argv[-1], tuple):
         argv = argv[:-1] + [bad_triple_file(tmp_path, *argv[-1])]
-    if isinstance(argv[-1], dict):
-        argv = argv[:-1] + [bad_height_file(tmp_path, argv[-1])]
+    if callable(argv[-1]):
+        argv = argv[:-1] + [edited_condition_file(tmp_path, argv[-1])]
     if argv[0] in ("absorb", "extend", "seal"):
         argv = argv + [cond_file]
     if argv[-1] == "--path":

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ascentlab.foundations import FULL_SET, OMEGA_NAT, Ordinal, ZERO, finite_set
@@ -126,3 +128,26 @@ def test_failed_support_postcondition_raises(monkeypatch):
     monkeypatch.setattr(conditions, "graft_levels", swapped_top)
     with pytest.raises(PostconditionFailed, match="one-step lost the old support"):
         one_step_extension(tower(2), Ordinal(0, 1))
+
+
+def test_tower_exclusivity_walks_linear_coordinates(monkeypatch):
+    """Each level of a tower has a full support with the level below, so by
+    the append lemma clause C2 checks one coordinate per level: 64 value
+    piece lists on a tower of height 64, not the 64*65/2 of a full walk of
+    every level."""
+    from ascentlab import ascent
+    from ascentlab.fixtures import tower as fixture_tower
+    rng = random.Random(64)
+    k = 64
+    betas = [Ordinal(0, rng.randrange(j + 1)) for j in range(k)]
+    cond = fixture_tower(k, betas=betas, label_bases=[rng.randrange(3) for _ in range(k)])
+    calls = 0
+    real = ascent._value_pieces
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+    monkeypatch.setattr(ascent, "_value_pieces", counting)
+    assert check_condition(cond, S_X).ok
+    assert calls <= 4 * k
