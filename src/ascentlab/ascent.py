@@ -10,8 +10,10 @@ affine injections (the routing and surgery maps).
 supp(f, g) = {tau : f(tau) and g(tau) are comparable} is computed exactly,
 cell pair by cell pair: on a refined progression each coordinate slot pins
 agreement to all positions, one position, or none, so the result is again
-ultimately periodic. Family mutual exclusivity is per-coordinate injectivity
-of tau -> f(tau)(eps), decided by solving the affine collision equations.
+ultimately periodic. eq_star_set(f, g) = {tau : f(tau) =* g(tau)} is the
+same kernel, `_agree_set`, on the coordinates that decide =*. Family mutual
+exclusivity is per-coordinate injectivity of tau -> f(tau)(eps), decided by
+solving the affine collision equations.
 
 The index arithmetic is written once. `foundations._root` solves a*m = c
 for a position m >= 0, and `AP.intersect` is the one meet of two
@@ -36,7 +38,7 @@ from .foundations import (
     AP, EMPTY_SET, FULL_SET, BadHeight, Ordinal, UPSet, XSequence,
     _root, filter_classify, finite_set,
 )
-from .nodes import Entry, Ramp, SymNode, entry_affine, graft, mk_entry, mutually_exclusive
+from .nodes import Entry, Ramp, SymNode, entry_affine, eq_star, graft, mk_entry, mutually_exclusive
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,14 +222,26 @@ def _slot_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
         yield eu, ev
 
 
-def _agree_positions(u: SymNode, v: SymNode) -> tuple[str, int]:
-    """Where two same-domain templates agree as functions of the piece
-    position m: ('all', 0), ('one', m0) or ('none', 0). Equal templates
-    agree at every position."""
+def _eq_star_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
+    """Entry pairs deciding u =* v (one domain): the last coordinate at a
+    successor, one common period of the top block's tails at a limit."""
+    if u.final:
+        yield u.final[-1], v.final[-1]
+    elif u.blocks:
+        wu, wv = u.blocks[-1], v.blocks[-1]
+        base = max(len(wu.prefix), len(wv.prefix))
+        for j in range(base, base + math.lcm(len(wu.tail), len(wv.tail))):
+            yield wu.eval(j), wv.eval(j)
+
+
+def _agree_positions(u: SymNode, v: SymNode, pairs=_slot_pairs) -> tuple[str, int]:
+    """Where the entry pairs `pairs` draws from two same-domain templates
+    all agree, as a function of the piece position m: ('all', 0), ('one',
+    m0) or ('none', 0). Equal templates agree at every position."""
     if u == v:
         return ("all", 0)
     state: tuple[str, int] = ("all", 0)
-    for eu, ev in _slot_pairs(u, v):
+    for eu, ev in pairs(u, v):
         au, bu = entry_affine(eu)
         av, bv = entry_affine(ev)
         if au == av and bu == bv:
@@ -244,19 +258,18 @@ def _agree_positions(u: SymNode, v: SymNode) -> tuple[str, int]:
     return state
 
 
-def supp(f: AscentLevel, g: AscentLevel) -> UPSet:
-    """Exact set of indices where f(tau) and g(tau) are comparable under
-    end-extension."""
-    if f.height > g.height:
-        f, g = g, f
+def _agree_set(f: AscentLevel, g: AscentLevel, pairs, same) -> UPSet:
+    """Exact set of indices tau at which f(tau) and g(tau) agree, for levels
+    of one height: `same` decides two concrete nodes, and the entry pairs
+    `pairs` draws decide two templates."""
     out = EMPTY_SET
     singles: set[int] = set()
-    for piece in refine(f, g.restrict(f.height)):
+    for piece in refine(f, g):
         if piece.point is not None:
-            if piece.left == piece.right:
+            if same(piece.left, piece.right):
                 singles.add(piece.point)
             continue
-        verdict, m0 = _agree_positions(piece.left, piece.right)
+        verdict, m0 = _agree_positions(piece.left, piece.right, pairs)
         if verdict == "all":
             out = out.union(piece.ap.upset())
         elif verdict == "one":
@@ -264,6 +277,22 @@ def supp(f: AscentLevel, g: AscentLevel) -> UPSet:
     if singles:
         out = out.union(finite_set(singles))
     return out
+
+
+def supp(f: AscentLevel, g: AscentLevel) -> UPSet:
+    """Exact set of indices where f(tau) and g(tau) are comparable under
+    end-extension: where they agree at every coordinate of the lower height."""
+    if f.height > g.height:
+        f, g = g, f
+    return _agree_set(f, g.restrict(f.height), _slot_pairs, SymNode.__eq__)
+
+
+def eq_star_set(f: AscentLevel, g: AscentLevel) -> UPSet:
+    """Exact set of indices where f(tau) =* g(tau): same height and agreement
+    on a final segment. Levels of different heights agree nowhere."""
+    if f.height != g.height:
+        return EMPTY_SET
+    return _agree_set(f, g, _eq_star_pairs, eq_star)
 
 
 def level_extensional_eq(f: AscentLevel, g: AscentLevel) -> bool:
@@ -547,7 +576,8 @@ def _coordinate_classes(level: AscentLevel) -> Iterator[tuple[int, int]]:
 
 
 def _pieces_collide(p1, p2, same_piece: bool) -> Optional[tuple[int, int]]:
-    """Two value pieces taking a common value at distinct indices, if any."""
+    """Two value pieces taking a common value at distinct indices, if any:
+    (an index of p1, an index of p2)."""
     kind1, loc1, a1, b1 = p1
     kind2, loc2, a2, b2 = p2
     if same_piece:
@@ -561,7 +591,8 @@ def _pieces_collide(p1, p2, same_piece: bool) -> Optional[tuple[int, int]]:
             return (i1, i2)
         return None
     if a1 == 0:
-        (kind1, loc1, a1, b1), (kind2, loc2, a2, b2) = p2, p1
+        hit = _pieces_collide(p2, p1, same_piece=False)
+        return hit and (hit[1], hit[0])
     if a2 == 0:
         m1 = _root(a1, b2 - b1)
         if m1 is None:
@@ -575,19 +606,27 @@ def _pieces_collide(p1, p2, same_piece: bool) -> Optional[tuple[int, int]]:
     return (p1.inverse().at(common.start), p2.inverse().at(common.start))
 
 
+def _first_collision(pieces) -> Optional[tuple[tuple, tuple]]:
+    """Two distinct keys (block, index) taking a common value, if any; each
+    piece is a pair (block, value piece)."""
+    for i, (w1, p1) in enumerate(pieces):
+        hit = _pieces_collide(p1, p1, same_piece=True)
+        if hit:
+            return (w1, hit[0]), (w1, hit[1])
+        for w2, p2 in pieces[i + 1:]:
+            hit = _pieces_collide(p1, p2, same_piece=False)
+            if hit and (w1, hit[0]) != (w2, hit[1]):
+                return (w1, hit[0]), (w2, hit[1])
+    return None
+
+
 def _me_walk(level: AscentLevel, coords) -> MEReport:
     """Injectivity of tau -> f(tau)(eps) at each coordinate (w, j) in turn,
     decided exactly; the first collision found is the report's detail."""
     for (w, j) in coords:
-        pieces = _value_pieces(level, w, j)
-        for i, p1 in enumerate(pieces):
-            hit = _pieces_collide(p1, p1, same_piece=True)
-            if hit:
-                return MEReport(False, f"indices {hit[0]},{hit[1]} share a value at ({w},{j})")
-            for p2 in pieces[i + 1:]:
-                hit = _pieces_collide(p1, p2, same_piece=False)
-                if hit and hit[0] != hit[1]:
-                    return MEReport(False, f"indices {hit[0]},{hit[1]} share a value at ({w},{j})")
+        hit = _first_collision([(0, p) for p in _value_pieces(level, w, j)])
+        if hit:
+            return MEReport(False, f"indices {hit[0][1]},{hit[1][1]} share a value at ({w},{j})")
     return MEReport(True)
 
 

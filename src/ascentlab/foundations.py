@@ -518,7 +518,7 @@ class XSequence:
             raise ProfileViolation("omega minus X_0 must be infinite")
         # empty intersection: every k eventually leaves (k not in X_n once base*n > k)
         if profile == "s4":
-            if not _is_infinite(self.x0.difference(self.entry(1))):
+            if self.x0.difference(self.entry(1)).is_finite:
                 raise ProfileViolation("X_0 minus X_1 must be infinite")
         elif profile != "s3":
             raise ValueError(f"unknown profile {profile!r}")
@@ -531,10 +531,6 @@ class XSequence:
         if k in self.entry(n):
             raise PostconditionFailed(f"escape index {n} for {k}: {k} is in X_{n}")
         return n
-
-
-def _is_infinite(y: UPSet) -> bool:
-    return not y.is_finite
 
 
 DEFAULT_X = XSequence(EVENS, 4)
@@ -587,7 +583,3 @@ def filter_classify(y: UPSet, x: XSequence = DEFAULT_X) -> FilterVerdict:
             raise PostconditionFailed(f"ideal witness {n}: X_{n} meets {y}")
         return FilterVerdict("in_ideal", n)
     return FilterVerdict("neither")
-
-
-def in_filter(y: UPSet, x: XSequence = DEFAULT_X) -> bool:
-    return filter_classify(y, x).in_filter

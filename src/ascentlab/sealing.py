@@ -2,12 +2,14 @@
 
 A seal triple prescribes a near-copy of the current top family: off an
 ideal set Y nothing moves, on Y the members are eventually equal to the
-family along an injection pi. The sealing step first grafts the prescribed
-nodes into a one-step extension, consults an oracle hit standing in for the
-antichain argument, and then routes a further one-step through three index
-cells (the untouched filter part, the pi-image pulled back, the rest pushed
-by a canonical injection away from the filter set) so that both prescribed
-support guarantees hold afterwards; both are re-verified before returning.
+family along an injection pi: eq_star_set(x, moved) is full, where `moved`
+(`_pulled`) is tau -> top(pi(tau)) on Y and x elsewhere. The sealing step
+first grafts graft_levels(x, moved) into a one-step extension, consults an
+oracle hit standing in for the antichain argument, and then routes a
+further one-step through three index cells (the untouched filter part, the
+pi-image pulled back, the rest pushed by a canonical injection away from
+the filter set) so that both prescribed support guarantees hold afterwards;
+both are re-verified before returning, exactly, as index sets.
 
 Density absorption swallows one finite node into a prescribed filter-set
 coordinate of the next level, repairing the finitely many per-coordinate
@@ -24,15 +26,15 @@ from .foundations import (
     finite_set,
 )
 from .ascent import (
-    AscentLevel, Cell, PiecewiseMap, _meet, _routed, _routed_points, fill_level,
-    identity_map, level_reindex, me_family, order_iso, restrict_level_domain, restrict_map,
+    AscentLevel, Cell, PiecewiseMap, _meet, _routed, _routed_points, eq_star_set, fill_level,
+    graft_levels, identity_map, level_reindex, me_family, order_iso, restrict_map,
     standard_append, supp,
 )
-from .nodes import SymNode, entry_affine, eq_star, graft, mk_entry, node_patch
+from .nodes import SymNode, entry_affine, graft, mk_entry, node_patch
 from .conditions import (
     Condition, S_X, WrongVariant, extend_with_top, leq_s, one_step_with,
 )
-from .trees import SymTree, family_in_tree, tree_contains
+from .trees import family_in_tree, tree_contains
 
 
 class SealTripleInvalid(ValueError):
@@ -108,31 +110,19 @@ def check_triple(triple: SealTriple, cond: Condition) -> bool:
     if not filter_classify(triple.y, cond.x).in_ideal:
         return False
     pi = triple.pi
-    if not pi.is_injective():
+    if not (pi.is_injective() and pi.inverse().is_injective()):
         return False
     if pi.domain() != triple.y or not pi.image().is_subset(triple.y):
         return False
     # x == top off Y: same-height comparability is equality
     if not FULL_SET.difference(supp(xf, top)).is_subset(triple.y):
         return False
-    # x_tau eventually equals top at pi(tau) on Y; within one map piece the
-    # compared entries are affine in the position, so three instances pin
-    # every slot identity and the sampled checks are exact
-    for k in _sample_members(triple.y):
-        if not eq_star(xf.at(k), top.at(pi.apply(k))):
-            return False
-    for p in pi.pieces:
-        for k in map(p.ap.member, (0, 1, 2)):
-            if not eq_star(xf.at(k), top.at(p.at(k))):
-                return False
-    return True
+    return eq_star_set(xf, _pulled(top, pi, xf)) == FULL_SET
 
 
-def _sample_members(u: UPSet, extra: int = 3) -> list[int]:
-    aps, out = u.to_aps()
-    for ap in aps:
-        out.extend(ap.member(m) for m in range(extra))
-    return sorted(set(out))
+def _pulled(level: AscentLevel, pi: PiecewiseMap, filler: AscentLevel) -> AscentLevel:
+    """The family tau -> level(pi(tau)) on pi's domain, filler elsewhere."""
+    return fill_level(level.height, *level_reindex(level, pi), filler)
 
 
 def _route_pieces(sigma: PiecewiseMap, alpha_lvl: AscentLevel, top_lvl: AscentLevel):
@@ -161,16 +151,9 @@ def build_intermediate(cond: Condition, triple: SealTriple) -> Condition:
     if not check_triple(triple, cond):
         raise SealTripleInvalid("triple fails its requirements against the condition")
     top = cond.top
-    y = triple.y
-    y_cells, y_exc = restrict_level_domain(triple.x_family, y)
-    pi_cells, pi_exc = level_reindex(top, restrict_map(triple.pi, y))
-    pid = dict(pi_exc)
-    graft_exc = [(k, graft(v, pid[k])) for k, v in y_exc if k in pid]
-    graft_cells = [Cell(lx.ap, graft(lx.template, lp.template))
-                   for lx, lp in _meet(y_cells, pi_cells)]
-    below = fill_level(cond.eta, graft_cells, graft_exc, top)
+    below = graft_levels(triple.x_family, _pulled(top, triple.pi, triple.x_family))
     mid = one_step_with(cond, below, standard_append(below), verify=True)
-    if not y.complement().is_subset(supp(top, mid.top)):
+    if not triple.y.complement().is_subset(supp(top, mid.top)):
         raise PostconditionFailed("intermediate step lost the off-Y support")
     return mid
 
@@ -183,7 +166,6 @@ def seal_step(cond: Condition, triple: SealTriple, xi: int,
         raise WrongVariant("sealing lives in the filter-sequence poset")
     x = cond.x
     xset = x.entry(xi)
-    top = cond.top
     y = triple.y
     mid = build_intermediate(cond, triple)
 
@@ -224,11 +206,10 @@ def seal_step(cond: Condition, triple: SealTriple, xi: int,
     g_alpha_level = sp.level(alpha)
     if not a_set.is_subset(supp(g_alpha_level, new_top)):
         raise PostconditionFailed("guarantee lost: the off-Y filter part is unsupported")
-    for tau in _sample_members(xset.intersect(y)):
-        lhs = g_alpha_level.at(tau)
-        rhs = graft(triple.x_family.at(tau), new_top.at(triple.pi.apply(tau)))
-        if lhs != rhs.restrict(lhs.dom):
-            raise PostconditionFailed(f"guarantee lost: absorption fails at {tau}")
+    absorbed = graft_levels(triple.x_family, _pulled(new_top, triple.pi, new_top))
+    lost = xset.intersect(y).difference(supp(g_alpha_level, absorbed))
+    if not lost.is_empty:
+        raise PostconditionFailed(f"guarantee lost: absorption fails at {lost.min_member()}")
     return out, alpha
 
 

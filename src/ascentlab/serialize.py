@@ -94,18 +94,23 @@ def enc_entry(e: Entry) -> dict:
         return {"const": e}
     return {"ramp": {"a": e.a, "b": e.b}}
 
-def dec_entry(d: Any, ap: Optional[AP] = None) -> Entry:
+def dec_entry(d: Any, ap: Optional[AP] = None, where: str = "entry") -> Entry:
     if isinstance(d, int):
         return d
-    _expect(isinstance(d, dict), f"bad entry {d!r}")
-    if "const" in d:
-        return int(d["const"])
+    if "const" in _object(d, where):
+        return _int_field(d, "const", where)
     if "ramp" in d:
-        return Ramp(int(d["ramp"]["a"]), int(d["ramp"]["b"]))
+        where = f"{where}.ramp"
+        return Ramp(_int_field(d["ramp"], "a", where, 1), _int_field(d["ramp"], "b", where, 0))
     if d.get("param"):
-        _expect(ap is not None, "param entry outside a cell")
+        _expect(ap is not None, f"{where}: param entry outside a cell")
         return Ramp(ap.step, ap.start)
-    raise FormatError(f"bad entry {d!r}")
+    raise FormatError(f"{where}: bad entry {d!r}")
+
+
+def _entries(d: dict, key: str, where: str, ap: Optional[AP]) -> list[Entry]:
+    """d[key], a list of entries, empty when absent."""
+    return [dec_entry(e, ap, f"{where}.{key}[{j}]") for j, e in enumerate(_list_field(d, key, where))]
 
 
 # -- nodes -------------------------------------------------------------------
@@ -117,15 +122,17 @@ def enc_node(s: SymNode) -> dict:
                         "tail": [enc_entry(e) for e in b.tail]} for b in s.blocks],
             "final": [enc_entry(e) for e in s.final]}
 
-def dec_node(d: Any, ap: Optional[AP] = None) -> SymNode:
-    _expect(isinstance(d, dict) and "blocks" in d, f"bad node {d!r}")
-    blocks = tuple(BlockWord.make([dec_entry(e, ap) for e in b["prefix"]],
-                                  [dec_entry(e, ap) for e in b["tail"]])
-                   for b in d["blocks"])
-    node = SymNode(blocks, tuple(dec_entry(e, ap) for e in d["final"]))
+def dec_node(d: Any, ap: Optional[AP] = None, where: str = "node") -> SymNode:
+    _expect("blocks" in _object(d, where), f"{where}.blocks: missing")
+    blocks = []
+    for i, b in enumerate(_objects(d, "blocks", where)):
+        bw = f"{where}.blocks[{i}]"
+        _expect(bool(_list_field(b, "tail", bw)), f"{bw}.tail: expected a nonempty list")
+        blocks.append(BlockWord.make(_entries(b, "prefix", bw, ap), _entries(b, "tail", bw, ap)))
+    node = SymNode(tuple(blocks), tuple(_entries(d, "final", where, ap)))
     if "dom" in d:
         _expect(node.dom == dec_ordinal(d["dom"]),
-                f"node domain mismatch: {node.dom} vs {d['dom']}")
+                f"{where}: node domain mismatch: {node.dom} vs {d['dom']}")
     return node
 
 
@@ -134,7 +141,7 @@ def enc_cell(c: Cell) -> dict:
 
 def dec_cell(d: Any, where: str = "cell") -> Cell:
     ap = AP(_int_field(d, "start", where, 0), _int_field(d, "step", where, 1))
-    return Cell(ap, dec_node(d["template"], ap))
+    return Cell(ap, dec_node(d.get("template"), ap, f"{where}.template"))
 
 
 def enc_level(lvl: AscentLevel) -> dict:
@@ -149,7 +156,7 @@ def dec_level(d: Any, where: str = "level") -> AscentLevel:
     height = dec_ordinal(d.get("height"))
     cells = [dec_cell(c, f"{where}.cells[{i}]")
              for i, c in enumerate(_list_field(d, "cells", where))]
-    exceptions = {int(k): dec_node(v) for k, v in exc.items()}
+    exceptions = {int(k): dec_node(v, where=f"{where}.exceptions.{k}") for k, v in exc.items()}
     try:
         return AscentLevel.make(height, cells, exceptions)
     except ValueError as e:   # pieces that overlap, leave an index out or have another height

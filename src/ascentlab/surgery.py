@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .foundations import FULL_SET, PostconditionFailed, ProfileViolation, UPSet, XSequence
+from .foundations import FULL_SET, PostconditionFailed, ProfileViolation, XSequence, singleton
 from .ascent import (
     AscentLevel, PiecewiseMap, identity_map, level_reindex, me_family,
     order_iso, restrict_level_domain, restrict_map,
@@ -34,15 +34,10 @@ def canonical_pi(x: XSequence, n0: int) -> PiecewiseMap:
     """Identity on X_1, order isomorphism of the rest onto the kept part of
     X_0; deterministic."""
     x1 = x.entry(1)
-    target = x.x0.difference(x1).difference(_single(n0))
+    target = x.x0.difference(x1).difference(singleton(n0))
     iso = order_iso(x1.complement(), target)
     ident = identity_map(x1)
     return PiecewiseMap(ident.pieces + iso.pieces, ident.points + iso.points)
-
-
-def _single(k: int) -> UPSet:
-    from .foundations import singleton
-    return singleton(k)
 
 
 def validate_pi(pi: PiecewiseMap, x: XSequence, n0: int) -> None:
@@ -50,7 +45,7 @@ def validate_pi(pi: PiecewiseMap, x: XSequence, n0: int) -> None:
         raise BadPi("map is not injective")
     if pi.domain() != FULL_SET:
         raise BadPi("map must be defined on every index")
-    if pi.image() != x.x0.difference(_single(n0)):
+    if pi.image() != x.x0.difference(singleton(n0)):
         raise BadPi("image must be the head set minus the omitted index")
     x1 = x.entry(1)
     fixed = restrict_map(pi, x1)
@@ -85,7 +80,7 @@ def branch_surgery(path: PathDescriptor, n0: int,
 
     cells, exc = level_reindex(fam.level, pi)
     top = AscentLevel.make(lam, cells, exc)
-    kept_cells, kept_exc = restrict_level_domain(fam.level, x.x0.difference(_single(n0)))
+    kept_cells, kept_exc = restrict_level_domain(fam.level, x.x0.difference(singleton(n0)))
     catalog = BranchCatalog(
         (CatalogFamily(tuple(kept_cells), admitted=True),),
         tuple(CatalogSingle(f"b:{k}", v, admitted=True) for k, v in kept_exc)

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .foundations import OMEGA_NAT, Ordinal, ZERO, _root
 from .nodes import SymNode, entry_affine, eq_star_threshold, graft
-from .ascent import Cell
+from .ascent import Cell, _agree_positions, _eq_star_pairs
 
 
 class NoCatalog(ValueError):
@@ -128,34 +128,6 @@ class SymTree:
 ROOT_TREE = SymTree.make(Ordinal(0, 1))
 
 
-def _family_match_positions(s: SymNode, tmpl: SymNode):
-    """Positions m with s =* tmpl(m), for a limit-domain concrete s.
-
-    Eventual equality at a limit domain depends only on the top block, so
-    the answer is 'all', a single position, or none (empty set).
-    """
-    w = s.dom.w - 1
-    ws, wt = s.blocks[w], tmpl.blocks[w]
-    base = max(len(ws.prefix), len(wt.prefix))
-    span = math.lcm(len(ws.tail), len(wt.tail))
-    state: object = "all"
-    for j in range(base, base + span):
-        es = ws.eval(j)
-        a, b = entry_affine(wt.eval(j))
-        if a == 0:
-            if es != b:
-                return set()
-        else:
-            m0 = _root(a, es - b)
-            if m0 is None:
-                return set()
-            if state == "all":
-                state = {m0}
-            elif m0 not in state:
-                return set()
-    return state
-
-
 def _match_admitted(s: SymNode, cat: BranchCatalog) -> Optional[tuple[SymNode, Ordinal]]:
     """An admitted catalog branch eventually equal to s, with the agreement
     threshold, or None."""
@@ -169,11 +141,9 @@ def _match_admitted(s: SymNode, cat: BranchCatalog) -> Optional[tuple[SymNode, O
         if not fam.admitted:
             continue
         for cell in fam.cells:
-            positions = _family_match_positions(s, cell.template)
-            if positions == "all":
-                # instances share the top block; instance 0 realizes the match
-                positions = {0}
-            for m in positions:
+            # s =* template(m) at every m (then at m = 0), at one m, or at none
+            verdict, m = _agree_positions(s, cell.template, _eq_star_pairs)
+            if verdict != "none":
                 inst = cell.template.instantiate(m)
                 thr = eq_star_threshold(s, inst)
                 if thr is not None:
@@ -247,13 +217,10 @@ def _limit_template_in_tree(tree: SymTree, b: SymNode) -> bool:
     for t in sources:
         if t.dom != b.dom:
             continue
-        top_b, top_t = b.blocks[-1], t.blocks[-1]
-        start = max(len(top_b.prefix), len(top_t.prefix))
-        window = range(start, start + math.lcm(len(top_b.tail), len(top_t.tail)))
-        pivot = next((j for j in window if not isinstance(top_t.eval(j), int)), None)
+        pivot = next((pair for pair in _eq_star_pairs(b, t) if not isinstance(pair[1], int)), None)
         slope, shift = 0, 0                          # T's position p = slope*m + shift
         if pivot is not None:
-            (a, e), (c, dd) = entry_affine(top_b.eval(pivot)), entry_affine(top_t.eval(pivot))
+            (a, e), (c, dd) = map(entry_affine, pivot)
             if a % c:
                 modulus = math.lcm(modulus, c // math.gcd(a, c))
                 continue

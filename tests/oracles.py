@@ -169,6 +169,12 @@ def agree_window(u: SymNode, v: SymNode, bound: int) -> set[int]:
     return {m for m in range(bound) if u.instantiate(m) == v.instantiate(m)}
 
 
+def eq_star_window(f, g, bound: int) -> set[int]:
+    """The indices tau < bound with f(tau) =* g(tau), decided node by node
+    on the unrolled coordinates of `brute_eq_star`."""
+    return {tau for tau in range(bound) if brute_eq_star(f.at(tau), g.at(tau))}
+
+
 def restrict_via_make(level, alpha: Ordinal):
     """Restriction rebuilt through AscentLevel.make, which re-carves and
     re-checks the partition."""

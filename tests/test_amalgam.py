@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ascentlab.foundations import AP, FULL_SET, OMEGA, Ordinal
 from ascentlab.amalgam import (
@@ -141,3 +141,67 @@ def test_zmap_above_matches_pointwise(case):
     # no key at or below new_lo is left, in the domain or in any cell
     assert not any(got.in_domain(k) for k in (new_lo, z.lo, Ordinal(0, 0)))
     assert all(Ordinal(w, c.ap.start) > new_lo for w, c in got.cells)
+
+
+# -- exact checks over the whole z-domain and the whole top level ---------------
+
+def test_z_pairwise_collision_between_cells_past_the_probe_keys():
+    """II's stage-2 move with its z cell replaced by two cells over the odd
+    and the even keys: z(7) ends in 16*2 + 337 and z(4) in 16*0 + 369, the
+    same label, though no two probe keys (3, 5, 4, 6) share one."""
+    from ascentlab.amalgam import check_z_bullets
+    from ascentlab.game import onestep_opponent, play_game
+    move = play_game(Ordinal(0, 8), onestep_opponent(), 0).moves[2]
+    z = move.z
+    cells = ((0, Cell(AP(3, 2), SymNode((), (0, Ramp(16, 337))))),
+             (0, Cell(AP(4, 2), SymNode((), (0, Ramp(16, 369))))))
+    bad = ZMap.make(z.lo, z.hi, z.closed_hi, cells, z.entries)
+    assert bad.at(Ordinal(0, 7)) == bad.at(Ordinal(0, 4))
+    check_z_bullets(move.stage, move.cond, z, z.hi, z.closed_hi)
+    with pytest.raises(HypothesisViolated) as e:
+        check_z_bullets(move.stage, move.cond, bad, z.hi, z.closed_hi)
+    assert e.value.bullet == "z-pairwise"
+
+
+@settings(max_examples=80, deadline=None)
+@given(zmaps_and_cuts())
+@example((ZMap.make(Ordinal(0, 0), Ordinal(2, 0), False,
+                    [(0, Cell(AP(1, 1), SymNode((BlockWord.make((), (0,)),), (Ramp(2, 0),))))],
+                    {Ordinal(1, 5): SymNode((BlockWord.make((), (0,)),), (40,))}), None))
+def test_last_entry_collision_matches_window(case):
+    """The collision found among a z-map's last-entry pieces names two
+    distinct keys of its domain whose values share their last entry, and
+    one is found whenever two keys of a window share it. In the example an
+    entry of block 1 and a ramp cell of block 0 collide: z(1, 5) and
+    z(0, 21) both end in 40."""
+    from ascentlab.amalgam import _last_entry_pieces
+    from ascentlab.ascent import _first_collision
+    z, _ = case
+    last = Ordinal(1, 0)
+    hit = _first_collision(_last_entry_pieces(z, last))
+    values = [v.eval_at(last) for v in zmap_window(z, 4, 48).values()]
+    if len(set(values)) < len(values):
+        assert hit is not None
+    if hit is not None:
+        k1, k2 = Ordinal(*hit[0]), Ordinal(*hit[1])
+        assert k1 != k2 and z.in_domain(k1) and z.in_domain(k2)
+        assert z.at(k1).eval_at(last) == z.at(k2).eval_at(last)
+
+
+def test_amalgam_top_member_outside_the_tree_raises(monkeypatch):
+    """The union level split by residue mod 4 with a node outside the tree
+    at 11: carving leaves 3, 7 and 11 as exceptions no catalog branch
+    matches, while 0, 1 and 4 stay cell members inside the tree."""
+    from ascentlab.ascent import AscentLevel, TailRule
+    from ascentlab.foundations import PostconditionFailed
+    limit_level = TailRule.limit_level
+
+    def split_with_stray(rule):
+        top = limit_level(rule)
+        (cell,) = top.cells
+        word = top.at(11).blocks[-1]
+        stray = SymNode((BlockWord.make([word.eval(j) for j in range(20)], (999,)),), ())
+        return AscentLevel.make(top.height, [cell.on(AP(r, 4)) for r in range(4)], {11: stray})
+    monkeypatch.setattr(TailRule, "limit_level", split_with_stray)
+    with pytest.raises(PostconditionFailed, match="ascent union missing"):
+        amalgamate(uniform_chain(3, Ordinal(1, 2)))

@@ -9,14 +9,16 @@ from ascentlab.foundations import (
 )
 from ascentlab.ascent import (
     AscentLevel, AscentPath, Cell, PiecewiseMap, TailRule, _agree_positions, constant_level,
-    graft_levels, identity_map, level_extensional_eq, level_reindex, me_cross, me_family,
+    eq_star_set, graft_levels, identity_map, level_extensional_eq, level_reindex, me_cross, me_family,
     me_set_concrete, order_iso, restrict_level_domain, restrict_map, root_level,
     standard_append, supp,
 )
-from ascentlab.nodes import EMPTY_NODE, Ramp, SymNode, const_node, graft, node, mutually_exclusive
+from ascentlab.nodes import (
+    EMPTY_NODE, Ramp, SymNode, const_node, graft, mutually_exclusive, node, node_patch,
+)
 from oracles import (
-    agree_window, cross_collisions, fragments_window, map_window, reindex_window, scan_source,
-    upset_window,
+    agree_window, cross_collisions, eq_star_window, fragments_window, map_window,
+    reindex_window, scan_source, upset_window,
 )
 from test_chain_lemma import ENTRIES, nodes_of
 
@@ -564,3 +566,55 @@ def test_me_family_deep_cross_cell_collision():
     import re
     i1, i2 = map(int, re.search(r"indices (\d+),(\d+)", rep.detail).groups())
     assert lvl.at(i1).eval_at(Ordinal(0, 0)) == lvl.at(i2).eval_at(Ordinal(0, 0))
+
+
+# -- eventual equality ----------------------------------------------------------
+
+SMALL = st.one_of(st.integers(0, 2), st.builds(Ramp, st.integers(1, 2), st.integers(0, 2)))
+
+
+@st.composite
+def eq_star_cases(draw):
+    """Two levels of one successor or limit height, with exceptions. The
+    second is drawn on its own, or is the first split by residue onto a
+    finer step, with some cells and exceptions patched at one coordinate:
+    the first (outside the deciding ones unless the height is 1) or the
+    last of a successor height, or one in the top block's prefix at a
+    limit."""
+    h = draw(st.sampled_from([Ordinal(0, 1), Ordinal(0, 3), OMEGA, Ordinal(1, 2), Ordinal(2, 0)]))
+
+    def level(step):
+        cells = [Cell(AP(r, step), draw(nodes_of(h, SMALL))) for r in range(step)]
+        exc = draw(st.dictionaries(st.integers(0, 12), nodes_of(h, st.integers(0, 2)), max_size=3))
+        return AscentLevel.make(h, cells, exc)
+    f = level(draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        return f, level(draw(st.integers(1, 3)))
+    q = draw(st.integers(1, 3))
+    eps = draw(st.sampled_from([Ordinal(0, 0), h.pred() if h.is_successor else Ordinal(h.w - 1, 5)]))
+    cells = []
+    for c in f.cells:
+        for r in range(q):
+            part = c.on(AP(c.ap.member(r), c.ap.step * q))
+            if draw(st.booleans()):
+                part = Cell(part.ap, node_patch(part.template, {eps: draw(SMALL)}))
+            cells.append(part)
+    exc = {k: node_patch(v, {eps: draw(st.integers(0, 2))}) if draw(st.booleans()) else v
+           for k, v in f.exceptions}
+    return f, AscentLevel.make(h, cells, exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eq_star_cases())
+def test_eq_star_set_matches_window(case):
+    """eq_star_set against deciding f(tau) =* g(tau) node by node; both
+    argument orders give the same set."""
+    f, g = case
+    got = eq_star_set(f, g)
+    assert got == eq_star_set(g, f)
+    assert upset_window(got, WINDOW) == eq_star_window(f, g, WINDOW)
+
+
+def test_eq_star_set_of_different_heights_is_empty():
+    assert eq_star_set(level_2tau(2), level_2tau(3)) == EMPTY_SET
+    assert eq_star_set(root_level(), root_level()) == FULL_SET

@@ -59,6 +59,10 @@ def set_at(keys, value):
     return edit
 
 
+# the template of the first cell of the tower(2) condition's level at height 1
+TEMPLATE = ("path", "levels", 1, "level", "cells", 0, "template")
+
+
 def edited_condition_file(tmp_path, edit) -> str:
     """The tower(2) condition's encoding after `edit`."""
     d = sz.enc_condition(tower(2))
@@ -165,6 +169,14 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
     (["validate", set_at(("tree", "explicit"), 5)], "tree.explicit: expected a list, got 5"),
     (["validate", set_at(("path", "levels", 1, "level"), [1])],
      "path.levels[1].level: expected an object, got [1]"),
+    (["validate", set_at(TEMPLATE + ("blocks",), 5)],
+     "path.levels[1].level.cells[0].template.blocks: expected a list, got 5"),
+    (["validate", set_at(TEMPLATE + ("final", 0), {"const": "x"})],
+     "path.levels[1].level.cells[0].template.final[0].const: expected an int, got 'x'"),
+    (["validate", set_at(TEMPLATE + ("final", 0), {"ramp": {"a": 0, "b": 1}})],
+     "path.levels[1].level.cells[0].template.final[0].ramp.a: expected an int >= 1, got 0"),
+    (["validate", set_at(TEMPLATE + ("blocks",), [{"prefix": [], "tail": []}])],
+     "path.levels[1].level.cells[0].template.blocks[0].tail: expected a nonempty list"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
         "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
         "derive-branches-not-linked", "surgery-not-linked",
@@ -172,7 +184,9 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
         "seal-piece-a-not-int", "seal-piece-a-0", "seal-pi-not-object",
         "seal-point-not-int", "seal-point-not-pair", "validate-height-negative",
         "validate-height-not-int", "validate-height-null", "validate-cell-start-not-int",
-        "validate-tree-explicit-not-list", "validate-level-not-object"])
+        "validate-tree-explicit-not-list", "validate-level-not-object",
+        "validate-blocks-not-list", "validate-const-not-int", "validate-ramp-slope-0",
+        "validate-tail-empty"])
 def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     if isinstance(argv[-1], tuple):
         argv = argv[:-1] + [bad_triple_file(tmp_path, *argv[-1])]

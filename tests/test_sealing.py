@@ -5,7 +5,7 @@ from ascentlab.foundations import EMPTY_SET, FULL_SET, Ordinal, ZERO, finite_set
 from ascentlab.ascent import PiecewiseMap, supp
 from ascentlab.conditions import S_X, check_condition, leq_s, one_step_extension
 from ascentlab.fixtures import tower
-from ascentlab.nodes import graft, node
+from ascentlab.nodes import Ramp, graft, node
 from ascentlab.sealing import (
     LimitDomainUnsupported, OracleHit, OracleMismatch, SealTriple,
     SealTripleInvalid, absorb_node, check_triple, identity_triple, seal_step,
@@ -53,6 +53,12 @@ def test_non_injection_rejected():
     t = transposition_triple(c, 1, 3)
     broken = SealTriple(t.x_family, t.y, PiecewiseMap.from_dict({1: 3, 3: 3}))
     assert not check_triple(broken, c)
+    # injective images, but two pieces whose domains overlap: not a function
+    from ascentlab.ascent import MapPiece
+    from ascentlab.foundations import AP, ODDS
+    overlap = PiecewiseMap((MapPiece(AP(1, 4), 4, 1), MapPiece(AP(1, 2), 4, 3)))
+    assert overlap.is_injective() and overlap.domain() == ODDS
+    assert not check_triple(SealTriple(c.top, ODDS, overlap), c)
 
 
 def test_triple_moving_off_y_rejected():
@@ -216,3 +222,64 @@ def test_pi_preimage_matches_window(pi, values):
     from ascentlab.sealing import _pi_preimage
     window = range(80)
     assert upset_window(_pi_preimage(pi, values), 80) == preimage_window(pi, values, window)
+
+
+# -- exact eventual equality and grafts --------------------------------------------
+
+def test_triple_breaking_eq_star_past_the_samples_rejected():
+    """x agrees with the top below 9 and copies it on the evens, but from 9
+    on its odd members end in 2k+1 where top(k) ends in 2k: x_k =* top(pi(k))
+    fails at k = 9, 11, ..., above the first members of Y and of pi's piece."""
+    from ascentlab.ascent import AscentLevel, Cell, identity_map
+    from ascentlab.foundations import AP, ODDS
+    c = tower(2)
+    top = c.top
+    fam = AscentLevel.make(c.eta, [top.cells[0].on(AP(0, 2)),
+                                   Cell(AP(9, 2), node(Ramp(4, 18), Ramp(4, 19)))],
+                           {k: top.at(k) for k in (1, 3, 5, 7)})
+    assert fam.at(9) == node(18, 19) and top.at(9) == node(18, 18)
+    assert not check_triple(SealTriple(fam, ODDS, identity_map(ODDS)), c)
+
+
+def test_intermediate_grafts_exceptions_inside_a_pi_cell():
+    """The prescribed nodes at x's exceptions 1 and 3 lie inside the one
+    cell of pi (the identity on the odds); the intermediate step still
+    grafts them."""
+    from ascentlab.ascent import AscentLevel, identity_map
+    from ascentlab.foundations import ODDS
+    from ascentlab.nodes import node_patch
+    from ascentlab.sealing import build_intermediate
+    c = tower(2)
+    top = c.top
+    fam = AscentLevel.make(c.eta, top.cells,
+                           {k: node_patch(top.at(k), {ZERO: 1001 + 2 * k}) for k in (1, 3)})
+    mid = build_intermediate(c, SealTriple(fam, ODDS, identity_map(ODDS)))
+    for k in (1, 3):
+        assert mid.top.at(k).restrict(c.eta) == fam.at(k)
+
+
+def test_absorption_lost_past_the_samples_raises(monkeypatch):
+    """Y the indices 2 mod 4 meets the filter set X_0 in all of Y. A routed
+    top whose node at 22 (the sixth member of Y) takes a fresh label at the
+    first routed coordinate breaks the absorption guarantee there only."""
+    from ascentlab import sealing
+    from ascentlab.ascent import identity_map
+    from ascentlab.foundations import PostconditionFailed, UPSet
+    from ascentlab.nodes import node_patch
+    c = tower(2)
+    y = UPSet.make(0, 4, frozenset({2}))
+    tri = SealTriple(c.top, y, identity_map(y))
+    mid = sealing.build_intermediate(c, tri)
+    hit = one_step_extension(mid, mid.eta)
+    route = sealing._route_pieces
+
+    def corrupted(sigma, alpha_lvl, top_lvl):
+        cells, exc = route(sigma, alpha_lvl, top_lvl)
+        if 22 in sigma.domain():
+            cell = next(cl for cl in cells if 22 in cl.ap)
+            exc = exc + [(22, node_patch(cell.at(22), {c.eta: 10 ** 6 + 1}))]
+        return cells, exc
+    assert seal_step(c, tri, 0, OracleHit(hit, hit.eta))
+    monkeypatch.setattr(sealing, "_route_pieces", corrupted)
+    with pytest.raises(PostconditionFailed, match="absorption fails at 22"):
+        seal_step(c, tri, 0, OracleHit(hit, hit.eta))
