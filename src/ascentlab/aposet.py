@@ -127,42 +127,50 @@ class AntichainReport:
         return all(not p.compatible for p in self.pairs)
 
 
-def _transport_certificate(path: PathDescriptor, a: Ordinal, b: Ordinal,
-                           pair: tuple[int, int]) -> Optional[str]:
-    """For bad heights with a shared witness pair, a common lower bound with
-    full support would copy the earlier split into the later level, where
-    the pair still agrees; check both facts concretely."""
-    if not (a.is_successor and b.is_successor):
-        return None
-    if not (is_bad(path, a, pair) and is_bad(path, b, pair)):
-        return None
-    alpha = a.pred()
-    lb = path.level_at(b)
-    va, vb = lb.at(pair[0]), lb.at(pair[1])
-    if va.eval_at(alpha) != vb.eval_at(alpha):
-        return None
-    la = path.level_at(a)
-    if la.at(pair[0]).eval_at(alpha) == la.at(pair[1]).eval_at(alpha):
-        return None
-    return (f"any common bound needs full support to both, forcing values at "
-            f"{alpha} to differ (from {a}) and agree (from {b})")
-
-
 def check_antichain(path: PathDescriptor, variant: Variant,
                     points, search_bound: Ordinal,
                     pair: tuple[int, int] = (0, 1),
                     x: XSequence = DEFAULT_X) -> AntichainReport:
     """Pairwise compatibility verdicts: an exhaustive bounded search for a
     common lower bound, upgraded to a structural certificate whenever the
-    split-transport argument applies."""
+    split-transport argument applies.
+
+    The argument (full-support order only): for bad heights a < b with a
+    shared witness pair, a common lower bound with full support to both
+    would copy a's split at alpha = a - 1 into b's level, where the pair
+    still agrees at alpha; both facts are checked concretely. Whether a
+    point is bad, its level's witness pair and whether that pair splits at
+    the point's predecessor are found once per point; a pair then reads the
+    two values of b's pair at alpha."""
     pts = sorted(points)
     if not path.represented(search_bound):
         raise Unrepresented(f"search bound {search_bound} not on the path")
     candidates = path.heights(search_bound)
+    split: dict[Ordinal, Optional[tuple[SymNode, SymNode, bool]]] = {}
+
+    def bad_split(h: Ordinal) -> Optional[tuple[SymNode, SymNode, bool]]:
+        """(pair nodes at h, whether they differ at h - 1) if the successor
+        height h is bad, else None; computed on the first call for h."""
+        if h not in split:
+            out = None
+            if is_bad(path, h, pair):
+                lvl, alpha = path.level_at(h), h.pred()
+                u, v = lvl.at(pair[0]), lvl.at(pair[1])
+                out = (u, v, u.eval_at(alpha) != v.eval_at(alpha))
+            split[h] = out
+        return split[h]
+
     verdicts = []
     for i, a in enumerate(pts):
         for b in pts[i + 1:]:
-            cert = "" if variant != THETA else (_transport_certificate(path, a, b, pair) or "")
+            cert = ""
+            if variant == THETA and a.is_successor and b.is_successor:
+                sa = bad_split(a)
+                sb = sa and bad_split(b)
+                alpha = a.pred()
+                if sb and sa[2] and sb[0].eval_at(alpha) == sb[1].eval_at(alpha):
+                    cert = (f"any common bound needs full support to both, forcing values at "
+                            f"{alpha} to differ (from {a}) and agree (from {b})")
             witness = None
             if not cert:
                 for gamma in candidates:

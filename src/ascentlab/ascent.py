@@ -10,10 +10,12 @@ affine injections (the routing and surgery maps).
 supp(f, g) = {tau : f(tau) and g(tau) are comparable} is computed exactly,
 cell pair by cell pair: on a refined progression each coordinate slot pins
 agreement to all positions, one position, or none, so the result is again
-ultimately periodic. eq_star_set(f, g) = {tau : f(tau) =* g(tau)} is the
-same kernel, `_agree_set`, on the coordinates that decide =*. Family mutual
-exclusivity is per-coordinate injectivity of tau -> f(tau)(eps), decided by
-solving the affine collision equations.
+ultimately periodic. The lower level's entries are paired with the higher
+level's at the same coordinates, so the higher level is never restricted.
+eq_star_set(f, g) = {tau : f(tau) =* g(tau)} is the same kernel,
+`_agree_set`, on the coordinates that decide =*. Family mutual exclusivity
+is per-coordinate injectivity of tau -> f(tau)(eps), decided by solving the
+affine collision equations.
 
 The index arithmetic is written once. `foundations._root` solves a*m = c
 for a position m >= 0, and `AP.intersect` is the one meet of two
@@ -213,13 +215,36 @@ def refine(f: AscentLevel, g: AscentLevel) -> list[Piece]:
 
 
 def _slot_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
-    """Entry pairs covering every coordinate class of the shared domain
-    (domains must be equal)."""
+    """Entry pairs covering every coordinate class of u's domain, u's entry
+    beside v's at the same coordinate; needs u.dom <= v.dom, so the pairs
+    are those of u and v restricted to u.dom, without building the
+    restriction. u's complete blocks pair with v's blocks of the same index.
+    u's finite stretch pairs with v's finite stretch when both end in the
+    same block, and otherwise with the start of v's word for that block (a
+    cut into one of v's omega-blocks)."""
     for wu, wv in zip(u.blocks, v.blocks):
         for j in range(wu.window(wv)):
             yield wu.eval(j), wv.eval(j)
-    for eu, ev in zip(u.final, v.final):
-        yield eu, ev
+    w = len(u.blocks)
+    if w < len(v.blocks):
+        word = v.blocks[w]
+        for j, eu in enumerate(u.final):
+            yield eu, word.eval(j)
+    else:
+        yield from zip(u.final, v.final)
+
+
+def _is_prefix(u: SymNode, v: SymNode) -> bool:
+    """u == v restricted to u.dom, compared on the entry tuples without
+    building the restriction; needs u.dom <= v.dom. For nodes of one domain
+    it is u == v."""
+    w = len(u.blocks)
+    if u.blocks != v.blocks[:w]:
+        return False
+    if w == len(v.blocks):
+        return u.final == v.final[:len(u.final)]
+    word = v.blocks[w]
+    return all(e == word.eval(j) for j, e in enumerate(u.final))
 
 
 def _eq_star_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
@@ -235,10 +260,11 @@ def _eq_star_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
 
 
 def _agree_positions(u: SymNode, v: SymNode, pairs=_slot_pairs) -> tuple[str, int]:
-    """Where the entry pairs `pairs` draws from two same-domain templates
-    all agree, as a function of the piece position m: ('all', 0), ('one',
-    m0) or ('none', 0). Equal templates agree at every position."""
-    if u == v:
+    """Where the entry pairs `pairs` draws from two templates with u.dom <=
+    v.dom all agree, as a function of the piece position m: ('all', 0),
+    ('one', m0) or ('none', 0). A template that is a prefix of the other
+    agrees with it at every position."""
+    if _is_prefix(u, v):
         return ("all", 0)
     state: tuple[str, int] = ("all", 0)
     for eu, ev in pairs(u, v):
@@ -260,8 +286,8 @@ def _agree_positions(u: SymNode, v: SymNode, pairs=_slot_pairs) -> tuple[str, in
 
 def _agree_set(f: AscentLevel, g: AscentLevel, pairs, same) -> UPSet:
     """Exact set of indices tau at which f(tau) and g(tau) agree, for levels
-    of one height: `same` decides two concrete nodes, and the entry pairs
-    `pairs` draws decide two templates."""
+    with f.height <= g.height: `same` decides two concrete nodes, and the
+    entry pairs `pairs` draws decide two templates."""
     out = EMPTY_SET
     singles: set[int] = set()
     for piece in refine(f, g):
@@ -281,10 +307,15 @@ def _agree_set(f: AscentLevel, g: AscentLevel, pairs, same) -> UPSet:
 
 def supp(f: AscentLevel, g: AscentLevel) -> UPSet:
     """Exact set of indices where f(tau) and g(tau) are comparable under
-    end-extension: where they agree at every coordinate of the lower height."""
+    end-extension: where they agree at every coordinate of the lower height.
+
+    With f the lower level, each piece pairs f's node or template with g's
+    unrestricted one: `_slot_pairs` reads g's entries at f's coordinates
+    (u.dom <= v.dom), and `_is_prefix` compares two point nodes, so no
+    restricted copy of g is built."""
     if f.height > g.height:
         f, g = g, f
-    return _agree_set(f, g.restrict(f.height), _slot_pairs, SymNode.__eq__)
+    return _agree_set(f, g, _slot_pairs, _is_prefix)
 
 
 def eq_star_set(f: AscentLevel, g: AscentLevel) -> UPSet:

@@ -322,13 +322,23 @@ def one_step_with(cond: Condition, below: AscentLevel, scheme: AppendScheme,
     """Shared one-step core: new top = below-level plus appended labels. With
     verify, also the checks of `extend_with_top` and an acceptable support
     from the previous top to the new one."""
+    return _one_step(cond, below, scheme, verify)[0]
+
+
+def _one_step(cond: Condition, below: AscentLevel, scheme: AppendScheme,
+              verify: bool) -> tuple[Condition, Optional[UPSet]]:
+    """`one_step_with`, and the support from the previous top to the new
+    one that verify computes (None without verify)."""
     if below.height != cond.eta:
         raise ValueError("below-parts must live on the current top level")
     new_top = below.append_entries(scheme)
     out = extend_with_top(cond, new_top, verify)
-    if verify and not _supp_ok(cond.variant, supp(cond.top, new_top), cond.x):
+    if not verify:
+        return out, None
+    top_supp = supp(cond.top, new_top)
+    if not _supp_ok(cond.variant, top_supp, cond.x):
         raise ValueError("one-step lost comparability with the previous top")
-    return out
+    return out, top_supp
 
 
 def one_step_extension(cond: Condition, beta: Ordinal, nu: object = 0,
@@ -345,8 +355,8 @@ def one_step_extension(cond: Condition, beta: Ordinal, nu: object = 0,
     if nu not in (0, OMEGA_NAT) and not (isinstance(nu, int) and nu >= 0):
         raise ValueError("nu must be a natural or omega")
     below = graft_levels(cond.level(beta), cond.top)
-    out = one_step_with(cond, below, standard_append(below, shift=label_base))
-    if not supp(cond.level(beta), cond.top).is_subset(supp(cond.top, out.top)):
+    out, top_supp = _one_step(cond, below, standard_append(below, shift=label_base), True)
+    if not supp(cond.level(beta), cond.top).is_subset(top_supp):
         raise PostconditionFailed("one-step lost the old support")
     if supp(cond.level(beta), out.top) != FULL_SET:
         raise PostconditionFailed("one-step beta support is not everything")

@@ -552,34 +552,40 @@ class FilterVerdict:
         return self.kind == "in_ideal"
 
 
-def _scaled_preimage(y: UPSet, base: int) -> UPSet:
-    """{k : base*k in y}, again ultimately periodic."""
-    g = math.gcd(base, y.period)
-    period = y.period // g
-    threshold = (y.threshold + base - 1) // base
-    members = [k for k in range(threshold + period) if (base * k) in y]
-    return UPSet.from_window(members, period, threshold)
-
-
 def filter_classify(y: UPSet, x: XSequence = DEFAULT_X) -> FilterVerdict:
     """Decide membership of y in the filter F generated by x, the dual
     ideal I, or neither. Returned witnesses re-validate: in_filter(n)
     means X_n ⊆ y, in_ideal(n) means X_n ∩ y = empty.
+
+    Decided on y's residue mask. For n >= 1, X_n ⊆ y iff base*k is in y for
+    every k >= n, and X_n misses y iff base*k is in y for none. Let t and p
+    be y's threshold and period. For k >= ⌈t/base⌉, base*k >= t is a member
+    iff bit base*k mod p of `rmask` is set, and those residues run over
+    exactly the multiples of gcd(base, p) below p. So from ⌈t/base⌉ on every
+    base*k is in y iff `rmask` holds all of those multiples, and none is iff
+    it holds none of them; otherwise y is in neither. The least witness n
+    >= 1 comes from walking down from max(1, ⌈t/base⌉) while base*(n-1),
+    which lies below t, has the same membership in the low mask.
+
+    The witness is re-checked through `x.entry(n)` and the set algebra, a
+    route that shares nothing with the mask arithmetic above, so a slip
+    there raises PostconditionFailed instead of returning a wrong verdict.
     """
     if not isinstance(y, UPSet):
         raise UndecidableRepresentation(f"cannot classify {type(y).__name__}")
-    z = _scaled_preimage(y, x.base)
-    # X_n ⊆ y for n >= 1 iff [n, inf) ⊆ z
-    if z.is_cobounded():
-        n = max(1, z.threshold)
-        while n > 1 and (n - 1) in z:
-            n -= 1
+    base, p = x.base, y.period
+    multiples_mask = _repunit(p, math.gcd(base, p))
+    tail = y.rmask & multiples_mask
+    if tail and tail != multiples_mask:
+        return FilterVerdict("neither")
+    inside = bool(tail)
+    n = max(1, -(-y.threshold // base))
+    while n > 1 and bool(y.lmask >> (base * (n - 1)) & 1) == inside:
+        n -= 1
+    if inside:
         if not x.entry(n).is_subset(y):
             raise PostconditionFailed(f"filter witness {n}: X_{n} is not a subset of {y}")
         return FilterVerdict("in_filter", n)
-    if z.is_finite:
-        n = max(1, (z.max_member() + 1) if not z.is_empty else 1)
-        if not x.entry(n).disjoint(y):
-            raise PostconditionFailed(f"ideal witness {n}: X_{n} meets {y}")
-        return FilterVerdict("in_ideal", n)
-    return FilterVerdict("neither")
+    if not x.entry(n).disjoint(y):
+        raise PostconditionFailed(f"ideal witness {n}: X_{n} meets {y}")
+    return FilterVerdict("in_ideal", n)

@@ -175,6 +175,78 @@ def eq_star_window(f, g, bound: int) -> set[int]:
     return {tau for tau in range(bound) if brute_eq_star(f.at(tau), g.at(tau))}
 
 
+def restricted_supp(f, g):
+    """supp by restricting the higher level to the lower height first and
+    then comparing two levels of one height, with SymNode equality on point
+    pieces: the reference for `supp`, which pairs the two levels in place."""
+    from ascentlab.ascent import _agree_set, _slot_pairs
+    if f.height > g.height:
+        f, g = g, f
+    return _agree_set(f, g.restrict(f.height), _slot_pairs, SymNode.__eq__)
+
+
+def preimage_classify(y: UPSet, x: XSequence) -> tuple[str, int | None]:
+    """filter_classify's (kind, witness) through the scaled preimage
+    z = {k : base*k in y}, built member by member on one period past its
+    threshold: y is in the filter iff z is cobounded, in the ideal iff z is
+    finite, and the witness is the least n >= 1 from which z is all in or
+    all out."""
+    base = x.base
+    period = y.period // math.gcd(base, y.period)
+    threshold = -(-y.threshold // base)
+    z = UPSet.from_window([k for k in range(threshold + period) if base * k in y],
+                          period, threshold)
+    if z.is_cobounded():
+        n = max(1, z.threshold)
+        while n > 1 and (n - 1) in z:
+            n -= 1
+        return "in_filter", n
+    if z.is_finite:
+        return "in_ideal", max(1, z.max_member() + 1 if not z.is_empty else 1)
+    return "neither", None
+
+
+def per_pair_antichain(path, variant, points, search_bound: Ordinal,
+                       pair: tuple[int, int] = (0, 1), x: XSequence | None = None):
+    """check_antichain's verdicts with the transport certificate worked out
+    from scratch for every pair: both heights' badness and both levels'
+    values at the pair, each read again per pair."""
+    from ascentlab.aposet import THETA, PairVerdict, is_bad, leq_a
+    from ascentlab.foundations import DEFAULT_X
+    x = x or DEFAULT_X
+
+    def certificate(a, b):
+        if not (a.is_successor and b.is_successor):
+            return None
+        if not (is_bad(path, a, pair) and is_bad(path, b, pair)):
+            return None
+        alpha = a.pred()
+        lb = path.level_at(b)
+        if lb.at(pair[0]).eval_at(alpha) != lb.at(pair[1]).eval_at(alpha):
+            return None
+        la = path.level_at(a)
+        if la.at(pair[0]).eval_at(alpha) == la.at(pair[1]).eval_at(alpha):
+            return None
+        return (f"any common bound needs full support to both, forcing values at "
+                f"{alpha} to differ (from {a}) and agree (from {b})")
+
+    pts = sorted(points)
+    candidates = path.heights(search_bound)
+    out = []
+    for i, a in enumerate(pts):
+        for b in pts[i + 1:]:
+            cert = (certificate(a, b) or "") if variant == THETA else ""
+            witness = None
+            if not cert:
+                witness = next((g for g in candidates if g >= b
+                                and leq_a(path, variant, a, g, x)
+                                and leq_a(path, variant, b, g, x)), None)
+            if witness is None and not cert:
+                cert = f"no common lower bound at heights <= {search_bound}"
+            out.append(PairVerdict(a, b, witness is not None, witness, cert))
+    return out
+
+
 def restrict_via_make(level, alpha: Ordinal):
     """Restriction rebuilt through AscentLevel.make, which re-carves and
     re-checks the partition."""

@@ -8,6 +8,7 @@ from ascentlab.aposet import (
 from ascentlab.conditions import S_THETA
 from ascentlab.fixtures import bad_path_conditions, tower, uniform_path
 from ascentlab.nodes import const_node
+from oracles import per_pair_antichain
 
 
 def bad_demo_path(count: int = 3, pad: int = 1):
@@ -82,6 +83,42 @@ def test_bad_heights_pairwise_incompatible():
     assert len(rep.pairs) == 6
     for v in rep.pairs:
         assert "values at" in v.certificate
+
+
+def mixed_points(bads):
+    """The bad heights, the heights just below them (not bad), and 0."""
+    return sorted(set(bads) | {b.pred() for b in bads} | {ZERO})
+
+
+@pytest.mark.parametrize("count, variant, mixed", [
+    (16, THETA, False), (4, THETA, True), (4, 0, True)])
+def test_antichain_matches_per_pair_computation(count, variant, mixed):
+    """Every verdict equals the one worked out pair by pair, on the bad
+    heights and on points that include heights that are not bad, where
+    pairs fall back to the bounded search."""
+    p, bads = bad_demo_path(count)
+    pts = mixed_points(bads) if mixed else bads
+    rep = check_antichain(p, variant, pts, p.base.eta)
+    assert list(rep.pairs) == per_pair_antichain(p, variant, pts, p.base.eta)
+    if mixed and variant == THETA:
+        assert {v.compatible for v in rep.pairs} == {True, False}
+
+
+def test_antichain_decides_badness_once_per_point(monkeypatch):
+    """is_bad runs once per point (16), not twice per pair (240)."""
+    import ascentlab.aposet as aposet
+    p, bads = bad_demo_path(16)
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return is_bad(*args)
+
+    monkeypatch.setattr(aposet, "is_bad", counting)
+    rep = check_antichain(p, THETA, bads, p.base.eta)
+    assert len(rep.pairs) == 120 and rep.all_incompatible
+    assert calls == 16
 
 
 def test_singleton_antichain():

@@ -18,7 +18,7 @@ from ascentlab.nodes import (
 )
 from oracles import (
     agree_window, cross_collisions, eq_star_window, fragments_window, map_window,
-    reindex_window, scan_source, upset_window,
+    reindex_window, restricted_supp, scan_source, upset_window,
 )
 from test_chain_lemma import ENTRIES, nodes_of
 
@@ -527,6 +527,48 @@ def test_supp_limit_domain_levels():
     for tau in range(24):
         expected = g.at(tau).restrict(OMEGA) == f.at(tau)
         assert (tau in s) == expected, tau
+
+
+HEIGHTS = [Ordinal(w, n) for w in range(3) for n in range(4)]
+
+
+@st.composite
+def supp_cases(draw):
+    """(f, g) with f.height <= g.height, in three cases: f cuts into one of
+    g's omega-blocks (f has a finite stretch in a block g completes), f at
+    any lower height, or both at one height. g is a random level of its
+    height with a lower level, f itself or an independent one, grafted under
+    it, so that g's pieces agree with f's everywhere, at one position or
+    nowhere; then up to three of g's indices get an exception node, the
+    graft of f's node there or a random node."""
+    case = draw(st.sampled_from(["cut", "lower", "equal"]))
+    hi = Ordinal(draw(st.integers(1 if case == "cut" else 0, 2)), draw(st.integers(0, 3)))
+    if case == "cut":
+        lo = Ordinal(draw(st.integers(0, hi.w - 1)), draw(st.integers(1, 3)))
+    elif case == "lower":
+        lo = draw(st.sampled_from([h for h in HEIGHTS if h <= hi]))
+    else:
+        lo = hi
+    f = draw(families_at(lo))
+    under = f if draw(st.booleans()) else draw(families_at(lo))
+    g = graft_levels(under, draw(families_at(hi)))
+    patches = draw(st.dictionaries(st.integers(0, 12), st.tuples(
+        st.booleans(), nodes_of(hi, st.integers(0, 9))), max_size=3))
+    exc = g.exc_dict() | {k: graft(f.at(k), v) if keep else v
+                          for k, (keep, v) in patches.items()}
+    return f, AscentLevel.make(hi, g.cells, exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(supp_cases())
+def test_supp_matches_restricted_formula(case):
+    """supp pairs the lower level with the higher one in place; it equals
+    the formula that restricts the higher level first, in either argument
+    order, and the node-by-node window."""
+    f, g = case
+    s = supp(f, g)
+    assert s == restricted_supp(f, g) == supp(g, f)
+    assert upset_window(s, 64) == brute_supp(f, g, 64)
 
 
 def test_me_family_periodic_slot_collision():

@@ -18,7 +18,8 @@ from ascentlab.foundations import (
 )
 from ascentlab.serialize import dec_upset, enc_upset
 from oracles import (
-    brute_classify, brute_op, enc_from_window, raw_member, raw_window, upset_window,
+    brute_classify, brute_op, enc_from_window, preimage_classify, raw_member, raw_window,
+    upset_window,
 )
 
 
@@ -221,6 +222,42 @@ def test_filter_exclusive_exhaustive():
         v = filter_classify(y)
         kind, _ = brute_classify(y, DEFAULT_X, 64, 4096)
         assert v.kind == kind
+
+
+@st.composite
+def classify_cases(draw):
+    """(y, x): a random set and an X-sequence of base 2, 3, 4 or 6. y's
+    residues at the multiples of gcd(base, period) decide the kind, so they
+    are drawn all in, all out or as they fall, to reach each kind often."""
+    base = draw(st.sampled_from([2, 3, 4, 6]))
+    p = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
+    t = draw(st.integers(0, 24))
+    residues = draw(st.sets(st.integers(0, p - 1)))
+    low = draw(st.sets(st.integers(0, 23)))
+    decisive = set(range(0, p, math.gcd(base, p)))
+    shape = draw(st.sampled_from(["drawn", "all", "none"]))
+    if shape == "all":
+        residues |= decisive
+    elif shape == "none":
+        residues -= decisive
+    return UPSet.make(t, p, residues, low), XSequence(multiples(base), base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classify_cases())
+def test_filter_classify_kind_and_witness(case):
+    """Kind and witness against the scaled-preimage route and against the
+    pointwise scan. The scan's least witness may be 0 (X_0 = multiples of
+    the base), where filter_classify names the least n >= 1. Thresholds
+    stay below 25 and periods at most 12, so witnesses are at most 12 and
+    the window of 512 holds every residue pattern of y against X_n."""
+    y, x = case
+    v = filter_classify(y, x)
+    assert (v.kind, v.witness) == preimage_classify(y, x)
+    kind, n = brute_classify(y, x, 16, 512)
+    assert v.kind == kind
+    if kind != "neither":
+        assert v.witness == max(1, n)
 
 
 # -- X sequence profiles ----------------------------------------------------
