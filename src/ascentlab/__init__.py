@@ -16,8 +16,8 @@ from .nodes import (
     mutually_exclusive, node, restrict,
 )
 from .ascent import (
-    AscentLevel, AscentPath, Cell, PiecewiseMap, TailRule, check_ascent,
-    me_family, order_iso, supp,
+    AscentLevel, AscentPath, Cell, PiecewiseMap, TailRule, me_family,
+    order_iso, supp,
 )
 from .trees import (
     BranchCatalog, CatalogFamily, CatalogSingle, SymTree, check_tree,

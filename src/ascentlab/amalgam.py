@@ -16,7 +16,7 @@ admitted branch, so no graft of it lands in the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from .foundations import (
     EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, UPSet, finite_set, multiples, singleton,
@@ -27,7 +27,7 @@ from .ascent import (
 )
 from .nodes import Entry, SymNode, entry_affine, eq_star
 from .conditions import (
-    Condition, S_X, TailRule, check_condition, leq_s, one_step_with,
+    Condition, S_X, TailRule, check_condition, extend_with_top, leq_s,
 )
 from .trees import (
     BranchCatalog, CatalogFamily, CatalogSingle, SymTree, family_in_tree, tree_contains,
@@ -113,6 +113,15 @@ class ZMap:
                     out.append(key)
         return sorted(out)
 
+    def incoherent_keys(self, later: "ZMap") -> Iterator[Ordinal]:
+        """The probe keys in `later`'s domain whose value there does not
+        end-extend this map's value (z-coherence fails at them)."""
+        for k in self.probe_keys():
+            if later.in_domain(k):
+                v, w = self.at(k), later.at(k)
+                if w.dom < v.dom or w.restrict(v.dom) != v:
+                    yield k
+
     def above(self, new_lo: Ordinal) -> "ZMap":
         """The map on the keys above new_lo: lower keys and lower blocks drop
         out, and a cell straddling new_lo is re-based past it."""
@@ -193,7 +202,7 @@ class ChainTail:
     def next_member(self, m: ChainMember) -> ChainMember:
         cond = m.cond
         for scheme in self.schemes:
-            cond = one_step_with(cond, cond.top, scheme, verify=False)
+            cond = extend_with_top(cond, cond.top.append_entries(scheme), False)
         beta = Ordinal(m.beta.w, m.beta.n + self.beta_step)
         return ChainMember(beta, cond, m.z.stepped(beta, self.z_tokens))
 
@@ -335,11 +344,9 @@ def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
                     raise HypothesisViolated("decreasing", f"stage {m2.beta} does not extend {m1.beta}")
                 if supp(m1.cond.top, m2.cond.top) != FULL_SET:
                     raise HypothesisViolated("full-supp", f"stages {m1.beta},{m2.beta}")
-            for k in m1.z.probe_keys():
-                if m2.z.in_domain(k):
-                    v1, v2 = m1.z.at(k), m2.z.at(k)
-                    if v2.restrict(v1.dom) != v1:
-                        raise HypothesisViolated("z-coherent", f"z({k}) not increasing")
+            k = next(m1.z.incoherent_keys(m2.z), None)
+            if k is not None:
+                raise HypothesisViolated("z-coherent", f"z({k}) not increasing")
     return sample
 
 
@@ -396,11 +403,9 @@ def _verify_conclusions(ch: ChainDescriptor, sample: list[ChainMember],
             raise PostconditionFailed(f"amalgam does not extend stage {m.beta}")
         if supp(m.cond.top, out.top) != FULL_SET:
             raise PostconditionFailed(f"amalgam lost full support to stage {m.beta}")
-        for k in m.z.probe_keys():
-            if z_gamma.in_domain(k):
-                v = m.z.at(k)
-                if z_gamma.at(k).restrict(v.dom) != v:
-                    raise PostconditionFailed(f"z union at {k} does not extend stage {m.beta}")
+        k = next(m.z.incoherent_keys(z_gamma), None)
+        if k is not None:
+            raise PostconditionFailed(f"z union at {k} does not extend stage {m.beta}")
     # membership characterization: admitted branches and their grafts are in,
     # the vanishing union is out
     for i in z_gamma.probe_keys():

@@ -528,48 +528,6 @@ def _me_chain(heights, levels, adjacent) -> Iterator[tuple[Ordinal, MEReport]]:
         yield alpha, rep
 
 
-@dataclass(frozen=True, slots=True)
-class AscentReport:
-    """check_ascent outcome; `violation` describes the first failure."""
-
-    ok: bool
-    mode: str
-    violation: str = ""
-
-
-def check_ascent(path: AscentPath, mode: str, x: XSequence | None = None,
-                 eta: Optional[Ordinal] = None) -> AscentReport:
-    """Validate the path as an ascent path of the requested kind: plain mode
-    needs co-bounded supports everywhere, the filter mode needs supports in
-    the generated filter and pairwise exclusive nonzero levels. Exact at
-    every explicitly represented height; tail levels are pure appends of
-    checked ones, so the sampled cycle decides the rest."""
-    from .foundations import DEFAULT_X, is_cobounded, filter_classify
-    if mode not in ("theta", "me_filter"):
-        raise ValueError(f"unknown mode {mode!r}")
-    x = x or DEFAULT_X
-    if eta is None:
-        eta = max(h for h, _ in path.levels) if path.levels else Ordinal(0, 0)
-        for w, rule in path.tails:
-            eta = max(eta, Ordinal(w, rule.start + len(rule.schemes) + 1))
-    probes = path.probe_heights(eta)
-    levels = [path.level_at(alpha) for alpha in probes]
-    if probes and probes[0].is_zero and any(
-            c.template.dom != Ordinal(0, 0) for c in levels[0].cells):
-        return AscentReport(False, mode, "level 0 must be the empty family")
-    adjacent = [supp(f, g) for f, g in zip(levels, levels[1:])]
-    if mode == "me_filter":
-        for alpha, rep in _me_chain(probes, levels, adjacent):
-            if not rep.ok:
-                return AscentReport(False, mode, f"level {alpha}: {rep.detail}")
-    good = is_cobounded if mode == "theta" else (lambda s: filter_classify(s, x).in_filter)
-    bad = supp_chain_violations(probes, levels, good, adjacent)
-    if bad:
-        a, b, s = bad[0]
-        return AscentReport(False, mode, f"supp({a},{b}) = {s} unacceptable")
-    return AscentReport(True, mode)
-
-
 # ---------------------------------------------------------------------------
 # mutual exclusivity: per-coordinate injectivity
 # ---------------------------------------------------------------------------

@@ -24,12 +24,11 @@ Append lemma. Let β be a height and α = β + 1. If supp(f_β, f_α) is
 everything, then f_α(τ)↾β = f_β(τ) for every τ, so at every coordinate
 ε < β the map τ ↦ f_α(τ)(ε) is τ ↦ f_β(τ)(ε). Mutual exclusivity is
 injectivity at each coordinate, so when f_β is mutually exclusive, f_α is
-exactly when it is injective at its new coordinate β. Clause C2 and
-`ascent.check_ascent` (through `ascent._me_chain`) therefore check only
-coordinate β of a level whose probe follows β's with a full adjacent
-support and an exclusive level below, and walk every coordinate otherwise.
-Coordinate β is the last one `me_family` walks, so a failure there reads
-as the full walk's.
+exactly when it is injective at its new coordinate β. Clause C2 (through
+`ascent._me_chain`) therefore checks only coordinate β of a level whose
+probe follows β's with a full adjacent support and an exclusive level below,
+and walks every coordinate otherwise. Coordinate β is the last one
+`me_family` walks, so a failure there reads as the full walk's.
 """
 
 from __future__ import annotations
@@ -303,38 +302,37 @@ def raw_append(level: AscentLevel) -> AppendScheme:
 def extend_with_top(cond: Condition, new_top: AscentLevel, verify: bool) -> Condition:
     """The condition one height up with the given top level, its new tree
     level the full append level. With verify, an S_X or S_F top level is
-    checked mutually exclusive and clause C4 holds at its appended
-    coordinate; raises ValueError otherwise."""
+    checked mutually exclusive; raises ValueError otherwise.
+
+    That check also decides clause C4 at the appended coordinate: every cell
+    is infinite, so a constant appended label on a cell is a same-piece
+    collision there, and an exclusive top has no constant label for
+    `_append_fibers_ok` to reject."""
     tree = SymTree.make(cond.tree.height.succ(), cond.tree.explicit, cond.tree.catalogs)
     out = Condition(tree, cond.path.with_level(cond.eta.succ(), new_top), cond.variant, cond.x)
     if verify and cond.variant in (S_X, S_F):
         rep = me_family(new_top)
         if not rep.ok:
             raise ValueError(f"one-step produced a non-exclusive family: {rep.detail}")
-        ok, why = _append_fibers_ok(new_top, cond.x)
-        if not ok:
-            raise ValueError(f"one-step violates the exclusivity filter: {why}")
     return out
 
 
-def one_step_with(cond: Condition, below: AscentLevel, scheme: AppendScheme,
-                  verify: bool = True) -> Condition:
-    """Shared one-step core: new top = below-level plus appended labels. With
-    verify, also the checks of `extend_with_top` and an acceptable support
-    from the previous top to the new one."""
-    return _one_step(cond, below, scheme, verify)[0]
+def one_step_with(cond: Condition, below: AscentLevel, scheme: AppendScheme) -> Condition:
+    """Shared one-step core: new top = below-level plus appended labels,
+    verified by `extend_with_top` and by an acceptable support from the
+    previous top to the new one (co-bounded for S_THETA, in the filter
+    otherwise); raises ValueError otherwise."""
+    return _one_step(cond, below, scheme)[0]
 
 
-def _one_step(cond: Condition, below: AscentLevel, scheme: AppendScheme,
-              verify: bool) -> tuple[Condition, Optional[UPSet]]:
+def _one_step(cond: Condition, below: AscentLevel,
+              scheme: AppendScheme) -> tuple[Condition, UPSet]:
     """`one_step_with`, and the support from the previous top to the new
-    one that verify computes (None without verify)."""
+    one that it checked."""
     if below.height != cond.eta:
         raise ValueError("below-parts must live on the current top level")
     new_top = below.append_entries(scheme)
-    out = extend_with_top(cond, new_top, verify)
-    if not verify:
-        return out, None
+    out = extend_with_top(cond, new_top, True)
     top_supp = supp(cond.top, new_top)
     if not _supp_ok(cond.variant, top_supp, cond.x):
         raise ValueError("one-step lost comparability with the previous top")
@@ -355,7 +353,7 @@ def one_step_extension(cond: Condition, beta: Ordinal, nu: object = 0,
     if nu not in (0, OMEGA_NAT) and not (isinstance(nu, int) and nu >= 0):
         raise ValueError("nu must be a natural or omega")
     below = graft_levels(cond.level(beta), cond.top)
-    out, top_supp = _one_step(cond, below, standard_append(below, shift=label_base), True)
+    out, top_supp = _one_step(cond, below, standard_append(below, shift=label_base))
     if not supp(cond.level(beta), cond.top).is_subset(top_supp):
         raise PostconditionFailed("one-step lost the old support")
     if supp(cond.level(beta), out.top) != FULL_SET:
@@ -365,18 +363,15 @@ def one_step_extension(cond: Condition, beta: Ordinal, nu: object = 0,
 
 def make_bad_extension(cond: Condition) -> Condition:
     """The naive poset's defect: a top level whose first two members split
-    exactly at the previous top, with raw index labels appended."""
+    exactly at the previous top, with raw index labels appended. The
+    one-step checks that the support from the previous top is co-bounded."""
     if cond.variant != S_THETA:
         raise WrongVariant("bad extensions live in the plain theta poset")
     alpha = cond.eta
     f_a = cond.level(alpha)
     below = AscentLevel.make(alpha, f_a.cells,
                              dict(f_a.exceptions) | {0: f_a.at(0), 1: f_a.at(0)})
-    out = one_step_with(cond, below, raw_append(below), verify=False)
-    beta = out.eta
-    s = supp(f_a, out.top)
-    if not is_cobounded(s):
-        raise ValueError("bad extension must keep co-bounded support")
+    out = one_step_with(cond, below, raw_append(below))
     if delta(out.top.at(0), out.top.at(1)) != alpha:
         raise ValueError("bad extension lost its splitting witness")
     return out

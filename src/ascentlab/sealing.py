@@ -152,7 +152,7 @@ def build_intermediate(cond: Condition, triple: SealTriple) -> Condition:
         raise SealTripleInvalid("triple fails its requirements against the condition")
     top = cond.top
     below = graft_levels(triple.x_family, _pulled(top, triple.pi, triple.x_family))
-    mid = one_step_with(cond, below, standard_append(below), verify=True)
+    mid = one_step_with(cond, below, standard_append(below))
     if not triple.y.complement().is_subset(supp(top, mid.top)):
         raise PostconditionFailed("intermediate step lost the off-Y support")
     return mid
@@ -258,7 +258,7 @@ def absorb_node(cond: Condition, t: SymNode, xi: int) -> tuple[Condition, Ordina
         if not tree_contains(cond.tree, v):
             raise ValueError(f"patched node at {sigma} escapes the tree")
     below = AscentLevel.make(eta, top.cells, dict(top.exceptions) | patches)
-    out = one_step_with(cond, below, standard_append(below), verify=True)
+    out = one_step_with(cond, below, standard_append(below))
     s = supp(top, out.top)
     if not filter_classify(s, cond.x).in_filter:
         raise PostconditionFailed("absorption lost the filter support")

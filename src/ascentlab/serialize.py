@@ -167,8 +167,9 @@ def enc_scheme(s: AppendScheme) -> dict:
     return {"cell_entries": [enc_entry(e) for e in s.cell_entries],
             "exception_labels": {str(k): v for k, v in s.exception_labels.items()}}
 
-def dec_scheme(d: Any) -> AppendScheme:
-    return AppendScheme(tuple(dec_entry(e) for e in d["cell_entries"]),
+def dec_scheme(d: Any, where: str = "scheme") -> AppendScheme:
+    _expect("cell_entries" in _object(d, where), f"{where}.cell_entries: missing")
+    return AppendScheme(tuple(_entries(d, "cell_entries", where, None)),
                         {int(k): int(v) for k, v in d.get("exception_labels", {}).items()})
 
 
@@ -178,7 +179,8 @@ def enc_tail_rule(r: TailRule) -> dict:
 
 def dec_tail_rule(d: Any, where: str = "rule") -> TailRule:
     return TailRule(int(d["start"]), dec_level(d["base"], f"{where}.base"),
-                    tuple(dec_scheme(s) for s in d["schemes"]))
+                    tuple(dec_scheme(s, f"{where}.schemes[{i}]")
+                          for i, s in enumerate(d["schemes"])))
 
 
 def enc_path(p: AscentPath) -> dict:
@@ -237,7 +239,7 @@ def enc_x(x: XSequence) -> dict:
     return {"x0": enc_upset(x.x0), "base": x.base}
 
 def dec_x(d: Any) -> XSequence:
-    if d is None or d.get("kind") == "default":
+    if d is None or _object(d, "x").get("kind") == "default":
         return DEFAULT_X
     return XSequence(dec_upset(d["x0"]), int(d.get("base", 4)))
 
@@ -267,10 +269,21 @@ def enc_chain_tail(t: ChainTail) -> dict:
     return {"beta_step": t.beta_step, "schemes": [enc_scheme(s) for s in t.schemes],
             "z_tokens": [list(tok) for tok in t.z_tokens]}
 
-def dec_chain_tail(d: Any) -> ChainTail:
-    return ChainTail(int(d["beta_step"]),
-                     tuple(dec_scheme(s) for s in d["schemes"]),
-                     tuple(tuple(tok) for tok in d["z_tokens"]))
+def _z_token(tok: Any, where: str) -> tuple:
+    _expect(tok == ["last"] or (isinstance(tok, list) and len(tok) == 2
+                                and tok[0] == "const" and type(tok[1]) is int),
+            f"{where}: expected [\"last\"] or [\"const\", int], got {tok!r}")
+    return tuple(tok)
+
+def dec_chain_tail(d: Any, where: str = "chain.tail") -> ChainTail:
+    _object(d, where)
+    for key in ("schemes", "z_tokens"):
+        _expect(bool(_list_field(d, key, where)), f"{where}.{key}: expected a nonempty list")
+    return ChainTail(_int_field(d, "beta_step", where, 1),
+                     tuple(dec_scheme(s, f"{where}.schemes[{i}]")
+                           for i, s in enumerate(d["schemes"])),
+                     tuple(_z_token(tok, f"{where}.z_tokens[{i}]")
+                           for i, tok in enumerate(d["z_tokens"])))
 
 
 def enc_chain(ch: ChainDescriptor) -> dict:
@@ -281,10 +294,10 @@ def enc_chain(ch: ChainDescriptor) -> dict:
             "tail": enc_chain_tail(ch.tail) if ch.tail else None}
 
 def dec_chain(d: Any) -> ChainDescriptor:
-    _expect(d.get("format") == FORMAT, "unknown chain format")
+    _expect(_object(d, "chain").get("format") == FORMAT, "unknown chain format")
     return ChainDescriptor(
         tuple(ChainMember(dec_ordinal(m["beta"]), dec_condition(m["condition"]),
-                          dec_zmap(m["z"])) for m in d["members"]),
+                          dec_zmap(m["z"])) for m in _objects(d, "members", "chain")),
         dec_chain_tail(d["tail"]) if d.get("tail") else None,
         dec_ordinal(d["gamma"]), dec_ordinal(d["delta"]), bool(d.get("closed_delta", False)))
 

@@ -88,6 +88,25 @@ def test_bad_z_bullet_rejected():
     assert "z" in e.value.bullet
 
 
+def test_incoherent_z_rejected():
+    """A member's z-value that does not end-extend the previous member's at
+    a shared key: `incoherent_keys` names the key, validate_chain raises."""
+    import dataclasses
+    ch = uniform_chain(3, Ordinal(1, 2))
+    m0, m1, m2 = ch.members
+    k = Ordinal(1, 0)
+    z = ZMap.make(m1.z.lo, m1.z.hi, m1.z.closed_hi, m1.z.cells,
+                  dict(m1.z.entries) | {k: const_node(1001, m1.cond.eta)})
+    assert list(m0.z.incoherent_keys(m1.z)) == []
+    assert list(m0.z.incoherent_keys(z)) == [k]
+    # read backwards, every shared key holds a shorter later value
+    assert list(m1.z.incoherent_keys(m0.z)) == [
+        key for key in m1.z.probe_keys() if m0.z.in_domain(key)]
+    bad = dataclasses.replace(ch, members=(m0, dataclasses.replace(m1, z=z), m2))
+    with pytest.raises(HypothesisViolated, match=r"\(z-coherent\): z\(w\) not increasing"):
+        amalgamate(bad)
+
+
 def test_closed_delta_interval():
     ch = uniform_chain(3, Ordinal(1, 1), closed_delta=True)
     out, z = amalgamate(ch)

@@ -159,10 +159,10 @@ def test_derive_branches_restriction_matches_path():
 def test_derive_branches_not_linked():
     # reroute a filter-set coordinate in one step: the path loses its link
     from ascentlab.ascent import AscentLevel, standard_append
-    from ascentlab.conditions import one_step_with
+    from ascentlab.conditions import extend_with_top
     c = tower(2)
     below = AscentLevel.make(c.eta, c.top.cells, {4: c.top.at(5)})
-    broken = one_step_with(c, below, standard_append(below), verify=False)
+    broken = extend_with_top(c, below.append_entries(standard_append(below)), False)
     p = PathDescriptor(broken)
     with pytest.raises(NotLinked):
         derive_branches(p, [Ordinal(0, 2), Ordinal(0, 3)], 1)
@@ -181,10 +181,10 @@ def test_leq_a_monotone_in_xi():
     # the index sets decrease, so a relation witnessed at some index holds
     # at every larger index; a rerouted path separates the levels
     from ascentlab.ascent import AscentLevel, standard_append
-    from ascentlab.conditions import one_step_with
+    from ascentlab.conditions import extend_with_top
     c = tower(2)
     below = AscentLevel.make(c.eta, c.top.cells, {2: c.top.at(6)})
-    broken = one_step_with(c, below, standard_append(below), verify=False)
+    broken = extend_with_top(c, below.append_entries(standard_append(below)), False)
     pb = PathDescriptor(broken)
     a, b = Ordinal(0, 2), Ordinal(0, 3)
     # support misses 2, which lies in X_0 but in no deeper set

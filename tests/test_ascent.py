@@ -469,33 +469,32 @@ def test_me_family_witness_on_two_ramps(a1, b1, a2, b2):
         assert value[i1] == value[i2] == min(shared)
 
 
-# -- check_ascent ---------------------------------------------------------------
+# -- clause C2 ------------------------------------------------------------------
 
-def test_check_ascent_fixture_passes_me_filter():
-    from ascentlab.ascent import check_ascent
+def test_c2_fixture_passes_both_kinds():
+    from ascentlab.conditions import S_THETA, S_X, check_condition
     from ascentlab.fixtures import tower
     c = tower(3)
-    rep = check_ascent(c.path, "me_filter")
-    assert rep.ok
-    assert check_ascent(c.path, "theta").ok
+    assert check_condition(c, S_X).clause("C2")
+    assert check_condition(c, S_THETA).clause("C2")
 
 
-def test_check_ascent_bad_extension_fails_me_filter():
-    from ascentlab.ascent import check_ascent
-    from ascentlab.conditions import make_bad_extension
+def test_c2_bad_extension_fails_exclusivity():
+    from ascentlab.conditions import S_THETA, S_X, check_condition, make_bad_extension
     from ascentlab.fixtures import tower
     bad = make_bad_extension(tower(1, "stheta"))
-    rep = check_ascent(bad.path, "me_filter")
-    assert not rep.ok and "level" in rep.violation
-    assert check_ascent(bad.path, "theta").ok
+    rep = check_condition(bad, S_X)
+    assert not rep.clause("C2")
+    assert any(v.startswith("clause C2") and "not mutually exclusive" in v
+               for v in rep.violations)
+    assert check_condition(bad, S_THETA).clause("C2")
 
 
-def test_check_ascent_single_level_vacuous():
-    from ascentlab.ascent import check_ascent
-    from ascentlab.conditions import root_condition
-    p = root_condition().path
-    assert check_ascent(p, "theta").ok
-    assert check_ascent(p, "me_filter").ok
+def test_c2_single_level_vacuous():
+    from ascentlab.conditions import S_THETA, S_X, check_condition, root_condition
+    c = root_condition()
+    assert check_condition(c, S_THETA).clause("C2")
+    assert check_condition(c, S_X).clause("C2")
 
 
 def test_supp_brute_sweep_1000():

@@ -1,8 +1,8 @@
 """The chain lemma's shortcuts against their all-pairs references.
 
-C2 in check_condition and check_ascent, and requirements (order), (i) and
-(iii) of check_run_invariants, check adjacent pairs and enumerate all pairs
-only after one fails; by the append lemma, C2 checks only the new coordinate
+C2 in check_condition, and requirements (order), (i) and (iii) of
+check_run_invariants, check adjacent pairs and enumerate all pairs only
+after one fails; by the append lemma, C2 checks only the new coordinate
 of a level whose full support joins it to an exclusive level one height
 below; AscentLevel.restrict skips AscentLevel.make. Each must give exactly
 what the all-pairs, full-walk or make-based reference in oracles.py gives,
@@ -16,10 +16,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascentlab import ascent, conditions
+from ascentlab import conditions
 from ascentlab.ascent import (
-    AP, AppendScheme, AscentLevel, Cell, check_ascent, constant_level, fill_level,
-    restrict_level_domain,
+    AP, AppendScheme, AscentLevel, Cell, constant_level, fill_level, restrict_level_domain,
 )
 from ascentlab.conditions import S_THETA, S_X, VARIANTS, Condition, check_condition
 from ascentlab.fixtures import bad_path_conditions, random_tower
@@ -33,7 +32,7 @@ from oracles import (
 PROPERTY = settings(max_examples=30, deadline=None)
 
 
-# -- C2: check_condition and check_ascent ---------------------------------------
+# -- C2: check_condition ------------------------------------------------------
 
 def corrupt_level(cond: Condition, k: int, keep: UPSet) -> Condition:
     """Level k replaced, off the index set `keep`, by a constant odd label
@@ -67,17 +66,6 @@ def test_check_condition_matches_all_pairs(cond):
         assert got.clauses == want.clauses
         assert got.violations == want.violations
         assert got.checked_heights == want.checked_heights
-
-
-@PROPERTY
-@given(towers())
-def test_check_ascent_matches_all_pairs(cond):
-    for mode in ("theta", "me_filter"):
-        got = check_ascent(cond.path, mode, cond.x, cond.eta)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ascent, "supp_chain_violations", all_pairs_chain_violations)
-            want = check_ascent(cond.path, mode, cond.x, cond.eta)
-        assert got == want
 
 
 def test_corrupted_level_fails_adjacent_pair():
@@ -126,12 +114,6 @@ def assert_matches_full_walk(cond: Condition) -> None:
             want = check_condition(cond, variant)
         assert (got.clauses, got.violations, got.checked_heights) == (
             want.clauses, want.violations, want.checked_heights)
-    for mode in ("theta", "me_filter"):
-        got = check_ascent(cond.path, mode, cond.x, cond.eta)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ascent, "_me_chain", full_walk_me_chain)
-            want = check_ascent(cond.path, mode, cond.x, cond.eta)
-        assert got == want
 
 
 @PROPERTY

@@ -63,9 +63,11 @@ def set_at(keys, value):
 TEMPLATE = ("path", "levels", 1, "level", "cells", 0, "template")
 
 
-def edited_condition_file(tmp_path, edit) -> str:
-    """The tower(2) condition's encoding after `edit`."""
-    d = sz.enc_condition(tower(2))
+def edited_input_file(tmp_path, cmd: str, edit) -> str:
+    """The encoding after `edit` of the input `cmd` reads: the standard
+    amalgamation chain for amalgamate, the tower(2) condition otherwise."""
+    d = sz.enc_chain(uniform_chain(3, Ordinal(1, 2))) if cmd == "amalgamate" \
+        else sz.enc_condition(tower(2))
     edit(d)
     p = tmp_path / "edited.json"
     p.write_text(json.dumps(d))
@@ -177,6 +179,12 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
      "path.levels[1].level.cells[0].template.final[0].ramp.a: expected an int >= 1, got 0"),
     (["validate", set_at(TEMPLATE + ("blocks",), [{"prefix": [], "tail": []}])],
      "path.levels[1].level.cells[0].template.blocks[0].tail: expected a nonempty list"),
+    (["validate", set_at(("x",), [1])], "x: expected an object, got [1]"),
+    (["amalgamate", set_at(("tail", "schemes", 0, "cell_entries"), 5)],
+     "chain.tail.schemes[0].cell_entries: expected a list, got 5"),
+    (["amalgamate", set_at(("members",), 3)], "chain.members: expected a list, got 3"),
+    (["amalgamate", set_at(("tail", "z_tokens"), [["bogus"]])],
+     "chain.tail.z_tokens[0]: expected [\"last\"] or [\"const\", int], got ['bogus']"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
         "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
         "derive-branches-not-linked", "surgery-not-linked",
@@ -186,12 +194,13 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
         "validate-height-not-int", "validate-height-null", "validate-cell-start-not-int",
         "validate-tree-explicit-not-list", "validate-level-not-object",
         "validate-blocks-not-list", "validate-const-not-int", "validate-ramp-slope-0",
-        "validate-tail-empty"])
+        "validate-tail-empty", "validate-x-not-object", "amalgamate-cell-entries-not-list",
+        "amalgamate-members-not-list", "amalgamate-z-token-unknown"])
 def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     if isinstance(argv[-1], tuple):
         argv = argv[:-1] + [bad_triple_file(tmp_path, *argv[-1])]
     if callable(argv[-1]):
-        argv = argv[:-1] + [edited_condition_file(tmp_path, argv[-1])]
+        argv = argv[:-1] + [edited_input_file(tmp_path, argv[0], argv[-1])]
     if argv[0] in ("absorb", "extend", "seal"):
         argv = argv + [cond_file]
     if argv[-1] == "--path":

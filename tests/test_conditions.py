@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ascentlab.foundations import FULL_SET, OMEGA_NAT, Ordinal, ZERO, finite_set
 from ascentlab.ascent import supp
@@ -8,7 +9,7 @@ from ascentlab.conditions import (
     Condition, InvalidBeta, S_F, S_THETA, S_X, WrongVariant, check_condition,
     eta_nu, leq_s, make_bad_extension, one_step_extension, root_condition,
 )
-from ascentlab.nodes import delta, node
+from ascentlab.nodes import delta, mk_entry, node
 from ascentlab.trees import SymTree
 
 
@@ -151,3 +152,74 @@ def test_tower_exclusivity_walks_linear_coordinates(monkeypatch):
     monkeypatch.setattr(ascent, "_value_pieces", counting)
     assert check_condition(cond, S_X).ok
     assert calls <= 4 * k
+
+
+# -- one-step failures ----------------------------------------------------------
+
+def residue_level(level, step: int, perm):
+    """A one-cell level over all indices split into its residue classes mod
+    step, class r carrying the nodes of class perm[r]."""
+    from ascentlab.ascent import AP, AscentLevel, Cell
+    (cell,) = level.cells
+    assert cell.ap == AP(0, 1) and not level.exceptions
+    return AscentLevel.make(level.height, [Cell(AP(r, step), cell.template.reindex(step, perm[r]))
+                                           for r in range(step)], {})
+
+
+def test_one_step_with_rejects_colliding_append():
+    """Two exclusive cells given the same appended ramp collide at indices
+    0 and 1 of the new coordinate."""
+    from ascentlab.ascent import AppendScheme, me_family
+    from ascentlab.conditions import one_step_with
+    from ascentlab.nodes import mk_entry
+    c = tower(2)
+    below = residue_level(c.top, 2, [0, 1])
+    assert me_family(below).ok
+    with pytest.raises(ValueError, match="non-exclusive family"):
+        one_step_with(c, below, AppendScheme((mk_entry(2, 0), mk_entry(2, 0)), {}))
+
+
+def test_one_step_with_rejects_lost_comparability():
+    """Swapping the residue classes 0 and 2 mod 4 keeps the family exclusive
+    but leaves the support from the previous top the odd indices, outside
+    the filter generated by X."""
+    from ascentlab.ascent import me_family, standard_append
+    from ascentlab.conditions import one_step_with
+    c = tower(2)
+    below = residue_level(c.top, 4, [2, 1, 0, 3])
+    assert me_family(below.append_entries(standard_append(below))).ok
+    with pytest.raises(ValueError, match="lost comparability"):
+        one_step_with(c, below, standard_append(below))
+
+
+@st.composite
+def appended_levels(draw):
+    """A random tower's top split into residue classes in a random order,
+    some indices held as exceptions, then one appended entry per cell and
+    one label per exception: each one the parity-coded standard label (exclusive on
+    its own), a random ramp or a constant."""
+    from ascentlab.ascent import AppendScheme, AscentLevel, standard_append
+    from ascentlab.fixtures import random_tower
+    cond = random_tower(random.Random(draw(st.integers(0, 10**6))), max_height=5)
+    step = draw(st.sampled_from([1, 2, 3, 4]))
+    split = residue_level(cond.top, step, draw(st.permutations(range(step))))
+    patched = draw(st.sets(st.integers(0, 11), max_size=2))
+    below = AscentLevel.make(split.height, split.cells, {k: split.at(k) for k in patched})
+    std = standard_append(below, shift=draw(st.integers(0, 2)))
+    ramps = st.builds(mk_entry, st.integers(1, 3), st.integers(0, 5))
+    scheme = AppendScheme(
+        tuple(draw(st.one_of(st.just(e), ramps, st.integers(0, 5))) for e in std.cell_entries),
+        {k: draw(st.one_of(st.just(v), st.integers(0, 5))) for k, v in std.exception_labels.items()})
+    return cond.x, below.append_entries(scheme)
+
+
+@settings(max_examples=400, deadline=None)
+@given(appended_levels())
+def test_exclusive_append_passes_append_fibers(case):
+    """`extend_with_top` checks only me_family: an exclusive level has no
+    constant appended label on a cell, so clause C4's appended-coordinate
+    check passes whenever me_family does."""
+    from ascentlab.ascent import me_family
+    from ascentlab.conditions import _append_fibers_ok
+    x, level = case
+    assert not me_family(level).ok or _append_fibers_ok(level, x)[0]

@@ -108,15 +108,15 @@ def test_seal_transposition_inside_x0():
 
 def test_forged_hit_rejected():
     from ascentlab.ascent import AscentLevel, standard_append
-    from ascentlab.conditions import one_step_with
+    from ascentlab.conditions import extend_with_top, one_step_with
     c = tower(2)
     tri = identity_triple(c)
     # the identity triple's intermediate step is a plain one-step
-    mid = one_step_with(c, c.top, standard_append(c.top), verify=True)
+    mid = one_step_with(c, c.top, standard_append(c.top))
     # reroute two filter coordinates: the guarantee support misses X_1
     top = mid.top
     swapped = AscentLevel.make(mid.eta, top.cells, {4: top.at(8), 8: top.at(4)})
-    forged_cond = one_step_with(mid, swapped, standard_append(swapped), verify=False)
+    forged_cond = extend_with_top(mid, swapped.append_entries(standard_append(swapped)), False)
     with pytest.raises(OracleMismatch):
         seal_step(c, tri, 1, OracleHit(forged_cond, forged_cond.eta))
 
