@@ -29,8 +29,7 @@ from .conditions import (
 )
 from .amalgam import ChainDescriptor, ChainMember, ChainTail, ZMap, amalgamate
 from .aposet import (
-    APoint, PathDescriptor, THETA, check_antichain, derive_branches, is_bad,
-    leq_a,
+    PathDescriptor, THETA, check_antichain, derive_branches, is_bad, leq_a,
 )
 from .game import (
     OpponentPolicy, Transcript, check_run_invariants, onestep_opponent,

@@ -218,11 +218,12 @@ class ChainDescriptor:
     delta: Ordinal
     closed_delta: bool = False
 
-    def sample_members(self, extra: int = 2) -> list[ChainMember]:
+    def sample_members(self) -> list[ChainMember]:
+        """The explicit members, then two members generated by the tail."""
         out = list(self.members)
         if self.tail is not None:
             cur = out[-1]
-            for _ in range(extra):
+            for _ in range(2):
                 cur = self.tail.next_member(cur)
                 out.append(cur)
         return out

@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .foundations import FULL_SET, Ordinal, UPSet, XSequence, DEFAULT_X
+from .foundations import FULL_SET, Ordinal, UPSet
 from .ascent import AscentLevel, MEReport, me_family, supp
 from .nodes import SymNode, delta
 from .conditions import Condition, TailRule
 
 THETA = "theta"
 Variant = Union[str, int]  # THETA or the filter index xi
+WITNESS_PAIR = (0, 1)  # the two indices whose split marks a bad height
 
 
 class Unrepresented(ValueError):
@@ -32,15 +33,6 @@ class NotLinked(ValueError):
 
 class IncoherentIndex(ValueError):
     """No well-defined branch at this family index."""
-
-
-@dataclass(frozen=True, slots=True)
-class APoint:
-    """An element of the lottery sum: a height tagged by the comparison
-    variant (None stands for the full-support order)."""
-
-    xi: Optional[int]
-    alpha: Ordinal
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,11 +73,10 @@ class PathDescriptor:
         return sorted(set(out))
 
 
-def leq_a(path: PathDescriptor, variant: Variant, alpha: Ordinal, beta: Ordinal,
-          x: XSequence = DEFAULT_X) -> bool:
+def leq_a(path: PathDescriptor, variant: Variant, alpha: Ordinal, beta: Ordinal) -> bool:
     """beta lies below alpha in the derived order: the heights are ordered
     and the supports of their ascent levels are comparable everywhere (the
-    full-support order) or on the chosen filter set."""
+    full-support order) or on the chosen set of the path's X-sequence."""
     for h in (alpha, beta):
         if not path.represented(h):
             raise Unrepresented(f"height {h} not on the path")
@@ -94,10 +85,10 @@ def leq_a(path: PathDescriptor, variant: Variant, alpha: Ordinal, beta: Ordinal,
     s = supp(path.level_at(alpha), path.level_at(beta))
     if variant == THETA:
         return s == FULL_SET
-    return x.entry(int(variant)).is_subset(s)
+    return path.base.x.entry(int(variant)).is_subset(s)
 
 
-def is_bad(path: PathDescriptor, beta: Ordinal, pair: tuple[int, int] = (0, 1)) -> bool:
+def is_bad(path: PathDescriptor, beta: Ordinal) -> bool:
     """beta = alpha+1 whose level splits the witness pair exactly at alpha."""
     if not path.represented(beta):
         raise Unrepresented(f"height {beta} not on the path")
@@ -105,7 +96,7 @@ def is_bad(path: PathDescriptor, beta: Ordinal, pair: tuple[int, int] = (0, 1)) 
         return False
     alpha = beta.pred()
     lvl = path.level_at(beta)
-    return delta(lvl.at(pair[0]), lvl.at(pair[1])) == alpha
+    return delta(lvl.at(WITNESS_PAIR[0]), lvl.at(WITNESS_PAIR[1])) == alpha
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,9 +119,7 @@ class AntichainReport:
 
 
 def check_antichain(path: PathDescriptor, variant: Variant,
-                    points, search_bound: Ordinal,
-                    pair: tuple[int, int] = (0, 1),
-                    x: XSequence = DEFAULT_X) -> AntichainReport:
+                    points, search_bound: Ordinal) -> AntichainReport:
     """Pairwise compatibility verdicts: an exhaustive bounded search for a
     common lower bound, upgraded to a structural certificate whenever the
     split-transport argument applies.
@@ -153,9 +142,9 @@ def check_antichain(path: PathDescriptor, variant: Variant,
         height h is bad, else None; computed on the first call for h."""
         if h not in split:
             out = None
-            if is_bad(path, h, pair):
+            if is_bad(path, h):
                 lvl, alpha = path.level_at(h), h.pred()
-                u, v = lvl.at(pair[0]), lvl.at(pair[1])
+                u, v = lvl.at(WITNESS_PAIR[0]), lvl.at(WITNESS_PAIR[1])
                 out = (u, v, u.eval_at(alpha) != v.eval_at(alpha))
             split[h] = out
         return split[h]
@@ -174,8 +163,8 @@ def check_antichain(path: PathDescriptor, variant: Variant,
             witness = None
             if not cert:
                 for gamma in candidates:
-                    if gamma >= b and leq_a(path, variant, a, gamma, x) \
-                            and leq_a(path, variant, b, gamma, x):
+                    if gamma >= b and leq_a(path, variant, a, gamma) \
+                            and leq_a(path, variant, b, gamma):
                         witness = gamma
                         break
             compatible = witness is not None
@@ -203,11 +192,11 @@ class BranchFamily:
         return me_family(self.level)
 
 
-def derive_branches(path: PathDescriptor, heights, xi: int,
-                    x: XSequence = DEFAULT_X) -> BranchFamily:
+def derive_branches(path: PathDescriptor, heights, xi: int) -> BranchFamily:
     """Unions b_n of the ascent values along the given heights (or the whole
-    path when heights == "all"); requires the heights pairwise linked at xi
-    and cofinal, and returns the family over the coherent index set."""
+    path when heights == "all"); requires the heights pairwise linked at the
+    path's X_xi and cofinal, and returns the family over the coherent index
+    set."""
     if heights == "all":
         hs = path.heights()
         cofinal = True  # probe heights reach the top; a tail is cofinal itself
@@ -220,7 +209,7 @@ def derive_branches(path: PathDescriptor, heights, xi: int,
         cofinal = path.rule is None and bool(hs) and hs[-1] == path.base.eta
     if not cofinal:
         raise NotLinked("height set is not cofinal in the path")
-    xset = x.entry(xi)
+    xset = path.base.x.entry(xi)
     coherent = FULL_SET
     for a, b in zip(hs, hs[1:]):
         s = supp(path.level_at(a), path.level_at(b))

@@ -97,10 +97,7 @@ def cmd_validate(args) -> int:
 def cmd_extend(args) -> int:
     cond = _load_condition(args.condition, args.x_sequence)
     beta = parse_ordinal(args.beta)
-    if args.nu != "omega" and not re.fullmatch(r"\d+", args.nu):
-        raise InputError(f"bad --nu {args.nu!r}; use a natural or omega")
-    nu = OMEGA_NAT if args.nu == "omega" else int(args.nu)
-    out = one_step_extension(cond, beta, nu, label_base=args.label_base)
+    out = one_step_extension(cond, beta, label_base=args.label_base)
     _write(args.out, sz.enc_condition(out))
     valid = check_condition(out).ok
     report = {
@@ -172,7 +169,7 @@ def cmd_demo_bad(args) -> int:
     report = {
         "command": "demo-bad-antichain",
         "bad_heights": [fmt_ordinal(b) for b in bads],
-        "badness_witnessed": all(is_bad(path, b, (0, 1)) for b in bads),
+        "badness_witnessed": all(is_bad(path, b) for b in bads),
         "pairwise_incompatible": f"{incompatible}/{len(rep.pairs)}",
         "certificates": [
             {"a": fmt_ordinal(p.a), "b": fmt_ordinal(p.b), "certificate": p.certificate}
@@ -262,13 +259,12 @@ def cmd_derive_branches(args) -> int:
     path = _load_path(args)
     fam = derive_branches(path, "all", args.xi)
     me = fam.me_report()
-    samples = {}
-    for n in path.base.x.x0.members(12):
-        samples[str(n)] = sz.enc_node(fam.branch(n))
+    x0 = path.base.x.x0
+    samples = {str(n): sz.enc_node(fam.branch(n)) for n in x0.intersect(fam.coherent).members(12)}
     report = {
         "command": "derive-branches",
         "height": fmt_ordinal(fam.height),
-        "coherent_head_set": path.base.x.x0.is_subset(fam.coherent),
+        "coherent_head_set": x0.is_subset(fam.coherent),
         "mutually_exclusive": me.ok,
         "branches": samples,
     }
@@ -294,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="one-step extension")
     p.add_argument("--beta", required=True, help="graft height, e.g. 2 or w1n0")
-    p.add_argument("--nu", default="0", help="requested top size (a natural or omega)")
     p.add_argument("--label-base", type=int, default=0)
     common(p)
     p.set_defaults(fn=cmd_extend)

@@ -174,20 +174,9 @@ def check_condition(cond: Condition, variant: Optional[str] = None) -> Condition
                 c2 = False
                 bad.append(f"clause C2 (ascent-path): level {alpha} not mutually exclusive: {rep.detail}")
     # tail levels are pure appends of each other by construction, so the
-    # pairwise checks at the sampled cycle extend to the whole tail; what
-    # needs checking is that the tail base joins the explicit prefix; when
-    # the two are adjacent probe levels, their support is already in `adjacent`
-    by_pair = {(id(f), id(g)): s for f, g, s in zip(levels, levels[1:], adjacent)}
-    for w, rule in cond.path.tails:
-        prev = Ordinal(w, rule.start - 1) if rule.start else None
-        if prev is not None and cond.path.has(prev) and prev <= cond.eta:
-            below = cond.path.level_at(prev)
-            s = by_pair.get((id(below), id(rule.base)))
-            if s is None:
-                s = supp(below, rule.base)
-            if not _supp_ok(variant, s, x):
-                c2 = False
-                bad.append(f"clause C2 (ascent-path): tail base for block {w} breaks the chain")
+    # pairwise checks at the sampled cycle extend to the whole tail; the join
+    # of a tail base (height start, when <= eta) to the explicit level below
+    # it is an adjacent probe pair, checked above
     clauses["C2"] = c2
 
     if variant in (S_THETA, S_F):
@@ -245,11 +234,14 @@ def check_condition(cond: Condition, variant: Optional[str] = None) -> Condition
 
 
 def leq_s(lower: Condition, upper: Condition) -> bool:
-    """lower extends upper: end-extension on both coordinates."""
+    """lower extends upper: end-extension on both coordinates. Conditions of
+    another variant or over another X-sequence lie in another poset."""
     if lower.variant != upper.variant:
         raise WrongVariant("conditions come from different posets")
     if lower.tree is upper.tree and lower.path is upper.path:
         return True
+    if lower.x != upper.x:
+        raise WrongVariant("conditions come from posets over different X-sequences")
     if lower.tree.height < upper.tree.height:
         return False
     eta = upper.eta

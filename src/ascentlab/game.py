@@ -43,6 +43,7 @@ class StateCorrupt(ValueError):
 
 
 EXPLICIT_STAGES = 7  # stages 0..6 are played concretely before a limit jump
+Z_OFFSET = 9  # shifts II's auxiliary labels away from the opponent's
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +75,6 @@ class GameState:
     x: XSequence = DEFAULT_X
     moves: list[Move] = field(default_factory=list)
     opp_base: int = 0               # the uniform opponent label scheme
-    z_offset: int = 9
 
     @property
     def next_stage(self) -> Ordinal:
@@ -142,13 +142,13 @@ def strategy_ii_move(state: GameState, stage: Optional[Ordinal] = None) -> Move:
     prev = state.at_stage(stage.pred())
     if stage == Ordinal(0, 2):
         cond = one_step_extension(prev.cond, prev.cond.eta)
-        z = _fresh_z(cond, stage, state.mu, state.z_offset)
+        z = _fresh_z(cond, stage, state.mu, Z_OFFSET)
     else:
         alpha = state.at_stage(Ordinal(stage.w, stage.n - 2))
         cond = one_step_extension(prev.cond, alpha.cond.eta)
         if alpha.z is None:
             raise StateCorrupt(f"stage {alpha.stage} lacks its auxiliary family")
-        z = _z_graft_step(alpha.z, stage, cond, state.z_offset)
+        z = _z_graft_step(alpha.z, stage, cond, Z_OFFSET)
     return Move(stage, "II", cond, z, check_z_bullets(stage, cond, z, state.mu, False))
 
 
@@ -211,13 +211,14 @@ def misbehaving_opponent(bad_stage: Ordinal) -> OpponentPolicy:
     return OpponentPolicy(f"illegal@{bad_stage}", go)
 
 
-def _legal(prev: Condition, new: Condition, xi: int, x: XSequence) -> bool:
-    """Move legality: a strict extension in the triple order. Stalling moves
-    are rejected as a game convention, since runs of limit length need the
-    heights to climb."""
-    if new.variant != S_X or not leq_s(new, prev) or not (new.eta > prev.eta):
+def _legal(prev: Condition, new: Condition, xi: int) -> bool:
+    """Move legality: a strict extension in the triple order over the run's
+    X-sequence. Stalling moves are rejected as a game convention, since runs
+    of limit length need the heights to climb."""
+    if new.variant != S_X or new.x != prev.x or not leq_s(new, prev) \
+            or not (new.eta > prev.eta):
         return False
-    return x.entry(xi).is_subset(supp(prev.top, new.top))
+    return prev.x.entry(xi).is_subset(supp(prev.top, new.top))
 
 
 def play_game(mu: Ordinal, opponent: OpponentPolicy, xi: int,
@@ -244,7 +245,7 @@ def play_game(mu: Ordinal, opponent: OpponentPolicy, xi: int,
                 stage = Ordinal(stage.w + 1, 0)
                 continue
             cand = opponent.explicit(prev, stage, rng)
-            if not _legal(prev, cand, xi, x):
+            if not _legal(prev, cand, xi):
                 return Transcript(mu, xi, tuple(state.moves), "illegal_opponent",
                                   stage, tuple(notes))
             state.moves.append(Move(stage, "I", cand))
@@ -273,14 +274,18 @@ def _chain_holds(moves, tops, xxi) -> bool:
     return all(supp(fa, fb) == FULL_SET for fa, fb in zip(even_tops, even_tops[1:]))
 
 
-def check_run_invariants(t: Transcript, x: XSequence = DEFAULT_X) -> InvariantReport:
+def check_run_invariants(t: Transcript) -> InvariantReport:
     """Re-verify the three strategy requirements over the whole transcript:
     filter support between all stages, the auxiliary-branch requirements at
     even stages, full support and branch coherence between even stages.
+    The filter set is X_xi of the run's X-sequence, read from its first
+    condition; leq_s raises WrongVariant on a move from another poset.
     All pairs of moves are enumerated only when the consecutive ones fail."""
-    fails: list[str] = []
     moves = t.moves
-    xxi = x.entry(t.xi)
+    if not moves:
+        return InvariantReport(True)
+    fails: list[str] = []
+    xxi = moves[0].cond.x.entry(t.xi)
     tops = [mv.cond.top for mv in moves]
     if not _chain_holds(moves, tops, xxi):
         for i, a in enumerate(moves):

@@ -80,15 +80,13 @@ def identity_triple(cond: Condition) -> SealTriple:
     return SealTriple(cond.top, EMPTY_SET, PiecewiseMap((), ()))
 
 
-def transposition_triple(cond: Condition, a: int, b: int,
-                         fresh: Optional[int] = None) -> SealTriple:
+def transposition_triple(cond: Condition, a: int, b: int) -> SealTriple:
     """Swap two coordinates modulo bounded difference: x_a is the b-node with
     a fresh label at coordinate 0, and vice versa."""
     if cond.eta < Ordinal(0, 2):
         raise SealTripleInvalid("transposition triples need height at least 2")
     top = cond.top
-    if fresh is None:
-        fresh = 2 * max(a, b) + 101
+    fresh = 2 * max(a, b) + 101
     x_a = node_patch(top.at(b), {ZERO: fresh})
     x_b = node_patch(top.at(a), {ZERO: fresh + 2})
     fam = AscentLevel.make(cond.eta, top.cells, dict(top.exceptions) | {a: x_a, b: x_b})

@@ -67,8 +67,9 @@ def _nat_pair(p: Any, where: str) -> tuple[int, int]:
 def enc_ordinal(o: Ordinal) -> dict:
     return {"w": o.w, "n": o.n}
 
-def dec_ordinal(d: Any) -> Ordinal:
-    return Ordinal(_int_field(d, "w", "ordinal", 0), _int_field(d, "n", "ordinal", 0))
+def dec_ordinal(d: Any, where: str = "ordinal") -> Ordinal:
+    _object(d, where)
+    return Ordinal(_int_field(d, "w", where, 0), _int_field(d, "n", where, 0))
 
 
 def enc_upset(u: UPSet) -> dict:
@@ -259,10 +260,17 @@ def enc_zmap(z: ZMap) -> dict:
             "cells": [{"block": w, "cell": enc_cell(c)} for w, c in z.cells],
             "entries": [{"key": enc_ordinal(k), "node": enc_node(v)} for k, v in z.entries]}
 
-def dec_zmap(d: Any) -> ZMap:
-    return ZMap.make(dec_ordinal(d["lo"]), dec_ordinal(d["hi"]), bool(d["closed_hi"]),
-                     tuple((int(e["block"]), dec_cell(e["cell"])) for e in d.get("cells", ())),
-                     {dec_ordinal(e["key"]): dec_node(e["node"]) for e in d.get("entries", ())})
+def dec_zmap(d: Any, where: str = "z") -> ZMap:
+    lo, hi = (dec_ordinal(_object(d, where).get(k), f"{where}.{k}") for k in ("lo", "hi"))
+    closed_hi = d.get("closed_hi")
+    _expect(type(closed_hi) is bool, f"{where}.closed_hi: expected a bool, got {closed_hi!r}")
+    cells = [(_int_field(e, "block", f"{where}.cells[{i}]", 0),
+              dec_cell(e.get("cell"), f"{where}.cells[{i}].cell"))
+             for i, e in enumerate(_objects(d, "cells", where))]
+    entries = {dec_ordinal(e.get("key"), f"{where}.entries[{i}].key"):
+               dec_node(e.get("node"), where=f"{where}.entries[{i}].node")
+               for i, e in enumerate(_objects(d, "entries", where))}
+    return ZMap.make(lo, hi, closed_hi, cells, entries)
 
 
 def enc_chain_tail(t: ChainTail) -> dict:
@@ -296,8 +304,10 @@ def enc_chain(ch: ChainDescriptor) -> dict:
 def dec_chain(d: Any) -> ChainDescriptor:
     _expect(_object(d, "chain").get("format") == FORMAT, "unknown chain format")
     return ChainDescriptor(
-        tuple(ChainMember(dec_ordinal(m["beta"]), dec_condition(m["condition"]),
-                          dec_zmap(m["z"])) for m in _objects(d, "members", "chain")),
+        tuple(ChainMember(dec_ordinal(m.get("beta"), f"chain.members[{i}].beta"),
+                          dec_condition(m.get("condition")),
+                          dec_zmap(m.get("z"), f"chain.members[{i}].z"))
+              for i, m in enumerate(_objects(d, "members", "chain"))),
         dec_chain_tail(d["tail"]) if d.get("tail") else None,
         dec_ordinal(d["gamma"]), dec_ordinal(d["delta"]), bool(d.get("closed_delta", False)))
 

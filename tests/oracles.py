@@ -206,19 +206,17 @@ def preimage_classify(y: UPSet, x: XSequence) -> tuple[str, int | None]:
     return "neither", None
 
 
-def per_pair_antichain(path, variant, points, search_bound: Ordinal,
-                       pair: tuple[int, int] = (0, 1), x: XSequence | None = None):
+def per_pair_antichain(path, variant, points, search_bound: Ordinal):
     """check_antichain's verdicts with the transport certificate worked out
     from scratch for every pair: both heights' badness and both levels'
-    values at the pair, each read again per pair."""
-    from ascentlab.aposet import THETA, PairVerdict, is_bad, leq_a
-    from ascentlab.foundations import DEFAULT_X
-    x = x or DEFAULT_X
+    values at the witness pair, each read again per pair; the order reads
+    the path's own X-sequence."""
+    from ascentlab.aposet import THETA, WITNESS_PAIR as pair, PairVerdict, is_bad, leq_a
 
     def certificate(a, b):
         if not (a.is_successor and b.is_successor):
             return None
-        if not (is_bad(path, a, pair) and is_bad(path, b, pair)):
+        if not (is_bad(path, a) and is_bad(path, b)):
             return None
         alpha = a.pred()
         lb = path.level_at(b)
@@ -239,8 +237,8 @@ def per_pair_antichain(path, variant, points, search_bound: Ordinal,
             witness = None
             if not cert:
                 witness = next((g for g in candidates if g >= b
-                                and leq_a(path, variant, a, g, x)
-                                and leq_a(path, variant, b, g, x)), None)
+                                and leq_a(path, variant, a, g)
+                                and leq_a(path, variant, b, g)), None)
             if witness is None and not cert:
                 cert = f"no common lower bound at heights <= {search_bound}"
             out.append(PairVerdict(a, b, witness is not None, witness, cert))

@@ -210,7 +210,7 @@ def test_criterion_06_bad_antichain():
     path = PathDescriptor(conds[-1])
     assert len(bads) == 50
     for b in bads:
-        assert is_bad(path, b, (0, 1))
+        assert is_bad(path, b)
     rep = check_antichain(path, THETA, bads, path.base.eta)
     assert rep.all_incompatible
     certified = 0

@@ -1,6 +1,6 @@
 import pytest
 
-from ascentlab.foundations import FULL_SET, OMEGA, Ordinal, ZERO
+from ascentlab.foundations import DEFAULT_X, EVENS, FULL_SET, OMEGA, Ordinal, XSequence, ZERO, multiples
 from ascentlab.aposet import (
     THETA, AntichainReport, IncoherentIndex, NotLinked, PathDescriptor,
     Unrepresented, check_antichain, derive_branches, is_bad, leq_a,
@@ -57,21 +57,21 @@ def test_leq_a_transitive_on_fixture():
 
 def test_is_bad_after_bad_extension():
     p, bads = bad_demo_path(1, pad=0)
-    assert is_bad(p, bads[0], (0, 1))
+    assert is_bad(p, bads[0])
 
 
 def test_uniform_path_not_bad():
     # the families split already at coordinate 0, so no height above 1 is bad
     p = uniform_path(4)
     for n in (2, 3, 4):
-        assert not is_bad(p, Ordinal(0, n), (0, 1))
+        assert not is_bad(p, Ordinal(0, n))
 
 
 def test_limit_not_bad():
     p = uniform_path(3)
     with pytest.raises(Unrepresented):
-        is_bad(p, OMEGA, (0, 1))  # limit heights are off the finite path
-    assert not is_bad(PathDescriptor(tower(2)), ZERO, (0, 1))
+        is_bad(p, OMEGA)  # limit heights are off the finite path
+    assert not is_bad(PathDescriptor(tower(2)), ZERO)
 
 
 # -- antichain experiments -------------------------------------------------------
@@ -196,3 +196,43 @@ def test_leq_a_monotone_in_xi():
         assert held
         for higher in range(xi, 3):
             assert leq_a(p, higher, Ordinal(0, 1), Ordinal(0, 4))
+
+
+# -- the path's own X-sequence ------------------------------------------------------
+
+OTHER_X = XSequence(multiples(3), 6)
+
+
+def off_evens_path(x: XSequence) -> PathDescriptor:
+    """tower(4) over x whose level 4 is the constant node 7 on the odds:
+    levels 3 and 4 agree exactly on the evens, which hold DEFAULT_X's X_0
+    but not OTHER_X's (the multiples of 3)."""
+    from ascentlab.ascent import AP, Cell, fill_level
+    from ascentlab.conditions import Condition
+    c = tower(4, x=x)
+    h = Ordinal(0, 4)
+    lvl = fill_level(h, [Cell(AP(1, 2), const_node(7, h))], [], c.level(h))
+    return PathDescriptor(Condition(c.tree, c.path.with_level(h, lvl), c.variant, x))
+
+
+def test_leq_a_reads_the_path_x():
+    a, b = Ordinal(0, 3), Ordinal(0, 4)
+    assert leq_a(off_evens_path(DEFAULT_X), 0, a, b)
+    assert not leq_a(off_evens_path(OTHER_X), 0, a, b)
+
+
+def test_derive_branches_reads_the_path_x():
+    assert derive_branches(off_evens_path(DEFAULT_X), "all", 0).coherent == EVENS
+    with pytest.raises(NotLinked, match="heights 3,4 not linked at index 0"):
+        derive_branches(off_evens_path(OTHER_X), "all", 0)
+
+
+@pytest.mark.parametrize("x, linked", [(DEFAULT_X, True), (OTHER_X, False)],
+                         ids=["default-x", "other-x"])
+def test_antichain_matches_per_pair_computation_over_the_path_x(x, linked):
+    p = off_evens_path(x)
+    pts = [Ordinal(0, k) for k in range(5)]
+    rep = check_antichain(p, 0, pts, p.base.eta)
+    assert list(rep.pairs) == per_pair_antichain(p, 0, pts, p.base.eta)
+    top_pair = next(v for v in rep.pairs if (v.a, v.b) == (Ordinal(0, 3), Ordinal(0, 4)))
+    assert top_pair.compatible is linked

@@ -22,7 +22,7 @@ from ascentlab.ascent import (
 )
 from ascentlab.conditions import S_THETA, S_X, VARIANTS, Condition, check_condition
 from ascentlab.fixtures import bad_path_conditions, random_tower
-from ascentlab.foundations import DEFAULT_X, Ordinal, UPSet
+from ascentlab.foundations import DEFAULT_X, Ordinal, UPSet, XSequence, multiples
 from ascentlab.game import check_run_invariants, play_game, random_opponent
 from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, mk_entry
 from oracles import (
@@ -34,10 +34,9 @@ PROPERTY = settings(max_examples=30, deadline=None)
 
 # -- C2: check_condition ------------------------------------------------------
 
-def corrupt_level(cond: Condition, k: int, keep: UPSet) -> Condition:
-    """Level k replaced, off the index set `keep`, by a constant odd label
+def corrupt_level(cond: Condition, h: Ordinal, keep: UPSet) -> Condition:
+    """Level h replaced, off the index set `keep`, by a constant odd label
     that no standard (even) ascent label matches."""
-    h = Ordinal(0, k)
     cells, exc = restrict_level_domain(cond.level(h), keep)
     bad = fill_level(h, cells, exc, constant_level(h, const_node(7, h)))
     return Condition(cond.tree, cond.path.with_level(h, bad), cond.variant, cond.x)
@@ -50,7 +49,7 @@ def towers(draw):
         k = draw(st.integers(1, cond.eta.n))
         step = draw(st.sampled_from([1, 2, 4]))
         residues = draw(st.frozensets(st.integers(0, step - 1), max_size=step - 1))
-        cond = corrupt_level(cond, k, UPSet.make(0, step, residues, frozenset()))
+        cond = corrupt_level(cond, Ordinal(0, k), UPSet.make(0, step, residues, frozenset()))
     return cond
 
 
@@ -69,7 +68,7 @@ def test_check_condition_matches_all_pairs(cond):
 
 
 def test_corrupted_level_fails_adjacent_pair():
-    cond = corrupt_level(random_tower(random.Random(3), max_height=6), 2,
+    cond = corrupt_level(random_tower(random.Random(3), max_height=6), Ordinal(0, 2),
                          UPSet.make(0, 2, frozenset({1}), frozenset()))
     rep = check_condition(cond, "stheta")
     assert not rep.clause("C2")
@@ -179,21 +178,34 @@ def test_restrict_matches_make(case):
 
 # -- game run invariants ----------------------------------------------------------
 
+OTHER_X = XSequence(multiples(3), 6)
+
+
 @st.composite
-def transcripts(draw):
+def transcripts(draw, x: XSequence = DEFAULT_X):
     mu = draw(st.sampled_from([Ordinal(0, 8), Ordinal(0, 14), Ordinal(1, 4)]))
-    t = play_game(mu, random_opponent(draw(st.integers(0, 10**6))), draw(st.integers(0, 2)))
-    corruption = draw(st.sampled_from(["none", "stale", "swap"]))
+    t = play_game(mu, random_opponent(draw(st.integers(0, 10**6))), draw(st.integers(0, 2)), x)
+    corruption = draw(st.sampled_from(["none", "stale", "swap", "retop"]))
     moves = list(t.moves)
     i = draw(st.integers(2, len(moves) - 1))
     if corruption == "stale":      # a move repeats an earlier condition
         moves[i] = dataclasses.replace(moves[i], cond=moves[i - 2].cond)
     elif corruption == "swap":     # two consecutive moves out of order
         moves[i - 1], moves[i] = moves[i], moves[i - 1]
+    elif corruption == "retop":    # a top level that keeps only the multiples of 4,
+        cond = moves[i].cond       # which hold DEFAULT_X's X_1 but not OTHER_X's
+        moves[i] = dataclasses.replace(moves[i], cond=corrupt_level(cond, cond.eta, multiples(4)))
     return dataclasses.replace(t, moves=tuple(moves))
 
 
 @settings(max_examples=20, deadline=None)
 @given(transcripts())
 def test_run_invariants_match_all_pairs(t):
-    assert check_run_invariants(t, DEFAULT_X) == all_pairs_run_invariants(t, DEFAULT_X)
+    assert check_run_invariants(t) == all_pairs_run_invariants(t, DEFAULT_X)
+
+
+@settings(max_examples=20, deadline=None)
+@given(transcripts(OTHER_X))
+def test_run_invariants_match_all_pairs_over_the_run_x(t):
+    """Runs played over another X-sequence are checked against its sets."""
+    assert check_run_invariants(t) == all_pairs_run_invariants(t, OTHER_X)

@@ -143,8 +143,8 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["extend", "--beta", "1", "--nu", "abc"], "abc"),
-    (["extend", "--beta", "1", "--nu", "-3"], "-3"),
+    (["extend", "--beta", "1", "--nu", "abc"], "unrecognized arguments: --nu"),
+    (["extend", "--beta", "1", "--nu", "-3"], "unrecognized arguments: --nu"),
     (["absorb", "--node", '["x"]'], '["x"]'),
     (["absorb", "--node", "[1,2,3,4,5,6]"], "not in the tree"),
     (["demo-bad-antichain", "--count", "0"], "--count must be at least 2"),
@@ -185,6 +185,17 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
     (["amalgamate", set_at(("members",), 3)], "chain.members: expected a list, got 3"),
     (["amalgamate", set_at(("tail", "z_tokens"), [["bogus"]])],
      "chain.tail.z_tokens[0]: expected [\"last\"] or [\"const\", int], got ['bogus']"),
+    (["amalgamate", set_at(("members", 0, "z"), 5)], "chain.members[0].z: expected an object, got 5"),
+    (["amalgamate", set_at(("members", 0, "z", "closed_hi"), 1)],
+     "chain.members[0].z.closed_hi: expected a bool, got 1"),
+    (["amalgamate", set_at(("members", 0, "z", "cells"), [5])],
+     "chain.members[0].z.cells[0]: expected an object, got 5"),
+    (["amalgamate", set_at(("members", 0, "z", "entries"), {})],
+     "chain.members[0].z.entries: expected a list, got {}"),
+    (["amalgamate", set_at(("members", 0, "z", "lo"), None)],
+     "chain.members[0].z.lo: expected an object, got None"),
+    (["amalgamate", set_at(("members", 0, "beta"), 3)], "chain.members[0].beta: expected an object, got 3"),
+    (["amalgamate", set_at(("members", 0, "condition"), [])], "unknown condition format"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
         "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
         "derive-branches-not-linked", "surgery-not-linked",
@@ -195,7 +206,10 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
         "validate-tree-explicit-not-list", "validate-level-not-object",
         "validate-blocks-not-list", "validate-const-not-int", "validate-ramp-slope-0",
         "validate-tail-empty", "validate-x-not-object", "amalgamate-cell-entries-not-list",
-        "amalgamate-members-not-list", "amalgamate-z-token-unknown"])
+        "amalgamate-members-not-list", "amalgamate-z-token-unknown", "amalgamate-z-not-object",
+        "amalgamate-z-closed-hi-not-bool", "amalgamate-z-cell-not-object",
+        "amalgamate-z-entries-not-list", "amalgamate-z-lo-null", "amalgamate-beta-not-object",
+        "amalgamate-condition-not-object"])
 def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     if isinstance(argv[-1], tuple):
         argv = argv[:-1] + [bad_triple_file(tmp_path, *argv[-1])]
@@ -205,6 +219,14 @@ def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
         argv = argv + [cond_file]
     if argv[-1] == "--path":
         argv = argv + [unlinked_path_file(tmp_path)]
+    if error.startswith("unrecognized arguments"):
+        # extend has no --nu (the one-step never reads a top size): argparse
+        # itself exits 2 and reports on stderr
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert error in capsys.readouterr().err
+        return
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 2
@@ -281,6 +303,45 @@ def test_surgery_and_branches_cli(tmp_path, capsys):
     assert rep["vanishing"] == ["w1n0"]
     code, rep = run_cli(["derive-branches", "--path", str(p), "--xi", "0"], capsys)
     assert code == 0 and rep["mutually_exclusive"]
+
+
+def level_4_replaced(cond, starts, step, tmp_path) -> str:
+    """A path file over `cond` (height 4) whose level 4 is the constant node
+    7 on the progressions start + step*k for the given starts."""
+    from ascentlab.aposet import PathDescriptor
+    from ascentlab.ascent import AP, Cell, fill_level
+    from ascentlab.conditions import Condition
+    from ascentlab.nodes import const_node
+    h = Ordinal(0, 4)
+    lvl = cond.level(h)
+    for start in starts:
+        lvl = fill_level(h, [Cell(AP(start, step), const_node(7, h))], [], lvl)
+    path = PathDescriptor(Condition(cond.tree, cond.path.with_level(h, lvl), cond.variant, cond.x))
+    p = tmp_path / "replaced.json"
+    p.write_text(json.dumps(sz.enc_path_descriptor(path)))
+    return str(p)
+
+
+def test_derive_branches_links_at_the_path_x(tmp_path, capsys):
+    """Level 4 leaves level 3 off the evens: linked at DEFAULT_X's X_0, not
+    at the path's own X_0 = multiples of 3."""
+    from ascentlab.foundations import XSequence, multiples
+    p = level_4_replaced(tower(4, x=XSequence(multiples(3), 6)), [1], 2, tmp_path)
+    code = main(["derive-branches", "--path", p, "--xi", "0"])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"command": "derive-branches",
+                               "error": "heights 3,4 not linked at index 0"}
+
+
+def test_derive_branches_samples_coherent_branches(tmp_path, capsys):
+    """Level 4 agrees with level 3 only on multiples of 4: linked at X_1,
+    coherent off part of X_0; only the coherent branches are sampled."""
+    p = level_4_replaced(tower(4), [1, 2, 3], 4, tmp_path)
+    code, rep = run_cli(["derive-branches", "--path", p, "--xi", "1"], capsys)
+    assert code == 1
+    assert rep["coherent_head_set"] is False
+    assert sorted(rep["branches"], key=int) == ["0", "4", "8"]
 
 
 def test_vlevels_cli(tmp_path, capsys):

@@ -223,3 +223,51 @@ def test_exclusive_append_passes_append_fibers(case):
     from ascentlab.conditions import _append_fibers_ok
     x, level = case
     assert not me_family(level).ok or _append_fibers_ok(level, x)[0]
+
+
+# -- the X-sequence and tail rules ------------------------------------------------
+
+def test_leq_s_compares_x_sequences():
+    """Conditions over another X-sequence lie in another poset."""
+    from ascentlab.fixtures import tower as tower_over
+    from ascentlab.foundations import XSequence, multiples
+    x = XSequence(multiples(3), 6)
+    assert leq_s(tower_over(3, x=x), tower_over(2, x=x))
+    with pytest.raises(WrongVariant):
+        leq_s(tower_over(3, x=x), tower(2))
+
+
+def with_block_0_rule(cond: Condition, start: int, base) -> Condition:
+    from ascentlab.ascent import AscentPath, TailRule, standard_append
+    rule = TailRule(start, base, (standard_append(base),))
+    return Condition(cond.tree, AscentPath.make(cond.path.levels, {0: rule}), cond.variant, cond.x)
+
+
+def test_tail_rule_above_the_top_is_not_checked():
+    """A block-0 rule starting above eta holds no level at a height <= eta:
+    levels 0-3 are those of tower(3), however the rule's base reads."""
+    from ascentlab.ascent import constant_level
+    from ascentlab.nodes import const_node
+    h = Ordinal(0, 4)
+    cond = with_block_0_rule(tower(3), 4, constant_level(h, const_node(7, h)))
+    rep = check_condition(cond)
+    assert rep.ok, rep.violations
+    assert rep.clauses == check_condition(tower(3)).clauses
+
+
+def test_broken_tail_base_fails_c2_as_an_adjacent_pair():
+    """A tail base at a height <= eta is the probe level right above the
+    explicit level below it; a base that leaves that level fails C2 there."""
+    from ascentlab.amalgam import amalgamate
+    from ascentlab.ascent import constant_level
+    from ascentlab.fixtures import uniform_chain
+    from ascentlab.nodes import const_node
+    out, _ = amalgamate(uniform_chain(3, Ordinal(1, 2)))
+    (w, rule), = out.path.tails
+    h = Ordinal(w, rule.start)
+    broken = with_block_0_rule(out, rule.start, constant_level(h, const_node(7, h)))
+    rep = check_condition(broken)
+    assert not rep.clause("C2")
+    c2 = [v for v in rep.violations if v.startswith("clause C2")]
+    assert c2 and all("supp(" in v or "mutually exclusive" in v for v in c2)
+    assert f"clause C2 (ascent-path): supp({h.pred()},{h}) = {supp(out.level(h.pred()), broken.level(h))} unacceptable" in c2

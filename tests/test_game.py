@@ -86,6 +86,20 @@ def test_illegal_opponent_flagged():
     assert t.illegal_stage == Ordinal(0, 3)
 
 
+def test_opponent_over_another_x_forfeits():
+    """A candidate over another X-sequence lies in another poset: I forfeits
+    instead of the run raising WrongVariant."""
+    from ascentlab.conditions import one_step_extension
+    from ascentlab.foundations import XSequence, multiples
+    x = XSequence(multiples(3), 6)
+
+    def other_x(cond, stage, rng):
+        return one_step_extension(dataclasses.replace(cond, x=x), cond.eta)
+    t = play_game(Ordinal(0, 6), game.OpponentPolicy("other-x", other_x), 0)
+    assert t.verdict == "illegal_opponent"
+    assert t.illegal_stage == Ordinal(0, 1)
+
+
 def test_random_opponents_small_sweep():
     for seed in range(5):
         t = play_game(Ordinal(0, 6), random_opponent(seed), 1)
