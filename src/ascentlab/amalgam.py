@@ -25,7 +25,7 @@ from .ascent import (
     AppendScheme, AscentLevel, Cell, MapPiece, _first_collision, _split, me_cross, me_set_concrete,
     supp,
 )
-from .nodes import Entry, SymNode, entry_affine, eq_star
+from .nodes import Entry, SymNode, entry_affine, eq_star, is_prefix
 from .conditions import (
     Condition, S_X, TailRule, check_condition, extend_with_top, leq_s,
 )
@@ -119,7 +119,7 @@ class ZMap:
         for k in self.probe_keys():
             if later.in_domain(k):
                 v, w = self.at(k), later.at(k)
-                if w.dom < v.dom or w.restrict(v.dom) != v:
+                if w.dom < v.dom or not is_prefix(v, w):
                     yield k
 
     def above(self, new_lo: Ordinal) -> "ZMap":

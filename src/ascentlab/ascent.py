@@ -40,7 +40,9 @@ from .foundations import (
     AP, EMPTY_SET, FULL_SET, BadHeight, Ordinal, UPSet, XSequence,
     _root, filter_classify, finite_set,
 )
-from .nodes import Entry, Ramp, SymNode, entry_affine, eq_star, graft, mk_entry, mutually_exclusive
+from .nodes import (
+    Entry, Ramp, SymNode, entry_affine, eq_star, graft, is_prefix, mk_entry, mutually_exclusive,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +117,7 @@ class AscentLevel:
         for _, v in self.exceptions:
             if v.dom != self.height:
                 raise ValueError(f"exception domain {v.dom} != height {self.height}")
-            if not v.is_concrete():
+            if not v.concrete:
                 raise ValueError("exception nodes must be concrete")
         if cover != FULL_SET:
             raise ValueError("level pieces do not cover omega")
@@ -234,19 +236,6 @@ def _slot_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
         yield from zip(u.final, v.final)
 
 
-def _is_prefix(u: SymNode, v: SymNode) -> bool:
-    """u == v restricted to u.dom, compared on the entry tuples without
-    building the restriction; needs u.dom <= v.dom. For nodes of one domain
-    it is u == v."""
-    w = len(u.blocks)
-    if u.blocks != v.blocks[:w]:
-        return False
-    if w == len(v.blocks):
-        return u.final == v.final[:len(u.final)]
-    word = v.blocks[w]
-    return all(e == word.eval(j) for j, e in enumerate(u.final))
-
-
 def _eq_star_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
     """Entry pairs deciding u =* v (one domain): the last coordinate at a
     successor, one common period of the top block's tails at a limit."""
@@ -264,7 +253,7 @@ def _agree_positions(u: SymNode, v: SymNode, pairs=_slot_pairs) -> tuple[str, in
     v.dom all agree, as a function of the piece position m: ('all', 0),
     ('one', m0) or ('none', 0). A template that is a prefix of the other
     agrees with it at every position."""
-    if _is_prefix(u, v):
+    if is_prefix(u, v):
         return ("all", 0)
     state: tuple[str, int] = ("all", 0)
     for eu, ev in pairs(u, v):
@@ -311,11 +300,11 @@ def supp(f: AscentLevel, g: AscentLevel) -> UPSet:
 
     With f the lower level, each piece pairs f's node or template with g's
     unrestricted one: `_slot_pairs` reads g's entries at f's coordinates
-    (u.dom <= v.dom), and `_is_prefix` compares two point nodes, so no
+    (u.dom <= v.dom), and `is_prefix` compares two point nodes, so no
     restricted copy of g is built."""
     if f.height > g.height:
         f, g = g, f
-    return _agree_set(f, g, _slot_pairs, _is_prefix)
+    return _agree_set(f, g, _slot_pairs, is_prefix)
 
 
 def eq_star_set(f: AscentLevel, g: AscentLevel) -> UPSet:

@@ -18,8 +18,8 @@ from .foundations import Ordinal, OrdinalBoundError, OMEGA_NAT, ProfileViolation
 from .aposet import THETA, NotLinked, PathDescriptor, check_antichain, is_bad
 from .amalgam import HypothesisViolated, NotUniformTail, amalgamate
 from .conditions import (
-    VARIANTS, Condition, InvalidBeta, WrongVariant, check_condition, eta_nu, leq_s,
-    one_step_extension,
+    VARIANTS, Condition, InvalidBeta, LostComparability, NonExclusiveTop, WrongVariant,
+    check_condition, eta_nu, leq_s, one_step_extension,
 )
 from .fixtures import bad_path_conditions, uniform_path
 from .game import check_run_invariants, onestep_opponent, play_game, random_opponent
@@ -349,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 RECOVERABLE = (InputError, sz.FormatError, OrdinalBoundError, ProfileViolation,
-               WrongVariant, InvalidBeta, NoCatalog, NotUniformTail, HypothesisViolated,
-               SealTripleInvalid, OracleMismatch, NodeNotInTree, BadPi, NotLinked, KeyError)
+               WrongVariant, InvalidBeta, NonExclusiveTop, LostComparability, NoCatalog,
+               NotUniformTail, HypothesisViolated, SealTripleInvalid, OracleMismatch,
+               NodeNotInTree, BadPi, NotLinked, KeyError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

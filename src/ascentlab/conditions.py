@@ -60,6 +60,16 @@ class WrongVariant(ValueError):
     """Operation applied to a condition of an unsupported variant."""
 
 
+class NonExclusiveTop(ValueError):
+    """A one-step's new top level of an S_X or S_F condition is not
+    mutually exclusive."""
+
+
+class LostComparability(ValueError):
+    """A one-step's support from the previous top to the new one is not
+    acceptable for the condition's variant."""
+
+
 @dataclass(frozen=True, slots=True)
 class Condition:
     """A pair (tree, ascent path) in one of the posets, tagged by variant."""
@@ -294,7 +304,7 @@ def raw_append(level: AscentLevel) -> AppendScheme:
 def extend_with_top(cond: Condition, new_top: AscentLevel, verify: bool) -> Condition:
     """The condition one height up with the given top level, its new tree
     level the full append level. With verify, an S_X or S_F top level is
-    checked mutually exclusive; raises ValueError otherwise.
+    checked mutually exclusive; raises NonExclusiveTop otherwise.
 
     That check also decides clause C4 at the appended coordinate: every cell
     is infinite, so a constant appended label on a cell is a same-piece
@@ -305,7 +315,7 @@ def extend_with_top(cond: Condition, new_top: AscentLevel, verify: bool) -> Cond
     if verify and cond.variant in (S_X, S_F):
         rep = me_family(new_top)
         if not rep.ok:
-            raise ValueError(f"one-step produced a non-exclusive family: {rep.detail}")
+            raise NonExclusiveTop(f"one-step produced a non-exclusive family: {rep.detail}")
     return out
 
 
@@ -313,7 +323,7 @@ def one_step_with(cond: Condition, below: AscentLevel, scheme: AppendScheme) -> 
     """Shared one-step core: new top = below-level plus appended labels,
     verified by `extend_with_top` and by an acceptable support from the
     previous top to the new one (co-bounded for S_THETA, in the filter
-    otherwise); raises ValueError otherwise."""
+    otherwise); raises NonExclusiveTop or LostComparability otherwise."""
     return _one_step(cond, below, scheme)[0]
 
 
@@ -327,7 +337,7 @@ def _one_step(cond: Condition, below: AscentLevel,
     out = extend_with_top(cond, new_top, True)
     top_supp = supp(cond.top, new_top)
     if not _supp_ok(cond.variant, top_supp, cond.x):
-        raise ValueError("one-step lost comparability with the previous top")
+        raise LostComparability("one-step lost comparability with the previous top")
     return out, top_supp
 
 

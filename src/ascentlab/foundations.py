@@ -184,7 +184,15 @@ class AP:
         return AP(k, stride)
 
     def upset(self) -> "UPSet":
-        return UPSet.make(self.start, self.step, frozenset({self.start % self.step}), frozenset())
+        """The progression as a `UPSet`, built in normal form: period step,
+        the one residue start mod step, no low members, and threshold
+        max(0, start - step + 1). That threshold is least: below start the
+        periodic rule first errs at start - step, the one member of the
+        residue class left out, when start >= step; when start < step no
+        member of the class is left out and the rule holds from 0. The
+        period is least because a single residue has no shorter period
+        unless step is 1."""
+        return UPSet(max(0, self.start - self.step + 1), self.step, 1 << self.start % self.step, 0)
 
     def __repr__(self) -> str:
         return f"AP({self.start}+{self.step}m)"
@@ -204,6 +212,14 @@ class UPSet:
     differs from the periodic rule at t-1. `make` and every operation
     return this form, so structural equality and the hash coincide with
     extensional equality.
+
+    The short-cuts keep that form, so equality stays extensional. When one
+    operand of `union`, `intersect` or `difference` is empty or
+    everything, the result is an operand, `EMPTY_SET` or a complement,
+    each already normal, and no `_normal` pass runs. `is_subset` and
+    `disjoint` build no set: they read the two masks restated at the
+    common threshold and period (`_aligned`, shared with `_combine`), where
+    a ⊆ b iff each mask of a lies in that of b.
     """
 
     threshold: int
@@ -262,20 +278,38 @@ class UPSet:
             lmask |= _tile(self.rmask, self.period, t) >> self.threshold << self.threshold
         return rmask, lmask
 
-    def _combine(self, other: "UPSet", op) -> "UPSet":
+    def _aligned(self, other: "UPSet") -> tuple[int, int, int, int, int, int]:
+        """(t, p, ra, la, rb, lb): both sets restated at the larger threshold
+        t and the common period p."""
         p = math.lcm(self.period, other.period)
         t = max(self.threshold, other.threshold)
-        ra, la = self._masks_at(t, p)
-        rb, lb = other._masks_at(t, p)
+        return (t, p) + self._masks_at(t, p) + other._masks_at(t, p)
+
+    def _combine(self, other: "UPSet", op) -> "UPSet":
+        t, p, ra, la, rb, lb = self._aligned(other)
         return _normal(t, p, op(ra, rb), op(la, lb))
 
     def union(self, other: "UPSet") -> "UPSet":
+        if not (other.rmask or other.lmask) or _is_full(self):
+            return self
+        if not (self.rmask or self.lmask) or _is_full(other):
+            return other
         return self._combine(other, operator.or_)
 
     def intersect(self, other: "UPSet") -> "UPSet":
+        if not (self.rmask or self.lmask) or _is_full(other):
+            return self
+        if not (other.rmask or other.lmask) or _is_full(self):
+            return other
         return self._combine(other, operator.and_)
 
     def difference(self, other: "UPSet") -> "UPSet":
+        if not (self.rmask or self.lmask) or not (other.rmask or other.lmask):
+            return self
+        if _is_full(other):
+            return EMPTY_SET
+        if _is_full(self):
+            return other.complement()
         return self._combine(other, _and_not)
 
     def complement(self) -> "UPSet":
@@ -298,10 +332,16 @@ class UPSet:
         return self.rmask == (1 << self.period) - 1
 
     def is_subset(self, other: "UPSet") -> bool:
-        return self.difference(other).is_empty
+        if not (self.rmask or self.lmask) or _is_full(other):
+            return True
+        _, _, ra, la, rb, lb = self._aligned(other)
+        return not (ra & ~rb or la & ~lb)
 
     def disjoint(self, other: "UPSet") -> bool:
-        return self.intersect(other).is_empty
+        if not (self.rmask or self.lmask) or not (other.rmask or other.lmask):
+            return True
+        _, _, ra, la, rb, lb = self._aligned(other)
+        return not (ra & rb or la & lb)
 
     def members(self, bound: int) -> list[int]:
         return [k for k in range(bound) if k in self]
@@ -358,6 +398,11 @@ class UPSet:
         shown = self.members(min(self.threshold + 2 * self.period, 24))
         tail = "" if self.is_finite else ",..."
         return "UPSet{" + ",".join(map(str, shown)) + tail + "}"
+
+
+def _is_full(a: UPSet) -> bool:
+    """a is omega: in normal form that is threshold 0, period 1, residue 0."""
+    return a.rmask == 1 and a.period == 1 and not a.threshold
 
 
 def _normal(t: int, p: int, rmask: int, lmask: int) -> UPSet:
@@ -434,8 +479,11 @@ ODDS = UPSet.make(0, 2, frozenset({1}))
 
 
 def multiples(k: int, start: int = 0) -> UPSet:
-    """Multiples of k that are >= start."""
-    return UPSet.make(start, k, frozenset({0}))
+    """Multiples of k that are >= start: the progression from the least of
+    them, built in normal form by `AP.upset`."""
+    if k < 1 or start < 0:
+        raise ValueError("period must be >= 1 and threshold >= 0")
+    return AP(-(-start // k) * k, k).upset()
 
 
 def singleton(k: int) -> UPSet:

@@ -64,6 +64,12 @@ class BlockWord:
 
     prefix: tuple[Entry, ...]
     tail: tuple[Entry, ...]
+    # whether every entry is an int, set once here; equality, hash and repr
+    # read only the fields above
+    concrete: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "concrete", _all_int(self.prefix) and _all_int(self.tail))
 
     @staticmethod
     def make(prefix, tail) -> "BlockWord":
@@ -100,9 +106,6 @@ class BlockWord:
         s = (k - len(self.prefix)) % len(self.tail)
         return BlockWord.make((), self.tail[s:] + self.tail[:s])
 
-    def is_concrete(self) -> bool:
-        return all(isinstance(e, int) for e in self.prefix + self.tail)
-
 
 @dataclass(frozen=True, slots=True)
 class SymNode:
@@ -110,11 +113,16 @@ class SymNode:
 
     blocks: tuple[BlockWord, ...] = ()
     final: tuple[Entry, ...] = ()
-    # the domain, set once here; equality, hash and repr read only the fields above
+    # the domain and whether every entry is an int (no Ramp in a block or the
+    # final stretch), set once here; equality, hash and repr read only the
+    # fields above
     dom: Ordinal = field(init=False, compare=False, repr=False)
+    concrete: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dom", Ordinal(len(self.blocks), len(self.final)))
+        object.__setattr__(self, "concrete",
+                           _all_int(self.final) and all(b.concrete for b in self.blocks))
 
     def eval_at(self, eps: Ordinal) -> int:
         e = self.entry_at(eps)
@@ -140,13 +148,9 @@ class SymNode:
                            tuple(word.eval(j) for j in range(alpha.n)))
         return SymNode(self.blocks, self.final[:alpha.n])
 
-    def is_concrete(self) -> bool:
-        return (all(b.is_concrete() for b in self.blocks)
-                and all(isinstance(e, int) for e in self.final))
-
     def instantiate(self, m: int) -> "SymNode":
         """Substitute the cell position m into every ramp entry."""
-        if self.is_concrete():
+        if self.concrete:
             return self
         blocks = tuple(BlockWord.make([entry_at(e, m) for e in b.prefix],
                                       [entry_at(e, m) for e in b.tail])
@@ -181,6 +185,11 @@ class SymNode:
         return "Node" + "".join(parts)
 
 
+def _all_int(entries: tuple[Entry, ...]) -> bool:
+    """isinstance(e, int) for every entry, looped in C."""
+    return all(map(int.__instancecheck__, entries))
+
+
 def _entry_repr(e: Entry) -> str:
     return str(e) if isinstance(e, int) else f"{e.a}m+{e.b}"
 
@@ -201,7 +210,7 @@ def const_node(value: Entry, dom: Ordinal) -> SymNode:
 
 def _require_concrete(*nodes: SymNode) -> None:
     for s in nodes:
-        if not s.is_concrete():
+        if not s.concrete:
             raise ValueError("operation needs concrete nodes; instantiate templates first")
 
 
@@ -280,6 +289,21 @@ def graft(s: SymNode, t: SymNode) -> SymNode:
 
 def restrict(s: SymNode, alpha: Ordinal) -> SymNode:
     return s.restrict(alpha)
+
+
+def is_prefix(u: SymNode, v: SymNode) -> bool:
+    """v.restrict(u.dom) == u, compared on the entry tuples without building
+    the restriction. Like restrict, raises BadHeight when u.dom > v.dom. For
+    nodes of one domain it is u == v."""
+    if u.dom > v.dom:
+        raise BadHeight(f"cannot restrict {v.dom}-node to {u.dom}")
+    w = len(u.blocks)
+    if u.blocks != v.blocks[:w]:
+        return False
+    if w == len(v.blocks):
+        return u.final == v.final[:len(u.final)]
+    word = v.blocks[w]
+    return all(e == word.eval(j) for j, e in enumerate(u.final))
 
 
 def eval_at(s: SymNode, eps: Ordinal) -> int:

@@ -30,7 +30,7 @@ from .ascent import (
     graft_levels, identity_map, level_reindex, me_family, order_iso, restrict_map,
     standard_append, supp,
 )
-from .nodes import SymNode, entry_affine, graft, mk_entry, node_patch
+from .nodes import SymNode, entry_affine, graft, is_prefix, mk_entry, node_patch
 from .conditions import (
     Condition, S_X, WrongVariant, extend_with_top, leq_s, one_step_with,
 )
@@ -261,7 +261,7 @@ def absorb_node(cond: Condition, t: SymNode, xi: int) -> tuple[Condition, Ordina
     if not filter_classify(s, cond.x).in_filter:
         raise PostconditionFailed("absorption lost the filter support")
     alpha = out.eta
-    if out.top.at(tau0).restrict(t.dom) != t:
+    if not is_prefix(t, out.top.at(tau0)):
         raise PostconditionFailed("absorption failed to swallow the node")
     return out, alpha, tau0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .foundations import OMEGA_NAT, Ordinal, ZERO, _root
-from .nodes import SymNode, entry_affine, eq_star_threshold, graft
+from .nodes import SymNode, entry_affine, eq_star_threshold, graft, is_prefix
 from .ascent import Cell, _agree_positions, _eq_star_pairs
 
 
@@ -153,7 +153,7 @@ def _match_admitted(s: SymNode, cat: BranchCatalog) -> Optional[tuple[SymNode, O
 
 def tree_contains(tree: SymTree, s: SymNode) -> bool:
     """Exact membership test against the level representations."""
-    if not s.is_concrete():
+    if not s.concrete:
         raise ValueError("membership is for concrete nodes")
     if s.dom >= tree.height:
         return False
@@ -181,7 +181,7 @@ def _template_in_tree(tree: SymTree, t: SymNode) -> bool:
     d = t.dom
     if d >= tree.height:
         return False
-    if t.is_concrete():
+    if t.concrete:
         return tree_contains(tree, t)
     anchor = Ordinal(d.w, 0)
     for h, _ in tree.explicit:
@@ -190,7 +190,7 @@ def _template_in_tree(tree: SymTree, t: SymNode) -> bool:
         if h > anchor:
             anchor = h
     base = t.restrict(anchor)
-    if base.is_concrete():
+    if base.concrete:
         return tree_contains(tree, base)
     return anchor.is_limit and _limit_template_in_tree(tree, base)
 
@@ -253,7 +253,8 @@ def _level_contains(tree: SymTree, s: SymNode) -> bool:
     full append level, and so is every level between it and the deepest
     explicit height h below d in d's block (or the block's start when there
     is none): s is in the tree iff s.restrict(h) is, so one restrict jumps
-    the whole run of append levels."""
+    the whole run of append levels. When the height it would restrict to is
+    the root, s is in the tree at once and nothing is restricted."""
     d = s.dom
     if d.is_zero:
         return True
@@ -262,7 +263,7 @@ def _level_contains(tree: SymTree, s: SymNode) -> bool:
         if match is None:
             return False
         _, thr = match
-        return _level_contains(tree, s.restrict(thr))
+        return thr == ZERO or _level_contains(tree, s.restrict(thr))
     floor = Ordinal(d.w, 0)
     for h, nodes in tree.explicit:
         if h >= d:
@@ -271,7 +272,7 @@ def _level_contains(tree: SymTree, s: SymNode) -> bool:
             break
         if h > floor:
             floor = h
-    return _level_contains(tree, s.restrict(floor))
+    return floor == ZERO or _level_contains(tree, s.restrict(floor))
 
 
 @dataclass(frozen=True, slots=True)
@@ -357,7 +358,7 @@ def check_tree(tree: SymTree) -> StructReport:
             notes.append(f"explicit level {beta} above an infinite level")
             continue
         for x in below:
-            if not any(x == t.restrict(x.dom) for t in nodes):
+            if not any(is_prefix(x, t) for t in nodes):
                 normal = False
                 notes.append(f"node {x} has no extension to level {beta}")
 

@@ -88,6 +88,13 @@ def eval_window(node: SymNode, per_block: int = 64) -> dict[tuple[int, int], int
     return vals
 
 
+def walk_concrete(node: SymNode, per_block: int = 64) -> bool:
+    """Every coordinate's entry is an int, read through entry_at over a
+    sample that covers every periodic class of every block."""
+    return all(isinstance(node.entry_at(eps), int)
+               for eps in unroll_positions(node, per_block))
+
+
 def brute_delta(s: SymNode, t: SymNode, per_block: int = 64) -> Ordinal:
     """min of domains and first pointwise disagreement on the sample window."""
     lo = min(s.dom, t.dom)

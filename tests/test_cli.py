@@ -119,6 +119,23 @@ def test_ordinal_beyond_bound_exit_2(capsys):
     assert "exceeds" in rep["error"]
 
 
+def test_extend_non_exclusive_top_exit_2(tmp_path, capsys):
+    """A naive-poset bad extension relabelled sx: its top's members 0 and 1
+    split only at the top coordinate, so the one-step's new top is not
+    exclusive and extend reports the one-step check, not a traceback."""
+    from ascentlab.conditions import Condition
+    from ascentlab.fixtures import bad_path_conditions
+    c = bad_path_conditions(3, pad=0)[0][1]
+    p = tmp_path / "bad_sx.json"
+    p.write_text(json.dumps(sz.enc_condition(Condition(c.tree, c.path, "sx", c.x))))
+    code = main(["extend", "--beta", "0", str(p)])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    rep = json.loads(out)
+    assert rep["command"] == "extend"
+    assert rep["error"].startswith("one-step produced a non-exclusive family")
+
+
 @pytest.mark.parametrize("argv", [
     ["game", "--mu", "w1n4", "--xi", "-1"],
     ["seal", "--xi", "-1"],

@@ -170,12 +170,12 @@ def test_one_step_with_rejects_colliding_append():
     """Two exclusive cells given the same appended ramp collide at indices
     0 and 1 of the new coordinate."""
     from ascentlab.ascent import AppendScheme, me_family
-    from ascentlab.conditions import one_step_with
+    from ascentlab.conditions import NonExclusiveTop, one_step_with
     from ascentlab.nodes import mk_entry
     c = tower(2)
     below = residue_level(c.top, 2, [0, 1])
     assert me_family(below).ok
-    with pytest.raises(ValueError, match="non-exclusive family"):
+    with pytest.raises(NonExclusiveTop, match="non-exclusive family"):
         one_step_with(c, below, AppendScheme((mk_entry(2, 0), mk_entry(2, 0)), {}))
 
 
@@ -184,11 +184,11 @@ def test_one_step_with_rejects_lost_comparability():
     but leaves the support from the previous top the odd indices, outside
     the filter generated by X."""
     from ascentlab.ascent import me_family, standard_append
-    from ascentlab.conditions import one_step_with
+    from ascentlab.conditions import LostComparability, one_step_with
     c = tower(2)
     below = residue_level(c.top, 4, [2, 1, 0, 3])
     assert me_family(below.append_entries(standard_append(below))).ok
-    with pytest.raises(ValueError, match="lost comparability"):
+    with pytest.raises(LostComparability, match="lost comparability"):
         one_step_with(c, below, standard_append(below))
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import os
 import pickle
 import random
@@ -8,10 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ascentlab.foundations import (
-    DEFAULT_X, EVENS, ODDS, FULL_SET, EMPTY_SET, GT, LT, EQ,
+    AP, DEFAULT_X, EVENS, ODDS, FULL_SET, EMPTY_SET, GT, LT, EQ, _and_not, _normal,
     W_LIMIT, Ordinal, OrdinalBoundError, PostconditionFailed, ProfileViolation, UPSet,
     XSequence, filter_classify, finite_set, is_cobounded, multiples,
     ord_compare, singleton, upset_algebra,
@@ -445,3 +446,118 @@ def test_encoding_matches_window(raw):
     enc = enc_upset(u)
     assert dec_upset(enc) == u
     assert enc == enc_from_window(u.threshold, u.period, lambda k: raw_member(raw, k))
+
+
+# -- short-cuts and mask predicates, against the general route -------------------
+
+GENERAL_OPS = {"union": operator.or_, "intersect": operator.and_, "difference": _and_not}
+
+
+def renormalised(u: UPSet) -> UPSet:
+    """u passed through `_normal` once more: u itself iff u is in normal form."""
+    return _normal(u.threshold, u.period, u.rmask, u.lmask)
+
+
+@NORMAL_FORM
+@given(raw_upsets(), st.sampled_from([EMPTY_SET, FULL_SET]), st.booleans(),
+       st.sampled_from(sorted(GENERAL_OPS)))
+def test_short_cuts_equal_general_combine(raw, trivial, trivial_left, kind):
+    """With the empty set or omega on either side, the short-cut answer is
+    the one `_combine` and `_normal` compute, it is in normal form, and it
+    has the brute-force members."""
+    a = made(raw)
+    x, y = (trivial, a) if trivial_left else (a, trivial)
+    got = upset_algebra(kind, x, y)
+    assert got == x._combine(y, GENERAL_OPS[kind])
+    assert renormalised(got) == got
+    span = a.threshold + a.period
+    assert upset_window(got, span) == brute_op(kind, x, y, span)
+    assert x.is_subset(y) == x.difference(y).is_empty
+    assert x.disjoint(y) == x.intersect(y).is_empty
+
+
+@NORMAL_FORM
+@given(raw_upsets(), raw_upsets(), st.sampled_from(["free", "subset", "disjoint"]))
+def test_mask_predicates_match_membership(ra, rb, relation):
+    """`is_subset` and `disjoint` read the aligned masks; they agree with
+    membership over a window past both thresholds by a common period.
+    Random pairs are seldom nested or disjoint, so those relations are
+    also built on purpose."""
+    a, b = made(ra), made(rb)
+    if relation == "subset":
+        b = b.union(a)
+    elif relation == "disjoint":
+        b = b.difference(a)
+    bound = max(a.threshold, b.threshold) + math.lcm(a.period, b.period)
+    wa, wb = upset_window(a, bound), upset_window(b, bound)
+    assert a.is_subset(b) == (wa <= wb)
+    assert b.is_subset(a) == (wb <= wa)
+    assert a.disjoint(b) == b.disjoint(a) == (not wa & wb)
+
+
+@NORMAL_FORM
+@given(st.integers(1, 12), st.integers(0, 40))
+@example(1, 0)
+@example(1, 5)
+@example(4, 3)
+@example(4, 4)
+@example(4, 9)
+def test_progressions_built_in_normal_form(step, start):
+    """AP.upset and multiples equal the sets `UPSet.make` normalises, for a
+    start below, at and above the step, and for step 1."""
+    assert AP(start, step).upset() == UPSet.make(start, step, frozenset({start % step}))
+    assert multiples(step, start) == UPSet.make(start, step, frozenset({0}))
+    bound = start + 3 * step
+    assert upset_window(AP(start, step).upset(), bound) == \
+        {k for k in range(bound) if k in AP(start, step)}
+
+
+def test_multiples_rejects_what_make_rejects():
+    for k, start in ((0, 0), (1, -1)):
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            multiples(k, start)
+
+
+# -- kernel count guards -----------------------------------------------------------
+
+
+@pytest.fixture()
+def kernel_counts(monkeypatch):
+    """Counts of `_normal` calls, `UPSet._combine` calls and `SymNode`
+    constructions while the test runs."""
+    from ascentlab import foundations
+    from ascentlab.nodes import SymNode
+    counts = {"normal": 0, "combine": 0, "node": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+    monkeypatch.setattr(foundations, "_normal", counting("normal", foundations._normal))
+    monkeypatch.setattr(UPSet, "_combine", counting("combine", UPSet._combine))
+    monkeypatch.setattr(SymNode, "__post_init__", counting("node", SymNode.__post_init__))
+    return counts
+
+
+def test_game_kernel_counts(kernel_counts):
+    """A run to omega+6 and its invariant check made 707 `_normal` calls, 400
+    `_combine` calls and 353 node constructions before the set algebra
+    answered trivial operands at once, progressions were built in normal
+    form and prefix tests stopped building restrictions; now 239, 93 and
+    169."""
+    from ascentlab.game import check_run_invariants, play_game, random_opponent
+    assert check_run_invariants(play_game(Ordinal(1, 6), random_opponent(0), 0)).ok
+    assert kernel_counts["normal"] <= 350
+    assert kernel_counts["combine"] <= 150
+    assert kernel_counts["node"] <= 250
+
+
+def test_tower_kernel_counts(kernel_counts):
+    """Building tower(32) and checking it made 676 `_normal` and 354
+    `_combine` calls under the same change; now 65 and 0."""
+    from ascentlab.conditions import check_condition
+    from ascentlab.fixtures import tower
+    assert check_condition(tower(32)).ok
+    assert kernel_counts["normal"] <= 100
+    assert kernel_counts["combine"] <= 10

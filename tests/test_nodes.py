@@ -6,9 +6,9 @@ from ascentlab.foundations import BadHeight, Ordinal, ZERO, OMEGA
 from ascentlab import serialize as sz
 from ascentlab.nodes import (
     EMPTY_NODE, BlockWord, Ramp, SymNode, const_node, delta, eq_star,
-    eq_star_threshold, eval_at, graft, mutually_exclusive, node, node_patch, restrict,
+    eq_star_threshold, eval_at, graft, is_prefix, mutually_exclusive, node, node_patch, restrict,
 )
-from oracles import brute_delta, brute_eq_star, brute_me
+from oracles import brute_delta, brute_eq_star, brute_me, walk_concrete
 
 
 def rand_node(rng: random.Random, max_blocks: int = 2) -> SymNode:
@@ -227,7 +227,7 @@ def test_random_agreement_with_brute_force():
 def test_ramp_template_instantiation():
     tmpl = SymNode((), (Ramp(2, 0), 7))
     assert tmpl.instantiate(3) == node(6, 7)
-    assert not tmpl.is_concrete()
+    assert not tmpl.concrete
     with pytest.raises(ValueError):
         tmpl.eval_at(ZERO)
 
@@ -267,3 +267,78 @@ def test_delta_bounds(s, t):
     is_initial = all(s.eval_at(Ordinal(0, j)) == t.eval_at(Ordinal(0, j))
                      for j in range(lo.n))
     assert (d == lo) == is_initial
+
+
+# -- the stored concreteness and the prefix test ---------------------------------
+
+entry_or_ramp_st = st.one_of(st.integers(0, 5), st.builds(Ramp, st.integers(1, 3), st.integers(0, 4)))
+word_st = st.builds(BlockWord.make, st.lists(entry_or_ramp_st, max_size=3),
+                    st.lists(entry_or_ramp_st, min_size=1, max_size=3))
+template_st = st.builds(lambda blocks, final: SymNode(tuple(blocks), tuple(final)),
+                        st.lists(word_st, max_size=2), st.lists(entry_or_ramp_st, max_size=4))
+
+
+def test_concrete_slot_placed_ramps():
+    """A ramp in a block prefix, in a block tail or in the final stretch
+    makes the node a template; the slot says so without a walk."""
+    ramp = Ramp(1, 0)
+    cases = [SymNode((BlockWord.make((ramp, 2), (3,)),), (1,)),
+             SymNode((BlockWord.make((2,), (3,)), BlockWord.make((), (4, ramp))), ()),
+             SymNode((BlockWord.make((2,), (3,)),), (1, ramp)),
+             SymNode((BlockWord.make((2,), (3,)),), (1, 5))]
+    assert [s.concrete for s in cases] == [False, False, False, True]
+    for s in cases:
+        assert s.concrete == walk_concrete(s)
+        assert all(b.concrete == walk_concrete(SymNode((b,), ())) for b in s.blocks)
+
+
+@given(template_st, st.integers(0, 4), st.integers(1, 3), st.integers(0, 3))
+def test_concrete_slot_equals_entry_walk(s, m, a, b):
+    """The slot set at construction equals the entry walk on every route
+    that builds a node."""
+    out = [s, s.instantiate(m), s.reindex(a, b), graft(s, s.instantiate(m)),
+           sz.dec_node(sz.enc_node(s))]
+    if not s.dom.is_zero:
+        out.append(s.restrict(min(s.dom, Ordinal(0, 2))))
+    for u in out:
+        assert u.concrete == walk_concrete(u), u
+    assert s.instantiate(m).concrete
+
+
+@st.composite
+def prefix_pairs(draw):
+    """(u, v) with u.dom <= v.dom: u a restriction of v, possibly with one
+    entry changed, or an unrelated node. Restricting inside a block makes
+    u's final stretch run along v's block word (the block boundary case)."""
+    v = draw(template_st.filter(lambda t: not t.dom.is_zero))
+    w = draw(st.integers(0, v.dom.w))
+    n = draw(st.integers(0, 6 if w < v.dom.w else v.dom.n))
+    u = v.restrict(Ordinal(w, n))
+    kind = draw(st.sampled_from(["restriction", "patched", "unrelated"]))
+    if kind == "patched" and not u.dom.is_zero:
+        eps = Ordinal(u.dom.w, u.dom.n - 1) if u.dom.n else Ordinal(u.dom.w - 1, draw(st.integers(0, 4)))
+        u = node_patch(u, {eps: draw(entry_or_ramp_st)})
+    elif kind == "unrelated":
+        u = draw(template_st.filter(lambda t: t.dom <= v.dom))
+    return u, v
+
+
+@given(prefix_pairs())
+def test_is_prefix_equals_restrict_compare(pair):
+    u, v = pair
+    assert is_prefix(u, v) == (v.restrict(u.dom) == u)
+    assert is_prefix(u, u) and is_prefix(EMPTY_NODE, v)
+
+
+def test_is_prefix_across_block_boundary():
+    """u ends inside v's block 0: its final stretch is compared with v's
+    block word, prefix and tail."""
+    v = SymNode((BlockWord.make((7,), (1, 2)),), (9,))
+    assert is_prefix(node(7, 1, 2, 1), v)
+    assert not is_prefix(node(7, 1, 2, 2), v)
+    assert is_prefix(SymNode(v.blocks, ()), v)
+    assert not is_prefix(SymNode((BlockWord.make((7,), (2, 1)),), ()), v)
+    with pytest.raises(BadHeight):
+        is_prefix(v, node(7, 1))
+    with pytest.raises(BadHeight):
+        node(7, 1).restrict(v.dom)
