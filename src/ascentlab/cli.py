@@ -28,7 +28,7 @@ from .sealing import (
     NodeNotInTree, OracleHit, OracleMismatch, SealTripleInvalid, absorb_node, identity_triple,
     seal_step, transposition_triple,
 )
-from .surgery import BadPi, branch_surgery
+from .surgery import BadPi, NonExclusiveBranches, branch_surgery
 from .trees import NoCatalog, vanishing_levels
 from . import serialize as sz
 
@@ -122,10 +122,10 @@ def cmd_amalgamate(args) -> int:
         "eta": fmt_ordinal(out.eta),
         "z_keys": [fmt_ordinal(k) for k, _ in z.entries],
         "vanishing": sorted(fmt_ordinal(h) for h in van.levels),
-        "closed": van.closed,  # verified by amalgamate
+        "closed": True,  # V(T) is always closed (trees.VanishReport)
         "valid": True,  # check_condition verified by amalgamate
     }
-    return _emit(report, van.closed)
+    return _emit(report, True)
 
 
 def cmd_game(args) -> int:
@@ -155,10 +155,10 @@ def cmd_vlevels(args) -> int:
         "command": "vlevels",
         "mode": args.mode,
         "levels": sorted(fmt_ordinal(h) for h in rep.levels),
-        "closed": rep.closed,
+        "closed": True,  # V(T) is always closed (trees.VanishReport)
         "top_limit_in": rep.top_limit_in,
     }
-    return _emit(report, rep.closed)
+    return _emit(report, True)
 
 
 def cmd_demo_bad(args) -> int:
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 RECOVERABLE = (InputError, sz.FormatError, OrdinalBoundError, ProfileViolation,
                WrongVariant, InvalidBeta, NonExclusiveTop, LostComparability, NoCatalog,
                NotUniformTail, HypothesisViolated, SealTripleInvalid, OracleMismatch,
-               NodeNotInTree, BadPi, NotLinked, KeyError)
+               NodeNotInTree, BadPi, NonExclusiveBranches, NotLinked, KeyError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -192,14 +192,11 @@ def check_condition(cond: Condition, variant: Optional[str] = None) -> Condition
     if variant in (S_THETA, S_F):
         return ConditionReport(variant, tuple(clauses.items()), tuple(bad), tuple(probes))
 
-    # C3: vanishing levels closed, top limit level vanishing
+    # C3: top limit level vanishing; V(T) is always closed (trees.VanishReport)
     van = vanishing_levels(cond.tree, "full")
-    c3 = van.closed
-    if cond.eta.is_limit and van.top_limit_in is not True:
-        c3 = False
+    c3 = not cond.eta.is_limit or van.top_limit_in is True
+    if not c3:
         bad.append("clause C3 (vanishing): top limit level is not vanishing")
-    if not van.closed:
-        bad.append("clause C3 (vanishing): vanishing set is not closed")
     clauses["C3"] = c3
 
     # C4: for every t in a nonzero level, {tau : t ME f(level)(tau)} in F
@@ -301,40 +298,37 @@ def raw_append(level: AscentLevel) -> AppendScheme:
     return AppendScheme(tuple(entries), labels)
 
 
-def extend_with_top(cond: Condition, new_top: AscentLevel, verify: bool) -> Condition:
+def extend_with_top(cond: Condition, new_top: AscentLevel) -> Condition:
     """The condition one height up with the given top level, its new tree
-    level the full append level. With verify, an S_X or S_F top level is
-    checked mutually exclusive; raises NonExclusiveTop otherwise.
-
-    That check also decides clause C4 at the appended coordinate: every cell
-    is infinite, so a constant appended label on a cell is a same-piece
-    collision there, and an exclusive top has no constant label for
-    `_append_fibers_ok` to reject."""
+    level the full append level; unchecked (`_one_step` checks)."""
     tree = SymTree.make(cond.tree.height.succ(), cond.tree.explicit, cond.tree.catalogs)
-    out = Condition(tree, cond.path.with_level(cond.eta.succ(), new_top), cond.variant, cond.x)
-    if verify and cond.variant in (S_X, S_F):
-        rep = me_family(new_top)
-        if not rep.ok:
-            raise NonExclusiveTop(f"one-step produced a non-exclusive family: {rep.detail}")
-    return out
+    return Condition(tree, cond.path.with_level(cond.eta.succ(), new_top), cond.variant, cond.x)
 
 
 def one_step_with(cond: Condition, below: AscentLevel, scheme: AppendScheme) -> Condition:
-    """Shared one-step core: new top = below-level plus appended labels,
-    verified by `extend_with_top` and by an acceptable support from the
-    previous top to the new one (co-bounded for S_THETA, in the filter
-    otherwise); raises NonExclusiveTop or LostComparability otherwise."""
-    return _one_step(cond, below, scheme)[0]
+    """One more level: the below-level plus appended labels, checked by
+    `_one_step`."""
+    return _one_step(cond, below.append_entries(scheme))[0]
 
 
-def _one_step(cond: Condition, below: AscentLevel,
-              scheme: AppendScheme) -> tuple[Condition, UPSet]:
-    """`one_step_with`, and the support from the previous top to the new
-    one that it checked."""
-    if below.height != cond.eta:
+def _one_step(cond: Condition, new_top: AscentLevel) -> tuple[Condition, UPSet]:
+    """The condition one height up with the given top level, and the support
+    from the previous top to the new one. The one place a new top level is
+    checked: an S_X or S_F top must be mutually exclusive (NonExclusiveTop
+    otherwise), and the support must be acceptable, co-bounded for S_THETA
+    and in the filter otherwise (LostComparability otherwise).
+
+    The exclusivity check also decides clause C4 at the appended coordinate:
+    every cell is infinite, so a constant appended label on a cell is a
+    same-piece collision there, and an exclusive top has no constant label
+    for `_append_fibers_ok` to reject."""
+    if new_top.height != cond.eta.succ():
         raise ValueError("below-parts must live on the current top level")
-    new_top = below.append_entries(scheme)
-    out = extend_with_top(cond, new_top, True)
+    out = extend_with_top(cond, new_top)
+    if cond.variant in (S_X, S_F):
+        rep = me_family(new_top)
+        if not rep.ok:
+            raise NonExclusiveTop(f"one-step produced a non-exclusive family: {rep.detail}")
     top_supp = supp(cond.top, new_top)
     if not _supp_ok(cond.variant, top_supp, cond.x):
         raise LostComparability("one-step lost comparability with the previous top")
@@ -346,7 +340,7 @@ def one_step_extension(cond: Condition, beta: Ordinal, nu: object = 0,
     """One more level: graft level beta over the top, append fresh even labels.
 
     Guarantees, verified exactly before returning: the checks of
-    `one_step_with`, and two postconditions (PostconditionFailed otherwise):
+    `_one_step`, and two postconditions (PostconditionFailed otherwise):
     the old beta-top support is carried into the new top, and the beta
     support becomes everything.
     """
@@ -355,7 +349,7 @@ def one_step_extension(cond: Condition, beta: Ordinal, nu: object = 0,
     if nu not in (0, OMEGA_NAT) and not (isinstance(nu, int) and nu >= 0):
         raise ValueError("nu must be a natural or omega")
     below = graft_levels(cond.level(beta), cond.top)
-    out, top_supp = _one_step(cond, below, standard_append(below, shift=label_base))
+    out, top_supp = _one_step(cond, below.append_entries(standard_append(below, shift=label_base)))
     if not supp(cond.level(beta), cond.top).is_subset(top_supp):
         raise PostconditionFailed("one-step lost the old support")
     if supp(cond.level(beta), out.top) != FULL_SET:

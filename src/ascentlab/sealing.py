@@ -32,7 +32,7 @@ from .ascent import (
 )
 from .nodes import SymNode, entry_affine, graft, is_prefix, mk_entry, node_patch
 from .conditions import (
-    Condition, S_X, WrongVariant, extend_with_top, leq_s, one_step_with,
+    Condition, S_X, WrongVariant, _one_step, leq_s, one_step_with,
 )
 from .trees import family_in_tree, tree_contains
 
@@ -159,12 +159,20 @@ def build_intermediate(cond: Condition, triple: SealTriple) -> Condition:
 def seal_step(cond: Condition, triple: SealTriple, xi: int,
               hit: OracleHit) -> tuple[Condition, Ordinal]:
     """One sealing round for the given triple. Returns the routed extension
-    and the height whose guarantees were re-verified."""
+    and the height whose guarantees were re-verified.
+
+    Hypothesis (SealTripleInvalid otherwise): pi maps X_xi ∩ Y into X_xi.
+    The routing fills new_top(pi(tau)) from g_alpha(tau) only when pi(tau)
+    lies in X_xi, and the absorption guarantee needs that at every tau in
+    X_xi ∩ Y. The new top is checked by `_one_step`."""
     if cond.variant != S_X:
         raise WrongVariant("sealing lives in the filter-sequence poset")
     x = cond.x
     xset = x.entry(xi)
     y = triple.y
+    stray = xset.intersect(y).difference(_pi_preimage(triple.pi, xset))
+    if not stray.is_empty:
+        raise SealTripleInvalid(f"pi maps {stray.min_member()}, in X_{xi} and in Y, outside X_{xi}")
     mid = build_intermediate(cond, triple)
 
     # oracle hit: an extension of the intermediate step with the guarantee
@@ -198,7 +206,7 @@ def seal_step(cond: Condition, triple: SealTriple, xi: int,
     cells = [c for cs, _ in pieces for c in cs]
     exc = [e for _, es in pieces for e in es]
     new_top = AscentLevel.make(sp.eta.succ(), cells, exc)
-    out = extend_with_top(sp, new_top, verify=True)
+    out, _ = _one_step(sp, new_top)
 
     # the two routing guarantees, re-verified exactly
     g_alpha_level = sp.level(alpha)
@@ -257,9 +265,6 @@ def absorb_node(cond: Condition, t: SymNode, xi: int) -> tuple[Condition, Ordina
             raise ValueError(f"patched node at {sigma} escapes the tree")
     below = AscentLevel.make(eta, top.cells, dict(top.exceptions) | patches)
     out = one_step_with(cond, below, standard_append(below))
-    s = supp(top, out.top)
-    if not filter_classify(s, cond.x).in_filter:
-        raise PostconditionFailed("absorption lost the filter support")
     alpha = out.eta
     if not is_prefix(t, out.top.at(tau0)):
         raise PostconditionFailed("absorption failed to swallow the node")

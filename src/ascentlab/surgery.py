@@ -30,6 +30,10 @@ class BadPi(ValueError):
     the deeper filter set."""
 
 
+class NonExclusiveBranches(ValueError):
+    """The derived branches the surgery keeps are not mutually exclusive."""
+
+
 def canonical_pi(x: XSequence, n0: int) -> PiecewiseMap:
     """Identity on X_1, order isomorphism of the rest onto the kept part of
     X_0; deterministic."""
@@ -59,9 +63,11 @@ def validate_pi(pi: PiecewiseMap, x: XSequence, n0: int) -> None:
 
 def branch_surgery(path: PathDescriptor, n0: int,
                    pi: Optional[PiecewiseMap] = None) -> Condition:
-    """The new condition of limit-plus-one height; every stated consequence
-    is re-verified before returning (PostconditionFailed otherwise): the
-    result extends path.base under leq_s and passes check_condition."""
+    """The new condition of limit-plus-one height. Hypothesis
+    (NonExclusiveBranches otherwise): the derived branches over the head set
+    minus n0 are mutually exclusive. Every stated consequence is re-verified
+    before returning (PostconditionFailed otherwise): the result extends
+    path.base under leq_s and passes check_condition."""
     x = path.base.x
     x.validate("s4")
     if n0 not in x.x0 or n0 in x.entry(1):
@@ -78,9 +84,13 @@ def branch_surgery(path: PathDescriptor, n0: int,
     if not x.x0.is_subset(fam.coherent):
         raise NotLinked("head-set branches are not coherent along the path")
 
+    kept_cells, kept_exc = restrict_level_domain(fam.level, x.x0.difference(singleton(n0)))
+    merep = me_family(AscentLevel(lam, tuple(kept_cells), tuple(kept_exc)))
+    if not merep.ok:
+        raise NonExclusiveBranches(f"kept branches are not mutually exclusive: {merep.detail}")
+
     cells, exc = level_reindex(fam.level, pi)
     top = AscentLevel.make(lam, cells, exc)
-    kept_cells, kept_exc = restrict_level_domain(fam.level, x.x0.difference(singleton(n0)))
     catalog = BranchCatalog(
         (CatalogFamily(tuple(kept_cells), admitted=True),),
         tuple(CatalogSingle(f"b:{k}", v, admitted=True) for k, v in kept_exc)
@@ -96,9 +106,6 @@ def branch_surgery(path: PathDescriptor, n0: int,
     out = Condition(tree, AscentPath.make(levels, tails), S_X, x)
 
     # consequences, re-verified
-    merep = me_family(AscentLevel(lam, tuple(kept_cells), tuple(kept_exc)))
-    if not merep.ok:
-        raise PostconditionFailed(f"kept branches are not mutually exclusive: {merep.detail}")
     if tree_contains(out.tree, fam.branch(n0)):
         raise PostconditionFailed("the omitted branch is in the tree")
     van = vanishing_levels(out.tree, "full")

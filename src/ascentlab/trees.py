@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .foundations import OMEGA_NAT, Ordinal, ZERO, _root
+from .foundations import Ordinal, ZERO, _root
 from .nodes import SymNode, entry_affine, eq_star_threshold, graft, is_prefix
 from .ascent import Cell, _agree_positions, _eq_star_pairs
 
@@ -112,17 +112,6 @@ class SymTree:
             if nxt < self.height:
                 out.add(nxt)
         return sorted(out)
-
-    def level_size(self, beta: Ordinal):
-        kind = self.level_kind(beta)
-        if kind == "root":
-            return 1
-        if kind == "explicit":
-            return len(self.explicit_at(beta))
-        if kind == "appends":
-            below = self.level_size(beta.pred())
-            return OMEGA_NAT if below else 0
-        return OMEGA_NAT if self.catalog_at(beta).has_admitted() else 0
 
 
 ROOT_TREE = SymTree.make(Ordinal(0, 1))
@@ -281,7 +270,6 @@ class StructReport:
     normal: bool
     uniformly_homogeneous: bool
     successor_height: bool
-    level_sizes: tuple[tuple[Ordinal, object], ...]
     notes: tuple[str, ...] = ()
 
     @property
@@ -307,9 +295,8 @@ def _explicit_below_finite(tree: SymTree, beta: Ordinal) -> Optional[list[SymNod
 
 def check_tree(tree: SymTree) -> StructReport:
     """Structural report: downward closure, normality, uniform homogeneity,
-    successor height, per-level sizes at the probe heights. Downward closure
-    skips height 0, where every restriction is the root, which every tree
-    holds."""
+    successor height. Downward closure skips height 0, where every
+    restriction is the root, which every tree holds."""
     notes: list[str] = []
     down = True
     normal = True
@@ -376,14 +363,16 @@ def check_tree(tree: SymTree) -> StructReport:
                     homog = False
                     notes.append(f"graft of {s} over {t} escapes level {beta}")
 
-    sizes = tuple((h, tree.level_size(h)) for h in probes)
-    return StructReport(down, normal, homog, tree.height.is_successor, sizes, tuple(notes))
+    return StructReport(down, normal, homog, tree.height.is_successor, tuple(notes))
 
 
 @dataclass(frozen=True, slots=True)
 class VanishReport:
+    """V(T) holds only limit ordinals and there are at most W of those below
+    the height bound, so every nonempty subset has a maximum and each sup of
+    members is itself a member: V(T) is always closed."""
+
     levels: frozenset[Ordinal]
-    closed: bool
     top_limit_in: Optional[bool]
 
     def __contains__(self, lam: Ordinal) -> bool:
@@ -401,7 +390,6 @@ def vanishing_levels(tree: SymTree, mode: str = "full") -> VanishReport:
     if mode not in ("full", "homogeneous"):
         raise ValueError(f"unknown mode {mode!r}")
     levels: set[Ordinal] = set()
-    eta = tree.height.pred() if tree.height.is_successor else tree.height
     for lam in tree.limit_levels():
         cat = tree.catalog_at(lam)
         if mode == "homogeneous":
@@ -415,11 +403,6 @@ def vanishing_levels(tree: SymTree, mode: str = "full") -> VanishReport:
             if _match_admitted(single.node, cat) is None:
                 levels.add(lam)
                 break
-    # V(T) holds only limit ordinals and there are at most W of those below
-    # the height bound, so every nonempty subset has a maximum and each sup
-    # of members is itself a member: closedness cannot fail at this scale.
-    closed = all(max(x for x in levels if x <= lam) in levels
-                 for lam in levels)
     top_in = (tree.height.pred() in levels) if tree.height.is_successor and \
         tree.height.pred().is_limit else None
-    return VanishReport(frozenset(levels), closed, top_in)
+    return VanishReport(frozenset(levels), top_in)

@@ -162,7 +162,7 @@ def test_derive_branches_not_linked():
     from ascentlab.conditions import extend_with_top
     c = tower(2)
     below = AscentLevel.make(c.eta, c.top.cells, {4: c.top.at(5)})
-    broken = extend_with_top(c, below.append_entries(standard_append(below)), False)
+    broken = extend_with_top(c, below.append_entries(standard_append(below)))
     p = PathDescriptor(broken)
     with pytest.raises(NotLinked):
         derive_branches(p, [Ordinal(0, 2), Ordinal(0, 3)], 1)
@@ -184,7 +184,7 @@ def test_leq_a_monotone_in_xi():
     from ascentlab.conditions import extend_with_top
     c = tower(2)
     below = AscentLevel.make(c.eta, c.top.cells, {2: c.top.at(6)})
-    broken = extend_with_top(c, below.append_entries(standard_append(below)), False)
+    broken = extend_with_top(c, below.append_entries(standard_append(below)))
     pb = PathDescriptor(broken)
     a, b = Ordinal(0, 2), Ordinal(0, 3)
     # support misses 2, which lies in X_0 but in no deeper set

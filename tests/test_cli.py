@@ -339,6 +339,40 @@ def level_4_replaced(cond, starts, step, tmp_path) -> str:
     return str(p)
 
 
+@pytest.mark.parametrize("a, b", [(0, 1), (2, 3)])
+def test_seal_triple_leaving_filter_set_exit_2(a, b, tmp_path, capsys):
+    """A transposition of a point of X_0 with one outside it: the routing
+    cannot absorb that point, so seal rejects the triple."""
+    p = tmp_path / "cond.json"
+    p.write_text(json.dumps(sz.enc_condition(tower(3))))
+    code = main(["seal", "--triple", f"transpose:{a},{b}", "--xi", "0", str(p)])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"command": "seal",
+                               "error": f"pi maps {a}, in X_0 and in Y, outside X_0"}
+
+
+def test_surgery_non_exclusive_branches_exit_2(tmp_path, capsys):
+    """A path whose level 4 appends the constant label 7: the branches the
+    surgery would keep collide there, which is a fault of the input path."""
+    from ascentlab.aposet import PathDescriptor
+    from ascentlab.ascent import AppendScheme, standard_append
+    from ascentlab.conditions import TailRule, extend_with_top
+    c = tower(3)
+    sevens = AppendScheme(tuple(7 for _ in c.top.cells), {k: 7 for k, _ in c.top.exceptions})
+    c = extend_with_top(c, c.top.append_entries(sevens))
+    scheme = standard_append(c.top)
+    path = PathDescriptor(c, TailRule(5, c.top.append_entries(scheme), (scheme,)))
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps(sz.enc_path_descriptor(path)))
+    code = main(["surgery", "--n0", "2", "--path", str(p)])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {
+        "command": "surgery",
+        "error": "kept branches are not mutually exclusive: indices 4,6 share a value at (0,3)"}
+
+
 def test_derive_branches_links_at_the_path_x(tmp_path, capsys):
     """Level 4 leaves level 3 off the evens: linked at DEFAULT_X's X_0, not
     at the path's own X_0 = multiples of 3."""

@@ -216,7 +216,7 @@ def appended_levels(draw):
 @settings(max_examples=400, deadline=None)
 @given(appended_levels())
 def test_exclusive_append_passes_append_fibers(case):
-    """`extend_with_top` checks only me_family: an exclusive level has no
+    """`_one_step` checks only me_family: an exclusive level has no
     constant appended label on a cell, so clause C4's appended-coordinate
     check passes whenever me_family does."""
     from ascentlab.ascent import me_family

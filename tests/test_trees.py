@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascentlab.foundations import AP, OMEGA, OMEGA_NAT, Ordinal
+from ascentlab.foundations import AP, OMEGA, Ordinal
 from ascentlab.ascent import Cell
 from ascentlab.nodes import BlockWord, EMPTY_NODE, Ramp, SymNode, const_node, node
 from ascentlab.trees import (
@@ -68,14 +68,11 @@ def test_missing_catalog_raises():
 def test_root_tree_all_flags():
     rep = check_tree(ROOT_TREE)
     assert rep.ok and rep.successor_height
-    assert dict(rep.level_sizes)[Ordinal(0, 0)] == 1
 
 
 def test_append_tower_all_flags():
     rep = check_tree(appended_tree(3))
     assert rep.ok
-    sizes = dict(rep.level_sizes)
-    assert sizes[Ordinal(0, 1)] == OMEGA_NAT
 
 
 def test_normality_failure_example():
@@ -109,7 +106,6 @@ def test_limit_tree_structure():
 def test_finite_tree_has_no_vanishing_levels():
     rep = vanishing_levels(appended_tree(3), "full")
     assert rep.levels == frozenset()
-    assert rep.closed
 
 
 def test_limit_tree_vanishing_both_modes():
@@ -118,7 +114,6 @@ def test_limit_tree_vanishing_both_modes():
     hom = vanishing_levels(t, "homogeneous")
     assert full.levels == hom.levels == frozenset({OMEGA})
     assert full.top_limit_in is True
-    assert full.closed
 
 
 def test_corrupted_catalog_modes_disagree():
