@@ -19,11 +19,12 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .foundations import (
-    EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, UPSet, finite_set, multiples, singleton,
+    EMPTY_SET, FULL_SET, W_LIMIT, Ordinal, PostconditionFailed, UPSet, finite_set, multiples,
+    singleton,
 )
 from .ascent import (
     AppendScheme, AscentLevel, Cell, MapPiece, _first_collision, _split, me_cross, me_set_concrete,
-    supp,
+    record_exclusive, supp,
 )
 from .nodes import Entry, SymNode, entry_affine, eq_star, is_prefix
 from .conditions import (
@@ -243,6 +244,16 @@ def _last_entry_pieces(z: ZMap, last: Ordinal) -> list:
     return pieces
 
 
+def _run_on(z: ZMap) -> ZMap:
+    """z with a finite top block run on to the next limit, where there is
+    one. Its last-entry pieces hold z's and more keys, each of z's pieces
+    inside one of its own with the same value at each key, so it has a
+    collision whenever z has one; and it lists its top block as one piece."""
+    if z.hi.n and z.hi.w < W_LIMIT:
+        return replace(z, hi=z.hi.next_limit(), closed_hi=False)
+    return z
+
+
 def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap,
                     delta: Ordinal, closed: bool) -> ZBullets:
     """The four per-stage z requirements, on the probe keys plus the cell
@@ -265,9 +276,12 @@ def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap,
             raise HypothesisViolated("z-top-level", f"z({k}) outside the tree")
     # pairwise eventual difference: at successor heights this is distinct
     # last entries over the whole domain, decided by the one-coordinate
-    # collision analysis of the exclusivity walk
+    # collision analysis of the exclusivity walk; a finite top block is
+    # listed key by key only when `_run_on(z)` has a collision
     if eta.is_successor:
-        hit = _first_collision(_last_entry_pieces(z, eta.pred()))
+        last = eta.pred()
+        hit = _first_collision(_last_entry_pieces(_run_on(z), last)) and \
+            _first_collision(_last_entry_pieces(z, last))
         if hit:
             raise HypothesisViolated("z-pairwise", f"z({Ordinal(*hit[0])}) =* z({Ordinal(*hit[1])})")
     else:
@@ -390,6 +404,7 @@ def amalgamate(ch: ChainDescriptor) -> tuple[Condition, ZMap]:
     out = Condition(tree, AscentPath.make(levels, path_tails), S_X, last.cond.x)
 
     _verify_conclusions(ch, sample, out, z_gamma, vanish)
+    record_exclusive(top)   # clause C2 of check_condition(out) walked it
     return out, z_gamma
 
 

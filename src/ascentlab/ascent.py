@@ -33,11 +33,13 @@ sealing routing).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .foundations import (
-    AP, EMPTY_SET, FULL_SET, BadHeight, Ordinal, UPSet, XSequence,
+    AP, EMPTY_SET, FULL_SET, ZERO, BadHeight, Ordinal, UPSet, XSequence,
     _root, filter_classify, finite_set,
 )
 from .nodes import (
@@ -85,6 +87,12 @@ class AscentLevel:
     height: Ordinal
     cells: tuple[Cell, ...]
     exceptions: tuple[tuple[int, SymNode], ...] = ()
+    # Set after construction, never by a decoder, and not copied by
+    # `dataclasses.replace`: the low level of the `graft_levels` call that
+    # built this one, and the record of a passed exclusivity check
+    # (`Exclusive`). Equality, hash and repr read only the fields above.
+    grafted: Optional["AscentLevel"] = field(default=None, init=False, compare=False, repr=False)
+    exclusive: Optional["Exclusive"] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def make(height: Ordinal, cells, exceptions=()) -> "AscentLevel":
@@ -216,24 +224,33 @@ def refine(f: AscentLevel, g: AscentLevel) -> list[Piece]:
     return pieces
 
 
-def _slot_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
-    """Entry pairs covering every coordinate class of u's domain, u's entry
-    beside v's at the same coordinate; needs u.dom <= v.dom, so the pairs
-    are those of u and v restricted to u.dom, without building the
-    restriction. u's complete blocks pair with v's blocks of the same index.
-    u's finite stretch pairs with v's finite stretch when both end in the
-    same block, and otherwise with the start of v's word for that block (a
-    cut into one of v's omega-blocks)."""
-    for wu, wv in zip(u.blocks, v.blocks):
-        for j in range(wu.window(wv)):
+def _slot_pairs(u: SymNode, v: SymNode, since: Ordinal = ZERO) -> Iterator[tuple[Entry, Entry]]:
+    """Entry pairs covering every coordinate class of u's domain at or above
+    `since`, u's entry beside v's at the same coordinate; needs u.dom <=
+    v.dom, so the pairs are those of u and v restricted to u.dom, without
+    building the restriction. u's complete blocks pair with v's blocks of
+    the same index; in the block of `since` the classes start at its
+    position, and the words are periodic from their window on. u's finite
+    stretch pairs with v's finite stretch when both end in the same block,
+    and otherwise with the start of v's word for that block (a cut into one
+    of v's omega-blocks)."""
+    for w, (wu, wv) in enumerate(zip(u.blocks, v.blocks)):
+        if w < since.w:
+            continue
+        lo = since.n if w == since.w else 0
+        stop = wu.window(wv)
+        if lo:
+            stop = max(stop, lo + math.lcm(len(wu.tail), len(wv.tail)))
+        for j in range(lo, stop):
             yield wu.eval(j), wv.eval(j)
     w = len(u.blocks)
+    lo = since.n if since.w == w else 0
     if w < len(v.blocks):
         word = v.blocks[w]
-        for j, eu in enumerate(u.final):
-            yield eu, word.eval(j)
+        for j in range(lo, len(u.final)):
+            yield u.final[j], word.eval(j)
     else:
-        yield from zip(u.final, v.final)
+        yield from zip(u.final[lo:], v.final[lo:])
 
 
 def _eq_star_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
@@ -301,10 +318,32 @@ def supp(f: AscentLevel, g: AscentLevel) -> UPSet:
     With f the lower level, each piece pairs f's node or template with g's
     unrestricted one: `_slot_pairs` reads g's entries at f's coordinates
     (u.dom <= v.dom), and `is_prefix` compares two point nodes, so no
-    restricted copy of g is built."""
+    restricted copy of g is built. A level grafted over the other
+    (`AscentLevel.grafted`) keeps its nodes below the other's height, so
+    their support is everything at once."""
+    if _grafted_from(f, g) or _grafted_from(g, f):
+        return FULL_SET
     if f.height > g.height:
         f, g = g, f
     return _agree_set(f, g, _slot_pairs, is_prefix)
+
+
+def _grafted_from(low: AscentLevel, g: AscentLevel) -> bool:
+    """Whether g is graft_levels(low, h) for some h: then low(tau) and
+    g(tau) = low(tau) * h(tau) are comparable at every tau."""
+    return g.grafted is low
+
+
+def agree_from(f: AscentLevel, g: AscentLevel, since: Ordinal) -> bool:
+    """Whether f(tau) and g(tau) agree at every coordinate from `since` up to
+    f's height, at every tau, for f.height <= g.height: `supp`'s kernel on
+    the coordinate classes at or above `since` (`_slot_pairs`)."""
+    def pairs(u: SymNode, v: SymNode):
+        return _slot_pairs(u, v, since)
+
+    def same(u: SymNode, v: SymNode) -> bool:
+        return all(a == b for a, b in pairs(u, v))
+    return _agree_set(f, g, pairs, same) == FULL_SET
 
 
 def eq_star_set(f: AscentLevel, g: AscentLevel) -> UPSet:
@@ -322,14 +361,17 @@ def level_extensional_eq(f: AscentLevel, g: AscentLevel) -> bool:
 
 
 def graft_levels(low: AscentLevel, high: AscentLevel) -> AscentLevel:
-    """Index-wise graft: tau -> low(tau) * high(tau); height of `high`."""
+    """Index-wise graft: tau -> low(tau) * high(tau); height of `high`. The
+    result records `low` (`AscentLevel.grafted`)."""
     cells, exc = [], []
     for piece in refine(low, high):
         if piece.point is not None:
             exc.append((piece.point, graft(piece.left, piece.right)))
         else:
             cells.append(Cell(piece.ap, graft(piece.left, piece.right)))
-    return AscentLevel.make(high.height, cells, exc)
+    out = AscentLevel.make(high.height, cells, exc)
+    object.__setattr__(out, "grafted", low)
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -409,7 +451,14 @@ class AscentPath:
         return src.level_at(alpha.n) if isinstance(src, TailRule) else src
 
     def with_level(self, alpha: Ordinal, lvl: AscentLevel) -> "AscentPath":
-        return AscentPath.make(self._by_height | {alpha: lvl}, self.tails)
+        """The path with lvl at alpha, in place of the level listed there if
+        any; the other listed levels keep their order and are not checked
+        again."""
+        if lvl.height != alpha:
+            raise ValueError(f"level at {alpha} has height {lvl.height}")
+        i = bisect_left(self.levels, alpha, key=itemgetter(0))
+        j = i + (i < len(self.levels) and self.levels[i][0] == alpha)
+        return AscentPath(self.levels[:i] + ((alpha, lvl),) + self.levels[j:], self.tails)
 
     def probe_heights(self, eta: Ordinal) -> list[Ordinal]:
         """Heights checked exactly: explicit ones plus one scheme cycle and
@@ -444,7 +493,16 @@ def paths_agree_below(p1: AscentPath, p2: AscentPath, eta: Ordinal) -> bool:
     """f2 restricted to eta+1 equals f1, decided exactly: all explicitly
     represented heights are compared extensionally, except where both paths
     share the source (see `AscentPath.source`), and tail rules beyond the
-    comparison window are pure appends of compared levels."""
+    comparison window are pure appends of compared levels. When one path
+    lists the other's levels first, equal pair by pair (shared objects
+    compare at once), then only levels above eta, and both have the same
+    tail rules, every source at or below eta holds one level on both, and
+    nothing is compared."""
+    short, long = sorted((p1, p2), key=lambda p: len(p.levels))
+    n = len(short.levels)
+    if short.tails == long.tails and long.levels[:n] == short.levels and all(
+            h > eta for h, _ in long.levels[n:]):
+        return True
     probes = sorted(set(p1.probe_heights(eta)) | set(p2.probe_heights(eta)))
     for alpha in probes:
         s1, s2 = p1.source(alpha), p2.source(alpha)
@@ -528,6 +586,38 @@ class MEReport:
     detail: str = ""
 
 
+@dataclass(frozen=True, slots=True)
+class Exclusive:
+    """Evidence that `me_family` holds for the level of these fields.
+    `conditions._one_step` and `amalgam.amalgamate` set it on a level after
+    their exclusivity checks pass (`record_exclusive`); no constructor,
+    decoder or `TailRule.level_at` does. It is accepted only on a level
+    whose cells and exceptions are the very tuples it names
+    (`known_exclusive`), which is then that family; so a record moved to
+    another level, or a level rebuilt equal to a proved one, is walked
+    again. Like a `ZBullets` record it is judged by identity, so that a
+    forged or stale record is not taken for evidence. It holds the tuples
+    rather than the level, so that a level and its record form no reference
+    cycle."""
+
+    height: Ordinal
+    cells: tuple[Cell, ...]
+    exceptions: tuple[tuple[int, SymNode], ...]
+
+
+def record_exclusive(level: AscentLevel) -> None:
+    object.__setattr__(level, "exclusive", Exclusive(level.height, level.cells, level.exceptions))
+
+
+def known_exclusive(level: AscentLevel) -> bool:
+    """Mutual exclusivity known without a walk: a level of height 0 has no
+    coordinate, and otherwise the level carries its own `Exclusive`."""
+    ev = level.exclusive
+    return level.height.is_zero or (
+        ev is not None and ev.cells is level.cells and ev.exceptions is level.exceptions
+        and ev.height == level.height)
+
+
 def _value_pieces(level: AscentLevel, w: int, j: int):
     """Per-piece affine description of tau -> f(tau)(coordinate (w,j))."""
     eps = Ordinal(w, j)
@@ -586,12 +676,52 @@ def _pieces_collide(p1, p2, same_piece: bool) -> Optional[tuple[int, int]]:
 
 def _first_collision(pieces) -> Optional[tuple[tuple, tuple]]:
     """Two distinct keys (block, index) taking a common value, if any; each
-    piece is a pair (block, value piece)."""
+    piece is a pair (block, value piece).
+
+    The pair reported is the first in all-pairs order: piece i against
+    itself, then against each later piece j in turn (`all_pairs_collision`
+    in `tests/oracles.py`). Only the pieces that can meet piece i are tried,
+    and the others would give no hit: a constant piece (a point or a
+    slope-0 cell) of value c meets the constants of value c, found by value,
+    and a ramp b + a*m iff c >= b and a divides c - b; two ramps meet iff
+    the gcd of their slopes divides the difference of their offsets, and
+    ramps, at most one per cell, are tried against each other directly. So
+    the work is about linear in the constants, times the ramps; points
+    only, of distinct values, return at once."""
+    values = {p[3] for _, p in pieces if p[0] == "point"}
+    if len(values) == len(pieces):
+        return None     # points only, of distinct values
+    consts: dict[int, list[int]] = {}   # value -> positions, ascending
+    ramps: list[int] = []
+    for i, (_, (_, _, a, b)) in enumerate(pieces):
+        if a:
+            ramps.append(i)
+        else:
+            consts.setdefault(b, []).append(i)
     for i, (w1, p1) in enumerate(pieces):
-        hit = _pieces_collide(p1, p1, same_piece=True)
-        if hit:
-            return (w1, hit[0]), (w1, hit[1])
-        for w2, p2 in pieces[i + 1:]:
+        kind, _, a, b = p1
+        if a == 0:
+            if kind == "cell":
+                hit = _pieces_collide(p1, p1, same_piece=True)
+                return (w1, hit[0]), (w1, hit[1])
+            same = consts[b]
+            later = same[bisect_right(same, i):] if len(same) > 1 else []
+            for j in ramps:
+                _, _, aj, bj = pieces[j][1]
+                if j > i and b >= bj and (b - bj) % aj == 0:
+                    later.append(j)
+        else:
+            later = []
+            for j in ramps:
+                _, _, aj, bj = pieces[j][1]
+                if j > i and (bj - b) % math.gcd(a, aj) == 0:
+                    later.append(j)
+            for c, js in consts.items():
+                if c >= b and (c - b) % a == 0:
+                    later.extend(j for j in js if j > i)
+        later.sort()
+        for j in later:
+            w2, p2 = pieces[j]
             hit = _pieces_collide(p1, p2, same_piece=False)
             if hit and (w1, hit[0]) != (w2, hit[1]):
                 return (w1, hit[0]), (w2, hit[1])

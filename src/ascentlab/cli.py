@@ -25,8 +25,8 @@ from .fixtures import bad_path_conditions, uniform_path
 from .game import check_run_invariants, onestep_opponent, play_game, random_opponent
 from .nodes import node
 from .sealing import (
-    NodeNotInTree, OracleHit, OracleMismatch, SealTripleInvalid, absorb_node, identity_triple,
-    seal_step, transposition_triple,
+    NodeNotInTree, OracleMismatch, SealTripleInvalid, absorb_node, identity_triple,
+    seal_by_one_steps, transposition_triple,
 )
 from .surgery import BadPi, NonExclusiveBranches, branch_surgery
 from .trees import NoCatalog, vanishing_levels
@@ -188,18 +188,12 @@ def _parse_triple(spec: str, cond: Condition):
 
 
 def cmd_seal(args) -> int:
-    from .sealing import build_intermediate
     cond = _load_condition(args.condition, args.x_sequence)
     if args.triple_file:
         triple = sz.dec_triple(_load(args.triple_file))
     else:
         triple = _parse_triple(args.triple, cond)
-    # synthesize the oracle hit: extend the intermediate step by plain
-    # one-steps, whose full supports satisfy any filter guarantee
-    hit_cond = build_intermediate(cond, triple)
-    for _ in range(args.hit_steps):
-        hit_cond = one_step_extension(hit_cond, hit_cond.eta)
-    out, alpha = seal_step(cond, triple, args.xi, OracleHit(hit_cond, hit_cond.eta))
+    out, alpha = seal_by_one_steps(cond, triple, args.xi, args.hit_steps)
     _write(args.out, sz.enc_condition(out))
     report = {
         "command": "seal",

@@ -29,6 +29,23 @@ exactly when it is injective at its new coordinate β. Clause C2 (through
 probe follows β's with a full adjacent support and an exclusive level below,
 and walks every coordinate otherwise. Coordinate β is the last one
 `me_family` walks, so a failure there reads as the full walk's.
+
+`_one_step` uses the lemma too, with η the old top height and f_η the old
+top, when the old top carries its exclusivity record (`ascent.Exclusive`:
+set only by `_one_step` and `amalgam.amalgamate` after a passed check, read
+only on the very object it names, so a forged, stale, copied or decoded
+level is walked in full).
+
+Append lemma, graft form. Let β ≤ η, let f_β and f_η be mutually exclusive,
+and let g = graft_levels(f_β, h) for a level h of height η + 1, so that g(τ)
+takes its coordinates below β from f_β(τ). If moreover g(τ) agrees with
+f_η(τ) at every coordinate in [β, η), for every τ, then at every coordinate
+ε < η the map τ ↦ g(τ)(ε) is one of f_β's or f_η's, and g is mutually
+exclusive exactly when it is injective at η. This is
+`one_step_extension(cond, β)`, whose new top grafts f_β over the old top
+with its labels appended; `_one_step` reads f_β from `AscentLevel.grafted`,
+its exclusivity from its record, and decides the agreement with
+`ascent.agree_from`, which reads only the coordinates from β on.
 """
 
 from __future__ import annotations
@@ -41,9 +58,9 @@ from .foundations import (
     ZERO, filter_classify, is_cobounded,
 )
 from .ascent import (
-    AppendScheme, AscentLevel, AscentPath, TailRule, _me_chain, graft_levels,
-    me_cross, me_family, me_set_concrete, paths_agree_below, root_level,
-    standard_append, supp, supp_chain_violations,
+    AppendScheme, AscentLevel, AscentPath, TailRule, _me_chain, _me_walk, agree_from,
+    graft_levels, known_exclusive, me_cross, me_family, me_set_concrete, paths_agree_below,
+    record_exclusive, root_level, standard_append, supp, supp_chain_violations,
 )
 from .nodes import SymNode, delta, entry_affine, mk_entry
 from .trees import ROOT_TREE, SymTree, check_tree, vanishing_levels
@@ -325,14 +342,37 @@ def _one_step(cond: Condition, new_top: AscentLevel) -> tuple[Condition, UPSet]:
     if new_top.height != cond.eta.succ():
         raise ValueError("below-parts must live on the current top level")
     out = extend_with_top(cond, new_top)
+    top_supp = supp(cond.top, new_top)
     if cond.variant in (S_X, S_F):
-        rep = me_family(new_top)
+        eta = cond.eta
+        if _exclusive_below(cond, new_top, top_supp):
+            rep = _me_walk(new_top, [(eta.w, eta.n)])
+        else:
+            rep = me_family(new_top)
         if not rep.ok:
             raise NonExclusiveTop(f"one-step produced a non-exclusive family: {rep.detail}")
-    top_supp = supp(cond.top, new_top)
+        record_exclusive(new_top)
     if not _supp_ok(cond.variant, top_supp, cond.x):
         raise LostComparability("one-step lost comparability with the previous top")
     return out, top_supp
+
+
+def _exclusive_below(cond: Condition, new_top: AscentLevel, top_supp: UPSet) -> bool:
+    """Whether new_top, one height above the old top eta, is known injective
+    at every coordinate below eta, so that `_one_step` walks only eta: by
+    the append lemma when the old top is known exclusive and top_supp, its
+    support to new_top, is full; by its graft form when new_top was grafted
+    over a known-exclusive level f_beta (`AscentLevel.grafted`) and agrees
+    with the old top at every coordinate from beta on (`agree_from`).
+    Evidence is read by identity (`known_exclusive`)."""
+    top = cond.top
+    if not known_exclusive(top):
+        return False
+    if top_supp == FULL_SET:
+        return True
+    low = new_top.grafted
+    return (low is not None and low.height <= top.height and known_exclusive(low)
+            and agree_from(top, new_top, low.height))
 
 
 def one_step_extension(cond: Condition, beta: Ordinal, nu: object = 0,
@@ -348,8 +388,9 @@ def one_step_extension(cond: Condition, beta: Ordinal, nu: object = 0,
         raise InvalidBeta(f"beta {beta} above top {cond.eta}")
     if nu not in (0, OMEGA_NAT) and not (isinstance(nu, int) and nu >= 0):
         raise ValueError("nu must be a natural or omega")
-    below = graft_levels(cond.level(beta), cond.top)
-    out, top_supp = _one_step(cond, below.append_entries(standard_append(below, shift=label_base)))
+    top = cond.top
+    out, top_supp = _one_step(cond, graft_levels(
+        cond.level(beta), top.append_entries(standard_append(top, shift=label_base))))
     if not supp(cond.level(beta), cond.top).is_subset(top_supp):
         raise PostconditionFailed("one-step lost the old support")
     if supp(cond.level(beta), out.top) != FULL_SET:

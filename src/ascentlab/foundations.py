@@ -487,12 +487,26 @@ def multiples(k: int, start: int = 0) -> UPSet:
 
 
 def singleton(k: int) -> UPSet:
-    return UPSet.make(k + 1, 1, frozenset(), frozenset({k}))
+    return finite_set((k,))
 
 
 def finite_set(ks) -> UPSet:
-    ks = frozenset(ks)
-    return UPSet.make(max(ks) + 1 if ks else 0, 1, frozenset(), ks)
+    """The finite set ks, built in normal form: threshold the largest member
+    plus one, period 1, no residues (the bit below the threshold is a member
+    and the periodic rule says no, so the threshold is least). As in `make`
+    with that threshold, negative members are dropped, so {-1} is empty, and
+    a largest member below -1 is a negative threshold (ValueError)."""
+    lmask, top = 0, None
+    for k in ks:
+        if top is None or k > top:
+            top = k
+        if k >= 0:
+            lmask |= 1 << k
+    if top is None:
+        return EMPTY_SET
+    if top < -1:
+        raise ValueError("period must be >= 1 and threshold >= 0")
+    return UPSet(top + 1, 1, 0, lmask)
 
 
 def upset_algebra(kind: str, a: UPSet, b: Optional[UPSet] = None) -> UPSet:

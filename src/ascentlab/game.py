@@ -280,7 +280,9 @@ def check_run_invariants(t: Transcript) -> InvariantReport:
     even stages, full support and branch coherence between even stages.
     The filter set is X_xi of the run's X-sequence, read from its first
     condition; leq_s raises WrongVariant on a move from another poset.
-    All pairs of moves are enumerated only when the consecutive ones fail."""
+    All pairs of moves are enumerated only when the consecutive ones fail.
+    No record a move carries (`Move.bullets`) is read: each even move's
+    z-bullets are checked in full here."""
     moves = t.moves
     if not moves:
         return InvariantReport(True)

@@ -47,15 +47,14 @@ def entry_affine(e: Entry) -> tuple[int, int]:
     return (0, e) if isinstance(e, int) else (e.a, e.b)
 
 
-def entry_at(e: Entry, m: int) -> int:
-    return e if isinstance(e, int) else e.at(m)
+def entries_at(es, m: int) -> list[int]:
+    """The entries' values at cell position m."""
+    return [e if isinstance(e, int) else e.a * m + e.b for e in es]
 
 
-def entry_compose(e: Entry, a: int, b: int) -> Entry:
-    """Entry after substituting position m := a*m' + b."""
-    if isinstance(e, int):
-        return e
-    return mk_entry(e.a * a, e.a * b + e.b)
+def entries_compose(es, a: int, b: int) -> list[Entry]:
+    """The entries after substituting position m := a*m' + b."""
+    return [e if isinstance(e, int) else mk_entry(e.a * a, e.a * b + e.b) for e in es]
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,17 +151,15 @@ class SymNode:
         """Substitute the cell position m into every ramp entry."""
         if self.concrete:
             return self
-        blocks = tuple(BlockWord.make([entry_at(e, m) for e in b.prefix],
-                                      [entry_at(e, m) for e in b.tail])
+        blocks = tuple(BlockWord.make(entries_at(b.prefix, m), entries_at(b.tail, m))
                        for b in self.blocks)
-        return SymNode(blocks, tuple(entry_at(e, m) for e in self.final))
+        return SymNode(blocks, tuple(entries_at(self.final, m)))
 
     def reindex(self, a: int, b: int) -> "SymNode":
         """Template after the position substitution m := a*m' + b."""
-        blocks = tuple(BlockWord.make([entry_compose(e, a, b) for e in w.prefix],
-                                      [entry_compose(e, a, b) for e in w.tail])
+        blocks = tuple(BlockWord.make(entries_compose(w.prefix, a, b), entries_compose(w.tail, a, b))
                        for w in self.blocks)
-        return SymNode(blocks, tuple(entry_compose(e, a, b) for e in self.final))
+        return SymNode(blocks, tuple(entries_compose(self.final, a, b)))
 
     def append(self, e: Entry) -> "SymNode":
         return SymNode(self.blocks, self.final + (e,))

@@ -32,7 +32,7 @@ from .ascent import (
 )
 from .nodes import SymNode, entry_affine, graft, is_prefix, mk_entry, node_patch
 from .conditions import (
-    Condition, S_X, WrongVariant, _one_step, leq_s, one_step_with,
+    Condition, S_X, WrongVariant, _one_step, leq_s, one_step_extension, one_step_with,
 )
 from .trees import family_in_tree, tree_contains
 
@@ -165,15 +165,40 @@ def seal_step(cond: Condition, triple: SealTriple, xi: int,
     The routing fills new_top(pi(tau)) from g_alpha(tau) only when pi(tau)
     lies in X_xi, and the absorption guarantee needs that at every tau in
     X_xi ∩ Y. The new top is checked by `_one_step`."""
+    _check_seal_hypothesis(cond, triple, xi)
+    return _route(cond, triple, xi, build_intermediate(cond, triple), hit)
+
+
+def seal_by_one_steps(cond: Condition, triple: SealTriple, xi: int,
+                      hit_steps: int) -> tuple[Condition, Ordinal]:
+    """`seal_step` with a synthesized oracle hit: the intermediate one-step
+    extended by `hit_steps` plain top one-steps, whose full supports satisfy
+    any filter guarantee. The intermediate step is built once and serves as
+    both the hit's base and the step the hit is checked against. Raises as
+    building the hit and then `seal_step` would, in that order."""
+    mid = build_intermediate(cond, triple)
+    hit = mid
+    for _ in range(hit_steps):
+        hit = one_step_extension(hit, hit.eta)
+    _check_seal_hypothesis(cond, triple, xi)
+    return _route(cond, triple, xi, mid, OracleHit(hit, hit.eta))
+
+
+def _check_seal_hypothesis(cond: Condition, triple: SealTriple, xi: int) -> None:
     if cond.variant != S_X:
         raise WrongVariant("sealing lives in the filter-sequence poset")
+    xset = cond.x.entry(xi)
+    stray = xset.intersect(triple.y).difference(_pi_preimage(triple.pi, xset))
+    if not stray.is_empty:
+        raise SealTripleInvalid(f"pi maps {stray.min_member()}, in X_{xi} and in Y, outside X_{xi}")
+
+
+def _route(cond: Condition, triple: SealTriple, xi: int, mid: Condition,
+           hit: OracleHit) -> tuple[Condition, Ordinal]:
+    """The rest of `seal_step`, given `build_intermediate(cond, triple)`."""
     x = cond.x
     xset = x.entry(xi)
     y = triple.y
-    stray = xset.intersect(y).difference(_pi_preimage(triple.pi, xset))
-    if not stray.is_empty:
-        raise SealTripleInvalid(f"pi maps {stray.min_member()}, in X_{xi} and in Y, outside X_{xi}")
-    mid = build_intermediate(cond, triple)
 
     # oracle hit: an extension of the intermediate step with the guarantee
     if not leq_s(hit.cond, mid):

@@ -170,6 +170,22 @@ def full_walk_me_chain(heights, levels, adjacent=None):
             yield alpha, me_family(lvl)
 
 
+def all_pairs_collision(pieces):
+    """The first colliding pair of (block, value piece) pairs in all-pairs
+    order: each piece against itself, then against every later piece; the
+    reference for `ascent._first_collision`, which tries fewer pairs."""
+    from ascentlab.ascent import _pieces_collide
+    for i, (w1, p1) in enumerate(pieces):
+        hit = _pieces_collide(p1, p1, same_piece=True)
+        if hit:
+            return (w1, hit[0]), (w1, hit[1])
+        for w2, p2 in pieces[i + 1:]:
+            hit = _pieces_collide(p1, p2, same_piece=False)
+            if hit and (w1, hit[0]) != (w2, hit[1]):
+                return (w1, hit[0]), (w2, hit[1])
+    return None
+
+
 def agree_window(u: SymNode, v: SymNode, bound: int) -> set[int]:
     """The cell positions m < bound at which two templates instantiate to
     one node."""

@@ -207,6 +207,29 @@ def test_last_entry_collision_matches_window(case):
         assert z.at(k1).eval_at(last) == z.at(k2).eval_at(last)
 
 
+@settings(max_examples=80, deadline=None)
+@given(zmaps_and_cuts(), st.builds(Ordinal, st.integers(1, 3), st.integers(0, 30)))
+@example((ZMap.make(Ordinal(0, 0), Ordinal(3, 4), False,
+                    [(3, Cell(AP(0, 1), SymNode((BlockWord.make((), (0,)),), (0,))))]), None),
+         Ordinal(3, 4))
+def test_domain_run_on_keeps_every_collision(case, hi):
+    """z-pairwise lists the keys of a finite top block one by one only when
+    the map with its domain run on to the next limit has a collision. That
+    map has z's keys and more, with the same last entries, in pieces that
+    keep z's keys apart, so each collision of z is one of it. In the example
+    the top block has no next limit (w3+4), and z is kept as it is."""
+    import dataclasses
+    from ascentlab.amalgam import _last_entry_pieces, _run_on
+    from ascentlab.ascent import _first_collision
+    z = dataclasses.replace(case[0], hi=hi)
+    last = Ordinal(1, 0)
+    wide = _run_on(z)
+    assert (wide.lo, wide.cells, wide.entries) == (z.lo, z.cells, z.entries)
+    assert all(wide.in_domain(k) for k in zmap_window(z, 4, 48))
+    if _first_collision(_last_entry_pieces(z, last)) is not None:
+        assert _first_collision(_last_entry_pieces(wide, last)) is not None
+
+
 def test_amalgam_top_member_outside_the_tree_raises(monkeypatch):
     """The union level split by residue mod 4 with a node outside the tree
     at 11: carving leaves 3, 7 and 11 as exceptions no catalog branch

@@ -17,7 +17,7 @@ from ascentlab.nodes import (
     EMPTY_NODE, Ramp, SymNode, const_node, graft, mutually_exclusive, node, node_patch,
 )
 from oracles import (
-    agree_window, cross_collisions, eq_star_window, fragments_window, map_window,
+    agree_window, all_pairs_collision, cross_collisions, eq_star_window, fragments_window, map_window,
     reindex_window, restricted_supp, scan_source, upset_window,
 )
 from test_chain_lemma import ENTRIES, nodes_of
@@ -262,7 +262,8 @@ def sparse_paths(draw):
 def test_source_matches_scan(path):
     """The height index answers as a scan of `levels` does, on listed heights,
     on heights a rule generates and on heights the path does not hold; a
-    replaced level is found at its height."""
+    replaced level is found at its height, and a replaced or added level is
+    listed as `make` lists it."""
     for w in range(4):
         for n in range(12):
             alpha = Ordinal(w, n)
@@ -270,6 +271,10 @@ def test_source_matches_scan(path):
     alpha = Ordinal(1, 5)
     lvl = bare_level(alpha)
     assert path.with_level(alpha, lvl).source(alpha) is lvl
+    for alpha in [h for h, _ in path.levels] + [Ordinal(0, 0), Ordinal(1, 5), Ordinal(3, 11)]:
+        lvl = bare_level(alpha)
+        assert path.with_level(alpha, lvl) == AscentPath.make(path._by_height | {alpha: lvl},
+                                                             path.tails)
 
 
 # -- graft and appends ----------------------------------------------------------
@@ -467,6 +472,56 @@ def test_me_family_witness_on_two_ramps(a1, b1, a2, b2):
                                     rep.detail).groups())
         assert {i1 % 2, i2 % 2} == {0, 1}
         assert value[i1] == value[i2] == min(shared)
+
+
+# -- the collision kernel against all pairs ----------------------------------------
+
+@st.composite
+def value_pieces(draw):
+    """(block, value piece) lists of the shapes `_value_pieces` and
+    `_last_entry_pieces` make, with few values so that they repeat: points
+    (some on one key), constant cells (a same-piece hit), and ramps whose
+    offsets often meet the constants."""
+    out = []
+    for _ in range(draw(st.integers(0, 9))):
+        w = draw(st.integers(0, 2))
+        kind = draw(st.sampled_from(["point", "point", "point", "const", "ramp", "ramp"]))
+        if kind == "point":
+            out.append((w, ("point", draw(st.integers(0, 6)), 0, draw(st.integers(0, 12)))))
+        else:
+            ap = AP(draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+            a = 0 if kind == "const" else draw(st.integers(1, 4))
+            out.append((w, ("cell", ap, a, draw(st.integers(0, 12)))))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_pieces())
+def test_first_collision_matches_all_pairs(pieces):
+    from ascentlab.ascent import _first_collision
+    assert _first_collision(pieces) == all_pairs_collision(pieces)
+
+
+@pytest.mark.parametrize("pieces, pair", [
+    # repeated values: the first point meets the last one, not its neighbour
+    ([(0, ("point", 0, 0, 5)), (0, ("point", 1, 0, 6)), (0, ("point", 2, 0, 5))], ((0, 0), (0, 2))),
+    # a ramp b + a*m meets a constant c only when c >= b and a divides c - b
+    ([(0, ("cell", AP(0, 2), 3, 4)), (0, ("point", 1, 0, 2)), (0, ("point", 3, 0, 8)),
+      (0, ("point", 5, 0, 10))], ((0, 4), (0, 5))),
+    # a constant before a ramp: the pair keeps the constant first
+    ([(1, ("point", 7, 0, 9)), (0, ("cell", AP(1, 1), 2, 1))], ((1, 7), (0, 5))),
+    # several blocks: one key value in two blocks is two keys
+    ([(0, ("point", 3, 0, 1)), (1, ("point", 3, 0, 1))], ((0, 3), (1, 3))),
+    # the same key listed twice is no collision
+    ([(0, ("point", 3, 0, 1)), (0, ("point", 3, 0, 1))], None),
+    # a constant cell meets itself before any later piece
+    ([(0, ("point", 0, 0, 4)), (0, ("cell", AP(2, 3), 0, 7)), (0, ("point", 9, 0, 4))],
+     ((0, 0), (0, 9))),
+    ([(0, ("cell", AP(2, 3), 0, 7)), (0, ("point", 9, 0, 7))], ((0, 2), (0, 5))),
+])
+def test_first_collision_witness(pieces, pair):
+    from ascentlab.ascent import _first_collision
+    assert _first_collision(pieces) == all_pairs_collision(pieces) == pair
 
 
 # -- clause C2 ------------------------------------------------------------------

@@ -306,6 +306,22 @@ def test_seal_cli(cond_file, capsys):
     assert code == 0 and rep["valid"]
 
 
+@pytest.mark.parametrize("hit_steps", ["0", "2"])
+def test_seal_builds_the_intermediate_once(hit_steps, cond_file, capsys, monkeypatch):
+    """The hit and the routing share one intermediate one-step."""
+    from ascentlab import sealing
+    calls = []
+    build = sealing.build_intermediate
+
+    def counting(cond, triple):
+        calls.append(triple)
+        return build(cond, triple)
+    monkeypatch.setattr(sealing, "build_intermediate", counting)
+    code, rep = run_cli(["seal", "--triple", "transpose:1,3", "--xi", "1",
+                         "--hit-steps", hit_steps, cond_file], capsys)
+    assert code == 0 and rep["valid"] and len(calls) == 1
+
+
 def test_absorb_cli(cond_file, capsys):
     code, rep = run_cli(["absorb", "--node", "[5]", "--xi", "1", cond_file], capsys)
     assert code == 0

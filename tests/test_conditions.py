@@ -154,6 +154,114 @@ def test_tower_exclusivity_walks_linear_coordinates(monkeypatch):
     assert calls <= 4 * k
 
 
+def test_tower_builds_walk_one_coordinate_per_step(monkeypatch):
+    """Each one-step of a tower walks only its new coordinate: the old top
+    carries its exclusivity record, and the new top follows it by the append
+    lemma (beta at the top) or its graft form (random beta). A full walk
+    per step made k(k+1)/2 value piece lists, 8,256 at k = 128."""
+    from ascentlab.fixtures import tower as fixture_tower
+    rng = random.Random(128)
+    k = 128
+    betas = [Ordinal(0, rng.randrange(j + 1)) for j in range(k)]
+    bases = [rng.randrange(3) for _ in range(k)]
+    calls = value_piece_calls(monkeypatch)
+    fixture_tower(k)
+    assert len(calls) == k
+    calls.clear()
+    fixture_tower(k, betas=betas, label_bases=bases)
+    assert len(calls) == k
+
+
+# -- exclusivity evidence -------------------------------------------------------
+
+def value_piece_calls(monkeypatch) -> list:
+    """The coordinates of each value piece list built from now on."""
+    from ascentlab import ascent
+    calls = []
+    real = ascent._value_pieces
+
+    def counting(level, w, j):
+        calls.append((w, j))
+        return real(level, w, j)
+    monkeypatch.setattr(ascent, "_value_pieces", counting)
+    return calls
+
+
+def spoiled(c: Condition, how: str) -> Condition:
+    """c with its top's exclusivity record made useless in one way."""
+    import dataclasses
+    from ascentlab import serialize as sz
+    from ascentlab.ascent import Exclusive
+    if how == "decoded":
+        return sz.dec_condition(sz.enc_condition(c))
+    if how == "replaced":
+        return Condition(c.tree, c.path.with_level(c.eta, dataclasses.replace(c.top)), c.variant, c.x)
+    if how == "forged":      # a record naming an equal level built apart
+        other = tower(c.eta.n).top
+        assert other == c.top
+        object.__setattr__(c.top, "exclusive", Exclusive(other.height, other.cells, other.exceptions))
+    elif how == "stale":     # the record of the level below
+        object.__setattr__(c.top, "exclusive", c.level(c.eta.pred()).exclusive)
+    return c
+
+
+@pytest.mark.parametrize("how", ["kept", "forged", "stale", "replaced", "decoded"])
+def test_evidence_fallback_walks_every_coordinate(how, monkeypatch):
+    from ascentlab.ascent import known_exclusive
+    c = spoiled(tower(5), how)
+    assert c.top.exclusive is not None or how in ("replaced", "decoded")
+    assert known_exclusive(c.top) == (how == "kept")
+    calls = value_piece_calls(monkeypatch)
+    out = one_step_extension(c, Ordinal(0, 2))
+    assert calls == ([(0, 5)] if how == "kept" else [(0, j) for j in range(6)])
+    assert known_exclusive(out.top) and check_condition(out).ok
+
+
+def test_evidence_is_never_copied_by_replace():
+    import dataclasses
+    c = tower(3)
+    assert dataclasses.replace(c.top).exclusive is None
+    assert dataclasses.replace(c.top).grafted is None and c.top.grafted is not None
+
+
+@pytest.mark.parametrize("how", ["kept", "forged", "stale"])
+def test_evidence_non_exclusive_top_still_raises(how):
+    """A new top whose appended labels collide raises NonExclusiveTop with
+    the full walk's witness whether the walk is short or full; and a top
+    with a collision below its new coordinate, under a record that names
+    another level, is walked in full and caught at coordinate 0."""
+    from ascentlab.ascent import AppendScheme, me_family, standard_append
+    from ascentlab.conditions import NonExclusiveTop, extend_with_top, one_step_with
+    c = spoiled(tower(3), how)
+    scheme = AppendScheme(tuple(mk_entry(0, 5) for _ in c.top.cells), {})
+    want = me_family(c.top.append_entries(scheme)).detail
+    assert want.endswith("at (0,3)")
+    with pytest.raises(NonExclusiveTop) as e:
+        one_step_with(c, c.top, scheme)
+    assert str(e.value) == f"one-step produced a non-exclusive family: {want}"
+    below = residue_level(c.top, 2, [0, 0])     # odds repeat the evens' nodes
+    bad = extend_with_top(c, below.append_entries(standard_append(below)))
+    object.__setattr__(bad.top, "exclusive", c.top.exclusive)
+    with pytest.raises(NonExclusiveTop, match=r"share a value at \(0,0\)"):
+        one_step_extension(bad, bad.eta)
+
+
+def test_evidence_graft_over_a_colliding_level_walks_in_full():
+    """A top grafted over an exclusive level (its record kept) but taking
+    coordinates 1 to 3 from a level whose odd indices repeat the even ones:
+    it does not agree with the old top there, so the graft form does not
+    apply and the full walk finds the collision at coordinate 1."""
+    from ascentlab.ascent import graft_levels, known_exclusive, standard_append
+    from ascentlab.conditions import NonExclusiveTop, _one_step
+    c = tower(4)
+    low = c.level(Ordinal(0, 1))
+    assert known_exclusive(low) and known_exclusive(c.top)
+    twins = residue_level(c.top, 2, [0, 0])
+    new_top = graft_levels(low, twins.append_entries(standard_append(twins)))
+    with pytest.raises(NonExclusiveTop, match=r"share a value at \(0,1\)"):
+        _one_step(c, new_top)
+
+
 # -- one-step failures ----------------------------------------------------------
 
 def residue_level(level, step: int, perm):

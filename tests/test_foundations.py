@@ -512,6 +512,46 @@ def test_progressions_built_in_normal_form(step, start):
         {k for k in range(bound) if k in AP(start, step)}
 
 
+def via_make(ks):
+    """The finite set as `UPSet.make` normalises it, the build `finite_set`
+    and `singleton` used before they wrote the normal form directly."""
+    ks = frozenset(ks)
+    return UPSet.make(max(ks) + 1 if ks else 0, 1, frozenset(), ks)
+
+
+@NORMAL_FORM
+@given(st.lists(st.integers(-3, 40), max_size=8))
+@example([])
+@example([-1])
+@example([-1, 3])
+@example([-3, 0])
+def test_finite_sets_built_in_normal_form(ks):
+    """finite_set and singleton equal the sets `make` normalises, field by
+    field, and raise where it raises: a negative member is dropped, and a
+    largest member below -1 is a negative threshold."""
+    try:
+        want = via_make(ks)
+    except ValueError:
+        with pytest.raises(ValueError, match="threshold >= 0"):
+            finite_set(ks)
+        return
+    got = finite_set(iter(ks))
+    assert (got.threshold, got.period, got.rmask, got.lmask) == \
+        (want.threshold, want.period, want.rmask, want.lmask)
+    for k in ks[:1]:
+        if k < -1:
+            with pytest.raises(ValueError, match="threshold >= 0"):
+                singleton(k)
+        else:
+            assert singleton(k) == via_make([k])
+
+
+def test_finite_set_negative_members():
+    assert finite_set({-1}) == EMPTY_SET and finite_set({-1, 2}) == finite_set({2})
+    with pytest.raises(ValueError, match="threshold >= 0"):
+        finite_set({-2})
+
+
 def test_multiples_rejects_what_make_rejects():
     for k, start in ((0, 0), (1, -1)):
         with pytest.raises(ValueError, match="period must be >= 1"):

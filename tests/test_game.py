@@ -307,3 +307,26 @@ def test_decreasing_failure_names_the_first_pair_in_order():
         validate_chain(bad)
     assert str(e.value) == (f"chain hypothesis failed (decreasing): stage "
                             f"{ch.members[2].beta} does not extend {ch.members[0].beta}")
+
+
+# -- near-linear games: collision counts ----------------------------------------
+
+def test_long_game_collision_and_walk_counts(monkeypatch):
+    """A game of length 256 and its invariant check try O(n) piece pairs and
+    walk O(n) coordinates: 2,779,904 `_pieces_collide` calls when every
+    z-pairwise check compared all pairs of the domain's points, and 32,640
+    value piece lists when every one-step walked its whole top."""
+    from ascentlab import ascent
+    counts = {"pairs": 0, "walk": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kw):
+            counts[key] += 1
+            return fn(*args, **kw)
+        return wrapped
+    monkeypatch.setattr(ascent, "_pieces_collide", counting("pairs", ascent._pieces_collide))
+    monkeypatch.setattr(ascent, "_value_pieces", counting("walk", ascent._value_pieces))
+    n = 256
+    t = play_game(Ordinal(0, n), random_opponent(3), 0)
+    assert t.verdict == "II_completed" and check_run_invariants(t).ok
+    assert counts["pairs"] <= n and counts["walk"] <= 2 * n
