@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .foundations import (
-    EMPTY_SET, FULL_SET, W_LIMIT, Ordinal, PostconditionFailed, UPSet, finite_set, multiples,
-    singleton,
+    EMPTY_SET, FULL_SET, W_LIMIT, Ordinal, PostconditionFailed, UPSet, _root, finite_set,
+    multiples, singleton,
 )
 from .ascent import (
     AppendScheme, AscentLevel, Cell, MapPiece, _first_collision, _split, me_cross, me_set_concrete,
@@ -31,7 +31,8 @@ from .conditions import (
     Condition, S_X, TailRule, check_condition, extend_with_top, leq_s,
 )
 from .trees import (
-    BranchCatalog, CatalogFamily, CatalogSingle, SymTree, family_in_tree, tree_contains,
+    BranchCatalog, CatalogFamily, CatalogSingle, SymTree, _template_in_tree, family_in_tree,
+    tree_contains,
 )
 
 
@@ -256,15 +257,113 @@ def _run_on(z: ZMap) -> ZMap:
 
 def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap,
                     delta: Ordinal, closed: bool) -> ZBullets:
-    """The four per-stage z requirements, on the probe keys plus the cell
-    structure; at successor heights, pairwise difference over the whole
-    domain. Raises HypothesisViolated with the failing bullet;
-    on success returns the ZBullets record of the five arguments, which
-    `validate_chain` accepts in place of a second check of the same
-    objects."""
+    """The four per-stage z requirements. Raises HypothesisViolated with the
+    failing bullet; on success returns the ZBullets record of the five
+    arguments, which `validate_chain` accepts in place of a second check of
+    the same objects.
+
+    At a successor height eta with last coordinate lam, the pass case is
+    proved piece by piece (`_z_pieces_pass`): each cell once and each entry
+    in the domain once, with no probe node built. Each piece check is a
+    sufficient condition for its bullet on every member the piece holds:
+    - z-top-level: a cell template of height eta that `_template_in_tree`
+      accepts has every instance at height eta and in the tree. Entries are
+      checked by height and `tree_contains`.
+    - z-vs-zero: two nodes of successor height eta are eventually equal iff
+      their entries at lam are equal, so no member of a cell whose entry
+      a*m + b at lam never takes top member 0's value there is eventually
+      equal to that member. The value is read off the top's piece that
+      holds index 0.
+    - z-exclusive: `me_cross` lists, for the cells against the top, every
+      (cell member, top index) pair sharing a value at some coordinate:
+      over a whole top cell (static or row), at one top index for every
+      member (static point), or finitely often per member (moving). When
+      there is no moving collision and no static or row index other than 0,
+      no cell member meets the top off index 0; the entries take
+      `me_set_concrete` one by one.
+    - z-pairwise is decided on the last-entry pieces already.
+    When a piece check does not pass, and at limit heights, the key-by-key
+    check (`_z_bullets_by_key`) decides, so every verdict, bullet and
+    message is the one it gives."""
     if (z.lo, z.hi, z.closed_hi) != (beta, delta, closed):
         raise HypothesisViolated("z-domain", f"z of stage {beta} has domain "
                                  f"({z.lo},{z.hi}{']' if z.closed_hi else ')'}")
+    if not (cond.eta.is_successor and _z_pieces_pass(cond, z)):
+        _z_bullets_by_key(cond, z)
+    return ZBullets(beta, cond, z, delta, closed)
+
+
+def _z_pieces_pass(cond: Condition, z: ZMap) -> bool:
+    """The piece checks of `check_z_bullets` at a successor height: True
+    only when every bullet holds. A piece is read at a coordinate only after
+    its height is checked, so a piece of another height sends the check to
+    the key-by-key path instead of raising."""
+    eta, top, tree = cond.eta, cond.top, cond.tree
+    if any(c.template.dom != eta for _, c in z.cells):
+        return False
+    zero_value = _value_at_zero(top)
+    if zero_value is None:
+        return False
+    entries = [v for k, v in z.entries if z.in_domain(k)]
+    for v in entries:
+        if v.dom != eta or not v.concrete or v.final[-1] == zero_value \
+                or not tree_contains(tree, v):
+            return False
+    for _, c in z.cells:
+        a, b = entry_affine(c.template.final[-1])
+        if (b == zero_value if a == 0 else _root(a, zero_value - b) is not None) \
+                or not _template_in_tree(tree, c.template):
+            return False
+    if _last_entry_collision(z, eta.pred()):
+        return False
+    zero = singleton(0)
+    if any(not me_set_concrete(v, top).complement().difference(zero).is_empty for v in entries):
+        return False
+    return not z.cells or _cross_fault(eta, z, top) is None
+
+
+def _value_at_zero(top: AscentLevel) -> Optional[int]:
+    """Top member 0's last entry (a successor height), read off the exception
+    or cell holding index 0, in `AscentLevel.at`'s order; None when no piece
+    holds it."""
+    for k, v in top.exceptions:
+        if k == 0:
+            return v.final[-1]
+    for c in top.cells:
+        if c.ap.start == 0:
+            return entry_affine(c.template.final[-1])[1]
+    return None
+
+
+def _last_entry_collision(z: ZMap, last: Ordinal):
+    """Two keys of z's domain whose values share their entry at `last`, if
+    any: the one-coordinate collision analysis of the exclusivity walk. A
+    finite top block is listed key by key only when `_run_on(z)` has a
+    collision."""
+    return _first_collision(_last_entry_pieces(_run_on(z), last)) and \
+        _first_collision(_last_entry_pieces(z, last))
+
+
+def _cross_fault(eta: Ordinal, z: ZMap, top: AscentLevel) -> Optional[str]:
+    """Why some member of z's cells, read at height eta, meets the top
+    family off index 0, by `me_cross`, or None."""
+    zero = singleton(0)
+    rep = me_cross(AscentLevel(eta, tuple(c for _, c in z.cells), ()), top)
+    if rep.has_moving:
+        return "a branch cell meets the family cofinally"
+    if not rep.static_bad.difference(zero).is_empty:
+        return "a branch cell meets the family off 0"
+    for i0, row in rep.special_rows:
+        if not row.difference(zero).is_empty:
+            return f"branch {i0} meets the family off 0"
+    return None
+
+
+def _z_bullets_by_key(cond: Condition, z: ZMap) -> None:
+    """The z requirements on the probe keys plus the cell structure; at
+    successor heights, pairwise difference over the whole domain. Once the
+    probe nodes pass, every cell's template height is checked, because the
+    checks after it read each cell's template at the top's coordinates."""
     eta = cond.eta
     top = cond.top
     keys = z.probe_keys()
@@ -274,14 +373,14 @@ def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap,
             raise HypothesisViolated("z-top-level", f"z({k}) has height {v.dom}")
         if not tree_contains(cond.tree, v):
             raise HypothesisViolated("z-top-level", f"z({k}) outside the tree")
+    for w, cell in z.cells:
+        if cell.template.dom != eta:
+            raise HypothesisViolated("z-top-level",
+                                     f"a cell of block {w} has height {cell.template.dom}")
     # pairwise eventual difference: at successor heights this is distinct
-    # last entries over the whole domain, decided by the one-coordinate
-    # collision analysis of the exclusivity walk; a finite top block is
-    # listed key by key only when `_run_on(z)` has a collision
+    # last entries over the whole domain
     if eta.is_successor:
-        last = eta.pred()
-        hit = _first_collision(_last_entry_pieces(_run_on(z), last)) and \
-            _first_collision(_last_entry_pieces(z, last))
+        hit = _last_entry_collision(z, eta.pred())
         if hit:
             raise HypothesisViolated("z-pairwise", f"z({Ordinal(*hit[0])}) =* z({Ordinal(*hit[1])})")
     else:
@@ -305,16 +404,9 @@ def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap,
         if not bad.is_empty:
             raise HypothesisViolated("z-exclusive", f"z({k}) meets top family at {bad.min_member()}")
     if z.cells:
-        probe = AscentLevel(eta, tuple(c for _, c in z.cells), ())
-        rep = me_cross(probe, top)
-        if rep.has_moving:
-            raise HypothesisViolated("z-exclusive", "a branch cell meets the family cofinally")
-        if not rep.static_bad.difference(zero).is_empty:
-            raise HypothesisViolated("z-exclusive", "a branch cell meets the family off 0")
-        for i0, row in rep.special_rows:
-            if not row.difference(zero).is_empty:
-                raise HypothesisViolated("z-exclusive", f"branch {i0} meets the family off 0")
-    return ZBullets(beta, cond, z, delta, closed)
+        fault = _cross_fault(eta, z, top)
+        if fault:
+            raise HypothesisViolated("z-exclusive", fault)
 
 
 def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:

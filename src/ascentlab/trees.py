@@ -166,12 +166,19 @@ def _template_in_tree(tree: SymTree, t: SymNode) -> bool:
     - when t|a is concrete, one tree_contains decides every instance;
     - when a is explicit, t|a has a ramp (slope >= 1), so its instances are
       infinitely many distinct nodes and cannot all lie in the finite level;
-    - when a is a limit, `_limit_template_in_tree` decides."""
+    - when a is a limit, `_limit_template_in_tree` decides.
+    A template at a limit height equal to a template of an admitted family
+    in that height's catalog is in the tree at once (`_admitted_template`):
+    each of its instances is an admitted branch, and the limit level's
+    members are the grafts x*b of lower nodes x onto admitted branches b,
+    the root among the x, whose graft onto b is b itself."""
     d = t.dom
     if d >= tree.height:
         return False
     if t.concrete:
         return tree_contains(tree, t)
+    if d.is_limit and _admitted_template(tree.catalog_at(d), t):
+        return True
     anchor = Ordinal(d.w, 0)
     for h, _ in tree.explicit:
         if h > d:
@@ -182,6 +189,13 @@ def _template_in_tree(tree: SymTree, t: SymNode) -> bool:
     if base.concrete:
         return tree_contains(tree, base)
     return anchor.is_limit and _limit_template_in_tree(tree, base)
+
+
+def _admitted_template(cat: BranchCatalog, t: SymNode) -> bool:
+    """Whether t is a template of an admitted family of the catalog: the
+    very object first, then by value."""
+    cells = [c for f in cat.families if f.admitted for c in f.cells]
+    return any(c.template is t for c in cells) or any(c.template == t for c in cells)
 
 
 def _limit_template_in_tree(tree: SymTree, b: SymNode) -> bool:

@@ -280,8 +280,9 @@ def restrict_via_make(level, alpha: Ordinal):
 
 def all_pairs_run_invariants(t, x: XSequence):
     """check_run_invariants with requirements (order), (i) and (iii)
-    checked on every pair of moves."""
-    from ascentlab.amalgam import HypothesisViolated, check_z_bullets
+    checked on every pair of moves, and each even move's z-bullets by
+    `probe_key_z_bullets`."""
+    from ascentlab.amalgam import HypothesisViolated
     from ascentlab.ascent import supp
     from ascentlab.conditions import leq_s
     from ascentlab.foundations import FULL_SET
@@ -303,7 +304,7 @@ def all_pairs_run_invariants(t, x: XSequence):
         if mv.z is None:
             continue
         try:
-            check_z_bullets(mv.stage, mv.cond, mv.z, t.mu, False)
+            probe_key_z_bullets(mv.stage, mv.cond, mv.z, t.mu, False)
         except HypothesisViolated as e:
             fails.append(f"(ii) stage {mv.stage}: {e.bullet}")
     evens = [mv for mv in moves if mv.z is not None]
@@ -314,6 +315,73 @@ def all_pairs_run_invariants(t, x: XSequence):
                 if vb.dom < va.dom or vb.restrict(va.dom) != va:
                     fails.append(f"(iii) branch {k} not increasing at stage {b.stage}")
     return InvariantReport(not fails, tuple(fails))
+
+
+def probe_key_z_bullets(beta, cond, z, delta, closed):
+    """check_z_bullets as it was decided key by key: the probe nodes
+    (two members per cell plus the entries) built and checked one by one,
+    then the cell structure; at successor heights, pairwise difference over
+    the whole domain. Raises HypothesisViolated with the failing bullet."""
+    from ascentlab.amalgam import (
+        HypothesisViolated, ZBullets, _first_collision, _last_entry_pieces, _run_on,
+    )
+    from ascentlab.ascent import AscentLevel, me_cross, me_set_concrete
+    from ascentlab.foundations import singleton
+    from ascentlab.nodes import eq_star
+    from ascentlab.trees import tree_contains
+    if (z.lo, z.hi, z.closed_hi) != (beta, delta, closed):
+        raise HypothesisViolated("z-domain", f"z of stage {beta} has domain "
+                                 f"({z.lo},{z.hi}{']' if z.closed_hi else ')'}")
+    eta = cond.eta
+    top = cond.top
+    keys = z.probe_keys()
+    nodes = [(k, z.at(k)) for k in keys]
+    for k, v in nodes:
+        if v.dom != eta:
+            raise HypothesisViolated("z-top-level", f"z({k}) has height {v.dom}")
+        if not tree_contains(cond.tree, v):
+            raise HypothesisViolated("z-top-level", f"z({k}) outside the tree")
+    # pairwise eventual difference: at successor heights this is distinct
+    # last entries over the whole domain, decided by the one-coordinate
+    # collision analysis of the exclusivity walk; a finite top block is
+    # listed key by key only when `_run_on(z)` has a collision
+    if eta.is_successor:
+        last = eta.pred()
+        hit = _first_collision(_last_entry_pieces(_run_on(z), last)) and \
+            _first_collision(_last_entry_pieces(z, last))
+        if hit:
+            raise HypothesisViolated("z-pairwise", f"z({Ordinal(*hit[0])}) =* z({Ordinal(*hit[1])})")
+    else:
+        for i, (k1, v1) in enumerate(nodes):
+            for k2, v2 in nodes[i + 1:]:
+                if eq_star(v1, v2):
+                    raise HypothesisViolated("z-pairwise", f"z({k1}) =* z({k2})")
+        for w, cell in z.cells:
+            word = cell.template.blocks[-1]
+            if all(isinstance(e, int) for e in word.prefix + word.tail):
+                raise HypothesisViolated("z-pairwise",
+                                         f"block {w} cell instances eventually coincide")
+    # exclusivity against the whole nonzero family, decided exactly by
+    # me_set_concrete: any collision away from index 0 is fatal, and the
+    # least such index is the witness
+    f0, zero = top.at(0), singleton(0)
+    for k, v in nodes:
+        if eq_star(v, f0):
+            raise HypothesisViolated("z-vs-zero", f"z({k}) =* top family at 0")
+        bad = me_set_concrete(v, top).complement().difference(zero)
+        if not bad.is_empty:
+            raise HypothesisViolated("z-exclusive", f"z({k}) meets top family at {bad.min_member()}")
+    if z.cells:
+        probe = AscentLevel(eta, tuple(c for _, c in z.cells), ())
+        rep = me_cross(probe, top)
+        if rep.has_moving:
+            raise HypothesisViolated("z-exclusive", "a branch cell meets the family cofinally")
+        if not rep.static_bad.difference(zero).is_empty:
+            raise HypothesisViolated("z-exclusive", "a branch cell meets the family off 0")
+        for i0, row in rep.special_rows:
+            if not row.difference(zero).is_empty:
+                raise HypothesisViolated("z-exclusive", f"branch {i0} meets the family off 0")
+    return ZBullets(beta, cond, z, delta, closed)
 
 
 # -- reference for me_cross ---------------------------------------------------------

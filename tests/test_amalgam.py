@@ -1,16 +1,23 @@
+import dataclasses
+import functools
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ascentlab import amalgam, game
 from ascentlab.foundations import AP, FULL_SET, OMEGA, Ordinal
 from ascentlab.amalgam import (
-    ChainDescriptor, HypothesisViolated, NotUniformTail, ZMap, amalgamate,
+    ChainDescriptor, HypothesisViolated, NotUniformTail, ZMap, _z_pieces_pass, amalgamate,
+    check_z_bullets,
 )
-from ascentlab.ascent import Cell, supp
-from ascentlab.conditions import S_X, check_condition, leq_s
+from ascentlab.ascent import AscentLevel, Cell, supp
+from ascentlab.conditions import S_X, Condition, check_condition, leq_s
 from ascentlab.fixtures import uniform_chain
-from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node
-from ascentlab.trees import tree_contains, vanishing_levels
-from oracles import zmap_window
+from ascentlab.game import check_run_invariants, onestep_opponent, play_game, random_opponent
+from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, node_patch
+from ascentlab.trees import BranchCatalog, SymTree, tree_contains, vanishing_levels
+from oracles import probe_key_z_bullets, zmap_window
 from test_chain_lemma import ENTRIES, nodes_of
 
 
@@ -247,3 +254,268 @@ def test_amalgam_top_member_outside_the_tree_raises(monkeypatch):
     monkeypatch.setattr(TailRule, "limit_level", split_with_stray)
     with pytest.raises(PostconditionFailed, match="ascent union missing"):
         amalgamate(uniform_chain(3, Ordinal(1, 2)))
+
+
+# -- z-bullets from pieces against the key-by-key reference ---------------------
+
+GAME_LENGTHS = [Ordinal(0, 8), Ordinal(0, 14), Ordinal(1, 4), Ordinal(1, 6), Ordinal(2, 2)]
+
+
+@functools.cache
+def even_moves(mu: Ordinal, seed: int):
+    """The moves with a z-map of one random-opponent run of length mu."""
+    t = play_game(mu, random_opponent(seed), seed % 3)
+    assert t.verdict == "II_completed"
+    return [mv for mv in t.moves if mv.z is not None]
+
+
+def with_last(v: SymNode, e) -> SymNode:
+    """v with the entry at its last coordinate, or the tail of its last
+    block at a limit height, replaced by e."""
+    if v.final:
+        return SymNode(v.blocks, v.final[:-1] + (e,))
+    return SymNode(v.blocks[:-1] + (BlockWord.make(v.blocks[-1].prefix, (e,)),), ())
+
+
+def z_outcome(check, beta, cond, z, mu):
+    try:
+        ev = check(beta, cond, z, mu, False)
+    except HypothesisViolated as e:
+        return e.bullet, str(e)
+    assert (ev.beta, ev.cond, ev.z) == (beta, cond, z)
+    return "ok"
+
+
+@st.composite
+def game_stage_zmaps(draw):
+    """A game stage (successor or limit height) and its z-map, with one
+    corruption: a cell's last entry, one constant, the tail of one block or
+    the progression changed, or an entry copied from another key, set to the
+    top's member 0 or given another last entry."""
+    mu = draw(st.sampled_from(GAME_LENGTHS))
+    mv = draw(st.sampled_from(even_moves(mu, draw(st.integers(0, 9)))))
+    z, top = mv.z, mv.cond.top
+    cells, entries = list(z.cells), dict(z.entries)
+    keys = z.probe_keys()
+    c0 = top.at(0).entry_at(top.height.pred()) if top.height.is_successor else 0
+    labels = st.integers(0, 40) | st.just(c0)
+    ramps = st.builds(Ramp, st.integers(1, 4), st.integers(0, 40))
+    corruption = draw(st.sampled_from(
+        ["none", "cell-last", "cell-const", "cell-tail", "cell-ap", "entry-copy", "entry-zero",
+         "entry-last"]))
+    if corruption.startswith("cell") and cells:
+        i = draw(st.integers(0, len(cells) - 1))
+        w, c = cells[i]
+        if corruption == "cell-last":
+            # a ramp through top member 0's last value at position m, if any
+            hits = st.builds(lambda a, m: Ramp(a, max(c0 - a * m, 0)),
+                             st.integers(1, 4), st.integers(0, 6))
+            cells[i] = (w, Cell(c.ap, with_last(c.template, draw(labels | ramps | hits))))
+        elif corruption == "cell-const":
+            t = c.template
+            coords = [Ordinal(b, j) for b in range(len(t.blocks)) for j in range(4)] + \
+                [Ordinal(len(t.blocks), j) for j in range(len(t.final))]
+            cells[i] = (w, Cell(c.ap, node_patch(t, {draw(st.sampled_from(coords)): draw(labels)})))
+        elif corruption == "cell-tail" and c.template.blocks:
+            t = c.template
+            b = draw(st.integers(0, len(t.blocks) - 1))
+            word = BlockWord.make(t.blocks[b].prefix, (draw(labels | ramps),))
+            cells[i] = (w, Cell(c.ap, SymNode(t.blocks[:b] + (word,) + t.blocks[b + 1:], t.final)))
+        elif corruption == "cell-ap":
+            cells[i] = (w, Cell(AP(draw(st.integers(0, 12)), draw(st.integers(1, 3))), c.template))
+    elif corruption.startswith("entry") and keys:
+        k = draw(st.sampled_from(keys))
+        if corruption == "entry-copy":
+            entries[k] = z.at(draw(st.sampled_from(keys)))
+        elif corruption == "entry-zero":
+            entries[k] = top.at(0)
+        else:
+            entries[k] = with_last(z.at(k), draw(labels))
+    return mv.stage, mv.cond, ZMap.make(z.lo, z.hi, z.closed_hi, cells, entries), z.hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(game_stage_zmaps())
+def test_z_bullets_match_probe_key_reference(case):
+    """The piece checks only ever confirm a pass the key-by-key check gives,
+    and otherwise that check decides: the verdict, bullet and message are
+    the reference's on every corrupted stage."""
+    beta, cond, z, mu = case
+    assert z_outcome(check_z_bullets, beta, cond, z, mu) == \
+        z_outcome(probe_key_z_bullets, beta, cond, z, mu)
+
+
+def stage_two(mu: Ordinal):
+    move = play_game(mu, onestep_opponent(), 0).moves[2]
+    return move.stage, move.cond, move.z
+
+
+def test_z_bullets_member_outside_the_tree_past_the_probe_keys():
+    """Stage 2's tree with its top level listed explicitly as the two probe
+    members z(3) and z(4): z(5), at cell position 2, lies outside it, so the
+    per-piece membership check fails, while the key-by-key check passes as
+    it did before (the z-bullets are exact only on their probe keys)."""
+    beta, cond, z = stage_two(Ordinal(0, 8))
+    probes = tuple(z.at(Ordinal(0, n)) for n in (3, 4))
+    tree = SymTree.make(cond.tree.height, {cond.eta: probes}, cond.tree.catalogs)
+    cond = Condition(tree, cond.path, cond.variant, cond.x)
+    assert not tree_contains(tree, z.at(Ordinal(0, 5)))
+    assert not _z_pieces_pass(cond, z)
+    assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == "ok" == \
+        z_outcome(probe_key_z_bullets, beta, cond, z, z.hi)
+
+
+def test_z_bullets_member_eventually_equal_to_zero_past_the_probe_keys():
+    """Stage 2's top with member 0 made <0, 417>: the z cell's member at
+    position 5, z(8) = <0, 16*5 + 337>, is that very node, so the per-piece
+    z-vs-zero check fails. `me_cross` already meets member 0 at the first
+    coordinate for every cell member, which is allowed, and the key-by-key
+    check passes as before. No input separates the per-piece z-exclusive
+    check from the key-by-key one: both take `me_cross` of the cells and
+    `me_set_concrete` of each entry."""
+    beta, cond, z = stage_two(Ordinal(0, 14))
+    top = cond.top
+    top = AscentLevel.make(top.height, top.cells, {0: with_last(top.at(0), 417)})
+    cond = Condition(cond.tree, cond.path.with_level(cond.eta, top), cond.variant, cond.x)
+    assert z.at(Ordinal(0, 8)) == top.at(0)
+    assert not _z_pieces_pass(cond, z)
+    assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == "ok" == \
+        z_outcome(probe_key_z_bullets, beta, cond, z, z.hi)
+
+
+# -- count guards: a passing successor-height check builds no probe node --------
+
+def successor_check_counts(monkeypatch) -> list:
+    """(z, calls) for each successor-height check_z_bullets call in a game of
+    length w+6 and its invariant check, where calls counts the ZMap.at,
+    ZMap.probe_keys, AscentLevel.at and me_set_concrete calls it made."""
+    runs: list = []
+    inside: list = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kw):
+            if inside:
+                runs[-1][1][name] += 1
+            return fn(*args, **kw)
+        return wrapped
+    for owner, name in ((ZMap, "at"), (ZMap, "probe_keys"), (AscentLevel, "at")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    monkeypatch.setattr(amalgam, "me_set_concrete",
+                        counting("me_set_concrete", amalgam.me_set_concrete))
+    check = amalgam.check_z_bullets
+
+    def spy(beta, cond, z, delta, closed):
+        if not cond.eta.is_successor:
+            return check(beta, cond, z, delta, closed)
+        runs.append((z, Counter()))
+        inside.append(True)
+        try:
+            return check(beta, cond, z, delta, closed)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(amalgam, "check_z_bullets", spy)
+    monkeypatch.setattr(game, "check_z_bullets", spy)
+    t = play_game(Ordinal(1, 6), random_opponent(3), 0)
+    assert t.verdict == "II_completed" and check_run_invariants(t).ok
+    return runs
+
+
+def test_z_bullets_successor_pass_builds_no_probe_node(monkeypatch):
+    runs = successor_check_counts(monkeypatch)
+    assert len(runs) == 12
+    assert all(c["at"] == c["probe_keys"] == 0 for _, c in runs)
+
+
+def test_z_bullets_successor_pass_checks_entries_once(monkeypatch):
+    runs = successor_check_counts(monkeypatch)
+    assert sum(c["me_set_concrete"] for _, c in runs) > 0
+    for z, c in runs:
+        assert c["me_set_concrete"] == sum(z.in_domain(k) for k, _ in z.entries)
+
+
+# -- the admitted-template exit of _template_in_tree -----------------------------
+
+def test_admitted_template_exit_on_the_amalgam_top(monkeypatch):
+    """_verify_conclusions' family_in_tree on the amalgam's top takes the
+    admitted-template exit for each of its cells and walks no template."""
+    from ascentlab import trees
+    seen = {"exits": [], "walks": 0, "calls": 0}
+    inside: list = []
+    admitted, walk, family = (trees._admitted_template, trees._limit_template_in_tree,
+                              amalgam.family_in_tree)
+
+    def spy_admitted(cat, t):
+        hit = admitted(cat, t)
+        if inside:
+            seen["exits"].append(hit)
+        return hit
+
+    def spy_walk(tree, b):
+        seen["walks"] += bool(inside)
+        return walk(tree, b)
+
+    def spy_family(tree, cells, exceptions):
+        seen["calls"] += 1
+        inside.append(True)
+        try:
+            return family(tree, cells, exceptions)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(trees, "_admitted_template", spy_admitted)
+    monkeypatch.setattr(trees, "_limit_template_in_tree", spy_walk)
+    monkeypatch.setattr(amalgam, "family_in_tree", spy_family)
+    t = play_game(Ordinal(1, 6), random_opponent(3), 0)
+    assert t.verdict == "II_completed"
+    assert seen["calls"] == 1 and seen["exits"] == [True] and seen["walks"] == 0
+
+
+def test_admitted_template_exit_answers_as_the_walk(monkeypatch):
+    """Every _template_in_tree call of the game and its invariants that
+    takes the exit gives the same answer with the exit disabled."""
+    from ascentlab import trees
+    calls, exits = [], set()
+    admitted, inner = trees._admitted_template, trees._template_in_tree
+
+    def spy_admitted(cat, t):
+        hit = admitted(cat, t)
+        if hit:
+            exits.add(id(t))
+        return hit
+
+    def spy(tree, t):
+        got = inner(tree, t)
+        calls.append((tree, t, got))
+        return got
+    monkeypatch.setattr(trees, "_admitted_template", spy_admitted)
+    monkeypatch.setattr(trees, "_template_in_tree", spy)
+    monkeypatch.setattr(amalgam, "_template_in_tree", spy)
+    run = play_game(Ordinal(1, 6), random_opponent(3), 0)
+    assert check_run_invariants(run).ok
+    taken = [(tree, t, got) for tree, t, got in calls if id(t) in exits]
+    assert taken
+    monkeypatch.setattr(trees, "_admitted_template", lambda cat, t: False)
+    assert all(inner(tree, t) == got for tree, t, got in taken)
+
+
+def test_admitted_template_exit_needs_an_admitted_family_at_its_height(monkeypatch):
+    """The amalgam's top template, with its family demoted to non-admitted,
+    or admitted only in the catalog of another limit height, is decided by
+    the walk."""
+    from ascentlab import trees
+    out, _ = amalgamate(uniform_chain(3, Ordinal(1, 2)))
+    t = out.top.cells[0].template
+    cat = out.tree.catalog_at(OMEGA)
+    assert trees._admitted_template(cat, t)
+    demoted = BranchCatalog((dataclasses.replace(cat.families[0], admitted=False),)
+                            + cat.families[1:], cat.singles)
+    walks = []
+    walk = trees._limit_template_in_tree
+    monkeypatch.setattr(trees, "_limit_template_in_tree",
+                        lambda tree, b: walks.append(b) or walk(tree, b))
+    for tree in (SymTree.make(out.tree.height, out.tree.explicit, {OMEGA: demoted}),
+                 SymTree.make(Ordinal(2, 1), out.tree.explicit,
+                              {OMEGA: demoted, Ordinal(2, 0): cat})):
+        walks.clear()
+        assert not trees._admitted_template(tree.catalog_at(OMEGA), t)
+        trees._template_in_tree(tree, t)
+        assert walks and walks[0] is t

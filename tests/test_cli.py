@@ -457,3 +457,23 @@ def test_roundtrip_catalog_conditions():
         again = sz.dec_condition(data)
         assert again == cond
         assert sz.enc_condition(again) == data
+
+
+@pytest.mark.parametrize("block", [0, 3])
+def test_amalgamate_low_z_cell_exit_2(block, tmp_path, capsys):
+    """A cell of height 0 appended to the first member's z-map: in block 0 an
+    earlier cell holds its keys 40 and 41, and block 3 lies outside the
+    domain, so no probe key reads it. The cell heights are checked before
+    any cell is read at the top's last coordinate."""
+    d = sz.enc_chain(uniform_chain(3, Ordinal(1, 2)))
+    d["members"][0]["z"]["cells"].append({"block": block, "cell": {
+        "start": 40, "step": 1,
+        "template": {"blocks": [], "dom": {"n": 0, "w": 0}, "final": []}}})
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps(d))
+    code = main(["amalgamate", str(p)])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {
+        "command": "amalgamate",
+        "error": f"chain hypothesis failed (z-top-level): a cell of block {block} has height 0"}
