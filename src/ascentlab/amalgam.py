@@ -26,7 +26,7 @@ from .ascent import (
     AppendScheme, AscentLevel, Cell, MapPiece, _first_collision, _split, me_cross, me_set_concrete,
     record_exclusive, supp,
 )
-from .nodes import Entry, SymNode, entry_affine, eq_star, is_prefix
+from .nodes import Entry, SymNode, _window_pairs, entry_affine, eq_star, is_prefix
 from .conditions import (
     Condition, S_X, TailRule, check_condition, extend_with_top, leq_s,
 )
@@ -76,6 +76,11 @@ class ZMap:
     closed_hi: bool = False
     cells: tuple[tuple[int, Cell], ...] = ()    # (block w, indices over n)
     entries: tuple[tuple[Ordinal, SymNode], ...] = ()
+    # key -> entry value, built once; the first listed entry wins, as in a scan
+    _by_key: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_key", dict(reversed(self.entries)))
 
     @staticmethod
     def make(lo, hi, closed_hi=False, cells=(), entries=()) -> "ZMap":
@@ -90,9 +95,9 @@ class ZMap:
     def at(self, i: Ordinal) -> SymNode:
         if not self.in_domain(i):
             raise KeyError(f"{i} outside z domain ({self.lo}, {self.hi}{']' if self.closed_hi else ')'}")
-        for k, v in self.entries:
-            if k == i:
-                return v
+        v = self._by_key.get(i)
+        if v is not None:
+            return v
         for w, cell in self.cells:
             if w == i.w and i.n in cell.ap:
                 return cell.at(i.n)
@@ -279,8 +284,15 @@ def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap,
       over a whole top cell (static or row), at one top index for every
       member (static point), or finitely often per member (moving). When
       there is no moving collision and no static or row index other than 0,
-      no cell member meets the top off index 0; the entries take
-      `me_set_concrete` one by one.
+      no cell member meets the top off index 0. The entries are decided in
+      one pass per top piece (`_entries_meet_top`): an entry v meets top(tau)
+      for some tau != 0 iff at some coordinate v's value e equals the
+      piece's entry there, a constant (every index of a cell, or the key of
+      an exception other than 0) or a ramp a*m + b at the position
+      m = (e - b) / a >= 0 of an index other than 0; that is, iff
+      `me_set_concrete(v, top)` leaves out an index other than 0, and no
+      set is built. Entries with the same blocks share every pair on the
+      block coordinates, so each distinct blocks tuple is read once.
     - z-pairwise is decided on the last-entry pieces already.
     When a piece check does not pass, and at limit heights, the key-by-key
     check (`_z_bullets_by_key`) decides, so every verdict, bullet and
@@ -314,12 +326,46 @@ def _z_pieces_pass(cond: Condition, z: ZMap) -> bool:
         if (b == zero_value if a == 0 else _root(a, zero_value - b) is not None) \
                 or not _template_in_tree(tree, c.template):
             return False
-    if _last_entry_collision(z, eta.pred()):
-        return False
-    zero = singleton(0)
-    if any(not me_set_concrete(v, top).complement().difference(zero).is_empty for v in entries):
+    if _last_entry_collision(z, eta.pred()) or _entries_meet_top(entries, top):
         return False
     return not z.cells or _cross_fault(eta, z, top) is None
+
+
+def _entries_meet_top(entries: list[SymNode], top: AscentLevel) -> bool:
+    """Whether some entry, a concrete node of the top's height, shares a
+    coordinate value with top(tau) for some tau != 0: one pass per top piece,
+    the block coordinates once per distinct blocks tuple of the entries."""
+    groups: dict[tuple, list] = {}
+    for v in entries:
+        groups.setdefault(v.blocks, []).append(v.final)
+    pieces = [(c.template, c.ap.start) for c in top.cells] + \
+        [(u, k) for k, u in top.exceptions if k]
+    for t, start in pieces:
+        for blocks, finals in groups.items():
+            for wv, wt in zip(blocks, t.blocks):
+                if _meets_off_zero(_window_pairs(wv, wt), start):
+                    return True
+            for final in finals:
+                if _meets_off_zero(zip(final, t.final), start):
+                    return True
+    return False
+
+
+def _meets_off_zero(pairs, start: int) -> bool:
+    """Whether some (value, piece entry) pair is equal at an index other than
+    0 of a top piece whose first index is `start`: a constant entry holds at
+    every index of the piece (a cell, or an exception keyed off 0), a ramp
+    a*m + b at position m = (value - b) / a, index 0 only when m = 0 and
+    start = 0."""
+    for e, et in pairs:
+        if et.__class__ is int:
+            if e == et:
+                return True
+        else:
+            d = e - et.b
+            if d >= 0 and not d % et.a and (d or start):
+                return True
+    return False
 
 
 def _value_at_zero(top: AscentLevel) -> Optional[int]:
@@ -460,10 +506,12 @@ def amalgamate(ch: ChainDescriptor) -> tuple[Condition, ZMap]:
     """The limit lower bound: closed-form unions for the ascent top and the
     z-branches, a branch catalog making the new level's members exactly the
     grafts of lower nodes onto admitted branches, and the skipped z-branch
-    recorded vanishing. Every conclusion is re-verified before returning
-    (PostconditionFailed otherwise): the result extends every member and
-    passes check_condition, whose clause C3 puts the new limit among its
-    vanishing levels."""
+    recorded vanishing. The conclusions are verified before returning
+    (PostconditionFailed otherwise, see `_verify_conclusions`): the result
+    extends the last member with full support, and so, by the chain lemma,
+    every member; its z-unions extend every member's z-values and lie in
+    the tree with the union level; and it passes check_condition, whose
+    clause C3 puts the new limit among its vanishing levels."""
     sample = validate_chain(ch)
     last = ch.members[-1]
     tail = ch.tail
@@ -502,22 +550,34 @@ def amalgamate(ch: ChainDescriptor) -> tuple[Condition, ZMap]:
 
 def _verify_conclusions(ch: ChainDescriptor, sample: list[ChainMember],
                         out: Condition, z_gamma: ZMap, vanish: SymNode) -> None:
+    """The amalgam's conclusions, checked. `leq_s` and full support are
+    checked against the last member only: `validate_chain` has established
+    that every member extends each earlier one with full support, leq_s is
+    transitive, and by the chain lemma in the `ascentlab.conditions`
+    docstring, supp(f, g) and supp(g, h) full give supp(f, h) full for the
+    tops' heights f <= g <= h. Z-coherence is checked per member, because it
+    is read on each member's probe keys, which another member's check does
+    not cover. The z-unions are checked in the tree exactly: every cell's
+    template and every in-domain entry (`family_in_tree`), which the
+    admitted-template and admitted-single exits in `trees` answer for the
+    catalog's own branches."""
     eta = out.eta
     if any(m.cond.eta >= eta for m in sample):
         raise HypothesisViolated("height-sup", "a member reaches the limit height")
+    last = ch.members[-1]
+    if not leq_s(out, last.cond):
+        raise PostconditionFailed(f"amalgam does not extend stage {last.beta}")
+    if supp(last.cond.top, out.top) != FULL_SET:
+        raise PostconditionFailed(f"amalgam lost full support to stage {last.beta}")
     for m in ch.members:
-        if not leq_s(out, m.cond):
-            raise PostconditionFailed(f"amalgam does not extend stage {m.beta}")
-        if supp(m.cond.top, out.top) != FULL_SET:
-            raise PostconditionFailed(f"amalgam lost full support to stage {m.beta}")
         k = next(m.z.incoherent_keys(z_gamma), None)
         if k is not None:
             raise PostconditionFailed(f"z union at {k} does not extend stage {m.beta}")
     # membership characterization: admitted branches and their grafts are in,
     # the vanishing union is out
-    for i in z_gamma.probe_keys():
-        if not tree_contains(out.tree, z_gamma.at(i)):
-            raise PostconditionFailed(f"z union at {i} missing from the top level")
+    if not family_in_tree(out.tree, [c for _, c in z_gamma.cells],
+                          [(k, v) for k, v in z_gamma.entries if z_gamma.in_domain(k)]):
+        raise PostconditionFailed("z union missing from the top level")
     if not family_in_tree(out.tree, out.top.cells, out.top.exceptions):
         raise PostconditionFailed("ascent union missing from the top level")
     if tree_contains(out.tree, vanish):

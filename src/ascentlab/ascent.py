@@ -241,14 +241,11 @@ def _slot_pairs(u: SymNode, v: SymNode, since: Ordinal = ZERO) -> Iterator[tuple
         stop = wu.window(wv)
         if lo:
             stop = max(stop, lo + math.lcm(len(wu.tail), len(wv.tail)))
-        for j in range(lo, stop):
-            yield wu.eval(j), wv.eval(j)
+        yield from zip(wu.take(stop, lo), wv.take(stop, lo))
     w = len(u.blocks)
     lo = since.n if since.w == w else 0
     if w < len(v.blocks):
-        word = v.blocks[w]
-        for j in range(lo, len(u.final)):
-            yield u.final[j], word.eval(j)
+        yield from zip(u.final[lo:], v.blocks[w].take(len(u.final), lo))
     else:
         yield from zip(u.final[lo:], v.final[lo:])
 
@@ -261,8 +258,8 @@ def _eq_star_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
     elif u.blocks:
         wu, wv = u.blocks[-1], v.blocks[-1]
         base = max(len(wu.prefix), len(wv.prefix))
-        for j in range(base, base + math.lcm(len(wu.tail), len(wv.tail))):
-            yield wu.eval(j), wv.eval(j)
+        stop = base + math.lcm(len(wu.tail), len(wv.tail))
+        yield from zip(wu.take(stop, base), wv.take(stop, base))
 
 
 def _agree_positions(u: SymNode, v: SymNode, pairs=_slot_pairs) -> tuple[str, int]:

@@ -94,6 +94,15 @@ class BlockWord:
             return self.prefix[j]
         return self.tail[(j - len(self.prefix)) % len(self.tail)]
 
+    def take(self, stop: int, start: int = 0) -> tuple[Entry, ...]:
+        """The entries at positions [start, stop), as one tuple slice:
+        tuple(self.eval(j) for j in range(start, stop))."""
+        prefix = self.prefix
+        if stop <= len(prefix):
+            return prefix[start:stop]
+        tail = self.tail
+        return (prefix + tail * ((stop - len(prefix)) // len(tail) + 1))[start:stop]
+
     def window(self, other: "BlockWord") -> int:
         """Positions [0, window) determine all comparisons with `other`."""
         return max(len(self.prefix), len(other.prefix)) + math.lcm(len(self.tail), len(other.tail))
@@ -143,8 +152,7 @@ class SymNode:
             return self
         if alpha.w < len(self.blocks):
             word = self.blocks[alpha.w]
-            return SymNode(self.blocks[:alpha.w],
-                           tuple(word.eval(j) for j in range(alpha.n)))
+            return SymNode(self.blocks[:alpha.w], word.take(alpha.n))
         return SymNode(self.blocks, self.final[:alpha.n])
 
     def instantiate(self, m: int) -> "SymNode":
@@ -211,9 +219,15 @@ def _require_concrete(*nodes: SymNode) -> None:
             raise ValueError("operation needs concrete nodes; instantiate templates first")
 
 
+def _window_pairs(w1: BlockWord, w2: BlockWord):
+    """The entry pairs of the two words at the positions [0, window)."""
+    n = w1.window(w2)
+    return zip(w1.take(n), w2.take(n))
+
+
 def _word_first_diff(w1: BlockWord, w2: BlockWord) -> Optional[int]:
-    for j in range(w1.window(w2)):
-        if w1.eval(j) != w2.eval(j):
+    for j, (e1, e2) in enumerate(_window_pairs(w1, w2)):
+        if e1 != e2:
             return j
     return None
 
@@ -221,18 +235,18 @@ def _word_first_diff(w1: BlockWord, w2: BlockWord) -> Optional[int]:
 def _word_last_diff(w1: BlockWord, w2: BlockWord) -> Optional[int]:
     """Last disagreement position, or None if equal; requires the words to be
     eventually equal (call only when the aligned tails coincide)."""
-    diffs = [j for j in range(w1.window(w2)) if w1.eval(j) != w2.eval(j)]
+    diffs = [j for j, (e1, e2) in enumerate(_window_pairs(w1, w2)) if e1 != e2]
     return max(diffs) if diffs else None
 
 
 def _words_eventually_equal(w1: BlockWord, w2: BlockWord) -> bool:
     base = max(len(w1.prefix), len(w2.prefix))
-    span = math.lcm(len(w1.tail), len(w2.tail))
-    return all(w1.eval(base + j) == w2.eval(base + j) for j in range(span))
+    stop = base + math.lcm(len(w1.tail), len(w2.tail))
+    return w1.take(stop, base) == w2.take(stop, base)
 
 
 def _word_all_diff(w1: BlockWord, w2: BlockWord) -> bool:
-    return all(w1.eval(j) != w2.eval(j) for j in range(w1.window(w2)))
+    return all(e1 != e2 for e1, e2 in _window_pairs(w1, w2))
 
 
 def node_patch(s: SymNode, patches: dict[Ordinal, Entry]) -> SymNode:
@@ -245,7 +259,7 @@ def node_patch(s: SymNode, patches: dict[Ordinal, Entry]) -> SymNode:
         if eps.w < len(blocks):
             word = blocks[eps.w]
             width = max(eps.n + 1, len(word.prefix))
-            pre = [word.eval(j) for j in range(width)]
+            pre = list(word.take(width))
             pre[eps.n] = val
             blocks[eps.w] = BlockWord.make(pre, word.shifted(width).tail)
         else:
@@ -299,8 +313,7 @@ def is_prefix(u: SymNode, v: SymNode) -> bool:
         return False
     if w == len(v.blocks):
         return u.final == v.final[:len(u.final)]
-    word = v.blocks[w]
-    return all(e == word.eval(j) for j, e in enumerate(u.final))
+    return u.final == v.blocks[w].take(len(u.final))
 
 
 def eval_at(s: SymNode, eps: Ordinal) -> int:

@@ -38,6 +38,18 @@ def _int_field(d: Any, key: str, where: str, least: Optional[int] = None) -> int
     return v
 
 
+def _child(where: str, key: str) -> str:
+    """The JSON path of field `key` of the object at `where` ("" for the
+    document root)."""
+    return f"{where}.{key}" if where else key
+
+
+def _required(d: dict, key: str, where: str) -> Any:
+    """d[key]; FormatError naming the field when the key is absent."""
+    _expect(key in d, f"{_child(where, key)}: missing")
+    return d[key]
+
+
 def _object(d: Any, where: str) -> dict:
     _expect(isinstance(d, dict), f"{where}: expected an object, got {d!r}")
     return d
@@ -179,9 +191,10 @@ def enc_tail_rule(r: TailRule) -> dict:
             "schemes": [enc_scheme(s) for s in r.schemes]}
 
 def dec_tail_rule(d: Any, where: str = "rule") -> TailRule:
-    return TailRule(int(d["start"]), dec_level(d["base"], f"{where}.base"),
+    return TailRule(int(_required(_object(d, where), "start", where)),
+                    dec_level(_required(d, "base", where), f"{where}.base"),
                     tuple(dec_scheme(s, f"{where}.schemes[{i}]")
-                          for i, s in enumerate(d["schemes"])))
+                          for i, s in enumerate(_required(d, "schemes", where))))
 
 
 def enc_path(p: AscentPath) -> dict:
@@ -190,12 +203,17 @@ def enc_path(p: AscentPath) -> dict:
             "tails": [{"block": w, "rule": enc_tail_rule(r)} for w, r in p.tails]}
 
 def dec_path(d: Any, where: str = "path") -> AscentPath:
-    _expect("levels" in _object(d, where), f"{where}.levels: missing")
-    return AscentPath.make(
-        {dec_ordinal(e["height"]): dec_level(e["level"], f"{where}.levels[{i}].level")
-         for i, e in enumerate(_objects(d, "levels", where))},
-        {int(e["block"]): dec_tail_rule(e["rule"], f"{where}.tails[{i}].rule")
-         for i, e in enumerate(d.get("tails", ()))})
+    _required(_object(d, where), "levels", where)
+    levels, tails = {}, {}
+    for i, e in enumerate(_objects(d, "levels", where)):
+        lw = f"{where}.levels[{i}]"
+        height = dec_ordinal(_required(e, "height", lw), f"{lw}.height")
+        levels[height] = dec_level(_required(e, "level", lw), f"{lw}.level")
+    for i, e in enumerate(_objects(d, "tails", where)):
+        tw = f"{where}.tails[{i}]"
+        block = int(_required(e, "block", tw))
+        tails[block] = dec_tail_rule(_required(e, "rule", tw), f"{tw}.rule")
+    return AscentPath.make(levels, tails)
 
 
 # -- trees ---------------------------------------------------------------------
@@ -249,10 +267,12 @@ def enc_condition(c: Condition) -> dict:
     return {"format": FORMAT, "variant": c.variant, "x": enc_x(c.x),
             "tree": enc_tree(c.tree), "path": enc_path(c.path)}
 
-def dec_condition(d: Any) -> Condition:
+def dec_condition(d: Any, where: str = "") -> Condition:
+    """A condition at JSON path `where`, "" when it is the document."""
     _expect(isinstance(d, dict) and d.get("format") == FORMAT, "unknown condition format")
-    return Condition(dec_tree(d["tree"]), dec_path(d["path"]),
-                     str(d["variant"]), dec_x(d.get("x")))
+    return Condition(dec_tree(_required(d, "tree", where), _child(where, "tree")),
+                     dec_path(_required(d, "path", where), _child(where, "path")),
+                     str(_required(d, "variant", where)), dec_x(d.get("x")))
 
 
 def enc_zmap(z: ZMap) -> dict:
@@ -305,7 +325,7 @@ def dec_chain(d: Any) -> ChainDescriptor:
     _expect(_object(d, "chain").get("format") == FORMAT, "unknown chain format")
     return ChainDescriptor(
         tuple(ChainMember(dec_ordinal(m.get("beta"), f"chain.members[{i}].beta"),
-                          dec_condition(m.get("condition")),
+                          dec_condition(m.get("condition"), f"chain.members[{i}].condition"),
                           dec_zmap(m.get("z"), f"chain.members[{i}].z"))
               for i, m in enumerate(_objects(d, "members", "chain"))),
         dec_chain_tail(d["tail"]) if d.get("tail") else None,
@@ -318,7 +338,7 @@ def enc_path_descriptor(p: PathDescriptor) -> dict:
 
 def dec_path_descriptor(d: Any) -> PathDescriptor:
     _expect(d.get("format") == FORMAT, "unknown path format")
-    return PathDescriptor(dec_condition(d["base"]),
+    return PathDescriptor(dec_condition(d["base"], "base"),
                           dec_tail_rule(d["rule"]) if d.get("rule") else None)
 
 

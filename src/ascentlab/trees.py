@@ -8,17 +8,22 @@ are exactly the grafts x*b of lower nodes onto admitted catalog branches.
 Vanishing levels are read off the catalogs: a branch no admitted branch
 matches eventually is a vanishing witness, and grafting it through any
 lower node keeps it outside the tree.
+
+Membership at a limit follows that reading: s is a member iff some
+admitted branch b with s =* b has s|thr in the tree, thr the least height
+from which s and b agree (`eq_star_threshold`). The root's restriction is
+the root, so thr = 0 puts s in at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-from .foundations import Ordinal, ZERO, _root
+from .foundations import AP, EMPTY_SET, FULL_SET, Ordinal, UPSet, ZERO, _root, finite_set
 from .nodes import SymNode, entry_affine, eq_star_threshold, graft, is_prefix
-from .ascent import Cell, _agree_positions, _eq_star_pairs
+from .ascent import Cell, _agree_positions, _eq_star_pairs, _slot_pairs
 
 
 class NoCatalog(ValueError):
@@ -117,27 +122,40 @@ class SymTree:
 ROOT_TREE = SymTree.make(Ordinal(0, 1))
 
 
-def _match_admitted(s: SymNode, cat: BranchCatalog) -> Optional[tuple[SymNode, Ordinal]]:
-    """An admitted catalog branch eventually equal to s, with the agreement
-    threshold, or None."""
+def _admitted_thresholds(s: SymNode, cat: BranchCatalog) -> Iterator[Ordinal]:
+    """eq_star_threshold(s, b) for the admitted catalog branches b with
+    s =* b, for a concrete s at the catalog's height: each single, and the
+    instances of each family that can differ in their threshold.
+
+    s =* T(p) holds at every position p of a template T (then at p = 0), at
+    one p, or at none. When it holds at every p, s and T(p) agree at a
+    coordinate where T has a ramp c*p + d for at most one p (the root of
+    c*p + d = s's entry), and a coordinate where T is constant does not
+    depend on p; so every p that is no root gives one threshold, and the
+    roots plus the position past them give every threshold."""
     for single in cat.singles:
-        if not single.admitted:
-            continue
-        thr = eq_star_threshold(s, single.node)
-        if thr is not None:
-            return single.node, thr
+        if single.admitted:
+            thr = eq_star_threshold(s, single.node)
+            if thr is not None:
+                yield thr
     for fam in cat.families:
         if not fam.admitted:
             continue
         for cell in fam.cells:
-            # s =* template(m) at every m (then at m = 0), at one m, or at none
-            verdict, m = _agree_positions(s, cell.template, _eq_star_pairs)
-            if verdict != "none":
-                inst = cell.template.instantiate(m)
-                thr = eq_star_threshold(s, inst)
+            t = cell.template
+            verdict, m = _agree_positions(s, t, _eq_star_pairs)
+            if verdict == "none":
+                continue
+            positions = [m]
+            if verdict == "all" and not t.concrete:
+                roots = {_root(et.a, es - et.b) for es, et in _slot_pairs(s, t)
+                         if not isinstance(et, int)}
+                roots.discard(None)
+                positions = [*roots, max(roots, default=-1) + 1]
+            for p in positions:
+                thr = eq_star_threshold(s, t.instantiate(p))
                 if thr is not None:
-                    return inst, thr
-    return None
+                    yield thr
 
 
 def tree_contains(tree: SymTree, s: SymNode) -> bool:
@@ -157,7 +175,12 @@ def family_in_tree(tree: SymTree, cells, exceptions) -> bool:
 
 
 def _template_in_tree(tree: SymTree, t: SymNode) -> bool:
-    """Whether every instance t(m), m >= 0, of a template lies in the tree.
+    """Whether every instance t(m), m >= 0, of a template lies in the tree."""
+    return _template_members(tree, t) == FULL_SET
+
+
+def _template_members(tree: SymTree, t: SymNode) -> UPSet:
+    """The positions m >= 0 whose instance t(m) lies in the tree.
 
     Let a be the deepest height at or below dom(t) whose level is not an
     append level: the root, an explicit level or a limit. The levels above a
@@ -165,8 +188,9 @@ def _template_in_tree(tree: SymTree, t: SymNode) -> bool:
     is, and:
     - when t|a is concrete, one tree_contains decides every instance;
     - when a is explicit, t|a has a ramp (slope >= 1), so its instances are
-      infinitely many distinct nodes and cannot all lie in the finite level;
-    - when a is a limit, `_limit_template_in_tree` decides.
+      pairwise distinct, and those in the finite level are the positions at
+      which t|a equals a listed node (`_agree_positions`);
+    - when a is a limit, `_limit_template_members` decides.
     A template at a limit height equal to a template of an admitted family
     in that height's catalog is in the tree at once (`_admitted_template`):
     each of its instances is an admitted branch, and the limit level's
@@ -174,11 +198,11 @@ def _template_in_tree(tree: SymTree, t: SymNode) -> bool:
     the root among the x, whose graft onto b is b itself."""
     d = t.dom
     if d >= tree.height:
-        return False
+        return EMPTY_SET
     if t.concrete:
-        return tree_contains(tree, t)
+        return FULL_SET if tree_contains(tree, t) else EMPTY_SET
     if d.is_limit and _admitted_template(tree.catalog_at(d), t):
-        return True
+        return FULL_SET
     anchor = Ordinal(d.w, 0)
     for h, _ in tree.explicit:
         if h > d:
@@ -187,8 +211,11 @@ def _template_in_tree(tree: SymTree, t: SymNode) -> bool:
             anchor = h
     base = t.restrict(anchor)
     if base.concrete:
-        return tree_contains(tree, base)
-    return anchor.is_limit and _limit_template_in_tree(tree, base)
+        return FULL_SET if tree_contains(tree, base) else EMPTY_SET
+    if anchor.is_limit:
+        return _limit_template_members(tree, base)
+    agree = [_agree_positions(base, v) for v in tree.explicit_at(anchor) if v.dom == anchor]
+    return finite_set(m for verdict, m in agree if verdict == "one")
 
 
 def _admitted_template(cat: BranchCatalog, t: SymNode) -> bool:
@@ -198,21 +225,34 @@ def _admitted_template(cat: BranchCatalog, t: SymNode) -> bool:
     return any(c.template is t for c in cells) or any(c.template == t for c in cells)
 
 
-def _limit_template_in_tree(tree: SymTree, b: SymNode) -> bool:
-    """Every instance of b, a template at a limit height with a ramp, lies in
-    the tree.
+def _admitted_single(cat: BranchCatalog, s: SymNode) -> bool:
+    """Whether s is an admitted single of the catalog: the very object first,
+    then by value. Such an s is in the level at once, for the reason
+    `_admitted_template` gives: an admitted branch b is the graft of the root
+    onto b."""
+    nodes = [x.node for x in cat.singles if x.admitted]
+    return any(v is s for v in nodes) or s in nodes
 
-    Exact by a generic-position argument. `_match_admitted` and
-    `eq_star_threshold` compare b(m) with an admitted catalog branch entry by
-    entry, and each entry of b(m) is affine in m. A family branch T(p) can
-    match b(m) only at the p solving the first tail-window equation with a
-    ramp of T, c*p + d = a*m + e; that p is affine in m on each class of m
-    modulo c / gcd(a, c), so those classes are split off first. Within a
-    class, two entries affine in m agree for every m or for at most one m
-    (a root), and p >= 0 holds from a bound on. Past every root and bound,
-    M, all instances take the same branch and threshold thr: the instances
-    below M are checked one by one, and those from M on lie in the tree iff
-    every instance of b(M + m) restricted to thr does."""
+
+def _limit_template_members(tree: SymTree, b: SymNode) -> UPSet:
+    """The positions m whose instance b(m) lies in the tree, for b a template
+    at a limit height with a ramp.
+
+    Exact by a generic-position argument. b(m) is in the tree iff b(m)|thr
+    is for one of its thresholds thr (`_admitted_thresholds`), and each entry
+    of b(m) is affine in m. A family branch T(p) gives b(m) a threshold only
+    at a position p solving c*p + d = a*m + e at a coordinate where T has a
+    ramp: the first such coordinate of the tail window (the pivot), as every
+    T(p) eventually equal to b(m) solves it, or, when the window has none,
+    each such coordinate, and then every other p gives one more threshold.
+    Each such p is affine in m on each class of m modulo c / gcd(a, c), so
+    those classes are split off first. Within a class, two entries affine in
+    m agree for every m or for at most one m (a root), and p >= 0 holds from
+    a bound on. Past every root and bound, M, every m has the thresholds of
+    M: the instances below M are checked one by one, and b(M + m) is in the
+    tree iff b(M + m)|thr is for one of them. When some such p = slope*m +
+    shift, shift >= 0, makes b the template T(slope*m + shift) itself, every
+    instance of b is an admitted branch, in the tree at once."""
     cat = tree.catalog_at(b.dom)
     sources = [s.node for s in cat.singles if s.admitted] + \
         [c.template for f in cat.families if f.admitted for c in f.cells]
@@ -220,39 +260,61 @@ def _limit_template_in_tree(tree: SymTree, b: SymNode) -> bool:
     for t in sources:
         if t.dom != b.dom:
             continue
+        pairs = list(_slot_pairs(b, t))
         pivot = next((pair for pair in _eq_star_pairs(b, t) if not isinstance(pair[1], int)), None)
-        slope, shift = 0, 0                          # T's position p = slope*m + shift
-        if pivot is not None:
-            (a, e), (c, dd) = map(entry_affine, pivot)
-            if a % c:
-                modulus = math.lcm(modulus, c // math.gcd(a, c))
-                continue
-            if (e - dd) % c:
-                continue
-            slope, shift = a // c, (e - dd) // c
-            if shift < 0:
-                if slope == 0:
+        choices = [pivot] if pivot is not None else \
+            [None] + [pair for pair in pairs if not isinstance(pair[1], int)]
+        for choice in choices:
+            slope, shift = 0, 0                      # T's position p = slope*m + shift
+            if choice is not None:
+                (a, e), (c, dd) = map(entry_affine, choice)
+                if a % c:
+                    modulus = math.lcm(modulus, c // math.gcd(a, c))
                     continue
-                bound = max(bound, -(shift // slope))
-        for wb, wt in zip(b.blocks, t.blocks):
-            for j in range(wb.window(wt)):
-                (a, e), (c, dd) = entry_affine(wb.eval(j)), entry_affine(wt.eval(j))
+                if (e - dd) % c:
+                    continue
+                slope, shift = a // c, (e - dd) // c
+                if shift < 0:
+                    if slope == 0:
+                        continue
+                    bound = max(bound, -(shift // slope))
+                elif t.reindex(slope, shift) == b:
+                    return FULL_SET
+            for eb, et in pairs:
+                (a, e), (c, dd) = entry_affine(eb), entry_affine(et)
                 root = _root(a - c * slope, c * shift + dd - e)
                 if root is not None:
                     bound = max(bound, root + 1)
     if modulus > 1:
-        return all(_limit_template_in_tree(tree, b.reindex(modulus, r))
-                   for r in range(modulus))
-    if not all(tree_contains(tree, b.instantiate(m)) for m in range(bound)):
-        return False
+        out = EMPTY_SET
+        for r in range(modulus):
+            out = out.union(_affine_image(
+                _limit_template_members(tree, b.reindex(modulus, r)), modulus, r))
+        return out
+    low = finite_set(m for m in range(bound) if tree_contains(tree, b.instantiate(m)))
     tail = b.reindex(1, bound) if bound else b
-    match = _match_admitted(tail.instantiate(0), cat)
-    return match is not None and _template_in_tree(tree, tail.restrict(match[1]))
+    high = EMPTY_SET
+    for thr in set(_admitted_thresholds(tail.instantiate(0), cat)):
+        high = high.union(_template_members(tree, tail.restrict(thr)))
+    return low.union(_affine_image(high, 1, bound))
+
+
+def _affine_image(u: UPSet, a: int, r: int) -> UPSet:
+    """{a*m + r : m in u}, for a >= 1 and r >= 0."""
+    if a == 1 and r == 0:
+        return u
+    aps, singles = u.to_aps()
+    out = finite_set(a * k + r for k in singles)
+    for ap in aps:
+        out = out.union(AP(a * ap.start + r, a * ap.step).upset())
+    return out
 
 
 def _level_contains(tree: SymTree, s: SymNode) -> bool:
     """Membership of s at its own height d. A limit level is decided by its
-    catalog, an explicit level by its list. Every other successor level is a
+    catalog: an admitted single at once (`_admitted_single`), else through
+    the thresholds of the admitted branches eventually equal to s. An
+    explicit level is decided by its list. Every other successor level is a
     full append level, and so is every level between it and the deepest
     explicit height h below d in d's block (or the block's start when there
     is none): s is in the tree iff s.restrict(h) is, so one restrict jumps
@@ -262,11 +324,10 @@ def _level_contains(tree: SymTree, s: SymNode) -> bool:
     if d.is_zero:
         return True
     if d.is_limit:
-        match = _match_admitted(s, tree.catalog_at(d))
-        if match is None:
-            return False
-        _, thr = match
-        return thr == ZERO or _level_contains(tree, s.restrict(thr))
+        cat = tree.catalog_at(d)
+        return _admitted_single(cat, s) or any(
+            thr == ZERO or _level_contains(tree, s.restrict(thr))
+            for thr in _admitted_thresholds(s, cat))
     floor = Ordinal(d.w, 0)
     for h, nodes in tree.explicit:
         if h >= d:
@@ -414,7 +475,7 @@ def vanishing_levels(tree: SymTree, mode: str = "full") -> VanishReport:
         # eventually stays outside the level under every graft x*b, and
         # every lower x rides the branch of x*b
         for single in cat.non_admitted():
-            if _match_admitted(single.node, cat) is None:
+            if next(_admitted_thresholds(single.node, cat), None) is None:
                 levels.add(lam)
                 break
     top_in = (tree.height.pred() in levels) if tree.height.is_successor and \

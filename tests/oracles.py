@@ -489,11 +489,28 @@ def zmap_window(z, blocks: int, bound: int) -> dict:
 # -- references for the game-run shortcuts ----------------------------------------
 
 
+def admitted_branches(cat, bound: int):
+    """The admitted branches of a catalog, listed: each single, and each
+    family cell's instances at the positions below `bound`."""
+    for single in cat.singles:
+        if single.admitted:
+            yield single.node
+    for fam in cat.families:
+        if fam.admitted:
+            for cell in fam.cells:
+                for p in range(bound):
+                    yield cell.template.instantiate(p)
+
+
 def stepwise_tree_contains(tree, s: SymNode) -> bool:
     """tree_contains stepping down one successor level at a time: a limit
-    level through its catalog, an explicit level through its list, any
-    other level through the level below it."""
-    from ascentlab.trees import _match_admitted
+    level through its catalog's admitted branches b, listed (s is a member
+    iff s|thr is for the threshold thr of some b with s =* b), an explicit
+    level through its list, any other level through the level below it.
+    A family instance T(p) agrees with s at a coordinate where T has a ramp
+    c*p + d only if p is at most s's entry there, so the positions up to
+    s's largest entry plus one give every threshold."""
+    from ascentlab.nodes import eq_star_threshold
     if s.dom >= tree.height:
         return False
     while True:
@@ -501,11 +518,11 @@ def stepwise_tree_contains(tree, s: SymNode) -> bool:
         if d.is_zero:
             return True
         if d.is_limit:
-            match = _match_admitted(s, tree.catalog_at(d))
-            if match is None:
-                return False
-            s = s.restrict(match[1])
-            continue
+            top = max(e for w in s.blocks for e in w.prefix + w.tail)
+            thresholds = {eq_star_threshold(s, b)
+                          for b in admitted_branches(tree.catalog_at(d), top + 2) if b.dom == d}
+            thresholds.discard(None)
+            return any(stepwise_tree_contains(tree, s.restrict(thr)) for thr in sorted(thresholds))
         nodes = tree.explicit_at(d)
         if nodes is not None:
             return s in nodes
@@ -514,10 +531,9 @@ def stepwise_tree_contains(tree, s: SymNode) -> bool:
 
 def brute_family_in_tree(tree, cells, exceptions, bound: int = 64) -> bool:
     """family_in_tree on the members at cell positions below `bound`, each
-    through tree_contains."""
-    from ascentlab.trees import tree_contains
-    return (all(tree_contains(tree, v) for _, v in exceptions)
-            and all(tree_contains(tree, c.template.instantiate(m))
+    through stepwise_tree_contains."""
+    return (all(stepwise_tree_contains(tree, v) for _, v in exceptions)
+            and all(stepwise_tree_contains(tree, c.template.instantiate(m))
                     for c in cells for m in range(bound)))
 
 

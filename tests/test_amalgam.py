@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ascentlab import amalgam, game
-from ascentlab.foundations import AP, FULL_SET, OMEGA, Ordinal
+from ascentlab.foundations import AP, FULL_SET, OMEGA, Ordinal, singleton
 from ascentlab.amalgam import (
     ChainDescriptor, HypothesisViolated, NotUniformTail, ZMap, _z_pieces_pass, amalgamate,
     check_z_bullets,
 )
-from ascentlab.ascent import AscentLevel, Cell, supp
+from ascentlab.ascent import AscentLevel, Cell, me_set_concrete, supp
 from ascentlab.conditions import S_X, Condition, check_condition, leq_s
 from ascentlab.fixtures import uniform_chain
 from ascentlab.game import check_run_invariants, onestep_opponent, play_game, random_opponent
@@ -71,6 +71,26 @@ def test_membership_characterization():
     y = next(s.node for s in cat.singles if not s.admitted)
     assert not tree_contains(out.tree, y)
     assert not tree_contains(out.tree, graft(x, y))
+
+
+def test_conclusions_checked_against_the_last_member(monkeypatch):
+    """The amalgam's leq_s and full support are checked against the last
+    member only; the chain lemma carries them to the others, which
+    test_amalgam_extends_members_with_full_support checks directly. A
+    failure there is reported at the last member's stage."""
+    from ascentlab.foundations import PostconditionFailed
+    ch = uniform_chain(4, Ordinal(1, 2))
+    seen = []
+    leq, sup = amalgam.leq_s, amalgam.supp
+    monkeypatch.setattr(amalgam, "leq_s", lambda a, b: seen.append(("leq", a, b)) or leq(a, b))
+    monkeypatch.setattr(amalgam, "supp", lambda f, g: seen.append(("supp", f, g)) or sup(f, g))
+    out, _ = amalgamate(ch)
+    last = ch.members[-1].cond
+    assert [(k, b) for k, a, b in seen if a is out] == [("leq", last)]
+    assert [(k, f) for k, f, g in seen if g is out.top] == [("supp", last.top)]
+    monkeypatch.setattr(amalgam, "leq_s", lambda a, b: not a.eta.is_limit and leq(a, b))
+    with pytest.raises(PostconditionFailed, match=f"does not extend stage {ch.members[-1].beta}"):
+        amalgamate(ch)
 
 
 def test_chain_without_tail_rejected():
@@ -383,12 +403,48 @@ def test_z_bullets_member_eventually_equal_to_zero_past_the_probe_keys():
         z_outcome(probe_key_z_bullets, beta, cond, z, z.hi)
 
 
+# -- the z-exclusive entry pass against me_set_concrete --------------------------
+
+EXCLUSIVE_HEIGHTS = [Ordinal(0, 3), Ordinal(1, 0), Ordinal(1, 2)]
+
+
+@st.composite
+def tops_and_entries(draw):
+    """A top level of one of a few heights, with constant and ramp cells over
+    one modulus and exceptions at 0 and elsewhere, and concrete entries of
+    its height, some of them sharing their blocks."""
+    height = draw(st.sampled_from(EXCLUSIVE_HEIGHTS))
+    step = draw(st.integers(1, 3))
+    cells = [Cell(AP(r, step), draw(nodes_of(height, ENTRIES))) for r in range(step)]
+    exceptions = draw(st.dictionaries(st.sampled_from([0, 0, 1, 2, 5]),
+                                      nodes_of(height, st.integers(0, 9)), max_size=2))
+    top = AscentLevel.make(height, cells, exceptions)
+    shared = draw(nodes_of(height, st.integers(0, 9)))
+    entries = [SymNode(shared.blocks, draw(nodes_of(height, st.integers(0, 9))).final)
+               if draw(st.booleans()) else draw(nodes_of(height, st.integers(0, 9)))
+               for _ in range(draw(st.integers(0, 4)))]
+    return top, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(tops_and_entries())
+def test_entries_meet_top_matches_me_set_concrete(case):
+    """_entries_meet_top is true iff some entry's me_set_concrete against the
+    top misses an index other than 0."""
+    top, entries = case
+    want = any(not me_set_concrete(v, top).complement().difference(singleton(0)).is_empty
+               for v in entries)
+    assert amalgam._entries_meet_top(entries, top) == want
+
+
 # -- count guards: a passing successor-height check builds no probe node --------
 
 def successor_check_counts(monkeypatch) -> list:
-    """(z, calls) for each successor-height check_z_bullets call in a game of
-    length w+6 and its invariant check, where calls counts the ZMap.at,
-    ZMap.probe_keys, AscentLevel.at and me_set_concrete calls it made."""
+    """(z, calls, decided) for each successor-height check_z_bullets call in a
+    game of length w+6 and its invariant check, where calls counts the
+    ZMap.at, ZMap.probe_keys, AscentLevel.at, me_set_concrete and
+    _entries_meet_top calls it made, and decided lists the entries that
+    _entries_meet_top received."""
     runs: list = []
     inside: list = []
 
@@ -402,12 +458,19 @@ def successor_check_counts(monkeypatch) -> list:
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     monkeypatch.setattr(amalgam, "me_set_concrete",
                         counting("me_set_concrete", amalgam.me_set_concrete))
+    meet = counting("entries_meet_top", amalgam._entries_meet_top)
+
+    def spy_meet(entries, top):
+        if inside:
+            runs[-1][2].extend(entries)
+        return meet(entries, top)
+    monkeypatch.setattr(amalgam, "_entries_meet_top", spy_meet)
     check = amalgam.check_z_bullets
 
     def spy(beta, cond, z, delta, closed):
         if not cond.eta.is_successor:
             return check(beta, cond, z, delta, closed)
-        runs.append((z, Counter()))
+        runs.append((z, Counter(), []))
         inside.append(True)
         try:
             return check(beta, cond, z, delta, closed)
@@ -423,31 +486,50 @@ def successor_check_counts(monkeypatch) -> list:
 def test_z_bullets_successor_pass_builds_no_probe_node(monkeypatch):
     runs = successor_check_counts(monkeypatch)
     assert len(runs) == 12
-    assert all(c["at"] == c["probe_keys"] == 0 for _, c in runs)
+    assert all(c["at"] == c["probe_keys"] == 0 for _, c, _ in runs)
 
 
 def test_z_bullets_successor_pass_checks_entries_once(monkeypatch):
+    """The z-exclusive bullet decides the in-domain entries in one pass of
+    _entries_meet_top, which receives each of them once, and builds no
+    me_set_concrete set."""
     runs = successor_check_counts(monkeypatch)
-    assert sum(c["me_set_concrete"] for _, c in runs) > 0
-    for z, c in runs:
-        assert c["me_set_concrete"] == sum(z.in_domain(k) for k, _ in z.entries)
+    assert sum(len(decided) for _, _, decided in runs) > 0
+    for z, c, decided in runs:
+        assert c["me_set_concrete"] == 0 and c["entries_meet_top"] == 1
+        assert list(map(id, decided)) == [id(v) for k, v in z.entries if z.in_domain(k)]
 
 
 # -- the admitted-template exit of _template_in_tree -----------------------------
 
 def test_admitted_template_exit_on_the_amalgam_top(monkeypatch):
-    """_verify_conclusions' family_in_tree on the amalgam's top takes the
-    admitted-template exit for each of its cells and walks no template."""
+    """_verify_conclusions' two family_in_tree calls, on the z-unions and on
+    the amalgam's top, take the admitted-template exit once for each of
+    their cells and the admitted-single exit once for each in-domain z
+    entry, and walk no template."""
     from ascentlab import trees
-    seen = {"exits": [], "walks": 0, "calls": 0}
+    seen = {"exits": [], "singles": [], "walks": 0, "calls": 0}
     inside: list = []
-    admitted, walk, family = (trees._admitted_template, trees._limit_template_in_tree,
-                              amalgam.family_in_tree)
+    admitted, single, walk, family = (trees._admitted_template, trees._admitted_single,
+                                      trees._limit_template_members, amalgam.family_in_tree)
+    verify = amalgam._verify_conclusions
+    expected = []
+
+    def spy_verify(ch, sample, out, z_gamma, vanish):
+        expected.append((len(z_gamma.cells) + len(out.top.cells),
+                         sum(z_gamma.in_domain(k) for k, _ in z_gamma.entries)))
+        return verify(ch, sample, out, z_gamma, vanish)
 
     def spy_admitted(cat, t):
         hit = admitted(cat, t)
         if inside:
             seen["exits"].append(hit)
+        return hit
+
+    def spy_single(cat, s):
+        hit = single(cat, s)
+        if inside:
+            seen["singles"].append(hit)
         return hit
 
     def spy_walk(tree, b):
@@ -462,11 +544,15 @@ def test_admitted_template_exit_on_the_amalgam_top(monkeypatch):
         finally:
             inside.pop()
     monkeypatch.setattr(trees, "_admitted_template", spy_admitted)
-    monkeypatch.setattr(trees, "_limit_template_in_tree", spy_walk)
+    monkeypatch.setattr(trees, "_admitted_single", spy_single)
+    monkeypatch.setattr(trees, "_limit_template_members", spy_walk)
     monkeypatch.setattr(amalgam, "family_in_tree", spy_family)
+    monkeypatch.setattr(amalgam, "_verify_conclusions", spy_verify)
     t = play_game(Ordinal(1, 6), random_opponent(3), 0)
     assert t.verdict == "II_completed"
-    assert seen["calls"] == 1 and seen["exits"] == [True] and seen["walks"] == 0
+    ((cells, entries),) = expected
+    assert seen["calls"] == 2 and seen["exits"] == [True] * cells and seen["walks"] == 0
+    assert seen["singles"] == [True] * entries
 
 
 def test_admitted_template_exit_answers_as_the_walk(monkeypatch):
@@ -509,8 +595,8 @@ def test_admitted_template_exit_needs_an_admitted_family_at_its_height(monkeypat
     demoted = BranchCatalog((dataclasses.replace(cat.families[0], admitted=False),)
                             + cat.families[1:], cat.singles)
     walks = []
-    walk = trees._limit_template_in_tree
-    monkeypatch.setattr(trees, "_limit_template_in_tree",
+    walk = trees._limit_template_members
+    monkeypatch.setattr(trees, "_limit_template_members",
                         lambda tree, b: walks.append(b) or walk(tree, b))
     for tree in (SymTree.make(out.tree.height, out.tree.explicit, {OMEGA: demoted}),
                  SymTree.make(Ordinal(2, 1), out.tree.explicit,

@@ -252,6 +252,42 @@ def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     assert rep["command"] == argv[0] and error in rep["error"]
 
 
+def drop_at(keys):
+    """An edit of a JSON document: the entry reached through `keys` removed."""
+    def edit(d):
+        for k in keys[:-1]:
+            d = d[k]
+        del d[keys[-1]]
+    return edit
+
+
+@pytest.mark.parametrize("cmd, edit, error", [
+    ("validate", drop_at(("path", "levels", 1, "height")), "path.levels[1].height: missing"),
+    ("validate", drop_at(("path", "levels", 1, "level")), "path.levels[1].level: missing"),
+    ("validate", set_at(("path", "tails"), [{"rule": {}}]), "path.tails[0].block: missing"),
+    ("validate", set_at(("path", "tails"), [{"block": 0}]), "path.tails[0].rule: missing"),
+    ("validate", set_at(("path", "tails"), [{"block": 0, "rule": {}}]),
+     "path.tails[0].rule.start: missing"),
+    ("validate", set_at(("path", "tails"), [5]), "path.tails[0]: expected an object, got 5"),
+    ("validate", drop_at(("tree",)), "tree: missing"),
+    ("validate", drop_at(("path",)), "path: missing"),
+    ("validate", drop_at(("variant",)), "variant: missing"),
+    ("amalgamate", drop_at(("members", 0, "condition", "path")),
+     "chain.members[0].condition.path: missing"),
+    ("amalgamate", drop_at(("members", 0, "condition", "path", "levels", 0, "height")),
+     "chain.members[0].condition.path.levels[0].height: missing"),
+], ids=["level-height", "level-level", "tail-block", "tail-rule", "tail-rule-start",
+        "tail-not-object", "condition-tree", "condition-path", "condition-variant",
+        "member-condition-path", "member-level-height"])
+def test_missing_field_exit_2(cmd, edit, error, tmp_path, capsys):
+    """A decoded object without a required field exits 2 with the field's
+    JSON path, not the bare key of a KeyError."""
+    code = main([cmd, edited_input_file(tmp_path, cmd, edit)])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"command": cmd, "error": error}
+
+
 @pytest.mark.parametrize("argv", [
     ["validate"], ["extend", "--beta", "1"], ["amalgamate"], ["vlevels"], ["seal"],
     ["absorb", "--node", "[5]"], ["demo-bad-antichain"], ["surgery", "--n0", "2"],

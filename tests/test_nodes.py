@@ -342,3 +342,13 @@ def test_is_prefix_across_block_boundary():
         is_prefix(v, node(7, 1))
     with pytest.raises(BadHeight):
         node(7, 1).restrict(v.dom)
+
+
+# -- BlockWord.take: a slice of positions read at once --------------------------
+
+@given(st.lists(st.integers(0, 9), max_size=4), st.lists(st.integers(0, 9), min_size=1, max_size=4),
+       st.integers(0, 20), st.integers(0, 20))
+def test_take_matches_eval(prefix, tail, start, stop):
+    w = BlockWord.make(prefix, tail)
+    assert w.take(stop, start) == tuple(w.eval(j) for j in range(start, stop))
+    assert w.take(stop) == tuple(w.eval(j) for j in range(stop))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ascentlab.foundations import AP, OMEGA, Ordinal
 from ascentlab.ascent import Cell
@@ -202,8 +202,33 @@ def trees_and_nodes(draw):
     return tree, s
 
 
+# Level 1 is {<0>} and T = [m+1, 2m | (2,0)*] an admitted omega-family: all
+# instances of T are eventually equal, T(1) is a member through its own
+# branch (threshold 0), and T(0)'s threshold puts <2,2> at level 2, outside.
+# S = [m+1 | (0)*] is T'(m+1) for the admitted T' = [m | (0)*], whose generic
+# instances put <m+1> at level 1, outside. With levels 1 = {<1>} and
+# 2 = {<1,1>}, U = [1, m+1 | (0)*] is in through T''(m+1) for the admitted
+# T'' = [9, m | (0)*] (threshold 1, <1>), though not through the generic
+# instances of T'' (threshold 2, <1, m+1>) for m > 0.
+ONE_ZERO = {Ordinal(0, 1): (node(0),)}
+T_RAMPS = SymNode((BlockWord.make((Ramp(1, 1), Ramp(2, 0)), (2, 0)),), ())
+T_SHIFT = SymNode((BlockWord.make((Ramp(1, 0),), (0,)),), ())
+S_SHIFT = SymNode((BlockWord.make((Ramp(1, 1),), (0,)),), ())
+ONE_ONE = {Ordinal(0, 1): (node(1),), Ordinal(0, 2): (node(1, 1),)}
+T_NINE = SymNode((BlockWord.make((9, Ramp(1, 0)), (0,)),), ())
+U_ONE = SymNode((BlockWord.make((1, Ramp(1, 1)), (0,)),), ())
+
+
+def one_family_tree(t: SymNode, explicit=ONE_ZERO) -> SymTree:
+    cat = BranchCatalog((CatalogFamily((Cell(AP(0, 1), t),)),))
+    return SymTree.make(Ordinal(1, 1), explicit, {OMEGA: cat})
+
+
 @PROPERTY
 @given(trees_and_nodes())
+@example((one_family_tree(T_RAMPS), T_RAMPS.instantiate(1)))
+@example((one_family_tree(T_SHIFT), S_SHIFT.instantiate(3)))
+@example((one_family_tree(T_NINE, ONE_ONE), U_ONE.instantiate(4)))
 def test_tree_contains_matches_stepwise(case):
     tree, s = case
     assert tree_contains(tree, s) == stepwise_tree_contains(tree, s)
@@ -219,12 +244,67 @@ def trees_and_templates(draw):
 
 @PROPERTY
 @given(trees_and_templates())
+@example((one_family_tree(T_RAMPS), T_RAMPS))
+@example((one_family_tree(T_SHIFT), S_SHIFT))
+@example((one_family_tree(T_NINE, ONE_ONE), U_ONE))
 def test_family_in_tree_matches_members(case):
     """Labels and ramp constants below 4 keep every exceptional position and
     every class modulus of the generic argument far below 64."""
     tree, tmpl = case
     cells = [Cell(AP(0, 1), tmpl)]
     assert family_in_tree(tree, cells, ()) == brute_family_in_tree(tree, cells, ())
+
+
+def test_family_member_through_its_own_branch():
+    """Every instance of a family whose instances are all eventually equal
+    is a member through its own branch, though the threshold against
+    another instance restricts it outside the tree."""
+    tree = one_family_tree(T_RAMPS)
+    assert all(tree_contains(tree, T_RAMPS.instantiate(m)) for m in range(8))
+    assert not tree_contains(tree, node(2, 2))
+    assert family_in_tree(tree, [Cell(AP(0, 1), S_SHIFT)], ()) is False
+    tree = one_family_tree(T_SHIFT)
+    assert family_in_tree(tree, [Cell(AP(0, 1), S_SHIFT)], ())
+    assert not tree_contains(tree, node(1))
+    tree = one_family_tree(T_NINE, ONE_ONE)
+    assert family_in_tree(tree, [Cell(AP(0, 1), U_ONE)], ())
+    assert not tree_contains(tree, node(1, 5))
+
+
+def test_reindexed_admitted_template_exit(monkeypatch):
+    """A template that is an admitted family's template at the positions
+    2m + 1 is in the tree without a threshold; one that differs from it at
+    one constant is not taken by the exit."""
+    from ascentlab import trees
+    tree = one_family_tree(T_SHIFT)
+
+    def no_thresholds(s, cat):
+        raise AssertionError("threshold computed")
+    monkeypatch.setattr(trees, "_admitted_thresholds", no_thresholds)
+    assert family_in_tree(tree, [Cell(AP(0, 1), T_SHIFT.reindex(2, 1))], ())
+    with pytest.raises(AssertionError, match="threshold computed"):
+        family_in_tree(tree, [Cell(AP(0, 1), U_ONE)], ())
+
+
+def test_admitted_single_exit(monkeypatch):
+    """A node equal to an admitted single, the very object or an equal copy,
+    is a member without a threshold; a non-admitted single and a family
+    instance are not taken by the exit."""
+    from ascentlab import trees
+    t = simple_limit_tree()
+    cat = t.catalog_at(OMEGA)
+    single = cat.singles[0].node
+    assert trees._admitted_single(cat, single)
+    assert trees._admitted_single(cat, const_node(17, OMEGA))
+    assert not trees._admitted_single(cat, const_node(9, OMEGA))
+    assert not trees._admitted_single(cat, const_node(4, OMEGA))
+
+    def no_thresholds(s, cat):
+        raise AssertionError("threshold computed")
+    monkeypatch.setattr(trees, "_admitted_thresholds", no_thresholds)
+    assert tree_contains(t, single) and tree_contains(t, const_node(17, OMEGA))
+    with pytest.raises(AssertionError, match="threshold computed"):
+        tree_contains(t, const_node(4, OMEGA))
 
 
 def test_family_ramp_at_explicit_height_is_outside():
