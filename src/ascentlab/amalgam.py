@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .foundations import (
-    EMPTY_SET, FULL_SET, W_LIMIT, Ordinal, PostconditionFailed, UPSet, _root, finite_set,
-    multiples, singleton,
+    EMPTY_SET, FULL_SET, W_LIMIT, Ordinal, PostconditionFailed, Rejected, UPSet, _root,
+    finite_set, multiples, singleton,
 )
 from .ascent import (
     AppendScheme, AscentLevel, Cell, MapPiece, _first_collision, _split, me_cross, me_set_concrete,
@@ -36,13 +36,13 @@ from .trees import (
 )
 
 
-class HypothesisViolated(ValueError):
+class HypothesisViolated(Rejected):
     def __init__(self, bullet: str, detail: str = "") -> None:
         self.bullet = bullet
         super().__init__(f"chain hypothesis failed ({bullet})" + (f": {detail}" if detail else ""))
 
 
-class NotUniformTail(ValueError):
+class NotUniformTail(Rejected):
     """The chain has no closed-form continuation."""
 
 

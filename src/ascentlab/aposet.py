@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .foundations import FULL_SET, Ordinal, UPSet
+from .foundations import FULL_SET, Ordinal, Rejected, UPSet
 from .ascent import AscentLevel, MEReport, me_family, supp
 from .nodes import SymNode, delta
 from .conditions import Condition, TailRule
@@ -27,7 +27,7 @@ class Unrepresented(ValueError):
     """Height outside the described part of the path."""
 
 
-class NotLinked(ValueError):
+class NotLinked(Rejected):
     """The height set is not pairwise linked at the requested index."""
 
 

@@ -2,7 +2,9 @@
 
 Reports are machine-readable JSON on stdout and deterministic for a fixed
 argv (wall-clock timing goes to stderr). Exit codes: 0 when every
-requested check passes, 1 when a check fails, 2 on malformed input.
+requested check passes, 1 when a check fails, 2 on malformed input (a
+`foundations.Rejected` error). Each subcommand runs only the modules it
+calls: the optional layers are bound as modules, which load on first use.
 """
 
 from __future__ import annotations
@@ -14,26 +16,15 @@ import sys
 import time
 from typing import Any, Optional
 
-from .foundations import Ordinal, OrdinalBoundError, OMEGA_NAT, ProfileViolation
-from .aposet import THETA, NotLinked, PathDescriptor, check_antichain, is_bad
-from .amalgam import HypothesisViolated, NotUniformTail, amalgamate
-from .conditions import (
-    VARIANTS, Condition, InvalidBeta, LostComparability, NonExclusiveTop, WrongVariant,
-    check_condition, eta_nu, leq_s, one_step_extension,
-)
-from .fixtures import bad_path_conditions, uniform_path
-from .game import check_run_invariants, onestep_opponent, play_game, random_opponent
+from .foundations import Ordinal, OMEGA_NAT, Rejected
+from .conditions import VARIANTS, Condition, check_condition, eta_nu, leq_s, one_step_extension
 from .nodes import node
-from .sealing import (
-    NodeNotInTree, OracleMismatch, SealTripleInvalid, absorb_node, identity_triple,
-    seal_by_one_steps, transposition_triple,
-)
-from .surgery import BadPi, NonExclusiveBranches, branch_surgery
-from .trees import NoCatalog, vanishing_levels
+from .trees import vanishing_levels
+from . import amalgam, aposet, fixtures, game, sealing, surgery
 from . import serialize as sz
 
 
-class InputError(ValueError):
+class InputError(Rejected):
     pass
 
 
@@ -112,7 +103,7 @@ def cmd_extend(args) -> int:
 
 def cmd_amalgamate(args) -> int:
     ch = sz.dec_chain(_load(args.chain))
-    out, z = amalgamate(ch)
+    out, z = amalgam.amalgamate(ch)
     _write(args.out, sz.enc_condition(out))
     if args.z_out:
         _write(args.z_out, sz.enc_zmap(z))
@@ -130,10 +121,11 @@ def cmd_amalgamate(args) -> int:
 
 def cmd_game(args) -> int:
     mu = parse_ordinal(args.mu)
-    opp = onestep_opponent() if args.opponent == "onestep" else random_opponent(args.seed)
-    t = play_game(mu, opp, args.xi)
+    opp = (game.onestep_opponent() if args.opponent == "onestep"
+           else game.random_opponent(args.seed))
+    t = game.play_game(mu, opp, args.xi)
     _write(args.out, sz.enc_transcript(t))
-    inv = check_run_invariants(t)
+    inv = game.check_run_invariants(t)
     report = {
         "command": "game",
         "mu": fmt_ordinal(mu),
@@ -162,14 +154,14 @@ def cmd_vlevels(args) -> int:
 
 
 def cmd_demo_bad(args) -> int:
-    conds, bads = bad_path_conditions(args.count, args.pad)
-    path = PathDescriptor(conds[-1])
-    rep = check_antichain(path, THETA, bads, path.base.eta)
+    conds, bads = fixtures.bad_path_conditions(args.count, args.pad)
+    path = aposet.PathDescriptor(conds[-1])
+    rep = aposet.check_antichain(path, aposet.THETA, bads, path.base.eta)
     incompatible = sum(1 for p in rep.pairs if not p.compatible)
     report = {
         "command": "demo-bad-antichain",
         "bad_heights": [fmt_ordinal(b) for b in bads],
-        "badness_witnessed": all(is_bad(path, b) for b in bads),
+        "badness_witnessed": all(aposet.is_bad(path, b) for b in bads),
         "pairwise_incompatible": f"{incompatible}/{len(rep.pairs)}",
         "certificates": [
             {"a": fmt_ordinal(p.a), "b": fmt_ordinal(p.b), "certificate": p.certificate}
@@ -180,10 +172,10 @@ def cmd_demo_bad(args) -> int:
 
 def _parse_triple(spec: str, cond: Condition):
     if spec == "identity":
-        return identity_triple(cond)
+        return sealing.identity_triple(cond)
     m = re.fullmatch(r"transpose:(\d+),(\d+)", spec)
     if m:
-        return transposition_triple(cond, int(m.group(1)), int(m.group(2)))
+        return sealing.transposition_triple(cond, int(m.group(1)), int(m.group(2)))
     raise InputError(f"unknown triple spec {spec!r}; use identity or transpose:a,b")
 
 
@@ -193,7 +185,7 @@ def cmd_seal(args) -> int:
         triple = sz.dec_triple(_load(args.triple_file))
     else:
         triple = _parse_triple(args.triple, cond)
-    out, alpha = seal_by_one_steps(cond, triple, args.xi, args.hit_steps)
+    out, alpha = sealing.seal_by_one_steps(cond, triple, args.xi, args.hit_steps)
     _write(args.out, sz.enc_condition(out))
     report = {
         "command": "seal",
@@ -213,7 +205,7 @@ def cmd_absorb(args) -> int:
         target = node(*[int(e) for e in entries])
     except (TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise InputError(f"bad node spec {args.node!r}: {e}")
-    out, alpha, tau = absorb_node(cond, target, args.xi)
+    out, alpha, tau = sealing.absorb_node(cond, target, args.xi)
     _write(args.out, sz.enc_condition(out))
     report = {
         "command": "absorb",
@@ -226,15 +218,15 @@ def cmd_absorb(args) -> int:
     return _emit(report, report["valid"] and report["tau_in_filter_set"])
 
 
-def _load_path(args) -> PathDescriptor:
+def _load_path(args) -> aposet.PathDescriptor:
     if args.path:
         return sz.dec_path_descriptor(_load(args.path))
-    return uniform_path(args.fixture_prefix)
+    return fixtures.uniform_path(args.fixture_prefix)
 
 
 def cmd_surgery(args) -> int:
     path = _load_path(args)
-    out = branch_surgery(path, args.n0)
+    out = surgery.branch_surgery(path, args.n0)
     _write(args.out, sz.enc_condition(out))
     van = vanishing_levels(out.tree, "full")
     report = {
@@ -249,9 +241,8 @@ def cmd_surgery(args) -> int:
 
 
 def cmd_derive_branches(args) -> int:
-    from .aposet import derive_branches
     path = _load_path(args)
-    fam = derive_branches(path, "all", args.xi)
+    fam = aposet.derive_branches(path, "all", args.xi)
     me = fam.me_report()
     x0 = path.base.x.x0
     samples = {str(n): sz.enc_node(fam.branch(n)) for n in x0.intersect(fam.coherent).members(12)}
@@ -342,10 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-RECOVERABLE = (InputError, sz.FormatError, OrdinalBoundError, ProfileViolation,
-               WrongVariant, InvalidBeta, NonExclusiveTop, LostComparability, NoCatalog,
-               NotUniformTail, HypothesisViolated, SealTripleInvalid, OracleMismatch,
-               NodeNotInTree, BadPi, NonExclusiveBranches, NotLinked, KeyError)
+RECOVERABLE = (Rejected, KeyError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .foundations import (
-    DEFAULT_X, FULL_SET, OMEGA_NAT, Ordinal, PostconditionFailed, UPSet, XSequence,
+    DEFAULT_X, FULL_SET, OMEGA_NAT, Ordinal, PostconditionFailed, Rejected, UPSet, XSequence,
     ZERO, filter_classify, is_cobounded,
 )
 from .ascent import (
@@ -69,20 +69,20 @@ S_X, S_F, S_THETA = "sx", "sf", "stheta"
 VARIANTS = (S_X, S_F, S_THETA)
 
 
-class InvalidBeta(ValueError):
+class InvalidBeta(Rejected):
     """one-step parameter beta above the condition's top height."""
 
 
-class WrongVariant(ValueError):
+class WrongVariant(Rejected):
     """Operation applied to a condition of an unsupported variant."""
 
 
-class NonExclusiveTop(ValueError):
+class NonExclusiveTop(Rejected):
     """A one-step's new top level of an S_X or S_F condition is not
     mutually exclusive."""
 
 
-class LostComparability(ValueError):
+class LostComparability(Rejected):
     """A one-step's support from the previous top to the new one is not
     acceptable for the condition's variant."""
 

@@ -33,7 +33,13 @@ LT, EQ, GT = -1, 0, 1
 W_LIMIT = 3
 
 
-class OrdinalBoundError(ValueError):
+class Rejected(ValueError):
+    """Input that a stated check refuses: the caller's to mend, not a defect
+    in the library. Each error class declares where it is defined whether
+    it is one; the CLI reports these with exit code 2."""
+
+
+class OrdinalBoundError(Rejected):
     """Height exceeds the configured omega*W bound."""
 
 
@@ -540,7 +546,7 @@ class UndecidableRepresentation(ValueError):
     this can only be raised for foreign implementations of the interface."""
 
 
-class ProfileViolation(ValueError):
+class ProfileViolation(Rejected):
     """The X-sequence fails a required structural profile."""
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .foundations import (
-    EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, UPSet, ZERO, _root, filter_classify,
-    finite_set,
+    EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, Rejected, UPSet, ZERO, _root,
+    filter_classify, finite_set,
 )
 from .ascent import (
     AscentLevel, Cell, PiecewiseMap, _meet, _routed, _routed_points, eq_star_set, fill_level,
@@ -37,11 +37,11 @@ from .conditions import (
 from .trees import family_in_tree, tree_contains
 
 
-class SealTripleInvalid(ValueError):
+class SealTripleInvalid(Rejected):
     pass
 
 
-class OracleMismatch(ValueError):
+class OracleMismatch(Rejected):
     pass
 
 
@@ -53,7 +53,7 @@ class LimitDomainUnsupported(ValueError):
     pass
 
 
-class NodeNotInTree(ValueError):
+class NodeNotInTree(Rejected):
     """The node to absorb is not in the condition's tree."""
 
 

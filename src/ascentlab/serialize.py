@@ -1,26 +1,31 @@
 """JSON encodings for every on-disk object: conditions, chains, paths and
 transcripts are encoded, sealing triples only decoded. Decoding goes through
 the canonical constructors, so a round-trip reproduces structurally
-identical values."""
+identical values. The chain, path-descriptor and triple constructors are read
+through their modules, so a process that decodes only conditions never runs
+`amalgam`, `aposet` or `sealing`."""
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .foundations import AP, Ordinal, UPSet, XSequence, DEFAULT_X
+from .foundations import AP, Ordinal, Rejected, UPSet, XSequence, DEFAULT_X
 from .ascent import AppendScheme, AscentLevel, Cell, MapPiece, PiecewiseMap
 from .nodes import BlockWord, Entry, Ramp, SymNode
 from .conditions import AscentPath, Condition, TailRule
 from .trees import BranchCatalog, CatalogFamily, CatalogSingle, SymTree
-from .amalgam import ChainDescriptor, ChainMember, ChainTail, ZMap
-from .aposet import PathDescriptor
-from .sealing import SealTriple
-from .game import Transcript
+from . import amalgam, aposet, sealing
+
+if TYPE_CHECKING:
+    from .amalgam import ChainDescriptor, ChainTail, ZMap
+    from .aposet import PathDescriptor
+    from .sealing import SealTriple
+    from .game import Transcript
 
 FORMAT = 1
 
 
-class FormatError(ValueError):
+class FormatError(Rejected):
     pass
 
 
@@ -108,7 +113,7 @@ def enc_entry(e: Entry) -> dict:
     return {"ramp": {"a": e.a, "b": e.b}}
 
 def dec_entry(d: Any, ap: Optional[AP] = None, where: str = "entry") -> Entry:
-    if isinstance(d, int):
+    if type(d) is int:
         return d
     if "const" in _object(d, where):
         return _int_field(d, "const", where)
@@ -182,8 +187,12 @@ def enc_scheme(s: AppendScheme) -> dict:
 
 def dec_scheme(d: Any, where: str = "scheme") -> AppendScheme:
     _expect("cell_entries" in _object(d, where), f"{where}.cell_entries: missing")
+    lw = f"{where}.exception_labels"
+    labels = _object(d.get("exception_labels", {}), lw)
+    _expect(all(k.isdecimal() for k in labels),
+            f"{lw}: expected an object keyed by indices, got {labels!r}")
     return AppendScheme(tuple(_entries(d, "cell_entries", where, None)),
-                        {int(k): int(v) for k, v in d.get("exception_labels", {}).items()})
+                        {int(k): _int_field(labels, k, lw) for k in labels})
 
 
 def enc_tail_rule(r: TailRule) -> dict:
@@ -260,7 +269,7 @@ def enc_x(x: XSequence) -> dict:
 def dec_x(d: Any) -> XSequence:
     if d is None or _object(d, "x").get("kind") == "default":
         return DEFAULT_X
-    return XSequence(dec_upset(d["x0"]), int(d.get("base", 4)))
+    return XSequence(dec_upset(_required(d, "x0", "x")), int(d.get("base", 4)))
 
 
 def enc_condition(c: Condition) -> dict:
@@ -290,7 +299,7 @@ def dec_zmap(d: Any, where: str = "z") -> ZMap:
     entries = {dec_ordinal(e.get("key"), f"{where}.entries[{i}].key"):
                dec_node(e.get("node"), where=f"{where}.entries[{i}].node")
                for i, e in enumerate(_objects(d, "entries", where))}
-    return ZMap.make(lo, hi, closed_hi, cells, entries)
+    return amalgam.ZMap.make(lo, hi, closed_hi, cells, entries)
 
 
 def enc_chain_tail(t: ChainTail) -> dict:
@@ -307,11 +316,11 @@ def dec_chain_tail(d: Any, where: str = "chain.tail") -> ChainTail:
     _object(d, where)
     for key in ("schemes", "z_tokens"):
         _expect(bool(_list_field(d, key, where)), f"{where}.{key}: expected a nonempty list")
-    return ChainTail(_int_field(d, "beta_step", where, 1),
-                     tuple(dec_scheme(s, f"{where}.schemes[{i}]")
-                           for i, s in enumerate(d["schemes"])),
-                     tuple(_z_token(tok, f"{where}.z_tokens[{i}]")
-                           for i, tok in enumerate(d["z_tokens"])))
+    return amalgam.ChainTail(_int_field(d, "beta_step", where, 1),
+                             tuple(dec_scheme(s, f"{where}.schemes[{i}]")
+                                   for i, s in enumerate(d["schemes"])),
+                             tuple(_z_token(tok, f"{where}.z_tokens[{i}]")
+                                   for i, tok in enumerate(d["z_tokens"])))
 
 
 def enc_chain(ch: ChainDescriptor) -> dict:
@@ -323,10 +332,11 @@ def enc_chain(ch: ChainDescriptor) -> dict:
 
 def dec_chain(d: Any) -> ChainDescriptor:
     _expect(_object(d, "chain").get("format") == FORMAT, "unknown chain format")
-    return ChainDescriptor(
-        tuple(ChainMember(dec_ordinal(m.get("beta"), f"chain.members[{i}].beta"),
-                          dec_condition(m.get("condition"), f"chain.members[{i}].condition"),
-                          dec_zmap(m.get("z"), f"chain.members[{i}].z"))
+    return amalgam.ChainDescriptor(
+        tuple(amalgam.ChainMember(dec_ordinal(m.get("beta"), f"chain.members[{i}].beta"),
+                                  dec_condition(m.get("condition"),
+                                                f"chain.members[{i}].condition"),
+                                  dec_zmap(m.get("z"), f"chain.members[{i}].z"))
               for i, m in enumerate(_objects(d, "members", "chain"))),
         dec_chain_tail(d["tail"]) if d.get("tail") else None,
         dec_ordinal(d["gamma"]), dec_ordinal(d["delta"]), bool(d.get("closed_delta", False)))
@@ -338,8 +348,8 @@ def enc_path_descriptor(p: PathDescriptor) -> dict:
 
 def dec_path_descriptor(d: Any) -> PathDescriptor:
     _expect(d.get("format") == FORMAT, "unknown path format")
-    return PathDescriptor(dec_condition(d["base"], "base"),
-                          dec_tail_rule(d["rule"]) if d.get("rule") else None)
+    return aposet.PathDescriptor(dec_condition(d["base"], "base"),
+                                 dec_tail_rule(d["rule"]) if d.get("rule") else None)
 
 
 def dec_map(d: Any) -> PiecewiseMap:
@@ -357,7 +367,8 @@ def dec_map(d: Any) -> PiecewiseMap:
 
 def dec_triple(d: Any) -> SealTriple:
     _expect(d.get("format") == FORMAT, "unknown triple format")
-    return SealTriple(dec_level(d["x_family"], "x_family"), dec_upset(d["y"]), dec_map(d["pi"]))
+    return sealing.SealTriple(dec_level(d["x_family"], "x_family"), dec_upset(d["y"]),
+                              dec_map(d["pi"]))
 
 
 def enc_transcript(t: Transcript) -> dict:

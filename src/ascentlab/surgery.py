@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .foundations import FULL_SET, PostconditionFailed, ProfileViolation, XSequence, singleton
+from .foundations import (
+    FULL_SET, PostconditionFailed, ProfileViolation, Rejected, XSequence, singleton,
+)
 from .ascent import (
     AscentLevel, PiecewiseMap, identity_map, level_reindex, me_family,
     order_iso, restrict_level_domain, restrict_map,
@@ -25,12 +27,12 @@ from .trees import (
 )
 
 
-class BadPi(ValueError):
+class BadPi(Rejected):
     """The reindexing map is not a bijection onto the kept head set fixing
     the deeper filter set."""
 
 
-class NonExclusiveBranches(ValueError):
+class NonExclusiveBranches(Rejected):
     """The derived branches the surgery keeps are not mutually exclusive."""
 
 

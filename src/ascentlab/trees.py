@@ -21,12 +21,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .foundations import AP, EMPTY_SET, FULL_SET, Ordinal, UPSet, ZERO, _root, finite_set
+from .foundations import (
+    AP, EMPTY_SET, FULL_SET, Ordinal, Rejected, UPSet, ZERO, _root, finite_set,
+)
 from .nodes import SymNode, entry_affine, eq_star_threshold, graft, is_prefix
 from .ascent import Cell, _agree_positions, _eq_star_pairs, _slot_pairs
 
 
-class NoCatalog(ValueError):
+class NoCatalog(Rejected):
     """A limit level below the tree height has no branch catalog."""
 
 

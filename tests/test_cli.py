@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -61,6 +62,9 @@ def set_at(keys, value):
 
 # the template of the first cell of the tower(2) condition's level at height 1
 TEMPLATE = ("path", "levels", 1, "level", "cells", 0, "template")
+# the exception labels of the standard chain's first tail scheme
+SCHEME_LABELS = ("tail", "schemes", 0, "exception_labels")
+LABELS_AT = "chain.tail.schemes[0].exception_labels"
 
 
 def edited_input_file(tmp_path, cmd: str, edit) -> str:
@@ -213,6 +217,12 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
      "chain.members[0].z.lo: expected an object, got None"),
     (["amalgamate", set_at(("members", 0, "beta"), 3)], "chain.members[0].beta: expected an object, got 3"),
     (["amalgamate", set_at(("members", 0, "condition"), [])], "unknown condition format"),
+    (["amalgamate", set_at(SCHEME_LABELS, [1])], f"{LABELS_AT}: expected an object, got [1]"),
+    (["amalgamate", set_at(SCHEME_LABELS, "x")], f"{LABELS_AT}: expected an object, got 'x'"),
+    (["amalgamate", set_at(SCHEME_LABELS, 5)], f"{LABELS_AT}: expected an object, got 5"),
+    (["amalgamate", set_at(SCHEME_LABELS, {"a": 2})], f"{LABELS_AT}: expected an object keyed by"),
+    (["amalgamate", set_at(SCHEME_LABELS, {"0": "2"})],
+     f"{LABELS_AT}.0: expected an int, got '2'"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
         "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
         "derive-branches-not-linked", "surgery-not-linked",
@@ -226,7 +236,9 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
         "amalgamate-members-not-list", "amalgamate-z-token-unknown", "amalgamate-z-not-object",
         "amalgamate-z-closed-hi-not-bool", "amalgamate-z-cell-not-object",
         "amalgamate-z-entries-not-list", "amalgamate-z-lo-null", "amalgamate-beta-not-object",
-        "amalgamate-condition-not-object"])
+        "amalgamate-condition-not-object", "amalgamate-labels-list", "amalgamate-labels-string",
+        "amalgamate-labels-int", "amalgamate-labels-key-not-index",
+        "amalgamate-labels-value-not-int"])
 def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     if isinstance(argv[-1], tuple):
         argv = argv[:-1] + [bad_triple_file(tmp_path, *argv[-1])]
@@ -513,3 +525,179 @@ def test_amalgamate_low_z_cell_exit_2(block, tmp_path, capsys):
     assert json.loads(out) == {
         "command": "amalgamate",
         "error": f"chain hypothesis failed (z-top-level): a cell of block {block} has height 0"}
+
+
+def entry_positions(d, keys=()):
+    """The key paths of every entry object in a JSON document: the members
+    of its `prefix`, `tail`, `final` and `cell_entries` lists."""
+    if isinstance(d, dict):
+        for k, v in d.items():
+            if k in ("prefix", "tail", "final", "cell_entries") and isinstance(v, list):
+                yield from (keys + (k, i) for i in range(len(v)))
+            yield from entry_positions(v, keys + (k,))
+    elif isinstance(d, list):
+        for i, v in enumerate(d):
+            yield from entry_positions(v, keys + (i,))
+
+
+def test_boolean_entry_exit_2(tmp_path, capsys):
+    """A JSON `true` is not an int entry, wherever in a chain it stands: the
+    decoder rejects it instead of reading it as 1 or handing a bool to the
+    kernels."""
+    positions = list(entry_positions(sz.enc_chain(uniform_chain(3, Ordinal(1, 2)))))
+    assert len(positions) == 29
+    for keys in positions:
+        code = main(["amalgamate", edited_input_file(tmp_path, "amalgamate", set_at(keys, True))])
+        out = capsys.readouterr().out
+        assert code == 2 and out.count("\n") == 1, keys
+        rep = json.loads(out)
+        assert rep["command"] == "amalgamate" and "True" in rep["error"], keys
+
+
+def test_x_sequence_without_x0_exit_2(cond_file, tmp_path, capsys):
+    p = tmp_path / "x.json"
+    p.write_text("{}")
+    code = main(["validate", "--x-sequence", str(p), cond_file])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"command": "validate", "error": "x.x0: missing"}
+
+
+# -- the import boundary and the package's names --------------------------------
+
+CORE = {"foundations", "nodes", "ascent", "trees", "conditions", "serialize", "cli"}
+
+# each golden operation -> the ascentlab submodules a process running it executes
+EXECUTED = {
+    ("validate", "cond.json"): CORE,
+    ("extend", "--beta", "1", "cond.json"): CORE,
+    ("vlevels", "--mode", "full", "cond.json"): CORE,
+    ("validate", "empty.json"): CORE,
+    ("game", "--mu", "w4"): CORE - {"serialize"},
+    ("amalgamate", "chain.json"): CORE | {"amalgam"},
+    ("game", "--mu", "w1n4", "--opponent", "onestep", "--xi", "0"):
+        CORE | {"game", "amalgam", "fixtures"},
+    ("game", "--mu", "w1n4", "--opponent", "random", "--seed", "3", "--xi", "1"):
+        CORE | {"game", "amalgam", "fixtures"},
+    ("game", "--mu", "w1n4", "--opponent", "random", "--seed", "8", "--xi", "2"):
+        CORE | {"game", "amalgam", "fixtures"},
+    ("seal", "--triple", "transpose:1,3", "--xi", "1", "cond.json"): CORE | {"sealing"},
+    ("absorb", "--node", "[5]", "--xi", "1", "cond.json"): CORE | {"sealing"},
+    ("surgery", "--n0", "2", "--path", "path.json"): CORE | {"surgery", "aposet"},
+    ("derive-branches", "--path", "path.json", "--xi", "0"): CORE | {"aposet"},
+    # fixtures imports amalgam at its top
+    ("demo-bad-antichain", "--count", "5"):
+        CORE - {"serialize"} | {"aposet", "fixtures", "amalgam"},
+}
+
+EXECUTED_AFTER_MAIN = """
+import contextlib, io, sys, types
+from ascentlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(name.partition(".")[2] for name, m in sys.modules.items()
+                    if name.startswith("ascentlab.") and type(m) is types.ModuleType))
+"""
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    for name, obj in {"cond.json": sz.enc_condition(tower(3)),
+                      "chain.json": sz.enc_chain(uniform_chain(3, Ordinal(1, 2))),
+                      "path.json": sz.enc_path_descriptor(uniform_path(4)),
+                      "empty.json": {}}.items():
+        (d / name).write_text(json.dumps(obj))
+    return d
+
+
+@pytest.mark.parametrize("argv", list(EXECUTED), ids=" ".join)
+def test_subcommand_executes_only_its_modules(argv, golden_inputs):
+    """A fresh process runs the code of no module that its subcommand does
+    not call; the others stay registered, unexecuted."""
+    import ascentlab
+    src = os.path.dirname(os.path.dirname(ascentlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", EXECUTED_AFTER_MAIN, *argv], cwd=golden_inputs,
+                          env=env, capture_output=True, text=True)
+    code, *executed = proc.stdout.split()
+    assert code == ("2" if argv[-1] in ("empty.json", "w4") else "0"), proc.stderr
+    assert set(executed) == EXECUTED[argv]
+
+
+# every name the package root exported when it imported all its modules
+ROOT_NAMES = {
+    "foundations": "DEFAULT_X EVENS FULL_SET GT LT EQ ODDS OMEGA OMEGA_NAT Ordinal UPSet "
+                   "XSequence ZERO filter_classify is_cobounded ord_compare upset_algebra",
+    "nodes": "BlockWord Ramp SymNode const_node delta eq_star eval_at graft mutually_exclusive "
+             "node restrict",
+    "ascent": "AscentLevel AscentPath Cell PiecewiseMap TailRule me_family order_iso supp",
+    "trees": "BranchCatalog CatalogFamily CatalogSingle SymTree check_tree tree_contains "
+             "vanishing_levels",
+    "conditions": "Condition S_F S_THETA S_X check_condition eta_nu leq_s make_bad_extension "
+                  "one_step_extension root_condition",
+    "amalgam": "ChainDescriptor ChainMember ChainTail ZMap amalgamate",
+    "aposet": "PathDescriptor THETA check_antichain derive_branches is_bad leq_a",
+    "game": "OpponentPolicy Transcript check_run_invariants onestep_opponent play_game "
+            "random_opponent strategy_ii_move",
+    "sealing": "OracleHit SealTriple absorb_node check_triple identity_triple seal_step "
+               "transposition_triple",
+    "surgery": "branch_surgery canonical_pi",
+}
+
+
+def test_root_names_resolve_to_their_modules():
+    import importlib
+    import ascentlab
+    assert ascentlab.__version__ == "0.1.0"
+    for module, names in ROOT_NAMES.items():
+        mod = importlib.import_module(f"ascentlab.{module}")
+        assert getattr(ascentlab, module) is mod is sys.modules[f"ascentlab.{module}"]
+        # as an eager import leaves it, so later import statements take the fast path
+        assert mod.__spec__._initializing is False
+        for name in names.split():
+            assert getattr(ascentlab, name) is getattr(mod, name), name
+            assert name in dir(ascentlab) and name in ascentlab.__all__
+    assert sum(len(names.split()) for names in ROOT_NAMES.values()) == len(ascentlab.__all__)
+    with pytest.raises(AttributeError):
+        ascentlab.no_such_name
+
+
+# the error classes the CLI reports with exit 2, and those that stay defects
+REJECTED = {
+    "cli": "InputError", "serialize": "FormatError",
+    "foundations": "OrdinalBoundError ProfileViolation",
+    "conditions": "WrongVariant InvalidBeta NonExclusiveTop LostComparability",
+    "trees": "NoCatalog", "amalgam": "NotUniformTail HypothesisViolated",
+    "sealing": "SealTripleInvalid OracleMismatch NodeNotInTree",
+    "surgery": "BadPi NonExclusiveBranches", "aposet": "NotLinked",
+}
+NOT_REJECTED = {
+    "foundations": "PostconditionFailed BadHeight UndecidableRepresentation",
+    "game": "StateCorrupt NotIIsTurn", "aposet": "Unrepresented IncoherentIndex",
+    "sealing": "UnsupportedTriple LimitDomainUnsupported",
+}
+
+
+def test_error_classes_declare_whether_they_are_rejections():
+    """Every error class of the package is listed as a rejection or as a
+    defect, and only the rejections derive from `Rejected`."""
+    import importlib
+    from ascentlab import cli
+    from ascentlab.foundations import Rejected
+    assert cli.RECOVERABLE == (Rejected, KeyError)
+    listed = set()
+    for table, rejected in ((REJECTED, True), (NOT_REJECTED, False)):
+        for module, names in table.items():
+            mod = importlib.import_module(f"ascentlab.{module}")
+            for name in names.split():
+                assert issubclass(getattr(mod, name), Rejected) is rejected, name
+                listed.add((module, name))
+    for module in ("foundations", "nodes", "ascent", "trees", "conditions", "amalgam", "aposet",
+                   "game", "sealing", "surgery", "fixtures", "serialize", "cli"):
+        mod = importlib.import_module(f"ascentlab.{module}")
+        defined = {(module, name) for name, obj in vars(mod).items()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == mod.__name__ and obj is not Rejected}
+        assert defined <= listed, defined - listed
