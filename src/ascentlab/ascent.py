@@ -70,6 +70,11 @@ class Cell:
         return self.on(AP(self.ap.member(p), self.ap.step))
 
 
+def _cell_order(c: Cell) -> tuple[int, int]:
+    """The order of a level's cells."""
+    return c.ap.start, c.ap.step
+
+
 def _meet(xs, ys) -> Iterator[tuple[Cell, Cell]]:
     """Each pair of cells, one from each list, whose progressions meet: both
     re-based onto their intersection, so position m is one index on both."""
@@ -107,8 +112,7 @@ class AscentLevel:
                 c = c.drop(hm + 1)
                 hole = min((k for k in exc if k in c.ap), default=None)
             carved.append(c)
-        lvl = AscentLevel(height,
-                          tuple(sorted(carved, key=lambda c: (c.ap.start, c.ap.step))),
+        lvl = AscentLevel(height, tuple(sorted(carved, key=_cell_order)),
                           tuple(sorted((int(k), v) for k, v in exc.items())))
         lvl._check_partition()
         return lvl
@@ -145,7 +149,13 @@ class AscentLevel:
     def restrict(self, alpha: Ordinal) -> "AscentLevel":
         """The family tau -> f(tau)|alpha. Restriction keeps every cell's
         progression and every exception key, so the partition that `make`
-        checked still holds and is not checked again."""
+        checked still holds and is not checked again.
+
+        `append_entries` and `graft_levels` build their levels directly on
+        the same invariant: appending keeps every progression and exception
+        key, and a graft's pieces are `refine`'s, which partition omega. All
+        three keep `make`'s order (cells by `_cell_order`, exceptions by
+        key), so equality, hash and the encodings are those of `make`."""
         if alpha == self.height:
             return self
         return AscentLevel(
@@ -155,11 +165,20 @@ class AscentLevel:
 
     def append_entries(self, per_cell: "AppendScheme") -> "AscentLevel":
         """One more coordinate: cell templates gain their scheme entry, each
-        exception its own label."""
-        cells = [Cell(c.ap, c.template.append(e))
-                 for c, e in zip(self.cells, per_cell.cell_entries)]
-        exc = [(k, v.append(per_cell.exception_labels[k])) for k, v in self.exceptions]
-        return AscentLevel.make(self.height.succ(), cells, exc)
+        exception its own label, which must be an int (a KeyError when it is
+        missing). Built without `make` (see `restrict`)."""
+        exc = []
+        for k, v in self.exceptions:
+            label = per_cell.exception_labels[k]
+            if not isinstance(label, int):
+                raise ValueError("exception nodes must be concrete")
+            exc.append((k, v.append(label)))
+        if len(per_cell.cell_entries) < len(self.cells):
+            raise ValueError("level pieces do not cover omega")
+        return AscentLevel(self.height.succ(),
+                           tuple(Cell(c.ap, c.template.append(e))
+                                 for c, e in zip(self.cells, per_cell.cell_entries)),
+                           tuple(exc))
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,14 +378,15 @@ def level_extensional_eq(f: AscentLevel, g: AscentLevel) -> bool:
 
 def graft_levels(low: AscentLevel, high: AscentLevel) -> AscentLevel:
     """Index-wise graft: tau -> low(tau) * high(tau); height of `high`. The
-    result records `low` (`AscentLevel.grafted`)."""
+    result records `low` (`AscentLevel.grafted`). Built without `make` (see
+    `AscentLevel.restrict`): `refine` lists its point pieces by index."""
     cells, exc = [], []
     for piece in refine(low, high):
         if piece.point is not None:
             exc.append((piece.point, graft(piece.left, piece.right)))
         else:
             cells.append(Cell(piece.ap, graft(piece.left, piece.right)))
-    out = AscentLevel.make(high.height, cells, exc)
+    out = AscentLevel(high.height, tuple(sorted(cells, key=_cell_order)), tuple(exc))
     object.__setattr__(out, "grafted", low)
     return out
 
@@ -380,13 +400,26 @@ class TailRule:
     start: int
     base: AscentLevel
     schemes: tuple[AppendScheme, ...]
+    # n -> the level at n, for each n read so far; equality, hash and repr
+    # read only the fields above
+    _levels: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_levels", {self.start: self.base})
 
     def level_at(self, n: int) -> AscentLevel:
+        """The level at n, one object per n: the highest kept level below n
+        extended by the appends up to n."""
+        lvl = self._levels.get(n)
+        if lvl is not None:
+            return lvl
         if n < self.start:
             raise ValueError(f"{n} below tail start {self.start}")
-        lvl = self.base
-        for k in range(n - self.start):
+        below = max(m for m in self._levels if m < n)
+        lvl = self._levels[below]
+        for k in range(below - self.start, n - self.start):
             lvl = lvl.append_entries(self.schemes[k % len(self.schemes)])
+        self._levels[n] = lvl
         return lvl
 
     def limit_level(self) -> AscentLevel:
@@ -588,7 +621,9 @@ class Exclusive:
     """Evidence that `me_family` holds for the level of these fields.
     `conditions._one_step` and `amalgam.amalgamate` set it on a level after
     their exclusivity checks pass (`record_exclusive`); no constructor,
-    decoder or `TailRule.level_at` does. It is accepted only on a level
+    decoder or `TailRule.level_at` does, and no record is ever set on a tail
+    level: `level_at` keeps the levels it returns, so a record set on one
+    would reach every later reader of the rule. It is accepted only on a level
     whose cells and exceptions are the very tuples it names
     (`known_exclusive`), which is then that family; so a record moved to
     another level, or a level rebuilt equal to a proved one, is walked

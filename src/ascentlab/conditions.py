@@ -50,7 +50,7 @@ its exclusivity from its record, and decides the agreement with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .foundations import (
@@ -87,6 +87,10 @@ class LostComparability(Rejected):
     acceptable for the condition's variant."""
 
 
+class NotSuccessorHeight(Rejected):
+    """A condition's tree height is 0 or a limit, so it has no top level."""
+
+
 @dataclass(frozen=True, slots=True)
 class Condition:
     """A pair (tree, ascent path) in one of the posets, tagged by variant."""
@@ -95,21 +99,29 @@ class Condition:
     path: AscentPath
     variant: str = S_X
     x: XSequence = DEFAULT_X
+    # the top height, set once here, and the top level, read on first use;
+    # equality, hash and repr read only the fields above
+    eta: Ordinal = field(init=False, compare=False, repr=False)
+    _top: Optional[AscentLevel] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise WrongVariant(f"unknown variant {self.variant!r}")
-
-    @property
-    def eta(self) -> Ordinal:
-        return self.tree.height.pred()
+        height = self.tree.height
+        if not height.is_successor:
+            raise NotSuccessorHeight(f"tree height {height} is not a successor")
+        object.__setattr__(self, "eta", height.pred())
 
     def level(self, alpha: Ordinal) -> AscentLevel:
         return self.path.level_at(alpha)
 
     @property
     def top(self) -> AscentLevel:
-        return self.path.level_at(self.eta)
+        top = self._top
+        if top is None:
+            top = self.path.level_at(self.eta)
+            object.__setattr__(self, "_top", top)
+        return top
 
     def probe_heights(self) -> list[Ordinal]:
         return self.path.probe_heights(self.eta)
@@ -170,8 +182,6 @@ def check_condition(cond: Condition, variant: Optional[str] = None) -> Condition
     # C1: successor-height normal uniformly homogeneous tree, path totality
     tree_rep = check_tree(cond.tree)
     c1 = tree_rep.ok
-    if not tree_rep.successor_height:
-        bad.append("clause C1 (structure): tree height is not a successor")
     if not (tree_rep.downward_closed and tree_rep.normal and tree_rep.uniformly_homogeneous):
         bad.append("clause C1 (structure): " + "; ".join(tree_rep.notes[:3]))
     if not cond.path.covers(cond.eta):
@@ -317,8 +327,10 @@ def raw_append(level: AscentLevel) -> AppendScheme:
 
 def extend_with_top(cond: Condition, new_top: AscentLevel) -> Condition:
     """The condition one height up with the given top level, its new tree
-    level the full append level; unchecked (`_one_step` checks)."""
-    tree = SymTree.make(cond.tree.height.succ(), cond.tree.explicit, cond.tree.catalogs)
+    level the full append level; unchecked (`_one_step` checks). The tree is
+    built without `SymTree.make`: its level tuples are the old tree's, which
+    `make` sorted and checked."""
+    tree = SymTree(cond.tree.height.succ(), cond.tree.explicit, cond.tree.catalogs)
     return Condition(tree, cond.path.with_level(cond.eta.succ(), new_top), cond.variant, cond.x)
 
 

@@ -620,10 +620,35 @@ class FilterVerdict:
         return self.kind == "in_ideal"
 
 
+# (y, x) -> the verdict of filter_classify, for at most _VERDICTS_MAX pairs
+_VERDICTS: dict[tuple[UPSet, XSequence], FilterVerdict] = {}
+_VERDICTS_MAX = 1024
+
+
 def filter_classify(y: UPSet, x: XSequence = DEFAULT_X) -> FilterVerdict:
     """Decide membership of y in the filter F generated by x, the dual
     ideal I, or neither. Returned witnesses re-validate: in_filter(n)
     means X_n ⊆ y, in_ideal(n) means X_n ∩ y = empty.
+
+    Both arguments are immutable and the verdict depends on them alone, so
+    it is decided once per pair (`_classify`) and kept in a table of fixed
+    size, emptied when full. A verdict is kept only after its witness
+    re-check has passed.
+    """
+    if not isinstance(y, UPSet):
+        raise UndecidableRepresentation(f"cannot classify {type(y).__name__}")
+    key = (y, x)
+    verdict = _VERDICTS.get(key)
+    if verdict is None:
+        verdict = _classify(y, x)
+        if len(_VERDICTS) >= _VERDICTS_MAX:
+            _VERDICTS.clear()
+        _VERDICTS[key] = verdict
+    return verdict
+
+
+def _classify(y: UPSet, x: XSequence) -> FilterVerdict:
+    """`filter_classify`, decided.
 
     Decided on y's residue mask. For n >= 1, X_n ⊆ y iff base*k is in y for
     every k >= n, and X_n misses y iff base*k is in y for none. Let t and p
@@ -639,8 +664,6 @@ def filter_classify(y: UPSet, x: XSequence = DEFAULT_X) -> FilterVerdict:
     route that shares nothing with the mask arithmetic above, so a slip
     there raises PostconditionFailed instead of returning a wrong verdict.
     """
-    if not isinstance(y, UPSet):
-        raise UndecidableRepresentation(f"cannot classify {type(y).__name__}")
     base, p = x.base, y.period
     multiples_mask = _repunit(p, math.gcd(base, p))
     tail = y.rmask & multiples_mask

@@ -55,6 +55,14 @@ def _required(d: dict, key: str, where: str) -> Any:
     return d[key]
 
 
+def _int_list(d: dict, key: str, where: str) -> list[int]:
+    """d[key], a list of ints, empty when absent."""
+    v = _list_field(d, key, where)
+    for i, k in enumerate(v):
+        _expect(type(k) is int, f"{where}.{key}[{i}]: expected an int, got {k!r}")
+    return v
+
+
 def _object(d: Any, where: str) -> dict:
     _expect(isinstance(d, dict), f"{where}: expected an object, got {d!r}")
     return d
@@ -97,13 +105,15 @@ def enc_upset(u: UPSet) -> dict:
             "patch_add": sorted(low - periodic_low),
             "patch_remove": sorted(periodic_low - low)}
 
-def dec_upset(d: Any) -> UPSet:
-    _expect(isinstance(d, dict) and "period" in d, f"bad set {d!r}")
-    t, p = int(d["threshold"]), int(d["period"])
-    residues = frozenset(int(r) for r in d["residues"])
+def dec_upset(d: Any, where: str = "set") -> UPSet:
+    _object(d, where)
+    for key in ("threshold", "period", "residues"):
+        _required(d, key, where)
+    t, p = _int_field(d, "threshold", where, 0), _int_field(d, "period", where, 1)
+    residues = frozenset(_int_list(d, "residues", where))
     low = {k for k in range(t) if k % p in residues}
-    low |= {int(k) for k in d.get("patch_add", ())}
-    low -= {int(k) for k in d.get("patch_remove", ())}
+    low |= set(_int_list(d, "patch_add", where))
+    low -= set(_int_list(d, "patch_remove", where))
     return UPSet.make(t, p, residues, frozenset(low))
 
 
@@ -200,10 +210,16 @@ def enc_tail_rule(r: TailRule) -> dict:
             "schemes": [enc_scheme(s) for s in r.schemes]}
 
 def dec_tail_rule(d: Any, where: str = "rule") -> TailRule:
-    return TailRule(int(_required(_object(d, where), "start", where)),
-                    dec_level(_required(d, "base", where), f"{where}.base"),
-                    tuple(dec_scheme(s, f"{where}.schemes[{i}]")
-                          for i, s in enumerate(_required(d, "schemes", where))))
+    """A rule whose `start` is its base's height in the block (n of
+    omega*w + n): the level it generates at n has height omega*w + n."""
+    _required(_object(d, where), "start", where)
+    start = _int_field(d, "start", where, 0)
+    base = dec_level(_required(d, "base", where), f"{where}.base")
+    _expect(start == base.height.n,
+            f"{where}.start: expected {base.height.n}, the base height {base.height}'s "
+            f"offset in its block, got {start}")
+    return TailRule(start, base, tuple(dec_scheme(s, f"{where}.schemes[{i}]")
+                                       for i, s in enumerate(_required(d, "schemes", where))))
 
 
 def enc_path(p: AscentPath) -> dict:
@@ -220,8 +236,12 @@ def dec_path(d: Any, where: str = "path") -> AscentPath:
         levels[height] = dec_level(_required(e, "level", lw), f"{lw}.level")
     for i, e in enumerate(_objects(d, "tails", where)):
         tw = f"{where}.tails[{i}]"
-        block = int(_required(e, "block", tw))
-        tails[block] = dec_tail_rule(_required(e, "rule", tw), f"{tw}.rule")
+        _required(e, "block", tw)
+        block = _int_field(e, "block", tw, 0)
+        rule = dec_tail_rule(_required(e, "rule", tw), f"{tw}.rule")
+        _expect(rule.base.height.w == block,
+                f"{tw}.rule.base: height {rule.base.height} is not in block {block}")
+        tails[block] = rule
     return AscentPath.make(levels, tails)
 
 
@@ -269,7 +289,8 @@ def enc_x(x: XSequence) -> dict:
 def dec_x(d: Any) -> XSequence:
     if d is None or _object(d, "x").get("kind") == "default":
         return DEFAULT_X
-    return XSequence(dec_upset(_required(d, "x0", "x")), int(d.get("base", 4)))
+    base = _int_field(d, "base", "x") if "base" in d else 4
+    return XSequence(dec_upset(_required(d, "x0", "x"), "x.x0"), base)
 
 
 def enc_condition(c: Condition) -> dict:
@@ -339,7 +360,9 @@ def dec_chain(d: Any) -> ChainDescriptor:
                                   dec_zmap(m.get("z"), f"chain.members[{i}].z"))
               for i, m in enumerate(_objects(d, "members", "chain"))),
         dec_chain_tail(d["tail"]) if d.get("tail") else None,
-        dec_ordinal(d["gamma"]), dec_ordinal(d["delta"]), bool(d.get("closed_delta", False)))
+        dec_ordinal(_required(d, "gamma", "chain"), "chain.gamma"),
+        dec_ordinal(_required(d, "delta", "chain"), "chain.delta"),
+        bool(d.get("closed_delta", False)))
 
 
 def enc_path_descriptor(p: PathDescriptor) -> dict:
@@ -347,8 +370,8 @@ def enc_path_descriptor(p: PathDescriptor) -> dict:
             "rule": enc_tail_rule(p.rule) if p.rule else None}
 
 def dec_path_descriptor(d: Any) -> PathDescriptor:
-    _expect(d.get("format") == FORMAT, "unknown path format")
-    return aposet.PathDescriptor(dec_condition(d["base"], "base"),
+    _expect(_object(d, "path").get("format") == FORMAT, "unknown path format")
+    return aposet.PathDescriptor(dec_condition(_required(d, "base", ""), "base"),
                                  dec_tail_rule(d["rule"]) if d.get("rule") else None)
 
 
@@ -367,7 +390,7 @@ def dec_map(d: Any) -> PiecewiseMap:
 
 def dec_triple(d: Any) -> SealTriple:
     _expect(d.get("format") == FORMAT, "unknown triple format")
-    return sealing.SealTriple(dec_level(d["x_family"], "x_family"), dec_upset(d["y"]),
+    return sealing.SealTriple(dec_level(d["x_family"], "x_family"), dec_upset(d["y"], "y"),
                               dec_map(d["pi"]))
 
 

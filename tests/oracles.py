@@ -278,6 +278,36 @@ def restrict_via_make(level, alpha: Ordinal):
         [(k, v.restrict(alpha)) for k, v in level.exceptions])
 
 
+def append_via_make(level, scheme):
+    """`append_entries` rebuilt through AscentLevel.make."""
+    from ascentlab.ascent import AscentLevel, Cell
+    return AscentLevel.make(
+        level.height.succ(),
+        [Cell(c.ap, c.template.append(e)) for c, e in zip(level.cells, scheme.cell_entries)],
+        [(k, v.append(scheme.exception_labels[k])) for k, v in level.exceptions])
+
+
+def graft_via_make(low, high):
+    """`graft_levels` rebuilt through AscentLevel.make, from the pointwise
+    graft on each piece of the common refinement."""
+    from ascentlab.ascent import AscentLevel, Cell, refine
+    from ascentlab.nodes import graft
+    pieces = refine(low, high)
+    return AscentLevel.make(
+        high.height,
+        [Cell(p.ap, graft(p.left, p.right)) for p in pieces if p.point is None],
+        [(p.point, graft(p.left, p.right)) for p in pieces if p.point is not None])
+
+
+def tail_level_via_make(rule, n: int):
+    """`TailRule.level_at(n)`, each of its appends rebuilt through
+    AscentLevel.make from the base."""
+    lvl = rule.base
+    for k in range(n - rule.start):
+        lvl = append_via_make(lvl, rule.schemes[k % len(rule.schemes)])
+    return lvl
+
+
 def all_pairs_run_invariants(t, x: XSequence):
     """check_run_invariants with requirements (order), (i) and (iii)
     checked on every pair of moves, and each even move's z-bullets by

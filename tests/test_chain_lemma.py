@@ -4,8 +4,9 @@ C2 in check_condition, and requirements (order), (i) and (iii) of
 check_run_invariants, check adjacent pairs and enumerate all pairs only
 after one fails; by the append lemma, C2 checks only the new coordinate
 of a level whose full support joins it to an exclusive level one height
-below; AscentLevel.restrict skips AscentLevel.make. Each must give exactly
-what the all-pairs, full-walk or make-based reference in oracles.py gives,
+below; AscentLevel.restrict, AscentLevel.append_entries, graft_levels and
+TailRule.level_at skip AscentLevel.make. Each must give exactly what the
+all-pairs, full-walk or make-based reference in oracles.py gives,
 on valid inputs and on inputs corrupted so that an adjacent pair fails or
 an appended coordinate collides.
 """
@@ -18,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from ascentlab import conditions
 from ascentlab.ascent import (
-    AP, AppendScheme, AscentLevel, Cell, constant_level, fill_level, restrict_level_domain,
+    AP, AppendScheme, AscentLevel, Cell, TailRule, constant_level, fill_level, graft_levels,
+    restrict_level_domain,
 )
 from ascentlab.conditions import S_THETA, S_X, VARIANTS, Condition, check_condition
 from ascentlab.fixtures import bad_path_conditions, random_tower
@@ -26,7 +28,8 @@ from ascentlab.foundations import DEFAULT_X, Ordinal, UPSet, XSequence, multiple
 from ascentlab.game import check_run_invariants, play_game, random_opponent
 from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, mk_entry
 from oracles import (
-    all_pairs_chain_violations, all_pairs_run_invariants, full_walk_me_chain, restrict_via_make,
+    all_pairs_chain_violations, all_pairs_run_invariants, append_via_make, full_walk_me_chain,
+    graft_via_make, restrict_via_make, tail_level_via_make,
 )
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -174,6 +177,111 @@ def test_restrict_matches_make(case):
     level, alpha = case
     assert level.restrict(alpha) == restrict_via_make(level, alpha)
     assert level.restrict(level.height) is level
+
+
+@st.composite
+def schemes_for(draw, level: AscentLevel):
+    """An append scheme with one entry per cell and an int label per
+    exception."""
+    return AppendScheme(tuple(draw(ENTRIES) for _ in level.cells),
+                        {k: draw(st.integers(0, 9)) for k, _ in level.exceptions})
+
+
+@PROPERTY
+@given(levels_and_heights(), st.data())
+def test_append_entries_matches_make(case, data):
+    """The same level as `make` builds from the appended pieces: the same
+    cells and exceptions in the same order, so the same hash."""
+    level, _ = case
+    scheme = data.draw(schemes_for(level))
+    got = level.append_entries(scheme)
+    want = append_via_make(level, scheme)
+    assert got == want and hash(got) == hash(want)
+    assert got.cells == want.cells and got.exceptions == want.exceptions
+
+
+@PROPERTY
+@given(levels_and_heights(), levels_and_heights())
+def test_graft_levels_matches_make(low_case, high_case):
+    low, high = low_case[0], high_case[0]
+    got, want = graft_levels(low, high), graft_via_make(low, high)
+    assert got == want and got.cells == want.cells and got.exceptions == want.exceptions
+    assert got.grafted is low
+
+
+def append_errors(level: AscentLevel, scheme: AppendScheme) -> list:
+    """The error each of `append_entries` and its make-based reference
+    raises, as (type, message)."""
+    out = []
+    for build in (level.append_entries, lambda s: append_via_make(level, s)):
+        with pytest.raises(Exception) as e:
+            build(scheme)
+        out.append((type(e.value), str(e.value)))
+    return out
+
+
+def test_append_entries_refuses_what_make_refuses():
+    """A scheme with fewer entries than cells, a missing exception label
+    and a label that is not an int raise what `make` raises."""
+    level = AscentLevel.make(Ordinal(0, 1), [Cell(AP(0, 2), SymNode((), (Ramp(2, 0),))),
+                                             Cell(AP(1, 2), SymNode((), (3,)))], {0: SymNode((), (5,))})
+    short = append_errors(level, AppendScheme((1,), {0: 1}))
+    assert short == [(ValueError, "level pieces do not cover omega")] * 2
+    missing = append_errors(level, AppendScheme((1, 2), {}))
+    assert missing == [(KeyError, "0")] * 2
+    ramp = append_errors(level, AppendScheme((1, 2), {0: Ramp(1, 0)}))
+    assert ramp == [(ValueError, "exception nodes must be concrete")] * 2
+    # a label that is not an int outranks a short scheme, as in make
+    both = append_errors(level, AppendScheme((1,), {0: Ramp(1, 0)}))
+    assert both == [(ValueError, "exception nodes must be concrete")] * 2
+
+
+# -- tail rules keep their levels ----------------------------------------------
+
+@st.composite
+def tail_rules(draw):
+    level, _ = draw(levels_and_heights())
+    start = level.height.n
+    schemes = tuple(draw(schemes_for(level)) for _ in range(draw(st.integers(1, 3))))
+    return TailRule(start, level, schemes)
+
+
+@PROPERTY
+@given(tail_rules(), st.lists(st.integers(0, 7), max_size=6))
+def test_tail_rule_level_at_matches_make(rule, offsets):
+    """Read in any order, each level is the one rebuilt from the base, and
+    one object per n."""
+    for k in offsets:
+        n = rule.start + k
+        lvl = rule.level_at(n)
+        assert lvl == tail_level_via_make(rule, n)
+        assert rule.level_at(n) is lvl
+    assert rule.level_at(rule.start) is rule.base
+    assert rule == TailRule(rule.start, rule.base, rule.schemes)
+    assert hash(rule) == hash(TailRule(rule.start, rule.base, rule.schemes))
+
+
+def test_tail_rule_reads_in_order_append_once_each(monkeypatch):
+    """Reading n = start .. start+k in order makes k appends, and reading
+    them again makes none."""
+    calls = []
+    append = AscentLevel.append_entries
+
+    def counting(self, scheme):
+        calls.append(scheme)
+        return append(self, scheme)
+    monkeypatch.setattr(AscentLevel, "append_entries", counting)
+    base = constant_level(Ordinal(0, 2), const_node(0, Ordinal(0, 2)))
+    schemes = (AppendScheme((Ramp(2, 0),)), AppendScheme((Ramp(2, 1),)))
+    rule = TailRule(2, base, schemes)
+    k = 9
+    levels = [rule.level_at(n) for n in range(2, 3 + k)]
+    assert len(calls) == k
+    assert calls == [schemes[i % 2] for i in range(k)]
+    again = [rule.level_at(n) for n in range(2, 3 + k)]
+    assert len(calls) == k and all(a is b for a, b in zip(levels, again))
+    with pytest.raises(ValueError, match="below tail start"):
+        rule.level_at(1)
 
 
 # -- game run invariants ----------------------------------------------------------

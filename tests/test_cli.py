@@ -288,9 +288,11 @@ def drop_at(keys):
      "chain.members[0].condition.path: missing"),
     ("amalgamate", drop_at(("members", 0, "condition", "path", "levels", 0, "height")),
      "chain.members[0].condition.path.levels[0].height: missing"),
+    ("amalgamate", drop_at(("gamma",)), "chain.gamma: missing"),
+    ("amalgamate", drop_at(("delta",)), "chain.delta: missing"),
 ], ids=["level-height", "level-level", "tail-block", "tail-rule", "tail-rule-start",
         "tail-not-object", "condition-tree", "condition-path", "condition-variant",
-        "member-condition-path", "member-level-height"])
+        "member-condition-path", "member-level-height", "chain-gamma", "chain-delta"])
 def test_missing_field_exit_2(cmd, edit, error, tmp_path, capsys):
     """A decoded object without a required field exits 2 with the field's
     JSON path, not the bare key of a KeyError."""
@@ -563,6 +565,102 @@ def test_x_sequence_without_x0_exit_2(cond_file, tmp_path, capsys):
     assert json.loads(out) == {"command": "validate", "error": "x.x0: missing"}
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["extend", "--beta", "0"], ["vlevels"]])
+@pytest.mark.parametrize("height, shown", [({"w": 1, "n": 0}, "w"), ({"w": 0, "n": 0}, "0")])
+def test_tree_height_not_successor_exit_2(argv, height, shown, tmp_path, capsys):
+    """A condition needs a top level, so its tree height must be a
+    successor; a limit or zero height is refused when it is decoded."""
+    code = main(argv + [edited_input_file(tmp_path, argv[0], set_at(("tree", "height"), height))])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"command": argv[0],
+                               "error": f"tree height {shown} is not a successor"}
+
+
+X_DOC = {"x0": {"threshold": 2, "period": 3, "residues": [0], "patch_add": [1],
+                "patch_remove": [0]}, "base": 6}
+
+
+@pytest.mark.parametrize("keys, value, error", [
+    (("x0", "threshold"), "3", "x.x0.threshold: expected an int >= 0, got '3'"),
+    (("x0", "threshold"), 1.5, "x.x0.threshold: expected an int >= 0, got 1.5"),
+    (("x0", "threshold"), True, "x.x0.threshold: expected an int >= 0, got True"),
+    (("x0", "period"), 0, "x.x0.period: expected an int >= 1, got 0"),
+    (("x0", "residues"), ["0"], "x.x0.residues[0]: expected an int, got '0'"),
+    (("x0", "residues"), 0, "x.x0.residues: expected a list, got 0"),
+    (("x0", "patch_add"), [1.5], "x.x0.patch_add[0]: expected an int, got 1.5"),
+    (("x0", "patch_remove"), [True], "x.x0.patch_remove[0]: expected an int, got True"),
+    (("base",), "4", "x.base: expected an int, got '4'"),
+    (("x0", "threshold"), None, "x.x0.threshold: missing"),
+    (("x0", "period"), None, "x.x0.period: missing"),
+    (("x0", "residues"), None, "x.x0.residues: missing"),
+])
+def test_x_sequence_fields_exit_2(keys, value, error, cond_file, tmp_path, capsys):
+    """Each field of an X-sequence is read as an int, or a list of ints,
+    without coercion (`None` stands for a missing field)."""
+    d = json.loads(json.dumps(X_DOC))
+    (drop_at(keys) if value is None else set_at(keys, value))(d)
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(d))
+    code = main(["validate", "--x-sequence", str(p), cond_file])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"command": "validate", "error": error}
+
+
+def test_x_sequence_decodes_every_field():
+    from ascentlab.foundations import UPSet, XSequence
+    assert sz.dec_x(X_DOC) == XSequence(UPSet.make(2, 3, {0}, {1}), 6)
+
+
+def path_file(tmp_path, edit) -> str:
+    """The encoding of the standard path descriptor after `edit`."""
+    d = sz.enc_path_descriptor(uniform_path(4))
+    edit(d)
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps(d))
+    return str(p)
+
+
+@pytest.mark.parametrize("argv", [["surgery", "--n0", "2", "--path"], ["derive-branches", "--path"]])
+@pytest.mark.parametrize("edit, error", [
+    (set_at(("rule", "start"), -3), "rule.start: expected an int >= 0, got -3"),
+    (set_at(("rule", "start"), "2"), "rule.start: expected an int >= 0, got '2'"),
+    (set_at(("rule", "start"), 1.5), "rule.start: expected an int >= 0, got 1.5"),
+    (set_at(("rule", "start"), True), "rule.start: expected an int >= 0, got True"),
+    (set_at(("rule", "start"), 2),
+     "rule.start: expected 5, the base height 5's offset in its block, got 2"),
+    (drop_at(("base",)), "base: missing"),
+], ids=["negative", "string", "float", "bool", "not-the-base-offset", "no-base"])
+def test_path_descriptor_fields_exit_2(argv, edit, error, tmp_path, capsys):
+    code = main(argv + [path_file(tmp_path, edit)])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"command": argv[0], "error": error}
+
+
+@pytest.mark.parametrize("keys, value, error", [
+    (("block",), 1, "path.tails[0].rule.base: height 4 is not in block 1"),
+    (("block",), "0", "path.tails[0].block: expected an int >= 0, got '0'"),
+    (("rule", "start"), 3,
+     "path.tails[0].rule.start: expected 4, the base height 4's offset in its block, got 3"),
+])
+def test_path_tail_rule_exit_2(keys, value, error, tmp_path, capsys):
+    """A path's tail rule stands in the block its key names, from its base's
+    height on."""
+    from ascentlab.amalgam import amalgamate
+    out, _ = amalgamate(uniform_chain(3, Ordinal(1, 2)))
+    d = sz.enc_condition(out)
+    assert [t["block"] for t in d["path"]["tails"]] == [0]
+    set_at(("path", "tails", 0) + keys, value)(d)
+    p = tmp_path / "lim.json"
+    p.write_text(json.dumps(d))
+    code = main(["validate", str(p)])
+    text = capsys.readouterr().out
+    assert code == 2 and text.count("\n") == 1
+    assert json.loads(text) == {"command": "validate", "error": error}
+
+
 # -- the import boundary and the package's names --------------------------------
 
 CORE = {"foundations", "nodes", "ascent", "trees", "conditions", "serialize", "cli"}
@@ -668,7 +766,7 @@ def test_root_names_resolve_to_their_modules():
 REJECTED = {
     "cli": "InputError", "serialize": "FormatError",
     "foundations": "OrdinalBoundError ProfileViolation",
-    "conditions": "WrongVariant InvalidBeta NonExclusiveTop LostComparability",
+    "conditions": "WrongVariant InvalidBeta NonExclusiveTop LostComparability NotSuccessorHeight",
     "trees": "NoCatalog", "amalgam": "NotUniformTail HypothesisViolated",
     "sealing": "SealTripleInvalid OracleMismatch NodeNotInTree",
     "surgery": "BadPi NonExclusiveBranches", "aposet": "NotLinked",

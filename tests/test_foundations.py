@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import operator
 import os
@@ -11,10 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ascentlab import foundations
 from ascentlab.foundations import (
     AP, DEFAULT_X, EVENS, ODDS, FULL_SET, EMPTY_SET, GT, LT, EQ, _and_not, _normal,
-    W_LIMIT, Ordinal, OrdinalBoundError, PostconditionFailed, ProfileViolation, UPSet,
-    XSequence, filter_classify, finite_set, is_cobounded, multiples,
+    W_LIMIT, Ordinal, OrdinalBoundError, PostconditionFailed, ProfileViolation,
+    UndecidableRepresentation, UPSet, XSequence, filter_classify, finite_set, is_cobounded, multiples,
     ord_compare, singleton, upset_algebra,
 )
 from ascentlab.serialize import dec_upset, enc_upset
@@ -261,6 +263,39 @@ def test_filter_classify_kind_and_witness(case):
         assert v.witness == max(1, n)
 
 
+@settings(max_examples=150, deadline=None)
+@given(classify_cases())
+def test_kept_filter_verdict_matches_oracles(case):
+    """The verdict read back for an equal pair of arguments is the one
+    decided, and equals the scaled-preimage route and the pointwise scan."""
+    y, x = case
+    first = filter_classify(y, x)
+    kept = filter_classify(dataclasses.replace(y), dataclasses.replace(x))
+    assert kept is first and foundations._VERDICTS[(y, x)] is first
+    assert (kept.kind, kept.witness) == preimage_classify(y, x)
+    kind, n = brute_classify(y, x, 16, 512)
+    assert kept.kind == kind
+    if kind != "neither":
+        assert kept.witness == max(1, n)
+
+
+def test_kept_filter_verdicts_are_bounded():
+    """The table holds at most a fixed number of verdicts: it is emptied
+    when full, and every verdict stays the one decided."""
+    for t in range(1100):
+        y = finite_set([t])
+        assert filter_classify(y).in_ideal
+        assert len(foundations._VERDICTS) <= 1024
+    assert filter_classify(EVENS).in_filter and filter_classify(finite_set([1099])).in_ideal
+
+
+def test_unrepresented_set_is_refused_before_lookup():
+    """A non-UPSet is refused as undecidable, even an unhashable one."""
+    for y in ([1, 2], {3}, "evens"):
+        with pytest.raises(UndecidableRepresentation):
+            filter_classify(y)
+
+
 # -- X sequence profiles ----------------------------------------------------
 
 def test_default_x_passes_both_profiles():
@@ -302,6 +337,21 @@ POSTCONDITION_CHECKS = {
 def test_postconditions_fire(name):
     with pytest.raises(PostconditionFailed, match=name):
         POSTCONDITION_CHECKS[name](OddsX(EVENS, 4))
+
+
+def test_failed_postcondition_is_not_kept():
+    """A verdict whose witness re-check fails is never kept: the check
+    fires on every call, and the pair is not in the table. `OddsX` hashes
+    as the `XSequence` of its fields but does not compare equal to it, so
+    neither reads the other's verdict."""
+    y, odds, plain = multiples(4), OddsX(EVENS, 4), XSequence(EVENS, 4)
+    for _ in range(2):
+        with pytest.raises(PostconditionFailed, match="filter witness"):
+            filter_classify(y, odds)
+    assert (y, odds) not in foundations._VERDICTS
+    assert filter_classify(y, plain).in_filter
+    with pytest.raises(PostconditionFailed, match="filter witness"):
+        filter_classify(y, odds)
 
 
 def test_postconditions_fire_under_optimize():

@@ -330,3 +330,28 @@ def test_long_game_collision_and_walk_counts(monkeypatch):
     t = play_game(Ordinal(0, n), random_opponent(3), 0)
     assert t.verdict == "II_completed" and check_run_invariants(t).ok
     assert counts["pairs"] <= n and counts["walk"] <= 2 * n
+
+
+def test_game_builds_levels_and_trees_without_rechecks(monkeypatch):
+    """A seeded game to omega+4 and its invariant check build almost every
+    level and tree by growing a checked one, which is not checked again.
+    Only the root level and the amalgam at omega go through
+    `AscentLevel.make`, and only the amalgam's tree through `SymTree.make`;
+    when every append and graft went through them, they made 31 partition
+    checks and 14 tree builds."""
+    from ascentlab import ascent, trees
+    counts = {"partition": 0, "tree": 0}
+    check_partition, make_tree = ascent.AscentLevel._check_partition, trees.SymTree.make
+
+    def counting_partition(self):
+        counts["partition"] += 1
+        return check_partition(self)
+
+    def counting_tree(*args, **kw):
+        counts["tree"] += 1
+        return make_tree(*args, **kw)
+    monkeypatch.setattr(ascent.AscentLevel, "_check_partition", counting_partition)
+    monkeypatch.setattr(trees.SymTree, "make", staticmethod(counting_tree))
+    t = play_game(Ordinal(1, 4), random_opponent(3), 0)
+    assert t.verdict == "II_completed" and check_run_invariants(t).ok
+    assert counts == {"partition": 2, "tree": 1}
