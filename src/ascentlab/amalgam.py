@@ -16,22 +16,23 @@ admitted branch, so no graft of it lands in the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .foundations import (
-    EMPTY_SET, FULL_SET, W_LIMIT, Ordinal, PostconditionFailed, Rejected, UPSet, _root,
+    AP, EMPTY_SET, FULL_SET, W_LIMIT, Ordinal, PostconditionFailed, Rejected, UPSet, _root,
     finite_set, multiples, singleton,
 )
 from .ascent import (
-    AppendScheme, AscentLevel, Cell, MapPiece, _first_collision, _split, me_cross, me_set_concrete,
-    record_exclusive, supp,
+    AppendScheme, AscentLevel, AscentPath, Cell, _agree_positions, _collision_set, _eq_star_pairs,
+    _first_collision, _slot_pairs, _split, me_set_concrete, record_exclusive, supp,
 )
-from .nodes import Entry, SymNode, _window_pairs, entry_affine, eq_star, is_prefix
+from .nodes import Entry, SymNode, entry_affine
 from .conditions import (
     Condition, S_X, TailRule, check_condition, extend_with_top, leq_s,
 )
 from .trees import (
-    BranchCatalog, CatalogFamily, CatalogSingle, SymTree, _template_in_tree, family_in_tree,
+    BranchCatalog, CatalogFamily, CatalogSingle, SymTree, _template_members, family_in_tree,
     tree_contains,
 )
 
@@ -110,23 +111,34 @@ class ZMap:
         start = self.lo.n + 1 if w == self.lo.w else 0
         return finite_set(range(start, self.hi.n + self.closed_hi)) if w == self.hi.w else multiples(1, start)
 
-    def probe_keys(self) -> list[Ordinal]:
-        out = [k for k, _ in self.entries if self.in_domain(k)]
+    def pieces(self) -> list[tuple[int, int | AP, SymNode]]:
+        """The map cut by `at`'s rule into pieces (w, loc, t): a point (w, n,
+        node) holds the key (w, n), a cell piece (w, ap, template) the keys
+        (w, ap.member(m)) with values template(m). The entries in the domain
+        are points; each cell then holds its block's keys in the domain that
+        no entry or earlier cell holds: cells (`Cell.on`) on that set's
+        infinite progressions, points (instantiated) at its others."""
+        out = [(k.w, k.n, v) for k, v in self.entries if self.in_domain(k)]
+        held = {w: finite_set(k.n for k, _ in self.entries if k.w == w) for w, _ in self.cells}
         for w, cell in self.cells:
-            for m in range(2):
-                key = Ordinal(w, cell.ap.member(m))
-                if self.in_domain(key):
-                    out.append(key)
-        return sorted(out)
+            parts, points = _split((cell,), self.block_keys(w).difference(held[w]))
+            held[w] = held[w].union(cell.ap.upset())
+            out.extend((w, c.ap, c.template) for c in parts)
+            out.extend((w, n, v) for n, v in points)
+        return out
 
-    def incoherent_keys(self, later: "ZMap") -> Iterator[Ordinal]:
-        """The probe keys in `later`'s domain whose value there does not
-        end-extend this map's value (z-coherence fails at them)."""
-        for k in self.probe_keys():
-            if later.in_domain(k):
-                v, w = self.at(k), later.at(k)
-                if w.dom < v.dom or not is_prefix(v, w):
-                    yield k
+    def incoherent_key(self, later: "ZMap") -> Optional[Ordinal]:
+        """The least key of both domains at which `later`'s value does not
+        end-extend this map's value (z-coherence fails there), or None, over
+        the pairs of pieces that share keys (`_incoherent`). As a statement
+        about every shared key and value, it is decided first on the entries
+        in the domain and whole cells, which hold each value and more."""
+        def whole(z: ZMap) -> list:
+            return [(k.w, k.n, v) for k, v in z.entries if z.in_domain(k)] + \
+                [(w, c.ap, c.template) for w, c in z.cells]
+        if not any(_incoherent(whole(self), whole(later))):
+            return None
+        return min(_incoherent(self.pieces(), later.pieces()), default=None)
 
     def above(self, new_lo: Ordinal) -> "ZMap":
         """The map on the keys above new_lo: lower keys and lower blocks drop
@@ -148,9 +160,7 @@ class ZMap:
             for e in resolve_tokens(tokens, v):
                 v = v.append(e)
             return v
-        z = self.above(new_lo)
-        return replace(z, cells=tuple((w, Cell(c.ap, grow(c.template))) for w, c in z.cells),
-                       entries=tuple((k, grow(v)) for k, v in z.entries))
+        return self._above_each(new_lo, grow)
 
     def limit_value(self, i: Ordinal, tokens: tuple[ZToken, ...]) -> SymNode:
         """Union of this key's values along the uniform tail."""
@@ -160,11 +170,13 @@ class ZMap:
     def limit_map(self, new_lo: Ordinal, tokens: tuple[ZToken, ...]) -> "ZMap":
         """The whole map's unions along the tail, on the keys above the new
         limit stage; full-block key ranges stay cells."""
-        def close(v: SymNode) -> SymNode:
-            return v.extend_to_limit(resolve_tokens(tokens, v))
+        return self._above_each(new_lo, lambda v: v.extend_to_limit(resolve_tokens(tokens, v)))
+
+    def _above_each(self, new_lo: Ordinal, f) -> "ZMap":
+        """The map above new_lo with f applied to every cell template and entry."""
         z = self.above(new_lo)
-        return replace(z, cells=tuple((w, Cell(c.ap, close(c.template))) for w, c in z.cells),
-                       entries=tuple((k, close(v)) for k, v in z.entries))
+        return replace(z, cells=tuple((w, Cell(c.ap, f(c.template))) for w, c in z.cells),
+                       entries=tuple((k, f(v)) for k, v in z.entries))
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,224 +247,212 @@ class ChainDescriptor:
         return out
 
 
-def _last_entry_pieces(z: ZMap, last: Ordinal) -> list:
-    """(block, value piece) pairs describing key -> z(key)(last) on the
-    z-domain: the entries, and each cell on the keys of its block in the
-    domain that no entry and no earlier cell of the block holds."""
-    pieces = [(k.w, ("point", k.n, 0, v.eval_at(last))) for k, v in z.entries if z.in_domain(k)]
-    held = {w: finite_set(k.n for k, _ in z.entries if k.w == w) for w, _ in z.cells}
-    for w, cell in z.cells:
-        value = MapPiece(cell.ap, *entry_affine(cell.template.entry_at(last)))
-        parts, points = _split((value,), z.block_keys(w).difference(held[w]))
-        held[w] = held[w].union(cell.ap.upset())
-        pieces.extend((w, ("cell", p.ap, p.a, p.b)) for p in parts)
-        pieces.extend((w, ("point", n, 0, v)) for n, v in points)
-    return pieces
+def _key(piece, m: int) -> Ordinal:
+    """The key of a piece (see `ZMap.pieces`) at its position m."""
+    w, loc, _ = piece
+    return Ordinal(w, loc if loc.__class__ is int else loc.member(m))
+
+
+def _least_key(pieces, position) -> Optional[tuple[Ordinal, tuple, int]]:
+    """(key, piece, m) with the least key over the pieces at which
+    `position(piece)` gives a position m, or None when it gives none."""
+    hits = [(_key(p, m), p, m) for p in pieces if (m := position(p)) is not None]
+    return min(hits, key=itemgetter(0), default=None)
+
+
+def _last_entry_pieces(pieces, last: Ordinal) -> list:
+    """The pieces of key -> z(key)(last), in the form `_first_collision` reads."""
+    return [(w, ("point" if loc.__class__ is int else "cell", loc,
+                 *entry_affine(t.entry_at(last)))) for w, loc, t in pieces]
 
 
 def _run_on(z: ZMap) -> ZMap:
     """z with a finite top block run on to the next limit, where there is
-    one. Its last-entry pieces hold z's and more keys, each of z's pieces
-    inside one of its own with the same value at each key, so it has a
-    collision whenever z has one; and it lists its top block as one piece."""
+    one: a map with z's keys, their values, and more keys."""
     if z.hi.n and z.hi.w < W_LIMIT:
-        return replace(z, hi=z.hi.next_limit(), closed_hi=False)
+        return ZMap(z.lo, z.hi.next_limit(), False, z.cells, z.entries)
     return z
 
 
 def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap,
                     delta: Ordinal, closed: bool) -> ZBullets:
-    """The four per-stage z requirements. Raises HypothesisViolated with the
-    failing bullet; on success returns the ZBullets record of the five
-    arguments, which `validate_chain` accepts in place of a second check of
-    the same objects.
-
-    At a successor height eta with last coordinate lam, the pass case is
-    proved piece by piece (`_z_pieces_pass`): each cell once and each entry
-    in the domain once, with no probe node built. Each piece check is a
-    sufficient condition for its bullet on every member the piece holds:
-    - z-top-level: a cell template of height eta that `_template_in_tree`
-      accepts has every instance at height eta and in the tree. Entries are
-      checked by height and `tree_contains`.
-    - z-vs-zero: two nodes of successor height eta are eventually equal iff
-      their entries at lam are equal, so no member of a cell whose entry
-      a*m + b at lam never takes top member 0's value there is eventually
-      equal to that member. The value is read off the top's piece that
-      holds index 0.
-    - z-exclusive: `me_cross` lists, for the cells against the top, every
-      (cell member, top index) pair sharing a value at some coordinate:
-      over a whole top cell (static or row), at one top index for every
-      member (static point), or finitely often per member (moving). When
-      there is no moving collision and no static or row index other than 0,
-      no cell member meets the top off index 0. The entries are decided in
-      one pass per top piece (`_entries_meet_top`): an entry v meets top(tau)
-      for some tau != 0 iff at some coordinate v's value e equals the
-      piece's entry there, a constant (every index of a cell, or the key of
-      an exception other than 0) or a ramp a*m + b at the position
-      m = (e - b) / a >= 0 of an index other than 0; that is, iff
-      `me_set_concrete(v, top)` leaves out an index other than 0, and no
-      set is built. Entries with the same blocks share every pair on the
-      block coordinates, so each distinct blocks tuple is read once.
-    - z-pairwise is decided on the last-entry pieces already.
-    When a piece check does not pass, and at limit heights, the key-by-key
-    check (`_z_bullets_by_key`) decides, so every verdict, bullet and
-    message is the one it gives."""
+    """The four per-stage z requirements, decided exactly on the map's pieces
+    (`ZMap.pieces`). Raises HypothesisViolated with the first failing bullet,
+    in the order below, and the least key that breaks it (the first pair for
+    z-pairwise); on success returns the ZBullets record of the arguments,
+    which `validate_chain` accepts in place of a second check. Each bullet
+    speaks of every key or pair of keys, so it holds on z when it holds on
+    a map with more keys and the same values, as on `_run_on(z)`, whose
+    finite top block is one piece: that map is checked first, and z's own
+    pieces only when it fails.
+    - z-top-level: heights, then membership: `tree_contains` for a point,
+      `_template_members` (exact) for a cell.
+    - z-pairwise: at a successor, equal last entries (`_first_collision` on
+      the last-entry pieces); at a limit, `_eq_star_collision`.
+    - z-vs-zero: `_agree_positions` of top member 0 against each piece on
+      the `_eq_star_pairs` window (the last coordinate at a successor).
+    - z-exclusive: `_least_meeting_position`; only on a failure is the
+      member built and `me_set_concrete` read for the least tau != 0.
+    A pass builds no member of z; top member 0 is the one node built."""
     if (z.lo, z.hi, z.closed_hi) != (beta, delta, closed):
         raise HypothesisViolated("z-domain", f"z of stage {beta} has domain "
                                  f"({z.lo},{z.hi}{']' if z.closed_hi else ')'}")
-    if not (cond.eta.is_successor and _z_pieces_pass(cond, z)):
-        _z_bullets_by_key(cond, z)
+    fault = _z_fault(cond, _run_on(z)) and _z_fault(cond, z)
+    if fault is not None:
+        raise HypothesisViolated(*fault)
     return ZBullets(beta, cond, z, delta, closed)
 
 
-def _z_pieces_pass(cond: Condition, z: ZMap) -> bool:
-    """The piece checks of `check_z_bullets` at a successor height: True
-    only when every bullet holds. A piece is read at a coordinate only after
-    its height is checked, so a piece of another height sends the check to
-    the key-by-key path instead of raising."""
+def _z_fault(cond: Condition, z: ZMap) -> Optional[tuple[str, str]]:
+    """(bullet, detail) for the first z requirement failing on z's pieces,
+    or None (see `check_z_bullets`). Heights come first, as the later
+    bullets read the pieces at the top's coordinates; a cell holding no key
+    needs the top's height too, as later members and the z-unions keep it
+    (`stepped`, `limit_map`) and the amalgam's catalog admits it."""
     eta, top, tree = cond.eta, cond.top, cond.tree
-    if any(c.template.dom != eta for _, c in z.cells):
-        return False
-    zero_value = _value_at_zero(top)
-    if zero_value is None:
-        return False
-    entries = [v for k, v in z.entries if z.in_domain(k)]
-    for v in entries:
-        if v.dom != eta or not v.concrete or v.final[-1] == zero_value \
-                or not tree_contains(tree, v):
-            return False
-    for _, c in z.cells:
-        a, b = entry_affine(c.template.final[-1])
-        if (b == zero_value if a == 0 else _root(a, zero_value - b) is not None) \
-                or not _template_in_tree(tree, c.template):
-            return False
-    if _last_entry_collision(z, eta.pred()) or _entries_meet_top(entries, top):
-        return False
-    return not z.cells or _cross_fault(eta, z, top) is None
+    pieces = z.pieces()
 
-
-def _entries_meet_top(entries: list[SymNode], top: AscentLevel) -> bool:
-    """Whether some entry, a concrete node of the top's height, shares a
-    coordinate value with top(tau) for some tau != 0: one pass per top piece,
-    the block coordinates once per distinct blocks tuple of the entries."""
-    groups: dict[tuple, list] = {}
-    for v in entries:
-        groups.setdefault(v.blocks, []).append(v.final)
-    pieces = [(c.template, c.ap.start) for c in top.cells] + \
-        [(u, k) for k, u in top.exceptions if k]
-    for t, start in pieces:
-        for blocks, finals in groups.items():
-            for wv, wt in zip(blocks, t.blocks):
-                if _meets_off_zero(_window_pairs(wv, wt), start):
-                    return True
-            for final in finals:
-                if _meets_off_zero(zip(final, t.final), start):
-                    return True
-    return False
-
-
-def _meets_off_zero(pairs, start: int) -> bool:
-    """Whether some (value, piece entry) pair is equal at an index other than
-    0 of a top piece whose first index is `start`: a constant entry holds at
-    every index of the piece (a cell, or an exception keyed off 0), a ramp
-    a*m + b at position m = (value - b) / a, index 0 only when m = 0 and
-    start = 0."""
-    for e, et in pairs:
-        if et.__class__ is int:
-            if e == et:
-                return True
-        else:
-            d = e - et.b
-            if d >= 0 and not d % et.a and (d or start):
-                return True
-    return False
-
-
-def _value_at_zero(top: AscentLevel) -> Optional[int]:
-    """Top member 0's last entry (a successor height), read off the exception
-    or cell holding index 0, in `AscentLevel.at`'s order; None when no piece
-    holds it."""
-    for k, v in top.exceptions:
-        if k == 0:
-            return v.final[-1]
-    for c in top.cells:
-        if c.ap.start == 0:
-            return entry_affine(c.template.final[-1])[1]
-    return None
-
-
-def _last_entry_collision(z: ZMap, last: Ordinal):
-    """Two keys of z's domain whose values share their entry at `last`, if
-    any: the one-coordinate collision analysis of the exclusivity walk. A
-    finite top block is listed key by key only when `_run_on(z)` has a
-    collision."""
-    return _first_collision(_last_entry_pieces(_run_on(z), last)) and \
-        _first_collision(_last_entry_pieces(z, last))
-
-
-def _cross_fault(eta: Ordinal, z: ZMap, top: AscentLevel) -> Optional[str]:
-    """Why some member of z's cells, read at height eta, meets the top
-    family off index 0, by `me_cross`, or None."""
-    zero = singleton(0)
-    rep = me_cross(AscentLevel(eta, tuple(c for _, c in z.cells), ()), top)
-    if rep.has_moving:
-        return "a branch cell meets the family cofinally"
-    if not rep.static_bad.difference(zero).is_empty:
-        return "a branch cell meets the family off 0"
-    for i0, row in rep.special_rows:
-        if not row.difference(zero).is_empty:
-            return f"branch {i0} meets the family off 0"
-    return None
-
-
-def _z_bullets_by_key(cond: Condition, z: ZMap) -> None:
-    """The z requirements on the probe keys plus the cell structure; at
-    successor heights, pairwise difference over the whole domain. Once the
-    probe nodes pass, every cell's template height is checked, because the
-    checks after it read each cell's template at the top's coordinates."""
-    eta = cond.eta
-    top = cond.top
-    keys = z.probe_keys()
-    nodes = [(k, z.at(k)) for k in keys]
-    for k, v in nodes:
-        if v.dom != eta:
-            raise HypothesisViolated("z-top-level", f"z({k}) has height {v.dom}")
-        if not tree_contains(cond.tree, v):
-            raise HypothesisViolated("z-top-level", f"z({k}) outside the tree")
+    def top_level(p) -> Optional[int]:
+        _, loc, t = p
+        if t.dom != eta:
+            return 0
+        if loc.__class__ is int:
+            return None if tree_contains(tree, t) else 0
+        members = _template_members(tree, t)
+        return None if members == FULL_SET else members.complement().min_member()
+    hit = _least_key(pieces, top_level)
+    if hit:
+        k, (_, _, t), _ = hit
+        return "z-top-level", f"z({k}) has height {t.dom}" if t.dom != eta else f"z({k}) outside the tree"
     for w, cell in z.cells:
         if cell.template.dom != eta:
-            raise HypothesisViolated("z-top-level",
-                                     f"a cell of block {w} has height {cell.template.dom}")
-    # pairwise eventual difference: at successor heights this is distinct
-    # last entries over the whole domain
+            return "z-top-level", f"a cell of block {w} has height {cell.template.dom}"
     if eta.is_successor:
-        hit = _last_entry_collision(z, eta.pred())
-        if hit:
-            raise HypothesisViolated("z-pairwise", f"z({Ordinal(*hit[0])}) =* z({Ordinal(*hit[1])})")
+        pair = _first_collision(_last_entry_pieces(pieces, eta.pred()))
+        pair = pair and (Ordinal(*pair[0]), Ordinal(*pair[1]))
     else:
-        for i, (k1, v1) in enumerate(nodes):
-            for k2, v2 in nodes[i + 1:]:
-                if eq_star(v1, v2):
-                    raise HypothesisViolated("z-pairwise", f"z({k1}) =* z({k2})")
-        for w, cell in z.cells:
-            word = cell.template.blocks[-1]
-            if all(isinstance(e, int) for e in word.prefix + word.tail):
-                raise HypothesisViolated("z-pairwise",
-                                         f"block {w} cell instances eventually coincide")
-    # exclusivity against the whole nonzero family, decided exactly by
-    # me_set_concrete: any collision away from index 0 is fatal, and the
-    # least such index is the witness
-    f0, zero = top.at(0), singleton(0)
-    for k, v in nodes:
-        if eq_star(v, f0):
-            raise HypothesisViolated("z-vs-zero", f"z({k}) =* top family at 0")
-        bad = me_set_concrete(v, top).complement().difference(zero)
-        if not bad.is_empty:
-            raise HypothesisViolated("z-exclusive", f"z({k}) meets top family at {bad.min_member()}")
-    if z.cells:
-        fault = _cross_fault(eta, z, top)
-        if fault:
-            raise HypothesisViolated("z-exclusive", fault)
+        pair = _eq_star_collision(pieces)
+    if pair:
+        return "z-pairwise", f"z({pair[0]}) =* z({pair[1]})"
+    f0 = top.at(0)
+
+    def zero(p) -> Optional[int]:
+        verdict, m = _agree_positions(f0, p[2], _eq_star_pairs)
+        return None if verdict == "none" else m
+    hit = _least_key(pieces, zero)
+    if hit:
+        return "z-vs-zero", f"z({hit[0]}) =* top family at 0"
+    hit = _least_key(pieces, lambda p: _least_meeting_position(p[2], top))
+    if hit:
+        k, (_, _, t), m = hit
+        tau = me_set_concrete(t.instantiate(m), top).complement().difference(singleton(0))
+        return "z-exclusive", f"z({k}) meets top family at {tau.min_member()}"
+    return None
+
+
+def _eq_star_collision(pieces) -> Optional[tuple[Ordinal, Ordinal]]:
+    """Two distinct keys with eventually equal values, the first pair in
+    all-pairs order, for pieces of one limit height. A cell piece meets
+    itself iff its `_eq_star_pairs` window, one period of the top block's
+    tails, has no ramp, which would tell two positions apart on a final
+    segment; two pieces are decided by `_eq_star_positions`."""
+    for i, p in enumerate(pieces):
+        if p[1].__class__ is not int and all(e.__class__ is int for e, _ in _eq_star_pairs(p[2], p[2])):
+            return _key(p, 0), _key(p, 1)
+        for q in pieces[i + 1:]:
+            hit = _eq_star_positions(p[2], q[2])
+            if hit is not None:
+                return _key(p, hit[0]), _key(q, hit[1])
+    return None
+
+
+def _eq_star_positions(t1: SymNode, t2: SymNode) -> Optional[tuple[int, int]]:
+    """Positions (m1, m2) with t1(m1) =* t2(m2), for templates of one height
+    (a concrete node is one at every position), or None. Each pair of the
+    `_eq_star_pairs` window reads a*m1 + b = c*m2 + d. If one pair has two
+    ramps, its solutions are `_pieces_collide`'s lattice line: the common
+    values v = v0 + L*s, s >= 0, of b + a*N and d + c*N, m1 = (v - b) / a and
+    m2 = (v - d) / c. Otherwise each pair pins m1, m2 or neither: m1 = s,
+    and m2 where t2's first ramp pins it (0 if none does). Re-indexed onto s,
+    `_agree_positions` gives the least s at which every pair holds."""
+    pairs = [(entry_affine(e1), entry_affine(e2)) for e1, e2 in _eq_star_pairs(t1, t2)]
+    line = next((pair for pair in pairs if pair[0][0] and pair[1][0]), None)
+    if line is not None:
+        (a, b), (c, d) = line
+        common = AP(b, a).intersect(AP(d, c))
+        if common is None:
+            return None
+        v, step = common.start, common.step
+        q1, p1, q2, p2 = step // a, (v - b) // a, step // c, (v - d) // c
+    else:
+        q1, p1, q2, p2 = 1, 0, 0, next((_root(c, b - d) for (_, b), (c, d) in pairs if c), 0)
+        if p2 is None:
+            return None
+    verdict, s = _agree_positions(t1.reindex(q1, p1), t2.reindex(q2, p2), _eq_star_pairs)
+    return None if verdict == "none" else (q1 * s + p1, q2 * s + p2)
+
+
+def _least_meeting_position(t: SymNode, top: AscentLevel) -> Optional[int]:
+    """The least position m at which t(m), for a template (or node) of the
+    top's height, shares a coordinate value with top(tau), tau != 0, or
+    None. At a coordinate class (`_slot_pairs`) t reads a*m + b, a top cell
+    c*s + d at its position s:
+    - c = 0: infinitely many indices hold d, met by the m with a*m + b = d;
+    - a = 0 < c: every m meets the index at the root s, unless it is 0;
+    - both ramps: the least common value of b + a*N and d + c*N gives the
+      least m, or the next one when it is at index 0 (s = 0, start 0).
+    An exception keyed tau != 0 is met where `_collision_set` says; the one
+    keyed 0 may be met (`me_cross` counts that as moving, for clause C4)."""
+    found = []
+    for cell in top.cells:
+        for et, ec in _slot_pairs(t, cell.template):
+            if ec.__class__ is int:
+                m = (0 if et == ec else None) if et.__class__ is int else _root(et.a, ec - et.b)
+            elif et.__class__ is int:
+                d = et - ec.b
+                m = 0 if d >= 0 and not d % ec.a and cell.ap.member(d // ec.a) else None
+            elif common := AP(et.b, et.a).intersect(AP(ec.b, ec.a)):
+                v = common.start + (common.step if common.start == ec.b and cell.ap.start == 0 else 0)
+                m = (v - et.b) // et.a
+            else:
+                continue
+            if m == 0:
+                return 0
+            if m is not None:
+                found.append(m)
+    for k, v in top.exceptions:
+        hits = _collision_set(v, t) if k else "none"
+        if hits != "none":
+            found.append(0 if hits == "all" else min(hits))
+    return min(found, default=None)
+
+
+def _incoherent(earlier: list, later: list) -> Iterator[Ordinal]:
+    """For each pair of pieces, one of each list (see `ZMap.pieces`), that
+    share keys, the least shared key where the later value does not
+    end-extend the earlier one, if any. A point shares at most one key with
+    a piece, where `_agree_positions` decides; two cells share the meet of
+    their progressions, on which both are re-based (`Cell.on`) so that
+    `_agree_positions` reads them at one position: all, one or none."""
+    for w, loc1, t1 in earlier:
+        for w2, loc2, t2 in later:
+            if w2 != w:
+                continue
+            if loc1.__class__ is int or loc2.__class__ is int:
+                n, other = (loc1, loc2) if loc1.__class__ is int else (loc2, loc1)
+                if n != other if other.__class__ is int else n not in other:
+                    continue
+                verdict, m0 = ("none", 0) if t1.dom > t2.dom else _agree_positions(t1, t2)
+                if verdict == "none" or verdict == "one" and m0 != other.position(n):
+                    yield Ordinal(w, n)
+                continue
+            inter = loc1.intersect(loc2)
+            if inter is None:
+                continue
+            u1, u2 = Cell(loc1, t1).on(inter).template, Cell(loc2, t2).on(inter).template
+            verdict, m0 = ("none", 0) if u1.dom > u2.dom else _agree_positions(u1, u2)
+            if verdict != "all":
+                yield Ordinal(w, inter.member(1 if verdict == "one" and m0 == 0 else 0))
 
 
 def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
@@ -463,12 +463,13 @@ def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
     of a passed check of its own cond and z objects (`is`), its own stage
     and the chain's z-domain endpoint (`ChainMember.proved`). Members decoded
     from JSON, built by fixtures or by the tail rule, and limit-stage moves
-    carry no record and are checked in full. `decreasing` and `full-supp`
-    are decided on adjacent members: leq_s is transitive, and by the chain
-    lemma in the `ascentlab.conditions` docstring FULL ∩ FULL ⊆ supp of the
-    outer pair. After an adjacent failure the all-pairs loop runs, so the
-    raised error is the first one in pair order. `z-coherent` keeps all
-    pairs."""
+    carry no record and are checked in full. `decreasing`, `full-supp` and
+    `z-coherent` are decided on adjacent members: leq_s and end-extension
+    are transitive, by the chain lemma in the `ascentlab.conditions`
+    docstring FULL ∩ FULL ⊆ supp of the outer pair, and when the stages
+    increase, the keys two members share lie in every z-domain between
+    theirs. Otherwise, or after an adjacent failure, the all-pairs loop
+    runs, so the raised error is the first one in pair order."""
     if not ch.members:
         raise HypothesisViolated("nonempty", "chain has no members")
     if not ch.gamma.is_limit:
@@ -487,16 +488,16 @@ def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
             raise HypothesisViolated("gamma-cofinal", f"stage {m.beta} at or above gamma")
         if not m.proved(ch.delta, ch.closed_delta):
             check_z_bullets(m.beta, m.cond, m.z, ch.delta, ch.closed_delta)
-    adjacent_ok = all(leq_s(b.cond, a.cond) and supp(a.cond.top, b.cond.top) == FULL_SET
-                      for a, b in zip(sample, sample[1:]))
+    if all(a.beta < b.beta and leq_s(b.cond, a.cond) and supp(a.cond.top, b.cond.top) == FULL_SET
+           and a.z.incoherent_key(b.z) is None for a, b in zip(sample, sample[1:])):
+        return sample
     for i, m1 in enumerate(sample):
         for m2 in sample[i + 1:]:
-            if not adjacent_ok:
-                if not leq_s(m2.cond, m1.cond):
-                    raise HypothesisViolated("decreasing", f"stage {m2.beta} does not extend {m1.beta}")
-                if supp(m1.cond.top, m2.cond.top) != FULL_SET:
-                    raise HypothesisViolated("full-supp", f"stages {m1.beta},{m2.beta}")
-            k = next(m1.z.incoherent_keys(m2.z), None)
+            if not leq_s(m2.cond, m1.cond):
+                raise HypothesisViolated("decreasing", f"stage {m2.beta} does not extend {m1.beta}")
+            if supp(m1.cond.top, m2.cond.top) != FULL_SET:
+                raise HypothesisViolated("full-supp", f"stages {m1.beta},{m2.beta}")
+            k = m1.z.incoherent_key(m2.z)
             if k is not None:
                 raise HypothesisViolated("z-coherent", f"z({k}) not increasing")
     return sample
@@ -540,7 +541,6 @@ def amalgamate(ch: ChainDescriptor) -> tuple[Condition, ZMap]:
     levels = {h: lvl for h, lvl in last.cond.path.levels if h.n < start_n or h.w != eta.w - 1}
     levels[eta] = top
     path_tails = dict(last.cond.path.tails) | {eta.w - 1: rule}
-    from .conditions import AscentPath
     out = Condition(tree, AscentPath.make(levels, path_tails), S_X, last.cond.x)
 
     _verify_conclusions(ch, sample, out, z_gamma, vanish)
@@ -555,9 +555,10 @@ def _verify_conclusions(ch: ChainDescriptor, sample: list[ChainMember],
     that every member extends each earlier one with full support, leq_s is
     transitive, and by the chain lemma in the `ascentlab.conditions`
     docstring, supp(f, g) and supp(g, h) full give supp(f, h) full for the
-    tops' heights f <= g <= h. Z-coherence is checked per member, because it
-    is read on each member's probe keys, which another member's check does
-    not cover. The z-unions are checked in the tree exactly: every cell's
+    tops' heights f <= g <= h. Z-coherence is checked against the last member
+    only, by transitivity: each key of the z-unions' domain lies in every
+    member's, where `validate_chain` found the last value end-extending the
+    others. The z-unions are checked in the tree exactly: every cell's
     template and every in-domain entry (`family_in_tree`), which the
     admitted-template and admitted-single exits in `trees` answer for the
     catalog's own branches."""
@@ -569,10 +570,9 @@ def _verify_conclusions(ch: ChainDescriptor, sample: list[ChainMember],
         raise PostconditionFailed(f"amalgam does not extend stage {last.beta}")
     if supp(last.cond.top, out.top) != FULL_SET:
         raise PostconditionFailed(f"amalgam lost full support to stage {last.beta}")
-    for m in ch.members:
-        k = next(m.z.incoherent_keys(z_gamma), None)
-        if k is not None:
-            raise PostconditionFailed(f"z union at {k} does not extend stage {m.beta}")
+    k = last.z.incoherent_key(z_gamma)
+    if k is not None:
+        raise PostconditionFailed(f"z union at {k} does not extend stage {last.beta}")
     # membership characterization: admitted branches and their grafts are in,
     # the vanishing union is out
     if not family_in_tree(out.tree, [c for _, c in z_gamma.cells],

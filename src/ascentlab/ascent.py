@@ -186,7 +186,7 @@ class AppendScheme:
     """Entries appended per cell (affine in the cell position) and per exception."""
 
     cell_entries: tuple[Entry, ...]
-    exception_labels: dict[int, int] = field(default_factory=dict, hash=False, compare=False)
+    exception_labels: dict[int, int] = field(default_factory=dict, hash=False)
 
 
 def standard_append(level: AscentLevel, shift: int = 0) -> AppendScheme:

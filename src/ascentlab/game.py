@@ -310,6 +310,7 @@ def check_run_invariants(t: Transcript) -> InvariantReport:
             fails.append(f"(ii) stage {mv.stage}: {e.bullet}")
     evens = [mv for mv in moves if mv.z is not None]
     for a, b in zip(evens, evens[1:]):
-        fails.extend(f"(iii) branch {k} not increasing at stage {b.stage}"
-                     for k in a.z.incoherent_keys(b.z))
+        k = a.z.incoherent_key(b.z)
+        if k is not None:
+            fails.append(f"(iii) branch {k} not increasing at stage {b.stage}")
     return InvariantReport(not fails, tuple(fails))

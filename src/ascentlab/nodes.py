@@ -164,7 +164,10 @@ class SymNode:
         return SymNode(blocks, tuple(entries_at(self.final, m)))
 
     def reindex(self, a: int, b: int) -> "SymNode":
-        """Template after the position substitution m := a*m' + b."""
+        """Template after the position substitution m := a*m' + b; a concrete
+        node is its own, as for `instantiate`."""
+        if self.concrete:
+            return self
         blocks = tuple(BlockWord.make(entries_compose(w.prefix, a, b), entries_compose(w.tail, a, b))
                        for w in self.blocks)
         return SymNode(blocks, tuple(entries_compose(self.final, a, b)))

@@ -63,6 +63,13 @@ def _int_list(d: dict, key: str, where: str) -> list[int]:
     return v
 
 
+def _bool_field(d: dict, key: str, where: str) -> bool:
+    """d[key], which must be present and a bool (not coerced)."""
+    v = _required(d, key, where)
+    _expect(type(v) is bool, f"{_child(where, key)}: expected a bool, got {v!r}")
+    return v
+
+
 def _object(d: Any, where: str) -> dict:
     _expect(isinstance(d, dict), f"{where}: expected an object, got {d!r}")
     return d
@@ -218,8 +225,11 @@ def dec_tail_rule(d: Any, where: str = "rule") -> TailRule:
     _expect(start == base.height.n,
             f"{where}.start: expected {base.height.n}, the base height {base.height}'s "
             f"offset in its block, got {start}")
+    _required(d, "schemes", where)
+    schemes = _objects(d, "schemes", where)
+    _expect(bool(schemes), f"{where}.schemes: expected a nonempty list")
     return TailRule(start, base, tuple(dec_scheme(s, f"{where}.schemes[{i}]")
-                                       for i, s in enumerate(_required(d, "schemes", where))))
+                                       for i, s in enumerate(schemes)))
 
 
 def enc_path(p: AscentPath) -> dict:
@@ -234,6 +244,8 @@ def dec_path(d: Any, where: str = "path") -> AscentPath:
         lw = f"{where}.levels[{i}]"
         height = dec_ordinal(_required(e, "height", lw), f"{lw}.height")
         levels[height] = dec_level(_required(e, "level", lw), f"{lw}.level")
+        _expect(levels[height].height == height,
+                f"{lw}.height: {height} is not the height {levels[height].height} of its level")
     for i, e in enumerate(_objects(d, "tails", where)):
         tw = f"{where}.tails[{i}]"
         _required(e, "block", tw)
@@ -253,12 +265,20 @@ def enc_catalog(cat: BranchCatalog) -> dict:
             "singles": [{"tag": s.tag, "node": enc_node(s.node), "admitted": s.admitted}
                         for s in cat.singles]}
 
-def dec_catalog(d: Any) -> BranchCatalog:
-    return BranchCatalog(
-        tuple(CatalogFamily(tuple(dec_cell(c) for c in f["cells"]), bool(f["admitted"]))
-              for f in d.get("families", ())),
-        tuple(CatalogSingle(str(s["tag"]), dec_node(s["node"]), bool(s["admitted"]))
-              for s in d.get("singles", ())))
+def dec_catalog(d: Any, where: str = "catalog") -> BranchCatalog:
+    families, singles = [], []
+    for i, f in enumerate(_objects(_object(d, where), "families", where)):
+        fw = f"{where}.families[{i}]"
+        _required(f, "cells", fw)
+        families.append(CatalogFamily(tuple(dec_cell(c, f"{fw}.cells[{j}]")
+                                            for j, c in enumerate(_objects(f, "cells", fw))),
+                                      _bool_field(f, "admitted", fw)))
+    for i, e in enumerate(_objects(d, "singles", where)):
+        sw = f"{where}.singles[{i}]"
+        singles.append(CatalogSingle(str(_required(e, "tag", sw)),
+                                     dec_node(_required(e, "node", sw), where=f"{sw}.node"),
+                                     _bool_field(e, "admitted", sw)))
+    return BranchCatalog(tuple(families), tuple(singles))
 
 
 def enc_tree(t: SymTree) -> dict:
@@ -275,8 +295,9 @@ def dec_tree(d: Any, where: str = "tree") -> SymTree:
         {dec_ordinal(e.get("height")):
          tuple(dec_node(n) for n in _list_field(e, "nodes", f"{where}.explicit[{i}]"))
          for i, e in enumerate(_objects(d, "explicit", where))},
-        {dec_ordinal(e.get("height")): dec_catalog(e["catalog"])
-         for e in _objects(d, "catalogs", where)})
+        {dec_ordinal(e.get("height")):
+         dec_catalog(_required(e, "catalog", f"{where}.catalogs[{i}]"), f"{where}.catalogs[{i}].catalog")
+         for i, e in enumerate(_objects(d, "catalogs", where))})
 
 
 # -- the big composites ----------------------------------------------------------

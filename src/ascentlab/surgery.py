@@ -10,7 +10,7 @@ witnesses vanishing and the construction adds exactly one vanishing level.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .foundations import (
     FULL_SET, PostconditionFailed, ProfileViolation, Rejected, XSequence, singleton,
@@ -34,6 +34,11 @@ class BadPi(Rejected):
 
 class NonExclusiveBranches(Rejected):
     """The derived branches the surgery keeps are not mutually exclusive."""
+
+
+class InvalidPathBase(Rejected):
+    """The path's base condition fails check_condition, so the surgery's
+    output cannot pass it either."""
 
 
 def canonical_pi(x: XSequence, n0: int) -> PiecewiseMap:
@@ -68,8 +73,9 @@ def branch_surgery(path: PathDescriptor, n0: int,
     """The new condition of limit-plus-one height. Hypothesis
     (NonExclusiveBranches otherwise): the derived branches over the head set
     minus n0 are mutually exclusive. Every stated consequence is re-verified
-    before returning (PostconditionFailed otherwise): the result extends
-    path.base under leq_s and passes check_condition."""
+    before returning: the result extends path.base under leq_s and passes
+    check_condition. A failure raises InvalidPathBase when path.base itself
+    fails check_condition, and PostconditionFailed otherwise."""
     x = path.base.x
     x.validate("s4")
     if n0 not in x.x0 or n0 in x.entry(1):
@@ -107,16 +113,22 @@ def branch_surgery(path: PathDescriptor, n0: int,
     tails = dict(base.path.tails) | {base.eta.w: path.rule}
     out = Condition(tree, AscentPath.make(levels, tails), S_X, x)
 
-    # consequences, re-verified
+    # consequences, re-verified; the base is checked only when one fails,
+    # so that an invalid input is told apart from a defect of the surgery
+    def fail(msg: str) -> NoReturn:
+        rep = check_condition(base, base.variant)
+        if not rep.ok:
+            raise InvalidPathBase("the path's base condition is invalid: " + "; ".join(rep.violations))
+        raise PostconditionFailed(msg)
     if tree_contains(out.tree, fam.branch(n0)):
-        raise PostconditionFailed("the omitted branch is in the tree")
+        fail("the omitted branch is in the tree")
     van = vanishing_levels(out.tree, "full")
     expected = vanishing_levels(base.tree, "full").levels | {lam}
     if van.levels != expected:
-        raise PostconditionFailed(f"vanishing levels {set(van.levels)} != {set(expected)}")
+        fail(f"vanishing levels {set(van.levels)} != {set(expected)}")
     if not leq_s(out, base):
-        raise PostconditionFailed("surgery does not extend the path")
+        fail("surgery does not extend the path")
     rep = check_condition(out, S_X)
     if not rep.ok:
-        raise PostconditionFailed("surgery output invalid: " + "; ".join(rep.violations))
+        fail("surgery output invalid: " + "; ".join(rep.violations))
     return out

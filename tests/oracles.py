@@ -308,11 +308,12 @@ def tail_level_via_make(rule, n: int):
     return lvl
 
 
-def all_pairs_run_invariants(t, x: XSequence):
+def all_pairs_run_invariants(t, x: XSequence, bound: int = 32):
     """check_run_invariants with requirements (order), (i) and (iii)
-    checked on every pair of moves, and each even move's z-bullets by
-    `probe_key_z_bullets`."""
-    from ascentlab.amalgam import HypothesisViolated
+    checked on every pair of moves, each even move's z-bullets on a window
+    (`window_z_outcome`), and coherence between consecutive even moves at
+    the least key of their windows whose later value does not end-extend
+    the earlier one."""
     from ascentlab.ascent import supp
     from ascentlab.conditions import leq_s
     from ascentlab.foundations import FULL_SET
@@ -333,25 +334,47 @@ def all_pairs_run_invariants(t, x: XSequence):
     for mv in moves:
         if mv.z is None:
             continue
-        try:
-            probe_key_z_bullets(mv.stage, mv.cond, mv.z, t.mu, False)
-        except HypothesisViolated as e:
-            fails.append(f"(ii) stage {mv.stage}: {e.bullet}")
+        bullet = window_z_outcome(mv.stage, mv.cond, mv.z, t.mu, False, bound)
+        if bullet != "ok":
+            fails.append(f"(ii) stage {mv.stage}: {bullet}")
     evens = [mv for mv in moves if mv.z is not None]
     for a, b in zip(evens, evens[1:]):
-        for k in a.z.probe_keys():
-            if b.z.in_domain(k):
-                va, vb = a.z.at(k), b.z.at(k)
-                if vb.dom < va.dom or vb.restrict(va.dom) != va:
-                    fails.append(f"(iii) branch {k} not increasing at stage {b.stage}")
+        k = window_incoherent_key(a.z, b.z, bound)
+        if k is not None:
+            fails.append(f"(iii) branch {k} not increasing at stage {b.stage}")
     return InvariantReport(not fails, tuple(fails))
+
+
+def window_incoherent_key(earlier, later, bound: int):
+    """The least key of both maps' windows (`zmap_window`, every block up to
+    the later map's top) whose later value does not end-extend the earlier
+    one, or None."""
+    blocks = max(earlier.hi.w, later.hi.w) + 1
+    values = zmap_window(later, blocks, bound)
+    for k, v in sorted(zmap_window(earlier, blocks, bound).items()):
+        if k in values and (values[k].dom < v.dom or values[k].restrict(v.dom) != v):
+            return k
+    return None
+
+
+def probe_keys(z) -> list[Ordinal]:
+    """The keys the per-stage z-checks once read: each entry's key in the
+    domain, and the first two members of each cell's progression that lie
+    in it."""
+    out = [k for k, _ in z.entries if z.in_domain(k)]
+    for w, cell in z.cells:
+        for m in range(2):
+            key = Ordinal(w, cell.ap.member(m))
+            if z.in_domain(key):
+                out.append(key)
+    return sorted(out)
 
 
 def probe_key_z_bullets(beta, cond, z, delta, closed):
     """check_z_bullets as it was decided key by key: the probe nodes
-    (two members per cell plus the entries) built and checked one by one,
-    then the cell structure; at successor heights, pairwise difference over
-    the whole domain. Raises HypothesisViolated with the failing bullet."""
+    (`probe_keys`) built and checked one by one, then the cell structure; at
+    successor heights, pairwise difference over the whole domain. Raises
+    HypothesisViolated with the failing bullet."""
     from ascentlab.amalgam import (
         HypothesisViolated, ZBullets, _first_collision, _last_entry_pieces, _run_on,
     )
@@ -364,8 +387,7 @@ def probe_key_z_bullets(beta, cond, z, delta, closed):
                                  f"({z.lo},{z.hi}{']' if z.closed_hi else ')'}")
     eta = cond.eta
     top = cond.top
-    keys = z.probe_keys()
-    nodes = [(k, z.at(k)) for k in keys]
+    nodes = [(k, z.at(k)) for k in probe_keys(z)]
     for k, v in nodes:
         if v.dom != eta:
             raise HypothesisViolated("z-top-level", f"z({k}) has height {v.dom}")
@@ -377,8 +399,8 @@ def probe_key_z_bullets(beta, cond, z, delta, closed):
     # listed key by key only when `_run_on(z)` has a collision
     if eta.is_successor:
         last = eta.pred()
-        hit = _first_collision(_last_entry_pieces(_run_on(z), last)) and \
-            _first_collision(_last_entry_pieces(z, last))
+        hit = _first_collision(_last_entry_pieces(_run_on(z).pieces(), last)) and \
+            _first_collision(_last_entry_pieces(z.pieces(), last))
         if hit:
             raise HypothesisViolated("z-pairwise", f"z({Ordinal(*hit[0])}) =* z({Ordinal(*hit[1])})")
     else:
@@ -495,25 +517,57 @@ def all_probes_paths_agree(p1, p2, eta: Ordinal) -> bool:
 
 def zmap_window(z, blocks: int, bound: int) -> dict:
     """Every key (w, n) with w < blocks and n < bound that the map defines,
-    with its value, each key looked up on its own: its explicit entry, else
-    the first cell over its block whose progression holds n, instantiated at
-    n's position."""
-    entries = dict(z.entries)
+    with its value, each key looked up on its own by `ZMap.at`."""
     out = {}
     for w in range(blocks):
         for n in range(bound):
             k = Ordinal(w, n)
-            if not z.in_domain(k):
-                continue
-            if k in entries:
-                out[k] = entries[k]
-                continue
-            for cw, cell in z.cells:
-                start, step = cell.ap.start, cell.ap.step
-                if cw == w and n >= start and (n - start) % step == 0:
-                    out[k] = cell.template.instantiate((n - start) // step)
-                    break
+            if z.in_domain(k):
+                try:
+                    out[k] = z.at(k)
+                except KeyError:
+                    pass
     return out
+
+
+Z_BULLETS = ("z-domain", "z-top-level", "z-pairwise", "z-vs-zero", "z-exclusive")
+
+
+def window_z_bullets(cond, z, blocks: int, bound: int, keys=None) -> dict[str, set]:
+    """The failures of the z requirements on the keys of `zmap_window(z,
+    blocks, bound)`, or on those of them in `keys`, one key or one pair at a
+    time: "z-top-level" the keys whose value has another height than the
+    top or lies outside the tree (`stepwise_tree_contains`), and when there
+    are none, "z-pairwise" the pairs (k1, k2), k1 < k2, of eventually equal
+    values (`brute_eq_star`), "z-vs-zero" the keys whose value is eventually
+    equal to top member 0, and "z-exclusive" the pairs (k, tau), 0 < tau <
+    bound, at which the value and top(tau) share a coordinate value
+    (`brute_me_set`)."""
+    values = zmap_window(z, blocks, bound)
+    items = sorted((k, v) for k, v in values.items() if keys is None or k in keys)
+    out = {b: set() for b in Z_BULLETS[1:]}
+    out["z-top-level"] = {k for k, v in items if v.dom != cond.eta
+                          or not stepwise_tree_contains(cond.tree, v)}
+    if out["z-top-level"]:
+        return out
+    out["z-pairwise"] = {(k1, k2) for i, (k1, v1) in enumerate(items)
+                         for k2, v2 in items[i + 1:] if brute_eq_star(v1, v2)}
+    f0 = cond.top.at(0)
+    for k, v in items:
+        if brute_eq_star(v, f0):
+            out["z-vs-zero"].add(k)
+        apart = brute_me_set(v, cond.top, bound)
+        out["z-exclusive"].update((k, tau) for tau in range(1, bound) if tau not in apart)
+    return out
+
+
+def window_z_outcome(beta, cond, z, delta, closed, bound: int) -> str:
+    """The first z requirement, in `Z_BULLETS` order, that fails on the
+    window of every block of the domain and the keys below `bound`, or "ok"."""
+    if (z.lo, z.hi, z.closed_hi) != (beta, delta, closed):
+        return "z-domain"
+    fails = window_z_bullets(cond, z, z.hi.w + 1, bound)
+    return next((b for b in Z_BULLETS[1:] if fails[b]), "ok")
 
 
 # -- references for the game-run shortcuts ----------------------------------------
@@ -569,7 +623,8 @@ def brute_family_in_tree(tree, cells, exceptions, bound: int = 64) -> bool:
 
 def all_pairs_validate_chain(ch):
     """validate_chain with every member's z-bullets checked, whatever
-    evidence it carries, and every requirement on every pair of members."""
+    evidence it carries, and every requirement on every pair of members,
+    z-coherence on the members' windows (`window_incoherent_key`)."""
     from ascentlab.amalgam import HypothesisViolated, NotUniformTail, check_z_bullets
     from ascentlab.ascent import supp
     from ascentlab.conditions import S_X, leq_s
@@ -597,11 +652,9 @@ def all_pairs_validate_chain(ch):
                 raise HypothesisViolated("decreasing", f"stage {m2.beta} does not extend {m1.beta}")
             if supp(m1.cond.top, m2.cond.top) != FULL_SET:
                 raise HypothesisViolated("full-supp", f"stages {m1.beta},{m2.beta}")
-            for k in m1.z.probe_keys():
-                if m2.z.in_domain(k):
-                    v1, v2 = m1.z.at(k), m2.z.at(k)
-                    if v2.restrict(v1.dom) != v1:
-                        raise HypothesisViolated("z-coherent", f"z({k}) not increasing")
+            k = window_incoherent_key(m1.z, m2.z, 32)
+            if k is not None:
+                raise HypothesisViolated("z-coherent", f"z({k}) not increasing")
     return sample
 
 

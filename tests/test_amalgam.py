@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import re
 from collections import Counter
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from ascentlab import amalgam, game
 from ascentlab.foundations import AP, FULL_SET, OMEGA, Ordinal, singleton
 from ascentlab.amalgam import (
-    ChainDescriptor, HypothesisViolated, NotUniformTail, ZMap, _z_pieces_pass, amalgamate,
-    check_z_bullets,
+    ChainDescriptor, HypothesisViolated, NotUniformTail, ZMap, amalgamate, check_z_bullets,
 )
 from ascentlab.ascent import AscentLevel, Cell, me_set_concrete, supp
 from ascentlab.conditions import S_X, Condition, check_condition, leq_s
@@ -17,7 +18,10 @@ from ascentlab.fixtures import uniform_chain
 from ascentlab.game import check_run_invariants, onestep_opponent, play_game, random_opponent
 from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, node_patch
 from ascentlab.trees import BranchCatalog, SymTree, tree_contains, vanishing_levels
-from oracles import probe_key_z_bullets, zmap_window
+from oracles import (
+    Z_BULLETS, probe_key_z_bullets, probe_keys, window_incoherent_key, window_z_bullets,
+    zmap_window,
+)
 from test_chain_lemma import ENTRIES, nodes_of
 
 
@@ -117,21 +121,59 @@ def test_bad_z_bullet_rejected():
 
 def test_incoherent_z_rejected():
     """A member's z-value that does not end-extend the previous member's at
-    a shared key: `incoherent_keys` names the key, validate_chain raises."""
+    a shared key: `incoherent_key` names the key, validate_chain raises."""
     import dataclasses
     ch = uniform_chain(3, Ordinal(1, 2))
     m0, m1, m2 = ch.members
     k = Ordinal(1, 0)
     z = ZMap.make(m1.z.lo, m1.z.hi, m1.z.closed_hi, m1.z.cells,
                   dict(m1.z.entries) | {k: const_node(1001, m1.cond.eta)})
-    assert list(m0.z.incoherent_keys(m1.z)) == []
-    assert list(m0.z.incoherent_keys(z)) == [k]
-    # read backwards, every shared key holds a shorter later value
-    assert list(m1.z.incoherent_keys(m0.z)) == [
-        key for key in m1.z.probe_keys() if m0.z.in_domain(key)]
+    assert m0.z.incoherent_key(m1.z) is None
+    assert m0.z.incoherent_key(z) == k
+    # read backwards, every shared key holds a shorter later value, and the
+    # least of them is named
+    assert m1.z.incoherent_key(m0.z) == min(key for key in zmap_window(m1.z, 2, 8)
+                                            if m0.z.in_domain(key))
     bad = dataclasses.replace(ch, members=(m0, dataclasses.replace(m1, z=z), m2))
     with pytest.raises(HypothesisViolated, match=r"\(z-coherent\): z\(w\) not increasing"):
         amalgamate(bad)
+
+
+def test_coherence_checked_on_adjacent_members(monkeypatch):
+    """validate_chain decides z-coherence on adjacent members of a chain
+    whose stages increase: end-extension is transitive, and the keys two
+    members share lie in every z-domain between theirs."""
+    ch = uniform_chain(3, Ordinal(1, 2))
+    calls = []
+    incoherent = ZMap.incoherent_key
+    monkeypatch.setattr(ZMap, "incoherent_key",
+                        lambda a, b: calls.append((a, b)) or incoherent(a, b))
+    sample = amalgam.validate_chain(ch)
+    assert calls == [(a.z, b.z) for a, b in zip(sample, sample[1:])]
+    assert len(sample) == 5
+
+
+def test_coherence_checked_on_all_pairs_when_stages_do_not_increase():
+    """Members at stages 0, 2, 1 (towers of 1, 3 and 4 levels, fixture
+    z-maps, the last with z(2) set to <1001, ...>): every adjacent pair of
+    the sample is coherent, but stage 2's domain leaves out key 2, which
+    stages 0 and 1 share and disagree at, so the all-pairs loop runs and
+    names it."""
+    from ascentlab.amalgam import ChainMember, ChainTail
+    from ascentlab.ascent import standard_append
+    from ascentlab.fixtures import _fixture_zmap, tower
+    delta = Ordinal(1, 2)
+    z = _fixture_zmap(1, Ordinal(0, 4), delta, False, 0)
+    z = ZMap.make(z.lo, z.hi, False, z.cells, dict(z.entries) | {Ordinal(0, 2): const_node(1001, Ordinal(0, 4))})
+    members = (ChainMember(Ordinal(0, 0), tower(1, S_X), _fixture_zmap(0, Ordinal(0, 1), delta, False, 0)),
+               ChainMember(Ordinal(0, 2), tower(3, S_X), _fixture_zmap(2, Ordinal(0, 3), delta, False, 0)),
+               ChainMember(Ordinal(0, 1), tower(4, S_X), z))
+    ch = ChainDescriptor(members, ChainTail(1, (standard_append(members[2].cond.top),), (("last",),)),
+                         OMEGA, delta)
+    sample = ch.sample_members()
+    assert [a.z.incoherent_key(b.z) for a, b in zip(sample, sample[1:])] == [None] * 4
+    with pytest.raises(HypothesisViolated, match=r"\(z-coherent\): z\(2\) not increasing"):
+        amalgam.validate_chain(ch)
 
 
 def test_closed_delta_interval():
@@ -182,7 +224,7 @@ def test_zmap_above_matches_pointwise(case):
     assert (got.lo, got.hi, got.closed_hi) == (new_lo, z.hi, z.closed_hi)
     want = {k: v for k, v in zmap_window(z, 4, 48).items() if k > new_lo}
     assert zmap_window(got, 4, 48) == want
-    for k in got.probe_keys():
+    for k in probe_keys(got):
         assert k > new_lo and got.at(k) == z.at(k)
     # no key at or below new_lo is left, in the domain or in any cell
     assert not any(got.in_domain(k) for k in (new_lo, z.lo, Ordinal(0, 0)))
@@ -224,7 +266,7 @@ def test_last_entry_collision_matches_window(case):
     from ascentlab.ascent import _first_collision
     z, _ = case
     last = Ordinal(1, 0)
-    hit = _first_collision(_last_entry_pieces(z, last))
+    hit = _first_collision(_last_entry_pieces(z.pieces(), last))
     values = [v.eval_at(last) for v in zmap_window(z, 4, 48).values()]
     if len(set(values)) < len(values):
         assert hit is not None
@@ -253,8 +295,8 @@ def test_domain_run_on_keeps_every_collision(case, hi):
     wide = _run_on(z)
     assert (wide.lo, wide.cells, wide.entries) == (z.lo, z.cells, z.entries)
     assert all(wide.in_domain(k) for k in zmap_window(z, 4, 48))
-    if _first_collision(_last_entry_pieces(z, last)) is not None:
-        assert _first_collision(_last_entry_pieces(wide, last)) is not None
+    if _first_collision(_last_entry_pieces(z.pieces(), last)) is not None:
+        assert _first_collision(_last_entry_pieces(wide.pieces(), last)) is not None
 
 
 def test_amalgam_top_member_outside_the_tree_raises(monkeypatch):
@@ -316,7 +358,7 @@ def game_stage_zmaps(draw):
     mv = draw(st.sampled_from(even_moves(mu, draw(st.integers(0, 9)))))
     z, top = mv.z, mv.cond.top
     cells, entries = list(z.cells), dict(z.entries)
-    keys = z.probe_keys()
+    keys = probe_keys(z)
     c0 = top.at(0).entry_at(top.height.pred()) if top.height.is_successor else 0
     labels = st.integers(0, 40) | st.just(c0)
     ramps = st.builds(Ramp, st.integers(1, 4), st.integers(0, 40))
@@ -354,15 +396,67 @@ def game_stage_zmaps(draw):
     return mv.stage, mv.cond, ZMap.make(z.lo, z.hi, z.closed_hi, cells, entries), z.hi
 
 
+ORDINAL = re.compile(r"^(?:w(\d*)(?:\+(\d+))?|(\d+))$")
+
+
+def parse_ordinal(text: str) -> Ordinal:
+    """The ordinal a message prints: "5", "w", "w+3", "w2", "w2+3"."""
+    w, n, finite = ORDINAL.match(text).groups()
+    if finite is not None:
+        return Ordinal(0, int(finite))
+    return Ordinal(int(w or 1), int(n or 0))
+
+
+def named(message: str) -> tuple[list[Ordinal], Optional[int]]:
+    """The keys z(k) a z-bullet message names, and the index tau it names."""
+    keys = [parse_ordinal(k) for k in re.findall(r"z\(([^)]*)\)", message)]
+    tau = re.search(r"meets top family at (\d+)$", message)
+    return keys, tau and int(tau.group(1))
+
+
+def rank(outcome) -> int:
+    return len(Z_BULLETS) if outcome == "ok" else Z_BULLETS.index(outcome[0])
+
+
+WINDOW = 12
+
+
 @settings(max_examples=60, deadline=None)
 @given(game_stage_zmaps())
-def test_z_bullets_match_probe_key_reference(case):
-    """The piece checks only ever confirm a pass the key-by-key check gives,
-    and otherwise that check decides: the verdict, bullet and message are
-    the reference's on every corrupted stage."""
+def test_z_bullets_against_probe_keys_and_window(case):
+    """On corrupted game stages, successor and limit heights alike:
+    1. when the key-by-key reference fails at a bullet that the window
+       oracle confirms at or before it, the exact check fails at or before
+       that bullet (the reference also fails falsely: a key listed twice
+       when an entry shadows a cell member, a cell read past the domain, a
+       finite collision with the exception keyed 0);
+    2. an exact failure is confirmed by the oracle at the keys it names,
+       and no key of the window below the named one fails that bullet;
+    3. on an exact pass the window oracle passes."""
     beta, cond, z, mu = case
-    assert z_outcome(check_z_bullets, beta, cond, z, mu) == \
-        z_outcome(probe_key_z_bullets, beta, cond, z, mu)
+    got = z_outcome(check_z_bullets, beta, cond, z, mu)
+    ref = z_outcome(probe_key_z_bullets, beta, cond, z, mu)
+    window = window_z_bullets(cond, z, z.hi.w + 1, WINDOW)
+    first = next((b for b in Z_BULLETS[1:] if window[b]), None)
+    if ref != "ok" and first is not None and Z_BULLETS.index(first) <= rank(ref):
+        assert rank(got) <= rank(ref)
+    if got == "ok":
+        assert first is None
+        return
+    bullet, message = got
+    keys, tau = named(message)
+    bound = max([k.n for k in keys] + [tau or 0]) + 1
+    at_keys = window_z_bullets(cond, z, z.hi.w + 1, bound, set(keys))
+    if bullet == "z-pairwise":
+        assert tuple(sorted(keys)) in at_keys[bullet]
+        return
+    (k,) = keys
+    if bullet == "z-exclusive":
+        assert (k, tau) in at_keys[bullet]
+        assert not any(key == k and t < tau for key, t in at_keys[bullet])
+        assert all(key >= k for key, _ in window[bullet])
+    else:
+        assert k in at_keys[bullet] and all(key >= k for key in window[bullet])
 
 
 def stage_two(mu: Ordinal):
@@ -372,38 +466,172 @@ def stage_two(mu: Ordinal):
 
 def test_z_bullets_member_outside_the_tree_past_the_probe_keys():
     """Stage 2's tree with its top level listed explicitly as the two probe
-    members z(3) and z(4): z(5), at cell position 2, lies outside it, so the
-    per-piece membership check fails, while the key-by-key check passes as
-    it did before (the z-bullets are exact only on their probe keys)."""
+    members z(3) and z(4): z(5), at cell position 2, lies outside it. The
+    exact check names it; the key-by-key reference, which read only the
+    probe keys, passed."""
     beta, cond, z = stage_two(Ordinal(0, 8))
     probes = tuple(z.at(Ordinal(0, n)) for n in (3, 4))
     tree = SymTree.make(cond.tree.height, {cond.eta: probes}, cond.tree.catalogs)
     cond = Condition(tree, cond.path, cond.variant, cond.x)
     assert not tree_contains(tree, z.at(Ordinal(0, 5)))
-    assert not _z_pieces_pass(cond, z)
-    assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == "ok" == \
-        z_outcome(probe_key_z_bullets, beta, cond, z, z.hi)
+    assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == (
+        "z-top-level", "chain hypothesis failed (z-top-level): z(5) outside the tree")
+    assert z_outcome(probe_key_z_bullets, beta, cond, z, z.hi) == "ok"
 
 
 def test_z_bullets_member_eventually_equal_to_zero_past_the_probe_keys():
     """Stage 2's top with member 0 made <0, 417>: the z cell's member at
-    position 5, z(8) = <0, 16*5 + 337>, is that very node, so the per-piece
-    z-vs-zero check fails. `me_cross` already meets member 0 at the first
-    coordinate for every cell member, which is allowed, and the key-by-key
-    check passes as before. No input separates the per-piece z-exclusive
-    check from the key-by-key one: both take `me_cross` of the cells and
-    `me_set_concrete` of each entry."""
+    position 5, z(8) = <0, 16*5 + 337>, is that very node. The exact check
+    names it; the key-by-key reference passed. `me_cross` already meets
+    member 0 at the first coordinate for every cell member, which is
+    allowed."""
     beta, cond, z = stage_two(Ordinal(0, 14))
     top = cond.top
     top = AscentLevel.make(top.height, top.cells, {0: with_last(top.at(0), 417)})
     cond = Condition(cond.tree, cond.path.with_level(cond.eta, top), cond.variant, cond.x)
     assert z.at(Ordinal(0, 8)) == top.at(0)
-    assert not _z_pieces_pass(cond, z)
-    assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == "ok" == \
-        z_outcome(probe_key_z_bullets, beta, cond, z, z.hi)
+    assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == (
+        "z-vs-zero", "chain hypothesis failed (z-vs-zero): z(8) =* top family at 0")
+    assert z_outcome(probe_key_z_bullets, beta, cond, z, z.hi) == "ok"
 
 
-# -- the z-exclusive entry pass against me_set_concrete --------------------------
+def test_z_bullets_read_only_the_keys_of_a_finite_top_block():
+    """Stage 2 of an 8-stage game with top member 0 made <0, 417>: the z
+    cell's member at position 5 is that node, but its key 8 lies outside
+    the domain (2, 8). The run-on map fails z-vs-zero there, and z's own
+    pieces, which list the keys 3..7, decide: the stage passes."""
+    beta, cond, z = stage_two(Ordinal(0, 8))
+    top = cond.top
+    top = AscentLevel.make(top.height, top.cells, {0: with_last(top.at(0), 417)})
+    cond = Condition(cond.tree, cond.path.with_level(cond.eta, top), cond.variant, cond.x)
+    wide = amalgam._run_on(z)
+    assert wide.at(Ordinal(0, 8)) == top.at(0) and not z.in_domain(Ordinal(0, 8))
+    assert z_outcome(check_z_bullets, beta, cond, wide, wide.hi)[0] == "z-vs-zero"
+    assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == "ok"
+
+
+def test_z_top_level_names_the_least_key_outside_the_tree_in_a_cell():
+    """Stage 2 of a game of length w+6, whose z cell covers the keys 3, 4,
+    ... of block 0, with the tree's top level listed as z(3), z(4) and the
+    entries: the cell's members from position 2 on lie outside the tree,
+    and `_template_members` names z(5)."""
+    beta, cond, z = stage_two(Ordinal(1, 6))
+    listed = tuple(z.at(Ordinal(0, n)) for n in (3, 4)) + tuple(v for _, v in z.entries)
+    tree = SymTree.make(cond.tree.height, {cond.eta: listed}, cond.tree.catalogs)
+    cond = Condition(tree, cond.path, cond.variant, cond.x)
+    assert [(w, c.ap) for w, c in z.cells] == [(0, AP(3, 1))]
+    assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == (
+        "z-top-level", "chain hypothesis failed (z-top-level): z(5) outside the tree")
+
+
+def test_z_exclusive_allows_a_finite_collision_with_member_zero():
+    """Stage 2 with its top made <12, 1000> at 0 and <1, 2*tau> elsewhere,
+    and one z cell <m + 10, 16m + 337> on the keys 3..7: z(5) meets only
+    member 0 and the others meet no member, so the exact check passes.
+    `me_cross` counts the collision with the exception keyed 0 as moving,
+    and the reference rejected the stage."""
+    beta, cond, z = stage_two(Ordinal(0, 8))
+    top = AscentLevel.make(cond.top.height, [Cell(AP(1, 1), SymNode((), (1, Ramp(2, 2))))],
+                           {0: SymNode((), (12, 1000))})
+    cond = Condition(cond.tree, cond.path.with_level(cond.eta, top), cond.variant, cond.x)
+    z = ZMap.make(z.lo, z.hi, z.closed_hi,
+                  [(0, Cell(AP(3, 1), SymNode((), (Ramp(1, 10), Ramp(16, 337)))))])
+    met = {n: set(range(64)) - set(me_set_concrete(z.at(Ordinal(0, n)), top).members(64))
+           for n in range(3, 8)}
+    assert met == {3: set(), 4: set(), 5: {0}, 6: set(), 7: set()}
+    assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == "ok"
+    assert z_outcome(probe_key_z_bullets, beta, cond, z, z.hi) == (
+        "z-exclusive", "chain hypothesis failed (z-exclusive): a branch cell meets the family cofinally")
+
+
+def limit_stage():
+    """The move at the limit stage w of a one-step game of length w2+2: its
+    z has one cell over the keys w+1, w+2, ... and entries at w2, w2+1."""
+    move = play_game(Ordinal(2, 2), onestep_opponent(), 0).moves[7]
+    assert move.stage == OMEGA == move.cond.eta
+    return move.stage, move.cond, move.z
+
+
+def test_z_pairwise_at_a_limit_between_cells_past_the_probe_keys():
+    """The limit stage's z cell <(0, 16m + 307)*> split into the odd keys,
+    and the even keys shifted two positions on, <(0, 16m + 339)*>: both are
+    members of the catalog's admitted family, and z(w+5) = z(w+2), though
+    no two probe keys (w+1, w+3, w+2, w+4) are eventually equal."""
+    beta, cond, z = limit_stage()
+    cells = [(1, Cell(AP(1, 2), SymNode((BlockWord.make((), (0, Ramp(16, 307))),), ()))),
+             (1, Cell(AP(2, 2), SymNode((BlockWord.make((), (0, Ramp(16, 339))),), ())))]
+    bad = ZMap.make(z.lo, z.hi, z.closed_hi, cells, z.entries)
+    assert bad.at(Ordinal(1, 5)) == bad.at(Ordinal(1, 2))
+    assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == "ok"
+    assert z_outcome(check_z_bullets, beta, cond, bad, z.hi) == (
+        "z-pairwise", "chain hypothesis failed (z-pairwise): z(w+5) =* z(w+2)")
+    assert z_outcome(probe_key_z_bullets, beta, cond, bad, z.hi) == "ok"
+
+
+def test_z_pairwise_at_a_limit_cell_with_its_ramp_in_a_prefix():
+    """A cell <16m + 307 | (307, 0)*> at the limit stage: its members differ
+    only at the first coordinate, so all are eventually equal. The window of
+    the top block's tails has no ramp, and the exact check names the first
+    two keys; the old block-word test read the prefix too and saw a ramp."""
+    beta, cond, z = limit_stage()
+    cell = Cell(AP(1, 1), SymNode((BlockWord.make((Ramp(16, 307),), (307, 0)),), ()))
+    bad = ZMap.make(z.lo, z.hi, z.closed_hi, [(1, cell)], z.entries)
+    assert z_outcome(check_z_bullets, beta, cond, bad, z.hi) == (
+        "z-pairwise", "chain hypothesis failed (z-pairwise): z(w+1) =* z(w+2)")
+
+
+@st.composite
+def coherence_pairs(draw):
+    """The z-maps of two consecutive even moves of a game, in order or
+    swapped, the later one possibly corrupted: a coordinate below the
+    earlier height patched, or a cell's progression moved."""
+    mu = draw(st.sampled_from(GAME_LENGTHS))
+    moves = even_moves(mu, draw(st.integers(0, 9)))
+    i = draw(st.integers(0, len(moves) - 2))
+    a, b = moves[i].z, moves[i + 1].z
+    corruption = draw(st.sampled_from(["none", "swap", "patch", "cell-ap"]))
+    if corruption == "swap":
+        return b, a
+    cells, entries = list(b.cells), dict(b.entries)
+    h = moves[i].cond.eta
+    coords = [Ordinal(w, j) for w in range(h.w) for j in range(4)] + \
+        [Ordinal(h.w, j) for j in range(h.n)]
+    if corruption == "patch" and coords:
+        patch = {draw(st.sampled_from(coords)): draw(st.integers(0, 9) | st.builds(Ramp, st.integers(1, 3), st.integers(0, 9)))}
+        if cells and draw(st.booleans()):
+            j = draw(st.integers(0, len(cells) - 1))
+            w, c = cells[j]
+            cells[j] = (w, Cell(c.ap, node_patch(c.template, patch)))
+        elif entries:
+            k = draw(st.sampled_from(sorted(entries)))
+            entries[k] = node_patch(entries[k], {e: v for e, v in patch.items() if isinstance(v, int)})
+    elif corruption == "cell-ap" and cells:
+        j = draw(st.integers(0, len(cells) - 1))
+        w, c = cells[j]
+        cells[j] = (w, Cell(AP(c.ap.start + draw(st.integers(0, 3)), draw(st.integers(1, 3))), c.template))
+    return a, ZMap.make(b.lo, b.hi, b.closed_hi, cells, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coherence_pairs())
+def test_incoherent_key_matches_window(case):
+    """`incoherent_key` is the least key of both domains at which the later
+    value does not end-extend the earlier one: the oracle, which reads each
+    key of the windows on its own, finds it there, and no lesser key."""
+    a, b = case
+    got = a.incoherent_key(b)
+    want = window_incoherent_key(a, b, WINDOW)
+    if got is None:
+        assert want is None
+        return
+    va, vb = a.at(got), b.at(got)
+    assert vb.dom < va.dom or vb.restrict(va.dom) != va
+    assert want is None or got <= want
+    if got.n < WINDOW:
+        assert want == got
+
+
+# -- the z-exclusive kernel against me_set_concrete ------------------------------
 
 EXCLUSIVE_HEIGHTS = [Ordinal(0, 3), Ordinal(1, 0), Ordinal(1, 2)]
 
@@ -426,78 +654,102 @@ def tops_and_entries(draw):
     return top, entries
 
 
+def meets_off_zero(v: SymNode, top: AscentLevel) -> bool:
+    return not me_set_concrete(v, top).complement().difference(singleton(0)).is_empty
+
+
 @settings(max_examples=300, deadline=None)
-@given(tops_and_entries())
-def test_entries_meet_top_matches_me_set_concrete(case):
-    """_entries_meet_top is true iff some entry's me_set_concrete against the
-    top misses an index other than 0."""
+@given(tops_and_entries(), st.data())
+def test_least_meeting_position_matches_me_set_concrete(case, data):
+    """_least_meeting_position is 0 for a concrete entry whose
+    me_set_concrete against the top misses an index other than 0, and None
+    for any other; for a template, it is the least position whose instance
+    misses one."""
     top, entries = case
-    want = any(not me_set_concrete(v, top).complement().difference(singleton(0)).is_empty
-               for v in entries)
-    assert amalgam._entries_meet_top(entries, top) == want
+    for v in entries:
+        assert amalgam._least_meeting_position(v, top) == (0 if meets_off_zero(v, top) else None)
+    t = data.draw(nodes_of(top.height, ENTRIES))
+    got = amalgam._least_meeting_position(t, top)
+    want = next((m for m in range(40) if meets_off_zero(t.instantiate(m), top)), None)
+    assert got == want or want is None and (got is None or got >= 40)
 
 
-# -- count guards: a passing successor-height check builds no probe node --------
+# -- count guards: a passing check builds no member of z -------------------------
 
-def successor_check_counts(monkeypatch) -> list:
-    """(z, calls, decided) for each successor-height check_z_bullets call in a
-    game of length w+6 and its invariant check, where calls counts the
-    ZMap.at, ZMap.probe_keys, AscentLevel.at, me_set_concrete and
-    _entries_meet_top calls it made, and decided lists the entries that
-    _entries_meet_top received."""
+def z_check_counts(monkeypatch, mu: Ordinal = Ordinal(1, 6)) -> list:
+    """(kind, cond, z, calls, built) for each check_z_bullets call ("check")
+    and each ZMap.incoherent_key call ("coherence") in a game of length mu
+    and its invariant check. calls counts the ZMap.at, AscentLevel.at and
+    me_set_concrete calls made inside it, and built lists the (template,
+    position) of each SymNode.instantiate; cond is None for a coherence
+    call."""
     runs: list = []
     inside: list = []
 
     def counting(name, fn):
         def wrapped(*args, **kw):
             if inside:
-                runs[-1][1][name] += 1
+                runs[-1][3][name] += 1
             return fn(*args, **kw)
         return wrapped
-    for owner, name in ((ZMap, "at"), (ZMap, "probe_keys"), (AscentLevel, "at")):
-        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    for owner in (ZMap, AscentLevel):
+        monkeypatch.setattr(owner, "at", counting(f"{owner.__name__}.at", owner.at))
     monkeypatch.setattr(amalgam, "me_set_concrete",
                         counting("me_set_concrete", amalgam.me_set_concrete))
-    meet = counting("entries_meet_top", amalgam._entries_meet_top)
+    instantiate = SymNode.instantiate
 
-    def spy_meet(entries, top):
+    def spy_instantiate(t, m):
         if inside:
-            runs[-1][2].extend(entries)
-        return meet(entries, top)
-    monkeypatch.setattr(amalgam, "_entries_meet_top", spy_meet)
-    check = amalgam.check_z_bullets
+            runs[-1][4].append((t, m))
+        return instantiate(t, m)
+    monkeypatch.setattr(SymNode, "instantiate", spy_instantiate)
 
-    def spy(beta, cond, z, delta, closed):
-        if not cond.eta.is_successor:
-            return check(beta, cond, z, delta, closed)
-        runs.append((z, Counter(), []))
-        inside.append(True)
-        try:
-            return check(beta, cond, z, delta, closed)
-        finally:
-            inside.pop()
+    def recording(kind, fn):
+        def wrapped(*args):
+            cond = args[1] if kind == "check" else None
+            runs.append((kind, cond, args[2] if cond else args[0], Counter(), []))
+            inside.append(True)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapped
+    spy = recording("check", amalgam.check_z_bullets)
     monkeypatch.setattr(amalgam, "check_z_bullets", spy)
     monkeypatch.setattr(game, "check_z_bullets", spy)
-    t = play_game(Ordinal(1, 6), random_opponent(3), 0)
+    monkeypatch.setattr(ZMap, "incoherent_key", recording("coherence", ZMap.incoherent_key))
+    t = play_game(mu, random_opponent(3), 0)
     assert t.verdict == "II_completed" and check_run_invariants(t).ok
     return runs
 
 
+def builds_only_top_member_zero(cond, built) -> bool:
+    """Whether the instances built are at most top member 0."""
+    return len(built) <= 1 and all(
+        m == 0 and any(t is c.template and c.ap.start == 0 for c in cond.top.cells)
+        for t, m in built)
+
+
 def test_z_bullets_successor_pass_builds_no_probe_node(monkeypatch):
-    runs = successor_check_counts(monkeypatch)
+    runs = [r for r in z_check_counts(monkeypatch) if r[0] == "check" and r[1].eta.is_successor]
     assert len(runs) == 12
-    assert all(c["at"] == c["probe_keys"] == 0 for _, c, _ in runs)
+    assert all(c["ZMap.at"] == 0 and builds_only_top_member_zero(cond, built)
+               for _, cond, _, c, built in runs)
 
 
-def test_z_bullets_successor_pass_checks_entries_once(monkeypatch):
-    """The z-exclusive bullet decides the in-domain entries in one pass of
-    _entries_meet_top, which receives each of them once, and builds no
-    me_set_concrete set."""
-    runs = successor_check_counts(monkeypatch)
-    assert sum(len(decided) for _, _, decided in runs) > 0
-    for z, c, decided in runs:
-        assert c["me_set_concrete"] == 0 and c["entries_meet_top"] == 1
-        assert list(map(id, decided)) == [id(v) for k, v in z.entries if z.in_domain(k)]
+@pytest.mark.parametrize("mu", [Ordinal(1, 6), Ordinal(0, 8)], ids=["w+6", "8"])
+def test_passing_z_checks_build_no_member(mu, monkeypatch):
+    """No passing check_z_bullets, at a successor or a limit height, builds
+    a member of z (top member 0 is the one node it builds) or a
+    me_set_concrete set, and no passing incoherent_key builds any node, also
+    where the z-maps' top block is finite."""
+    runs = z_check_counts(monkeypatch, mu)
+    checks = [r for r in runs if r[0] == "check"]
+    assert mu.w == 0 or any(cond.eta.is_limit for _, cond, *_ in checks)
+    assert sum(r[0] == "coherence" for r in runs) >= 2
+    for kind, cond, _, c, built in runs:
+        assert c["me_set_concrete"] == 0
+        assert builds_only_top_member_zero(cond, built) if kind == "check" else built == []
 
 
 # -- the admitted-template exit of _template_in_tree -----------------------------
@@ -556,11 +808,11 @@ def test_admitted_template_exit_on_the_amalgam_top(monkeypatch):
 
 
 def test_admitted_template_exit_answers_as_the_walk(monkeypatch):
-    """Every _template_in_tree call of the game and its invariants that
+    """Every _template_members call of the game and its invariants that
     takes the exit gives the same answer with the exit disabled."""
     from ascentlab import trees
     calls, exits = [], set()
-    admitted, inner = trees._admitted_template, trees._template_in_tree
+    admitted, inner = trees._admitted_template, trees._template_members
 
     def spy_admitted(cat, t):
         hit = admitted(cat, t)
@@ -573,8 +825,8 @@ def test_admitted_template_exit_answers_as_the_walk(monkeypatch):
         calls.append((tree, t, got))
         return got
     monkeypatch.setattr(trees, "_admitted_template", spy_admitted)
-    monkeypatch.setattr(trees, "_template_in_tree", spy)
-    monkeypatch.setattr(amalgam, "_template_in_tree", spy)
+    monkeypatch.setattr(trees, "_template_members", spy)
+    monkeypatch.setattr(amalgam, "_template_members", spy)
     run = play_game(Ordinal(1, 6), random_opponent(3), 0)
     assert check_run_invariants(run).ok
     taken = [(tree, t, got) for tree, t, got in calls if id(t) in exits]

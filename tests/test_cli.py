@@ -639,11 +639,35 @@ def test_path_descriptor_fields_exit_2(argv, edit, error, tmp_path, capsys):
     assert json.loads(out) == {"command": argv[0], "error": error}
 
 
+BASE_INVALID = "the path's base condition is invalid: "
+
+
+@pytest.mark.parametrize("edit, error", [
+    (set_at(("base", "path", "levels", 4, "level", "cells", 0, "template", "final", 3),
+            {"const": 0}),
+     BASE_INVALID + "clause C2 (ascent-path): level 4 not mutually exclusive: indices 0,1 share "
+     "a value at (0,3); clause C4 (exclusivity-filter): level 4: constant append labels on "
+     "AP(0+1m)"),
+    (drop_at(("base", "path", "levels", 2)),
+     BASE_INVALID + "clause C1 (structure): ascent path does not cover all heights"),
+], ids=["c2", "c1"])
+def test_surgery_on_an_invalid_base_exit_2(edit, error, tmp_path, capsys):
+    """A path whose base condition already fails a clause: the surgery's
+    output fails too, and the input is rejected with the base's violations
+    (it raised PostconditionFailed, exit 1)."""
+    code = main(["surgery", "--n0", "2", "--path", path_file(tmp_path, edit)])
+    out = capsys.readouterr().out
+    assert code == 2 and json.loads(out) == {"command": "surgery", "error": error}
+
+
 @pytest.mark.parametrize("keys, value, error", [
     (("block",), 1, "path.tails[0].rule.base: height 4 is not in block 1"),
     (("block",), "0", "path.tails[0].block: expected an int >= 0, got '0'"),
     (("rule", "start"), 3,
      "path.tails[0].rule.start: expected 4, the base height 4's offset in its block, got 3"),
+    (("rule", "schemes"), True, "path.tails[0].rule.schemes: expected a list, got True"),
+    (("rule", "schemes"), [], "path.tails[0].rule.schemes: expected a nonempty list"),
+    (("rule", "schemes"), [7], "path.tails[0].rule.schemes[0]: expected an object, got 7"),
 ])
 def test_path_tail_rule_exit_2(keys, value, error, tmp_path, capsys):
     """A path's tail rule stands in the block its key names, from its base's
@@ -659,6 +683,56 @@ def test_path_tail_rule_exit_2(keys, value, error, tmp_path, capsys):
     text = capsys.readouterr().out
     assert code == 2 and text.count("\n") == 1
     assert json.loads(text) == {"command": "validate", "error": error}
+
+
+@pytest.mark.parametrize("height, error", [
+    ({"w": 0, "n": 3}, "path.levels[1].height: 3 is not the height 1 of its level"),
+    ({"w": 0, "n": 7}, "path.levels[1].height: 7 is not the height 1 of its level"),
+])
+def test_path_level_height_mismatch_exit_2(height, error, tmp_path, capsys):
+    """A path level listed at a height other than its own exits 2, whether
+    that height is listed twice or not at all."""
+    code = main(["validate", edited_input_file(
+        tmp_path, "validate", set_at(("path", "levels", 1, "height"), height))])
+    out = capsys.readouterr().out
+    assert code == 2 and json.loads(out) == {"command": "validate", "error": error}
+
+
+GOLDEN_CHAIN = os.path.join(os.path.dirname(__file__), "..", "perfbench", "golden", "cli",
+                            "chain.json")
+CATALOG = ("tree", "catalogs", 0, "catalog")
+AT_CATALOG = "tree.catalogs[0].catalog"
+
+
+@pytest.mark.parametrize("edit, error", [
+    (set_at(CATALOG + ("singles", 1, "admitted"), "false"),
+     f"{AT_CATALOG}.singles[1].admitted: expected a bool, got 'false'"),
+    (set_at(CATALOG + ("families", 0, "admitted"), 1),
+     f"{AT_CATALOG}.families[0].admitted: expected a bool, got 1"),
+    (drop_at(CATALOG + ("singles", 1, "admitted")), f"{AT_CATALOG}.singles[1].admitted: missing"),
+    (drop_at(CATALOG + ("singles", 1, "tag")), f"{AT_CATALOG}.singles[1].tag: missing"),
+    (drop_at(CATALOG + ("singles", 0, "node")), f"{AT_CATALOG}.singles[0].node: missing"),
+    (drop_at(CATALOG + ("families", 0, "cells")), f"{AT_CATALOG}.families[0].cells: missing"),
+    (set_at(CATALOG + ("families",), 5), f"{AT_CATALOG}.families: expected a list, got 5"),
+    (set_at(CATALOG + ("singles",), [3]), f"{AT_CATALOG}.singles[0]: expected an object, got 3"),
+    (drop_at(CATALOG), "tree.catalogs[0].catalog: missing"),
+], ids=["single-admitted-string", "family-admitted-int", "admitted", "tag", "node", "cells",
+        "families-not-list", "single-not-object", "catalog"])
+def test_catalog_fields_exit_2(edit, error, tmp_path, capsys):
+    """The amalgam of the golden chain, written by `amalgamate -o`, with one
+    field of its limit level's branch catalog changed: validate exits 2 and
+    names the field. A string "false" for the vanishing single's admitted
+    flag was read as true, and validate exited 1 with C3 false."""
+    out = tmp_path / "amalgam.json"
+    assert main(["amalgamate", GOLDEN_CHAIN, "-o", str(out)]) == 0
+    capsys.readouterr()
+    d = json.loads(out.read_text())
+    assert d["tree"]["catalogs"][0]["catalog"]["singles"][1]["tag"] == "y"
+    edit(d)
+    out.write_text(json.dumps(d))
+    code = main(["validate", str(out)])
+    text = capsys.readouterr().out
+    assert code == 2 and json.loads(text) == {"command": "validate", "error": error}
 
 
 # -- the import boundary and the package's names --------------------------------
@@ -769,7 +843,7 @@ REJECTED = {
     "conditions": "WrongVariant InvalidBeta NonExclusiveTop LostComparability NotSuccessorHeight",
     "trees": "NoCatalog", "amalgam": "NotUniformTail HypothesisViolated",
     "sealing": "SealTripleInvalid OracleMismatch NodeNotInTree",
-    "surgery": "BadPi NonExclusiveBranches", "aposet": "NotLinked",
+    "surgery": "BadPi NonExclusiveBranches InvalidPathBase", "aposet": "NotLinked",
 }
 NOT_REJECTED = {
     "foundations": "PostconditionFailed BadHeight UndecidableRepresentation",

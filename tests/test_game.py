@@ -17,7 +17,7 @@ from ascentlab.game import (
     strategy_ii_move, _game_tail,
 )
 from ascentlab.nodes import const_node
-from oracles import all_pairs_validate_chain
+from oracles import all_pairs_validate_chain, probe_keys
 
 
 def test_strategy_opening_and_stage2():
@@ -209,7 +209,7 @@ def with_member(ch, i, **changes) -> ChainDescriptor:
 
 def duplicated_z(z: ZMap) -> ZMap:
     """z with the value at its least key copied onto its second key."""
-    k1, k2 = z.probe_keys()[:2]
+    k1, k2 = probe_keys(z)[:2]
     return ZMap.make(z.lo, z.hi, z.closed_hi, (), dict(z.entries) | {k1: z.at(k2), k2: z.at(k2)})
 
 
@@ -234,7 +234,7 @@ def game_chains(draw):
     if corruption == "strip":
         ch = dataclasses.replace(ch, members=tuple(
             dataclasses.replace(mb, bullets=None) for mb in ch.members))
-    elif corruption == "z" and len(m.z.probe_keys()) > 1:
+    elif corruption == "z" and len(probe_keys(m.z)) > 1:
         ch = with_member(ch, i, z=duplicated_z(m.z))
     elif corruption == "cond":
         ch = with_member(ch, i, cond=relabelled(m.cond))

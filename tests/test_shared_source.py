@@ -1,8 +1,9 @@
 """Game runs share path structure, and the checks on them decide by it.
 
 paths_agree_below skips a probe height where both paths have the same
-source object (AscentPath.source), and check_z_bullets decides exclusivity
-against the top family by me_set_concrete alone. Each must decide as its
+source object (AscentPath.source), and check_z_bullets names the least
+index of the top family that a failing z value meets by me_set_concrete.
+Each must decide as its
 reference in oracles.py does: every probe compared, and every index below
 a window tested node by node.
 """
@@ -13,10 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascentlab.amalgam import HypothesisViolated, ZMap, check_z_bullets
-from ascentlab.ascent import AP, AscentLevel, AscentPath, Cell, me_set_concrete, paths_agree_below
-from ascentlab.foundations import Ordinal
+from ascentlab.ascent import (
+    AP, AppendScheme, AscentLevel, AscentPath, Cell, TailRule, level_extensional_eq,
+    me_set_concrete, paths_agree_below, root_level,
+)
+from ascentlab.foundations import ZERO, Ordinal
 from ascentlab.game import onestep_opponent, play_game, random_opponent
-from ascentlab.nodes import node_patch
+from ascentlab.nodes import Ramp, SymNode, node_patch
 from oracles import all_probes_paths_agree, brute_me_set
 from test_chain_lemma import levels_and_heights, nodes_of
 
@@ -122,3 +126,20 @@ def test_extensional_copy_agrees_and_changed_label_does_not():
     assert paths_agree_below(lower.path, copy, upper.eta)
     changed = upper.path.with_level(h, change_label(lvl, 3))
     assert not paths_agree_below(lower.path, changed, upper.eta)
+
+
+def test_tail_rules_differing_in_exception_labels_do_not_agree():
+    """Two one-scheme tail rules over one height-1 base whose labels for the
+    exception at 0 are 0 and 1: the rules are unequal, their levels at
+    height 3 differ, and paths_agree_below says so, as the every-probe
+    comparison does. An equal copy of a rule still agrees."""
+    base = AscentLevel.make(Ordinal(0, 1), [Cell(AP(1, 1), SymNode((), (Ramp(2, 2),)))],
+                            {0: SymNode((), (0,))})
+    r1, r2 = (TailRule(1, base, (AppendScheme((Ramp(2, 2),), {0: label}),)) for label in (0, 1))
+    p1, p2 = (AscentPath.make({ZERO: root_level()}, {0: r}) for r in (r1, r2))
+    assert r1 != r2 and hash(r1) == hash(dataclasses.replace(r1))
+    assert not level_extensional_eq(p1.level_at(Ordinal(0, 3)), p2.level_at(Ordinal(0, 3)))
+    eta = Ordinal(0, 5)
+    assert not paths_agree_below(p1, p2, eta) and not all_probes_paths_agree(p1, p2, eta)
+    copy = AscentPath.make({ZERO: root_level()}, {0: dataclasses.replace(r1)})
+    assert paths_agree_below(p1, copy, eta) and all_probes_paths_agree(p1, copy, eta)

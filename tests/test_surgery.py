@@ -72,10 +72,13 @@ def test_surgery_eta_nu():
 
 
 def test_failed_reverification_raises_postcondition(monkeypatch):
+    """The output's check forced to fail on a valid base: a defect of the
+    surgery (the base is checked only after a failure, and passes)."""
     from ascentlab import surgery
     from ascentlab.conditions import ConditionReport
     from ascentlab.foundations import PostconditionFailed
-    monkeypatch.setattr(surgery, "check_condition", lambda cond, variant: ConditionReport(
-        variant, (("C1", False),), ("forced",), ()))
+    path, check = uniform_path(3), surgery.check_condition
+    monkeypatch.setattr(surgery, "check_condition", lambda cond, variant: check(cond, variant)
+                        if cond is path.base else ConditionReport(variant, (("C1", False),), ("forced",), ()))
     with pytest.raises(PostconditionFailed, match="surgery output invalid: forced"):
-        branch_surgery(uniform_path(3), 2)
+        branch_surgery(path, 2)
