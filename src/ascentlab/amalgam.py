@@ -20,12 +20,12 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .foundations import (
-    AP, EMPTY_SET, FULL_SET, W_LIMIT, Ordinal, PostconditionFailed, Rejected, UPSet, _root,
-    finite_set, multiples, singleton,
+    ALL_MEET, AP, EMPTY_SET, FULL_SET, W_LIMIT, Ordinal, PostconditionFailed, Rejected, UPSet,
+    finite_set, meet, multiples, singleton,
 )
 from .ascent import (
-    AppendScheme, AscentLevel, AscentPath, Cell, _agree_positions, _collision_set, _eq_star_pairs,
-    _first_collision, _slot_pairs, _split, me_set_concrete, record_exclusive, supp,
+    AppendScheme, AscentLevel, AscentPath, Cell, _agree_positions, _eq_star_pairs,
+    _first_collision, _level_meets, _split, me_set_concrete, record_exclusive, supp,
 )
 from .nodes import Entry, SymNode, entry_affine
 from .conditions import (
@@ -355,76 +355,31 @@ def _eq_star_collision(pieces) -> Optional[tuple[Ordinal, Ordinal]]:
     all-pairs order, for pieces of one limit height. A cell piece meets
     itself iff its `_eq_star_pairs` window, one period of the top block's
     tails, has no ramp, which would tell two positions apart on a final
-    segment; two pieces are decided by `_eq_star_positions`."""
+    segment; two pieces meet at the least positions (m1, m2) at which every
+    pair of that window agrees, the `meet`s of the pairs intersected."""
     for i, p in enumerate(pieces):
         if p[1].__class__ is not int and all(e.__class__ is int for e, _ in _eq_star_pairs(p[2], p[2])):
             return _key(p, 0), _key(p, 1)
         for q in pieces[i + 1:]:
-            hit = _eq_star_positions(p[2], q[2])
-            if hit is not None:
-                return _key(p, hit[0]), _key(q, hit[1])
+            hit = ALL_MEET
+            for e1, e2 in _eq_star_pairs(p[2], q[2]):
+                hit = hit.intersect(meet(*entry_affine(e1), *entry_affine(e2)))
+            if hit.m is not None:
+                return _key(p, hit.m), _key(q, hit.s)
     return None
-
-
-def _eq_star_positions(t1: SymNode, t2: SymNode) -> Optional[tuple[int, int]]:
-    """Positions (m1, m2) with t1(m1) =* t2(m2), for templates of one height
-    (a concrete node is one at every position), or None. Each pair of the
-    `_eq_star_pairs` window reads a*m1 + b = c*m2 + d. If one pair has two
-    ramps, its solutions are `_pieces_collide`'s lattice line: the common
-    values v = v0 + L*s, s >= 0, of b + a*N and d + c*N, m1 = (v - b) / a and
-    m2 = (v - d) / c. Otherwise each pair pins m1, m2 or neither: m1 = s,
-    and m2 where t2's first ramp pins it (0 if none does). Re-indexed onto s,
-    `_agree_positions` gives the least s at which every pair holds."""
-    pairs = [(entry_affine(e1), entry_affine(e2)) for e1, e2 in _eq_star_pairs(t1, t2)]
-    line = next((pair for pair in pairs if pair[0][0] and pair[1][0]), None)
-    if line is not None:
-        (a, b), (c, d) = line
-        common = AP(b, a).intersect(AP(d, c))
-        if common is None:
-            return None
-        v, step = common.start, common.step
-        q1, p1, q2, p2 = step // a, (v - b) // a, step // c, (v - d) // c
-    else:
-        q1, p1, q2, p2 = 1, 0, 0, next((_root(c, b - d) for (_, b), (c, d) in pairs if c), 0)
-        if p2 is None:
-            return None
-    verdict, s = _agree_positions(t1.reindex(q1, p1), t2.reindex(q2, p2), _eq_star_pairs)
-    return None if verdict == "none" else (q1 * s + p1, q2 * s + p2)
 
 
 def _least_meeting_position(t: SymNode, top: AscentLevel) -> Optional[int]:
     """The least position m at which t(m), for a template (or node) of the
     top's height, shares a coordinate value with top(tau), tau != 0, or
-    None. At a coordinate class (`_slot_pairs`) t reads a*m + b, a top cell
-    c*s + d at its position s:
-    - c = 0: infinitely many indices hold d, met by the m with a*m + b = d;
-    - a = 0 < c: every m meets the index at the root s, unless it is 0;
-    - both ramps: the least common value of b + a*N and d + c*N gives the
-      least m, or the next one when it is at index 0 (s = 0, start 0).
-    An exception keyed tau != 0 is met where `_collision_set` says; the one
-    keyed 0 may be met (`me_cross` counts that as moving, for clause C4)."""
-    found = []
-    for cell in top.cells:
-        for et, ec in _slot_pairs(t, cell.template):
-            if ec.__class__ is int:
-                m = (0 if et == ec else None) if et.__class__ is int else _root(et.a, ec - et.b)
-            elif et.__class__ is int:
-                d = et - ec.b
-                m = 0 if d >= 0 and not d % ec.a and cell.ap.member(d // ec.a) else None
-            elif common := AP(et.b, et.a).intersect(AP(ec.b, ec.a)):
-                v = common.start + (common.step if common.start == ec.b and cell.ap.start == 0 else 0)
-                m = (v - et.b) // et.a
-            else:
-                continue
-            if m == 0:
-                return 0
-            if m is not None:
-                found.append(m)
-    for k, v in top.exceptions:
-        hits = _collision_set(v, t) if k else "none"
-        if hits != "none":
-            found.append(0 if hits == "all" else min(hits))
-    return min(found, default=None)
+    None: the least m of its meets with the top's pieces other than index 0
+    (`_level_meets`). The index 0 may be met (`me_cross` counts that as
+    moving, for clause C4)."""
+    least = None
+    for _, hit in _level_meets(t, top, skip_zero=True):
+        if hit.m is not None and (least is None or hit.m < least):
+            least = hit.m
+    return least
 
 
 def _incoherent(earlier: list, later: list) -> Iterator[Ordinal]:

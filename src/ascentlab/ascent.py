@@ -17,13 +17,14 @@ eq_star_set(f, g) = {tau : f(tau) =* g(tau)} is the same kernel,
 is per-coordinate injectivity of tau -> f(tau)(eps), decided by solving the
 affine collision equations.
 
-The index arithmetic is written once. `foundations._root` solves a*m = c
-for a position m >= 0, and `AP.intersect` is the one meet of two
-progressions. A `Cell` (index -> node) and a `MapPiece` (index -> value)
-share two primitives: `at(k)` evaluates at an index, and `on(ap)` re-bases
-onto a sub-progression of the own domain (`on` of a cell's own progression
-is the cell itself); a map piece also has its image
-`values` and its `inverse`. Built on these: `_meet` pairs two cell lists on
+The index arithmetic is written once, in `foundations.Meet`, the positions
+(m, s) at which entries a*m + b and c*s + d agree: each position question
+folds `meet` over the entry pairs of its window (`_slot_pairs`,
+`_eq_star_pairs`). A `Cell` (index -> node) and a `MapPiece` (index ->
+value) share two primitives: `at(k)` evaluates at an index, and `on(ap)`
+re-bases onto a sub-progression of the own domain (`on` of a cell's own
+progression is the cell itself); a map piece also has its image `values`
+and its `inverse`. Built on these: `_overlaps` pairs two cell lists on
 their progression intersections; `_split` cuts cells or map pieces to an
 index set (`restrict_level_domain`, `restrict_map`); `_routed` pairs each
 map piece with each level cell its values meet (`level_reindex` and the
@@ -39,12 +40,10 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .foundations import (
-    AP, EMPTY_SET, FULL_SET, ZERO, BadHeight, Ordinal, UPSet, XSequence,
-    _root, filter_classify, finite_set,
+    ALL_MEET, AP, DIAGONAL, EMPTY_SET, FULL_SET, ZERO, BadHeight, Meet, Ordinal, Rejected, UPSet,
+    XSequence, filter_classify, finite_set, meet,
 )
-from .nodes import (
-    Entry, Ramp, SymNode, entry_affine, eq_star, graft, is_prefix, mk_entry, mutually_exclusive,
-)
+from .nodes import Entry, SymNode, entry_affine, eq_star, graft, is_prefix, mk_entry
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +74,7 @@ def _cell_order(c: Cell) -> tuple[int, int]:
     return c.ap.start, c.ap.step
 
 
-def _meet(xs, ys) -> Iterator[tuple[Cell, Cell]]:
+def _overlaps(xs, ys) -> Iterator[tuple[Cell, Cell]]:
     """Each pair of cells, one from each list, whose progressions meet: both
     re-based onto their intersection, so position m is one index on both."""
     for x in xs:
@@ -173,8 +172,7 @@ class AscentLevel:
             if not isinstance(label, int):
                 raise ValueError("exception nodes must be concrete")
             exc.append((k, v.append(label)))
-        if len(per_cell.cell_entries) < len(self.cells):
-            raise ValueError("level pieces do not cover omega")
+        _check_scheme(per_cell, self)
         return AscentLevel(self.height.succ(),
                            tuple(Cell(c.ap, c.template.append(e))
                                  for c, e in zip(self.cells, per_cell.cell_entries)),
@@ -187,6 +185,16 @@ class AppendScheme:
 
     cell_entries: tuple[Entry, ...]
     exception_labels: dict[int, int] = field(default_factory=dict, hash=False)
+
+
+class ShortScheme(Rejected):
+    """An append scheme with fewer cell entries than its level has cells."""
+
+
+def _check_scheme(scheme: AppendScheme, level: AscentLevel) -> None:
+    if len(scheme.cell_entries) < len(level.cells):
+        raise ShortScheme(f"append scheme has fewer cell entries ({len(scheme.cell_entries)}) "
+                          f"than its level has cells ({len(level.cells)})")
 
 
 def standard_append(level: AscentLevel, shift: int = 0) -> AppendScheme:
@@ -239,7 +247,7 @@ def refine(f: AscentLevel, g: AscentLevel) -> list[Piece]:
     points = set(f.exc_dict()) | set(g.exc_dict())
     pieces = [Piece(None, tau, f.at(tau), g.at(tau)) for tau in sorted(points)]
     pieces.extend(Piece(cf.ap, None, cf.template, cg.template)
-                  for cf, cg in _meet(f.cells, g.cells))
+                  for cf, cg in _overlaps(f.cells, g.cells))
     return pieces
 
 
@@ -283,27 +291,20 @@ def _eq_star_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
 
 def _agree_positions(u: SymNode, v: SymNode, pairs=_slot_pairs) -> tuple[str, int]:
     """Where the entry pairs `pairs` draws from two templates with u.dom <=
-    v.dom all agree, as a function of the piece position m: ('all', 0),
-    ('one', m0) or ('none', 0). A template that is a prefix of the other
-    agrees with it at every position."""
+    v.dom all agree, at one piece position m = s of their `meet`s: ('all',
+    0), ('one', m0) or ('none', 0). A prefix, or an equal entry, agrees at
+    every position."""
     if is_prefix(u, v):
         return ("all", 0)
-    state: tuple[str, int] = ("all", 0)
+    hit = DIAGONAL
     for eu, ev in pairs(u, v):
-        au, bu = entry_affine(eu)
-        av, bv = entry_affine(ev)
-        if au == av and bu == bv:
-            continue
-        if au == av:  # parallel, never equal
-            return ("none", 0)
-        m0 = _root(au - av, bv - bu)
-        if m0 is None:
-            return ("none", 0)
-        if state[0] == "all":
-            state = ("one", m0)
-        elif state[1] != m0:
-            return ("none", 0)
-    return state
+        if eu != ev:
+            a, b = (0, eu) if eu.__class__ is int else (eu.a, eu.b)
+            c, d = (0, ev) if ev.__class__ is int else (ev.a, ev.b)
+            hit = hit.intersect(meet(a, b, c, d))
+            if hit.m is None:
+                return ("none", 0)
+    return ("all", 0) if hit.dm else ("one", hit.m)
 
 
 def _agree_set(f: AscentLevel, g: AscentLevel, pairs, same) -> UPSet:
@@ -405,6 +406,8 @@ class TailRule:
     _levels: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        for scheme in self.schemes:
+            _check_scheme(scheme, self.base)
         object.__setattr__(self, "_levels", {self.start: self.base})
 
     def level_at(self, n: int) -> AscentLevel:
@@ -675,35 +678,12 @@ def _coordinate_classes(level: AscentLevel) -> Iterator[tuple[int, int]]:
         yield (h.w, j)
 
 
-def _pieces_collide(p1, p2, same_piece: bool) -> Optional[tuple[int, int]]:
-    """Two value pieces taking a common value at distinct indices, if any:
-    (an index of p1, an index of p2)."""
-    kind1, loc1, a1, b1 = p1
-    kind2, loc2, a2, b2 = p2
-    if same_piece:
-        if kind1 == "cell" and a1 == 0:
-            return (loc1.member(0), loc1.member(1))
-        return None
-    if a1 == 0 and a2 == 0:
-        if b1 == b2:
-            i1 = loc1.member(0) if kind1 == "cell" else loc1
-            i2 = loc2.member(0) if kind2 == "cell" else loc2
-            return (i1, i2)
-        return None
-    if a1 == 0:
-        hit = _pieces_collide(p2, p1, same_piece=False)
-        return hit and (hit[1], hit[0])
-    if a2 == 0:
-        m1 = _root(a1, b2 - b1)
-        if m1 is None:
-            return None
-        return (loc1.member(m1), loc2.member(0) if kind2 == "cell" else loc2)
-    # both slopes positive: the least value the two progressions share
-    p1, p2 = MapPiece(loc1, a1, b1), MapPiece(loc2, a2, b2)
-    common = p1.values.intersect(p2.values)
-    if common is None:
-        return None
-    return (p1.inverse().at(common.start), p2.inverse().at(common.start))
+def _least_shared(p1, p2) -> Optional[tuple[int, int]]:
+    """The indices (of p1, of p2) at the least positions at which two value
+    pieces take one value, or None; a point's index is at every position."""
+    hit = meet(p1[2], p1[3], p2[2], p2[3]).least()
+    return hit and tuple(loc if kind == "point" else loc.member(m)
+                         for (kind, loc, _, _), m in zip((p1, p2), hit))
 
 
 def _first_collision(pieces) -> Optional[tuple[tuple, tuple]]:
@@ -712,14 +692,12 @@ def _first_collision(pieces) -> Optional[tuple[tuple, tuple]]:
 
     The pair reported is the first in all-pairs order: piece i against
     itself, then against each later piece j in turn (`all_pairs_collision`
-    in `tests/oracles.py`). Only the pieces that can meet piece i are tried,
-    and the others would give no hit: a constant piece (a point or a
-    slope-0 cell) of value c meets the constants of value c, found by value,
-    and a ramp b + a*m iff c >= b and a divides c - b; two ramps meet iff
-    the gcd of their slopes divides the difference of their offsets, and
-    ramps, at most one per cell, are tried against each other directly. So
-    the work is about linear in the constants, times the ramps; points
-    only, of distinct values, return at once."""
+    in `tests/oracles.py`). Only the pieces whose `meet` with piece i is not
+    empty are tried, and the others would give no hit: a constant of value
+    c (a point or a slope-0 cell) meets the constants of value c, found by
+    value, and a ramp, at most one per cell, is tested against each piece by
+    its meet. So the work is about linear in the constants, times the ramps;
+    points only, of distinct values, return at once."""
     values = {p[3] for _, p in pieces if p[0] == "point"}
     if len(values) == len(pieces):
         return None     # points only, of distinct values
@@ -731,30 +709,21 @@ def _first_collision(pieces) -> Optional[tuple[tuple, tuple]]:
         else:
             consts.setdefault(b, []).append(i)
     for i, (w1, p1) in enumerate(pieces):
-        kind, _, a, b = p1
-        if a == 0:
-            if kind == "cell":
-                hit = _pieces_collide(p1, p1, same_piece=True)
-                return (w1, hit[0]), (w1, hit[1])
-            same = consts[b]
-            later = same[bisect_right(same, i):] if len(same) > 1 else []
-            for j in ramps:
-                _, _, aj, bj = pieces[j][1]
-                if j > i and b >= bj and (b - bj) % aj == 0:
-                    later.append(j)
-        else:
-            later = []
-            for j in ramps:
-                _, _, aj, bj = pieces[j][1]
-                if j > i and (bj - b) % math.gcd(a, aj) == 0:
-                    later.append(j)
-            for c, js in consts.items():
-                if c >= b and (c - b) % a == 0:
-                    later.extend(j for j in js if j > i)
+        kind, loc, a, b = p1
+        if kind == "cell" and not a:
+            return (w1, loc.member(0)), (w1, loc.member(1))
+        same = [] if a else consts[b]
+        later = same[bisect_right(same, i):] if len(same) > 1 else []
+        for j in ramps:
+            if j > i and meet(a, b, pieces[j][1][2], pieces[j][1][3]).m is not None:
+                later.append(j)
+        for c, js in consts.items() if a else ():
+            if meet(a, b, 0, c).m is not None:
+                later.extend(j for j in js if j > i)
         later.sort()
         for j in later:
             w2, p2 = pieces[j]
-            hit = _pieces_collide(p1, p2, same_piece=False)
+            hit = _least_shared(p1, p2)
             if hit and (w1, hit[0]) != (w2, hit[1]):
                 return (w1, hit[0]), (w2, hit[1])
     return None
@@ -775,42 +744,45 @@ def me_family(level: AscentLevel) -> MEReport:
     return _me_walk(level, _coordinate_classes(level))
 
 
+_AT_ZERO = Meet(0, 0, 1, 0)     # the column s = 0
+
+
+def _level_meets(t: SymNode, level: AscentLevel,
+                 skip_zero: bool = False) -> Iterator[tuple[AP, Meet]]:
+    """(ap, meet) for each piece of the level and each coordinate class
+    (`_slot_pairs`): the positions (m, s) at which t(m), for t of the
+    level's height, and the member at index ap.member(s) share a value
+    there. An exception keyed k is AP(k, 1) at position 0, and a coordinate
+    meeting it at every m is its only meet. With skip_zero, index 0 is left
+    out: a cell from 0 is read from its position 1 on (intercept d + c),
+    and the exception keyed 0 yields nothing."""
+    for cell in level.cells:
+        lift = skip_zero and not cell.ap.start
+        ap = AP(cell.ap.step, cell.ap.step) if lift else cell.ap
+        for et, ec in _slot_pairs(t, cell.template):
+            a, b = (0, et) if et.__class__ is int else (et.a, et.b)
+            c, d = (0, ec) if ec.__class__ is int else (ec.a, ec.b)
+            yield ap, meet(a, b, c, d + c * lift)
+    for k, v in level.exceptions:
+        if k or not skip_zero:
+            hits = [meet(*entry_affine(et), 0, ev) for et, ev in _slot_pairs(t, v)]
+            for hit in [ALL_MEET] if ALL_MEET in hits else hits:
+                yield AP(k, 1), hit.intersect(_AT_ZERO)
+
+
 def me_set_concrete(t: SymNode, level: AscentLevel) -> UPSet:
     """{tau : t and f(tau) are mutually exclusive}, exactly, for a concrete
-    node of the level's height."""
+    node of the level's height: its meets with the level's pieces
+    (`_level_meets`) are all of ℕ² (the whole piece) or a column (one index)."""
     if t.dom != level.height:
         raise BadHeight("probe must live at the level height")
-    bad = EMPTY_SET
-    bad_pts: set[int] = set()
-    for c in level.cells:
-        verdict = _collision_set(t, c.template)
-        if verdict == "all":
-            bad = bad.union(c.ap.upset())
-        elif verdict != "none":
-            for m in verdict:
-                bad_pts.add(c.ap.member(m))
-    for k, v in level.exceptions:
-        if not mutually_exclusive(t, v):
-            bad_pts.add(k)
-    if bad_pts:
-        bad = bad.union(finite_set(bad_pts))
-    return bad.complement()
-
-
-def _collision_set(t: SymNode, template: SymNode):
-    """Positions m where the template's node shares a coordinate value with
-    concrete t: 'all', 'none', or a finite set of positions."""
-    hits: set[int] = set()
-    for et, ev in _slot_pairs(t, template):
-        av, bv = entry_affine(ev)
-        if av == 0:
-            if ev == et:
-                return "all"
-            continue
-        m = _root(av, et - bv)
-        if m is not None:
-            hits.add(m)
-    return hits if hits else "none"
+    bad, bad_pts = EMPTY_SET, set()
+    for ap, hit in _level_meets(t, level):
+        if hit.dm is None:
+            bad = bad.union(ap.upset())
+        elif hit.m is not None:
+            bad_pts.add(ap.member(hit.s))
+    return bad.union(finite_set(bad_pts)).complement()
 
 
 @dataclass(frozen=True, slots=True)
@@ -834,40 +806,24 @@ class CrossMEReport:
 
 
 def me_cross(probe: AscentLevel, level: AscentLevel) -> CrossMEReport:
-    """Analyze ME(probe(i), level(tau)) for all i, tau at a shared height."""
+    """Analyze ME(probe(i), level(tau)) for all i, tau at a shared height by
+    the shape of each probe cell's meet with each level piece: all of ℕ² or
+    a column meets every probe index (static), a row one probe index at
+    each index of the piece (a special row), a point or line finitely many."""
     if probe.height != level.height:
         raise BadHeight("families must share a height")
-    static = EMPTY_SET
-    static_pts: set[int] = set()
-    rows: dict[int, UPSet] = {}
-    moving = False
-    for pc in list(probe.cells):
-        for lc in level.cells:
-            for ep, el in _slot_pairs(pc.template, lc.template):
-                ap_, bp = entry_affine(ep)
-                al, bl = entry_affine(el)
-                if ap_ == 0 and al == 0:
-                    if bp == bl:
-                        static = static.union(lc.ap.upset())
-                elif ap_ == 0:
-                    m = _root(al, bp - bl)
-                    if m is not None:
-                        static_pts.add(lc.ap.member(m))
-                elif al == 0:
-                    m = _root(ap_, bl - bp)
-                    if m is not None:
-                        i0 = pc.ap.member(m)
-                        rows[i0] = rows.get(i0, EMPTY_SET).union(lc.ap.upset())
-                else:
-                    # both slopes positive: collisions exist iff the affine
-                    # ranges meet, i.e. the gcd divides the offset
-                    if (bl - bp) % math.gcd(ap_, al) == 0:
-                        moving = True
-        for k, v in level.exceptions:
-            verdict = _collision_set(v, pc.template)
-            if verdict == "all":
-                static_pts.add(k)
-            elif verdict != "none":
+    static, static_pts, rows, moving = EMPTY_SET, set(), {}, False
+    for pc in probe.cells:
+        for ap, hit in _level_meets(pc.template, level):
+            shape = hit.shape
+            if shape == "all":
+                static = static.union(ap.upset())
+            elif shape == "column":
+                static_pts.add(ap.member(hit.s))
+            elif shape == "row":
+                i0 = pc.ap.member(hit.m)
+                rows[i0] = rows.get(i0, EMPTY_SET).union(ap.upset())
+            elif shape != "empty":
                 moving = True
     for i0, v in probe.exceptions:
         bad_i = me_set_concrete(v, level).complement()
@@ -875,8 +831,7 @@ def me_cross(probe: AscentLevel, level: AscentLevel) -> CrossMEReport:
             rows[i0] = rows.get(i0, EMPTY_SET).union(bad_i)
         elif not bad_i.is_empty:
             moving = True
-    if static_pts:
-        static = static.union(finite_set(static_pts))
+    static = static.union(finite_set(static_pts))
     return CrossMEReport(static, tuple(sorted(rows.items())), moving)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 # Comparison verdicts for ord_compare.
 LT, EQ, GT = -1, 0, 1
@@ -133,20 +133,6 @@ def ord_compare(a: Ordinal, b: Ordinal) -> int:
     return (a > b) - (a < b)
 
 
-def solve_congruence(a: int, b: int, m: int) -> Optional[tuple[int, int]]:
-    """Solve a*x = b (mod m) for x; returns (x0, step) with the full solution
-    set {x0 + k*step} over the integers, or None if unsolvable. m >= 1."""
-    if m == 1:
-        return 0, 1
-    g = math.gcd(a, m)
-    if b % g != 0:
-        return None
-    m2 = m // g
-    a2, b2 = (a // g) % m2, (b // g) % m2
-    x0 = (b2 * pow(a2, -1, m2)) % m2
-    return x0, m2
-
-
 def _root(a: int, c: int) -> Optional[int]:
     """The m >= 0 with a*m = c, or None when there is none or a = 0. Exact
     for either sign of a: Python's % and // floor consistently."""
@@ -178,16 +164,13 @@ class AP:
         return self.start + m * self.step
 
     def intersect(self, other: "AP") -> Optional["AP"]:
-        sol = solve_congruence(self.step, other.start - self.start, other.step)
-        if sol is None:
-            return None
-        m0, mstep = sol
-        # smallest member of self with position = m0 (mod mstep) that is >= other.start
-        k = self.member(m0)
-        stride = self.step * mstep
-        if k < other.start:
-            k += ((other.start - k + stride - 1) // stride) * stride
-        return AP(k, stride)
+        """The common members: self's at the positions m of the pairs (m, s)
+        with self.member(m) = other.member(s) (`Meet.first`), or self when
+        the two are one."""
+        if self.start == other.start and self.step == other.step:
+            return self
+        m = meet(self.step, self.start, other.step, other.start).first()
+        return None if m is None else AP(self.member(m[0]), self.step * m[1])
 
     def upset(self) -> "UPSet":
         """The progression as a `UPSet`, built in normal form: period step,
@@ -202,6 +185,95 @@ class AP:
 
     def __repr__(self) -> str:
         return f"AP({self.start}+{self.step}m)"
+
+
+class Meet(NamedTuple):
+    """The pairs (m, s) in ℕ² that solve a*m + b = c*s + d, a, c >= 0
+    (`meet`), or several such equations (`intersect`): every pair of ℕ² on
+    one carrier, (m + t*dm, s + t*ds) for t >= 0 from the least one, the
+    base (m, s). It has one of five shapes (`shape`):
+    - empty (`NO_MEET`, base None);
+    - a point, step (0, 0), left by intersections;
+    - a row, step (0, 1), when c = 0 < a: m is the root of a*m = d - b and
+      s is free; a column, step (1, 0), when a = 0 < c;
+    - a lattice line when a, c > 0: by Bézout the common values of b + a*ℕ
+      and d + c*ℕ step by lcm(a, c), so m steps by c/g and s by a/g, g =
+      gcd(a, c) (Niven, Zuckerman and Montgomery, *An Introduction to the
+      Theory of Numbers*, §5.1);
+    - all of ℕ² (`ALL_MEET`, step None) when a = c = 0 and b = d.
+    The step is primitive and the base is least in both coordinates
+    (`least`). Two carriers cross in at most one point, and parallel ones
+    coincide or miss, so the shapes are closed under `intersect` and the
+    equations of several coordinates fold into one set.
+    """
+
+    m: Optional[int]
+    s: int
+    dm: Optional[int]
+    ds: Optional[int]
+
+    @property
+    def shape(self) -> str:
+        if self.m is None:
+            return "empty"
+        if self.dm is None:
+            return "all"
+        return ("point", "row", "column", "line")[2 * bool(self.dm) + bool(self.ds)]
+
+    def intersect(self, other: "Meet") -> "Meet":
+        """The pairs in both sets."""
+        if self.dm is None or other.m is None:
+            return other
+        if other.dm is None or self.m is None:
+            return self
+        cross = self.dm * other.ds - self.ds * other.dm
+        if cross:
+            # two carriers that cross, at self's t >= 0 with cross * t =
+            # (other.base - self.base) x other.step
+            t = _root(cross, (other.m - self.m) * other.ds - (other.s - self.s) * other.dm)
+            return NO_MEET if t is None else Meet(self.m + t * self.dm, self.s + t * self.ds, 0, 0)
+        # parallel, or a point (then x): x if it lies on y's carrier
+        x, y = (other, self) if not (other.dm or other.ds) else (self, other)
+        on = (x.m - y.m) * y.ds == (x.s - y.s) * y.dm if y.dm or y.ds else x == y
+        return x if on else NO_MEET
+
+    def least(self) -> Optional[tuple[int, int]]:
+        """The least pair of the set in both coordinates, or None."""
+        return None if self.m is None else (self.m, self.s)
+
+    def first(self) -> Optional[tuple[int, int]]:
+        """The projection onto m, as (start, step): start + t*step, t >= 0."""
+        return None if self.m is None else (self.m, 1 if self.dm is None else self.dm)
+
+    def second(self) -> Optional[tuple[int, int]]:
+        """The projection onto s, as in `first`."""
+        return None if self.m is None else (self.s, 1 if self.ds is None else self.ds)
+
+
+NO_MEET = Meet(None, 0, 0, 0)
+ALL_MEET = Meet(0, 0, None, None)
+DIAGONAL = Meet(0, 0, 1, 1)
+
+
+def meet(a: int, b: int, c: int, d: int) -> Meet:
+    """The solutions (m, s) in ℕ² of a*m + b = c*s + d, a, c >= 0 (see `Meet`)."""
+    if not c:
+        if not a:
+            return ALL_MEET if b == d else NO_MEET
+        m = _root(a, d - b)
+        return NO_MEET if m is None else Meet(m, 0, 0, 1)
+    if not a:
+        s = _root(c, b - d)
+        return NO_MEET if s is None else Meet(0, s, 1, 0)
+    if a == c and b == d:
+        return DIAGONAL
+    g = math.gcd(a, c)
+    if (d - b) % g:
+        return NO_MEET
+    q = c // g      # a*m = d - b (mod c) holds for the m = m0 (mod q)
+    m0 = (d - b) // g * pow(a // g, -1, q) % q
+    m = m0 + max(0, -((b - d + a * m0) // (a * q))) * q     # the least with a*m + b >= d
+    return Meet(m, (a * m + b - d) // c, q, a // g)
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .foundations import (
-    EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, Rejected, UPSet, ZERO, _root,
-    filter_classify, finite_set,
+    EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, Rejected, UPSet, ZERO,
+    filter_classify, finite_set, meet,
 )
 from .ascent import (
-    AscentLevel, Cell, PiecewiseMap, _meet, _routed, _routed_points, eq_star_set, fill_level,
+    AscentLevel, Cell, PiecewiseMap, _overlaps, _routed, _routed_points, eq_star_set, fill_level,
     graft_levels, identity_map, level_reindex, me_family, order_iso, restrict_map,
     standard_append, supp,
 )
@@ -132,7 +132,7 @@ def _route_pieces(sigma: PiecewiseMap, alpha_lvl: AscentLevel, top_lvl: AscentLe
         merged = graft(lnode, top_lvl.at(k)).append(2 * sigma.apply(k))
         exc_out.append((k, merged))
     for sig, lc in _routed(sigma, alpha_lvl):
-        for left, right in _meet((lc,), top_lvl.cells):
+        for left, right in _overlaps((lc,), top_lvl.cells):
             s = sig.on(left.ap)
             label = mk_entry(2 * s.a, 2 * s.b)
             cells_out.append(Cell(left.ap, graft(left.template, right.template).append(label)))
@@ -303,8 +303,7 @@ def _value_owner(level: AscentLevel, eps: Ordinal, val: int) -> Optional[int]:
         if v.eval_at(eps) == val:
             return k
     for c in level.cells:
-        a, b = entry_affine(c.template.entry_at(eps))
-        m = 0 if a == 0 and b == val else _root(a, val - b)
-        if m is not None:
-            return c.ap.member(m)
+        hit = meet(*entry_affine(c.template.entry_at(eps)), 0, val)
+        if hit.m is not None:
+            return c.ap.member(hit.m)
     return None

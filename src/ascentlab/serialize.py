@@ -410,9 +410,9 @@ def dec_map(d: Any) -> PiecewiseMap:
 
 
 def dec_triple(d: Any) -> SealTriple:
-    _expect(d.get("format") == FORMAT, "unknown triple format")
-    return sealing.SealTriple(dec_level(d["x_family"], "x_family"), dec_upset(d["y"], "y"),
-                              dec_map(d["pi"]))
+    _expect(_object(d, "triple").get("format") == FORMAT, "unknown triple format")
+    return sealing.SealTriple(dec_level(_required(d, "x_family", ""), "x_family"),
+                              dec_upset(_required(d, "y", ""), "y"), dec_map(_required(d, "pi", "")))
 
 
 def enc_transcript(t: Transcript) -> dict:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .foundations import (
-    AP, EMPTY_SET, FULL_SET, Ordinal, Rejected, UPSet, ZERO, _root, finite_set,
+    AP, EMPTY_SET, FULL_SET, Ordinal, Rejected, UPSet, ZERO, _root, finite_set, meet,
 )
 from .nodes import SymNode, entry_affine, eq_star_threshold, graft, is_prefix
 from .ascent import Cell, _agree_positions, _eq_star_pairs, _slot_pairs
@@ -150,9 +150,8 @@ def _admitted_thresholds(s: SymNode, cat: BranchCatalog) -> Iterator[Ordinal]:
                 continue
             positions = [m]
             if verdict == "all" and not t.concrete:
-                roots = {_root(et.a, es - et.b) for es, et in _slot_pairs(s, t)
-                         if not isinstance(et, int)}
-                roots.discard(None)
+                roots = {pin[0] for es, et in _slot_pairs(s, t)
+                         if (pin := meet(*entry_affine(es), *entry_affine(et)).second()) and not pin[1]}
                 positions = [*roots, max(roots, default=-1) + 1]
             for p in positions:
                 thr = eq_star_threshold(s, t.instantiate(p))

@@ -170,19 +170,36 @@ def full_walk_me_chain(heights, levels, adjacent=None):
             yield alpha, me_family(lvl)
 
 
-def all_pairs_collision(pieces):
+def all_pairs_collision(pieces, window: int = 32):
     """The first colliding pair of (block, value piece) pairs in all-pairs
     order: each piece against itself, then against every later piece; the
-    reference for `ascent._first_collision`, which tries fewer pairs."""
-    from ascentlab.ascent import _pieces_collide
+    reference for `ascent._first_collision`, which tries fewer pairs.
+
+    Each pair is decided on the values the two pieces take at their
+    positions below `window` (a point has the one position 0), listed one
+    by one. Its witness is the least common value at the least positions,
+    two distinct positions when a piece meets itself; a witness with one
+    key on both sides is no collision. The window holds every witness for
+    slopes up to 4 and values up to 12: the least value two ramps share is
+    below 12 + lcm(4, 3) = 24, and a ramp meets a constant c <= 12 below
+    position 13."""
+    def values(piece):
+        kind, loc, a, b = piece
+        if kind == "point":
+            return [(b, 0, loc)]
+        return [(a * m + b, m, loc.start + m * loc.step) for m in range(window)]
     for i, (w1, p1) in enumerate(pieces):
-        hit = _pieces_collide(p1, p1, same_piece=True)
-        if hit:
-            return (w1, hit[0]), (w1, hit[1])
-        for w2, p2 in pieces[i + 1:]:
-            hit = _pieces_collide(p1, p2, same_piece=False)
-            if hit and (w1, hit[0]) != (w2, hit[1]):
-                return (w1, hit[0]), (w2, hit[1])
+        for j in range(i, len(pieces)):
+            w2, p2 = pieces[j]
+            by_value = {}
+            for v, m, k in values(p2):
+                by_value.setdefault(v, []).append((m, k))
+            hits = [(v, m1, m2, k1, k2) for v, m1, k1 in values(p1)
+                    for m2, k2 in by_value.get(v, ()) if j > i or m1 != m2]
+            if hits:
+                _, _, _, k1, k2 = min(hits)
+                if (w1, k1) != (w2, k2):
+                    return (w1, k1), (w2, k2)
     return None
 
 

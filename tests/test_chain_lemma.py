@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from ascentlab import conditions
 from ascentlab.ascent import (
-    AP, AppendScheme, AscentLevel, Cell, TailRule, constant_level, fill_level, graft_levels,
-    restrict_level_domain,
+    AP, AppendScheme, AscentLevel, Cell, ShortScheme, TailRule, constant_level, fill_level,
+    graft_levels, restrict_level_domain,
 )
 from ascentlab.conditions import S_THETA, S_X, VARIANTS, Condition, check_condition
 from ascentlab.fixtures import bad_path_conditions, random_tower
@@ -221,12 +221,15 @@ def append_errors(level: AscentLevel, scheme: AppendScheme) -> list:
 
 
 def test_append_entries_refuses_what_make_refuses():
-    """A scheme with fewer entries than cells, a missing exception label
-    and a label that is not an int raise what `make` raises."""
+    """A missing exception label and a label that is not an int raise what
+    `make` raises. A scheme with fewer entries than cells is rejected
+    (`ShortScheme`, exit 2 in the CLI), where `make` finds the level's
+    pieces short of omega."""
     level = AscentLevel.make(Ordinal(0, 1), [Cell(AP(0, 2), SymNode((), (Ramp(2, 0),))),
                                              Cell(AP(1, 2), SymNode((), (3,)))], {0: SymNode((), (5,))})
     short = append_errors(level, AppendScheme((1,), {0: 1}))
-    assert short == [(ValueError, "level pieces do not cover omega")] * 2
+    assert short == [(ShortScheme, "append scheme has fewer cell entries (1) than its level has "
+                                   "cells (2)"), (ValueError, "level pieces do not cover omega")]
     missing = append_errors(level, AppendScheme((1, 2), {}))
     assert missing == [(KeyError, "0")] * 2
     ramp = append_errors(level, AppendScheme((1, 2), {0: Ramp(1, 0)}))

@@ -405,6 +405,29 @@ def level_4_replaced(cond, starts, step, tmp_path) -> str:
     return str(p)
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda d: [d], "triple: expected an object, got [{"),
+    (drop_at(("x_family",)), "x_family: missing"),
+    (drop_at(("y",)), "y: missing"),
+    (drop_at(("pi",)), "pi: missing"),
+], ids=["list", "no-x-family", "no-y", "no-pi"])
+def test_seal_triple_fields_exit_2(edit, error, cond_file, tmp_path, capsys):
+    """A triple file that is not an object, or lacks a field, exits 2 and
+    names it: a list raised AttributeError (exit 1), and a missing field was
+    reported by its bare key."""
+    p = bad_triple_file(tmp_path, "points", [])
+    with open(p) as f:
+        d = json.load(f)
+    d = edit(d) or d
+    with open(p, "w") as f:
+        json.dump(d, f)
+    code = main(["seal", "--triple-file", p, cond_file])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    rep = json.loads(out)
+    assert rep["command"] == "seal" and rep["error"].startswith(error)
+
+
 @pytest.mark.parametrize("a, b", [(0, 1), (2, 3)])
 def test_seal_triple_leaving_filter_set_exit_2(a, b, tmp_path, capsys):
     """A transposition of a point of X_0 with one outside it: the routing
@@ -631,7 +654,10 @@ def path_file(tmp_path, edit) -> str:
     (set_at(("rule", "start"), 2),
      "rule.start: expected 5, the base height 5's offset in its block, got 2"),
     (drop_at(("base",)), "base: missing"),
-], ids=["negative", "string", "float", "bool", "not-the-base-offset", "no-base"])
+    # a short scheme raised IndexError from `TailRule.limit_level` (exit 1)
+    (set_at(("rule", "schemes", 0, "cell_entries"), []),
+     "append scheme has fewer cell entries (0) than its level has cells (1)"),
+], ids=["negative", "string", "float", "bool", "not-the-base-offset", "no-base", "short-scheme"])
 def test_path_descriptor_fields_exit_2(argv, edit, error, tmp_path, capsys):
     code = main(argv + [path_file(tmp_path, edit)])
     out = capsys.readouterr().out
@@ -841,7 +867,7 @@ REJECTED = {
     "cli": "InputError", "serialize": "FormatError",
     "foundations": "OrdinalBoundError ProfileViolation",
     "conditions": "WrongVariant InvalidBeta NonExclusiveTop LostComparability NotSuccessorHeight",
-    "trees": "NoCatalog", "amalgam": "NotUniformTail HypothesisViolated",
+    "ascent": "ShortScheme", "trees": "NoCatalog", "amalgam": "NotUniformTail HypothesisViolated",
     "sealing": "SealTripleInvalid OracleMismatch NodeNotInTree",
     "surgery": "BadPi NonExclusiveBranches InvalidPathBase", "aposet": "NotLinked",
 }

@@ -14,10 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from ascentlab import foundations
 from ascentlab.foundations import (
-    AP, DEFAULT_X, EVENS, ODDS, FULL_SET, EMPTY_SET, GT, LT, EQ, _and_not, _normal,
+    ALL_MEET, AP, DEFAULT_X, EVENS, ODDS, FULL_SET, EMPTY_SET, GT, LT, EQ, _and_not, _normal,
     W_LIMIT, Ordinal, OrdinalBoundError, PostconditionFailed, ProfileViolation,
     UndecidableRepresentation, UPSet, XSequence, filter_classify, finite_set, is_cobounded, multiples,
-    ord_compare, singleton, upset_algebra,
+    meet, ord_compare, singleton, upset_algebra,
 )
 from ascentlab.serialize import dec_upset, enc_upset
 from oracles import (
@@ -606,6 +606,97 @@ def test_multiples_rejects_what_make_rejects():
     for k, start in ((0, 0), (1, -1)):
         with pytest.raises(ValueError, match="period must be >= 1"):
             multiples(k, start)
+
+
+# -- the affine meet, against brute force on a window ----------------------------
+# An equation a*m + b = c*s + d with slopes up to 6 and offsets up to 12 has
+# its least solution below 12 + 6 = 18 in each coordinate, so the window
+# [0, 40)^2 shows every shape with its base and further points.
+
+MEET_WINDOW = 40
+EQUATIONS = [(a, b, c, d) for a in range(7) for c in range(7) for b in range(13) for d in range(13)]
+
+
+def brute_meet(a, b, c, d, bound_m=MEET_WINDOW, bound_s=MEET_WINDOW) -> set:
+    """The solutions (m, s), m < bound_m and s < bound_s, listed value by
+    value."""
+    by_value = {}
+    for s in range(bound_s):
+        by_value.setdefault(c * s + d, []).append(s)
+    return {(m, s) for m in range(bound_m) for s in by_value.get(a * m + b, ())}
+
+
+def meet_points(hit) -> set:
+    """The pairs of `hit` inside the window, read off its fields: base
+    (m, s) plus t*(dm, ds), every pair for all of N^2, none when empty."""
+    if hit.m is None:
+        return set()
+    if hit.dm is None:
+        return {(m, s) for m in range(MEET_WINDOW) for s in range(MEET_WINDOW)}
+    out, t = set(), 0
+    while hit.m + t * hit.dm < MEET_WINDOW and hit.s + t * hit.ds < MEET_WINDOW:
+        out.add((hit.m + t * hit.dm, hit.s + t * hit.ds))
+        if not (hit.dm or hit.ds):
+            break
+        t += 1
+    return out
+
+
+def shape_of_equation(a, b, c, d) -> str:
+    if a and c:
+        return "line"
+    if a or c:
+        return "row" if a else "column"
+    return "all" if b == d else "empty"
+
+
+def test_meet_matches_brute_force_on_every_small_equation():
+    """Each of the 8,281 equations with a, c <= 6 and b, d <= 12: the same
+    solutions on the window, the shape its slopes give (or empty), a
+    primitive step, and the least pair in both coordinates at once."""
+    for eq in EQUATIONS:
+        hit, want = meet(*eq), brute_meet(*eq)
+        assert meet_points(hit) == want, eq
+        assert hit.shape == (shape_of_equation(*eq) if want else "empty"), eq
+        if want:
+            assert hit.least() == (min(m for m, _ in want), min(s for _, s in want)), eq
+        if hit.shape == "line":
+            assert math.gcd(hit.dm, hit.ds) == 1, eq
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(EQUATIONS), min_size=1, max_size=3))
+@example([(1, 0, 1, 0), (2, 0, 1, 3)])      # the diagonal meets a line in a point
+@example([(2, 0, 1, 0), (4, 1, 2, 1)])      # a line meets a line of its own step
+@example([(0, 5, 2, 1), (3, 0, 0, 6)])      # a column meets a row
+@example([(2, 3, 2, 1), (2, 5, 2, 3)])      # two lines of one step on one carrier
+@example([(2, 3, 2, 1), (2, 4, 2, 1)])      # two lines of one step on two carriers
+@example([(2, 0, 1, 0), (1, 0, 0, 2), (0, 4, 1, 0)])    # a point, then a line through it
+def test_meet_intersect_least_and_projections_match_brute_force(eqs):
+    """A fold of `intersect` over up to three equations is their common
+    solution set: its pairs, its least pair and both projections against
+    brute force. A value below 40 of either projection has a solution with
+    the other coordinate below 6 * 40 + 18 = 258, so the brute force for
+    the projections lists that coordinate on [0, 280)."""
+    hit, want = ALL_MEET, None
+    for eq in eqs:
+        hit = hit.intersect(meet(*eq))
+        got = brute_meet(*eq)
+        want = got if want is None else want & got
+    assert meet_points(hit) == want
+    if want:
+        assert hit.least() == (min(m for m, _ in want), min(s for _, s in want))
+    else:
+        assert hit.least() is None or max(hit.least()) >= MEET_WINDOW
+    for proj, bounds, axis in ((hit.first(), (MEET_WINDOW, 280), 0),
+                               (hit.second(), (280, MEET_WINDOW), 1)):
+        common = None
+        for eq in eqs:
+            got = brute_meet(*eq, *bounds)
+            common = got if common is None else common & got
+        values = {pair[axis] for pair in common}
+        listed = set() if proj is None else {proj[0] + t * proj[1] for t in range(MEET_WINDOW)}
+        assert {v for v in listed if v < MEET_WINDOW} == values
 
 
 # -- kernel count guards -----------------------------------------------------------

@@ -313,9 +313,10 @@ def test_decreasing_failure_names_the_first_pair_in_order():
 
 def test_long_game_collision_and_walk_counts(monkeypatch):
     """A game of length 256 and its invariant check try O(n) piece pairs and
-    walk O(n) coordinates: 2,779,904 `_pieces_collide` calls when every
-    z-pairwise check compared all pairs of the domain's points, and 32,640
-    value piece lists when every one-step walked its whole top."""
+    walk O(n) coordinates: 2,779,904 calls deciding a pair of value pieces
+    (`_least_shared`) when every z-pairwise check compared all pairs of the
+    domain's points, and 32,640 value piece lists when every one-step walked
+    its whole top."""
     from ascentlab import ascent
     counts = {"pairs": 0, "walk": 0}
 
@@ -324,7 +325,7 @@ def test_long_game_collision_and_walk_counts(monkeypatch):
             counts[key] += 1
             return fn(*args, **kw)
         return wrapped
-    monkeypatch.setattr(ascent, "_pieces_collide", counting("pairs", ascent._pieces_collide))
+    monkeypatch.setattr(ascent, "_least_shared", counting("pairs", ascent._least_shared))
     monkeypatch.setattr(ascent, "_value_pieces", counting("walk", ascent._value_pieces))
     n = 256
     t = play_game(Ordinal(0, n), random_opponent(3), 0)
