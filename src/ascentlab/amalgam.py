@@ -77,11 +77,6 @@ class ZMap:
     closed_hi: bool = False
     cells: tuple[tuple[int, Cell], ...] = ()    # (block w, indices over n)
     entries: tuple[tuple[Ordinal, SymNode], ...] = ()
-    # key -> entry value, built once; the first listed entry wins, as in a scan
-    _by_key: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_key", dict(reversed(self.entries)))
 
     @staticmethod
     def make(lo, hi, closed_hi=False, cells=(), entries=()) -> "ZMap":
@@ -94,11 +89,12 @@ class ZMap:
         return i <= self.hi if self.closed_hi else i < self.hi
 
     def at(self, i: Ordinal) -> SymNode:
+        """The first listed entry keyed i, else the first cell holding i."""
         if not self.in_domain(i):
             raise KeyError(f"{i} outside z domain ({self.lo}, {self.hi}{']' if self.closed_hi else ')'}")
-        v = self._by_key.get(i)
-        if v is not None:
-            return v
+        for k, v in self.entries:
+            if k == i:
+                return v
         for w, cell in self.cells:
             if w == i.w and i.n in cell.ap:
                 return cell.at(i.n)

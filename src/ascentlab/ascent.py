@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .foundations import (
-    ALL_MEET, AP, DIAGONAL, EMPTY_SET, FULL_SET, ZERO, BadHeight, Meet, Ordinal, Rejected, UPSet,
+    ALL_MEET, AP, DIAGONAL, EMPTY_SET, FULL_SET, BadHeight, Meet, Ordinal, Rejected, UPSet,
     XSequence, filter_classify, finite_set, meet,
 )
 from .nodes import Entry, SymNode, entry_affine, eq_star, graft, is_prefix, mk_entry
@@ -251,30 +251,23 @@ def refine(f: AscentLevel, g: AscentLevel) -> list[Piece]:
     return pieces
 
 
-def _slot_pairs(u: SymNode, v: SymNode, since: Ordinal = ZERO) -> Iterator[tuple[Entry, Entry]]:
-    """Entry pairs covering every coordinate class of u's domain at or above
-    `since`, u's entry beside v's at the same coordinate; needs u.dom <=
-    v.dom, so the pairs are those of u and v restricted to u.dom, without
-    building the restriction. u's complete blocks pair with v's blocks of
-    the same index; in the block of `since` the classes start at its
-    position, and the words are periodic from their window on. u's finite
+def _slot_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
+    """Entry pairs covering every coordinate class of u's domain, u's entry
+    beside v's at the same coordinate; needs u.dom <= v.dom, so the pairs
+    are those of u and v restricted to u.dom, without building the
+    restriction. u's complete blocks pair with v's blocks of the same
+    index, and the words are periodic from their window on. u's finite
     stretch pairs with v's finite stretch when both end in the same block,
     and otherwise with the start of v's word for that block (a cut into one
     of v's omega-blocks)."""
-    for w, (wu, wv) in enumerate(zip(u.blocks, v.blocks)):
-        if w < since.w:
-            continue
-        lo = since.n if w == since.w else 0
+    for wu, wv in zip(u.blocks, v.blocks):
         stop = wu.window(wv)
-        if lo:
-            stop = max(stop, lo + math.lcm(len(wu.tail), len(wv.tail)))
-        yield from zip(wu.take(stop, lo), wv.take(stop, lo))
+        yield from zip(wu.take(stop), wv.take(stop))
     w = len(u.blocks)
-    lo = since.n if since.w == w else 0
     if w < len(v.blocks):
-        yield from zip(u.final[lo:], v.blocks[w].take(len(u.final), lo))
+        yield from zip(u.final, v.blocks[w].take(len(u.final)))
     else:
-        yield from zip(u.final[lo:], v.final[lo:])
+        yield from zip(u.final, v.final)
 
 
 def _eq_star_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
@@ -349,18 +342,6 @@ def _grafted_from(low: AscentLevel, g: AscentLevel) -> bool:
     """Whether g is graft_levels(low, h) for some h: then low(tau) and
     g(tau) = low(tau) * h(tau) are comparable at every tau."""
     return g.grafted is low
-
-
-def agree_from(f: AscentLevel, g: AscentLevel, since: Ordinal) -> bool:
-    """Whether f(tau) and g(tau) agree at every coordinate from `since` up to
-    f's height, at every tau, for f.height <= g.height: `supp`'s kernel on
-    the coordinate classes at or above `since` (`_slot_pairs`)."""
-    def pairs(u: SymNode, v: SymNode):
-        return _slot_pairs(u, v, since)
-
-    def same(u: SymNode, v: SymNode) -> bool:
-        return all(a == b for a, b in pairs(u, v))
-    return _agree_set(f, g, pairs, same) == FULL_SET
 
 
 def eq_star_set(f: AscentLevel, g: AscentLevel) -> UPSet:
@@ -587,23 +568,15 @@ def supp_chain_violations(heights, levels, acceptable, adjacent) -> list[tuple[O
 
 def _me_chain(heights, levels, adjacent) -> Iterator[tuple[Ordinal, MEReport]]:
     """(alpha, me_family(level)) for each nonzero level of a height-ordered
-    chain, in order; `adjacent` as in `supp_chain_violations`.
-
-    By the append lemma in the `ascentlab.conditions` docstring, a level at
-    the successor of the height before it, whose support with that level is
-    full, needs only its new coordinate checked when the level before is
-    mutually exclusive. That coordinate is the last one `me_family` walks,
-    and every coordinate before it passes, so the report is the full walk's."""
+    chain, in order; `adjacent` as in `supp_chain_violations`. A level one
+    height above the level before it is decided by `_me_above`."""
     known = False   # the level before has its height and is mutually exclusive
     for i, (alpha, lvl) in enumerate(zip(heights, levels)):
         if alpha.is_zero:
             known = lvl.height == alpha
             continue
-        beta = heights[i - 1] if i else None
-        if known and lvl.height == alpha == beta.succ() and adjacent[i - 1] == FULL_SET:
-            rep = _me_walk(lvl, [(beta.w, beta.n)])
-        else:
-            rep = me_family(lvl)
+        below = known and lvl.height == alpha == heights[i - 1].succ()
+        rep = _me_above(lvl, below, adjacent[i - 1] if below else None)
         known = rep.ok and lvl.height == alpha
         yield alpha, rep
 
@@ -742,6 +715,19 @@ def _me_walk(level: AscentLevel, coords) -> MEReport:
 def me_family(level: AscentLevel) -> MEReport:
     """Pairwise mutual exclusivity of the whole family, decided exactly."""
     return _me_walk(level, _coordinate_classes(level))
+
+
+def _me_above(level: AscentLevel, below_exclusive: bool, support: Optional[UPSet]) -> MEReport:
+    """me_family(level) for a level of successor height, where
+    `below_exclusive` says that the level one height below is known mutually
+    exclusive, and `support` (read only then) is its support with this one.
+    By the append lemma in the `ascentlab.conditions` docstring, a full
+    support leaves only the new coordinate to walk: the last one `me_family`
+    walks, after coordinates that all pass, so the report is the full walk's."""
+    if below_exclusive and support == FULL_SET:
+        beta = level.height.pred()
+        return _me_walk(level, [(beta.w, beta.n)])
+    return me_family(level)
 
 
 _AT_ZERO = Meet(0, 0, 1, 0)     # the column s = 0

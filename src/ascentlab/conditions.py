@@ -24,28 +24,17 @@ Append lemma. Let β be a height and α = β + 1. If supp(f_β, f_α) is
 everything, then f_α(τ)↾β = f_β(τ) for every τ, so at every coordinate
 ε < β the map τ ↦ f_α(τ)(ε) is τ ↦ f_β(τ)(ε). Mutual exclusivity is
 injectivity at each coordinate, so when f_β is mutually exclusive, f_α is
-exactly when it is injective at its new coordinate β. Clause C2 (through
-`ascent._me_chain`) therefore checks only coordinate β of a level whose
-probe follows β's with a full adjacent support and an exclusive level below,
-and walks every coordinate otherwise. Coordinate β is the last one
-`me_family` walks, so a failure there reads as the full walk's.
-
-`_one_step` uses the lemma too, with η the old top height and f_η the old
-top, when the old top carries its exclusivity record (`ascent.Exclusive`:
-set only by `_one_step` and `amalgam.amalgamate` after a passed check, read
-only on the very object it names, so a forged, stale, copied or decoded
-level is walked in full).
-
-Append lemma, graft form. Let β ≤ η, let f_β and f_η be mutually exclusive,
-and let g = graft_levels(f_β, h) for a level h of height η + 1, so that g(τ)
-takes its coordinates below β from f_β(τ). If moreover g(τ) agrees with
-f_η(τ) at every coordinate in [β, η), for every τ, then at every coordinate
-ε < η the map τ ↦ g(τ)(ε) is one of f_β's or f_η's, and g is mutually
-exclusive exactly when it is injective at η. This is
-`one_step_extension(cond, β)`, whose new top grafts f_β over the old top
-with its labels appended; `_one_step` reads f_β from `AscentLevel.grafted`,
-its exclusivity from its record, and decides the agreement with
-`ascent.agree_from`, which reads only the coordinates from β on.
+exactly when it is injective at its new coordinate β. One kernel,
+`ascent._me_above`, applies it: it checks only coordinate β of f_α when
+f_β is known exclusive and supp(f_β, f_α) is full, and walks every
+coordinate otherwise. Clause C2 (through `ascent._me_chain`) knows f_β
+exclusive when β's probe comes right before α's and passed. `_one_step`
+takes β the old top height η, and knows f_η exclusive when it carries its
+exclusivity record (`ascent.Exclusive`: set only by `_one_step` and
+`amalgam.amalgamate` after a passed check, read only on the very object it
+names, so a forged, stale, copied or decoded level is walked in full).
+Coordinate β is the last one `me_family` walks, so a failure there reads
+as the full walk's.
 """
 
 from __future__ import annotations
@@ -58,9 +47,9 @@ from .foundations import (
     ZERO, filter_classify, is_cobounded,
 )
 from .ascent import (
-    AppendScheme, AscentLevel, AscentPath, TailRule, _me_chain, _me_walk, agree_from,
-    graft_levels, known_exclusive, me_cross, me_family, me_set_concrete, paths_agree_below,
-    record_exclusive, root_level, standard_append, supp, supp_chain_violations,
+    AppendScheme, AscentLevel, AscentPath, TailRule, _me_above, _me_chain, graft_levels,
+    known_exclusive, me_cross, me_set_concrete, paths_agree_below, record_exclusive,
+    root_level, standard_append, supp, supp_chain_violations,
 )
 from .nodes import SymNode, delta, entry_affine, mk_entry
 from .trees import ROOT_TREE, SymTree, check_tree, vanishing_levels
@@ -272,8 +261,6 @@ def leq_s(lower: Condition, upper: Condition) -> bool:
     another variant or over another X-sequence lie in another poset."""
     if lower.variant != upper.variant:
         raise WrongVariant("conditions come from different posets")
-    if lower.tree is upper.tree and lower.path is upper.path:
-        return True
     if lower.x != upper.x:
         raise WrongVariant("conditions come from posets over different X-sequences")
     if lower.tree.height < upper.tree.height:
@@ -356,35 +343,13 @@ def _one_step(cond: Condition, new_top: AscentLevel) -> tuple[Condition, UPSet]:
     out = extend_with_top(cond, new_top)
     top_supp = supp(cond.top, new_top)
     if cond.variant in (S_X, S_F):
-        eta = cond.eta
-        if _exclusive_below(cond, new_top, top_supp):
-            rep = _me_walk(new_top, [(eta.w, eta.n)])
-        else:
-            rep = me_family(new_top)
+        rep = _me_above(new_top, known_exclusive(cond.top), top_supp)
         if not rep.ok:
             raise NonExclusiveTop(f"one-step produced a non-exclusive family: {rep.detail}")
         record_exclusive(new_top)
     if not _supp_ok(cond.variant, top_supp, cond.x):
         raise LostComparability("one-step lost comparability with the previous top")
     return out, top_supp
-
-
-def _exclusive_below(cond: Condition, new_top: AscentLevel, top_supp: UPSet) -> bool:
-    """Whether new_top, one height above the old top eta, is known injective
-    at every coordinate below eta, so that `_one_step` walks only eta: by
-    the append lemma when the old top is known exclusive and top_supp, its
-    support to new_top, is full; by its graft form when new_top was grafted
-    over a known-exclusive level f_beta (`AscentLevel.grafted`) and agrees
-    with the old top at every coordinate from beta on (`agree_from`).
-    Evidence is read by identity (`known_exclusive`)."""
-    top = cond.top
-    if not known_exclusive(top):
-        return False
-    if top_supp == FULL_SET:
-        return True
-    low = new_top.grafted
-    return (low is not None and low.height <= top.height and known_exclusive(low)
-            and agree_from(top, new_top, low.height))
 
 
 def one_step_extension(cond: Condition, beta: Ordinal, nu: object = 0,

@@ -10,9 +10,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from .foundations import AP, Ordinal, Rejected, UPSet, XSequence, DEFAULT_X
-from .ascent import AppendScheme, AscentLevel, Cell, MapPiece, PiecewiseMap
+from .ascent import AppendScheme, AscentLevel, Cell, MapPiece, PiecewiseMap, supp
 from .nodes import BlockWord, Entry, Ramp, SymNode
-from .conditions import AscentPath, Condition, TailRule
+from .conditions import AscentPath, Condition, TailRule, _supp_ok, check_condition
 from .trees import BranchCatalog, CatalogFamily, CatalogSingle, SymTree
 from . import amalgam, aposet, sealing
 
@@ -391,9 +391,22 @@ def enc_path_descriptor(p: PathDescriptor) -> dict:
             "rule": enc_tail_rule(p.rule) if p.rule else None}
 
 def dec_path_descriptor(d: Any) -> PathDescriptor:
+    """A rule continues its base condition: it starts one height above the
+    condition's top, with an acceptable support from that top. The support
+    is held only against a valid condition; `surgery.branch_surgery` rejects
+    an invalid one with its own violations."""
     _expect(_object(d, "path").get("format") == FORMAT, "unknown path format")
-    return aposet.PathDescriptor(dec_condition(_required(d, "base", ""), "base"),
-                                 dec_tail_rule(d["rule"]) if d.get("rule") else None)
+    base = dec_condition(_required(d, "base", ""), "base")
+    rule = dec_tail_rule(d["rule"]) if d.get("rule") else None
+    if rule is not None:
+        h = rule.base.height
+        _expect(h == base.eta.succ(), f"rule.base: height {h} is not {base.eta.succ()}, "
+                f"one above the base condition's top height {base.eta}")
+        s = supp(base.top, rule.base)
+        if not _supp_ok(base.variant, s, base.x) and check_condition(base).ok:
+            raise aposet.NotLinked(f"rule.base: supp({base.eta},{h}) = {s} unacceptable: "
+                                  "the rule does not continue the base condition")
+    return aposet.PathDescriptor(base, rule)
 
 
 def dec_map(d: Any) -> PiecewiseMap:

@@ -532,18 +532,32 @@ def all_probes_paths_agree(p1, p2, eta: Ordinal) -> bool:
     return True
 
 
+def zmap_value(z, k: Ordinal):
+    """The value of the z-map at key k read from its fields, not through
+    `ZMap.at`: None outside the interval (lo, hi) or (lo, hi]; else the first
+    listed entry keyed k; else the first cell of k's block whose progression
+    holds k.n, its template instantiated at k.n's position; else None."""
+    if not (z.lo < k and (k <= z.hi if z.closed_hi else k < z.hi)):
+        return None
+    for key, v in z.entries:
+        if key == k:
+            return v
+    for w, cell in z.cells:
+        start, step = cell.ap.start, cell.ap.step
+        if w == k.w and k.n >= start and (k.n - start) % step == 0:
+            return cell.template.instantiate((k.n - start) // step)
+    return None
+
+
 def zmap_window(z, blocks: int, bound: int) -> dict:
     """Every key (w, n) with w < blocks and n < bound that the map defines,
-    with its value, each key looked up on its own by `ZMap.at`."""
+    with its value, each key read on its own (`zmap_value`)."""
     out = {}
     for w in range(blocks):
         for n in range(bound):
-            k = Ordinal(w, n)
-            if z.in_domain(k):
-                try:
-                    out[k] = z.at(k)
-                except KeyError:
-                    pass
+            v = zmap_value(z, Ordinal(w, n))
+            if v is not None:
+                out[Ordinal(w, n)] = v
     return out
 
 

@@ -20,7 +20,7 @@ from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, node_patch
 from ascentlab.trees import BranchCatalog, SymTree, tree_contains, vanishing_levels
 from oracles import (
     Z_BULLETS, probe_key_z_bullets, probe_keys, window_incoherent_key, window_z_bullets,
-    zmap_window,
+    zmap_value, zmap_window,
 )
 from test_chain_lemma import ENTRIES, nodes_of
 
@@ -229,6 +229,44 @@ def test_zmap_above_matches_pointwise(case):
     # no key at or below new_lo is left, in the domain or in any cell
     assert not any(got.in_domain(k) for k in (new_lo, z.lo, Ordinal(0, 0)))
     assert all(Ordinal(w, c.ap.start) > new_lo for w, c in got.cells)
+
+
+@st.composite
+def zmaps_with_repeated_keys(draw):
+    """A z-map built without `ZMap.make`, so that its entries keep their
+    drawn order and may repeat a key, with entries at keys its cells hold."""
+    lo = Ordinal(draw(st.integers(0, 1)), draw(st.integers(0, 6)))
+    hi = Ordinal(draw(st.integers(0, 2)), draw(st.integers(0, 12)))
+    template = nodes_of(Ordinal(1, 1), ENTRIES)
+    cells = draw(st.lists(st.tuples(st.integers(0, 2), st.builds(
+        Cell, st.builds(AP, st.integers(0, 8), st.integers(1, 3)), template)), max_size=3))
+    keys = [Ordinal(w, c.ap.member(draw(st.integers(0, 3)))) for w, c in cells]
+    keys += draw(st.lists(st.builds(Ordinal, st.integers(0, 2), st.integers(0, 12)), min_size=1, max_size=3))
+    entries = draw(st.lists(st.tuples(st.sampled_from(keys), nodes_of(Ordinal(1, 1), st.integers(0, 9))),
+                            max_size=6))
+    return ZMap(lo, hi, draw(st.booleans()), tuple(cells), tuple(entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(zmaps_with_repeated_keys())
+@example(ZMap(Ordinal(0, 0), Ordinal(1, 0), False,
+              ((0, Cell(AP(1, 2), SymNode((BlockWord.make((), (Ramp(1, 0),)),), (0,)))),),
+              ((Ordinal(0, 3), SymNode((BlockWord.make((), (7,)),), (1,))),
+               (Ordinal(0, 3), SymNode((BlockWord.make((), (8,)),), (2,))))))
+def test_zmap_at_matches_field_oracle(z):
+    """`ZMap.at` is the oracle's reading of the map's fields at every key of
+    a window: the first listed entry, else the first cell holding the key,
+    and KeyError outside the domain or where neither holds it. In the
+    example key (0, 3) is listed twice over a cell that holds it."""
+    for w in range(3):
+        for n in range(16):
+            k = Ordinal(w, n)
+            want = zmap_value(z, k)
+            if want is None:
+                with pytest.raises(KeyError):
+                    z.at(k)
+            else:
+                assert z.at(k) == want
 
 
 # -- exact checks over the whole z-domain and the whole top level ---------------

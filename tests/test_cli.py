@@ -657,7 +657,14 @@ def path_file(tmp_path, edit) -> str:
     # a short scheme raised IndexError from `TailRule.limit_level` (exit 1)
     (set_at(("rule", "schemes", 0, "cell_entries"), []),
      "append scheme has fewer cell entries (0) than its level has cells (1)"),
-], ids=["negative", "string", "float", "bool", "not-the-base-offset", "no-base", "short-scheme"])
+    # a rule that does not continue its base raised PostconditionFailed from
+    # surgery (exit 1), and derive-branches printed the broken rule's branches
+    (set_at(("rule", "base", "cells", 0, "template", "final", 1, "ramp", "b"), 7),
+     "rule.base: supp(4,5) = UPSet{} unacceptable: the rule does not continue the base condition"),
+    (set_at(("base",), sz.enc_condition(tower(3))),
+     "rule.base: height 5 is not 4, one above the base condition's top height 3"),
+], ids=["negative", "string", "float", "bool", "not-the-base-offset", "no-base", "short-scheme",
+        "rule-not-continuing", "rule-not-one-above"])
 def test_path_descriptor_fields_exit_2(argv, edit, error, tmp_path, capsys):
     code = main(argv + [path_file(tmp_path, edit)])
     out = capsys.readouterr().out

@@ -1,7 +1,8 @@
+import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ascentlab.foundations import FULL_SET, OMEGA_NAT, Ordinal, ZERO, finite_set
 from ascentlab.ascent import supp
@@ -157,8 +158,10 @@ def test_tower_exclusivity_walks_linear_coordinates(monkeypatch):
 def test_tower_builds_walk_one_coordinate_per_step(monkeypatch):
     """Each one-step of a tower walks only its new coordinate: the old top
     carries its exclusivity record, and the new top follows it by the append
-    lemma (beta at the top) or its graft form (random beta). A full walk
-    per step made k(k+1)/2 value piece lists, 8,256 at k = 128."""
+    lemma. With a random beta too, since every level of a one-step tower has
+    full support to the levels above it, so the old top's support to the
+    new top is full. A full walk per step made k(k+1)/2 value piece lists,
+    8,256 at k = 128."""
     from ascentlab.fixtures import tower as fixture_tower
     rng = random.Random(128)
     k = 128
@@ -249,7 +252,7 @@ def test_evidence_non_exclusive_top_still_raises(how):
 def test_evidence_graft_over_a_colliding_level_walks_in_full():
     """A top grafted over an exclusive level (its record kept) but taking
     coordinates 1 to 3 from a level whose odd indices repeat the even ones:
-    it does not agree with the old top there, so the graft form does not
+    its support from the old top is not full, so the append lemma does not
     apply and the full walk finds the collision at coordinate 1."""
     from ascentlab.ascent import graft_levels, known_exclusive, standard_append
     from ascentlab.conditions import NonExclusiveTop, _one_step
@@ -260,6 +263,59 @@ def test_evidence_graft_over_a_colliding_level_walks_in_full():
     new_top = graft_levels(low, twins.append_entries(standard_append(twins)))
     with pytest.raises(NonExclusiveTop, match=r"share a value at \(0,1\)"):
         _one_step(c, new_top)
+
+
+@functools.lru_cache(maxsize=None)
+def routed_conditions() -> tuple[Condition, ...]:
+    """Conditions whose top was routed, not grafted: absorptions of a random
+    node into random towers, and seal steps over towers with the identity
+    and a transposition triple."""
+    from ascentlab import sealing
+    from ascentlab.fixtures import random_tower, tower as fixture_tower
+    out = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        c = random_tower(rng, max_height=4)
+        t = node(*[rng.randrange(14) for _ in range(rng.randrange(1, c.eta.n + 1))])
+        out.append(sealing.absorb_node(c, t, rng.randrange(3))[0])
+    for h in (2, 3, 4):
+        c = fixture_tower(h)
+        for triple in (sealing.identity_triple(c), sealing.transposition_triple(c, 1, 3)):
+            mid = sealing.build_intermediate(c, triple)
+            hit = one_step_extension(mid, mid.eta)
+            out.append(sealing.seal_step(c, triple, 1, sealing.OracleHit(hit, hit.eta))[0])
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_one_step_over_routed_tops_walks_in_full(data):
+    """A one-step with a random beta over an absorbed or sealed condition,
+    whose old top's support to the new top is not full: the append lemma
+    does not apply, and the new top is walked at every coordinate. It raises
+    NonExclusiveTop exactly when me_family of the new top fails, with that
+    walk's detail, and its result passes check_condition otherwise. A drawn
+    twin makes the level at beta repeat index 0's node at index 1, so that
+    the new top collides below beta."""
+    from ascentlab.ascent import AscentLevel, graft_levels, me_family, standard_append
+    from ascentlab.conditions import NonExclusiveTop
+    c = data.draw(st.sampled_from(routed_conditions()))
+    beta = Ordinal(0, data.draw(st.integers(0, c.eta.n)))
+    base = data.draw(st.integers(0, 2))
+    if beta.n and data.draw(st.booleans()):
+        low = c.level(beta)
+        twin = AscentLevel.make(beta, low.cells, dict(low.exceptions) | {1: low.at(0)})
+        c = Condition(c.tree, c.path.with_level(beta, twin), c.variant, c.x)
+    top = c.top
+    new_top = graft_levels(c.level(beta), top.append_entries(standard_append(top, shift=base)))
+    assume(supp(top, new_top) != FULL_SET)
+    rep = me_family(new_top)
+    if rep.ok:
+        assert check_condition(one_step_extension(c, beta, label_base=base)).ok
+    else:
+        with pytest.raises(NonExclusiveTop) as e:
+            one_step_extension(c, beta, label_base=base)
+        assert str(e.value) == f"one-step produced a non-exclusive family: {rep.detail}"
 
 
 # -- one-step failures ----------------------------------------------------------
