@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .foundations import (
-    ALL_MEET, AP, EMPTY_SET, FULL_SET, W_LIMIT, Ordinal, PostconditionFailed, Rejected, UPSet,
+    ALL_MEET, AP, EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, Rejected, UPSet,
     finite_set, meet, multiples, singleton,
 )
 from .ascent import (
@@ -111,10 +111,11 @@ class ZMap:
         """The map cut by `at`'s rule into pieces (w, loc, t): a point (w, n,
         node) holds the key (w, n), a cell piece (w, ap, template) the keys
         (w, ap.member(m)) with values template(m). The entries in the domain
-        are points; each cell then holds its block's keys in the domain that
-        no entry or earlier cell holds: cells (`Cell.on`) on that set's
-        infinite progressions, points (instantiated) at its others."""
-        out = [(k.w, k.n, v) for k, v in self.entries if self.in_domain(k)]
+        are points, the first entry of a key listed twice only; each cell
+        then holds its block's keys in the domain that no entry or earlier
+        cell holds: cells (`Cell.on`) on that set's infinite progressions,
+        points (instantiated) at its others."""
+        out = [(k.w, k.n, v) for k, v in self._points().items()]
         held = {w: finite_set(k.n for k, _ in self.entries if k.w == w) for w, _ in self.cells}
         for w, cell in self.cells:
             parts, points = _split((cell,), self.block_keys(w).difference(held[w]))
@@ -123,16 +124,33 @@ class ZMap:
             out.extend((w, n, v) for n, v in points)
         return out
 
+    def _points(self) -> dict[Ordinal, SymNode]:
+        """The entries in the domain, the first of a key listed twice."""
+        out: dict[Ordinal, SymNode] = {}
+        for k, v in self.entries:
+            if k not in out and self.in_domain(k):
+                out[k] = v
+        return out
+
+    def whole(self) -> list[tuple[int, int | AP, SymNode]]:
+        """The map uncarved, in the form of `pieces`: the entries in the
+        domain as points and every cell whole. These hold every key and
+        value of the map and maybe more: keys past the domain, keys an entry
+        or an earlier cell holds, so two pieces may share a key. A statement
+        about every key, or every pair of distinct keys, and its value holds
+        on the map when it holds on these pieces; `incoherent_key` and
+        `check_z_bullets` decide on them first and carve (`pieces`) only
+        when that fails (for z-pairwise, also when two share a key,
+        `_keys_apart`)."""
+        return [(k.w, k.n, v) for k, v in self._points().items()] + \
+            [(w, c.ap, c.template) for w, c in self.cells]
+
     def incoherent_key(self, later: "ZMap") -> Optional[Ordinal]:
         """The least key of both domains at which `later`'s value does not
         end-extend this map's value (z-coherence fails there), or None, over
-        the pairs of pieces that share keys (`_incoherent`). As a statement
-        about every shared key and value, it is decided first on the entries
-        in the domain and whole cells, which hold each value and more."""
-        def whole(z: ZMap) -> list:
-            return [(k.w, k.n, v) for k, v in z.entries if z.in_domain(k)] + \
-                [(w, c.ap, c.template) for w, c in z.cells]
-        if not any(_incoherent(whole(self), whole(later))):
+        the pairs of pieces that share keys (`_incoherent`): decided first on
+        the whole pieces (`whole`)."""
+        if not any(_incoherent(self.whole(), later.whole())):
             return None
         return min(_incoherent(self.pieces(), later.pieces()), default=None)
 
@@ -179,13 +197,25 @@ class ZMap:
 class ZBullets:
     """Evidence that `check_z_bullets(beta, cond, z, delta, closed)` passed.
     The check is a function of these five immutable values, so it certifies
-    a chain member whose cond and z are these very objects."""
+    a stage whose cond and z are these very objects (`covers`).
+
+    `sealed` is set only by `check_z_bullets`, after it builds the record;
+    a record built by hand or copied by `dataclasses.replace` is unsealed
+    and is no evidence."""
 
     beta: Ordinal
     cond: Condition
     z: ZMap
     delta: Ordinal
     closed: bool
+    sealed: bool = field(default=False, init=False, compare=False, repr=False)
+
+    def covers(self, beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal,
+               closed: bool) -> bool:
+        """Whether this is the record of a passed check of these arguments:
+        cond and z by identity, the rest by value."""
+        return (self.sealed and self.cond is cond and self.z is z
+                and self.beta == beta and self.delta == delta and self.closed == closed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,10 +227,9 @@ class ChainMember:
 
     def proved(self, delta: Ordinal, closed: bool) -> bool:
         """Whether the carried evidence covers this member on the z-domain
-        (beta, delta): its cond and z by identity, the rest by value."""
+        (beta, delta) (`ZBullets.covers`)."""
         ev = self.bullets
-        return (ev is not None and ev.cond is self.cond and ev.z is self.z
-                and ev.beta == self.beta and ev.delta == delta and ev.closed == closed)
+        return ev is not None and ev.covers(self.beta, self.cond, self.z, delta, closed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,56 +291,120 @@ def _last_entry_pieces(pieces, last: Ordinal) -> list:
                  *entry_affine(t.entry_at(last)))) for w, loc, t in pieces]
 
 
-def _run_on(z: ZMap) -> ZMap:
-    """z with a finite top block run on to the next limit, where there is
-    one: a map with z's keys, their values, and more keys."""
-    if z.hi.n and z.hi.w < W_LIMIT:
-        return ZMap(z.lo, z.hi.next_limit(), False, z.cells, z.entries)
-    return z
-
-
-def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap,
-                    delta: Ordinal, closed: bool) -> ZBullets:
-    """The four per-stage z requirements, decided exactly on the map's pieces
-    (`ZMap.pieces`). Raises HypothesisViolated with the first failing bullet,
-    in the order below, and the least key that breaks it (the first pair for
-    z-pairwise); on success returns the ZBullets record of the arguments,
-    which `validate_chain` accepts in place of a second check. Each bullet
-    speaks of every key or pair of keys, so it holds on z when it holds on
-    a map with more keys and the same values, as on `_run_on(z)`, whose
-    finite top block is one piece: that map is checked first, and z's own
-    pieces only when it fails.
+def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal,
+                    closed: bool, after: Optional[ZBullets] = None) -> ZBullets:
+    """The four per-stage z requirements, decided exactly. Raises
+    HypothesisViolated with the first failing bullet, in the order below,
+    and the least key that breaks it (the first pair for z-pairwise); on
+    success returns the ZBullets record of the arguments, which
+    `validate_chain` accepts in place of a second check and the next stage
+    may pass as `after`.
     - z-top-level: heights, then membership: `tree_contains` for a point,
       `_template_members` (exact) for a cell.
     - z-pairwise: at a successor, equal last entries (`_first_collision` on
       the last-entry pieces); at a limit, `_eq_star_collision`.
-    - z-vs-zero: `_agree_positions` of top member 0 against each piece on
-      the `_eq_star_pairs` window (the last coordinate at a successor).
+    - z-vs-zero: at a successor, the `meet` of each piece's last entry
+      with top member 0's value there (`AscentLevel.value_at`); at a
+      limit, `_agree_positions` of top member 0 against each piece on the
+      `_eq_star_pairs` window.
     - z-exclusive: `_least_meeting_position`; only on a failure is the
       member built and `me_set_concrete` read for the least tau != 0.
-    A pass builds no member of z; top member 0 is the one node built."""
+    Each bullet speaks of every key, or pair of distinct keys, and its
+    value, so it is decided first on the map's whole pieces (`ZMap.whole`)
+    when no two of them share a key (`_keys_apart`), and on its carved
+    pieces (`ZMap.pieces`) only when that fails: every failure, its bullet
+    and its least key come from the carved pieces.
+
+    The evidence read is `after` alone, the record of the stage before, by
+    the stage lemma in the `ascentlab.conditions` docstring. The caller
+    passes it only when it holds the lemma's other hypotheses: cond's top
+    extends after.cond's with full support, and each value of z end-extends
+    after.z's value at its key. The record is read when `check_z_bullets`
+    made it (`ZBullets.sealed`, on whole or carved pieces alike), it names
+    delta, closed and an earlier stage, and cond's tree has the level
+    tuples of after.cond's (identity) with the two top heights in one block
+    and no explicit level between them (`_follows`). Then membership is not
+    read, z-exclusive reads the coordinates from after.cond's height on,
+    and z-pairwise and z-vs-zero run as above; when that finds a fault, or
+    the record is not read, the check runs as without it. A pass builds no
+    member of z, and top member 0 only at a limit height."""
     if (z.lo, z.hi, z.closed_hi) != (beta, delta, closed):
         raise HypothesisViolated("z-domain", f"z of stage {beta} has domain "
                                  f"({z.lo},{z.hi}{']' if z.closed_hi else ')'}")
-    fault = _z_fault(cond, _run_on(z)) and _z_fault(cond, z)
-    if fault is not None:
-        raise HypothesisViolated(*fault)
-    return ZBullets(beta, cond, z, delta, closed)
+    if not _whole_pass(beta, cond, z, delta, closed, after):
+        fault = _z_fault(cond, z, z.pieces())
+        if fault:
+            raise HypothesisViolated(*fault)
+    out = ZBullets(beta, cond, z, delta, closed)
+    object.__setattr__(out, "sealed", True)
+    return out
 
 
-def _z_fault(cond: Condition, z: ZMap) -> Optional[tuple[str, str]]:
-    """(bullet, detail) for the first z requirement failing on z's pieces,
-    or None (see `check_z_bullets`). Heights come first, as the later
-    bullets read the pieces at the top's coordinates; a cell holding no key
-    needs the top's height too, as later members and the z-unions keep it
-    (`stepped`, `limit_map`) and the amalgam's catalog admits it."""
+def _whole_pass(beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal, closed: bool,
+                after: Optional[ZBullets]) -> bool:
+    """Whether z's whole pieces, when their keys lie apart, pass the four
+    bullets: by the stage lemma from `after` when its record is read
+    (`_follows`), and otherwise, or when that finds a fault, in full."""
+    whole = z.whole()
+    if not _keys_apart(whole):
+        return False
+    if after is not None and _follows(after, beta, cond, delta, closed) \
+            and _z_fault(cond, z, whole, after.cond.eta) is None:
+        return True
+    return _z_fault(cond, z, whole) is None
+
+
+def _keys_apart(pieces) -> bool:
+    """Whether no two of the pieces share a key. z-pairwise at a successor
+    (`_first_collision`) skips a common value at one key, which two pieces
+    sharing a key may hide a collision behind, so whole pieces are read
+    only when their keys lie apart, as in every map the game builds."""
+    points = {(w, loc) for w, loc, _ in pieces if loc.__class__ is int}
+    cells = [(w, loc) for w, loc, _ in pieces if loc.__class__ is not int]
+    for i, (w, ap) in enumerate(cells):
+        if any(pw == w and n in ap for pw, n in points):
+            return False
+        if any(w2 == w and ap.intersect(ap2) is not None for w2, ap2 in cells[i + 1:]):
+            return False
+    return True
+
+
+def _follows(after: ZBullets, beta: Ordinal, cond: Condition, delta: Ordinal,
+             closed: bool) -> bool:
+    """The hypotheses of the stage lemma that `check_z_bullets` reads from
+    the record of the stage before and the two conditions: a sealed pass
+    of an earlier stage on the same z-domain end; top heights in one
+    block, rising, each its top level's; and one tree's level tuples, with
+    no explicit level above the earlier top up to the later one, so the
+    levels between are append levels."""
+    prev = after.cond
+    lo, hi = prev.eta, cond.eta
+    return (after.sealed and after.beta < beta and after.delta == delta
+            and after.closed == closed and lo.w == hi.w and lo < hi
+            and prev.top.height == lo and cond.top.height == hi
+            and cond.tree.explicit is prev.tree.explicit
+            and cond.tree.catalogs is prev.tree.catalogs
+            and not any(lo < h <= hi for h, _ in cond.tree.explicit))
+
+
+def _z_fault(cond: Condition, z: ZMap, pieces, low: Optional[Ordinal] = None
+             ) -> Optional[tuple[str, str]]:
+    """(bullet, detail) for the first z requirement failing on the pieces
+    of z (`ZMap.whole` or `ZMap.pieces`), or None (see `check_z_bullets`).
+    Heights come first, as the later bullets read the pieces at the top's
+    coordinates; a cell holding no key needs the top's height too, as later
+    members and the z-unions keep it (`stepped`, `limit_map`) and the
+    amalgam's catalog admits it. With `low`, the stage lemma's earlier top
+    height, membership is not read and z-exclusive reads the coordinates
+    from low on."""
     eta, top, tree = cond.eta, cond.top, cond.tree
-    pieces = z.pieces()
 
     def top_level(p) -> Optional[int]:
         _, loc, t = p
         if t.dom != eta:
             return 0
+        if low is not None:
+            return None
         if loc.__class__ is int:
             return None if tree_contains(tree, t) else 0
         members = _template_members(tree, t)
@@ -324,21 +417,27 @@ def _z_fault(cond: Condition, z: ZMap) -> Optional[tuple[str, str]]:
         if cell.template.dom != eta:
             return "z-top-level", f"a cell of block {w} has height {cell.template.dom}"
     if eta.is_successor:
-        pair = _first_collision(_last_entry_pieces(pieces, eta.pred()))
+        last = eta.pred()
+        pair = _first_collision(_last_entry_pieces(pieces, last))
         pair = pair and (Ordinal(*pair[0]), Ordinal(*pair[1]))
+        c = top.value_at(0, last)
+
+        def zero(p) -> Optional[int]:
+            # =* at a successor is equality at the last coordinate
+            return meet(*entry_affine(p[2].entry_at(last)), 0, c).m
     else:
         pair = _eq_star_collision(pieces)
+        f0 = top.at(0)
+
+        def zero(p) -> Optional[int]:
+            verdict, m = _agree_positions(f0, p[2], _eq_star_pairs)
+            return None if verdict == "none" else m
     if pair:
         return "z-pairwise", f"z({pair[0]}) =* z({pair[1]})"
-    f0 = top.at(0)
-
-    def zero(p) -> Optional[int]:
-        verdict, m = _agree_positions(f0, p[2], _eq_star_pairs)
-        return None if verdict == "none" else m
     hit = _least_key(pieces, zero)
     if hit:
         return "z-vs-zero", f"z({hit[0]}) =* top family at 0"
-    hit = _least_key(pieces, lambda p: _least_meeting_position(p[2], top))
+    hit = _least_key(pieces, lambda p: _least_meeting_position(p[2], top, low))
     if hit:
         k, (_, _, t), m = hit
         tau = me_set_concrete(t.instantiate(m), top).complement().difference(singleton(0))
@@ -365,14 +464,16 @@ def _eq_star_collision(pieces) -> Optional[tuple[Ordinal, Ordinal]]:
     return None
 
 
-def _least_meeting_position(t: SymNode, top: AscentLevel) -> Optional[int]:
+def _least_meeting_position(t: SymNode, top: AscentLevel,
+                            low: Optional[Ordinal] = None) -> Optional[int]:
     """The least position m at which t(m), for a template (or node) of the
     top's height, shares a coordinate value with top(tau), tau != 0, or
     None: the least m of its meets with the top's pieces other than index 0
-    (`_level_meets`). The index 0 may be met (`me_cross` counts that as
-    moving, for clause C4)."""
+    (`_level_meets`), at the coordinates from `low` on when it is given.
+    The index 0 may be met (`me_cross` counts that as moving, for clause
+    C4)."""
     least = None
-    for _, hit in _level_meets(t, top, skip_zero=True):
+    for _, hit in _level_meets(t, top, skip_zero=True, low=low):
         if hit.m is not None and (least is None or hit.m < least):
             least = hit.m
     return least
@@ -410,11 +511,16 @@ def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
     """Check every amalgamation hypothesis; returns the members extended by
     two generated tail members for the rule-level checks.
 
-    A member skips the z-bullets only when it carries the ZBullets record
-    of a passed check of its own cond and z objects (`is`), its own stage
-    and the chain's z-domain endpoint (`ChainMember.proved`). Members decoded
-    from JSON, built by fixtures or by the tail rule, and limit-stage moves
-    carry no record and are checked in full. `decreasing`, `full-supp` and
+    Evidence read: each member's own record, and each generated tail
+    member's pair with the member before. A member skips the z-bullets
+    only when it carries the ZBullets record of a passed check of its own
+    cond and z objects (`is`), its own stage and the chain's z-domain
+    endpoint (`ChainMember.proved`). Members decoded from JSON, built by
+    fixtures or by the tail rule, and limit-stage moves carry no record and
+    are checked. A tail member's pair with the member before is decided
+    first (`_adjacent`); when it holds, the member's z-bullets are checked
+    with the record of the member before as `after` (the stage lemma, see
+    `check_z_bullets`), and otherwise in full. `decreasing`, `full-supp` and
     `z-coherent` are decided on adjacent members: leq_s and end-extension
     are transitive, by the chain lemma in the `ascentlab.conditions`
     docstring FULL ∩ FULL ⊆ supp of the outer pair, and when the stages
@@ -432,15 +538,22 @@ def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
     if len(ch.tail.z_tokens) != len(ch.tail.schemes):
         raise HypothesisViolated("tail-shape", "z tokens must match the append cycle")
     sample = ch.sample_members()
-    for m in sample:
+    start = len(ch.members)
+    linked = True       # every adjacent pair up to the member passes, in order
+    ev = None           # the record of the member before
+    for i, m in enumerate(sample):
         if m.cond.variant != S_X:
             raise HypothesisViolated("variant", "chain members must be S_X conditions")
         if not (m.beta < ch.gamma):
             raise HypothesisViolated("gamma-cofinal", f"stage {m.beta} at or above gamma")
-        if not m.proved(ch.delta, ch.closed_delta):
-            check_z_bullets(m.beta, m.cond, m.z, ch.delta, ch.closed_delta)
-    if all(a.beta < b.beta and leq_s(b.cond, a.cond) and supp(a.cond.top, b.cond.top) == FULL_SET
-           and a.z.incoherent_key(b.z) is None for a, b in zip(sample, sample[1:])):
+        if i == start:
+            linked = all(_adjacent(a, b) for a, b in zip(sample, sample[1:start]))
+        if i >= start:
+            linked = linked and _adjacent(sample[i - 1], m)
+        after = ev if i >= start and linked else None
+        ev = m.bullets if m.proved(ch.delta, ch.closed_delta) else check_z_bullets(
+            m.beta, m.cond, m.z, ch.delta, ch.closed_delta, after)
+    if linked:
         return sample
     for i, m1 in enumerate(sample):
         for m2 in sample[i + 1:]:
@@ -452,6 +565,15 @@ def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
             if k is not None:
                 raise HypothesisViolated("z-coherent", f"z({k}) not increasing")
     return sample
+
+
+def _adjacent(a: ChainMember, b: ChainMember) -> bool:
+    """The chain hypotheses between two S_X members, b the later: stages
+    increasing, `decreasing`, `full-supp` and `z-coherent`. Members over
+    different X-sequences give False, not leq_s's WrongVariant: the
+    all-pairs loop raises it at the first such pair."""
+    return (a.beta < b.beta and a.cond.x == b.cond.x and leq_s(b.cond, a.cond)
+            and supp(a.cond.top, b.cond.top) == FULL_SET and a.z.incoherent_key(b.z) is None)
 
 
 def amalgamate(ch: ChainDescriptor) -> tuple[Condition, ZMap]:

@@ -16,7 +16,7 @@ from typing import Optional, Union
 from .foundations import FULL_SET, Ordinal, Rejected, UPSet
 from .ascent import AscentLevel, MEReport, me_family, supp
 from .nodes import SymNode, delta
-from .conditions import Condition, TailRule
+from .conditions import Condition, TailRule, check_condition
 
 THETA = "theta"
 Variant = Union[str, int]  # THETA or the filter index xi
@@ -33,6 +33,11 @@ class NotLinked(Rejected):
 
 class IncoherentIndex(ValueError):
     """No well-defined branch at this family index."""
+
+
+class InvalidPathBase(Rejected):
+    """A path's base condition fails check_condition, so no condition built
+    on the path (a branch surgery's output) can pass it either."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,6 +65,13 @@ class PathDescriptor:
         if self.rule is not None and alpha.w == self.base.eta.w and alpha.n >= self.rule.start:
             return self.rule.level_at(alpha.n)
         raise Unrepresented(f"height {alpha} not on the path")
+
+    def check_base(self) -> None:
+        """InvalidPathBase, naming the base's violations, when the base
+        condition fails check_condition."""
+        rep = check_condition(self.base, self.base.variant)
+        if not rep.ok:
+            raise InvalidPathBase("the path's base condition is invalid: " + "; ".join(rep.violations))
 
     def heights(self, bound: Optional[Ordinal] = None) -> list[Ordinal]:
         out = list(self.base.path.probe_heights(self.base.eta))

@@ -40,8 +40,8 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .foundations import (
-    ALL_MEET, AP, DIAGONAL, EMPTY_SET, FULL_SET, BadHeight, Meet, Ordinal, Rejected, UPSet,
-    XSequence, filter_classify, finite_set, meet,
+    ALL_MEET, AP, DIAGONAL, EMPTY_SET, FULL_SET, ZERO, BadHeight, Meet, Ordinal, Rejected,
+    UPSet, XSequence, filter_classify, finite_set, meet,
 )
 from .nodes import Entry, SymNode, entry_affine, eq_star, graft, is_prefix, mk_entry
 
@@ -136,14 +136,29 @@ class AscentLevel:
     def exc_dict(self) -> dict[int, SymNode]:
         return dict(self.exceptions)
 
-    def at(self, tau: int) -> SymNode:
+    def piece(self, tau: int) -> "SymNode | Cell":
+        """The piece holding index tau: the exception keyed tau, or else
+        the cell whose progression holds it."""
         for k, v in self.exceptions:
             if k == tau:
                 return v
         for c in self.cells:
             if tau in c.ap:
-                return c.at(tau)
+                return c
         raise ValueError(f"index {tau} not covered")
+
+    def at(self, tau: int) -> SymNode:
+        p = self.piece(tau)
+        return p.at(tau) if p.__class__ is Cell else p
+
+    def value_at(self, tau: int, eps: Ordinal) -> int:
+        """at(tau).eval_at(eps), read off tau's piece: one entry, where the
+        member has an entry for every coordinate below the height."""
+        p = self.piece(tau)
+        if p.__class__ is not Cell:
+            return p.eval_at(eps)
+        e = p.template.entry_at(eps)
+        return e if e.__class__ is int else e.at(p.ap.position(tau))
 
     def restrict(self, alpha: Ordinal) -> "AscentLevel":
         """The family tau -> f(tau)|alpha. Restriction keeps every cell's
@@ -251,7 +266,8 @@ def refine(f: AscentLevel, g: AscentLevel) -> list[Piece]:
     return pieces
 
 
-def _slot_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
+def _slot_pairs(u: SymNode, v: SymNode,
+                low: Optional[Ordinal] = None) -> Iterator[tuple[Entry, Entry]]:
     """Entry pairs covering every coordinate class of u's domain, u's entry
     beside v's at the same coordinate; needs u.dom <= v.dom, so the pairs
     are those of u and v restricted to u.dom, without building the
@@ -259,15 +275,29 @@ def _slot_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
     index, and the words are periodic from their window on. u's finite
     stretch pairs with v's finite stretch when both end in the same block,
     and otherwise with the start of v's word for that block (a cut into one
-    of v's omega-blocks)."""
-    for wu, wv in zip(u.blocks, v.blocks):
-        stop = wu.window(wv)
-        yield from zip(wu.take(stop), wv.take(stop))
+    of v's omega-blocks).
+
+    With a lower bound `low`, only the classes of the coordinates from low
+    on: the blocks before low.w are skipped, and block low.w pairs from
+    position low.n on, in a complete block up to the window or one common
+    period past low.n, whichever ends later."""
+    lw, start = low or ZERO
     w = len(u.blocks)
+    for k in range(lw, w):
+        wu, wv = u.blocks[k], v.blocks[k]
+        first = start if k == lw else 0
+        stop = wu.window(wv)
+        if first:
+            stop = max(stop, first + math.lcm(len(wu.tail), len(wv.tail)))
+        yield from zip(wu.take(stop, first), wv.take(stop, first))
+    if lw > w:
+        return
+    if lw < w:
+        start = 0
     if w < len(v.blocks):
-        yield from zip(u.final, v.blocks[w].take(len(u.final)))
+        yield from zip(u.final[start:], v.blocks[w].take(len(u.final), start))
     else:
-        yield from zip(u.final, v.final)
+        yield from zip(u.final[start:], v.final[start:])
 
 
 def _eq_star_pairs(u: SymNode, v: SymNode) -> Iterator[tuple[Entry, Entry]]:
@@ -733,25 +763,26 @@ def _me_above(level: AscentLevel, below_exclusive: bool, support: Optional[UPSet
 _AT_ZERO = Meet(0, 0, 1, 0)     # the column s = 0
 
 
-def _level_meets(t: SymNode, level: AscentLevel,
-                 skip_zero: bool = False) -> Iterator[tuple[AP, Meet]]:
+def _level_meets(t: SymNode, level: AscentLevel, skip_zero: bool = False,
+                 low: Optional[Ordinal] = None) -> Iterator[tuple[AP, Meet]]:
     """(ap, meet) for each piece of the level and each coordinate class
-    (`_slot_pairs`): the positions (m, s) at which t(m), for t of the
-    level's height, and the member at index ap.member(s) share a value
-    there. An exception keyed k is AP(k, 1) at position 0, and a coordinate
-    meeting it at every m is its only meet. With skip_zero, index 0 is left
-    out: a cell from 0 is read from its position 1 on (intercept d + c),
-    and the exception keyed 0 yields nothing."""
+    (`_slot_pairs`, from the coordinate `low` on when it is given): the
+    positions (m, s) at which t(m), for t of the level's height, and the
+    member at index ap.member(s) share a value there. An exception keyed k
+    is AP(k, 1) at position 0, and a coordinate meeting it at every m is its
+    only meet. With skip_zero, index 0 is left out: a cell from 0 is read
+    from its position 1 on (intercept d + c), and the exception keyed 0
+    yields nothing."""
     for cell in level.cells:
         lift = skip_zero and not cell.ap.start
         ap = AP(cell.ap.step, cell.ap.step) if lift else cell.ap
-        for et, ec in _slot_pairs(t, cell.template):
+        for et, ec in _slot_pairs(t, cell.template, low):
             a, b = (0, et) if et.__class__ is int else (et.a, et.b)
             c, d = (0, ec) if ec.__class__ is int else (ec.a, ec.b)
             yield ap, meet(a, b, c, d + c * lift)
     for k, v in level.exceptions:
         if k or not skip_zero:
-            hits = [meet(*entry_affine(et), 0, ev) for et, ev in _slot_pairs(t, v)]
+            hits = [meet(*entry_affine(et), 0, ev) for et, ev in _slot_pairs(t, v, low)]
             for hit in [ALL_MEET] if ALL_MEET in hits else hits:
                 yield AP(k, 1), hit.intersect(_AT_ZERO)
 

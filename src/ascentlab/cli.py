@@ -243,6 +243,7 @@ def cmd_surgery(args) -> int:
 def cmd_derive_branches(args) -> int:
     path = _load_path(args)
     fam = aposet.derive_branches(path, "all", args.xi)
+    path.check_base()
     me = fam.me_report()
     x0 = path.base.x.x0
     samples = {str(n): sz.enc_node(fam.branch(n)) for n in x0.intersect(fam.coherent).members(12)}

@@ -35,6 +35,42 @@ exclusivity record (`ascent.Exclusive`: set only by `_one_step` and
 names, so a forged, stale, copied or decoded level is walked in full).
 Coordinate β is the last one `me_family` walks, so a failure there reads
 as the full walk's.
+
+Stage lemma. Let stage i's z-map z_i pass the four z-bullets of
+`amalgam.check_z_bullets` against a condition whose top f_i has height η_i.
+Let a later stage j have a z-map z_j whose domain lies in z_i's, and a
+condition whose top f_j, of a height η_j above η_i in the same block,
+extends f_i with full support, whose tree has the level tuples of stage i's
+with no explicit level in (η_i, η_j], and each of whose z-values
+end-extends z_i's value at its key. Then at every key k of z_j and
+coordinate ε < η_i, z_j(k)(ε) = z_i(k)(ε) and f_j(τ)(ε) = f_i(τ)(ε). So
+z-top-level needs only the heights: z_j(k)↾η_i = z_i(k) lies in the tree,
+whose levels up to η_i are stage i's and whose levels above, up to η_j,
+are append levels. z-exclusive needs only the coordinates from η_i on, as
+stage i's pass covers those below (`ascent._slot_pairs` and
+`ascent._level_meets` take that lower bound). z-pairwise and z-vs-zero read
+only the last coordinate at a successor, which η_j is, and are checked as
+usual. The record of stage i's pass (`amalgam.ZBullets`) is read for the
+objects it names (`is`), only when `check_z_bullets` made it. It serves
+whether that pass was decided on whole or on carved pieces (below): the
+lemma reads it only at z_j's keys, which lie in z_i's domain, and every
+piece form holds each key of the domain with its value. The callers hold
+the other hypotheses:
+`game.strategy_ii_move` from II's previous move (full support from the
+one-step's graft, `ascent.AscentLevel.grafted`, and end-extension from the
+graft step), `amalgam.validate_chain` for each generated tail member after
+its adjacent checks, and `game.check_run_invariants` from its own records,
+`_chain_holds` and coherence results.
+
+Whole pieces. Each z-bullet speaks of every key, or every pair of distinct
+keys, and its value. So it holds on a z-map when it holds on pieces that
+hold every key and value of the map and maybe more: the entries in the
+domain and the cells uncarved (`amalgam.ZMap.whole`), the argument
+`ZMap.incoherent_key` already makes for z-coherence. z-pairwise at a
+successor skips a common value at one key, so those pieces are read only
+when no two share a key. `check_z_bullets` decides on them first and carves
+(`ZMap.pieces`) only when that fails, so each failure and its least key
+come from the carved pieces.
 """
 
 from __future__ import annotations

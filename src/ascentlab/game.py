@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .foundations import DEFAULT_X, FULL_SET, Ordinal, XSequence, ZERO, W_LIMIT
-from .ascent import AP, Cell, standard_append, supp
+from .ascent import AP, Cell, _grafted_from, standard_append, supp
 from .nodes import Ramp, graft
 from .conditions import (
     Condition, S_X, leq_s, one_step_extension, root_condition,
@@ -131,7 +131,12 @@ def _z_graft_step(prev: ZMap, new_lo: Ordinal, cond: Condition, offset: int) -> 
 
 def strategy_ii_move(state: GameState, stage: Optional[Ordinal] = None) -> Move:
     """II's move at the current stage (or an explicit one after a limit
-    jump); raises NotIIsTurn off turn."""
+    jump); raises NotIIsTurn off turn.
+
+    Evidence read: at a successor stage past 2, the record of II's move two
+    stages before (`Move.bullets`), for the stage lemma of its z-check (see
+    `amalgam.check_z_bullets`), when it covers that move's very objects and
+    the new top is grafted over that move's top."""
     stage = stage if stage is not None else state.next_stage
     if stage.n % 2 == 1:
         raise NotIIsTurn(f"stage {stage} belongs to I")
@@ -140,6 +145,7 @@ def strategy_ii_move(state: GameState, stage: Optional[Ordinal] = None) -> Move:
     if stage.is_limit:
         return _limit_move(state, stage)
     prev = state.at_stage(stage.pred())
+    after = None
     if stage == Ordinal(0, 2):
         cond = one_step_extension(prev.cond, prev.cond.eta)
         z = _fresh_z(cond, stage, state.mu, Z_OFFSET)
@@ -149,7 +155,14 @@ def strategy_ii_move(state: GameState, stage: Optional[Ordinal] = None) -> Move:
         if alpha.z is None:
             raise StateCorrupt(f"stage {alpha.stage} lacks its auxiliary family")
         z = _z_graft_step(alpha.z, stage, cond, Z_OFFSET)
-    return Move(stage, "II", cond, z, check_z_bullets(stage, cond, z, state.mu, False))
+        # the lemma's other hypotheses: the new top is grafted over alpha's
+        # (full support), and each value of z is alpha's value at its key
+        # grafted under the 0-column and appended (end-extension)
+        ev = alpha.bullets
+        if ev is not None and ev.covers(alpha.stage, alpha.cond, alpha.z, state.mu, False) \
+                and _grafted_from(alpha.cond.top, cond.top):
+            after = ev
+    return Move(stage, "II", cond, z, check_z_bullets(stage, cond, z, state.mu, False, after))
 
 
 def _game_tail(state: GameState) -> ChainTail:
@@ -281,15 +294,21 @@ def check_run_invariants(t: Transcript) -> InvariantReport:
     The filter set is X_xi of the run's X-sequence, read from its first
     condition; leq_s raises WrongVariant on a move from another poset.
     All pairs of moves are enumerated only when the consecutive ones fail.
-    No record a move carries (`Move.bullets`) is read: each even move's
-    z-bullets are checked in full here."""
+
+    Evidence read: only what this check computes. No record a move carries
+    (`Move.bullets`) is read. An even move's z-bullets are checked with the
+    record of the even move before as `after` (the stage lemma, see
+    `amalgam.check_z_bullets`) when this check passed that move's z-bullets,
+    `_chain_holds` holds (full support between consecutive even tops) and
+    the two z-maps are coherent; otherwise in full."""
     moves = t.moves
     if not moves:
         return InvariantReport(True)
     fails: list[str] = []
     xxi = moves[0].cond.x.entry(t.xi)
     tops = [mv.cond.top for mv in moves]
-    if not _chain_holds(moves, tops, xxi):
+    holds = _chain_holds(moves, tops, xxi)
+    if not holds:
         for i, a in enumerate(moves):
             for j in range(i + 1, len(moves)):
                 b = moves[j]
@@ -301,16 +320,17 @@ def check_run_invariants(t: Transcript) -> InvariantReport:
                     fails.append(f"(i) stages {a.stage},{b.stage}: support misses the filter set")
                 if a.z is not None and b.z is not None and s != FULL_SET:
                     fails.append(f"(iii) even stages {a.stage},{b.stage}: support not full")
-    for mv in moves:
-        if mv.z is None:
-            continue
-        try:
-            check_z_bullets(mv.stage, mv.cond, mv.z, t.mu, False)
-        except HypothesisViolated as e:
-            fails.append(f"(ii) stage {mv.stage}: {e.bullet}")
     evens = [mv for mv in moves if mv.z is not None]
-    for a, b in zip(evens, evens[1:]):
-        k = a.z.incoherent_key(b.z)
+    keys = [a.z.incoherent_key(b.z) for a, b in zip(evens, evens[1:])]
+    ev = None                       # this check's record of the even move before
+    for i, mv in enumerate(evens):
+        after = ev if holds and i and keys[i - 1] is None else None
+        try:
+            ev = check_z_bullets(mv.stage, mv.cond, mv.z, t.mu, False, after)
+        except HypothesisViolated as e:
+            ev = None
+            fails.append(f"(ii) stage {mv.stage}: {e.bullet}")
+    for b, k in zip(evens[1:], keys):
         if k is not None:
             fails.append(f"(iii) branch {k} not increasing at stage {b.stage}")
     return InvariantReport(not fails, tuple(fails))

@@ -338,9 +338,11 @@ def dec_zmap(d: Any, where: str = "z") -> ZMap:
     cells = [(_int_field(e, "block", f"{where}.cells[{i}]", 0),
               dec_cell(e.get("cell"), f"{where}.cells[{i}].cell"))
              for i, e in enumerate(_objects(d, "cells", where))]
-    entries = {dec_ordinal(e.get("key"), f"{where}.entries[{i}].key"):
-               dec_node(e.get("node"), where=f"{where}.entries[{i}].node")
-               for i, e in enumerate(_objects(d, "entries", where))}
+    entries = {}
+    for i, e in enumerate(_objects(d, "entries", where)):
+        k = dec_ordinal(e.get("key"), f"{where}.entries[{i}].key")
+        _expect(k not in entries, f"{where}.entries[{i}].key: repeated key {k}")
+        entries[k] = dec_node(e.get("node"), where=f"{where}.entries[{i}].node")
     return amalgam.ZMap.make(lo, hi, closed_hi, cells, entries)
 
 

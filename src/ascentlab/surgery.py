@@ -36,11 +36,6 @@ class NonExclusiveBranches(Rejected):
     """The derived branches the surgery keeps are not mutually exclusive."""
 
 
-class InvalidPathBase(Rejected):
-    """The path's base condition fails check_condition, so the surgery's
-    output cannot pass it either."""
-
-
 def canonical_pi(x: XSequence, n0: int) -> PiecewiseMap:
     """Identity on X_1, order isomorphism of the rest onto the kept part of
     X_0; deterministic."""
@@ -75,7 +70,8 @@ def branch_surgery(path: PathDescriptor, n0: int,
     minus n0 are mutually exclusive. Every stated consequence is re-verified
     before returning: the result extends path.base under leq_s and passes
     check_condition. A failure raises InvalidPathBase when path.base itself
-    fails check_condition, and PostconditionFailed otherwise."""
+    fails check_condition (`PathDescriptor.check_base`), and
+    PostconditionFailed otherwise."""
     x = path.base.x
     x.validate("s4")
     if n0 not in x.x0 or n0 in x.entry(1):
@@ -116,9 +112,7 @@ def branch_surgery(path: PathDescriptor, n0: int,
     # consequences, re-verified; the base is checked only when one fails,
     # so that an invalid input is told apart from a defect of the surgery
     def fail(msg: str) -> NoReturn:
-        rep = check_condition(base, base.variant)
-        if not rep.ok:
-            raise InvalidPathBase("the path's base condition is invalid: " + "; ".join(rep.violations))
+        path.check_base()
         raise PostconditionFailed(msg)
     if tree_contains(out.tree, fam.branch(n0)):
         fail("the omitted branch is in the tree")

@@ -393,7 +393,7 @@ def probe_key_z_bullets(beta, cond, z, delta, closed):
     successor heights, pairwise difference over the whole domain. Raises
     HypothesisViolated with the failing bullet."""
     from ascentlab.amalgam import (
-        HypothesisViolated, ZBullets, _first_collision, _last_entry_pieces, _run_on,
+        HypothesisViolated, ZBullets, _first_collision, _last_entry_pieces,
     )
     from ascentlab.ascent import AscentLevel, me_cross, me_set_concrete
     from ascentlab.foundations import singleton
@@ -412,12 +412,9 @@ def probe_key_z_bullets(beta, cond, z, delta, closed):
             raise HypothesisViolated("z-top-level", f"z({k}) outside the tree")
     # pairwise eventual difference: at successor heights this is distinct
     # last entries over the whole domain, decided by the one-coordinate
-    # collision analysis of the exclusivity walk; a finite top block is
-    # listed key by key only when `_run_on(z)` has a collision
+    # collision analysis of the exclusivity walk
     if eta.is_successor:
-        last = eta.pred()
-        hit = _first_collision(_last_entry_pieces(_run_on(z).pieces(), last)) and \
-            _first_collision(_last_entry_pieces(z.pieces(), last))
+        hit = _first_collision(_last_entry_pieces(z.pieces(), eta.pred()))
         if hit:
             raise HypothesisViolated("z-pairwise", f"z({Ordinal(*hit[0])}) =* z({Ordinal(*hit[1])})")
     else:

@@ -289,6 +289,24 @@ def test_z_pairwise_collision_between_cells_past_the_probe_keys():
     assert e.value.bullet == "z-pairwise"
 
 
+def test_z_pairwise_collision_behind_a_shared_key():
+    """II's stage-2 move with its z cell replaced by two overlapping cells
+    of one template, over the keys 3, 5, 7 and 3, 4, 5, ...: whole, they
+    first take one value at the one key 3 (position 0 of both), which
+    `_first_collision` skips; carved, the second holds 4 and 6, and z(5)
+    and z(4) share their last entry. So pieces that share a key are not
+    read whole."""
+    from ascentlab.amalgam import _keys_apart, check_z_bullets
+    from ascentlab.game import onestep_opponent, play_game
+    move = play_game(Ordinal(0, 8), onestep_opponent(), 0).moves[2]
+    z = move.z
+    t = SymNode((), (0, Ramp(16, 337)))
+    bad = ZMap.make(z.lo, z.hi, z.closed_hi, [(0, Cell(AP(3, 2), t)), (0, Cell(AP(3, 1), t))])
+    assert bad.at(Ordinal(0, 5)) == bad.at(Ordinal(0, 4)) and not _keys_apart(bad.whole())
+    with pytest.raises(HypothesisViolated, match=r"\(z-pairwise\): z\(5\) =\* z\(4\)"):
+        check_z_bullets(move.stage, move.cond, bad, z.hi, z.closed_hi)
+
+
 @settings(max_examples=80, deadline=None)
 @given(zmaps_and_cuts())
 @example((ZMap.make(Ordinal(0, 0), Ordinal(2, 0), False,
@@ -319,22 +337,31 @@ def test_last_entry_collision_matches_window(case):
 @example((ZMap.make(Ordinal(0, 0), Ordinal(3, 4), False,
                     [(3, Cell(AP(0, 1), SymNode((BlockWord.make((), (0,)),), (0,))))]), None),
          Ordinal(3, 4))
-def test_domain_run_on_keeps_every_collision(case, hi):
-    """z-pairwise lists the keys of a finite top block one by one only when
-    the map with its domain run on to the next limit has a collision. That
-    map has z's keys and more, with the same last entries, in pieces that
-    keep z's keys apart, so each collision of z is one of it. In the example
-    the top block has no next limit (w3+4), and z is kept as it is."""
+@example((ZMap.make(Ordinal(0, 0), Ordinal(1, 0), False,
+                    [(0, Cell(AP(0, 2), SymNode((BlockWord.make((), (0,)),), (Ramp(1, 0),)))),
+                     (0, Cell(AP(0, 1), SymNode((BlockWord.make((), (0,)),), (Ramp(1, 0),))))]),
+          None), Ordinal(1, 0))
+def test_whole_pieces_keep_every_collision(case, hi):
+    """z-pairwise is decided on a map's carved pieces only when its whole
+    pieces (`ZMap.whole`) have a collision or two of them share a key.
+    These hold z's keys and values and more, so when their keys lie apart
+    each collision of z is one of them. In the first example the cell runs
+    past the top block's end (w3+4). In the second the first cell holds the
+    even keys, key 2 valued 1, and the second the odd keys, key 1 valued 1;
+    whole, the two cells first meet at the one key 0, which the collision
+    test skips, so whole pieces that share keys are not read."""
     import dataclasses
-    from ascentlab.amalgam import _last_entry_pieces, _run_on
+    from ascentlab.amalgam import _keys_apart, _last_entry_pieces
     from ascentlab.ascent import _first_collision
     z = dataclasses.replace(case[0], hi=hi)
     last = Ordinal(1, 0)
-    wide = _run_on(z)
-    assert (wide.lo, wide.cells, wide.entries) == (z.lo, z.cells, z.entries)
-    assert all(wide.in_domain(k) for k in zmap_window(z, 4, 48))
-    if _first_collision(_last_entry_pieces(z.pieces(), last)) is not None:
-        assert _first_collision(_last_entry_pieces(wide.pieces(), last)) is not None
+    whole = z.whole()
+    if _first_collision(_last_entry_pieces(z.pieces(), last)) is not None and _keys_apart(whole):
+        assert _first_collision(_last_entry_pieces(whole, last)) is not None
+    keys = [(w, loc) for w, loc, _ in whole if loc.__class__ is int] + \
+        [(w, loc.member(m)) for w, loc, _ in whole if loc.__class__ is not int for m in range(40)]
+    if len(set(keys)) < len(keys):
+        assert not _keys_apart(whole)
 
 
 def test_amalgam_top_member_outside_the_tree_raises(monkeypatch):
@@ -536,15 +563,17 @@ def test_z_bullets_member_eventually_equal_to_zero_past_the_probe_keys():
 def test_z_bullets_read_only_the_keys_of_a_finite_top_block():
     """Stage 2 of an 8-stage game with top member 0 made <0, 417>: the z
     cell's member at position 5 is that node, but its key 8 lies outside
-    the domain (2, 8). The run-on map fails z-vs-zero there, and z's own
-    pieces, which list the keys 3..7, decide: the stage passes."""
+    the domain (2, 8). The map run on to w fails z-vs-zero there, and so
+    do z's whole pieces, whose cell runs on past 8; z's carved pieces,
+    which list the keys 3..7, decide: the stage passes."""
     beta, cond, z = stage_two(Ordinal(0, 8))
     top = cond.top
     top = AscentLevel.make(top.height, top.cells, {0: with_last(top.at(0), 417)})
     cond = Condition(cond.tree, cond.path.with_level(cond.eta, top), cond.variant, cond.x)
-    wide = amalgam._run_on(z)
+    wide = ZMap(z.lo, z.hi.next_limit(), False, z.cells, z.entries)
     assert wide.at(Ordinal(0, 8)) == top.at(0) and not z.in_domain(Ordinal(0, 8))
     assert z_outcome(check_z_bullets, beta, cond, wide, wide.hi)[0] == "z-vs-zero"
+    assert amalgam._z_fault(cond, z, z.whole())[0] == "z-vs-zero"
     assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == "ok"
 
 

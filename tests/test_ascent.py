@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascentlab.foundations import (
-    AP, EMPTY_SET, EVENS, FULL_SET, ODDS, OMEGA, Ordinal, UPSet, finite_set, multiples,
+    AP, EMPTY_SET, EVENS, FULL_SET, ODDS, OMEGA, ZERO, Ordinal, UPSet, finite_set, multiples,
 )
 from ascentlab.ascent import (
     AscentLevel, AscentPath, Cell, PiecewiseMap, TailRule, _agree_positions, constant_level,
@@ -714,3 +714,37 @@ def test_eq_star_set_matches_window(case):
 def test_eq_star_set_of_different_heights_is_empty():
     assert eq_star_set(level_2tau(2), level_2tau(3)) == EMPTY_SET
     assert eq_star_set(root_level(), root_level()) == FULL_SET
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_slot_pairs_from_a_lower_bound(data):
+    """_slot_pairs(u, v, low) yields the entry pairs of u and v at the
+    coordinates from low on below u's domain, one per coordinate class: as
+    a set, those read coordinate by coordinate over a window of every block
+    (prefixes and tails of at most two entries repeat within 12)."""
+    from ascentlab.ascent import _slot_pairs
+    hv = Ordinal(data.draw(st.integers(0, 2)), data.draw(st.integers(0, 3)))
+    wu = data.draw(st.integers(0, hv.w))
+    hu = Ordinal(wu, data.draw(st.integers(0, hv.n if wu == hv.w else 3)))
+    u, v = data.draw(nodes_of(hu, ENTRIES)), data.draw(nodes_of(hv, ENTRIES))
+    low = Ordinal(data.draw(st.integers(0, hu.w + 1)), data.draw(st.integers(0, 6)))
+    coords = [Ordinal(w, j) for w in range(hu.w) for j in range(12)] + \
+        [Ordinal(hu.w, j) for j in range(hu.n)]
+    want = {(u.entry_at(e), v.entry_at(e)) for e in coords if e >= low}
+    assert set(_slot_pairs(u, v, low)) == want
+    assert set(_slot_pairs(u, v, None)) == set(_slot_pairs(u, v, ZERO)) == \
+        {(u.entry_at(e), v.entry_at(e)) for e in coords}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_value_at_reads_the_member(data):
+    """value_at(tau, eps) is member tau's value at eps, for exception and
+    cell indices alike."""
+    h = Ordinal(data.draw(st.integers(0, 1)), data.draw(st.integers(1, 3)))
+    f = data.draw(families_at(h))
+    tau = data.draw(st.integers(0, 16))
+    eps = Ordinal(data.draw(st.integers(0, h.w)), data.draw(st.integers(0, 5)))
+    if eps < h:
+        assert f.value_at(tau, eps) == f.at(tau).eval_at(eps)

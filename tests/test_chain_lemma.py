@@ -24,12 +24,12 @@ from ascentlab.ascent import (
 )
 from ascentlab.conditions import S_THETA, S_X, VARIANTS, Condition, check_condition
 from ascentlab.fixtures import bad_path_conditions, random_tower
-from ascentlab.foundations import DEFAULT_X, Ordinal, UPSet, XSequence, multiples
+from ascentlab.foundations import DEFAULT_X, ZERO, Ordinal, UPSet, XSequence, multiples
 from ascentlab.game import check_run_invariants, play_game, random_opponent
-from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, mk_entry
+from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, mk_entry, node_patch
 from oracles import (
     all_pairs_chain_violations, all_pairs_run_invariants, append_via_make, full_walk_me_chain,
-    graft_via_make, restrict_via_make, tail_level_via_make,
+    graft_via_make, probe_keys, restrict_via_make, tail_level_via_make,
 )
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -320,3 +320,126 @@ def test_run_invariants_match_all_pairs(t):
 def test_run_invariants_match_all_pairs_over_the_run_x(t):
     """Runs played over another X-sequence are checked against its sets."""
     assert check_run_invariants(t) == all_pairs_run_invariants(t, OTHER_X)
+
+
+# -- the stage lemma: each z-check after the first reads what its stage adds -----
+
+def patched_z(z, eps, value):
+    """z with coordinate eps set to `value` in its first cell's template,
+    or, without cells (past the last limit), in its first entry."""
+    from ascentlab.amalgam import ZMap
+    if z.cells:
+        (w, c), *rest = z.cells
+        return dataclasses.replace(z, cells=((w, Cell(c.ap, node_patch(c.template, {eps: value}))),
+                                             *rest))
+    (k, v), *rest = z.entries
+    return ZMap.make(z.lo, z.hi, z.closed_hi, (), {k: node_patch(v, {eps: value}), **dict(rest)})
+
+
+def patched_top(cond, value):
+    """cond with coordinate 0 of its top's first cell template set to
+    `value`; the tree and the other levels are kept."""
+    top = cond.top
+    (c, *rest) = top.cells
+    top = AscentLevel(top.height, (Cell(c.ap, node_patch(c.template, {ZERO: value})), *rest),
+                      top.exceptions)
+    return Condition(cond.tree, cond.path.with_level(cond.eta, top), cond.variant, cond.x)
+
+
+@st.composite
+def corrupted_runs(draw):
+    """A played run and a corruption of one even successor move past stage
+    2: a z value or a top cell entry meeting the other at coordinate 0 (a
+    collision below the move's height that a misread lemma would skip), a
+    z value meeting the top at the first coordinate the move adds (which
+    the lemma must read), such a z at coordinate 0 carried with a forged
+    record or one copied by `dataclasses.replace`, or I's next move with a
+    level below swapped.
+    Returns the run, the moves before the next even stage, and that stage
+    (None when the corrupted move is the run's last even move)."""
+    from ascentlab.amalgam import ZBullets
+    mu = draw(st.sampled_from([Ordinal(0, 8), Ordinal(0, 14), Ordinal(1, 6), Ordinal(2, 2)]))
+    t = play_game(mu, random_opponent(draw(st.integers(0, 10**6))), draw(st.integers(0, 2)))
+    moves = list(t.moves)
+    evens = [i for i, mv in enumerate(moves) if mv.bullets is not None and mv.stage > Ordinal(0, 2)]
+    i = draw(st.sampled_from(evens))
+    mv = moves[i]
+    kind = draw(st.sampled_from(["none", "z", "mid", "top", "forged", "replaced", "swap"]))
+    key = probe_keys(mv.z)[0]
+    low_z = patched_z(mv.z, ZERO, mv.cond.top.at(1).eval_at(ZERO))
+    if kind == "z":
+        moves[i] = dataclasses.replace(mv, z=low_z)
+    elif kind == "mid":
+        # the first coordinate this stage adds: the z-values still extend
+        # the earlier stage's, so the invariants read this move by the lemma
+        eps = next(m for m in moves[i - 1::-1] if m.z is not None).cond.eta
+        moves[i] = dataclasses.replace(mv, z=patched_z(mv.z, eps, mv.cond.top.at(1).eval_at(eps)))
+    elif kind == "top":
+        moves[i] = dataclasses.replace(mv, cond=patched_top(mv.cond, mv.z.at(key).eval_at(ZERO)))
+    elif kind == "forged":
+        forged = ZBullets(mv.stage, mv.cond, low_z, mu, False)
+        moves[i] = dataclasses.replace(mv, z=low_z, bullets=forged)
+    elif kind == "replaced":
+        copied = dataclasses.replace(mv.bullets, z=low_z)
+        moves[i] = dataclasses.replace(mv, z=low_z, bullets=copied)
+    later = [j for j in range(i + 1, len(moves)) if moves[j].z is not None]
+    if kind == "swap" and later and moves[later[0] - 1].mover == "I":
+        # I's move before the next even stage with the members 0 and 1 of its
+        # level at this move's height swapped: an exclusive level that the
+        # next top is grafted over, so the z-values (which repeat member 0
+        # below this height) meet member 1 there
+        odd = moves[later[0] - 1]
+        h = mv.cond.eta
+        lvl = odd.cond.level(h)
+        lvl = AscentLevel.make(h, lvl.cells, {**dict(lvl.exceptions), 0: lvl.at(1), 1: lvl.at(0)})
+        moves[later[0] - 1] = dataclasses.replace(odd, cond=Condition(
+            odd.cond.tree, odd.cond.path.with_level(h, lvl), odd.cond.variant, odd.cond.x))
+    nxt = moves[later[0]].stage if later else None
+    return dataclasses.replace(t, moves=tuple(moves)), moves[:later[0]] if later else None, nxt
+
+
+@settings(max_examples=40, deadline=None)
+@given(corrupted_runs())
+def test_stage_lemma_gives_the_full_check(case):
+    """Every z-check a site decides by the stage lemma (play, validate_chain
+    inside a limit move, check_run_invariants) has the verdict, bullet and
+    least key of the full check; a record is read only for the objects it
+    names; and the invariants agree with the all-pairs reference."""
+    from ascentlab import amalgam, game
+    from ascentlab.game import GameState, strategy_ii_move
+    t, prefix, nxt = case
+    check = amalgam.check_z_bullets
+    lemma_calls = []
+
+    def spy(beta, cond, z, delta, closed, after=None):
+        if after is not None:
+            lemma_calls.append(((beta, cond, z, delta, closed), after))
+        return check(beta, cond, z, delta, closed, after)
+
+    def outcome(args, after=None):
+        try:
+            check(*args, after)
+            return "ok"
+        except amalgam.HypothesisViolated as e:
+            return e.bullet, str(e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amalgam, "check_z_bullets", spy)
+        mp.setattr(game, "check_z_bullets", spy)
+        if nxt is not None:
+            state = GameState(t.mu, t.xi, t.moves[0].cond.x, list(prefix))
+            try:
+                strategy_ii_move(state, nxt)
+            except amalgam.HypothesisViolated:
+                pass
+        report = check_run_invariants(t)
+    # a window of 16 keys per block holds every key of the finite runs here
+    # and the least key of each corrupted move's domain
+    assert report == all_pairs_run_invariants(t, DEFAULT_X, 16)
+    carried = {id(mv.bullets): mv for mv in t.moves if mv.bullets is not None}
+    for args, after in lemma_calls:
+        assert after.sealed
+        assert outcome(args, after) == outcome(args)
+        # a record the run carries is read only for the objects of its move
+        mv = carried.get(id(after))
+        assert mv is None or after.covers(mv.stage, mv.cond, mv.z, t.mu, False)

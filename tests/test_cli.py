@@ -67,6 +67,18 @@ SCHEME_LABELS = ("tail", "schemes", 0, "exception_labels")
 LABELS_AT = "chain.tail.schemes[0].exception_labels"
 
 
+def repeated_z_entry(const=None):
+    """An edit of a chain: the first entry of member 0's z-map listed twice,
+    the copy's last entry set to `const` when given."""
+    def edit(d):
+        entries = d["members"][0]["z"]["entries"]
+        copy = json.loads(json.dumps(entries[0]))
+        if const is not None:
+            copy["node"]["final"][-1] = {"const": const}
+        entries.insert(1, copy)
+    return edit
+
+
 def edited_input_file(tmp_path, cmd: str, edit) -> str:
     """The encoding after `edit` of the input `cmd` reads: the standard
     amalgamation chain for amalgamate, the tower(2) condition otherwise."""
@@ -223,6 +235,10 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
     (["amalgamate", set_at(SCHEME_LABELS, {"a": 2})], f"{LABELS_AT}: expected an object keyed by"),
     (["amalgamate", set_at(SCHEME_LABELS, {"0": "2"})],
      f"{LABELS_AT}.0: expected an int, got '2'"),
+    # the decoder kept the last entry of a key, `ZMap.at` answers with the
+    # first: the copy valued 5 failed z-coherence, the identical copy passed
+    (["amalgamate", repeated_z_entry(5)], "chain.members[0].z.entries[1].key: repeated key w"),
+    (["amalgamate", repeated_z_entry()], "chain.members[0].z.entries[1].key: repeated key w"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
         "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
         "derive-branches-not-linked", "surgery-not-linked",
@@ -238,7 +254,8 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
         "amalgamate-z-entries-not-list", "amalgamate-z-lo-null", "amalgamate-beta-not-object",
         "amalgamate-condition-not-object", "amalgamate-labels-list", "amalgamate-labels-string",
         "amalgamate-labels-int", "amalgamate-labels-key-not-index",
-        "amalgamate-labels-value-not-int"])
+        "amalgamate-labels-value-not-int", "amalgamate-z-key-repeated",
+        "amalgamate-z-key-repeated-identical"])
 def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     if isinstance(argv[-1], tuple):
         argv = argv[:-1] + [bad_triple_file(tmp_path, *argv[-1])]
@@ -389,16 +406,19 @@ def test_surgery_and_branches_cli(tmp_path, capsys):
 
 
 def level_4_replaced(cond, starts, step, tmp_path) -> str:
-    """A path file over `cond` (height 4) whose level 4 is the constant node
-    7 on the progressions start + step*k for the given starts."""
+    """A path file over `cond` (height 4) whose level 4 takes the odd value
+    2*tau + 4001 at every coordinate on the progressions start + step*k for
+    the given starts: an exclusive family, so the base stays a valid
+    condition (`derive-branches` rejects an invalid base)."""
     from ascentlab.aposet import PathDescriptor
     from ascentlab.ascent import AP, Cell, fill_level
     from ascentlab.conditions import Condition
-    from ascentlab.nodes import const_node
+    from ascentlab.nodes import Ramp, SymNode
     h = Ordinal(0, 4)
     lvl = cond.level(h)
     for start in starts:
-        lvl = fill_level(h, [Cell(AP(start, step), const_node(7, h))], [], lvl)
+        odd = SymNode((), (Ramp(2 * step, 2 * start + 4001),) * h.n)
+        lvl = fill_level(h, [Cell(AP(start, step), odd)], [], lvl)
     path = PathDescriptor(Condition(cond.tree, cond.path.with_level(h, lvl), cond.variant, cond.x))
     p = tmp_path / "replaced.json"
     p.write_text(json.dumps(sz.enc_path_descriptor(path)))
@@ -693,6 +713,21 @@ def test_surgery_on_an_invalid_base_exit_2(edit, error, tmp_path, capsys):
     assert code == 2 and json.loads(out) == {"command": "surgery", "error": error}
 
 
+def test_derive_branches_on_an_invalid_base_exit_2(tmp_path, capsys):
+    """derive-branches checks the path's base as surgery does: the base
+    whose level 4 repeats a label at (0,3) is rejected with its
+    violations (it exited 0 and printed branches of the invalid path)."""
+    edit = set_at(("base", "path", "levels", 4, "level", "cells", 0, "template", "final", 3),
+                  {"const": 0})
+    code = main(["derive-branches", "--path", path_file(tmp_path, edit)])
+    out = capsys.readouterr().out
+    assert code == 2 and json.loads(out) == {
+        "command": "derive-branches",
+        "error": BASE_INVALID + "clause C2 (ascent-path): level 4 not mutually exclusive: indices "
+        "0,1 share a value at (0,3); clause C4 (exclusivity-filter): level 4: constant append "
+        "labels on AP(0+1m)"}
+
+
 @pytest.mark.parametrize("keys, value, error", [
     (("block",), 1, "path.tails[0].rule.base: height 4 is not in block 1"),
     (("block",), "0", "path.tails[0].block: expected an int >= 0, got '0'"),
@@ -876,7 +911,7 @@ REJECTED = {
     "conditions": "WrongVariant InvalidBeta NonExclusiveTop LostComparability NotSuccessorHeight",
     "ascent": "ShortScheme", "trees": "NoCatalog", "amalgam": "NotUniformTail HypothesisViolated",
     "sealing": "SealTripleInvalid OracleMismatch NodeNotInTree",
-    "surgery": "BadPi NonExclusiveBranches InvalidPathBase", "aposet": "NotLinked",
+    "surgery": "BadPi NonExclusiveBranches", "aposet": "NotLinked InvalidPathBase",
 }
 NOT_REJECTED = {
     "foundations": "PostconditionFailed BadHeight UndecidableRepresentation",

@@ -298,6 +298,89 @@ def test_corrupted_member_with_stale_evidence_raises():
     assert e.value.bullet == "z-pairwise"
 
 
+def lemma_checks(fn, *args) -> list[Ordinal]:
+    """The stages whose z-checks the stage lemma bounds below while
+    fn(*args) runs."""
+    from scaling import z_walks
+    with z_walks() as walks:
+        try:
+            fn(*args)
+        except HypothesisViolated:
+            pass
+    return walks["lemma"]
+
+
+def stage_pair(mu=Ordinal(0, 8)):
+    """The run of a one-step game, its stage-2 move and the arguments of
+    its stage-4 z-check."""
+    t = play_game(mu, onestep_opponent(), 0)
+    mv2, mv4 = [mv for mv in t.moves if mv.z is not None][:2]
+    return t, mv2, (mv4.stage, mv4.cond, mv4.z, t.mu, False)
+
+
+def test_stage_lemma_reads_only_records_the_check_made():
+    """Stage 4's z-check reads stage 2's record by the stage lemma. A record
+    built by hand, or copied by `dataclasses.replace`, equals it but is no
+    evidence, in check_z_bullets and in II's move; a decoded chain's
+    members are checked in full, its tail members from the records this
+    check made."""
+    from ascentlab.amalgam import ZBullets, check_z_bullets
+    t, mv2, args = stage_pair()
+    ev = mv2.bullets
+    assert ev.sealed and ev.covers(mv2.stage, mv2.cond, mv2.z, t.mu, False)
+    assert lemma_checks(check_z_bullets, *args, ev) == [args[0]]
+    forged = ZBullets(mv2.stage, mv2.cond, mv2.z, t.mu, False)
+    for rec in (forged, dataclasses.replace(ev)):
+        assert rec == ev and not rec.sealed
+        assert not rec.covers(mv2.stage, mv2.cond, mv2.z, t.mu, False)
+        assert lemma_checks(check_z_bullets, *args, rec) == []
+        state = GameState(t.mu, 0, moves=list(t.moves[:4]))
+        state.moves[2] = dataclasses.replace(mv2, bullets=rec)
+        assert lemma_checks(strategy_ii_move, state, args[0]) == []
+        state.moves[2] = mv2
+        assert lemma_checks(strategy_ii_move, state, args[0]) == [args[0]]
+    from ascentlab import serialize as sz
+    ch = limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]
+    decoded = sz.dec_chain(sz.enc_chain(ch))
+    assert all(m.bullets is None for m in decoded.members)
+    assert lemma_checks(validate_chain, decoded) == [m.beta for m in decoded.sample_members()[-2:]]
+
+
+@pytest.mark.parametrize("height", [4, 2], ids=["top", "below"])
+def test_stage_lemma_not_read_over_an_explicit_level(height):
+    """Stage 4's tree with its level 4 (its top), or level 2 (stage 2's
+    top), listed as the members of z(5) and z(6) there: z(7) is outside it.
+    The tree's level tuples are not stage 2's, so its record is not read,
+    and the check names z(7) as the full check does."""
+    from ascentlab.amalgam import check_z_bullets
+    from ascentlab.trees import SymTree
+    t, mv2, (beta, cond, z, mu, closed) = stage_pair()
+    h = Ordinal(0, height)
+    listed = tuple(z.at(Ordinal(0, n)).restrict(h) for n in (5, 6))
+    tree = SymTree.make(cond.tree.height, {h: listed}, cond.tree.catalogs)
+    cond = Condition(tree, cond.path, cond.variant, cond.x)
+    assert lemma_checks(check_z_bullets, beta, cond, z, mu, closed, mv2.bullets) == []
+    with pytest.raises(HypothesisViolated, match=r"\(z-top-level\): z\(7\) outside the tree"):
+        check_z_bullets(beta, cond, z, mu, closed, mv2.bullets)
+
+
+def test_stage_lemma_not_read_over_a_listed_level_above_a_member():
+    """A chain's last member with one node listed at the height above its
+    top: its own z-check and its pairs do not read that level, but its tail
+    members share the tree's level tuples and grow through it, so their
+    z-values fall outside the tree. The level lies between the two tops, so
+    the stage lemma is not read, and validate_chain names the failure."""
+    from ascentlab.trees import SymTree
+    ch = limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]
+    m = ch.members[-1]
+    h = m.cond.eta.succ()
+    tree = SymTree.make(m.cond.tree.height, {h: (const_node(1, h),)}, m.cond.tree.catalogs)
+    bad = with_member(ch, len(ch.members) - 1,
+                      cond=Condition(tree, m.cond.path, m.cond.variant, m.cond.x))
+    with pytest.raises(HypothesisViolated, match=r"\(z-top-level\): z\(9\) outside the tree"):
+        validate_chain(bad)
+
+
 def test_decreasing_failure_names_the_first_pair_in_order():
     """A member that extends none of its predecessors fails against the
     first member before its neighbour."""
@@ -316,8 +399,13 @@ def test_long_game_collision_and_walk_counts(monkeypatch):
     walk O(n) coordinates: 2,779,904 calls deciding a pair of value pieces
     (`_least_shared`) when every z-pairwise check compared all pairs of the
     domain's points, and 32,640 value piece lists when every one-step walked
-    its whole top."""
+    its whole top. By the stage lemma, each even stage's z-check after the
+    first reads only the coordinates its stage adds: `_slot_pairs` yields
+    O(n) entry pairs (32,766 when every z-check walked every coordinate),
+    and only stage 2 is walked in full, once in play and once in the
+    invariants (127 and 127 before)."""
     from ascentlab import ascent
+    from scaling import counted_long_game
     counts = {"pairs": 0, "walk": 0}
 
     def counting(key, fn):
@@ -328,9 +416,11 @@ def test_long_game_collision_and_walk_counts(monkeypatch):
     monkeypatch.setattr(ascent, "_least_shared", counting("pairs", ascent._least_shared))
     monkeypatch.setattr(ascent, "_value_pieces", counting("walk", ascent._value_pieces))
     n = 256
-    t = play_game(Ordinal(0, n), random_opponent(3), 0)
-    assert t.verdict == "II_completed" and check_run_invariants(t).ok
+    t, report, calls, walks = counted_long_game(n)
+    assert t.verdict == "II_completed" and report.ok
     assert counts["pairs"] <= n and counts["walk"] <= 2 * n
+    assert calls["_slot_pairs"] <= 4 * n
+    assert walks == {"play": [Ordinal(0, 2)], "invariants": [Ordinal(0, 2)]}
 
 
 def test_game_builds_levels_and_trees_without_rechecks(monkeypatch):
