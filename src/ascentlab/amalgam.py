@@ -38,9 +38,9 @@ from .trees import (
 
 
 class HypothesisViolated(Rejected):
-    def __init__(self, bullet: str, detail: str = "") -> None:
+    def __init__(self, bullet: str, detail: str) -> None:
         self.bullet = bullet
-        super().__init__(f"chain hypothesis failed ({bullet})" + (f": {detail}" if detail else ""))
+        super().__init__(f"chain hypothesis failed ({bullet}): {detail}")
 
 
 class NotUniformTail(Rejected):
@@ -80,8 +80,10 @@ class ZMap:
 
     @staticmethod
     def make(lo, hi, closed_hi=False, cells=(), entries=()) -> "ZMap":
+        """Entries sorted stably by key: a key listed twice keeps its order."""
         return ZMap(lo, hi, closed_hi,
-                    tuple(cells), tuple(sorted(entries.items() if isinstance(entries, dict) else entries)))
+                    tuple(cells), tuple(sorted(entries.items() if isinstance(entries, dict) else entries,
+                                               key=itemgetter(0))))
 
     def in_domain(self, i: Ordinal) -> bool:
         if i <= self.lo:
@@ -507,9 +509,9 @@ def _incoherent(earlier: list, later: list) -> Iterator[Ordinal]:
                 yield Ordinal(w, inter.member(1 if verdict == "one" and m0 == 0 else 0))
 
 
-def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
-    """Check every amalgamation hypothesis; returns the members extended by
-    two generated tail members for the rule-level checks.
+def validate_chain(ch: ChainDescriptor) -> None:
+    """Check every amalgamation hypothesis, on the members extended by two
+    generated tail members (`ChainDescriptor.sample_members`).
 
     Evidence read: each member's own record, and each generated tail
     member's pair with the member before. A member skips the z-bullets
@@ -526,7 +528,12 @@ def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
     docstring FULL ∩ FULL ⊆ supp of the outer pair, and when the stages
     increase, the keys two members share lie in every z-domain between
     theirs. Otherwise, or after an adjacent failure, the all-pairs loop
-    runs, so the raised error is the first one in pair order."""
+    runs, so the raised error is the first one in pair order.
+
+    A pass also puts every height below the amalgam's: `decreasing` holds
+    on every pair, so heights never fall along the sample, and the tail
+    members extend the last member's top within its block, below
+    `next_limit()` of its height, which is the amalgam's."""
     if not ch.members:
         raise HypothesisViolated("nonempty", "chain has no members")
     if not ch.gamma.is_limit:
@@ -554,7 +561,7 @@ def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
         ev = m.bullets if m.proved(ch.delta, ch.closed_delta) else check_z_bullets(
             m.beta, m.cond, m.z, ch.delta, ch.closed_delta, after)
     if linked:
-        return sample
+        return
     for i, m1 in enumerate(sample):
         for m2 in sample[i + 1:]:
             if not leq_s(m2.cond, m1.cond):
@@ -564,7 +571,6 @@ def validate_chain(ch: ChainDescriptor) -> list[ChainMember]:
             k = m1.z.incoherent_key(m2.z)
             if k is not None:
                 raise HypothesisViolated("z-coherent", f"z({k}) not increasing")
-    return sample
 
 
 def _adjacent(a: ChainMember, b: ChainMember) -> bool:
@@ -586,7 +592,7 @@ def amalgamate(ch: ChainDescriptor) -> tuple[Condition, ZMap]:
     every member; its z-unions extend every member's z-values and lie in
     the tree with the union level; and it passes check_condition, whose
     clause C3 puts the new limit among its vanishing levels."""
-    sample = validate_chain(ch)
+    validate_chain(ch)
     last = ch.members[-1]
     tail = ch.tail
 
@@ -616,14 +622,15 @@ def amalgamate(ch: ChainDescriptor) -> tuple[Condition, ZMap]:
     path_tails = dict(last.cond.path.tails) | {eta.w - 1: rule}
     out = Condition(tree, AscentPath.make(levels, path_tails), S_X, last.cond.x)
 
-    _verify_conclusions(ch, sample, out, z_gamma, vanish)
+    _verify_conclusions(ch, out, z_gamma, vanish)
     record_exclusive(top)   # clause C2 of check_condition(out) walked it
     return out, z_gamma
 
 
-def _verify_conclusions(ch: ChainDescriptor, sample: list[ChainMember],
-                        out: Condition, z_gamma: ZMap, vanish: SymNode) -> None:
-    """The amalgam's conclusions, checked. `leq_s` and full support are
+def _verify_conclusions(ch: ChainDescriptor, out: Condition, z_gamma: ZMap,
+                        vanish: SymNode) -> None:
+    """The amalgam's conclusions, checked. No member reaches the amalgam's
+    height, as a passing `validate_chain` shows. `leq_s` and full support are
     checked against the last member only: `validate_chain` has established
     that every member extends each earlier one with full support, leq_s is
     transitive, and by the chain lemma in the `ascentlab.conditions`
@@ -635,9 +642,6 @@ def _verify_conclusions(ch: ChainDescriptor, sample: list[ChainMember],
     template and every in-domain entry (`family_in_tree`), which the
     admitted-template and admitted-single exits in `trees` answer for the
     catalog's own branches."""
-    eta = out.eta
-    if any(m.cond.eta >= eta for m in sample):
-        raise HypothesisViolated("height-sup", "a member reaches the limit height")
     last = ch.members[-1]
     if not leq_s(out, last.cond):
         raise PostconditionFailed(f"amalgam does not extend stage {last.beta}")
@@ -655,7 +659,7 @@ def _verify_conclusions(ch: ChainDescriptor, sample: list[ChainMember],
         raise PostconditionFailed("ascent union missing from the top level")
     if tree_contains(out.tree, vanish):
         raise PostconditionFailed("the skipped z-branch is in the tree")
-    # eta is a limit, so clause C3 decides that it is a vanishing level
+    # out.eta is a limit, so clause C3 decides that it is a vanishing level
     rep = check_condition(out, S_X)
     if not rep.ok:
         raise PostconditionFailed("amalgam fails validation: " + "; ".join(rep.violations))

@@ -47,12 +47,6 @@ class PathDescriptor:
     base: Condition
     rule: Optional[TailRule] = None
 
-    @property
-    def sup(self) -> Ordinal:
-        if self.rule is None:
-            return self.base.eta.succ()
-        return self.base.eta.next_limit()
-
     def represented(self, alpha: Ordinal) -> bool:
         if alpha <= self.base.eta and self.base.path.has(alpha):
             return True
@@ -204,23 +198,12 @@ class BranchFamily:
         return me_family(self.level)
 
 
-def derive_branches(path: PathDescriptor, heights, xi: int) -> BranchFamily:
-    """Unions b_n of the ascent values along the given heights (or the whole
-    path when heights == "all"); requires the heights pairwise linked at the
-    path's X_xi and cofinal, and returns the family over the coherent index
-    set."""
-    if heights == "all":
-        hs = path.heights()
-        cofinal = True  # probe heights reach the top; a tail is cofinal itself
-    else:
-        hs = sorted(heights)
-        for h in hs:
-            if not path.represented(h):
-                raise Unrepresented(f"height {h} not on the path")
-        # an explicit finite set is cofinal only in a finite path
-        cofinal = path.rule is None and bool(hs) and hs[-1] == path.base.eta
-    if not cofinal:
-        raise NotLinked("height set is not cofinal in the path")
+def derive_branches(path: PathDescriptor, xi: int) -> BranchFamily:
+    """Unions b_n of the ascent values along the whole path; requires its
+    heights pairwise linked at the path's X_xi, and returns the family over
+    the coherent index set. The probe heights reach the path's top, and a
+    tail is cofinal below its limit, so the heights are cofinal."""
+    hs = path.heights()
     xset = path.base.x.entry(xi)
     coherent = FULL_SET
     for a, b in zip(hs, hs[1:]):

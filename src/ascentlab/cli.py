@@ -242,7 +242,7 @@ def cmd_surgery(args) -> int:
 
 def cmd_derive_branches(args) -> int:
     path = _load_path(args)
-    fam = aposet.derive_branches(path, "all", args.xi)
+    fam = aposet.derive_branches(path, args.xi)
     path.check_base()
     me = fam.me_report()
     x0 = path.base.x.x0
@@ -262,11 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="symbolic forcing-condition laboratory")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, condition=True):
+    def common(p):
         p.add_argument("--x-sequence", default="default",
                        help="default or a JSON file with {x0, base}")
-        if condition:
-            p.add_argument("condition", help="condition JSON file")
+        p.add_argument("condition", help="condition JSON file")
         p.add_argument("-o", "--out", help="write the resulting condition here")
 
     p = sub.add_parser("validate", help="check a condition clause by clause")

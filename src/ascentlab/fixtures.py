@@ -31,9 +31,8 @@ def tower(k: int, variant: str = S_X, x: XSequence = DEFAULT_X,
     return c
 
 
-def random_tower(rng: random.Random, max_height: int = 5, variant: str = S_X,
-                 x: XSequence = DEFAULT_X) -> Condition:
-    c = root_condition(variant, x)
+def random_tower(rng: random.Random, max_height: int = 5) -> Condition:
+    c = root_condition()
     for _ in range(rng.randrange(1, max_height + 1)):
         beta = Ordinal(0, rng.randrange(0, c.eta.n + 1))
         c = one_step_extension(c, beta, label_base=rng.randrange(0, 3))
@@ -55,14 +54,14 @@ def _fixture_zmap(stage: int, height: Ordinal, delta: Ordinal, closed: bool,
 
 
 def uniform_chain(prefix: int, delta: Ordinal, closed_delta: bool = False,
-                  offset: int = 0, x: XSequence = DEFAULT_X) -> ChainDescriptor:
+                  offset: int = 0) -> ChainDescriptor:
     """The standard amalgamation fixture: member k is the (k+1)-level tower
     with f(n)(tau) = <2 tau> repeated, and z-values constant odd words."""
     if prefix < 1:
         raise ValueError("need at least one explicit member")
     members = []
     for k in range(prefix):
-        cond = tower(k + 1, S_X, x)
+        cond = tower(k + 1)
         z = _fixture_zmap(k, cond.eta, delta, closed_delta, offset)
         members.append(ChainMember(Ordinal(0, k), cond, z))
     scheme = standard_append(members[-1].cond.top)
@@ -70,12 +69,12 @@ def uniform_chain(prefix: int, delta: Ordinal, closed_delta: bool = False,
     return ChainDescriptor(tuple(members), tail, Ordinal(1, 0), delta, closed_delta)
 
 
-def uniform_path(prefix: int = 4, x: XSequence = DEFAULT_X):
+def uniform_path(prefix: int = 4):
     """The standard generic-path stand-in: an explicit tower continued by
     standard one-steps cofinally below omega."""
     from .aposet import PathDescriptor
     from .conditions import TailRule
-    base = tower(prefix, S_X, x)
+    base = tower(prefix)
     scheme = standard_append(base.top)
     rule = TailRule(prefix + 1, base.top.append_entries(scheme), (scheme,))
     return PathDescriptor(base, rule)

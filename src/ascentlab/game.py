@@ -9,10 +9,10 @@ even stage's height (its below parts then repeat that stage's values, which
 is what keeps the auxiliary branches exclusive), limit stages the chain
 amalgamation over the even sub-run.
 
-Runs whose length passes a limit play an explicit prefix and then require
-the opponent to be eventually uniform; the remaining stages are generated
-by the declared rule, and the limit move consumes the resulting described
-chain.
+Runs whose length passes a limit play an explicit prefix; the remaining
+stages up to the limit follow the uniform rule, in which both players make
+top one-steps with the standard labels, and the limit move consumes the
+resulting described chain.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class GameState:
     xi: int
     x: XSequence = DEFAULT_X
     moves: list[Move] = field(default_factory=list)
-    opp_base: int = 0               # the uniform opponent label scheme
 
     @property
     def next_stage(self) -> Ordinal:
@@ -129,15 +128,14 @@ def _z_graft_step(prev: ZMap, new_lo: Ordinal, cond: Condition, offset: int) -> 
     return replace(z, cells=cells, entries=entries)
 
 
-def strategy_ii_move(state: GameState, stage: Optional[Ordinal] = None) -> Move:
-    """II's move at the current stage (or an explicit one after a limit
-    jump); raises NotIIsTurn off turn.
+def strategy_ii_move(state: GameState, stage: Ordinal) -> Move:
+    """II's move at the given stage, the next one or a limit after a jump;
+    raises NotIIsTurn off turn.
 
     Evidence read: at a successor stage past 2, the record of II's move two
     stages before (`Move.bullets`), for the stage lemma of its z-check (see
     `amalgam.check_z_bullets`), when it covers that move's very objects and
     the new top is grafted over that move's top."""
-    stage = stage if stage is not None else state.next_stage
     if stage.n % 2 == 1:
         raise NotIIsTurn(f"stage {stage} belongs to I")
     if stage.is_zero:
@@ -166,14 +164,10 @@ def strategy_ii_move(state: GameState, stage: Optional[Ordinal] = None) -> Move:
 
 
 def _game_tail(state: GameState) -> ChainTail:
-    """The uniform continuation: I appends with its declared labels, II with
-    the standard ones; each branch repeats the 0-column value then its own
-    label."""
-    top = state.moves[-1].cond.top
-    opp_scheme = standard_append(top, shift=state.opp_base)
-    ii_scheme = standard_append(top)
-    zero_entry = 2 * state.opp_base
-    return ChainTail(2, (opp_scheme, ii_scheme), ((("const", zero_entry)), ("last",)))
+    """The uniform continuation: I and II each append the standard labels;
+    each branch repeats the 0-column value then its own label."""
+    scheme = standard_append(state.moves[-1].cond.top)
+    return ChainTail(2, (scheme, scheme), (("const", 0), ("last",)))
 
 
 def _limit_move(state: GameState, stage: Ordinal) -> Move:
@@ -187,32 +181,28 @@ def _limit_move(state: GameState, stage: Ordinal) -> Move:
 
 @dataclass(frozen=True, slots=True)
 class OpponentPolicy:
-    """I's behaviour: a free explicit phase plus, for runs over a limit, a
-    mandatory uniform rule (top one-steps with the given label scheme)."""
+    """I's behaviour: a free explicit phase; for runs over a limit, the
+    stages after it follow the uniform rule (top one-steps with the
+    standard labels, see `_game_tail`)."""
 
     name: str
     explicit: Callable[[Condition, Ordinal, random.Random], Condition]
-    uniform_base: Optional[int] = 0
     seed: int = 0
 
-    @property
-    def uniform(self) -> bool:
-        return self.uniform_base is not None
 
-
-def onestep_opponent(label_base: int = 0) -> OpponentPolicy:
+def onestep_opponent() -> OpponentPolicy:
     def go(cond: Condition, stage: Ordinal, rng: random.Random) -> Condition:
-        return one_step_extension(cond, cond.eta, label_base=label_base)
-    return OpponentPolicy(f"onestep[{label_base}]", go, uniform_base=label_base)
+        return one_step_extension(cond, cond.eta)
+    return OpponentPolicy("onestep[0]", go)
 
 
-def random_opponent(seed: int, uniform_base: Optional[int] = 0) -> OpponentPolicy:
+def random_opponent(seed: int) -> OpponentPolicy:
     """Random legal one-steps during the explicit phase."""
     def go(cond: Condition, stage: Ordinal, rng: random.Random) -> Condition:
         beta = Ordinal(cond.eta.w, rng.randrange(0, cond.eta.n + 1)) \
             if cond.eta.w == 0 else cond.eta
         return one_step_extension(cond, beta, label_base=rng.randrange(0, 3))
-    return OpponentPolicy(f"random[{seed}]", go, uniform_base=uniform_base, seed=seed)
+    return OpponentPolicy(f"random[{seed}]", go, seed=seed)
 
 
 def misbehaving_opponent(bad_stage: Ordinal) -> OpponentPolicy:
@@ -237,13 +227,11 @@ def _legal(prev: Condition, new: Condition, xi: int) -> bool:
 def play_game(mu: Ordinal, opponent: OpponentPolicy, xi: int,
               x: XSequence = DEFAULT_X) -> Transcript:
     """Alternating run from the maximal triple; II plays the strategy, I the
-    policy. A limit run requires a uniform opponent; illegal moves forfeit."""
+    policy; illegal moves forfeit."""
     if mu.w > W_LIMIT:
         raise ValueError("game length beyond the ordinal bound")
-    if mu.w > 0 and not opponent.uniform:
-        raise ValueError("limit-length runs need an eventually uniform opponent")
     rng = random.Random(opponent.seed)
-    state = GameState(mu, xi, x, opp_base=opponent.uniform_base or 0)
+    state = GameState(mu, xi, x)
     notes: list[str] = []
     stage = ZERO
     while stage < mu:

@@ -311,7 +311,9 @@ def dec_x(d: Any) -> XSequence:
     if d is None or _object(d, "x").get("kind") == "default":
         return DEFAULT_X
     base = _int_field(d, "base", "x") if "base" in d else 4
-    return XSequence(dec_upset(_required(d, "x0", "x"), "x.x0"), base)
+    x = XSequence(dec_upset(_required(d, "x0", "x"), "x.x0"), base)
+    x.validate("s3")
+    return x
 
 
 def enc_condition(c: Condition) -> dict:
@@ -356,7 +358,7 @@ def _z_token(tok: Any, where: str) -> tuple:
             f"{where}: expected [\"last\"] or [\"const\", int], got {tok!r}")
     return tuple(tok)
 
-def dec_chain_tail(d: Any, where: str = "chain.tail") -> ChainTail:
+def dec_chain_tail(d: Any, where: str) -> ChainTail:
     _object(d, where)
     for key in ("schemes", "z_tokens"):
         _expect(bool(_list_field(d, key, where)), f"{where}.{key}: expected a nonempty list")
@@ -382,7 +384,7 @@ def dec_chain(d: Any) -> ChainDescriptor:
                                                 f"chain.members[{i}].condition"),
                                   dec_zmap(m.get("z"), f"chain.members[{i}].z"))
               for i, m in enumerate(_objects(d, "members", "chain"))),
-        dec_chain_tail(d["tail"]) if d.get("tail") else None,
+        dec_chain_tail(d["tail"], "chain.tail") if d.get("tail") else None,
         dec_ordinal(_required(d, "gamma", "chain"), "chain.gamma"),
         dec_ordinal(_required(d, "delta", "chain"), "chain.delta"),
         bool(d.get("closed_delta", False)))

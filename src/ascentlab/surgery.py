@@ -10,7 +10,7 @@ witnesses vanishing and the construction adds exactly one vanishing level.
 
 from __future__ import annotations
 
-from typing import NoReturn, Optional
+from typing import NoReturn
 
 from .foundations import (
     FULL_SET, PostconditionFailed, ProfileViolation, Rejected, XSequence, singleton,
@@ -63,9 +63,9 @@ def validate_pi(pi: PiecewiseMap, x: XSequence, n0: int) -> None:
             raise BadPi("map moves a point of the deeper filter set")
 
 
-def branch_surgery(path: PathDescriptor, n0: int,
-                   pi: Optional[PiecewiseMap] = None) -> Condition:
-    """The new condition of limit-plus-one height. Hypothesis
+def branch_surgery(path: PathDescriptor, n0: int) -> Condition:
+    """The new condition of limit-plus-one height, reindexed by
+    `canonical_pi`. Hypothesis
     (NonExclusiveBranches otherwise): the derived branches over the head set
     minus n0 are mutually exclusive. Every stated consequence is re-verified
     before returning: the result extends path.base under leq_s and passes
@@ -79,11 +79,10 @@ def branch_surgery(path: PathDescriptor, n0: int,
                                "outside the deeper filter set")
     if path.rule is None:
         raise NotLinked("surgery needs a path cofinal below a limit")
-    if pi is None:
-        pi = canonical_pi(x, n0)
+    pi = canonical_pi(x, n0)
     validate_pi(pi, x, n0)
 
-    fam = derive_branches(path, "all", 0)
+    fam = derive_branches(path, 0)
     lam = fam.height
     if not x.x0.is_subset(fam.coherent):
         raise NotLinked("head-set branches are not coherent along the path")

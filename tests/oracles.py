@@ -683,7 +683,6 @@ def all_pairs_validate_chain(ch):
             k = window_incoherent_key(m1.z, m2.z, 32)
             if k is not None:
                 raise HypothesisViolated("z-coherent", f"z({k}) not increasing")
-    return sample
 
 
 # -- references for piecewise maps and reindexed families ---------------------------

@@ -261,7 +261,6 @@ def test_criterion_07_game_suite():
                             for m in t.moves if m.z is not None and m.stage < OMEGA)
             st = GameState(mu, t.xi)
             st.moves.extend(m for m in t.moves if m.stage < OMEGA)
-            st.opp_base = 0
             cond, z = amalgamate(ChainDescriptor(members, _game_tail(st), OMEGA, mu))
             assert cond == limit.cond and z == limit.z
             limit_checked += 1
@@ -379,7 +378,7 @@ def test_criterion_10_branch_surgery():
             base_van = vanishing_levels(p.base.tree, "full").levels
             assert van.levels == base_van | {OMEGA}
             from ascentlab.aposet import derive_branches
-            fam = derive_branches(p, "all", 0)
+            fam = derive_branches(p, 0)
             assert fam.me_report().ok
             runs += 1
     elapsed = time.monotonic() - t0

@@ -148,7 +148,8 @@ def test_coherence_checked_on_adjacent_members(monkeypatch):
     incoherent = ZMap.incoherent_key
     monkeypatch.setattr(ZMap, "incoherent_key",
                         lambda a, b: calls.append((a, b)) or incoherent(a, b))
-    sample = amalgam.validate_chain(ch)
+    amalgam.validate_chain(ch)
+    sample = ch.sample_members()
     assert calls == [(a.z, b.z) for a, b in zip(sample, sample[1:])]
     assert len(sample) == 5
 
@@ -229,6 +230,20 @@ def test_zmap_above_matches_pointwise(case):
     # no key at or below new_lo is left, in the domain or in any cell
     assert not any(got.in_domain(k) for k in (new_lo, z.lo, Ordinal(0, 0)))
     assert all(Ordinal(w, c.ap.start) > new_lo for w, c in got.cells)
+
+
+def test_zmap_make_keeps_a_repeated_key_in_listed_order():
+    """`ZMap.make` sorts its entries by key alone, stably (nodes have no
+    order): a key listed twice keeps its listed order, so `at` and `pieces`
+    read the first entry listed, among keys listed out of order too."""
+    from ascentlab.nodes import node
+    z = ZMap.make(Ordinal(0, 0), Ordinal(1, 0), False, (),
+                  [(Ordinal(0, 3), node(1)), (Ordinal(0, 3), node(2))])
+    assert z.at(Ordinal(0, 3)) == node(1) and z.pieces() == [(0, 3, node(1))]
+    z = ZMap.make(Ordinal(0, 0), Ordinal(1, 0), False, (),
+                  [(Ordinal(0, 5), node(3)), (Ordinal(0, 3), node(2)), (Ordinal(0, 3), node(1))])
+    assert [k for k, _ in z.entries] == [Ordinal(0, 3), Ordinal(0, 3), Ordinal(0, 5)]
+    assert z.at(Ordinal(0, 3)) == node(2) and z.pieces()[0] == (0, 3, node(2))
 
 
 @st.composite
@@ -834,10 +849,10 @@ def test_admitted_template_exit_on_the_amalgam_top(monkeypatch):
     verify = amalgam._verify_conclusions
     expected = []
 
-    def spy_verify(ch, sample, out, z_gamma, vanish):
+    def spy_verify(ch, out, z_gamma, vanish):
         expected.append((len(z_gamma.cells) + len(out.top.cells),
                          sum(z_gamma.in_domain(k) for k, _ in z_gamma.entries)))
-        return verify(ch, sample, out, z_gamma, vanish)
+        return verify(ch, out, z_gamma, vanish)
 
     def spy_admitted(cat, t):
         hit = admitted(cat, t)

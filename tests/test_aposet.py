@@ -140,7 +140,7 @@ def test_comparable_heights_compatible():
 
 def test_derive_branches_uniform_fixture():
     p = uniform_path(4)
-    fam = derive_branches(p, "all", 0)
+    fam = derive_branches(p, 0)
     assert fam.height == OMEGA
     assert fam.coherent == FULL_SET
     for n in (0, 1, 4):
@@ -150,7 +150,7 @@ def test_derive_branches_uniform_fixture():
 
 def test_derive_branches_restriction_matches_path():
     p = uniform_path(4)
-    fam = derive_branches(p, "all", 0)
+    fam = derive_branches(p, 0)
     for alpha in [Ordinal(0, 2), Ordinal(0, 4)]:
         for n in (0, 2, 4):
             assert fam.branch(n).restrict(alpha) == p.level_at(alpha).at(n)
@@ -165,13 +165,13 @@ def test_derive_branches_not_linked():
     broken = extend_with_top(c, below.append_entries(standard_append(below)))
     p = PathDescriptor(broken)
     with pytest.raises(NotLinked):
-        derive_branches(p, [Ordinal(0, 2), Ordinal(0, 3)], 1)
+        derive_branches(p, 1)
 
 
 def test_derive_branches_incoherent_index():
-    conds, bads = bad_path_conditions(1, 0)
+    conds, _ = bad_path_conditions(1, 0)
     p = PathDescriptor(conds[-1])
-    fam = derive_branches(p, [bads[0].pred(), bads[0]], 1)
+    fam = derive_branches(p, 1)
     assert 1 not in fam.coherent
     with pytest.raises(IncoherentIndex):
         fam.branch(1)
@@ -222,9 +222,9 @@ def test_leq_a_reads_the_path_x():
 
 
 def test_derive_branches_reads_the_path_x():
-    assert derive_branches(off_evens_path(DEFAULT_X), "all", 0).coherent == EVENS
+    assert derive_branches(off_evens_path(DEFAULT_X), 0).coherent == EVENS
     with pytest.raises(NotLinked, match="heights 3,4 not linked at index 0"):
-        derive_branches(off_evens_path(OTHER_X), "all", 0)
+        derive_branches(off_evens_path(OTHER_X), 0)
 
 
 @pytest.mark.parametrize("x, linked", [(DEFAULT_X, True), (OTHER_X, False)],

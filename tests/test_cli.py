@@ -7,7 +7,7 @@ import pytest
 
 from ascentlab import serialize as sz
 from ascentlab.cli import main, parse_ordinal
-from ascentlab.foundations import Ordinal
+from ascentlab.foundations import EMPTY_SET, EVENS, FULL_SET, ODDS, Ordinal
 from ascentlab.fixtures import tower, uniform_chain, uniform_path
 
 
@@ -175,6 +175,14 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
     assert json.loads(out) == {"command": argv[0], "error": f"{flag} must be a natural"}
 
 
+def own_x(x0, base: int):
+    """An edit of a condition: its own X-sequence set to (x0, base)."""
+    return set_at(("x",), {"x0": sz.enc_upset(x0), "base": base})
+
+
+SEAL = ["seal", "--triple", "transpose:1,3", "--xi", "1"]
+
+
 @pytest.mark.parametrize("argv, error", [
     (["extend", "--beta", "1", "--nu", "abc"], "unrecognized arguments: --nu"),
     (["extend", "--beta", "1", "--nu", "-3"], "unrecognized arguments: --nu"),
@@ -239,6 +247,15 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
     # first: the copy valued 5 failed z-coherence, the identical copy passed
     (["amalgamate", repeated_z_entry(5)], "chain.members[0].z.entries[1].key: repeated key w"),
     (["amalgamate", repeated_z_entry()], "chain.members[0].z.entries[1].key: repeated key w"),
+    # an X-sequence outside profile s3 is refused when it is decoded
+    (["validate", own_x(EVENS, 0)], "tail base must be >= 2"),
+    (["extend", "--beta", "1", own_x(EVENS, 0)], "tail base must be >= 2"),
+    (SEAL + [own_x(EVENS, 0)], "tail base must be >= 2"),
+    (["absorb", "--node", "[5]", "--xi", "1", own_x(EVENS, 0)], "tail base must be >= 2"),
+    (SEAL + [own_x(EVENS, 1)], "tail base must be >= 2"),
+    (["validate", own_x(FULL_SET, 4)], "omega minus X_0 must be infinite"),
+    (["validate", own_x(ODDS, 4)], "X_1 is not a subset of X_0"),
+    (["validate", own_x(EMPTY_SET, 4)], "X_0 is empty"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
         "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
         "derive-branches-not-linked", "surgery-not-linked",
@@ -255,13 +272,15 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
         "amalgamate-condition-not-object", "amalgamate-labels-list", "amalgamate-labels-string",
         "amalgamate-labels-int", "amalgamate-labels-key-not-index",
         "amalgamate-labels-value-not-int", "amalgamate-z-key-repeated",
-        "amalgamate-z-key-repeated-identical"])
+        "amalgamate-z-key-repeated-identical", "x-base-0-validate", "x-base-0-extend",
+        "x-base-0-seal", "x-base-0-absorb", "x-base-1-seal", "x0-omega-validate",
+        "x0-odds-validate", "x0-empty-validate"])
 def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     if isinstance(argv[-1], tuple):
         argv = argv[:-1] + [bad_triple_file(tmp_path, *argv[-1])]
     if callable(argv[-1]):
         argv = argv[:-1] + [edited_input_file(tmp_path, argv[0], argv[-1])]
-    if argv[0] in ("absorb", "extend", "seal"):
+    elif argv[0] in ("absorb", "extend", "seal"):
         argv = argv + [cond_file]
     if argv[-1] == "--path":
         argv = argv + [unlinked_path_file(tmp_path)]
@@ -637,10 +656,17 @@ X_DOC = {"x0": {"threshold": 2, "period": 3, "residues": [0], "patch_add": [1],
     (("x0", "threshold"), None, "x.x0.threshold: missing"),
     (("x0", "period"), None, "x.x0.period: missing"),
     (("x0", "residues"), None, "x.x0.residues: missing"),
+    # decoded, an X-sequence outside profile s3 is refused
+    (("base",), 0, "tail base must be >= 2"),
+    (("base",), 1, "tail base must be >= 2"),
+    (("x0",), sz.enc_upset(FULL_SET), "omega minus X_0 must be infinite"),
+    (("x0",), sz.enc_upset(ODDS), "X_1 is not a subset of X_0"),
+    (("x0",), sz.enc_upset(EMPTY_SET), "X_0 is empty"),
 ])
 def test_x_sequence_fields_exit_2(keys, value, error, cond_file, tmp_path, capsys):
     """Each field of an X-sequence is read as an int, or a list of ints,
-    without coercion (`None` stands for a missing field)."""
+    without coercion (`None` stands for a missing field), and the sequence
+    decoded must pass `XSequence.validate("s3")`."""
     d = json.loads(json.dumps(X_DOC))
     (drop_at(keys) if value is None else set_at(keys, value))(d)
     p = tmp_path / "x.json"
