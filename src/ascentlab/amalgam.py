@@ -20,12 +20,12 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .foundations import (
-    ALL_MEET, AP, EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, Rejected, UPSet,
-    finite_set, meet, multiples, singleton,
+    ALL_MEET, AP, EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, Proof, Rejected, UPSet,
+    finite_set, meet, multiples, prove, proves, singleton,
 )
 from .ascent import (
     AppendScheme, AscentLevel, AscentPath, Cell, _agree_positions, _eq_star_pairs,
-    _first_collision, _level_meets, _split, me_set_concrete, record_exclusive, supp,
+    _first_collision, _level_meets, _split, me_set_concrete, supp,
 )
 from .nodes import Entry, SymNode, entry_affine
 from .conditions import (
@@ -196,42 +196,11 @@ class ZMap:
 
 
 @dataclass(frozen=True, slots=True)
-class ZBullets:
-    """Evidence that `check_z_bullets(beta, cond, z, delta, closed)` passed.
-    The check is a function of these five immutable values, so it certifies
-    a stage whose cond and z are these very objects (`covers`).
-
-    `sealed` is set only by `check_z_bullets`, after it builds the record;
-    a record built by hand or copied by `dataclasses.replace` is unsealed
-    and is no evidence."""
-
-    beta: Ordinal
-    cond: Condition
-    z: ZMap
-    delta: Ordinal
-    closed: bool
-    sealed: bool = field(default=False, init=False, compare=False, repr=False)
-
-    def covers(self, beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal,
-               closed: bool) -> bool:
-        """Whether this is the record of a passed check of these arguments:
-        cond and z by identity, the rest by value."""
-        return (self.sealed and self.cond is cond and self.z is z
-                and self.beta == beta and self.delta == delta and self.closed == closed)
-
-
-@dataclass(frozen=True, slots=True)
 class ChainMember:
     beta: Ordinal
     cond: Condition
     z: ZMap
-    bullets: Optional[ZBullets] = field(default=None, compare=False, repr=False)
-
-    def proved(self, delta: Ordinal, closed: bool) -> bool:
-        """Whether the carried evidence covers this member on the z-domain
-        (beta, delta) (`ZBullets.covers`)."""
-        ev = self.bullets
-        return ev is not None and ev.covers(self.beta, self.cond, self.z, delta, closed)
+    bullets: Optional[Proof] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,13 +263,13 @@ def _last_entry_pieces(pieces, last: Ordinal) -> list:
 
 
 def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal,
-                    closed: bool, after: Optional[ZBullets] = None) -> ZBullets:
+                    closed: bool, after: Optional[Proof] = None) -> Proof:
     """The four per-stage z requirements, decided exactly. Raises
     HypothesisViolated with the first failing bullet, in the order below,
     and the least key that breaks it (the first pair for z-pairwise); on
-    success returns the ZBullets record of the arguments, which
-    `validate_chain` accepts in place of a second check and the next stage
-    may pass as `after`.
+    success returns its "z-bullets" record of (cond, z) and (beta, delta,
+    closed), which `validate_chain` accepts in place of a second check and
+    the next stage may pass as `after`.
     - z-top-level: heights, then membership: `tree_contains` for a point,
       `_template_members` (exact) for a cell.
     - z-pairwise: at a successor, equal last entries (`_first_collision` on
@@ -319,17 +288,17 @@ def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal,
 
     The evidence read is `after` alone, the record of the stage before, by
     the stage lemma in the `ascentlab.conditions` docstring. The caller
-    passes it only when it holds the lemma's other hypotheses: cond's top
-    extends after.cond's with full support, and each value of z end-extends
-    after.z's value at its key. The record is read when `check_z_bullets`
-    made it (`ZBullets.sealed`, on whole or carved pieces alike), it names
-    delta, closed and an earlier stage, and cond's tree has the level
-    tuples of after.cond's (identity) with the two top heights in one block
-    and no explicit level between them (`_follows`). Then membership is not
-    read, z-exclusive reads the coordinates from after.cond's height on,
-    and z-pairwise and z-vs-zero run as above; when that finds a fault, or
-    the record is not read, the check runs as without it. A pass builds no
-    member of z, and top member 0 only at a limit height."""
+    passes it only when it holds the lemma's other hypotheses for the
+    condition c and z-map y it names: cond's top extends c's with full
+    support, and each value of z end-extends y's value at its key. The
+    record is read when it is a "z-bullets" record (made on whole or carved
+    pieces alike), it names delta, closed and an earlier stage, and cond's
+    tree has the level tuples of c's (identity) with the two top heights in
+    one block and no explicit level between them (`_follows`). Then
+    membership is not read, z-exclusive reads the coordinates from c's
+    height on, and z-pairwise and z-vs-zero run as above; when that finds a
+    fault, or the record is not read, the check runs as without it. A pass
+    builds no member of z, and top member 0 only at a limit height."""
     if (z.lo, z.hi, z.closed_hi) != (beta, delta, closed):
         raise HypothesisViolated("z-domain", f"z of stage {beta} has domain "
                                  f"({z.lo},{z.hi}{']' if z.closed_hi else ')'}")
@@ -337,13 +306,11 @@ def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal,
         fault = _z_fault(cond, z, z.pieces())
         if fault:
             raise HypothesisViolated(*fault)
-    out = ZBullets(beta, cond, z, delta, closed)
-    object.__setattr__(out, "sealed", True)
-    return out
+    return prove("z-bullets", (cond, z), (beta, delta, closed))
 
 
 def _whole_pass(beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal, closed: bool,
-                after: Optional[ZBullets]) -> bool:
+                after: Optional[Proof]) -> bool:
     """Whether z's whole pieces, when their keys lie apart, pass the four
     bullets: by the stage lemma from `after` when its record is read
     (`_follows`), and otherwise, or when that finds a fault, in full."""
@@ -351,7 +318,7 @@ def _whole_pass(beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal, closed:
     if not _keys_apart(whole):
         return False
     if after is not None and _follows(after, beta, cond, delta, closed) \
-            and _z_fault(cond, z, whole, after.cond.eta) is None:
+            and _z_fault(cond, z, whole, after.objects[0].eta) is None:
         return True
     return _z_fault(cond, z, whole) is None
 
@@ -371,18 +338,19 @@ def _keys_apart(pieces) -> bool:
     return True
 
 
-def _follows(after: ZBullets, beta: Ordinal, cond: Condition, delta: Ordinal,
+def _follows(after: Proof, beta: Ordinal, cond: Condition, delta: Ordinal,
              closed: bool) -> bool:
     """The hypotheses of the stage lemma that `check_z_bullets` reads from
-    the record of the stage before and the two conditions: a sealed pass
-    of an earlier stage on the same z-domain end; top heights in one
+    the record of the stage before and the two conditions: a "z-bullets"
+    record of an earlier stage on the same z-domain end; top heights in one
     block, rising, each its top level's; and one tree's level tuples, with
     no explicit level above the earlier top up to the later one, so the
     levels between are append levels."""
-    prev = after.cond
+    if after.check != "z-bullets":
+        return False
+    (prev, _), (before, end, shut) = after.objects, after.values
     lo, hi = prev.eta, cond.eta
-    return (after.sealed and after.beta < beta and after.delta == delta
-            and after.closed == closed and lo.w == hi.w and lo < hi
+    return (before < beta and end == delta and shut == closed and lo.w == hi.w and lo < hi
             and prev.top.height == lo and cond.top.height == hi
             and cond.tree.explicit is prev.tree.explicit
             and cond.tree.catalogs is prev.tree.catalogs
@@ -515,9 +483,9 @@ def validate_chain(ch: ChainDescriptor) -> None:
 
     Evidence read: each member's own record, and each generated tail
     member's pair with the member before. A member skips the z-bullets
-    only when it carries the ZBullets record of a passed check of its own
-    cond and z objects (`is`), its own stage and the chain's z-domain
-    endpoint (`ChainMember.proved`). Members decoded from JSON, built by
+    only when `foundations.proves` accepts its record as the "z-bullets"
+    one of its own cond and z objects (`is`), its own stage and the chain's
+    z-domain end. Members decoded from JSON, built by
     fixtures or by the tail rule, and limit-stage moves carry no record and
     are checked. A tail member's pair with the member before is decided
     first (`_adjacent`); when it holds, the member's z-bullets are checked
@@ -558,8 +526,9 @@ def validate_chain(ch: ChainDescriptor) -> None:
         if i >= start:
             linked = linked and _adjacent(sample[i - 1], m)
         after = ev if i >= start and linked else None
-        ev = m.bullets if m.proved(ch.delta, ch.closed_delta) else check_z_bullets(
-            m.beta, m.cond, m.z, ch.delta, ch.closed_delta, after)
+        ev = m.bullets
+        if not proves(ev, "z-bullets", (m.cond, m.z), (m.beta, ch.delta, ch.closed_delta)):
+            ev = check_z_bullets(m.beta, m.cond, m.z, ch.delta, ch.closed_delta, after)
     if linked:
         return
     for i, m1 in enumerate(sample):
@@ -623,7 +592,8 @@ def amalgamate(ch: ChainDescriptor) -> tuple[Condition, ZMap]:
     out = Condition(tree, AscentPath.make(levels, path_tails), S_X, last.cond.x)
 
     _verify_conclusions(ch, out, z_gamma, vanish)
-    record_exclusive(top)   # clause C2 of check_condition(out) walked it
+    # clause C2 of check_condition(out) walked it
+    object.__setattr__(top, "exclusive", prove("me_family", (top.cells, top.exceptions), (top.height,)))
     return out, z_gamma
 
 

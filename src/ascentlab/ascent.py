@@ -40,8 +40,8 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .foundations import (
-    ALL_MEET, AP, DIAGONAL, EMPTY_SET, FULL_SET, ZERO, BadHeight, Meet, Ordinal, Rejected,
-    UPSet, XSequence, filter_classify, finite_set, meet,
+    ALL_MEET, AP, DIAGONAL, EMPTY_SET, FULL_SET, ZERO, BadHeight, Meet, Ordinal, Proof, Rejected,
+    UPSet, XSequence, filter_classify, finite_set, meet, prove, proves,
 )
 from .nodes import Entry, SymNode, entry_affine, eq_star, graft, is_prefix, mk_entry
 
@@ -91,12 +91,16 @@ class AscentLevel:
     height: Ordinal
     cells: tuple[Cell, ...]
     exceptions: tuple[tuple[int, SymNode], ...] = ()
-    # Set after construction, never by a decoder, and not copied by
-    # `dataclasses.replace`: the low level of the `graft_levels` call that
-    # built this one, and the record of a passed exclusivity check
-    # (`Exclusive`). Equality, hash and repr read only the fields above.
-    grafted: Optional["AscentLevel"] = field(default=None, init=False, compare=False, repr=False)
-    exclusive: Optional["Exclusive"] = field(default=None, init=False, compare=False, repr=False)
+    # Records (`foundations.Proof`) set after construction, never by a
+    # decoder, and not copied by `dataclasses.replace`: "graft" by
+    # `graft_levels`, and "me_family" by `conditions._one_step` and
+    # `amalgam.amalgamate` but never on a tail level (`TailRule.level_at`
+    # keeps the levels it returns, so a record on one would reach every later
+    # reader of the rule). Each names the level's cells and exceptions, not
+    # the level, so that the two form no reference cycle. Equality, hash and
+    # repr read only the fields above.
+    grafted: Optional[Proof] = field(default=None, init=False, compare=False, repr=False)
+    exclusive: Optional[Proof] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def make(height: Ordinal, cells, exceptions=()) -> "AscentLevel":
@@ -358,20 +362,15 @@ def supp(f: AscentLevel, g: AscentLevel) -> UPSet:
     With f the lower level, each piece pairs f's node or template with g's
     unrestricted one: `_slot_pairs` reads g's entries at f's coordinates
     (u.dom <= v.dom), and `is_prefix` compares two point nodes, so no
-    restricted copy of g is built. A level grafted over the other
-    (`AscentLevel.grafted`) keeps its nodes below the other's height, so
-    their support is everything at once."""
-    if _grafted_from(f, g) or _grafted_from(g, f):
+    restricted copy of g is built. A level g = graft_levels(low, h), its
+    graft record (`AscentLevel.grafted`) accepted, keeps low's nodes below
+    low's height, so their support is everything at once."""
+    if proves(g.grafted, "graft", (f, g.cells, g.exceptions), ()) \
+            or proves(f.grafted, "graft", (g, f.cells, f.exceptions), ()):
         return FULL_SET
     if f.height > g.height:
         f, g = g, f
     return _agree_set(f, g, _slot_pairs, is_prefix)
-
-
-def _grafted_from(low: AscentLevel, g: AscentLevel) -> bool:
-    """Whether g is graft_levels(low, h) for some h: then low(tau) and
-    g(tau) = low(tau) * h(tau) are comparable at every tau."""
-    return g.grafted is low
 
 
 def eq_star_set(f: AscentLevel, g: AscentLevel) -> UPSet:
@@ -389,8 +388,8 @@ def level_extensional_eq(f: AscentLevel, g: AscentLevel) -> bool:
 
 
 def graft_levels(low: AscentLevel, high: AscentLevel) -> AscentLevel:
-    """Index-wise graft: tau -> low(tau) * high(tau); height of `high`. The
-    result records `low` (`AscentLevel.grafted`). Built without `make` (see
+    """Index-wise graft: tau -> low(tau) * high(tau); height of `high`, with
+    its graft record (`AscentLevel.grafted`). Built without `make` (see
     `AscentLevel.restrict`): `refine` lists its point pieces by index."""
     cells, exc = [], []
     for piece in refine(low, high):
@@ -399,7 +398,7 @@ def graft_levels(low: AscentLevel, high: AscentLevel) -> AscentLevel:
         else:
             cells.append(Cell(piece.ap, graft(piece.left, piece.right)))
     out = AscentLevel(high.height, tuple(sorted(cells, key=_cell_order)), tuple(exc))
-    object.__setattr__(out, "grafted", low)
+    object.__setattr__(out, "grafted", prove("graft", (low, out.cells, out.exceptions), ()))
     return out
 
 
@@ -620,40 +619,6 @@ def _me_chain(heights, levels, adjacent) -> Iterator[tuple[Ordinal, MEReport]]:
 class MEReport:
     ok: bool
     detail: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class Exclusive:
-    """Evidence that `me_family` holds for the level of these fields.
-    `conditions._one_step` and `amalgam.amalgamate` set it on a level after
-    their exclusivity checks pass (`record_exclusive`); no constructor,
-    decoder or `TailRule.level_at` does, and no record is ever set on a tail
-    level: `level_at` keeps the levels it returns, so a record set on one
-    would reach every later reader of the rule. It is accepted only on a level
-    whose cells and exceptions are the very tuples it names
-    (`known_exclusive`), which is then that family; so a record moved to
-    another level, or a level rebuilt equal to a proved one, is walked
-    again. Like a `ZBullets` record it is judged by identity, so that a
-    forged or stale record is not taken for evidence. It holds the tuples
-    rather than the level, so that a level and its record form no reference
-    cycle."""
-
-    height: Ordinal
-    cells: tuple[Cell, ...]
-    exceptions: tuple[tuple[int, SymNode], ...]
-
-
-def record_exclusive(level: AscentLevel) -> None:
-    object.__setattr__(level, "exclusive", Exclusive(level.height, level.cells, level.exceptions))
-
-
-def known_exclusive(level: AscentLevel) -> bool:
-    """Mutual exclusivity known without a walk: a level of height 0 has no
-    coordinate, and otherwise the level carries its own `Exclusive`."""
-    ev = level.exclusive
-    return level.height.is_zero or (
-        ev is not None and ev.cells is level.cells and ev.exceptions is level.exceptions
-        and ev.height == level.height)
 
 
 def _value_pieces(level: AscentLevel, w: int, j: int):

@@ -29,10 +29,11 @@ exactly when it is injective at its new coordinate β. One kernel,
 f_β is known exclusive and supp(f_β, f_α) is full, and walks every
 coordinate otherwise. Clause C2 (through `ascent._me_chain`) knows f_β
 exclusive when β's probe comes right before α's and passed. `_one_step`
-takes β the old top height η, and knows f_η exclusive when it carries its
-exclusivity record (`ascent.Exclusive`: set only by `_one_step` and
-`amalgam.amalgamate` after a passed check, read only on the very object it
-names, so a forged, stale, copied or decoded level is walked in full).
+takes β the old top height η, and knows f_η exclusive when η is 0 or f_η
+carries its "me_family" record (`ascent.AscentLevel.exclusive`: made by
+`_one_step` and `amalgam.amalgamate` after a passed check, and accepted by
+`foundations.proves` only for the very tuples it names, so a forged, stale,
+copied or decoded level is walked in full).
 Coordinate β is the last one `me_family` walks, so a failure there reads
 as the full walk's.
 
@@ -50,17 +51,17 @@ are append levels. z-exclusive needs only the coordinates from η_i on, as
 stage i's pass covers those below (`ascent._slot_pairs` and
 `ascent._level_meets` take that lower bound). z-pairwise and z-vs-zero read
 only the last coordinate at a successor, which η_j is, and are checked as
-usual. The record of stage i's pass (`amalgam.ZBullets`) is read for the
-objects it names (`is`), only when `check_z_bullets` made it. It serves
-whether that pass was decided on whole or on carved pieces (below): the
-lemma reads it only at z_j's keys, which lie in z_i's domain, and every
+usual. The record of stage i's pass is the "z-bullets" `foundations.Proof`
+that only `check_z_bullets` makes, read for the objects it names (`is`). It
+serves whether that pass was decided on whole or on carved pieces (below):
+the lemma reads it only at z_j's keys, which lie in z_i's domain, and every
 piece form holds each key of the domain with its value. The callers hold
 the other hypotheses:
 `game.strategy_ii_move` from II's previous move (full support from the
-one-step's graft, `ascent.AscentLevel.grafted`, and end-extension from the
-graft step), `amalgam.validate_chain` for each generated tail member after
-its adjacent checks, and `game.check_run_invariants` from its own records,
-`_chain_holds` and coherence results.
+one-step's graft record, `ascent.AscentLevel.grafted`, and end-extension
+from the graft step), `amalgam.validate_chain` for each generated tail
+member after its adjacent checks, and `game.check_run_invariants` from its
+own records, `_chain_holds` and coherence results.
 
 Whole pieces. Each z-bullet speaks of every key, or every pair of distinct
 keys, and its value. So it holds on a z-map when it holds on pieces that
@@ -80,12 +81,12 @@ from typing import Optional
 
 from .foundations import (
     DEFAULT_X, FULL_SET, OMEGA_NAT, Ordinal, PostconditionFailed, Rejected, UPSet, XSequence,
-    ZERO, filter_classify, is_cobounded,
+    ZERO, filter_classify, is_cobounded, prove, proves,
 )
 from .ascent import (
     AppendScheme, AscentLevel, AscentPath, TailRule, _me_above, _me_chain, graft_levels,
-    known_exclusive, me_cross, me_set_concrete, paths_agree_below, record_exclusive,
-    root_level, standard_append, supp, supp_chain_violations,
+    me_cross, me_set_concrete, paths_agree_below, root_level, standard_append, supp,
+    supp_chain_violations,
 )
 from .nodes import SymNode, delta, entry_affine, mk_entry
 from .trees import ROOT_TREE, SymTree, check_tree, vanishing_levels
@@ -379,10 +380,13 @@ def _one_step(cond: Condition, new_top: AscentLevel) -> tuple[Condition, UPSet]:
     out = extend_with_top(cond, new_top)
     top_supp = supp(cond.top, new_top)
     if cond.variant in (S_X, S_F):
-        rep = _me_above(new_top, known_exclusive(cond.top), top_supp)
+        top = cond.top
+        known = proves(top.exclusive, "me_family", (top.cells, top.exceptions), (top.height,))
+        rep = _me_above(new_top, known or top.height.is_zero, top_supp)
         if not rep.ok:
             raise NonExclusiveTop(f"one-step produced a non-exclusive family: {rep.detail}")
-        record_exclusive(new_top)
+        object.__setattr__(new_top, "exclusive", prove(
+            "me_family", (new_top.cells, new_top.exceptions), (new_top.height,)))
     if not _supp_ok(cond.variant, top_supp, cond.x):
         raise LostComparability("one-step lost comparability with the previous top")
     return out, top_supp

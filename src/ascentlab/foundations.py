@@ -53,6 +53,42 @@ class PostconditionFailed(AssertionError):
     the check."""
 
 
+class Proof:
+    """A passed check as a value: its name and the objects and values it
+    read. Only `prove` makes one, in a check that passed; `Proof(...)`
+    raises TypeError and `dataclasses.replace` makes none (the LCF
+    discipline: Gordon, Milner and Wadsworth, *Edinburgh LCF*, 1979). The
+    one reader, `proves`, accepts it only for the very objects it names, so
+    one moved to other objects, or of equal objects built apart, is refused
+    and the check runs. The objects are immutable, so the verdict holds while
+    they live, and the record keeps them alive, so no identity is reused."""
+
+    __slots__ = ("check", "objects", "values")
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("a Proof is made only by prove()")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Proof is immutable")
+
+
+def prove(check: str, objects: tuple, values: tuple) -> Proof:
+    """The record that `check` passed on these objects and values."""
+    out = object.__new__(Proof)
+    object.__setattr__(out, "check", check)
+    object.__setattr__(out, "objects", objects)
+    object.__setattr__(out, "values", values)
+    return out
+
+
+def proves(record: Optional[Proof], check: str, objects: tuple, values: tuple) -> bool:
+    """Whether `record` is the proof that `check` passed on these very
+    objects (`is`, compared first) and on values equal to these."""
+    return (record is not None and len(record.objects) == len(objects)
+            and all(map(operator.is_, record.objects, objects))
+            and record.check == check and record.values == values)
+
+
 class Ordinal(tuple):
     """Ordinal below omega*W in normal form omega*w + n, held as the pair
     (w, n).

@@ -21,14 +21,14 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .foundations import DEFAULT_X, FULL_SET, Ordinal, XSequence, ZERO, W_LIMIT
-from .ascent import AP, Cell, _grafted_from, standard_append, supp
+from .foundations import DEFAULT_X, FULL_SET, Ordinal, Proof, XSequence, ZERO, W_LIMIT, proves
+from .ascent import AP, Cell, standard_append, supp
 from .nodes import Ramp, graft
 from .conditions import (
     Condition, S_X, leq_s, one_step_extension, root_condition,
 )
 from .amalgam import (
-    ChainDescriptor, ChainMember, ChainTail, HypothesisViolated, ZBullets, ZMap,
+    ChainDescriptor, ChainMember, ChainTail, HypothesisViolated, ZMap,
     amalgamate, check_z_bullets,
 )
 from .fixtures import odd_label
@@ -52,8 +52,8 @@ class Move:
     mover: str                      # "I" or "II"
     cond: Condition
     z: Optional[ZMap] = None
-    # what II's own check of (stage, cond, z) proved; not part of the move
-    bullets: Optional[ZBullets] = field(default=None, compare=False, repr=False)
+    # the "z-bullets" record of II's own check of (stage, cond, z); not part of the move
+    bullets: Optional[Proof] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,8 +134,8 @@ def strategy_ii_move(state: GameState, stage: Ordinal) -> Move:
 
     Evidence read: at a successor stage past 2, the record of II's move two
     stages before (`Move.bullets`), for the stage lemma of its z-check (see
-    `amalgam.check_z_bullets`), when it covers that move's very objects and
-    the new top is grafted over that move's top."""
+    `amalgam.check_z_bullets`), when `foundations.proves` accepts it for that
+    move's very objects, and the new top's graft record for that move's top."""
     if stage.n % 2 == 1:
         raise NotIIsTurn(f"stage {stage} belongs to I")
     if stage.is_zero:
@@ -156,10 +156,10 @@ def strategy_ii_move(state: GameState, stage: Ordinal) -> Move:
         # the lemma's other hypotheses: the new top is grafted over alpha's
         # (full support), and each value of z is alpha's value at its key
         # grafted under the 0-column and appended (end-extension)
-        ev = alpha.bullets
-        if ev is not None and ev.covers(alpha.stage, alpha.cond, alpha.z, state.mu, False) \
-                and _grafted_from(alpha.cond.top, cond.top):
-            after = ev
+        top = cond.top
+        if proves(alpha.bullets, "z-bullets", (alpha.cond, alpha.z), (alpha.stage, state.mu, False)) \
+                and proves(top.grafted, "graft", (alpha.cond.top, top.cells, top.exceptions), ()):
+            after = alpha.bullets
     return Move(stage, "II", cond, z, check_z_bullets(stage, cond, z, state.mu, False, after))
 
 
@@ -285,10 +285,10 @@ def check_run_invariants(t: Transcript) -> InvariantReport:
 
     Evidence read: only what this check computes. No record a move carries
     (`Move.bullets`) is read. An even move's z-bullets are checked with the
-    record of the even move before as `after` (the stage lemma, see
-    `amalgam.check_z_bullets`) when this check passed that move's z-bullets,
-    `_chain_holds` holds (full support between consecutive even tops) and
-    the two z-maps are coherent; otherwise in full."""
+    "z-bullets" record of the even move before as `after` (the stage lemma,
+    see `amalgam.check_z_bullets`) when this check passed that move's
+    z-bullets, `_chain_holds` holds (full support between consecutive even
+    tops) and the two z-maps are coherent; otherwise in full."""
     moves = t.moves
     if not moves:
         return InvariantReport(True)

@@ -391,10 +391,9 @@ def probe_key_z_bullets(beta, cond, z, delta, closed):
     """check_z_bullets as it was decided key by key: the probe nodes
     (`probe_keys`) built and checked one by one, then the cell structure; at
     successor heights, pairwise difference over the whole domain. Raises
-    HypothesisViolated with the failing bullet."""
-    from ascentlab.amalgam import (
-        HypothesisViolated, ZBullets, _first_collision, _last_entry_pieces,
-    )
+    HypothesisViolated with the failing bullet, and returns None on a pass:
+    only `check_z_bullets` makes its record."""
+    from ascentlab.amalgam import HypothesisViolated, _first_collision, _last_entry_pieces
     from ascentlab.ascent import AscentLevel, me_cross, me_set_concrete
     from ascentlab.foundations import singleton
     from ascentlab.nodes import eq_star
@@ -447,7 +446,6 @@ def probe_key_z_bullets(beta, cond, z, delta, closed):
         for i0, row in rep.special_rows:
             if not row.difference(zero).is_empty:
                 raise HypothesisViolated("z-exclusive", f"branch {i0} meets the family off 0")
-    return ZBullets(beta, cond, z, delta, closed)
 
 
 # -- reference for me_cross ---------------------------------------------------------

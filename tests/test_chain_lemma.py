@@ -24,7 +24,9 @@ from ascentlab.ascent import (
 )
 from ascentlab.conditions import S_THETA, S_X, VARIANTS, Condition, check_condition
 from ascentlab.fixtures import bad_path_conditions, random_tower
-from ascentlab.foundations import DEFAULT_X, ZERO, Ordinal, UPSet, XSequence, multiples
+from ascentlab.foundations import (
+    DEFAULT_X, ZERO, Ordinal, Proof, UPSet, XSequence, multiples, proves,
+)
 from ascentlab.game import check_run_invariants, play_game, random_opponent
 from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, mk_entry, node_patch
 from oracles import (
@@ -206,7 +208,7 @@ def test_graft_levels_matches_make(low_case, high_case):
     low, high = low_case[0], high_case[0]
     got, want = graft_levels(low, high), graft_via_make(low, high)
     assert got == want and got.cells == want.cells and got.exceptions == want.exceptions
-    assert got.grafted is low
+    assert proves(got.grafted, "graft", (low, got.cells, got.exceptions), ())
 
 
 def append_errors(level: AscentLevel, scheme: AppendScheme) -> list:
@@ -353,13 +355,14 @@ def corrupted_runs(draw):
     collision below the move's height that a misread lemma would skip), a
     z value meeting the top at the first coordinate the move adds (which
     the lemma must read), such a z at coordinate 0 carried with a forged
-    record or one copied by `dataclasses.replace`, or I's next move with a
-    level below swapped.
+    record of an equal move played apart or on a `dataclasses.replace` copy
+    of the move (no record can be copied), or I's next move with a level
+    below swapped.
     Returns the run, the moves before the next even stage, and that stage
     (None when the corrupted move is the run's last even move)."""
-    from ascentlab.amalgam import ZBullets
     mu = draw(st.sampled_from([Ordinal(0, 8), Ordinal(0, 14), Ordinal(1, 6), Ordinal(2, 2)]))
-    t = play_game(mu, random_opponent(draw(st.integers(0, 10**6))), draw(st.integers(0, 2)))
+    seed, xi = draw(st.integers(0, 10**6)), draw(st.integers(0, 2))
+    t = play_game(mu, random_opponent(seed), xi)
     moves = list(t.moves)
     evens = [i for i, mv in enumerate(moves) if mv.bullets is not None and mv.stage > Ordinal(0, 2)]
     i = draw(st.sampled_from(evens))
@@ -377,11 +380,12 @@ def corrupted_runs(draw):
     elif kind == "top":
         moves[i] = dataclasses.replace(mv, cond=patched_top(mv.cond, mv.z.at(key).eval_at(ZERO)))
     elif kind == "forged":
-        forged = ZBullets(mv.stage, mv.cond, low_z, mu, False)
+        forged = play_game(mu, random_opponent(seed), xi).moves[i].bullets
         moves[i] = dataclasses.replace(mv, z=low_z, bullets=forged)
     elif kind == "replaced":
-        copied = dataclasses.replace(mv.bullets, z=low_z)
-        moves[i] = dataclasses.replace(mv, z=low_z, bullets=copied)
+        with pytest.raises(TypeError):
+            dataclasses.replace(mv.bullets)
+        moves[i] = dataclasses.replace(mv, z=low_z)
     later = [j for j in range(i + 1, len(moves)) if moves[j].z is not None]
     if kind == "swap" and later and moves[later[0] - 1].mover == "I":
         # I's move before the next even stage with the members 0 and 1 of its
@@ -438,8 +442,8 @@ def test_stage_lemma_gives_the_full_check(case):
     assert report == all_pairs_run_invariants(t, DEFAULT_X, 16)
     carried = {id(mv.bullets): mv for mv in t.moves if mv.bullets is not None}
     for args, after in lemma_calls:
-        assert after.sealed
+        assert isinstance(after, Proof) and after.check == "z-bullets"
         assert outcome(args, after) == outcome(args)
         # a record the run carries is read only for the objects of its move
         mv = carried.get(id(after))
-        assert mv is None or after.covers(mv.stage, mv.cond, mv.z, t.mu, False)
+        assert mv is None or proves(after, "z-bullets", (mv.cond, mv.z), (mv.stage, t.mu, False))

@@ -190,19 +190,24 @@ def value_piece_calls(monkeypatch) -> list:
     return calls
 
 
+def exclusive_proved(level) -> bool:
+    """Whether the level's exclusivity record is accepted for it."""
+    from ascentlab.foundations import proves
+    return proves(level.exclusive, "me_family", (level.cells, level.exceptions), (level.height,))
+
+
 def spoiled(c: Condition, how: str) -> Condition:
     """c with its top's exclusivity record made useless in one way."""
     import dataclasses
     from ascentlab import serialize as sz
-    from ascentlab.ascent import Exclusive
     if how == "decoded":
         return sz.dec_condition(sz.enc_condition(c))
     if how == "replaced":
         return Condition(c.tree, c.path.with_level(c.eta, dataclasses.replace(c.top)), c.variant, c.x)
-    if how == "forged":      # a record naming an equal level built apart
+    if how == "forged":      # the record of an equal level built apart
         other = tower(c.eta.n).top
-        assert other == c.top
-        object.__setattr__(c.top, "exclusive", Exclusive(other.height, other.cells, other.exceptions))
+        assert other == c.top and exclusive_proved(other)
+        object.__setattr__(c.top, "exclusive", other.exclusive)
     elif how == "stale":     # the record of the level below
         object.__setattr__(c.top, "exclusive", c.level(c.eta.pred()).exclusive)
     return c
@@ -210,14 +215,13 @@ def spoiled(c: Condition, how: str) -> Condition:
 
 @pytest.mark.parametrize("how", ["kept", "forged", "stale", "replaced", "decoded"])
 def test_evidence_fallback_walks_every_coordinate(how, monkeypatch):
-    from ascentlab.ascent import known_exclusive
     c = spoiled(tower(5), how)
     assert c.top.exclusive is not None or how in ("replaced", "decoded")
-    assert known_exclusive(c.top) == (how == "kept")
+    assert exclusive_proved(c.top) == (how == "kept")
     calls = value_piece_calls(monkeypatch)
     out = one_step_extension(c, Ordinal(0, 2))
     assert calls == ([(0, 5)] if how == "kept" else [(0, j) for j in range(6)])
-    assert known_exclusive(out.top) and check_condition(out).ok
+    assert exclusive_proved(out.top) and check_condition(out).ok
 
 
 def test_evidence_is_never_copied_by_replace():
@@ -254,11 +258,11 @@ def test_evidence_graft_over_a_colliding_level_walks_in_full():
     coordinates 1 to 3 from a level whose odd indices repeat the even ones:
     its support from the old top is not full, so the append lemma does not
     apply and the full walk finds the collision at coordinate 1."""
-    from ascentlab.ascent import graft_levels, known_exclusive, standard_append
+    from ascentlab.ascent import graft_levels, standard_append
     from ascentlab.conditions import NonExclusiveTop, _one_step
     c = tower(4)
     low = c.level(Ordinal(0, 1))
-    assert known_exclusive(low) and known_exclusive(c.top)
+    assert exclusive_proved(low) and exclusive_proved(c.top)
     twins = residue_level(c.top, 2, [0, 0])
     new_top = graft_levels(low, twins.append_entries(standard_append(twins)))
     with pytest.raises(NonExclusiveTop, match=r"share a value at \(0,1\)"):

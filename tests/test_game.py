@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascentlab import amalgam, game
-from ascentlab.foundations import OMEGA_NAT, Ordinal, ZERO
+from ascentlab.foundations import OMEGA_NAT, Ordinal, ZERO, proves
 from ascentlab.amalgam import (
     ChainDescriptor, HypothesisViolated, ZMap, amalgamate, validate_chain,
 )
@@ -316,7 +316,8 @@ def test_evidence_is_bound_to_the_member_objects():
     other = ch.members[2]
     assert z_checked_stages(with_member(ch, 1, bullets=other.bullets)) == [m.beta] + tail
     closed = dataclasses.replace(ch, closed_delta=True)
-    assert all(not mb.proved(closed.delta, True) for mb in closed.members)
+    assert all(not proves(mb.bullets, "z-bullets", (mb.cond, mb.z), (mb.beta, closed.delta, True))
+               for mb in closed.members)
 
 
 def test_corrupted_member_with_stale_evidence_raises():
@@ -350,21 +351,31 @@ def stage_pair(mu=Ordinal(0, 8)):
 
 
 def test_stage_lemma_reads_only_records_the_check_made():
-    """Stage 4's z-check reads stage 2's record by the stage lemma. A record
-    built by hand, or copied by `dataclasses.replace`, equals it but is no
-    evidence, in check_z_bullets and in II's move; a decoded chain's
+    """Stage 4's z-check reads stage 2's record by the stage lemma. No record
+    can be built by hand or copied by `dataclasses.replace`. The record of
+    an equal stage 2 played apart (forged), or of stage 4 itself (stale),
+    is no evidence for stage 2's objects: II's move checks in full with
+    either, and check_z_bullets with the stale one; a decoded chain's
     members are checked in full, its tail members from the records this
     check made."""
-    from ascentlab.amalgam import ZBullets, check_z_bullets
+    from ascentlab.amalgam import check_z_bullets
+    from ascentlab.foundations import Proof
     t, mv2, args = stage_pair()
     ev = mv2.bullets
-    assert ev.sealed and ev.covers(mv2.stage, mv2.cond, mv2.z, t.mu, False)
+    names = ((mv2.cond, mv2.z), (mv2.stage, t.mu, False))
+    assert proves(ev, "z-bullets", *names)
     assert lemma_checks(check_z_bullets, *args, ev) == [args[0]]
-    forged = ZBullets(mv2.stage, mv2.cond, mv2.z, t.mu, False)
-    for rec in (forged, dataclasses.replace(ev)):
-        assert rec == ev and not rec.sealed
-        assert not rec.covers(mv2.stage, mv2.cond, mv2.z, t.mu, False)
-        assert lemma_checks(check_z_bullets, *args, rec) == []
+    with pytest.raises(TypeError):
+        Proof("z-bullets", *names)
+    with pytest.raises(TypeError):
+        dataclasses.replace(ev)
+    forged, stale = stage_pair()[1].bullets, t.moves[4].bullets
+    assert lemma_checks(check_z_bullets, *args, stale) == []
+    # the forged record is a pass of equal objects, so check_z_bullets,
+    # which cannot tell, reads it; binding it to stage 2 is II's move's part
+    assert lemma_checks(check_z_bullets, *args, forged) == [args[0]]
+    for rec in (forged, stale):
+        assert rec is not ev and not proves(rec, "z-bullets", *names)
         state = GameState(t.mu, 0, moves=list(t.moves[:4]))
         state.moves[2] = dataclasses.replace(mv2, bullets=rec)
         assert lemma_checks(strategy_ii_move, state, args[0]) == []

@@ -151,10 +151,11 @@ def test_the_scan_reads_positions_keywords_and_fields():
     """The scan itself, on names whose calls are known: `tower`'s `variant`
     is set by position (`tower(1, S_THETA)`), `check_z_bullets`' `after` by
     position, a dataclass field by keyword (`CatalogFamily(..., admitted=True)`),
-    and `ZBullets.sealed` (init=False) is no parameter."""
+    and the record field `AscentLevel.grafted` (init=False, with a default)
+    is no parameter."""
     found = {(p.name, p.param): p for p in defaulted()}
     assert found[("tower", "variant")].index == 1
-    assert ("ZBullets", "sealed") not in found
+    assert ("AscentLevel", "grafted") not in found
     dead = {(p.name, p.param) for p in unset()}
     assert ("tower", "variant") not in dead and ("check_z_bullets", "after") not in dead
     assert ("CatalogFamily", "admitted") in found and ("CatalogFamily", "admitted") not in dead
