@@ -25,7 +25,7 @@ from .foundations import (
 )
 from .ascent import (
     AppendScheme, AscentLevel, AscentPath, Cell, _agree_positions, _eq_star_pairs,
-    _first_collision, _level_meets, _split, me_set_concrete, supp,
+    _first_collision, _level_meets, _me_above, _split, me_set_concrete, supp,
 )
 from .nodes import Entry, SymNode, entry_affine
 from .conditions import (
@@ -50,6 +50,7 @@ class NotUniformTail(Rejected):
 # z-append tokens: ("const", v) appends the label v, ("last",) repeats the
 # node's final entry.
 ZToken = tuple
+LAST: ZToken = ("last",)
 
 
 def resolve_tokens(tokens: tuple[ZToken, ...], tmpl: SymNode) -> tuple[Entry, ...]:
@@ -57,7 +58,7 @@ def resolve_tokens(tokens: tuple[ZToken, ...], tmpl: SymNode) -> tuple[Entry, ..
     for tok in tokens:
         if tok[0] == "const":
             out.append(tok[1])
-        elif tok[0] == "last":
+        elif tok == LAST:
             if not tmpl.final:
                 raise ValueError("'last' token needs a nonempty final stretch")
             out.append(tmpl.final[-1])
@@ -77,6 +78,9 @@ class ZMap:
     closed_hi: bool = False
     cells: tuple[tuple[int, Cell], ...] = ()    # (block w, indices over n)
     entries: tuple[tuple[Ordinal, SymNode], ...] = ()
+    # the whole pieces, built on first use (`whole`); equality, hash and
+    # repr read only the fields above, and a copy starts without them
+    _whole: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def make(lo, hi, closed_hi=False, cells=(), entries=()) -> "ZMap":
@@ -134,7 +138,7 @@ class ZMap:
                 out[k] = v
         return out
 
-    def whole(self) -> list[tuple[int, int | AP, SymNode]]:
+    def whole(self) -> tuple[tuple[int, int | AP, SymNode], ...]:
         """The map uncarved, in the form of `pieces`: the entries in the
         domain as points and every cell whole. These hold every key and
         value of the map and maybe more: keys past the domain, keys an entry
@@ -144,8 +148,12 @@ class ZMap:
         `check_z_bullets` decide on them first and carve (`pieces`) only
         when that fails (for z-pairwise, also when two share a key,
         `_keys_apart`)."""
-        return [(k.w, k.n, v) for k, v in self._points().items()] + \
-            [(w, c.ap, c.template) for w, c in self.cells]
+        whole = self._whole
+        if whole is None:
+            whole = tuple((k.w, k.n, v) for k, v in self._points().items()) + \
+                tuple((w, c.ap, c.template) for w, c in self.cells)
+            object.__setattr__(self, "_whole", whole)
+        return whole
 
     def incoherent_key(self, later: "ZMap") -> Optional[Ordinal]:
         """The least key of both domains at which `later`'s value does not
@@ -207,11 +215,21 @@ class ChainMember:
 class ChainTail:
     """Uniform continuation: each further member is the previous one plus the
     append cycle at the top, stage label advanced by beta_step, z-values
-    extended by the tokens (one per append)."""
+    extended by the tokens (one per append), each ("last",) resolved against
+    the value as it stands before the cycle. The cycle is nonempty and the
+    stages rise (HypothesisViolated "tail-shape" otherwise), as the tail
+    lemma in the `ascentlab.conditions` docstring asks; `validate_chain`
+    checks its other hypothesis, the tokens'."""
 
     beta_step: int
     schemes: tuple[AppendScheme, ...]
     z_tokens: tuple[ZToken, ...]
+
+    def __post_init__(self) -> None:
+        if self.beta_step < 1:
+            raise HypothesisViolated("tail-shape", f"beta_step {self.beta_step} does not raise the stages")
+        if not self.schemes:
+            raise HypothesisViolated("tail-shape", "the append cycle is empty")
 
     def next_member(self, m: ChainMember) -> ChainMember:
         cond = m.cond
@@ -231,16 +249,6 @@ class ChainDescriptor:
     gamma: Ordinal
     delta: Ordinal
     closed_delta: bool = False
-
-    def sample_members(self) -> list[ChainMember]:
-        """The explicit members, then two members generated by the tail."""
-        out = list(self.members)
-        if self.tail is not None:
-            cur = out[-1]
-            for _ in range(2):
-                cur = self.tail.next_member(cur)
-                out.append(cur)
-        return out
 
 
 def _key(piece, m: int) -> Ordinal:
@@ -478,28 +486,45 @@ def _incoherent(earlier: list, later: list) -> Iterator[Ordinal]:
 
 
 def validate_chain(ch: ChainDescriptor) -> None:
-    """Check every amalgamation hypothesis, on the members extended by two
-    generated tail members (`ChainDescriptor.sample_members`).
+    """Check every amalgamation hypothesis exactly: on the explicit members
+    and on the tail's first member t_1, which decides the whole tail by the
+    tail lemma in the `ascentlab.conditions` docstring.
 
-    Evidence read: each member's own record, and each generated tail
-    member's pair with the member before. A member skips the z-bullets
-    only when `foundations.proves` accepts its record as the "z-bullets"
-    one of its own cond and z objects (`is`), its own stage and the chain's
-    z-domain end. Members decoded from JSON, built by
-    fixtures or by the tail rule, and limit-stage moves carry no record and
-    are checked. A tail member's pair with the member before is decided
-    first (`_adjacent`); when it holds, the member's z-bullets are checked
-    with the record of the member before as `after` (the stage lemma, see
-    `check_z_bullets`), and otherwise in full. `decreasing`, `full-supp` and
-    `z-coherent` are decided on adjacent members: leq_s and end-extension
-    are transitive, by the chain lemma in the `ascentlab.conditions`
-    docstring FULL ∩ FULL ⊆ supp of the outer pair, and when the stages
-    increase, the keys two members share lie in every z-domain between
-    theirs. Otherwise, or after an adjacent failure, the all-pairs loop
-    runs, so the raised error is the first one in pair order.
+    Order: the chain's shape; the tail's z tokens, which must match the
+    append cycle and repeat from their first cycle (the lemma's hypothesis,
+    "tail-shape"); each explicit member's variant, stage and z-bullets; no
+    ("last",) token over a last member of limit height, whose z-values have
+    no final entry to repeat ("tail-shape"); t_1's stage, the mutual
+    exclusivity of its new top levels ("tail-exclusive", naming the level)
+    and its z-bullets; then the pairs.
+    A tree that lists a level above t_1's top fails z-top-level: the tail's
+    members pass through that level with infinitely many distinct z-values,
+    which no finite list holds.
+
+    Evidence read: each member's own record, and the last member's. A
+    member skips the z-bullets only when `foundations.proves` accepts its
+    record as the "z-bullets" one of its own cond and z objects (`is`), its
+    own stage and the chain's z-domain end. Members decoded from JSON,
+    built by fixtures, and limit-stage moves carry no record and are
+    checked. t_1 extends the last member by appends only, so its new levels
+    are checked by the append lemma (`ascent._me_above`), from the last
+    top's "me_family" record when it carries one, and its z-bullets by the
+    stage lemma with the last member's record as `after` (see
+    `check_z_bullets`).
+
+    Pairs: `decreasing`, `full-supp` and `z-coherent` hold by construction
+    between the last member and t_1 and between later tail members, and a
+    pair (m, t_k) holds when (m, last) does, by transitivity through the
+    last member: leq_s and end-extension are transitive, FULL ∩ FULL ⊆ supp
+    of the outer pair by the chain lemma, and t_k's z-domain lies in the
+    last member's. So only the explicit members are paired, adjacent ones
+    first: when the stages increase, the keys two members share lie in
+    every z-domain between theirs. Otherwise, or after an adjacent
+    failure, the all-pairs loop runs over the explicit members, and the
+    raised error is the first one in the pair order of all members.
 
     A pass also puts every height below the amalgam's: `decreasing` holds
-    on every pair, so heights never fall along the sample, and the tail
+    on every pair, so heights never fall along the members, and the tail
     members extend the last member's top within its block, below
     `next_limit()` of its height, which is the amalgam's."""
     if not ch.members:
@@ -510,29 +535,47 @@ def validate_chain(ch: ChainDescriptor) -> None:
         raise HypothesisViolated("delta-range", f"delta {ch.delta} not above gamma {ch.gamma}")
     if ch.tail is None:
         raise NotUniformTail("a cofinal chain below a limit needs a uniform tail")
-    if len(ch.tail.z_tokens) != len(ch.tail.schemes):
+    tokens = ch.tail.z_tokens
+    if len(tokens) != len(ch.tail.schemes):
         raise HypothesisViolated("tail-shape", "z tokens must match the append cycle")
-    sample = ch.sample_members()
-    start = len(ch.members)
-    linked = True       # every adjacent pair up to the member passes, in order
-    ev = None           # the record of the member before
-    for i, m in enumerate(sample):
+    if LAST in tokens and tokens[-1] != LAST:
+        raise HypothesisViolated("tail-shape", "z tokens with a 'last' token must end with "
+                                 "one, or the cycles after the first append other entries")
+    ev = None           # once the loop ends, the last member's z-bullets record
+    for m in ch.members:
         if m.cond.variant != S_X:
             raise HypothesisViolated("variant", "chain members must be S_X conditions")
         if not (m.beta < ch.gamma):
             raise HypothesisViolated("gamma-cofinal", f"stage {m.beta} at or above gamma")
-        if i == start:
-            linked = all(_adjacent(a, b) for a, b in zip(sample, sample[1:start]))
-        if i >= start:
-            linked = linked and _adjacent(sample[i - 1], m)
-        after = ev if i >= start and linked else None
         ev = m.bullets
         if not proves(ev, "z-bullets", (m.cond, m.z), (m.beta, ch.delta, ch.closed_delta)):
-            ev = check_z_bullets(m.beta, m.cond, m.z, ch.delta, ch.closed_delta, after)
-    if linked:
+            ev = check_z_bullets(m.beta, m.cond, m.z, ch.delta, ch.closed_delta)
+    last = ch.members[-1]
+    if LAST in tokens and last.cond.eta.is_limit:
+        raise HypothesisViolated("tail-shape", f"a 'last' token repeats a final entry, which no "
+                                 f"value of the limit height {last.cond.eta} has")
+    first = ch.tail.next_member(last)
+    if not (first.beta < ch.gamma):
+        raise HypothesisViolated("gamma-cofinal", f"stage {first.beta} at or above gamma")
+    top = last.cond.top
+    known = proves(top.exclusive, "me_family", (top.cells, top.exceptions), (top.height,))
+    h = last.cond.eta
+    while h < first.cond.eta:
+        h = h.succ()
+        rep = _me_above(first.cond.level(h), known, FULL_SET)
+        if not rep.ok:
+            raise HypothesisViolated("tail-exclusive", f"level {h} not mutually exclusive: {rep.detail}")
+        known = True
+    check_z_bullets(first.beta, first.cond, first.z, ch.delta, ch.closed_delta, ev)
+    for h, _ in first.cond.tree.explicit:
+        if h.w == first.cond.eta.w and h > first.cond.eta:
+            raise HypothesisViolated("z-top-level", f"the tail's z-values pass level {h}, "
+                                     "which lists finitely many nodes")
+    members = ch.members
+    if all(_adjacent(a, b) for a, b in zip(members, members[1:])):
         return
-    for i, m1 in enumerate(sample):
-        for m2 in sample[i + 1:]:
+    for i, m1 in enumerate(members):
+        for m2 in members[i + 1:]:
             if not leq_s(m2.cond, m1.cond):
                 raise HypothesisViolated("decreasing", f"stage {m2.beta} does not extend {m1.beta}")
             if supp(m1.cond.top, m2.cond.top) != FULL_SET:

@@ -59,9 +59,43 @@ piece form holds each key of the domain with its value. The callers hold
 the other hypotheses:
 `game.strategy_ii_move` from II's previous move (full support from the
 one-step's graft record, `ascent.AscentLevel.grafted`, and end-extension
-from the graft step), `amalgam.validate_chain` for each generated tail
-member after its adjacent checks, and `game.check_run_invariants` from its
-own records, `_chain_holds` and coherence results.
+from the graft step), `amalgam.validate_chain` for a chain's first tail
+member, which the tail lemma below gives them, and
+`game.check_run_invariants` from its own records, `_chain_holds` and
+coherence results.
+
+Tail lemma. Let a chain's uniform tail (`amalgam.ChainTail`) have
+beta_step >= 1 and z tokens periodic from their first cycle: the last
+token is ("last",), or no token is. Let t_0 be the last explicit member and
+t_{k+1} the member the tail builds from t_k. Then:
+- t_{k+1} extends t_k by appends only: its tree has t_k's level tuples,
+  its top is t_k's with one entry appended per scheme, and each of its
+  z-values is t_k's value at its key with the resolved tokens appended. So
+  the stages rise, leq_s, full support and z-coherence hold between the
+  two by construction.
+- A ("last",) token repeats the value's final entry as it stands before
+  the cycle. When the last token is ("last",), a cycle ends on that entry
+  again, and when no token is, none reads it; so at every key each cycle
+  appends what the first one did, and the schemes are fixed. The entries
+  t_{k+1} appends, to the top and to every z-value, repeat t_1's at the
+  matching coordinates of the cycle, and `ZMap.limit_value` and
+  `ZMap.limit_map`, which resolve the tokens once, give the tail's unions.
+  Without the hypothesis they do not: tokens ("last",), ("const", 5) on a
+  value ending in 3 append 3,5 once and 5,5 after.
+- t_{k+1}'s z-domain lies inside t_1's, as its stage is higher.
+So every z-bullet that holds at t_1 holds at every later member: below
+t_1's top the values and the top are t_1's, z-pairwise, z-vs-zero and
+z-exclusive read at each later coordinate the entries t_1 reads at the
+matching one, and z-top-level holds as the levels above t_1's top are
+append levels, when the tree lists none there in t_1's block. When it
+lists one, z-top-level fails at the member that reaches it: t_1's z-values
+are infinitely many (the domain holds every stage below gamma above t_1's)
+and pairwise distinct, so the later values restricted there are infinitely
+many distinct nodes, and a listed level is finite. In the same way each new top level of t_{k+1} is mutually
+exclusive when t_1's are, by the append lemma. `amalgam.validate_chain`
+therefore builds t_1 alone, checks its new levels (the append lemma) and
+its z-bullets (the stage lemma, from t_0's record), and pairs only the
+explicit members: a pair (m, t_k) holds when (m, t_0) does, through t_0.
 
 Whole pieces. Each z-bullet speaks of every key, or every pair of distinct
 keys, and its value. So it holds on a z-map when it holds on pieces that

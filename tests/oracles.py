@@ -647,12 +647,47 @@ def brute_family_in_tree(tree, cells, exceptions, bound: int = 64) -> bool:
                     for c in cells for m in range(bound)))
 
 
+def tail_members(ch, count: int) -> list:
+    """The first `count` members of the chain's uniform tail, each built
+    from the one before by the tail's definition: the cycle of top appends,
+    the stage advanced by beta_step, and each z-value extended by the
+    tokens, a "last" token repeating the value's final entry as it stands
+    before the cycle. Cells keep their positions and entries their keys: the
+    new lower end of the domain alone leaves out the keys at or below the
+    stage."""
+    from ascentlab.amalgam import ChainMember, ZMap
+    from ascentlab.ascent import Cell
+    from ascentlab.conditions import extend_with_top
+    tail, cur, out = ch.tail, ch.members[-1], []
+
+    def grow(v):
+        base = v
+        for tok in tail.z_tokens:
+            v = v.append(base.final[-1] if tok == ("last",) else tok[1])
+        return v
+    for _ in range(count):
+        cond = cur.cond
+        for scheme in tail.schemes:
+            cond = extend_with_top(cond, cond.top.append_entries(scheme))
+        beta = Ordinal(cur.beta.w, cur.beta.n + tail.beta_step)
+        z = cur.z
+        cur = ChainMember(beta, cond, ZMap(
+            beta, z.hi, z.closed_hi, tuple((w, Cell(c.ap, grow(c.template))) for w, c in z.cells),
+            tuple((k, grow(v)) for k, v in z.entries)))
+        out.append(cur)
+    return out
+
+
 def all_pairs_validate_chain(ch):
-    """validate_chain with every member's z-bullets checked, whatever
-    evidence it carries, and every requirement on every pair of members,
-    z-coherence on the members' windows (`window_incoherent_key`)."""
+    """validate_chain on the explicit members and the first three tail
+    members (`tail_members`): every member's z-bullets checked,
+    whatever evidence it carries, every new top level of a tail member
+    walked in full, and every requirement on every pair of members,
+    z-coherence on the members' windows (`window_incoherent_key`). The
+    tail's tokens must match its cycle and repeat from the first one, as
+    the closed-form unions read them."""
     from ascentlab.amalgam import HypothesisViolated, NotUniformTail, check_z_bullets
-    from ascentlab.ascent import supp
+    from ascentlab.ascent import me_family, supp
     from ascentlab.conditions import S_X, leq_s
     from ascentlab.foundations import FULL_SET
     if not ch.members:
@@ -663,17 +698,38 @@ def all_pairs_validate_chain(ch):
         raise HypothesisViolated("delta-range", f"delta {ch.delta} not above gamma {ch.gamma}")
     if ch.tail is None:
         raise NotUniformTail("a cofinal chain below a limit needs a uniform tail")
-    if len(ch.tail.z_tokens) != len(ch.tail.schemes):
+    tokens = ch.tail.z_tokens
+    if len(tokens) != len(ch.tail.schemes):
         raise HypothesisViolated("tail-shape", "z tokens must match the append cycle")
-    sample = ch.sample_members()
-    for m in sample:
+    if ("last",) in tokens and tokens[-1] != ("last",):
+        raise HypothesisViolated("tail-shape", "z tokens with a 'last' token must end with "
+                                 "one, or the cycles after the first append other entries")
+    for m in ch.members:
         if m.cond.variant != S_X:
             raise HypothesisViolated("variant", "chain members must be S_X conditions")
         if not (m.beta < ch.gamma):
             raise HypothesisViolated("gamma-cofinal", f"stage {m.beta} at or above gamma")
         check_z_bullets(m.beta, m.cond, m.z, ch.delta, ch.closed_delta)
-    for i, m1 in enumerate(sample):
-        for m2 in sample[i + 1:]:
+    if ("last",) in tokens and ch.members[-1].cond.eta.is_limit:
+        raise HypothesisViolated("tail-shape", f"a 'last' token repeats a final entry, which no "
+                                 f"value of the limit height {ch.members[-1].cond.eta} has")
+    tail = tail_members(ch, 3)
+    before = ch.members[-1]
+    for m in tail:
+        if not (m.beta < ch.gamma):
+            raise HypothesisViolated("gamma-cofinal", f"stage {m.beta} at or above gamma")
+        h = before.cond.eta
+        while h < m.cond.eta:
+            h = h.succ()
+            rep = me_family(m.cond.level(h))
+            if not rep.ok:
+                raise HypothesisViolated("tail-exclusive",
+                                         f"level {h} not mutually exclusive: {rep.detail}")
+        check_z_bullets(m.beta, m.cond, m.z, ch.delta, ch.closed_delta)
+        before = m
+    members = list(ch.members) + tail
+    for i, m1 in enumerate(members):
+        for m2 in members[i + 1:]:
             if not leq_s(m2.cond, m1.cond):
                 raise HypothesisViolated("decreasing", f"stage {m2.beta} does not extend {m1.beta}")
             if supp(m1.cond.top, m2.cond.top) != FULL_SET:

@@ -140,26 +140,28 @@ def test_incoherent_z_rejected():
 
 
 def test_coherence_checked_on_adjacent_members(monkeypatch):
-    """validate_chain decides z-coherence on adjacent members of a chain
-    whose stages increase: end-extension is transitive, and the keys two
-    members share lie in every z-domain between theirs."""
+    """validate_chain decides z-coherence on adjacent explicit members of a
+    chain whose stages increase: end-extension is transitive, and the keys
+    two members share lie in every z-domain between theirs. The tail's
+    members extend the last one by construction (the tail lemma), so no
+    pair with a tail member is read."""
     ch = uniform_chain(3, Ordinal(1, 2))
     calls = []
     incoherent = ZMap.incoherent_key
     monkeypatch.setattr(ZMap, "incoherent_key",
                         lambda a, b: calls.append((a, b)) or incoherent(a, b))
     amalgam.validate_chain(ch)
-    sample = ch.sample_members()
-    assert calls == [(a.z, b.z) for a, b in zip(sample, sample[1:])]
-    assert len(sample) == 5
+    members = ch.members
+    assert calls == [(a.z, b.z) for a, b in zip(members, members[1:])]
+    assert len(calls) == 2
 
 
 def test_coherence_checked_on_all_pairs_when_stages_do_not_increase():
     """Members at stages 0, 2, 1 (towers of 1, 3 and 4 levels, fixture
     z-maps, the last with z(2) set to <1001, ...>): every adjacent pair of
-    the sample is coherent, but stage 2's domain leaves out key 2, which
-    stages 0 and 1 share and disagree at, so the all-pairs loop runs and
-    names it."""
+    the members and the tail's first member is coherent, but stage 2's
+    domain leaves out key 2, which stages 0 and 1 share and disagree at, so
+    the all-pairs loop runs and names it."""
     from ascentlab.amalgam import ChainMember, ChainTail
     from ascentlab.ascent import standard_append
     from ascentlab.fixtures import _fixture_zmap, tower
@@ -171,10 +173,39 @@ def test_coherence_checked_on_all_pairs_when_stages_do_not_increase():
                ChainMember(Ordinal(0, 1), tower(4, S_X), z))
     ch = ChainDescriptor(members, ChainTail(1, (standard_append(members[2].cond.top),), (("last",),)),
                          OMEGA, delta)
-    sample = ch.sample_members()
-    assert [a.z.incoherent_key(b.z) for a, b in zip(sample, sample[1:])] == [None] * 4
+    chained = members + (ch.tail.next_member(members[-1]),)
+    assert [a.z.incoherent_key(b.z) for a, b in zip(chained, chained[1:])] == [None] * 3
     with pytest.raises(HypothesisViolated, match=r"\(z-coherent\): z\(2\) not increasing"):
         amalgam.validate_chain(ch)
+
+
+def test_chain_tail_needs_rising_stages_and_a_cycle():
+    """A tail whose stages do not rise, or whose append cycle is empty, is
+    refused when it is built, as the decoder refuses it. With beta_step 0
+    over the standard chain, tail stages 2, 2, 2 used to pass validate_chain
+    and amalgamate returned; an empty cycle reached amalgamate's rule."""
+    from ascentlab.amalgam import ChainTail
+    tail = uniform_chain(3, Ordinal(1, 2)).tail
+    for step in (0, -1):
+        with pytest.raises(HypothesisViolated, match=rf"\(tail-shape\): beta_step {step} does not"):
+            ChainTail(step, tail.schemes, tail.z_tokens)
+        with pytest.raises(HypothesisViolated, match=r"\(tail-shape\): beta_step"):
+            dataclasses.replace(tail, beta_step=step)
+    with pytest.raises(HypothesisViolated, match=r"\(tail-shape\): the append cycle is empty"):
+        ChainTail(1, (), ())
+
+
+def test_zmap_whole_is_built_once_per_map():
+    """`ZMap.whole` builds its pieces on first use and returns that tuple
+    after; a `dataclasses.replace` copy starts without them, and equality,
+    hash and repr do not read them."""
+    z = uniform_chain(2, Ordinal(1, 2)).members[1].z
+    copy = dataclasses.replace(z)
+    whole = z.whole()
+    assert isinstance(whole, tuple) and z.whole() is whole
+    assert copy._whole is None and copy == z and hash(copy) == hash(z) and repr(copy) == repr(z)
+    assert copy.whole() == whole and copy.whole() is not whole
+    assert dataclasses.replace(z, closed_hi=True)._whole is None
 
 
 def test_closed_delta_interval():
@@ -815,7 +846,8 @@ def builds_only_top_member_zero(cond, built) -> bool:
 
 def test_z_bullets_successor_pass_builds_no_probe_node(monkeypatch):
     runs = [r for r in z_check_counts(monkeypatch) if r[0] == "check" and r[1].eta.is_successor]
-    assert len(runs) == 12
+    # five in play, five in the invariants and the tail's first member
+    assert len(runs) == 11
     assert all(c["ZMap.at"] == 0 and builds_only_top_member_zero(cond, built)
                for _, cond, _, c, built in runs)
 

@@ -591,6 +591,48 @@ def test_amalgamate_low_z_cell_exit_2(block, tmp_path, capsys):
         "error": f"chain hypothesis failed (z-top-level): a cell of block {block} has height 0"}
 
 
+def test_amalgamate_non_periodic_tail_tokens_exit_2(tmp_path, capsys):
+    """The standard chain with each member's z-map cut to its entry at w,
+    and a tail cycle of two appends with z tokens ["last"], ["const", 5]:
+    the first cycle appends z(w)'s own last entry 3, every later one 5
+    again, so z(w) runs 3,3,3,3,5,5,5,... along the tail, while the closed
+    form repeats the first cycle's (3,5). The tokens do not repeat from
+    their first cycle, so no closed-form union exists: exit 2, where the
+    skipped branch used to be read as <3,3,3|(3,5)*> and the run exit 0."""
+    from oracles import tail_members
+
+    def edit(d):
+        for m in d["members"]:
+            m["z"]["entries"], m["z"]["cells"] = m["z"]["entries"][:1], []
+        scheme = d["tail"]["schemes"][0]
+        d["tail"]["schemes"], d["tail"]["z_tokens"] = [scheme, scheme], [["last"], ["const", 5]]
+    path = edited_input_file(tmp_path, "amalgamate", edit)
+    ch = sz.dec_chain(json.loads(open(path).read()))
+    w = Ordinal(1, 0)
+    assert tail_members(ch, 3)[-1].z.at(w).final == (3, 3, 3, 3, 5, 5, 5, 5, 5)
+    code = main(["amalgamate", path])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"command": "amalgamate", "error": (
+        "chain hypothesis failed (tail-shape): z tokens with a 'last' token must end with one, "
+        "or the cycles after the first append other entries")}
+
+
+def test_amalgamate_non_exclusive_tail_level_exit_2(tmp_path, capsys):
+    """The standard chain with its tail scheme's cell entry set to the
+    constant 7: every tail member's new level gives all its indices the
+    label 7, so it is not mutually exclusive. The tail members are not
+    conditions, which is a failed hypothesis naming the first such level,
+    not a failed conclusion of the amalgam."""
+    path = edited_input_file(tmp_path, "amalgamate", set_at(("tail", "schemes", 0, "cell_entries", 0), 7))
+    code = main(["amalgamate", path])
+    out = capsys.readouterr().out
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out) == {"command": "amalgamate", "error": (
+        "chain hypothesis failed (tail-exclusive): level 4 not mutually exclusive: "
+        "indices 0,1 share a value at (0,3)")}
+
+
 def entry_positions(d, keys=()):
     """The key paths of every entry object in a JSON document: the members
     of its `prefix`, `tail`, `final` and `cell_entries` lists."""

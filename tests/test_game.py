@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascentlab import amalgam, game
-from ascentlab.foundations import OMEGA_NAT, Ordinal, ZERO, proves
+from ascentlab.foundations import OMEGA_NAT, Ordinal, Rejected, ZERO, proves
 from ascentlab.amalgam import (
     ChainDescriptor, HypothesisViolated, ZMap, amalgamate, validate_chain,
 )
@@ -17,7 +17,7 @@ from ascentlab.game import (
     strategy_ii_move, _game_tail,
 )
 from ascentlab.nodes import const_node
-from oracles import all_pairs_validate_chain, probe_keys
+from oracles import all_pairs_validate_chain, probe_keys, tail_members
 
 
 def test_strategy_opening_and_stage2():
@@ -182,8 +182,8 @@ def limit_chains(mu, opponent, xi) -> list[ChainDescriptor]:
 def outcome(validate, ch):
     try:
         return validate(ch)
-    except HypothesisViolated as e:
-        return e.bullet, str(e)
+    except Rejected as e:
+        return type(e).__name__, str(e)
 
 
 def z_checked_stages(ch) -> list[Ordinal]:
@@ -247,12 +247,6 @@ def game_chains(draw):
     return ch
 
 
-@settings(max_examples=40, deadline=None)
-@given(game_chains())
-def test_validate_chain_matches_all_pairs(ch):
-    assert outcome(validate_chain, ch) == outcome(all_pairs_validate_chain, ch)
-
-
 @st.composite
 def fixture_chains(draw):
     """The standard amalgamation fixture over drawn shapes, its members
@@ -268,31 +262,110 @@ def fixture_chains(draw):
     return ch
 
 
+@st.composite
+def retailed(draw, chains):
+    """A chain drawn from `chains`, its tail changed when drawn so: another
+    beta_step, z tokens drawn anew (of the cycle's length or one off), or a
+    scheme of the cycle replaced by the standard one with shifted labels or
+    with one cell entry set to a constant, or the cycle doubled."""
+    from ascentlab.ascent import AppendScheme, standard_append
+    ch = draw(chains)
+    tail = ch.tail
+    kind = draw(st.sampled_from(["none", "beta_step", "tokens", "shift", "constant", "double"]))
+    n = len(tail.schemes)
+    j = draw(st.integers(0, n - 1))
+    schemes = list(tail.schemes)
+    if kind == "beta_step":
+        tail = dataclasses.replace(tail, beta_step=draw(st.integers(1, 3)))
+    elif kind == "tokens":
+        token = st.one_of(st.just(("last",)), st.tuples(st.just("const"), st.integers(0, 9)))
+        size = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+        tail = dataclasses.replace(tail, z_tokens=tuple(draw(st.lists(token, min_size=size, max_size=size))))
+    elif kind == "shift":
+        schemes[j] = standard_append(ch.members[-1].cond.top, shift=draw(st.integers(1, 3)))
+        tail = dataclasses.replace(tail, schemes=tuple(schemes))
+    elif kind == "constant":
+        entries = list(schemes[j].cell_entries)
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.integers(0, 9))
+        schemes[j] = AppendScheme(tuple(entries), schemes[j].exception_labels)
+        tail = dataclasses.replace(tail, schemes=tuple(schemes))
+    elif kind == "double":
+        tail = dataclasses.replace(tail, schemes=tail.schemes * 2, z_tokens=tail.z_tokens * 2)
+    return dataclasses.replace(ch, tail=tail)
+
+
+@settings(max_examples=40, deadline=None)
+@given(retailed(st.one_of(game_chains(), fixture_chains())))
+def test_validate_chain_matches_all_pairs(ch):
+    """validate_chain, which generates one tail member, has the outcome of
+    the all-pairs reference over three generated members: the same pass,
+    or the same error and message. The tail lemma says why one member
+    decides the whole tail, under its two hypotheses: rising stages, which
+    `ChainTail` demands, and tokens that repeat from their first cycle,
+    which both check first."""
+    calls = []
+    next_member = amalgam.ChainTail.next_member
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amalgam.ChainTail, "next_member",
+                   lambda tail, m: calls.append(m) or next_member(tail, m))
+        got = outcome(validate_chain, ch)
+    assert len(calls) <= 1 and (got is not None or len(calls) == 1)
+    assert got == outcome(all_pairs_validate_chain, ch)
+
+
+TOKENS = st.lists(st.one_of(st.just(("last",)), st.tuples(st.just("const"), st.integers(0, 9))),
+                  min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(game_chains(), fixture_chains()), TOKENS)
+def test_tail_shape_is_refused_exactly_when_the_closed_form_misses_the_tail(ch, tokens):
+    """The tail lemma's token hypothesis is the right one: with a cycle of
+    the drawn tokens (and as many copies of the chain's first scheme),
+    `ZMap.limit_value`, which resolves the tokens once, extends the value
+    of every key of the third tail member (`oracles.tail_members`, which
+    resolves them per cycle) exactly when validate_chain does not refuse
+    the tail as "tail-shape". The chains' last members have a successor
+    height and infinitely many distinct last entries, so a cycle that does
+    not repeat misses the closed form at some key. Other outcomes are the
+    all-pairs reference's, as in `test_validate_chain_matches_all_pairs`."""
+    from oracles import zmap_window
+    tail = dataclasses.replace(ch.tail, schemes=(ch.tail.schemes[0],) * len(tokens),
+                               z_tokens=tuple(tokens))
+    ch = dataclasses.replace(ch, tail=tail)
+    last, third = ch.members[-1].z, tail_members(ch, 3)[-1].z
+    missed = any(last.limit_value(k, tail.z_tokens).restrict(v.dom) != v
+                 for k, v in zmap_window(third, third.hi.w + 1, 24).items())
+    got = outcome(validate_chain, ch)
+    assert (got is not None and "(tail-shape)" in got[1]) == missed
+    assert got == outcome(all_pairs_validate_chain, ch)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(game_chains(), fixture_chains()))
 def test_a_valid_chain_stays_below_the_amalgam_height(ch):
-    """When validate_chain passes, every member of its sample, the two
-    generated tail members included, lies below the amalgam's height, the
-    limit after the last member's: `decreasing` holds on every pair and the
-    tail stays in the last member's block. So the amalgam needs no check
-    that a member reaches its height."""
+    """When validate_chain passes, every member, and each of the tail's
+    first three members (`oracles.tail_members`), lies below the amalgam's
+    height, the limit after the last member's: `decreasing` holds on every
+    pair and the tail stays in the last member's block. So the amalgam
+    needs no check that a member reaches its height."""
     try:
         validate_chain(ch)
     except HypothesisViolated:
         return
     limit = ch.members[-1].cond.eta.next_limit()
-    assert all(m.cond.eta < limit for m in ch.sample_members())
+    assert all(m.cond.eta < limit for m in ch.members + tuple(tail_members(ch, 3)))
 
 
 def test_game_chain_members_carry_evidence():
     """Finite-stage members skip their z-bullets; the limit-stage member and
-    the two generated tail members are checked in full."""
+    the tail's first member are checked, the latter by the stage lemma."""
     chains = limit_chains(Ordinal(2, 2), onestep_opponent(), 0)
     first, second = chains
     assert all(m.bullets is not None for m in first.members)
-    assert z_checked_stages(first) == [Ordinal(0, 8), Ordinal(0, 10)]
+    assert z_checked_stages(first) == [Ordinal(0, 8)]
     assert [m.beta for m in second.members if m.bullets is None] == [Ordinal(1, 0)]
-    assert z_checked_stages(second) == [Ordinal(1, 0), Ordinal(1, 8), Ordinal(1, 10)]
+    assert z_checked_stages(second) == [Ordinal(1, 0), Ordinal(1, 8)]
 
 
 def test_chains_without_evidence_are_checked_in_full():
@@ -300,7 +373,8 @@ def test_chains_without_evidence_are_checked_in_full():
     from ascentlab.fixtures import uniform_chain
     decoded = sz.dec_chain(sz.enc_chain(limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]))
     for ch in (uniform_chain(3, Ordinal(1, 2)), decoded):
-        assert z_checked_stages(ch) == [m.beta for m in ch.sample_members()]
+        first = ch.tail.next_member(ch.members[-1])
+        assert z_checked_stages(ch) == [m.beta for m in ch.members] + [first.beta]
 
 
 def test_evidence_is_bound_to_the_member_objects():
@@ -309,7 +383,7 @@ def test_evidence_is_bound_to_the_member_objects():
     copy_z = ZMap.make(m.z.lo, m.z.hi, m.z.closed_hi, m.z.cells, m.z.entries)
     copy_cond = Condition(m.cond.tree, m.cond.path, m.cond.variant, m.cond.x)
     assert copy_z == m.z and copy_z is not m.z and copy_cond == m.cond
-    tail = [Ordinal(0, 8), Ordinal(0, 10)]
+    tail = [Ordinal(0, 8)]
     assert z_checked_stages(ch) == tail
     assert z_checked_stages(with_member(ch, 1, z=copy_z)) == [m.beta] + tail
     assert z_checked_stages(with_member(ch, 1, cond=copy_cond)) == [m.beta] + tail
@@ -356,8 +430,8 @@ def test_stage_lemma_reads_only_records_the_check_made():
     an equal stage 2 played apart (forged), or of stage 4 itself (stale),
     is no evidence for stage 2's objects: II's move checks in full with
     either, and check_z_bullets with the stale one; a decoded chain's
-    members are checked in full, its tail members from the records this
-    check made."""
+    members are checked in full, its tail's first member from the last
+    member's record this check made."""
     from ascentlab.amalgam import check_z_bullets
     from ascentlab.foundations import Proof
     t, mv2, args = stage_pair()
@@ -385,7 +459,7 @@ def test_stage_lemma_reads_only_records_the_check_made():
     ch = limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]
     decoded = sz.dec_chain(sz.enc_chain(ch))
     assert all(m.bullets is None for m in decoded.members)
-    assert lemma_checks(validate_chain, decoded) == [m.beta for m in decoded.sample_members()[-2:]]
+    assert lemma_checks(validate_chain, decoded) == [decoded.tail.next_member(decoded.members[-1]).beta]
 
 
 @pytest.mark.parametrize("height", [4, 2], ids=["top", "below"])
@@ -421,6 +495,61 @@ def test_stage_lemma_not_read_over_a_listed_level_above_a_member():
                       cond=Condition(tree, m.cond.path, m.cond.variant, m.cond.x))
     with pytest.raises(HypothesisViolated, match=r"\(z-top-level\): z\(9\) outside the tree"):
         validate_chain(bad)
+
+
+def test_a_level_listed_above_the_first_tail_member_fails_z_top_level():
+    """The last member's tree with one node listed one height above the
+    tail's first member's top: no member's check reads it, but the later
+    tail members grow through it, with infinitely many distinct z-values
+    (the first member's pass z-pairwise), which no finite list holds.
+    validate_chain names the level; the reference over three tail members
+    finds a z-value outside the tree at the member that reaches it."""
+    from ascentlab.trees import SymTree
+    ch = limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]
+    m = ch.members[-1]
+    h = ch.tail.next_member(m).cond.eta.succ()
+    tree = SymTree.make(m.cond.tree.height, {h: (const_node(1, h),)}, m.cond.tree.catalogs)
+    bad = with_member(ch, -1, cond=Condition(tree, m.cond.path, m.cond.variant, m.cond.x))
+    with pytest.raises(HypothesisViolated, match=rf"\(z-top-level\): the tail's z-values pass level {h},"):
+        validate_chain(bad)
+    with pytest.raises(HypothesisViolated, match=r"\(z-top-level\): z\(11\) outside the tree"):
+        all_pairs_validate_chain(bad)
+
+
+def test_a_last_token_over_a_limit_height_member_is_refused():
+    """A game's second chain cut after its limit-stage member: the z-values
+    of that member have the limit height and no final entry, so the tail's
+    ("last",) token has nothing to repeat. validate_chain refuses the tail
+    (exit 2 at the CLI), where building its first member raised ValueError
+    (exit 1)."""
+    ch = limit_chains(Ordinal(2, 2), onestep_opponent(), 0)[1]
+    i = [m.beta for m in ch.members].index(Ordinal(1, 0))
+    cut = dataclasses.replace(ch, members=ch.members[:i + 1])
+    for validate in (validate_chain, all_pairs_validate_chain):
+        with pytest.raises(HypothesisViolated, match=r"\(tail-shape\): a 'last' token repeats a "
+                           r"final entry, which no value of the limit height w has"):
+            validate(cut)
+
+
+def test_validate_chain_builds_one_tail_member(monkeypatch):
+    """Count guard: each amalgamate, through validate_chain, builds one tail
+    member, on the chains of a game past two limits and on the fixture
+    chains, and no more on the chains it refuses."""
+    from ascentlab.fixtures import uniform_chain
+    chains = limit_chains(Ordinal(2, 2), onestep_opponent(), 0)
+    chains += [uniform_chain(k, Ordinal(1, 2), closed) for k in (1, 3) for closed in (False, True)]
+    calls = []
+    next_member = amalgam.ChainTail.next_member
+    monkeypatch.setattr(amalgam.ChainTail, "next_member",
+                        lambda tail, m: calls.append(m) or next_member(tail, m))
+    for ch in chains:
+        amalgamate(ch)
+    assert calls == [ch.members[-1] for ch in chains]
+    calls.clear()
+    bad = with_member(chains[0], 2, cond=relabelled(chains[0].members[2].cond))
+    with pytest.raises(HypothesisViolated, match=r"\(decreasing\)"):
+        validate_chain(bad)
+    assert len(calls) == 1
 
 
 def test_decreasing_failure_names_the_first_pair_in_order():
