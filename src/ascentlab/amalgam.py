@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from .foundations import (
     ALL_MEET, AP, EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, Proof, Rejected, UPSet,
@@ -75,19 +75,18 @@ class ZMap:
 
     lo: Ordinal
     hi: Ordinal
-    closed_hi: bool = False
-    cells: tuple[tuple[int, Cell], ...] = ()    # (block w, indices over n)
-    entries: tuple[tuple[Ordinal, SymNode], ...] = ()
+    closed_hi: bool
+    cells: tuple[tuple[int, Cell], ...]    # (block w, indices over n)
+    entries: tuple[tuple[Ordinal, SymNode], ...]
     # the whole pieces, built on first use (`whole`); equality, hash and
     # repr read only the fields above, and a copy starts without them
     _whole: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
-    def make(lo, hi, closed_hi=False, cells=(), entries=()) -> "ZMap":
-        """Entries sorted stably by key: a key listed twice keeps its order."""
-        return ZMap(lo, hi, closed_hi,
-                    tuple(cells), tuple(sorted(entries.items() if isinstance(entries, dict) else entries,
-                                               key=itemgetter(0))))
+    def make(lo: Ordinal, hi: Ordinal, closed_hi: bool, cells,
+             entries: Mapping[Ordinal, SymNode]) -> "ZMap":
+        """The map with the entries of a mapping, listed by key."""
+        return ZMap(lo, hi, closed_hi, tuple(cells), tuple(sorted(entries.items())))
 
     def in_domain(self, i: Ordinal) -> bool:
         if i <= self.lo:
@@ -174,7 +173,8 @@ class ZMap:
             if w == new_lo.w and cell.ap.start <= new_lo.n:
                 cell = cell.drop((new_lo.n - cell.ap.start) // cell.ap.step + 1)
             cells.append((w, cell))
-        entries = [(k, v) for k, v in self.entries if k > new_lo]
+        # read backwards, so that a key listed twice keeps its first entry, as in `at`
+        entries = {k: v for k, v in reversed(self.entries) if k > new_lo}
         return ZMap.make(new_lo, self.hi, self.closed_hi, cells, entries)
 
     def stepped(self, new_lo: Ordinal, tokens: tuple[ZToken, ...]) -> "ZMap":
@@ -627,7 +627,7 @@ def amalgamate(ch: ChainDescriptor) -> tuple[Condition, ZMap]:
     singles.append(CatalogSingle("y", vanish, admitted=False))
     catalog = BranchCatalog(tuple(fams), tuple(singles))
 
-    tree = SymTree.make(eta.succ(), last.cond.tree.explicit,
+    tree = SymTree.make(eta.succ(), dict(last.cond.tree.explicit),
                         dict(last.cond.tree.catalogs) | {eta: catalog})
     levels = {h: lvl for h, lvl in last.cond.path.levels if h.n < start_n or h.w != eta.w - 1}
     levels[eta] = top

@@ -37,7 +37,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from .foundations import (
     ALL_MEET, AP, DIAGONAL, EMPTY_SET, FULL_SET, ZERO, BadHeight, Meet, Ordinal, Proof, Rejected,
@@ -90,7 +90,7 @@ class AscentLevel:
 
     height: Ordinal
     cells: tuple[Cell, ...]
-    exceptions: tuple[tuple[int, SymNode], ...] = ()
+    exceptions: tuple[tuple[int, SymNode], ...]
     # Records (`foundations.Proof`) set after construction, never by a
     # decoder, and not copied by `dataclasses.replace`: "graft" by
     # `graft_levels`, and "me_family" by `conditions._one_step` and
@@ -103,8 +103,8 @@ class AscentLevel:
     exclusive: Optional[Proof] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
-    def make(height: Ordinal, cells, exceptions=()) -> "AscentLevel":
-        exc = dict(exceptions.items() if isinstance(exceptions, dict) else exceptions)
+    def make(height: Ordinal, cells, exceptions: Mapping[int, SymNode] = {}) -> "AscentLevel":
+        exc = dict(exceptions)
         carved = []
         for c in cells:
             hole = min((k for k in exc if k in c.ap), default=None)
@@ -440,8 +440,8 @@ class TailRule:
         cells = [Cell(c.ap, c.template.extend_to_limit(
             tuple(s.cell_entries[i] for s in self.schemes)))
             for i, c in enumerate(self.base.cells)]
-        exc = [(k, v.extend_to_limit(tuple(s.exception_labels[k] for s in self.schemes)))
-               for k, v in self.base.exceptions]
+        exc = {k: v.extend_to_limit(tuple(s.exception_labels[k] for s in self.schemes))
+               for k, v in self.base.exceptions}
         return AscentLevel.make(self.base.height.next_limit(), cells, exc)
 
 
@@ -451,7 +451,7 @@ class AscentPath:
     up to the owning condition's top."""
 
     levels: tuple[tuple[Ordinal, AscentLevel], ...]
-    tails: tuple[tuple[int, TailRule], ...] = ()
+    tails: tuple[tuple[int, TailRule], ...]
     # height -> level, built once; the first listed level wins, as in a scan
     _by_height: dict = field(init=False, compare=False, repr=False)
 
@@ -459,9 +459,10 @@ class AscentPath:
         object.__setattr__(self, "_by_height", dict(reversed(self.levels)))
 
     @staticmethod
-    def make(levels, tails=()) -> "AscentPath":
-        levels = tuple(sorted(levels.items() if isinstance(levels, dict) else levels))
-        tails = tuple(sorted(tails.items() if isinstance(tails, dict) else tails))
+    def make(levels: Mapping[Ordinal, AscentLevel],
+             tails: Mapping[int, TailRule] = {}) -> "AscentPath":
+        levels = tuple(sorted(levels.items()))
+        tails = tuple(sorted(tails.items()))
         for h, lvl in levels:
             if lvl.height != h:
                 raise ValueError(f"level at {h} has height {lvl.height}")
@@ -938,7 +939,7 @@ def fill_level(height: Ordinal, cells, exceptions, filler: AscentLevel) -> Ascen
         covered = covered.union(c.ap.upset())
     f_cells, f_exc = restrict_level_domain(filler, covered.complement())
     return AscentLevel.make(height, tuple(cells) + tuple(f_cells),
-                            tuple(exceptions) + tuple(f_exc))
+                            dict(exceptions) | dict(f_exc))
 
 
 def _member_stable(u: UPSet) -> tuple[int, int]:

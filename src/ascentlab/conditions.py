@@ -157,7 +157,7 @@ class Condition:
 
     tree: SymTree
     path: AscentPath
-    variant: str = S_X
+    variant: str
     x: XSequence = DEFAULT_X
     # the top height, set once here, and the top level, read on first use;
     # equality, hash and repr read only the fields above
@@ -209,9 +209,6 @@ class ConditionReport:
     @property
     def ok(self) -> bool:
         return all(v for _, v in self.clauses)
-
-    def clause(self, cid: str) -> bool:
-        return dict(self.clauses)[cid]
 
 
 def _supp_ok(variant: str, s: UPSet, x: XSequence) -> bool:

@@ -15,7 +15,7 @@ from .conditions import make_bad_extension
 from .ascent import standard_append
 
 
-def odd_label(i: Ordinal, offset: int = 0) -> int:
+def odd_label(i: Ordinal, offset: int) -> int:
     """Injective odd labels for auxiliary branches, one per ordinal key."""
     return 16 * i.n + 2 * i.w + 1 + 32 * offset
 
@@ -31,7 +31,7 @@ def tower(k: int, variant: str = S_X, x: XSequence = DEFAULT_X,
     return c
 
 
-def random_tower(rng: random.Random, max_height: int = 5) -> Condition:
+def random_tower(rng: random.Random, max_height: int) -> Condition:
     c = root_condition()
     for _ in range(rng.randrange(1, max_height + 1)):
         beta = Ordinal(0, rng.randrange(0, c.eta.n + 1))
@@ -80,7 +80,7 @@ def uniform_path(prefix: int = 4):
     return PathDescriptor(base, rule)
 
 
-def bad_path_conditions(count: int, pad: int = 0) -> tuple[list[Condition], list[Ordinal]]:
+def bad_path_conditions(count: int, pad: int) -> tuple[list[Condition], list[Ordinal]]:
     """count interleaved bad extensions over the plain theta poset; returns
     the full decreasing sequence and the bad heights (witness pair (0,1))."""
     c = tower(1, S_THETA)

@@ -109,7 +109,7 @@ class Ordinal(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, w: int = 0, n: int = 0) -> "Ordinal":
+    def __new__(cls, w: int, n: int) -> "Ordinal":
         if w < 0 or n < 0:
             raise ValueError(f"negative ordinal parts ({w}, {n})")
         if w > W_LIMIT:
@@ -354,13 +354,6 @@ class UPSet:
                 lmask |= 1 << k
         return _normal(threshold, period, rmask, lmask)
 
-    @staticmethod
-    def from_window(members, period: int, threshold: int) -> "UPSet":
-        """Build from explicit members on [0, threshold+period); the rest repeats."""
-        members = set(members)
-        residues = frozenset(k % period for k in members if threshold <= k < threshold + period)
-        return UPSet.make(threshold, period, residues, frozenset(k for k in members if k < threshold))
-
     @property
     def residues(self) -> frozenset[int]:
         return frozenset(_bits(self.rmask))
@@ -473,21 +466,6 @@ class UPSet:
         if not self.rmask:
             raise ValueError("empty set has no minimum")
         return self.threshold + _lowest_bit(self._tail())
-
-    def max_member(self) -> int:
-        if not self.is_finite:
-            raise ValueError("infinite set has no maximum")
-        if not self.lmask:
-            raise ValueError("empty set has no maximum")
-        return self.lmask.bit_length() - 1
-
-    def rank(self, k: int) -> int:
-        """Number of members strictly below k."""
-        if k <= self.threshold:
-            return (self.lmask & ((1 << max(k, 0)) - 1)).bit_count()
-        full, rem = divmod(k - self.threshold, self.period)
-        head = (self._tail() & ((1 << rem) - 1)).bit_count()
-        return self.lmask.bit_count() + full * self.rmask.bit_count() + head
 
     def nth(self, n: int) -> int:
         """The n-th member (0-based)."""
@@ -669,7 +647,7 @@ class XSequence:
     """
 
     x0: UPSet
-    base: int = 4
+    base: int
 
     def entry(self, n: int) -> UPSet:
         if n < 0:
@@ -698,15 +676,6 @@ class XSequence:
                 raise ProfileViolation("X_0 minus X_1 must be infinite")
         elif profile != "s3":
             raise ValueError(f"unknown profile {profile!r}")
-
-    def escape_index(self, k: int) -> int:
-        """A witness n with k not in X_n; exists for every k (empty intersection)."""
-        n = k // self.base + 1
-        if k in self.entry(n):
-            n += 1
-        if k in self.entry(n):
-            raise PostconditionFailed(f"escape index {n} for {k}: {k} is in X_{n}")
-        return n
 
 
 DEFAULT_X = XSequence(EVENS, 4)

@@ -205,15 +205,6 @@ def random_opponent(seed: int) -> OpponentPolicy:
     return OpponentPolicy(f"random[{seed}]", go, seed=seed)
 
 
-def misbehaving_opponent(bad_stage: Ordinal) -> OpponentPolicy:
-    """Returns a non-extending triple at the given stage (for tests)."""
-    def go(cond: Condition, stage: Ordinal, rng: random.Random) -> Condition:
-        if stage == bad_stage:
-            return root_condition(S_X, cond.x)
-        return one_step_extension(cond, cond.eta)
-    return OpponentPolicy(f"illegal@{bad_stage}", go)
-
-
 def _legal(prev: Condition, new: Condition, xi: int) -> bool:
     """Move legality: a strict extension in the triple order over the run's
     X-sequence. Stalling moves are rejected as a game convention, since runs

@@ -119,8 +119,8 @@ class BlockWord:
 class SymNode:
     """Finitely-described node of the full tree of natural-valued sequences."""
 
-    blocks: tuple[BlockWord, ...] = ()
-    final: tuple[Entry, ...] = ()
+    blocks: tuple[BlockWord, ...]
+    final: tuple[Entry, ...]
     # the domain and whether every entry is an int (no Ramp in a block or the
     # final stretch), set once here; equality, hash and repr read only the
     # fields above

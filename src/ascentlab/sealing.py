@@ -230,7 +230,7 @@ def _route(cond: Condition, triple: SealTriple, xi: int, mid: Condition,
         pieces.append(_route_pieces(sigma, g_alpha, sp.top))
     cells = [c for cs, _ in pieces for c in cs]
     exc = [e for _, es in pieces for e in es]
-    new_top = AscentLevel.make(sp.eta.succ(), cells, exc)
+    new_top = AscentLevel.make(sp.eta.succ(), cells, dict(exc))
     out, _ = _one_step(sp, new_top)
 
     # the two routing guarantees, re-verified exactly

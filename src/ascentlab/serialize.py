@@ -87,6 +87,17 @@ def _objects(d: dict, key: str, where: str) -> list[dict]:
     return [_object(e, f"{where}.{key}[{i}]") for i, e in enumerate(_list_field(d, key, where))]
 
 
+def _indexed(d: Any, where: str) -> dict[int, Any]:
+    """d, an object keyed by indices as `str` writes them (ASCII digits, no
+    leading zero, so one spelling per index), with int keys."""
+    _object(d, where)
+    for k in d:
+        _expect(k == "0" or (k.isascii() and k.isdecimal() and k[0] != "0"),
+                f"{where}: expected an object keyed by indices (ASCII digits, no leading "
+                f"zero), got the key {k!r}")
+    return {int(k): v for k, v in d.items()}
+
+
 def _nat_pair(p: Any, where: str) -> tuple[int, int]:
     _expect(isinstance(p, list) and len(p) == 2
             and all(type(v) is int and v >= 0 for v in p),
@@ -129,7 +140,7 @@ def enc_entry(e: Entry) -> dict:
         return {"const": e}
     return {"ramp": {"a": e.a, "b": e.b}}
 
-def dec_entry(d: Any, ap: Optional[AP] = None, where: str = "entry") -> Entry:
+def dec_entry(d: Any, ap: Optional[AP], where: str) -> Entry:
     if type(d) is int:
         return d
     if "const" in _object(d, where):
@@ -174,7 +185,7 @@ def dec_node(d: Any, ap: Optional[AP] = None, where: str = "node") -> SymNode:
 def enc_cell(c: Cell) -> dict:
     return {"start": c.ap.start, "step": c.ap.step, "template": enc_node(c.template)}
 
-def dec_cell(d: Any, where: str = "cell") -> Cell:
+def dec_cell(d: Any, where: str) -> Cell:
     ap = AP(_int_field(d, "start", where, 0), _int_field(d, "step", where, 1))
     return Cell(ap, dec_node(d.get("template"), ap, f"{where}.template"))
 
@@ -184,14 +195,12 @@ def enc_level(lvl: AscentLevel) -> dict:
             "cells": [enc_cell(c) for c in lvl.cells],
             "exceptions": {str(k): enc_node(v) for k, v in lvl.exceptions}}
 
-def dec_level(d: Any, where: str = "level") -> AscentLevel:
-    exc = _object(d, where).get("exceptions", {})
-    _expect(isinstance(exc, dict) and all(k.isdecimal() for k in exc),
-            f"{where}.exceptions: expected an object keyed by indices, got {exc!r}")
+def dec_level(d: Any, where: str) -> AscentLevel:
+    exc = _indexed(_object(d, where).get("exceptions", {}), f"{where}.exceptions")
     height = dec_ordinal(d.get("height"))
     cells = [dec_cell(c, f"{where}.cells[{i}]")
              for i, c in enumerate(_list_field(d, "cells", where))]
-    exceptions = {int(k): dec_node(v, where=f"{where}.exceptions.{k}") for k, v in exc.items()}
+    exceptions = {k: dec_node(v, where=f"{where}.exceptions.{k}") for k, v in exc.items()}
     try:
         return AscentLevel.make(height, cells, exceptions)
     except ValueError as e:   # pieces that overlap, leave an index out or have another height
@@ -202,14 +211,12 @@ def enc_scheme(s: AppendScheme) -> dict:
     return {"cell_entries": [enc_entry(e) for e in s.cell_entries],
             "exception_labels": {str(k): v for k, v in s.exception_labels.items()}}
 
-def dec_scheme(d: Any, where: str = "scheme") -> AppendScheme:
+def dec_scheme(d: Any, where: str) -> AppendScheme:
     _expect("cell_entries" in _object(d, where), f"{where}.cell_entries: missing")
     lw = f"{where}.exception_labels"
-    labels = _object(d.get("exception_labels", {}), lw)
-    _expect(all(k.isdecimal() for k in labels),
-            f"{lw}: expected an object keyed by indices, got {labels!r}")
+    labels = d.get("exception_labels", {})
     return AppendScheme(tuple(_entries(d, "cell_entries", where, None)),
-                        {int(k): _int_field(labels, k, lw) for k in labels})
+                        {k: _int_field(labels, str(k), lw) for k in _indexed(labels, lw)})
 
 
 def enc_tail_rule(r: TailRule) -> dict:
@@ -237,12 +244,13 @@ def enc_path(p: AscentPath) -> dict:
                        for h, lvl in p.levels],
             "tails": [{"block": w, "rule": enc_tail_rule(r)} for w, r in p.tails]}
 
-def dec_path(d: Any, where: str = "path") -> AscentPath:
+def dec_path(d: Any, where: str) -> AscentPath:
     _required(_object(d, where), "levels", where)
     levels, tails = {}, {}
     for i, e in enumerate(_objects(d, "levels", where)):
         lw = f"{where}.levels[{i}]"
         height = dec_ordinal(_required(e, "height", lw), f"{lw}.height")
+        _expect(height not in levels, f"{lw}.height: repeated height {height}")
         levels[height] = dec_level(_required(e, "level", lw), f"{lw}.level")
         _expect(levels[height].height == height,
                 f"{lw}.height: {height} is not the height {levels[height].height} of its level")
@@ -250,6 +258,7 @@ def dec_path(d: Any, where: str = "path") -> AscentPath:
         tw = f"{where}.tails[{i}]"
         _required(e, "block", tw)
         block = _int_field(e, "block", tw, 0)
+        _expect(block not in tails, f"{tw}.block: repeated block {block}")
         rule = dec_tail_rule(_required(e, "rule", tw), f"{tw}.rule")
         _expect(rule.base.height.w == block,
                 f"{tw}.rule.base: height {rule.base.height} is not in block {block}")
@@ -265,7 +274,7 @@ def enc_catalog(cat: BranchCatalog) -> dict:
             "singles": [{"tag": s.tag, "node": enc_node(s.node), "admitted": s.admitted}
                         for s in cat.singles]}
 
-def dec_catalog(d: Any, where: str = "catalog") -> BranchCatalog:
+def dec_catalog(d: Any, where: str) -> BranchCatalog:
     families, singles = [], []
     for i, f in enumerate(_objects(_object(d, where), "families", where)):
         fw = f"{where}.families[{i}]"
@@ -288,16 +297,20 @@ def enc_tree(t: SymTree) -> dict:
             "catalogs": [{"height": enc_ordinal(h), "catalog": enc_catalog(c)}
                          for h, c in t.catalogs]}
 
-def dec_tree(d: Any, where: str = "tree") -> SymTree:
-    _object(d, where)
-    return SymTree.make(
-        dec_ordinal(d.get("height")),
-        {dec_ordinal(e.get("height")):
-         tuple(dec_node(n) for n in _list_field(e, "nodes", f"{where}.explicit[{i}]"))
-         for i, e in enumerate(_objects(d, "explicit", where))},
-        {dec_ordinal(e.get("height")):
-         dec_catalog(_required(e, "catalog", f"{where}.catalogs[{i}]"), f"{where}.catalogs[{i}].catalog")
-         for i, e in enumerate(_objects(d, "catalogs", where))})
+def dec_tree(d: Any, where: str) -> SymTree:
+    height = dec_ordinal(_object(d, where).get("height"))
+    explicit, catalogs = {}, {}
+    for i, e in enumerate(_objects(d, "explicit", where)):
+        ew = f"{where}.explicit[{i}]"
+        h = dec_ordinal(e.get("height"))
+        _expect(h not in explicit, f"{ew}.height: repeated height {h}")
+        explicit[h] = tuple(dec_node(n) for n in _list_field(e, "nodes", ew))
+    for i, e in enumerate(_objects(d, "catalogs", where)):
+        cw = f"{where}.catalogs[{i}]"
+        h = dec_ordinal(e.get("height"))
+        _expect(h not in catalogs, f"{cw}.height: repeated height {h}")
+        catalogs[h] = dec_catalog(_required(e, "catalog", cw), f"{cw}.catalog")
+    return SymTree.make(height, explicit, catalogs)
 
 
 # -- the big composites ----------------------------------------------------------

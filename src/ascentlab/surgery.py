@@ -93,14 +93,14 @@ def branch_surgery(path: PathDescriptor, n0: int) -> Condition:
         raise NonExclusiveBranches(f"kept branches are not mutually exclusive: {merep.detail}")
 
     cells, exc = level_reindex(fam.level, pi)
-    top = AscentLevel.make(lam, cells, exc)
+    top = AscentLevel.make(lam, cells, dict(exc))
     catalog = BranchCatalog(
         (CatalogFamily(tuple(kept_cells), admitted=True),),
         tuple(CatalogSingle(f"b:{k}", v, admitted=True) for k, v in kept_exc)
         + (CatalogSingle(f"b:{n0}", fam.branch(n0), admitted=False),))
 
     base = path.base
-    tree = SymTree.make(lam.succ(), base.tree.explicit,
+    tree = SymTree.make(lam.succ(), dict(base.tree.explicit),
                         dict(base.tree.catalogs) | {lam: catalog})
     from .conditions import AscentPath
     levels = dict(base.path.levels)

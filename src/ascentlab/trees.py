@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from .foundations import (
     AP, EMPTY_SET, FULL_SET, Ordinal, Rejected, UPSet, ZERO, _root, finite_set, meet,
@@ -51,7 +51,7 @@ class CatalogSingle:
 
 @dataclass(frozen=True, slots=True)
 class BranchCatalog:
-    families: tuple[CatalogFamily, ...] = ()
+    families: tuple[CatalogFamily, ...]
     singles: tuple[CatalogSingle, ...] = ()
 
     def has_admitted(self) -> bool:
@@ -66,15 +66,14 @@ class SymTree:
     """Tree of some height <= omega*W + n, with sparse level overrides."""
 
     height: Ordinal
-    explicit: tuple[tuple[Ordinal, tuple[SymNode, ...]], ...] = ()
-    catalogs: tuple[tuple[Ordinal, BranchCatalog], ...] = ()
+    explicit: tuple[tuple[Ordinal, tuple[SymNode, ...]], ...]
+    catalogs: tuple[tuple[Ordinal, BranchCatalog], ...]
 
     @staticmethod
-    def make(height: Ordinal, explicit=(), catalogs=()) -> "SymTree":
-        explicit = tuple(sorted(
-            (explicit.items() if isinstance(explicit, dict) else explicit)))
-        catalogs = tuple(sorted(
-            (catalogs.items() if isinstance(catalogs, dict) else catalogs)))
+    def make(height: Ordinal, explicit: Mapping[Ordinal, tuple[SymNode, ...]] = {},
+             catalogs: Mapping[Ordinal, BranchCatalog] = {}) -> "SymTree":
+        explicit = tuple(sorted(explicit.items()))
+        catalogs = tuple(sorted(catalogs.items()))
         for h, _ in explicit:
             if h.is_limit or h.is_zero:
                 raise ValueError("explicit levels only at successor heights")
@@ -346,7 +345,7 @@ class StructReport:
     normal: bool
     uniformly_homogeneous: bool
     successor_height: bool
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
     @property
     def ok(self) -> bool:

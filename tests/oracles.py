@@ -33,6 +33,11 @@ def brute_op(kind: str, a: UPSet, b: UPSet | None, bound: int) -> set[int]:
     raise ValueError(kind)
 
 
+def clause(rep, cid: str) -> bool:
+    """A `ConditionReport`'s verdict on the clause named cid ("C1".."C4")."""
+    return dict(rep.clauses)[cid]
+
+
 def brute_classify(y: UPSet, x: XSequence, max_n: int, window: int) -> tuple[str, int | None]:
     """Scan witnesses n <= max_n pointwise on [0, window)."""
     for n in range(max_n + 1):
@@ -234,15 +239,15 @@ def preimage_classify(y: UPSet, x: XSequence) -> tuple[str, int | None]:
     base = x.base
     period = y.period // math.gcd(base, y.period)
     threshold = -(-y.threshold // base)
-    z = UPSet.from_window([k for k in range(threshold + period) if base * k in y],
-                          period, threshold)
+    members = [k for k in range(threshold + period) if base * k in y]
+    z = UPSet.make(threshold, period, [k for k in members if k >= threshold], members)
     if z.is_cobounded():
         n = max(1, z.threshold)
         while n > 1 and (n - 1) in z:
             n -= 1
         return "in_filter", n
     if z.is_finite:
-        return "in_ideal", max(1, z.max_member() + 1 if not z.is_empty else 1)
+        return "in_ideal", max(members, default=0) + 1
     return "neither", None
 
 
@@ -292,7 +297,7 @@ def restrict_via_make(level, alpha: Ordinal):
     return AscentLevel.make(
         alpha,
         [Cell(c.ap, c.template.restrict(alpha)) for c in level.cells],
-        [(k, v.restrict(alpha)) for k, v in level.exceptions])
+        {k: v.restrict(alpha) for k, v in level.exceptions})
 
 
 def append_via_make(level, scheme):
@@ -301,7 +306,7 @@ def append_via_make(level, scheme):
     return AscentLevel.make(
         level.height.succ(),
         [Cell(c.ap, c.template.append(e)) for c, e in zip(level.cells, scheme.cell_entries)],
-        [(k, v.append(scheme.exception_labels[k])) for k, v in level.exceptions])
+        {k: v.append(scheme.exception_labels[k]) for k, v in level.exceptions})
 
 
 def graft_via_make(low, high):
@@ -313,7 +318,7 @@ def graft_via_make(low, high):
     return AscentLevel.make(
         high.height,
         [Cell(p.ap, graft(p.left, p.right)) for p in pieces if p.point is None],
-        [(p.point, graft(p.left, p.right)) for p in pieces if p.point is not None])
+        {p.point: graft(p.left, p.right) for p in pieces if p.point is not None})
 
 
 def tail_level_via_make(rule, n: int):

@@ -37,7 +37,7 @@ from ascentlab.sealing import (
 )
 from ascentlab.surgery import branch_surgery
 from ascentlab.trees import tree_contains, vanishing_levels
-from oracles import brute_delta, brute_eq_star, brute_me, brute_op, upset_window
+from oracles import brute_delta, brute_eq_star, brute_me, brute_op, clause, upset_window
 
 import test_foundations
 import test_nodes
@@ -174,7 +174,7 @@ def test_criterion_04_amalgamation_suite():
                 assert out.eta == gamma
                 van = vanishing_levels(out.tree, "full")
                 assert gamma in van.levels
-                assert check_condition(out, S_X).clause("C3")
+                assert clause(check_condition(out, S_X), "C3")
                 for m in ch.members:
                     assert leq_s(out, m.cond)
                     assert supp(m.cond.top, out.top) == FULL_SET

@@ -263,20 +263,6 @@ def test_zmap_above_matches_pointwise(case):
     assert all(Ordinal(w, c.ap.start) > new_lo for w, c in got.cells)
 
 
-def test_zmap_make_keeps_a_repeated_key_in_listed_order():
-    """`ZMap.make` sorts its entries by key alone, stably (nodes have no
-    order): a key listed twice keeps its listed order, so `at` and `pieces`
-    read the first entry listed, among keys listed out of order too."""
-    from ascentlab.nodes import node
-    z = ZMap.make(Ordinal(0, 0), Ordinal(1, 0), False, (),
-                  [(Ordinal(0, 3), node(1)), (Ordinal(0, 3), node(2))])
-    assert z.at(Ordinal(0, 3)) == node(1) and z.pieces() == [(0, 3, node(1))]
-    z = ZMap.make(Ordinal(0, 0), Ordinal(1, 0), False, (),
-                  [(Ordinal(0, 5), node(3)), (Ordinal(0, 3), node(2)), (Ordinal(0, 3), node(1))])
-    assert [k for k, _ in z.entries] == [Ordinal(0, 3), Ordinal(0, 3), Ordinal(0, 5)]
-    assert z.at(Ordinal(0, 3)) == node(2) and z.pieces()[0] == (0, 3, node(2))
-
-
 @st.composite
 def zmaps_with_repeated_keys(draw):
     """A z-map built without `ZMap.make`, so that its entries keep their
@@ -315,6 +301,20 @@ def test_zmap_at_matches_field_oracle(z):
                 assert z.at(k) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(zmaps_with_repeated_keys(), st.builds(Ordinal, st.integers(0, 2), st.integers(0, 12)))
+def test_zmap_above_keeps_the_first_entry_of_a_repeated_key(z, new_lo):
+    """`ZMap.above` passes `ZMap.make` one entry per key: of a key listed
+    twice, the first, the one `at` reads, so the map above new_lo holds the
+    map's values there."""
+    got = z.above(new_lo)
+    for w in range(3):
+        for n in range(16):
+            k = Ordinal(w, n)
+            if k > new_lo and z.in_domain(k):
+                assert zmap_value(got, k) == zmap_value(z, k)
+
+
 # -- exact checks over the whole z-domain and the whole top level ---------------
 
 def test_z_pairwise_collision_between_cells_past_the_probe_keys():
@@ -327,7 +327,7 @@ def test_z_pairwise_collision_between_cells_past_the_probe_keys():
     z = move.z
     cells = ((0, Cell(AP(3, 2), SymNode((), (0, Ramp(16, 337))))),
              (0, Cell(AP(4, 2), SymNode((), (0, Ramp(16, 369))))))
-    bad = ZMap.make(z.lo, z.hi, z.closed_hi, cells, z.entries)
+    bad = ZMap.make(z.lo, z.hi, z.closed_hi, cells, dict(z.entries))
     assert bad.at(Ordinal(0, 7)) == bad.at(Ordinal(0, 4))
     check_z_bullets(move.stage, move.cond, z, z.hi, z.closed_hi)
     with pytest.raises(HypothesisViolated) as e:
@@ -347,7 +347,7 @@ def test_z_pairwise_collision_behind_a_shared_key():
     move = play_game(Ordinal(0, 8), onestep_opponent(), 0).moves[2]
     z = move.z
     t = SymNode((), (0, Ramp(16, 337)))
-    bad = ZMap.make(z.lo, z.hi, z.closed_hi, [(0, Cell(AP(3, 2), t)), (0, Cell(AP(3, 1), t))])
+    bad = ZMap.make(z.lo, z.hi, z.closed_hi, [(0, Cell(AP(3, 2), t)), (0, Cell(AP(3, 1), t))], {})
     assert bad.at(Ordinal(0, 5)) == bad.at(Ordinal(0, 4)) and not _keys_apart(bad.whole())
     with pytest.raises(HypothesisViolated, match=r"\(z-pairwise\): z\(5\) =\* z\(4\)"):
         check_z_bullets(move.stage, move.cond, bad, z.hi, z.closed_hi)
@@ -381,11 +381,11 @@ def test_last_entry_collision_matches_window(case):
 @settings(max_examples=80, deadline=None)
 @given(zmaps_and_cuts(), st.builds(Ordinal, st.integers(1, 3), st.integers(0, 30)))
 @example((ZMap.make(Ordinal(0, 0), Ordinal(3, 4), False,
-                    [(3, Cell(AP(0, 1), SymNode((BlockWord.make((), (0,)),), (0,))))]), None),
+                    [(3, Cell(AP(0, 1), SymNode((BlockWord.make((), (0,)),), (0,))))], {}), None),
          Ordinal(3, 4))
 @example((ZMap.make(Ordinal(0, 0), Ordinal(1, 0), False,
                     [(0, Cell(AP(0, 2), SymNode((BlockWord.make((), (0,)),), (Ramp(1, 0),)))),
-                     (0, Cell(AP(0, 1), SymNode((BlockWord.make((), (0,)),), (Ramp(1, 0),))))]),
+                     (0, Cell(AP(0, 1), SymNode((BlockWord.make((), (0,)),), (Ramp(1, 0),))))], {}),
           None), Ordinal(1, 0))
 def test_whole_pieces_keep_every_collision(case, hi):
     """z-pairwise is decided on a map's carved pieces only when its whole
@@ -583,7 +583,7 @@ def test_z_bullets_member_outside_the_tree_past_the_probe_keys():
     probe keys, passed."""
     beta, cond, z = stage_two(Ordinal(0, 8))
     probes = tuple(z.at(Ordinal(0, n)) for n in (3, 4))
-    tree = SymTree.make(cond.tree.height, {cond.eta: probes}, cond.tree.catalogs)
+    tree = SymTree.make(cond.tree.height, {cond.eta: probes}, dict(cond.tree.catalogs))
     cond = Condition(tree, cond.path, cond.variant, cond.x)
     assert not tree_contains(tree, z.at(Ordinal(0, 5)))
     assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == (
@@ -631,7 +631,7 @@ def test_z_top_level_names_the_least_key_outside_the_tree_in_a_cell():
     and `_template_members` names z(5)."""
     beta, cond, z = stage_two(Ordinal(1, 6))
     listed = tuple(z.at(Ordinal(0, n)) for n in (3, 4)) + tuple(v for _, v in z.entries)
-    tree = SymTree.make(cond.tree.height, {cond.eta: listed}, cond.tree.catalogs)
+    tree = SymTree.make(cond.tree.height, {cond.eta: listed}, dict(cond.tree.catalogs))
     cond = Condition(tree, cond.path, cond.variant, cond.x)
     assert [(w, c.ap) for w, c in z.cells] == [(0, AP(3, 1))]
     assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == (
@@ -649,7 +649,7 @@ def test_z_exclusive_allows_a_finite_collision_with_member_zero():
                            {0: SymNode((), (12, 1000))})
     cond = Condition(cond.tree, cond.path.with_level(cond.eta, top), cond.variant, cond.x)
     z = ZMap.make(z.lo, z.hi, z.closed_hi,
-                  [(0, Cell(AP(3, 1), SymNode((), (Ramp(1, 10), Ramp(16, 337)))))])
+                  [(0, Cell(AP(3, 1), SymNode((), (Ramp(1, 10), Ramp(16, 337)))))], {})
     met = {n: set(range(64)) - set(me_set_concrete(z.at(Ordinal(0, n)), top).members(64))
            for n in range(3, 8)}
     assert met == {3: set(), 4: set(), 5: {0}, 6: set(), 7: set()}
@@ -674,7 +674,7 @@ def test_z_pairwise_at_a_limit_between_cells_past_the_probe_keys():
     beta, cond, z = limit_stage()
     cells = [(1, Cell(AP(1, 2), SymNode((BlockWord.make((), (0, Ramp(16, 307))),), ()))),
              (1, Cell(AP(2, 2), SymNode((BlockWord.make((), (0, Ramp(16, 339))),), ())))]
-    bad = ZMap.make(z.lo, z.hi, z.closed_hi, cells, z.entries)
+    bad = ZMap.make(z.lo, z.hi, z.closed_hi, cells, dict(z.entries))
     assert bad.at(Ordinal(1, 5)) == bad.at(Ordinal(1, 2))
     assert z_outcome(check_z_bullets, beta, cond, z, z.hi) == "ok"
     assert z_outcome(check_z_bullets, beta, cond, bad, z.hi) == (
@@ -689,7 +689,7 @@ def test_z_pairwise_at_a_limit_cell_with_its_ramp_in_a_prefix():
     two keys; the old block-word test read the prefix too and saw a ramp."""
     beta, cond, z = limit_stage()
     cell = Cell(AP(1, 1), SymNode((BlockWord.make((Ramp(16, 307),), (307, 0)),), ()))
-    bad = ZMap.make(z.lo, z.hi, z.closed_hi, [(1, cell)], z.entries)
+    bad = ZMap.make(z.lo, z.hi, z.closed_hi, [(1, cell)], dict(z.entries))
     assert z_outcome(check_z_bullets, beta, cond, bad, z.hi) == (
         "z-pairwise", "chain hypothesis failed (z-pairwise): z(w+1) =* z(w+2)")
 
@@ -965,8 +965,8 @@ def test_admitted_template_exit_needs_an_admitted_family_at_its_height(monkeypat
     walk = trees._limit_template_members
     monkeypatch.setattr(trees, "_limit_template_members",
                         lambda tree, b: walks.append(b) or walk(tree, b))
-    for tree in (SymTree.make(out.tree.height, out.tree.explicit, {OMEGA: demoted}),
-                 SymTree.make(Ordinal(2, 1), out.tree.explicit,
+    for tree in (SymTree.make(out.tree.height, dict(out.tree.explicit), {OMEGA: demoted}),
+                 SymTree.make(Ordinal(2, 1), dict(out.tree.explicit),
                               {OMEGA: demoted, Ordinal(2, 0): cat})):
         walks.clear()
         assert not trees._admitted_template(tree.catalog_at(OMEGA), t)

@@ -17,8 +17,8 @@ from ascentlab.nodes import (
     EMPTY_NODE, Ramp, SymNode, const_node, graft, mutually_exclusive, node, node_patch,
 )
 from oracles import (
-    agree_window, all_pairs_collision, cross_collisions, eq_star_window, fragments_window, map_window,
-    reindex_window, restricted_supp, scan_source, upset_window,
+    agree_window, all_pairs_collision, clause, cross_collisions, eq_star_window, fragments_window,
+    map_window, reindex_window, restricted_supp, scan_source, upset_window,
 )
 from test_chain_lemma import ENTRIES, nodes_of
 
@@ -223,8 +223,8 @@ def bare_level(h: Ordinal) -> AscentLevel:
 def test_covers_decides_from_rule_start(start, covered):
     """Explicit levels at 0..4199 and omega, with a block-0 rule from
     `start`: covered exactly when no height below the start is missing."""
-    levels = [(Ordinal(0, n), bare_level(Ordinal(0, n))) for n in range(4200)]
-    levels.append((OMEGA, bare_level(OMEGA)))
+    levels = {Ordinal(0, n): bare_level(Ordinal(0, n)) for n in range(4200)}
+    levels[OMEGA] = bare_level(OMEGA)
     rule = TailRule(start, bare_level(Ordinal(0, start)), ())
     path = AscentPath.make(levels, {0: rule})
     assert path.covers(OMEGA) == covered
@@ -235,8 +235,8 @@ def test_covers_decides_from_rule_start(start, covered):
 def test_covers_block_without_rule():
     """A block below eta's with no rule fails however many levels it lists;
     eta's own block needs only the heights up to eta."""
-    levels = [(Ordinal(0, n), bare_level(Ordinal(0, n))) for n in range(5)]
-    levels += [(Ordinal(1, n), bare_level(Ordinal(1, n))) for n in range(3)]
+    levels = {Ordinal(w, n): bare_level(Ordinal(w, n)) for w, top in ((0, 5), (1, 3))
+              for n in range(top)}
     path = AscentPath.make(levels)
     assert path.covers(Ordinal(0, 4))
     assert not path.covers(Ordinal(0, 5))
@@ -274,7 +274,7 @@ def test_source_matches_scan(path):
     for alpha in [h for h, _ in path.levels] + [Ordinal(0, 0), Ordinal(1, 5), Ordinal(3, 11)]:
         lvl = bare_level(alpha)
         assert path.with_level(alpha, lvl) == AscentPath.make(path._by_height | {alpha: lvl},
-                                                             path.tails)
+                                                             dict(path.tails))
 
 
 # -- graft and appends ----------------------------------------------------------
@@ -530,8 +530,8 @@ def test_c2_fixture_passes_both_kinds():
     from ascentlab.conditions import S_THETA, S_X, check_condition
     from ascentlab.fixtures import tower
     c = tower(3)
-    assert check_condition(c, S_X).clause("C2")
-    assert check_condition(c, S_THETA).clause("C2")
+    assert clause(check_condition(c, S_X), "C2")
+    assert clause(check_condition(c, S_THETA), "C2")
 
 
 def test_c2_bad_extension_fails_exclusivity():
@@ -539,17 +539,17 @@ def test_c2_bad_extension_fails_exclusivity():
     from ascentlab.fixtures import tower
     bad = make_bad_extension(tower(1, "stheta"))
     rep = check_condition(bad, S_X)
-    assert not rep.clause("C2")
+    assert not clause(rep, "C2")
     assert any(v.startswith("clause C2") and "not mutually exclusive" in v
                for v in rep.violations)
-    assert check_condition(bad, S_THETA).clause("C2")
+    assert clause(check_condition(bad, S_THETA), "C2")
 
 
 def test_c2_single_level_vacuous():
     from ascentlab.conditions import S_THETA, S_X, check_condition, root_condition
     c = root_condition()
-    assert check_condition(c, S_THETA).clause("C2")
-    assert check_condition(c, S_X).clause("C2")
+    assert clause(check_condition(c, S_THETA), "C2")
+    assert clause(check_condition(c, S_X), "C2")
 
 
 def test_supp_brute_sweep_1000():

@@ -30,8 +30,8 @@ from ascentlab.foundations import (
 from ascentlab.game import check_run_invariants, play_game, random_opponent
 from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, mk_entry, node_patch
 from oracles import (
-    all_pairs_chain_violations, all_pairs_run_invariants, append_via_make, full_walk_me_chain,
-    graft_via_make, probe_keys, restrict_via_make, tail_level_via_make,
+    all_pairs_chain_violations, all_pairs_run_invariants, append_via_make, clause,
+    full_walk_me_chain, graft_via_make, probe_keys, restrict_via_make, tail_level_via_make,
 )
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -76,7 +76,7 @@ def test_corrupted_level_fails_adjacent_pair():
     cond = corrupt_level(random_tower(random.Random(3), max_height=6), Ordinal(0, 2),
                          UPSet.make(0, 2, frozenset({1}), frozenset()))
     rep = check_condition(cond, "stheta")
-    assert not rep.clause("C2")
+    assert not clause(rep, "C2")
     assert any("supp(1,2)" in v for v in rep.violations)
 
 
@@ -130,7 +130,7 @@ def test_exclusivity_matches_full_walk_on_bad_path():
     conds, _ = bad_path_conditions(4, pad=1)
     for cond in conds:
         assert_matches_full_walk(cond)
-    assert not check_condition(conds[-1], S_X).clause("C2")
+    assert not clause(check_condition(conds[-1], S_X), "C2")
     assert check_condition(conds[-1], S_THETA).ok
 
 
@@ -141,7 +141,7 @@ def test_appended_collision_reported_at_new_coordinate():
     top = cond.eta.n
     bad = append_collision(cond, top, [0], [0])
     rep = check_condition(bad, S_X)
-    assert not rep.clause("C2")
+    assert not clause(rep, "C2")
     assert [v for v in rep.violations if v.startswith("clause C2")] == [
         f"clause C2 (ascent-path): level {top} not mutually exclusive: "
         f"indices 0,1 share a value at (0,{top - 1})"]

@@ -65,6 +65,10 @@ TEMPLATE = ("path", "levels", 1, "level", "cells", 0, "template")
 # the exception labels of the standard chain's first tail scheme
 SCHEME_LABELS = ("tail", "schemes", 0, "exception_labels")
 LABELS_AT = "chain.tail.schemes[0].exception_labels"
+NOT_AN_INDEX = "expected an object keyed by indices (ASCII digits, no leading zero), got the key"
+# the exceptions of the tower(2) condition's level at height 1, and nodes there
+EXCEPTIONS = ("path", "levels", 1, "level", "exceptions")
+NODE_0, NODE_2 = ({"blocks": [], "final": [{"const": c}]} for c in (0, 2))
 
 
 def repeated_z_entry(const=None):
@@ -241,6 +245,13 @@ SEAL = ["seal", "--triple", "transpose:1,3", "--xi", "1"]
     (["amalgamate", set_at(SCHEME_LABELS, "x")], f"{LABELS_AT}: expected an object, got 'x'"),
     (["amalgamate", set_at(SCHEME_LABELS, 5)], f"{LABELS_AT}: expected an object, got 5"),
     (["amalgamate", set_at(SCHEME_LABELS, {"a": 2})], f"{LABELS_AT}: expected an object keyed by"),
+    # one spelling per index: "01" and the Arabic-Indic digit one were read as 1
+    (["amalgamate", set_at(SCHEME_LABELS, {"01": 2})], f"{LABELS_AT}: {NOT_AN_INDEX} '01'"),
+    (["amalgamate", set_at(SCHEME_LABELS, {"\u0661": 2})], f"{LABELS_AT}: {NOT_AN_INDEX} '\u0661'"),
+    (["validate", set_at(EXCEPTIONS, {"1": NODE_2, "01": NODE_0})],
+     f"path.levels[1].level.exceptions: {NOT_AN_INDEX} '01'"),
+    (["validate", set_at(EXCEPTIONS, {"\u0661": NODE_0})],
+     f"path.levels[1].level.exceptions: {NOT_AN_INDEX} '\u0661'"),
     (["amalgamate", set_at(SCHEME_LABELS, {"0": "2"})],
      f"{LABELS_AT}.0: expected an int, got '2'"),
     # the decoder kept the last entry of a key, `ZMap.at` answers with the
@@ -271,6 +282,8 @@ SEAL = ["seal", "--triple", "transpose:1,3", "--xi", "1"]
         "amalgamate-z-entries-not-list", "amalgamate-z-lo-null", "amalgamate-beta-not-object",
         "amalgamate-condition-not-object", "amalgamate-labels-list", "amalgamate-labels-string",
         "amalgamate-labels-int", "amalgamate-labels-key-not-index",
+        "amalgamate-labels-key-leading-zero", "amalgamate-labels-key-arabic-indic",
+        "validate-exceptions-key-leading-zero", "validate-exceptions-key-arabic-indic",
         "amalgamate-labels-value-not-int", "amalgamate-z-key-repeated",
         "amalgamate-z-key-repeated-identical", "x-base-0-validate", "x-base-0-extend",
         "x-base-0-seal", "x-base-0-absorb", "x-base-1-seal", "x0-omega-validate",
@@ -832,6 +845,92 @@ def test_path_level_height_mismatch_exit_2(height, error, tmp_path, capsys):
         tmp_path, "validate", set_at(("path", "levels", 1, "height"), height))])
     out = capsys.readouterr().out
     assert code == 2 and json.loads(out) == {"command": "validate", "error": error}
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "..", "perfbench", "golden", "cli")
+# the lists whose entries are keyed -> the field that holds an entry's key
+KEYED = {"levels": "height", "tails": "block", "explicit": "height", "catalogs": "height",
+         "entries": "key"}
+
+
+def keyed_lists(d, where: str):
+    """(list, JSON path) of each nonempty list in d whose entries are keyed."""
+    if isinstance(d, dict):
+        for k, v in d.items():
+            at = f"{where}.{k}" if where else k
+            if k in KEYED and isinstance(v, list) and v:
+                yield v, at
+            yield from keyed_lists(v, at)
+    elif isinstance(d, list):
+        for i, v in enumerate(d):
+            yield from keyed_lists(v, f"{where}[{i}]")
+
+
+def with_an_int_raised(entry: dict, key: str) -> dict:
+    """A copy of the entry with one int of its value raised by one: the first
+    constant or ramp intercept met breadth first, so that the copy stays well
+    formed, else the first int; its key is kept."""
+    copy = json.loads(json.dumps(entry))
+    todo, ints = [(copy, k) for k in copy if k != key], []
+    while todo:
+        parent, k = todo.pop(0)
+        v = parent[k]
+        if type(v) is int:
+            ints.append((parent, k))
+        elif isinstance(v, (dict, list)):
+            todo.extend((v, j) for j in (v if isinstance(v, dict) else range(len(v))))
+    parent, k = next(((p, k) for p, k in ints if k in ("const", "b")), ints[0])
+    parent[k] += 1
+    return copy
+
+
+def golden_document(name: str, tmp_path) -> tuple[list[str], dict]:
+    """The subcommand that reads the named input, and the input: a golden
+    file, the amalgam `amalgamate` writes from the golden chain (it has a
+    tail rule and a branch catalog), or the golden condition with its tree's
+    level 1 listed explicitly."""
+    if name == "amalgam.json":
+        out = tmp_path / name
+        assert main(["amalgamate", os.path.join(GOLDEN, "chain.json"), "-o", str(out)]) == 0
+        return ["validate"], json.loads(out.read_text())
+    with open(os.path.join(GOLDEN, "cond.json" if name == "explicit.json" else name)) as f:
+        d = json.load(f)
+    if name == "explicit.json":
+        template = d["path"]["levels"][1]["level"]["cells"][0]["template"]
+        d["tree"]["explicit"] = [{"height": {"w": 0, "n": 1}, "nodes": [template]}]
+    return {"cond.json": ["validate"], "explicit.json": ["validate"],
+            "chain.json": ["amalgamate"], "path.json": ["derive-branches", "--path"]}[name], d
+
+
+@pytest.mark.parametrize("name", ["cond.json", "chain.json", "path.json", "amalgam.json",
+                                  "explicit.json"])
+def test_a_repeated_key_exits_2(name, tmp_path, capsys):
+    """Each entry of each keyed list (path levels and tails, tree explicit
+    levels and catalogs, z-map entries), listed again right after itself
+    with one value changed: the subcommand exits 2 and names the copy. The
+    decoders kept the last entry of a key, so the copy's value won, or
+    failed on its own, and the verdict hung on the listing order."""
+    cmd, d = golden_document(name, tmp_path)
+    capsys.readouterr()
+    root = "chain" if cmd == ["amalgamate"] else ""
+    cases = [(at, i) for entries, at in keyed_lists(d, root) for i in range(len(entries))]
+    assert {at.rpartition(".")[2] for at, _ in cases} >= \
+        {"cond.json": {"levels"}, "chain.json": {"levels", "entries"}, "path.json": {"levels"},
+         "amalgam.json": {"levels", "tails", "catalogs"}, "explicit.json": {"explicit"}}[name]
+    got, want = [], []
+    for at, i in cases:
+        edited = json.loads(json.dumps(d))
+        entries = next(e for e, where in keyed_lists(edited, root) if where == at)
+        field = KEYED[at.rpartition(".")[2]]
+        entries.insert(i + 1, with_an_int_raised(entries[i], field))
+        key = entries[i][field]
+        p = tmp_path / "repeated.json"
+        p.write_text(json.dumps(edited))
+        code = main(cmd + [str(p)])
+        got.append((code, json.loads(capsys.readouterr().out)))
+        want.append((2, {"command": cmd[0], "error": f"{at}[{i + 1}].{field}: repeated {field} "
+                         f"{key if type(key) is int else sz.dec_ordinal(key)}"}))
+    assert got == want
 
 
 GOLDEN_CHAIN = os.path.join(os.path.dirname(__file__), "..", "perfbench", "golden", "cli",

@@ -13,6 +13,8 @@ from ascentlab.conditions import (
 from ascentlab.nodes import delta, mk_entry, node
 from ascentlab.trees import SymTree
 
+from oracles import clause
+
 
 def tower(k: int, variant: str = S_X) -> Condition:
     """k one-step extensions of the root, each at the current top."""
@@ -100,7 +102,7 @@ def test_bad_extension_valid_theta_invalid_sx():
     assert check_condition(bad, S_THETA).ok
     rep = check_condition(bad, S_X)
     assert not rep.ok
-    assert not rep.clause("C2")
+    assert not clause(rep, "C2")
     assert any("not mutually exclusive" in v for v in rep.violations)
 
 
@@ -408,7 +410,8 @@ def test_leq_s_compares_x_sequences():
 def with_block_0_rule(cond: Condition, start: int, base) -> Condition:
     from ascentlab.ascent import AscentPath, TailRule, standard_append
     rule = TailRule(start, base, (standard_append(base),))
-    return Condition(cond.tree, AscentPath.make(cond.path.levels, {0: rule}), cond.variant, cond.x)
+    return Condition(cond.tree, AscentPath.make(dict(cond.path.levels), {0: rule}), cond.variant,
+                     cond.x)
 
 
 def test_tail_rule_above_the_top_is_not_checked():
@@ -435,7 +438,7 @@ def test_broken_tail_base_fails_c2_as_an_adjacent_pair():
     h = Ordinal(w, rule.start)
     broken = with_block_0_rule(out, rule.start, constant_level(h, const_node(7, h)))
     rep = check_condition(broken)
-    assert not rep.clause("C2")
+    assert not clause(rep, "C2")
     c2 = [v for v in rep.violations if v.startswith("clause C2")]
     assert c2 and all("supp(" in v or "mutually exclusive" in v for v in c2)
     assert f"clause C2 (ascent-path): supp({h.pred()},{h}) = {supp(out.level(h.pred()), broken.level(h))} unacceptable" in c2

@@ -10,11 +10,12 @@ from ascentlab.amalgam import (
     ChainDescriptor, HypothesisViolated, ZMap, amalgamate, validate_chain,
 )
 from ascentlab.ascent import constant_level
-from ascentlab.conditions import Condition, S_X, check_condition, eta_nu
+from ascentlab.conditions import (
+    Condition, S_X, check_condition, eta_nu, one_step_extension, root_condition,
+)
 from ascentlab.game import (
-    GameState, Move, NotIIsTurn, Transcript, check_run_invariants,
-    misbehaving_opponent, onestep_opponent, play_game, random_opponent,
-    strategy_ii_move, _game_tail,
+    GameState, Move, NotIIsTurn, OpponentPolicy, Transcript, check_run_invariants,
+    onestep_opponent, play_game, random_opponent, strategy_ii_move, _game_tail,
 )
 from ascentlab.nodes import const_node
 from oracles import all_pairs_validate_chain, probe_keys, tail_members
@@ -78,6 +79,15 @@ def test_limit_move_equals_amalgamate():
     cond, z = amalgamate(ch)
     assert cond == limit_move.cond
     assert z == limit_move.z
+
+
+def misbehaving_opponent(bad_stage: Ordinal) -> OpponentPolicy:
+    """Returns a non-extending triple at the given stage."""
+    def go(cond: Condition, stage: Ordinal, rng: random.Random) -> Condition:
+        if stage == bad_stage:
+            return root_condition(S_X, cond.x)
+        return one_step_extension(cond, cond.eta)
+    return OpponentPolicy(f"illegal@{bad_stage}", go)
 
 
 def test_illegal_opponent_flagged():
@@ -380,7 +390,7 @@ def test_chains_without_evidence_are_checked_in_full():
 def test_evidence_is_bound_to_the_member_objects():
     ch = limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]
     m = ch.members[1]
-    copy_z = ZMap.make(m.z.lo, m.z.hi, m.z.closed_hi, m.z.cells, m.z.entries)
+    copy_z = ZMap.make(m.z.lo, m.z.hi, m.z.closed_hi, m.z.cells, dict(m.z.entries))
     copy_cond = Condition(m.cond.tree, m.cond.path, m.cond.variant, m.cond.x)
     assert copy_z == m.z and copy_z is not m.z and copy_cond == m.cond
     tail = [Ordinal(0, 8)]
@@ -473,7 +483,7 @@ def test_stage_lemma_not_read_over_an_explicit_level(height):
     t, mv2, (beta, cond, z, mu, closed) = stage_pair()
     h = Ordinal(0, height)
     listed = tuple(z.at(Ordinal(0, n)).restrict(h) for n in (5, 6))
-    tree = SymTree.make(cond.tree.height, {h: listed}, cond.tree.catalogs)
+    tree = SymTree.make(cond.tree.height, {h: listed}, dict(cond.tree.catalogs))
     cond = Condition(tree, cond.path, cond.variant, cond.x)
     assert lemma_checks(check_z_bullets, beta, cond, z, mu, closed, mv2.bullets) == []
     with pytest.raises(HypothesisViolated, match=r"\(z-top-level\): z\(7\) outside the tree"):
@@ -490,7 +500,7 @@ def test_stage_lemma_not_read_over_a_listed_level_above_a_member():
     ch = limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]
     m = ch.members[-1]
     h = m.cond.eta.succ()
-    tree = SymTree.make(m.cond.tree.height, {h: (const_node(1, h),)}, m.cond.tree.catalogs)
+    tree = SymTree.make(m.cond.tree.height, {h: (const_node(1, h),)}, dict(m.cond.tree.catalogs))
     bad = with_member(ch, len(ch.members) - 1,
                       cond=Condition(tree, m.cond.path, m.cond.variant, m.cond.x))
     with pytest.raises(HypothesisViolated, match=r"\(z-top-level\): z\(9\) outside the tree"):
@@ -508,7 +518,7 @@ def test_a_level_listed_above_the_first_tail_member_fails_z_top_level():
     ch = limit_chains(Ordinal(1, 4), onestep_opponent(), 0)[0]
     m = ch.members[-1]
     h = ch.tail.next_member(m).cond.eta.succ()
-    tree = SymTree.make(m.cond.tree.height, {h: (const_node(1, h),)}, m.cond.tree.catalogs)
+    tree = SymTree.make(m.cond.tree.height, {h: (const_node(1, h),)}, dict(m.cond.tree.catalogs))
     bad = with_member(ch, -1, cond=Condition(tree, m.cond.path, m.cond.variant, m.cond.x))
     with pytest.raises(HypothesisViolated, match=rf"\(z-top-level\): the tail's z-values pass level {h},"):
         validate_chain(bad)

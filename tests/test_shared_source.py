@@ -73,7 +73,7 @@ def split_cells(level: AscentLevel) -> AscentLevel:
     for c in level.cells:
         cells.append(Cell(AP(c.ap.start, 2 * c.ap.step), c.template.reindex(2, 0)))
         cells.append(Cell(AP(c.ap.start + c.ap.step, 2 * c.ap.step), c.template.reindex(2, 1)))
-    return AscentLevel.make(level.height, cells, level.exceptions)
+    return AscentLevel.make(level.height, cells, dict(level.exceptions))
 
 
 def change_label(level: AscentLevel, tau: int) -> AscentLevel:
@@ -102,7 +102,8 @@ def condition_pairs(draw):
         new = split_cells(lvl) if change == "copy" else change_label(lvl, draw(st.integers(0, 9)))
         path = path.with_level(h, new)
     elif change == "tail-copy" and path.tails:
-        path = AscentPath.make(path.levels, {w: dataclasses.replace(r) for w, r in path.tails})
+        path = AscentPath.make(dict(path.levels),
+                               {w: dataclasses.replace(r) for w, r in path.tails})
     if side == "lower":
         return path, upper.path, upper.eta
     return lower.path, path, upper.eta
