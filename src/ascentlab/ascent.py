@@ -7,15 +7,17 @@ exceptions. This grammar is closed under everything the constructors need:
 grafting, appending labels, restriction, and reindexing along piecewise
 affine injections (the routing and surgery maps).
 
-supp(f, g) = {tau : f(tau) and g(tau) are comparable} is computed exactly,
-cell pair by cell pair: on a refined progression each coordinate slot pins
-agreement to all positions, one position, or none, so the result is again
-ultimately periodic. The lower level's entries are paired with the higher
-level's at the same coordinates, so the higher level is never restricted.
-eq_star_set(f, g) = {tau : f(tau) =* g(tau)} is the same kernel,
-`_agree_set`, on the coordinates that decide =*. Family mutual exclusivity
-is per-coordinate injectivity of tau -> f(tau)(eps), decided by solving the
-affine collision equations.
+supp(f, g) = {tau : f(tau) and g(tau) are comparable} is computed exactly
+in one pass, `_agree_set`: each exception key of either level is decided
+on its two nodes, and each pair of cells whose progressions meet on their
+common progression, where each coordinate slot pins agreement to all
+positions, one position, or none, so the result is again ultimately
+periodic. The lower level's entries are paired with the higher level's at
+the same coordinates, so the higher level is never restricted.
+eq_star_set(f, g) = {tau : f(tau) =* g(tau)} is the same kernel on the
+coordinates that decide =*. Family mutual exclusivity is per-coordinate
+injectivity of tau -> f(tau)(eps), decided by solving the affine collision
+equations.
 
 The index arithmetic is written once, in `foundations.Meet`, the positions
 (m, s) at which entries a*m + b and c*s + d agree: each position question
@@ -25,10 +27,11 @@ value) share two primitives: `at(k)` evaluates at an index, and `on(ap)`
 re-bases onto a sub-progression of the own domain (`on` of a cell's own
 progression is the cell itself); a map piece also has its image `values`
 and its `inverse`. Built on these: `_overlaps` pairs two cell lists on
-their progression intersections; `_split` cuts cells or map pieces to an
-index set (`restrict_level_domain`, `restrict_map`); `_routed` pairs each
-map piece with each level cell its values meet (`level_reindex` and the
-sealing routing).
+their progression intersections, two cells on one progression as they are
+(`_agree_set`, `graft_levels` and the sealing routing); `_split` cuts cells
+or map pieces to an index set (`restrict_level_domain`, `restrict_map`);
+`_routed` pairs each map piece with each level cell its values meet
+(`level_reindex` and the sealing routing).
 """
 
 from __future__ import annotations
@@ -74,14 +77,22 @@ def _cell_order(c: Cell) -> tuple[int, int]:
     return c.ap.start, c.ap.step
 
 
-def _overlaps(xs, ys) -> Iterator[tuple[Cell, Cell]]:
-    """Each pair of cells, one from each list, whose progressions meet: both
-    re-based onto their intersection, so position m is one index on both."""
+def _overlaps(xs, ys) -> list[tuple[AP, SymNode, SymNode]]:
+    """(ap, u, v) for each pair of cells, one from each list, whose
+    progressions meet: ap is their intersection, and u and v are the two
+    templates re-based onto it, so position m is one index on both. Two
+    cells on one progression pair as they are, with no `intersect` and no
+    `Cell.on`."""
+    out = []
     for x in xs:
         for y in ys:
+            if x.ap == y.ap:
+                out.append((x.ap, x.template, y.template))
+                continue
             inter = x.ap.intersect(y.ap)
             if inter is not None:
-                yield x.on(inter), y.on(inter)
+                out.append((inter, x.on(inter).template, y.on(inter).template))
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,9 +182,10 @@ class AscentLevel:
 
         `append_entries` and `graft_levels` build their levels directly on
         the same invariant: appending keeps every progression and exception
-        key, and a graft's pieces are `refine`'s, which partition omega. All
-        three keep `make`'s order (cells by `_cell_order`, exceptions by
-        key), so equality, hash and the encodings are those of `make`."""
+        key, and a graft's pieces are those `_agree_set` walks, which
+        partition omega. All three keep `make`'s order (cells by
+        `_cell_order`, exceptions by key), so equality, hash and the
+        encodings are those of `make`."""
         if alpha == self.height:
             return self
         return AscentLevel(
@@ -232,42 +244,6 @@ def constant_level(height: Ordinal, node_: SymNode) -> AscentLevel:
 def root_level() -> AscentLevel:
     from .nodes import EMPTY_NODE
     return constant_level(Ordinal(0, 0), EMPTY_NODE)
-
-
-# ---------------------------------------------------------------------------
-# refinement of two levels into comparable pieces
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class Piece:
-    """A refined index stretch on which both levels are affine.
-
-    For an infinite piece, `ap` lists the indices and the two templates'
-    Ramp entries are affine in the piece position; `point` pieces carry the
-    two concrete nodes directly.
-    """
-
-    ap: Optional[AP]
-    point: Optional[int]
-    left: SymNode
-    right: SymNode
-
-
-def refine(f: AscentLevel, g: AscentLevel) -> list[Piece]:
-    """Common refinement of the two index partitions; exact and finite.
-
-    Both levels satisfy the partition invariant that `AscentLevel.make`
-    checks and `restrict` keeps: the cells and the exception keys of a level
-    are pairwise disjoint and cover omega. An exception key of f lies in no
-    cell of f, so in no intersection of an f cell with a g cell, and likewise
-    for g. So every index is covered by exactly one piece: a point piece at
-    each exception key of either level, or one cell-cell intersection."""
-    points = set(f.exc_dict()) | set(g.exc_dict())
-    pieces = [Piece(None, tau, f.at(tau), g.at(tau)) for tau in sorted(points)]
-    pieces.extend(Piece(cf.ap, None, cf.template, cg.template)
-                  for cf, cg in _overlaps(f.cells, g.cells))
-    return pieces
 
 
 def _slot_pairs(u: SymNode, v: SymNode,
@@ -334,22 +310,38 @@ def _agree_positions(u: SymNode, v: SymNode, pairs=_slot_pairs) -> tuple[str, in
     return ("all", 0) if hit.dm else ("one", hit.m)
 
 
+def _exception_pairs(f: AscentLevel, g: AscentLevel) -> list[tuple[int, SymNode, SymNode]]:
+    """(tau, f(tau), g(tau)) for each exception key tau of either level, by
+    key; a key of one level only is read off the other level's cell."""
+    if not (f.exceptions or g.exceptions):
+        return []
+    fe, ge = f.exc_dict(), g.exc_dict()
+    return [(k, fe[k] if k in fe else f.at(k), ge[k] if k in ge else g.at(k))
+            for k in sorted(fe.keys() | ge.keys())]
+
+
 def _agree_set(f: AscentLevel, g: AscentLevel, pairs, same) -> UPSet:
     """Exact set of indices tau at which f(tau) and g(tau) agree, for levels
     with f.height <= g.height: `same` decides two concrete nodes, and the
-    entry pairs `pairs` draws decide two templates."""
+    entry pairs `pairs` draws decide two templates.
+
+    One pass over a common refinement of the two index partitions, exact and
+    finite. Both levels satisfy the partition invariant that
+    `AscentLevel.make` checks and `restrict` keeps: the cells and the
+    exception keys of a level are pairwise disjoint and cover omega. An
+    exception key of f lies in no cell of f, so in no intersection of an f
+    cell with a g cell, and likewise for g. So every index lies in exactly
+    one exception key of either level (`_exception_pairs`) or in one
+    cell-cell intersection (`_overlaps`), and the agreeing progressions and
+    points are unioned without overlap."""
+    singles = [k for k, u, v in _exception_pairs(f, g) if same(u, v)]
     out = EMPTY_SET
-    singles: set[int] = set()
-    for piece in refine(f, g):
-        if piece.point is not None:
-            if same(piece.left, piece.right):
-                singles.add(piece.point)
-            continue
-        verdict, m0 = _agree_positions(piece.left, piece.right, pairs)
+    for ap, u, v in _overlaps(f.cells, g.cells):
+        verdict, m0 = _agree_positions(u, v, pairs)
         if verdict == "all":
-            out = out.union(piece.ap.upset())
+            out = out.union(ap.upset())
         elif verdict == "one":
-            singles.add(piece.ap.member(m0))
+            singles.append(ap.member(m0))
     if singles:
         out = out.union(finite_set(singles))
     return out
@@ -365,8 +357,9 @@ def supp(f: AscentLevel, g: AscentLevel) -> UPSet:
     restricted copy of g is built. A level g = graft_levels(low, h), its
     graft record (`AscentLevel.grafted`) accepted, keeps low's nodes below
     low's height, so their support is everything at once."""
-    if proves(g.grafted, "graft", (f, g.cells, g.exceptions), ()) \
-            or proves(f.grafted, "graft", (g, f.cells, f.exceptions), ()):
+    if (f.grafted or g.grafted) and (
+            proves(g.grafted, "graft", (f, g.cells, g.exceptions), ())
+            or proves(f.grafted, "graft", (g, f.cells, f.exceptions), ())):
         return FULL_SET
     if f.height > g.height:
         f, g = g, f
@@ -390,14 +383,12 @@ def level_extensional_eq(f: AscentLevel, g: AscentLevel) -> bool:
 def graft_levels(low: AscentLevel, high: AscentLevel) -> AscentLevel:
     """Index-wise graft: tau -> low(tau) * high(tau); height of `high`, with
     its graft record (`AscentLevel.grafted`). Built without `make` (see
-    `AscentLevel.restrict`): `refine` lists its point pieces by index."""
-    cells, exc = [], []
-    for piece in refine(low, high):
-        if piece.point is not None:
-            exc.append((piece.point, graft(piece.left, piece.right)))
-        else:
-            cells.append(Cell(piece.ap, graft(piece.left, piece.right)))
-    out = AscentLevel(high.height, tuple(sorted(cells, key=_cell_order)), tuple(exc))
+    `AscentLevel.restrict`) on the pieces that `_agree_set` walks, which
+    partition omega: the exception keys of either level, by key, and the
+    cell-cell intersections."""
+    cells = [Cell(ap, graft(u, v)) for ap, u, v in _overlaps(low.cells, high.cells)]
+    exc = tuple((k, graft(u, v)) for k, u, v in _exception_pairs(low, high))
+    out = AscentLevel(high.height, tuple(sorted(cells, key=_cell_order)), exc)
     object.__setattr__(out, "grafted", prove("graft", (low, out.cells, out.exceptions), ()))
     return out
 

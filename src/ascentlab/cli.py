@@ -29,6 +29,9 @@ class InputError(Rejected):
 
 
 def parse_ordinal(s: str) -> Ordinal:
+    limit = sys.get_int_max_str_digits()
+    if limit and len(s) > limit:
+        raise InputError(f"bad ordinal of {len(s)} characters, more than {limit}")
     if re.fullmatch(r"\d+", s):
         return Ordinal(0, int(s))
     m = re.fullmatch(r"w(\d*)(?:n(\d+))?", s)
@@ -41,11 +44,46 @@ def fmt_ordinal(o: Ordinal) -> str:
     return f"w{o.w}n{o.n}" if o.w else str(o.n)
 
 
+class _LongInt(str):
+    """The digits of an integer too long for `int`
+    (`sys.get_int_max_str_digits`), kept so that `_object_pairs` names the
+    key that holds it."""
+
+
+def _parse_int(s: str) -> int | _LongInt:
+    try:
+        return int(s)
+    except ValueError:
+        return _LongInt(s)
+
+
+def _holds_long(v: Any) -> bool:
+    """v is a `_LongInt`, or a list that holds one at any depth (an object
+    inside was checked by its own `_object_pairs`)."""
+    return v.__class__ is _LongInt or (v.__class__ is list and any(map(_holds_long, v)))
+
+
+def _object_pairs(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object, refused when a key repeats (a plain load keeps the
+    last value) or a value holds an integer too long for `int`. A document
+    that is no object fails its decoder."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise InputError(f"repeated key {k!r}")
+        if _holds_long(v):
+            raise InputError(f"{k}: an integer of more than {sys.get_int_max_str_digits()} digits")
+        out[k] = v
+    return out
+
+
 def _load(path: str) -> Any:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+            return json.load(fh, object_pairs_hook=_object_pairs, parse_int=_parse_int)
+    except (OSError, ValueError) as e:
+        # a ValueError: a JSONDecodeError, a UnicodeDecodeError, or an
+        # InputError from `_object_pairs`
         raise InputError(f"cannot read {path}: {e}")
 
 

@@ -132,10 +132,10 @@ def _route_pieces(sigma: PiecewiseMap, alpha_lvl: AscentLevel, top_lvl: AscentLe
         merged = graft(lnode, top_lvl.at(k)).append(2 * sigma.apply(k))
         exc_out.append((k, merged))
     for sig, lc in _routed(sigma, alpha_lvl):
-        for left, right in _overlaps((lc,), top_lvl.cells):
-            s = sig.on(left.ap)
+        for ap, u, v in _overlaps((lc,), top_lvl.cells):
+            s = sig.on(ap)
             label = mk_entry(2 * s.a, 2 * s.b)
-            cells_out.append(Cell(left.ap, graft(left.template, right.template).append(label)))
+            cells_out.append(Cell(ap, graft(u, v).append(label)))
         for k, tnode in top_lvl.exceptions:
             if k in lc.ap:
                 merged = graft(lc.at(k), tnode).append(2 * sig.at(k))

@@ -7,6 +7,7 @@ through their modules, so a process that decodes only conditions never runs
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Any, Optional
 
 from .foundations import AP, Ordinal, Rejected, UPSet, XSequence, DEFAULT_X
@@ -89,12 +90,16 @@ def _objects(d: dict, key: str, where: str) -> list[dict]:
 
 def _indexed(d: Any, where: str) -> dict[int, Any]:
     """d, an object keyed by indices as `str` writes them (ASCII digits, no
-    leading zero, so one spelling per index), with int keys."""
+    leading zero, so one spelling per index), with int keys; a key too long
+    for `int` (`sys.get_int_max_str_digits`) is refused before it is read."""
     _object(d, where)
+    limit = sys.get_int_max_str_digits()
     for k in d:
         _expect(k == "0" or (k.isascii() and k.isdecimal() and k[0] != "0"),
                 f"{where}: expected an object keyed by indices (ASCII digits, no leading "
                 f"zero), got the key {k!r}")
+        _expect(not limit or len(k) <= limit,
+                f"{where}: a key of {len(k)} digits, more than {limit}")
     return {int(k): v for k, v in d.items()}
 
 

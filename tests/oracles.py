@@ -311,14 +311,20 @@ def append_via_make(level, scheme):
 
 def graft_via_make(low, high):
     """`graft_levels` rebuilt through AscentLevel.make, from the pointwise
-    graft on each piece of the common refinement."""
-    from ascentlab.ascent import AscentLevel, Cell, refine
+    graft on each piece of the common refinement: a point at each exception
+    key of either level, and each intersection of a low cell with a high
+    cell, both re-based onto it."""
+    from ascentlab.ascent import AscentLevel, Cell
     from ascentlab.nodes import graft
-    pieces = refine(low, high)
-    return AscentLevel.make(
-        high.height,
-        [Cell(p.ap, graft(p.left, p.right)) for p in pieces if p.point is None],
-        {p.point: graft(p.left, p.right) for p in pieces if p.point is not None})
+    keys = {k for k, _ in low.exceptions} | {k for k, _ in high.exceptions}
+    cells = []
+    for x in low.cells:
+        for y in high.cells:
+            inter = x.ap.intersect(y.ap)
+            if inter is not None:
+                cells.append(Cell(inter, graft(x.on(inter).template, y.on(inter).template)))
+    return AscentLevel.make(high.height, cells,
+                            {k: graft(low.at(k), high.at(k)) for k in keys})
 
 
 def tail_level_via_make(rule, n: int):

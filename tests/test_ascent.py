@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ascentlab.fixtures import tower
 from ascentlab.foundations import (
     AP, EMPTY_SET, EVENS, FULL_SET, ODDS, OMEGA, ZERO, Ordinal, UPSet, finite_set, multiples,
 )
@@ -86,6 +88,25 @@ def test_supp_transitivity_on_chains():
     f1, f2, f3 = level_2tau(1), level_2tau(2), level_2tau(3)
     s12, s23, s13 = supp(f1, f2), supp(f2, f3), supp(f1, f3)
     assert s12.intersect(s23).is_subset(s13)
+
+
+def test_shared_progressions_pair_without_rebasing():
+    """Adjacent levels of a one-step tower keep their cells' progressions,
+    so `supp` and `graft_levels` pair each cell with the cell on its own
+    progression as it is: no `Cell.on` and no `SymNode.reindex`. The levels
+    are copied without their graft records, so that `supp` walks them."""
+    c = tower(4)
+    levels = [dataclasses.replace(c.level(Ordinal(0, k))) for k in range(5)]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((Cell, "on"), (SymNode, "reindex")):
+            real = getattr(owner, name)
+            mp.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        for f, g in zip(levels, levels[1:]):
+            assert [c.ap for c in f.cells] == [c.ap for c in g.cells]
+            assert supp(f, g) == FULL_SET
+            assert graft_levels(f, g).cells[0].ap == f.cells[0].ap
+    assert calls == []
 
 
 # -- mutual exclusivity of families --------------------------------------------
@@ -528,7 +549,6 @@ def test_first_collision_witness(pieces, pair):
 
 def test_c2_fixture_passes_both_kinds():
     from ascentlab.conditions import S_THETA, S_X, check_condition
-    from ascentlab.fixtures import tower
     c = tower(3)
     assert clause(check_condition(c, S_X), "C2")
     assert clause(check_condition(c, S_THETA), "C2")
@@ -536,7 +556,6 @@ def test_c2_fixture_passes_both_kinds():
 
 def test_c2_bad_extension_fails_exclusivity():
     from ascentlab.conditions import S_THETA, S_X, check_condition, make_bad_extension
-    from ascentlab.fixtures import tower
     bad = make_bad_extension(tower(1, "stheta"))
     rep = check_condition(bad, S_X)
     assert not clause(rep, "C2")

@@ -83,14 +83,26 @@ def repeated_z_entry(const=None):
     return edit
 
 
+class RawJSON:
+    """JSON text that `edited_input_file` writes in place of the entry set
+    to it: text that no dict encodes, such as a repeated key."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
 def edited_input_file(tmp_path, cmd: str, edit) -> str:
     """The encoding after `edit` of the input `cmd` reads: the standard
     amalgamation chain for amalgamate, the tower(2) condition otherwise."""
     d = sz.enc_chain(uniform_chain(3, Ordinal(1, 2))) if cmd == "amalgamate" \
         else sz.enc_condition(tower(2))
     edit(d)
+    raws = []
+    text = json.dumps(d, default=lambda raw: raws.append(raw.text) or f"\0{len(raws) - 1}")
+    for i, raw in enumerate(raws):
+        text = text.replace(json.dumps(f"\0{i}"), raw)
     p = tmp_path / "edited.json"
-    p.write_text(json.dumps(d))
+    p.write_text(text)
     return str(p)
 
 
@@ -267,6 +279,17 @@ SEAL = ["seal", "--triple", "transpose:1,3", "--xi", "1"]
     (["validate", own_x(FULL_SET, 4)], "omega minus X_0 must be infinite"),
     (["validate", own_x(ODDS, 4)], "X_1 is not a subset of X_0"),
     (["validate", own_x(EMPTY_SET, 4)], "X_0 is empty"),
+    # a plain load kept the last of two equal keys and validated as sx
+    (["validate", set_at(("variant",), RawJSON('"stheta", "variant": "sx"'))],
+     "repeated key 'variant'"),
+    # `int` refuses more digits than sys.get_int_max_str_digits(): a traceback, exit 1
+    (["validate", set_at(("tree", "height", "n"), RawJSON("1" * 5000))],
+     "n: an integer of more than 4300 digits"),
+    (["validate", set_at(("path", "tails"), [{"block": 0, "rule": RawJSON(f"[[{'1' * 5000}]]")}])],
+     "rule: an integer of more than 4300 digits"),
+    (["validate", set_at(EXCEPTIONS, {"1" * 5000: NODE_0})],
+     "path.levels[1].level.exceptions: a key of 5000 digits, more than 4300"),
+    (["extend", "--beta", "1" * 5000], "bad ordinal of 5000 characters, more than 4300"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
         "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
         "derive-branches-not-linked", "surgery-not-linked",
@@ -287,7 +310,9 @@ SEAL = ["seal", "--triple", "transpose:1,3", "--xi", "1"]
         "amalgamate-labels-value-not-int", "amalgamate-z-key-repeated",
         "amalgamate-z-key-repeated-identical", "x-base-0-validate", "x-base-0-extend",
         "x-base-0-seal", "x-base-0-absorb", "x-base-1-seal", "x0-omega-validate",
-        "x0-odds-validate", "x0-empty-validate"])
+        "x0-odds-validate", "x0-empty-validate", "validate-key-repeated",
+        "validate-int-too-long", "validate-int-too-long-in-list", "validate-index-key-too-long",
+        "extend-beta-too-long"])
 def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     if isinstance(argv[-1], tuple):
         argv = argv[:-1] + [bad_triple_file(tmp_path, *argv[-1])]
