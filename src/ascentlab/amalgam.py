@@ -15,13 +15,12 @@ admitted branch, so no graft of it lands in the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
 from .foundations import (
     ALL_MEET, AP, EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, Proof, Rejected, UPSet,
-    finite_set, meet, multiples, prove, proves, singleton,
+    field, finite_set, meet, multiples, prove, proves, record, singleton,
 )
 from .ascent import (
     AppendScheme, AscentLevel, AscentPath, Cell, _agree_positions, _eq_star_pairs,
@@ -67,7 +66,7 @@ def resolve_tokens(tokens: tuple[ZToken, ...], tmpl: SymNode) -> tuple[Entry, ..
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ZMap:
     """Auxiliary branch enumerator on an ordinal interval (lo, hi) or
     (lo, hi]: cells over the finite-part keys of a block plus explicit
@@ -199,11 +198,12 @@ class ZMap:
     def _above_each(self, new_lo: Ordinal, f) -> "ZMap":
         """The map above new_lo with f applied to every cell template and entry."""
         z = self.above(new_lo)
-        return replace(z, cells=tuple((w, Cell(c.ap, f(c.template))) for w, c in z.cells),
-                       entries=tuple((k, f(v)) for k, v in z.entries))
+        return ZMap(z.lo, z.hi, z.closed_hi,
+                    tuple((w, Cell(c.ap, f(c.template))) for w, c in z.cells),
+                    tuple((k, f(v)) for k, v in z.entries))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ChainMember:
     beta: Ordinal
     cond: Condition
@@ -211,7 +211,7 @@ class ChainMember:
     bullets: Optional[Proof] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ChainTail:
     """Uniform continuation: each further member is the previous one plus the
     append cycle at the top, stage label advanced by beta_step, z-values
@@ -239,7 +239,7 @@ class ChainTail:
         return ChainMember(beta, cond, m.z.stepped(beta, self.z_tokens))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ChainDescriptor:
     """Explicit prefix, optional uniform tail, the limit stage gamma the
     member stages approach, and the z-domain endpoint delta."""

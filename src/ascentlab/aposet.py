@@ -10,10 +10,9 @@ heights cofinally below the supremum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .foundations import FULL_SET, Ordinal, Rejected, UPSet
+from .foundations import FULL_SET, Ordinal, Rejected, UPSet, record
 from .ascent import AscentLevel, MEReport, me_family, supp
 from .nodes import SymNode, delta
 from .conditions import Condition, TailRule, check_condition
@@ -40,7 +39,7 @@ class InvalidPathBase(Rejected):
     on the path (a branch surgery's output) can pass it either."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PathDescriptor:
     """Deepest explicit condition plus an optional uniform continuation."""
 
@@ -105,7 +104,7 @@ def is_bad(path: PathDescriptor, beta: Ordinal) -> bool:
     return delta(lvl.at(WITNESS_PAIR[0]), lvl.at(WITNESS_PAIR[1])) == alpha
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PairVerdict:
     a: Ordinal
     b: Ordinal
@@ -114,7 +113,7 @@ class PairVerdict:
     certificate: str                  # structural reason when incompatible
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AntichainReport:
     variant: Variant
     pairs: tuple[PairVerdict, ...]
@@ -180,7 +179,7 @@ def check_antichain(path: PathDescriptor, variant: Variant,
     return AntichainReport(variant, tuple(verdicts))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BranchFamily:
     """Cofinal branches b_n derived from a linked height set, defined at the
     coherent indices."""

@@ -38,18 +38,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
 from .foundations import (
     ALL_MEET, AP, DIAGONAL, EMPTY_SET, FULL_SET, ZERO, BadHeight, Meet, Ordinal, Proof, Rejected,
-    UPSet, XSequence, filter_classify, finite_set, meet, prove, proves,
+    UPSet, XSequence, field, filter_classify, finite_set, meet, prove, proves, record,
 )
 from .nodes import Entry, SymNode, entry_affine, eq_star, graft, is_prefix, mk_entry
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Cell:
     """One progression of family indices with a shared template."""
 
@@ -95,7 +94,7 @@ def _overlaps(xs, ys) -> list[tuple[AP, SymNode, SymNode]]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AscentLevel:
     """A family omega -> T_height given by cells plus explicit exceptions."""
 
@@ -103,11 +102,12 @@ class AscentLevel:
     cells: tuple[Cell, ...]
     exceptions: tuple[tuple[int, SymNode], ...]
     # Records (`foundations.Proof`) set after construction, never by a
-    # decoder, and not copied by `dataclasses.replace`: "graft" by
-    # `graft_levels`, and "me_family" by `conditions._one_step` and
-    # `amalgam.amalgamate` but never on a tail level (`TailRule.level_at`
-    # keeps the levels it returns, so a record on one would reach every later
-    # reader of the rule). Each names the level's cells and exceptions, not
+    # decoder, and no constructor parameters, so a copy built from the
+    # fields above starts without them: "graft" by `graft_levels`, and
+    # "me_family" by `conditions._one_step` and `amalgam.amalgamate` but
+    # never on a tail level (`TailRule.level_at` keeps the levels it
+    # returns, so a record on one would reach every later reader of the
+    # rule). Each names the level's cells and exceptions, not
     # the level, so that the two form no reference cycle. Equality, hash and
     # repr read only the fields above.
     grafted: Optional[Proof] = field(default=None, init=False, compare=False, repr=False)
@@ -210,7 +210,7 @@ class AscentLevel:
                            tuple(exc))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AppendScheme:
     """Entries appended per cell (affine in the cell position) and per exception."""
 
@@ -393,7 +393,7 @@ def graft_levels(low: AscentLevel, high: AscentLevel) -> AscentLevel:
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TailRule:
     """level_at(n) = base plus (n - start) uniform appends, n >= start; the
     appended schemes cycle (one entry per chain step, several steps per
@@ -436,7 +436,7 @@ class TailRule:
         return AscentLevel.make(self.base.height.next_limit(), cells, exc)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AscentPath:
     """Explicit levels plus per-block uniform tails; total on every height
     up to the owning condition's top."""
@@ -607,7 +607,7 @@ def _me_chain(heights, levels, adjacent) -> Iterator[tuple[Ordinal, MEReport]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MEReport:
     ok: bool
     detail: str = ""
@@ -759,7 +759,7 @@ def me_set_concrete(t: SymNode, level: AscentLevel) -> UPSet:
     return bad.union(finite_set(bad_pts)).complement()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CrossMEReport:
     """Exclusivity of a probe family against an ascent level for clause-4
     style checks: the index-independent bad part, special probe rows with
@@ -814,7 +814,7 @@ def me_cross(probe: AscentLevel, level: AscentLevel) -> CrossMEReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MapPiece:
     """Index ap.member(m) maps to value a*m + b."""
 
@@ -839,7 +839,7 @@ class MapPiece:
         return MapPiece(self.values, self.ap.step, self.ap.start)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PiecewiseMap:
     """Injective map between sets of naturals, affine on finitely many
     progressions plus finitely many explicit points."""

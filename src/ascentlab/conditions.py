@@ -110,12 +110,11 @@ come from the carved pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .foundations import (
     DEFAULT_X, FULL_SET, OMEGA_NAT, Ordinal, PostconditionFailed, Rejected, UPSet, XSequence,
-    ZERO, filter_classify, is_cobounded, prove, proves,
+    ZERO, field, filter_classify, is_cobounded, prove, proves, record,
 )
 from .ascent import (
     AppendScheme, AscentLevel, AscentPath, TailRule, _me_above, _me_chain, graft_levels,
@@ -151,7 +150,7 @@ class NotSuccessorHeight(Rejected):
     """A condition's tree height is 0 or a limit, so it has no top level."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Condition:
     """A pair (tree, ascent path) in one of the posets, tagged by variant."""
 
@@ -196,7 +195,7 @@ def root_condition(variant: str = S_X, x: XSequence = DEFAULT_X) -> Condition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ConditionReport:
     """Clause-by-clause verdicts; ids C1..C4 name the artifact's condition
     clauses (structure, ascent-path, vanishing, exclusivity-filter)."""

@@ -18,10 +18,11 @@ resulting described chain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .foundations import DEFAULT_X, FULL_SET, Ordinal, Proof, XSequence, ZERO, W_LIMIT, proves
+from .foundations import (
+    DEFAULT_X, FULL_SET, Ordinal, Proof, XSequence, ZERO, W_LIMIT, field, proves, record,
+)
 from .ascent import AP, Cell, standard_append, supp
 from .nodes import Ramp, graft
 from .conditions import (
@@ -46,7 +47,7 @@ EXPLICIT_STAGES = 7  # stages 0..6 are played concretely before a limit jump
 Z_OFFSET = 9  # shifts II's auxiliary labels away from the opponent's
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Move:
     stage: Ordinal
     mover: str                      # "I" or "II"
@@ -56,7 +57,7 @@ class Move:
     bullets: Optional[Proof] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Transcript:
     mu: Ordinal
     xi: int
@@ -66,14 +67,15 @@ class Transcript:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(slots=True)
 class GameState:
     """A run in progress; mutated only by its own run."""
 
-    mu: Ordinal
-    xi: int
-    x: XSequence = DEFAULT_X
-    moves: list[Move] = field(default_factory=list)
+    __slots__ = ("mu", "xi", "x", "moves")
+
+    def __init__(self, mu: Ordinal, xi: int, x: XSequence = DEFAULT_X,
+                 moves: Optional[list[Move]] = None) -> None:
+        self.mu, self.xi, self.x = mu, xi, x
+        self.moves = [] if moves is None else moves
 
     @property
     def next_stage(self) -> Ordinal:
@@ -125,7 +127,7 @@ def _z_graft_step(prev: ZMap, new_lo: Ordinal, cond: Condition, offset: int) -> 
     cells = tuple((w, Cell(c.ap, graft(c.template, col0).append(
         Ramp(16 * c.ap.step, 16 * c.ap.start + 2 * w + 1 + 32 * offset)))) for w, c in z.cells)
     entries = tuple((k, graft(v, col0).append(odd_label(k, offset))) for k, v in z.entries)
-    return replace(z, cells=cells, entries=entries)
+    return ZMap(z.lo, z.hi, z.closed_hi, cells, entries)
 
 
 def strategy_ii_move(state: GameState, stage: Ordinal) -> Move:
@@ -179,7 +181,7 @@ def _limit_move(state: GameState, stage: Ordinal) -> Move:
     return Move(stage, "II", cond, z)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OpponentPolicy:
     """I's behaviour: a free explicit phase; for runs over a limit, the
     stages after it follow the uniform rule (top one-steps with the
@@ -245,7 +247,7 @@ def play_game(mu: Ordinal, opponent: OpponentPolicy, xi: int,
     return Transcript(mu, xi, tuple(state.moves), "II_completed", None, tuple(notes))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InvariantReport:
     ok: bool
     failures: tuple[str, ...] = ()

@@ -13,13 +13,12 @@ structural equality of nodes coincides with extensional equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .foundations import BadHeight, Ordinal, ZERO
+from .foundations import BadHeight, Ordinal, ZERO, field, record
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Ramp:
     """Index-affine entry: value a*m + b at cell position m (a >= 1)."""
 
@@ -57,7 +56,7 @@ def entries_compose(es, a: int, b: int) -> list[Entry]:
     return [e if isinstance(e, int) else mk_entry(e.a * a, e.a * b + e.b) for e in es]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BlockWord:
     """Eventually periodic omega-word: explicit prefix then a repeating tail."""
 
@@ -115,7 +114,7 @@ class BlockWord:
         return BlockWord.make((), self.tail[s:] + self.tail[:s])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SymNode:
     """Finitely-described node of the full tree of natural-valued sequences."""
 

@@ -18,12 +18,11 @@ label collisions by swapping values with the chosen coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .foundations import (
     EMPTY_SET, FULL_SET, Ordinal, PostconditionFailed, Rejected, UPSet, ZERO,
-    filter_classify, finite_set, meet,
+    filter_classify, finite_set, meet, record,
 )
 from .ascent import (
     AscentLevel, Cell, PiecewiseMap, _overlaps, _routed, _routed_points, eq_star_set, fill_level,
@@ -57,7 +56,7 @@ class NodeNotInTree(Rejected):
     """The node to absorb is not in the condition's tree."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SealTriple:
     """Prescribed family x, ideal set Y, injection pi: Y -> Y."""
 
@@ -66,7 +65,7 @@ class SealTriple:
     pi: PiecewiseMap
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OracleHit:
     """Stand-in for the antichain argument: an extension of the intermediate
     one-step together with a height whose support guarantee covers the

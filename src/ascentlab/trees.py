@@ -18,11 +18,10 @@ the root, so thr = 0 puts s in at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .foundations import (
-    AP, EMPTY_SET, FULL_SET, Ordinal, Rejected, UPSet, ZERO, _root, finite_set, meet,
+    AP, EMPTY_SET, FULL_SET, Ordinal, Rejected, UPSet, ZERO, _root, finite_set, meet, record,
 )
 from .nodes import SymNode, entry_affine, eq_star_threshold, graft, is_prefix
 from .ascent import Cell, _agree_positions, _eq_star_pairs, _slot_pairs
@@ -32,7 +31,7 @@ class NoCatalog(Rejected):
     """A limit level below the tree height has no branch catalog."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CatalogFamily:
     """Indexed family of branch templates at a limit level."""
 
@@ -40,7 +39,7 @@ class CatalogFamily:
     admitted: bool = True
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CatalogSingle:
     """One explicitly named branch; `tag` records its provenance."""
 
@@ -49,7 +48,7 @@ class CatalogSingle:
     admitted: bool = True
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BranchCatalog:
     families: tuple[CatalogFamily, ...]
     singles: tuple[CatalogSingle, ...] = ()
@@ -61,7 +60,7 @@ class BranchCatalog:
         return [s for s in self.singles if not s.admitted]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SymTree:
     """Tree of some height <= omega*W + n, with sparse level overrides."""
 
@@ -339,7 +338,7 @@ def _level_contains(tree: SymTree, s: SymNode) -> bool:
     return floor == ZERO or _level_contains(tree, s.restrict(floor))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StructReport:
     downward_closed: bool
     normal: bool
@@ -441,7 +440,7 @@ def check_tree(tree: SymTree) -> StructReport:
     return StructReport(down, normal, homog, tree.height.is_successor, tuple(notes))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VanishReport:
     """V(T) holds only limit ordinals and there are at most W of those below
     the height bound, so every nonempty subset has a maximum and each sup of

@@ -33,6 +33,19 @@ def brute_op(kind: str, a: UPSet, b: UPSet | None, bound: int) -> set[int]:
     raise ValueError(kind)
 
 
+def copy_record(rec, **changes):
+    """`rec` rebuilt by its constructor from its constructor's fields
+    (`__match_args__`), the given ones changed: a field that is no
+    constructor parameter, such as a record of evidence or a cache, starts
+    afresh. An object with no `__match_args__`, or a change to a field that
+    is no parameter, raises TypeError."""
+    names = getattr(rec, "__match_args__", None)
+    if names is None or not changes.keys() <= set(names):
+        raise TypeError(f"cannot copy a {type(rec).__name__} with {sorted(changes)}")
+    return type(rec)(**{name: changes[name] if name in changes else getattr(rec, name)
+                        for name in names})
+
+
 def clause(rep, cid: str) -> bool:
     """A `ConditionReport`'s verdict on the clause named cid ("C1".."C4")."""
     return dict(rep.clauses)[cid]

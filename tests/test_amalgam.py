@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import re
 from collections import Counter
@@ -19,7 +18,8 @@ from ascentlab.game import check_run_invariants, onestep_opponent, play_game, ra
 from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, node_patch
 from ascentlab.trees import BranchCatalog, SymTree, tree_contains, vanishing_levels
 from oracles import (
-    Z_BULLETS, probe_key_z_bullets, probe_keys, window_incoherent_key, window_z_bullets,
+    Z_BULLETS, copy_record, probe_key_z_bullets, probe_keys, window_incoherent_key,
+    window_z_bullets,
     zmap_value, zmap_window,
 )
 from test_chain_lemma import ENTRIES, nodes_of
@@ -122,7 +122,6 @@ def test_bad_z_bullet_rejected():
 def test_incoherent_z_rejected():
     """A member's z-value that does not end-extend the previous member's at
     a shared key: `incoherent_key` names the key, validate_chain raises."""
-    import dataclasses
     ch = uniform_chain(3, Ordinal(1, 2))
     m0, m1, m2 = ch.members
     k = Ordinal(1, 0)
@@ -134,7 +133,7 @@ def test_incoherent_z_rejected():
     # least of them is named
     assert m1.z.incoherent_key(m0.z) == min(key for key in zmap_window(m1.z, 2, 8)
                                             if m0.z.in_domain(key))
-    bad = dataclasses.replace(ch, members=(m0, dataclasses.replace(m1, z=z), m2))
+    bad = copy_record(ch, members=(m0, copy_record(m1, z=z), m2))
     with pytest.raises(HypothesisViolated, match=r"\(z-coherent\): z\(w\) not increasing"):
         amalgamate(bad)
 
@@ -190,22 +189,22 @@ def test_chain_tail_needs_rising_stages_and_a_cycle():
         with pytest.raises(HypothesisViolated, match=rf"\(tail-shape\): beta_step {step} does not"):
             ChainTail(step, tail.schemes, tail.z_tokens)
         with pytest.raises(HypothesisViolated, match=r"\(tail-shape\): beta_step"):
-            dataclasses.replace(tail, beta_step=step)
+            copy_record(tail, beta_step=step)
     with pytest.raises(HypothesisViolated, match=r"\(tail-shape\): the append cycle is empty"):
         ChainTail(1, (), ())
 
 
 def test_zmap_whole_is_built_once_per_map():
     """`ZMap.whole` builds its pieces on first use and returns that tuple
-    after; a `dataclasses.replace` copy starts without them, and equality,
+    after; a `copy_record` copy starts without them, and equality,
     hash and repr do not read them."""
     z = uniform_chain(2, Ordinal(1, 2)).members[1].z
-    copy = dataclasses.replace(z)
+    copy = copy_record(z)
     whole = z.whole()
     assert isinstance(whole, tuple) and z.whole() is whole
     assert copy._whole is None and copy == z and hash(copy) == hash(z) and repr(copy) == repr(z)
     assert copy.whole() == whole and copy.whole() is not whole
-    assert dataclasses.replace(z, closed_hi=True)._whole is None
+    assert copy_record(z, closed_hi=True)._whole is None
 
 
 def test_closed_delta_interval():
@@ -396,10 +395,9 @@ def test_whole_pieces_keep_every_collision(case, hi):
     even keys, key 2 valued 1, and the second the odd keys, key 1 valued 1;
     whole, the two cells first meet at the one key 0, which the collision
     test skips, so whole pieces that share keys are not read."""
-    import dataclasses
     from ascentlab.amalgam import _keys_apart, _last_entry_pieces
     from ascentlab.ascent import _first_collision
-    z = dataclasses.replace(case[0], hi=hi)
+    z = copy_record(case[0], hi=hi)
     last = Ordinal(1, 0)
     whole = z.whole()
     if _first_collision(_last_entry_pieces(z.pieces(), last)) is not None and _keys_apart(whole):
@@ -959,7 +957,7 @@ def test_admitted_template_exit_needs_an_admitted_family_at_its_height(monkeypat
     t = out.top.cells[0].template
     cat = out.tree.catalog_at(OMEGA)
     assert trees._admitted_template(cat, t)
-    demoted = BranchCatalog((dataclasses.replace(cat.families[0], admitted=False),)
+    demoted = BranchCatalog((copy_record(cat.families[0], admitted=False),)
                             + cat.families[1:], cat.singles)
     walks = []
     walk = trees._limit_template_members

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -19,7 +18,8 @@ from ascentlab.nodes import (
     EMPTY_NODE, Ramp, SymNode, const_node, graft, mutually_exclusive, node, node_patch,
 )
 from oracles import (
-    agree_window, all_pairs_collision, clause, cross_collisions, eq_star_window, fragments_window,
+    agree_window, all_pairs_collision, clause, copy_record, cross_collisions, eq_star_window,
+    fragments_window,
     map_window, reindex_window, restricted_supp, scan_source, upset_window,
 )
 from test_chain_lemma import ENTRIES, nodes_of
@@ -96,7 +96,7 @@ def test_shared_progressions_pair_without_rebasing():
     progression as it is: no `Cell.on` and no `SymNode.reindex`. The levels
     are copied without their graft records, so that `supp` walks them."""
     c = tower(4)
-    levels = [dataclasses.replace(c.level(Ordinal(0, k))) for k in range(5)]
+    levels = [copy_record(c.level(Ordinal(0, k))) for k in range(5)]
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         for owner, name in ((Cell, "on"), (SymNode, "reindex")):

@@ -11,7 +11,6 @@ on valid inputs and on inputs corrupted so that an adjacent pair fails or
 an appended coordinate collides.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -30,7 +29,7 @@ from ascentlab.foundations import (
 from ascentlab.game import check_run_invariants, play_game, random_opponent
 from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, mk_entry, node_patch
 from oracles import (
-    all_pairs_chain_violations, all_pairs_run_invariants, append_via_make, clause,
+    all_pairs_chain_violations, all_pairs_run_invariants, append_via_make, clause, copy_record,
     full_walk_me_chain, graft_via_make, probe_keys, restrict_via_make, tail_level_via_make,
 )
 
@@ -302,13 +301,13 @@ def transcripts(draw, x: XSequence = DEFAULT_X):
     moves = list(t.moves)
     i = draw(st.integers(2, len(moves) - 1))
     if corruption == "stale":      # a move repeats an earlier condition
-        moves[i] = dataclasses.replace(moves[i], cond=moves[i - 2].cond)
+        moves[i] = copy_record(moves[i], cond=moves[i - 2].cond)
     elif corruption == "swap":     # two consecutive moves out of order
         moves[i - 1], moves[i] = moves[i], moves[i - 1]
     elif corruption == "retop":    # a top level that keeps only the multiples of 4,
         cond = moves[i].cond       # which hold DEFAULT_X's X_1 but not OTHER_X's
-        moves[i] = dataclasses.replace(moves[i], cond=corrupt_level(cond, cond.eta, multiples(4)))
-    return dataclasses.replace(t, moves=tuple(moves))
+        moves[i] = copy_record(moves[i], cond=corrupt_level(cond, cond.eta, multiples(4)))
+    return copy_record(t, moves=tuple(moves))
 
 
 @settings(max_examples=20, deadline=None)
@@ -332,7 +331,7 @@ def patched_z(z, eps, value):
     from ascentlab.amalgam import ZMap
     if z.cells:
         (w, c), *rest = z.cells
-        return dataclasses.replace(z, cells=((w, Cell(c.ap, node_patch(c.template, {eps: value}))),
+        return copy_record(z, cells=((w, Cell(c.ap, node_patch(c.template, {eps: value}))),
                                              *rest))
     (k, v), *rest = z.entries
     return ZMap.make(z.lo, z.hi, z.closed_hi, (), {k: node_patch(v, {eps: value}), **dict(rest)})
@@ -355,7 +354,7 @@ def corrupted_runs(draw):
     collision below the move's height that a misread lemma would skip), a
     z value meeting the top at the first coordinate the move adds (which
     the lemma must read), such a z at coordinate 0 carried with a forged
-    record of an equal move played apart or on a `dataclasses.replace` copy
+    record of an equal move played apart or on a `copy_record` copy
     of the move (no record can be copied), or I's next move with a level
     below swapped.
     Returns the run, the moves before the next even stage, and that stage
@@ -371,21 +370,21 @@ def corrupted_runs(draw):
     key = probe_keys(mv.z)[0]
     low_z = patched_z(mv.z, ZERO, mv.cond.top.at(1).eval_at(ZERO))
     if kind == "z":
-        moves[i] = dataclasses.replace(mv, z=low_z)
+        moves[i] = copy_record(mv, z=low_z)
     elif kind == "mid":
         # the first coordinate this stage adds: the z-values still extend
         # the earlier stage's, so the invariants read this move by the lemma
         eps = next(m for m in moves[i - 1::-1] if m.z is not None).cond.eta
-        moves[i] = dataclasses.replace(mv, z=patched_z(mv.z, eps, mv.cond.top.at(1).eval_at(eps)))
+        moves[i] = copy_record(mv, z=patched_z(mv.z, eps, mv.cond.top.at(1).eval_at(eps)))
     elif kind == "top":
-        moves[i] = dataclasses.replace(mv, cond=patched_top(mv.cond, mv.z.at(key).eval_at(ZERO)))
+        moves[i] = copy_record(mv, cond=patched_top(mv.cond, mv.z.at(key).eval_at(ZERO)))
     elif kind == "forged":
         forged = play_game(mu, random_opponent(seed), xi).moves[i].bullets
-        moves[i] = dataclasses.replace(mv, z=low_z, bullets=forged)
+        moves[i] = copy_record(mv, z=low_z, bullets=forged)
     elif kind == "replaced":
         with pytest.raises(TypeError):
-            dataclasses.replace(mv.bullets)
-        moves[i] = dataclasses.replace(mv, z=low_z)
+            copy_record(mv.bullets)
+        moves[i] = copy_record(mv, z=low_z)
     later = [j for j in range(i + 1, len(moves)) if moves[j].z is not None]
     if kind == "swap" and later and moves[later[0] - 1].mover == "I":
         # I's move before the next even stage with the members 0 and 1 of its
@@ -396,10 +395,10 @@ def corrupted_runs(draw):
         h = mv.cond.eta
         lvl = odd.cond.level(h)
         lvl = AscentLevel.make(h, lvl.cells, {**dict(lvl.exceptions), 0: lvl.at(1), 1: lvl.at(0)})
-        moves[later[0] - 1] = dataclasses.replace(odd, cond=Condition(
+        moves[later[0] - 1] = copy_record(odd, cond=Condition(
             odd.cond.tree, odd.cond.path.with_level(h, lvl), odd.cond.variant, odd.cond.x))
     nxt = moves[later[0]].stage if later else None
-    return dataclasses.replace(t, moves=tuple(moves)), moves[:later[0]] if later else None, nxt
+    return copy_record(t, moves=tuple(moves)), moves[:later[0]] if later else None, nxt
 
 
 @settings(max_examples=40, deadline=None)

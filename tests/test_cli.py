@@ -1058,6 +1058,49 @@ def test_subcommand_executes_only_its_modules(argv, golden_inputs):
     assert set(executed) == EXECUTED[argv]
 
 
+# the modules `import ascentlab.cli` executes, the standard ones it leaves
+# unimported, and the file name of each compile that package code called
+COMPILES_AT_IMPORT = """
+import json, sys, types
+compiled = []
+def count(event, args):
+    if event == "compile" and sys._getframe(1).f_globals.get("__name__", "") \
+            .startswith("ascentlab"):
+        compiled.append(args[1])
+sys.addaudithook(count)
+import ascentlab.cli
+print(json.dumps({
+    "executed": sorted(name.partition(".")[2] for name, m in sys.modules.items()
+                       if name.startswith("ascentlab.") and type(m) is types.ModuleType),
+    "imported": [name for name in ("dataclasses", "inspect") if name in sys.modules],
+    "compiled": compiled}))
+"""
+
+
+def test_cli_start_up_compiles_one_source_per_record_class():
+    """A fresh `import ascentlab.cli` imports neither `dataclasses` nor
+    `inspect`, and the package compiles at most one generated source per
+    record class (`foundations.record`) of the modules it executes."""
+    import ast
+    import ascentlab
+    package = os.path.dirname(ascentlab.__file__)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(package),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", COMPILES_AT_IMPORT], env=env,
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen["imported"] == []
+    records = []
+    for module in seen["executed"]:
+        with open(os.path.join(package, f"{module}.py")) as f:
+            records += [f"<record {node.name}>" for node in ast.walk(ast.parse(f.read()))
+                        if isinstance(node, ast.ClassDef)
+                        and any(getattr(d, "id", None) == "record" for d in node.decorator_list)]
+    assert records and set(seen["compiled"]) <= set(records)
+    assert len(seen["compiled"]) == len(set(seen["compiled"])) <= len(records)
+
+
 # every name the package root exported when it imported all its modules
 ROOT_NAMES = {
     "foundations": "DEFAULT_X EVENS FULL_SET GT LT EQ ODDS OMEGA OMEGA_NAT Ordinal UPSet "

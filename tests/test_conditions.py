@@ -13,7 +13,7 @@ from ascentlab.conditions import (
 from ascentlab.nodes import delta, mk_entry, node
 from ascentlab.trees import SymTree
 
-from oracles import clause
+from oracles import clause, copy_record
 
 
 def tower(k: int, variant: str = S_X) -> Condition:
@@ -200,12 +200,11 @@ def exclusive_proved(level) -> bool:
 
 def spoiled(c: Condition, how: str) -> Condition:
     """c with its top's exclusivity record made useless in one way."""
-    import dataclasses
     from ascentlab import serialize as sz
     if how == "decoded":
         return sz.dec_condition(sz.enc_condition(c))
     if how == "replaced":
-        return Condition(c.tree, c.path.with_level(c.eta, dataclasses.replace(c.top)), c.variant, c.x)
+        return Condition(c.tree, c.path.with_level(c.eta, copy_record(c.top)), c.variant, c.x)
     if how == "forged":      # the record of an equal level built apart
         other = tower(c.eta.n).top
         assert other == c.top and exclusive_proved(other)
@@ -227,10 +226,9 @@ def test_evidence_fallback_walks_every_coordinate(how, monkeypatch):
 
 
 def test_evidence_is_never_copied_by_replace():
-    import dataclasses
     c = tower(3)
-    assert dataclasses.replace(c.top).exclusive is None
-    assert dataclasses.replace(c.top).grafted is None and c.top.grafted is not None
+    assert copy_record(c.top).exclusive is None
+    assert copy_record(c.top).grafted is None and c.top.grafted is not None
 
 
 @pytest.mark.parametrize("how", ["kept", "forged", "stale"])

@@ -11,7 +11,6 @@ check. Three kinds are carried:
 from __future__ import annotations
 
 import ast
-import dataclasses
 import random
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from ascentlab.conditions import Condition, one_step_extension
 from ascentlab.fixtures import random_tower, tower
 from ascentlab.foundations import EMPTY_SET, FULL_SET, Ordinal
 from ascentlab.game import GameState, Move, play_game, random_opponent, strategy_ii_move
+from oracles import copy_record
 from scaling import z_walks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,12 +86,12 @@ def test_a_moved_record_is_refused_and_the_check_runs():
 
     t = play_game(Ordinal(0, 8), random_opponent(1), 1)
     mv2, mv4 = t.moves[2], t.moves[4]
-    copies = {"z": dataclasses.replace(mv2.z),
+    copies = {"z": copy_record(mv2.z),
               "cond": Condition(mv2.cond.tree, mv2.cond.path, mv2.cond.variant, mv2.cond.x)}
     for field, copy in copies.items():
         assert copy == getattr(mv2, field) and copy is not getattr(mv2, field)
         moves = list(t.moves[:4])
-        moves[2] = dataclasses.replace(mv2, **{field: copy})
+        moves[2] = copy_record(mv2, **{field: copy})
         assert moves[2].bullets is mv2.bullets
         state = GameState(t.mu, t.xi, moves=moves)
         with z_walks() as walks:
@@ -135,9 +135,9 @@ def decoded(c: Condition) -> Condition:
 def test_a_record_is_read_only_for_the_objects_it_names(run, kind, how, data):
     """On a played run, a kept record is read. A genuine record of an equal
     twin built apart (forged), another carrier's record (stale), a
-    `dataclasses.replace` copy of the carrier and a decoded carrier are
+    `copy_record` copy of the carrier and a decoded carrier are
     refused, and each gets the full check, with the kept reading's result.
-    No record can be made by `Proof(...)` or `dataclasses.replace`."""
+    No record can be made by `Proof(...)` or `copy_record`."""
     from ascentlab.foundations import Proof
     mu, seed = run
     t, twin = (play_game(mu, random_opponent(seed), seed % 3) for _ in range(2))
@@ -147,7 +147,7 @@ def test_a_record_is_read_only_for_the_objects_it_names(run, kind, how, data):
     with pytest.raises(TypeError):
         Proof(rec.check, rec.objects, rec.values)
     with pytest.raises(TypeError):
-        dataclasses.replace(rec)
+        copy_record(rec)
     forged = record_of(twin.moves[i], kind)
     assert twin.moves[i] == mv and forged is not rec
     stale = record_of(t.moves[next(j for j in found if j != i)], kind)
@@ -158,7 +158,7 @@ def test_a_record_is_read_only_for_the_objects_it_names(run, kind, how, data):
         if how in ("forged", "stale"):
             object.__setattr__(c.top, "exclusive", forged if how == "forged" else stale)
         elif how == "replaced":
-            c = Condition(c.tree, c.path.with_level(c.eta, dataclasses.replace(c.top)),
+            c = Condition(c.tree, c.path.with_level(c.eta, copy_record(c.top)),
                           c.variant, c.x)
         elif how == "decoded":
             c = decoded(c)
@@ -172,7 +172,7 @@ def test_a_record_is_read_only_for_the_objects_it_names(run, kind, how, data):
         if how in ("forged", "stale"):
             object.__setattr__(top, "grafted", forged if how == "forged" else stale)
         elif how == "replaced":
-            top = dataclasses.replace(top)
+            top = copy_record(top)
         elif how == "decoded":
             c = decoded(mv.cond)
             top, low = c.top, c.level(low.height)
@@ -184,9 +184,9 @@ def test_a_record_is_read_only_for_the_objects_it_names(run, kind, how, data):
     else:
         moves = list(t.moves[:i + 2])
         if how in ("forged", "stale"):
-            moves[i] = dataclasses.replace(mv, bullets=forged if how == "forged" else stale)
+            moves[i] = copy_record(mv, bullets=forged if how == "forged" else stale)
         elif how == "replaced":
-            moves[i] = dataclasses.replace(mv, z=dataclasses.replace(mv.z))
+            moves[i] = copy_record(mv, z=copy_record(mv.z))
         elif how == "decoded":
             moves[i] = Move(mv.stage, mv.mover, decoded(mv.cond),
                             sz.dec_zmap(sz.enc_zmap(mv.z)))

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import operator
 import os
@@ -21,8 +20,8 @@ from ascentlab.foundations import (
 )
 from ascentlab.serialize import dec_upset, enc_upset
 from oracles import (
-    brute_classify, brute_op, enc_from_window, preimage_classify, raw_member, raw_window,
-    upset_window,
+    brute_classify, brute_op, copy_record, enc_from_window, preimage_classify, raw_member,
+    raw_window, upset_window,
 )
 
 
@@ -270,7 +269,7 @@ def test_kept_filter_verdict_matches_oracles(case):
     decided, and equals the scaled-preimage route and the pointwise scan."""
     y, x = case
     first = filter_classify(y, x)
-    kept = filter_classify(dataclasses.replace(y), dataclasses.replace(x))
+    kept = filter_classify(copy_record(y), copy_record(x))
     assert kept is first and foundations._VERDICTS[(y, x)] is first
     assert (kept.kind, kept.witness) == preimage_classify(y, x)
     kind, n = brute_classify(y, x, 16, 512)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -18,7 +17,7 @@ from ascentlab.game import (
     onestep_opponent, play_game, random_opponent, strategy_ii_move, _game_tail,
 )
 from ascentlab.nodes import const_node
-from oracles import all_pairs_validate_chain, probe_keys, tail_members
+from oracles import all_pairs_validate_chain, copy_record, probe_keys, tail_members
 
 
 def test_strategy_opening_and_stage2():
@@ -104,7 +103,7 @@ def test_opponent_over_another_x_forfeits():
     x = XSequence(multiples(3), 6)
 
     def other_x(cond, stage, rng):
-        return one_step_extension(dataclasses.replace(cond, x=x), cond.eta)
+        return one_step_extension(copy_record(cond, x=x), cond.eta)
     t = play_game(Ordinal(0, 6), game.OpponentPolicy("other-x", other_x), 0)
     assert t.verdict == "illegal_opponent"
     assert t.illegal_stage == Ordinal(0, 1)
@@ -213,8 +212,8 @@ def z_checked_stages(ch) -> list[Ordinal]:
 
 def with_member(ch, i, **changes) -> ChainDescriptor:
     members = list(ch.members)
-    members[i] = dataclasses.replace(members[i], **changes)
-    return dataclasses.replace(ch, members=tuple(members))
+    members[i] = copy_record(members[i], **changes)
+    return copy_record(ch, members=tuple(members))
 
 
 def duplicated_z(z: ZMap) -> ZMap:
@@ -242,8 +241,8 @@ def game_chains(draw):
     m = ch.members[i]
     corruption = draw(st.sampled_from(["none", "strip", "z", "cond", "beta", "swap"]))
     if corruption == "strip":
-        ch = dataclasses.replace(ch, members=tuple(
-            dataclasses.replace(mb, bullets=None) for mb in ch.members))
+        ch = copy_record(ch, members=tuple(
+            copy_record(mb, bullets=None) for mb in ch.members))
     elif corruption == "z" and len(probe_keys(m.z)) > 1:
         ch = with_member(ch, i, z=duplicated_z(m.z))
     elif corruption == "cond":
@@ -253,7 +252,7 @@ def game_chains(draw):
     elif corruption == "swap" and i > 0:
         members = list(ch.members)
         members[i - 1], members[i] = members[i], members[i - 1]
-        ch = dataclasses.replace(ch, members=tuple(members))
+        ch = copy_record(ch, members=tuple(members))
     return ch
 
 
@@ -268,7 +267,7 @@ def fixture_chains(draw):
     if i and draw(st.booleans()):
         members = list(ch.members)
         members[i - 1], members[i] = members[i], members[i - 1]
-        ch = dataclasses.replace(ch, members=tuple(members))
+        ch = copy_record(ch, members=tuple(members))
     return ch
 
 
@@ -286,22 +285,22 @@ def retailed(draw, chains):
     j = draw(st.integers(0, n - 1))
     schemes = list(tail.schemes)
     if kind == "beta_step":
-        tail = dataclasses.replace(tail, beta_step=draw(st.integers(1, 3)))
+        tail = copy_record(tail, beta_step=draw(st.integers(1, 3)))
     elif kind == "tokens":
         token = st.one_of(st.just(("last",)), st.tuples(st.just("const"), st.integers(0, 9)))
         size = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
-        tail = dataclasses.replace(tail, z_tokens=tuple(draw(st.lists(token, min_size=size, max_size=size))))
+        tail = copy_record(tail, z_tokens=tuple(draw(st.lists(token, min_size=size, max_size=size))))
     elif kind == "shift":
         schemes[j] = standard_append(ch.members[-1].cond.top, shift=draw(st.integers(1, 3)))
-        tail = dataclasses.replace(tail, schemes=tuple(schemes))
+        tail = copy_record(tail, schemes=tuple(schemes))
     elif kind == "constant":
         entries = list(schemes[j].cell_entries)
         entries[draw(st.integers(0, len(entries) - 1))] = draw(st.integers(0, 9))
         schemes[j] = AppendScheme(tuple(entries), schemes[j].exception_labels)
-        tail = dataclasses.replace(tail, schemes=tuple(schemes))
+        tail = copy_record(tail, schemes=tuple(schemes))
     elif kind == "double":
-        tail = dataclasses.replace(tail, schemes=tail.schemes * 2, z_tokens=tail.z_tokens * 2)
-    return dataclasses.replace(ch, tail=tail)
+        tail = copy_record(tail, schemes=tail.schemes * 2, z_tokens=tail.z_tokens * 2)
+    return copy_record(ch, tail=tail)
 
 
 @settings(max_examples=40, deadline=None)
@@ -340,9 +339,9 @@ def test_tail_shape_is_refused_exactly_when_the_closed_form_misses_the_tail(ch, 
     not repeat misses the closed form at some key. Other outcomes are the
     all-pairs reference's, as in `test_validate_chain_matches_all_pairs`."""
     from oracles import zmap_window
-    tail = dataclasses.replace(ch.tail, schemes=(ch.tail.schemes[0],) * len(tokens),
+    tail = copy_record(ch.tail, schemes=(ch.tail.schemes[0],) * len(tokens),
                                z_tokens=tuple(tokens))
-    ch = dataclasses.replace(ch, tail=tail)
+    ch = copy_record(ch, tail=tail)
     last, third = ch.members[-1].z, tail_members(ch, 3)[-1].z
     missed = any(last.limit_value(k, tail.z_tokens).restrict(v.dom) != v
                  for k, v in zmap_window(third, third.hi.w + 1, 24).items())
@@ -399,7 +398,7 @@ def test_evidence_is_bound_to_the_member_objects():
     assert z_checked_stages(with_member(ch, 1, cond=copy_cond)) == [m.beta] + tail
     other = ch.members[2]
     assert z_checked_stages(with_member(ch, 1, bullets=other.bullets)) == [m.beta] + tail
-    closed = dataclasses.replace(ch, closed_delta=True)
+    closed = copy_record(ch, closed_delta=True)
     assert all(not proves(mb.bullets, "z-bullets", (mb.cond, mb.z), (mb.beta, closed.delta, True))
                for mb in closed.members)
 
@@ -436,7 +435,7 @@ def stage_pair(mu=Ordinal(0, 8)):
 
 def test_stage_lemma_reads_only_records_the_check_made():
     """Stage 4's z-check reads stage 2's record by the stage lemma. No record
-    can be built by hand or copied by `dataclasses.replace`. The record of
+    can be built by hand or copied by `copy_record`. The record of
     an equal stage 2 played apart (forged), or of stage 4 itself (stale),
     is no evidence for stage 2's objects: II's move checks in full with
     either, and check_z_bullets with the stale one; a decoded chain's
@@ -452,7 +451,7 @@ def test_stage_lemma_reads_only_records_the_check_made():
     with pytest.raises(TypeError):
         Proof("z-bullets", *names)
     with pytest.raises(TypeError):
-        dataclasses.replace(ev)
+        copy_record(ev)
     forged, stale = stage_pair()[1].bullets, t.moves[4].bullets
     assert lemma_checks(check_z_bullets, *args, stale) == []
     # the forged record is a pass of equal objects, so check_z_bullets,
@@ -461,7 +460,7 @@ def test_stage_lemma_reads_only_records_the_check_made():
     for rec in (forged, stale):
         assert rec is not ev and not proves(rec, "z-bullets", *names)
         state = GameState(t.mu, 0, moves=list(t.moves[:4]))
-        state.moves[2] = dataclasses.replace(mv2, bullets=rec)
+        state.moves[2] = copy_record(mv2, bullets=rec)
         assert lemma_checks(strategy_ii_move, state, args[0]) == []
         state.moves[2] = mv2
         assert lemma_checks(strategy_ii_move, state, args[0]) == [args[0]]
@@ -534,7 +533,7 @@ def test_a_last_token_over_a_limit_height_member_is_refused():
     (exit 1)."""
     ch = limit_chains(Ordinal(2, 2), onestep_opponent(), 0)[1]
     i = [m.beta for m in ch.members].index(Ordinal(1, 0))
-    cut = dataclasses.replace(ch, members=ch.members[:i + 1])
+    cut = copy_record(ch, members=ch.members[:i + 1])
     for validate in (validate_chain, all_pairs_validate_chain):
         with pytest.raises(HypothesisViolated, match=r"\(tail-shape\): a 'last' token repeats a "
                            r"final entry, which no value of the limit height w has"):

@@ -3,8 +3,8 @@ with an allow-list whose entries give the reason they stay (a stale entry
 fails).
 
 - No dead options: every defaulted parameter of a function, and every
-  defaulted field of a dataclass, is set by some call in `src/` or
-  `perfbench/` (ALLOWED). A default no caller overrides is a mode only
+  defaulted field of a record (`foundations.record`, or a dataclass), is
+  set by some call in `src/` or `perfbench/` (ALLOWED). A default no caller overrides is a mode only
   tests reach, and each such mode doubles what the tests must cover.
 - No always-set defaults: none is set by every call in `src/`, `perfbench/`
   and `tests/` alike (ALWAYS_SET). Such a default is dead code that a
@@ -15,7 +15,7 @@ fails).
 
 All three match by name only: a call by the called name (`f(...)`,
 `obj.f(...)`), whatever it is bound to; an `__init__` or `__new__` is called
-by its class's name, and a dataclass's fields are its constructor's
+by its class's name, and a record's fields are its constructor's
 parameters. A call with `*args` or `**kwargs` sets every parameter of the
 name it calls. A function is named by any `f` or `obj.f` read. Each file is
 parsed once for the three."""
@@ -83,16 +83,19 @@ def _modules(tops: tuple[Path, ...]) -> Modules:
                  for top in tops for path in sorted(top.rglob("*.py")))
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether the class is decorated `record` or `dataclass`, whose
+    annotated fields are its constructor's parameters."""
     for d in cls.decorator_list:
         f = d.func if isinstance(d, ast.Call) else d
-        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass":
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name in ("record", "dataclass"):
             return True
     return False
 
 
 def _has_init_default(value: ast.expr | None) -> bool | None:
-    """Whether a dataclass field's value gives a default: None for a field
+    """Whether a record field's value gives a default: None for a field
     with init=False, which is no parameter at all."""
     if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
         kws = {k.arg: k.value for k in value.keywords}
@@ -132,13 +135,13 @@ def _params(fn: ast.FunctionDef, cls: str | None, where: str) -> Iterator[Param]
 
 
 def defaulted(modules: Modules) -> list[Param]:
-    """Every defaulted parameter and dataclass field in the modules."""
+    """Every defaulted parameter and record field in the modules."""
     out: list[Param] = []
 
     def visit(node: ast.AST, cls: str | None, where: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                if _is_dataclass(child):
+                if _is_record(child):
                     out.extend(_fields(child, where))
                 visit(child, child.name, where)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -265,7 +268,7 @@ def test_no_function_is_named_only_by_tests():
 def test_the_scan_reads_positions_keywords_and_fields():
     """The scan itself, on names whose calls are known: `tower`'s `variant`
     is set by position (`tower(1, S_THETA)`), `check_z_bullets`' `after` by
-    position, a dataclass field by keyword (`CatalogFamily(..., admitted=True)`),
+    position, a record field by keyword (`CatalogFamily(..., admitted=True)`),
     and the record field `AscentLevel.grafted` (init=False, with a default)
     is no parameter."""
     found = {(p.name, p.param): p for p in defaulted(_package())}
@@ -281,23 +284,29 @@ SAMPLE = (("sample.py", ast.parse('''
 class Rec:
     a: int
     b: int = 0
+@record
+class Pair:
+    x: int
+    y: int = field(default=0, compare=False)
+    z: int = field(default=0, init=False)
 class Box:
     def __init__(self, size=1): pass
     def used(self, k=2): return helper(k, scale=k) + self.used(k)
     def spare(self): pass
 def helper(k, *, scale=1): pass
-Rec(1, 2), Rec(1, b=3), Box(4).used(5), helper(6, scale=7), helper(*[8])
+Rec(1, 2), Rec(1, b=3), Box(4).used(5), helper(6, scale=7), helper(*[8]), Pair(1, y=2)
 ''')),)
 
 
 def test_the_scans_on_a_sample():
     """The converse scan finds a default that every call sets, by position
-    or keyword (`Rec.b`, `Box(size)`, `used(k)`, `helper(scale)`: the
-    starred call sets it too); the test-only scan finds a method no code
-    names (`spare`), and counts a method that names itself (`used`) as
-    named; an exempt name is never found."""
+    or keyword (`Rec.b`, `Pair.y`, `Box(size)`, `used(k)`, `helper(scale)`:
+    the starred call sets it too), and reads a `@record` class's fields as
+    a `@dataclass`'s (`Pair.z`, init=False, is no parameter); the test-only
+    scan finds a method no code names (`spare`), and counts a method that
+    names itself (`used`) as named; an exempt name is never found."""
     assert {(p.name, p.param) for p in always_set(SAMPLE, SAMPLE)} \
-        == {("Rec", "b"), ("Box", "size"), ("used", "k"), ("helper", "scale")}
+        == {("Rec", "b"), ("Pair", "y"), ("Box", "size"), ("used", "k"), ("helper", "scale")}
     assert unset(SAMPLE, SAMPLE) == []
     assert [name for name, _ in named_only_by_tests(SAMPLE, SAMPLE)] == ["spare"]
     assert named_only_by_tests(SAMPLE, SAMPLE, frozenset({"spare"})) == []

@@ -8,7 +8,6 @@ reference in oracles.py does: every probe compared, and every index below
 a window tested node by node.
 """
 
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +20,7 @@ from ascentlab.ascent import (
 from ascentlab.foundations import ZERO, Ordinal
 from ascentlab.game import onestep_opponent, play_game, random_opponent
 from ascentlab.nodes import Ramp, SymNode, node_patch
-from oracles import all_probes_paths_agree, brute_me_set
+from oracles import all_probes_paths_agree, brute_me_set, copy_record
 from test_chain_lemma import levels_and_heights, nodes_of
 
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -103,7 +102,7 @@ def condition_pairs(draw):
         path = path.with_level(h, new)
     elif change == "tail-copy" and path.tails:
         path = AscentPath.make(dict(path.levels),
-                               {w: dataclasses.replace(r) for w, r in path.tails})
+                               {w: copy_record(r) for w, r in path.tails})
     if side == "lower":
         return path, upper.path, upper.eta
     return lower.path, path, upper.eta
@@ -138,9 +137,9 @@ def test_tail_rules_differing_in_exception_labels_do_not_agree():
                             {0: SymNode((), (0,))})
     r1, r2 = (TailRule(1, base, (AppendScheme((Ramp(2, 2),), {0: label}),)) for label in (0, 1))
     p1, p2 = (AscentPath.make({ZERO: root_level()}, {0: r}) for r in (r1, r2))
-    assert r1 != r2 and hash(r1) == hash(dataclasses.replace(r1))
+    assert r1 != r2 and hash(r1) == hash(copy_record(r1))
     assert not level_extensional_eq(p1.level_at(Ordinal(0, 3)), p2.level_at(Ordinal(0, 3)))
     eta = Ordinal(0, 5)
     assert not paths_agree_below(p1, p2, eta) and not all_probes_paths_agree(p1, p2, eta)
-    copy = AscentPath.make({ZERO: root_level()}, {0: dataclasses.replace(r1)})
+    copy = AscentPath.make({ZERO: root_level()}, {0: copy_record(r1)})
     assert paths_agree_below(p1, copy, eta) and all_probes_paths_agree(p1, copy, eta)
