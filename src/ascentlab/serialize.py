@@ -1,468 +1,387 @@
-"""JSON encodings for every on-disk object: conditions, chains, paths and
-transcripts are encoded, sealing triples only decoded. Decoding goes through
-the canonical constructors, so a round-trip reproduces structurally
-identical values. The chain, path-descriptor and triple constructors are read
-through their modules, so a process that decodes only conditions never runs
-`amalgam`, `aposet` or `sealing`."""
+"""JSON encodings for every on-disk object, each format declared once as a
+schema of codecs: (encode, decode) pairs combined as in Kennedy's pickler
+combinators (JFP 14(6), 2004). Conditions, chains, path descriptors and
+transcripts are encoded, sealing triples only decoded. Each rule of decoding
+lives in one combinator:
+- absent versus `null`: `record` refuses an absent field as `<path>: missing`
+  unless its codec reads one: `optional` reads an absent field or `null` as
+  None, and an absent list or indexed object is empty unless `required`;
+- no coercion: an int, a bool or a string is read only as itself;
+- `keyed` refuses a key listed twice;
+- a path in every message: a `FormatError` gains a step of the JSON path in
+  each combinator it leaves (`_at`), so no decoder is handed a path;
+- constructors unchanged: decoding ends in the canonical constructors (those
+  of `amalgam`, `aposet` and `sealing` read at decode time, so a process that
+  decodes only conditions never runs those modules), and the cross-field
+  checks run once the fields are read."""
 
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Any, Optional
+from functools import partial
+from operator import attrgetter
+from typing import Any, Callable, Optional
 
 from .foundations import AP, Ordinal, Rejected, UPSet, XSequence, DEFAULT_X
 from .ascent import AppendScheme, AscentLevel, Cell, MapPiece, PiecewiseMap, supp
-from .nodes import BlockWord, Entry, Ramp, SymNode
+from .nodes import BlockWord, Ramp, SymNode
 from .conditions import AscentPath, Condition, TailRule, _supp_ok, check_condition
 from .trees import BranchCatalog, CatalogFamily, CatalogSingle, SymTree
 from . import amalgam, aposet, sealing
 
-if TYPE_CHECKING:
-    from .amalgam import ChainDescriptor, ChainTail, ZMap
-    from .aposet import PathDescriptor
-    from .sealing import SealTriple
-    from .game import Transcript
-
 FORMAT = 1
+REQUIRED = object()    # the `absent` of a field that must be present
 
 
 class FormatError(Rejected):
-    pass
+    """A document that does not decode: `text` at the JSON `path` of the
+    value at fault, a list of field names, list indices and index keys."""
+
+    def __init__(self, text: str, *path) -> None:
+        super().__init__(text)
+        self.path = list(path)
+
+    def __str__(self) -> str:
+        at = "".join(f"[{s}]" if type(s) is int else f".{s}" for s in self.path).removeprefix(".")
+        return f"{at}: {self.args[0]}" if at else self.args[0]
 
 
-def _expect(cond: bool, msg: str) -> None:
-    if not cond:
-        raise FormatError(msg)
+def _at(step, dec: Callable[[Any], Any], value: Any) -> Any:
+    """dec(value), whose FormatError is placed one `step` deeper."""
+    try:
+        return dec(value)
+    except FormatError as e:
+        e.path.insert(0, step)
+        raise
 
 
-def _int_field(d: Any, key: str, where: str, least: Optional[int] = None) -> int:
-    """d[key], an int not below `least` when given; FormatError naming the
-    field otherwise."""
-    v = d.get(key) if isinstance(d, dict) else None
-    _expect(type(v) is int and (least is None or v >= least),
-            f"{where}.{key}: expected an int{'' if least is None else f' >= {least}'}, got {v!r}")
+class Codec:
+    """A JSON format: `enc` writes a value, `dec` reads one back or raises
+    FormatError, and a record field of this format left out reads as the JSON
+    value `absent` (REQUIRED: it is refused)."""
+
+    __slots__ = ("enc", "dec", "absent")
+
+    def __init__(self, enc: Callable, dec: Callable, absent: Any = REQUIRED) -> None:
+        self.enc, self.dec, self.absent = enc, dec, absent
+
+
+def _same(v: Any) -> Any:
     return v
 
 
-def _child(where: str, key: str) -> str:
-    """The JSON path of field `key` of the object at `where` ("" for the
-    document root)."""
-    return f"{where}.{key}" if where else key
+def _lazy(module, name: str) -> Callable:
+    """The module's constructor `name`, read when it is first called."""
+    return lambda *fields: attrgetter(name)(module)(*fields)
 
 
-def _required(d: dict, key: str, where: str) -> Any:
-    """d[key]; FormatError naming the field when the key is absent."""
-    _expect(key in d, f"{_child(where, key)}: missing")
-    return d[key]
+def _scalar(what: str, ok: Callable, read: Callable = _same, write: Callable = _same) -> Codec:
+    """A JSON value that `ok` accepts, read(value), written back by `write`."""
+    def dec(d):
+        if not ok(d):
+            raise FormatError(f"expected {what}, got {d!r}")
+        return read(d)
+    return Codec(write, dec)
 
 
-def _int_list(d: dict, key: str, where: str) -> list[int]:
-    """d[key], a list of ints, empty when absent."""
-    v = _list_field(d, key, where)
-    for i, k in enumerate(v):
-        _expect(type(k) is int, f"{where}.{key}[{i}]: expected an int, got {k!r}")
-    return v
+def integer(least: Optional[int] = None) -> Codec:
+    return _scalar("an int" if least is None else f"an int >= {least}",
+                   lambda v: type(v) is int and (least is None or v >= least))
 
 
-def _bool_field(d: dict, key: str, where: str) -> bool:
-    """d[key], which must be present and a bool (not coerced)."""
-    v = _required(d, key, where)
-    _expect(type(v) is bool, f"{_child(where, key)}: expected a bool, got {v!r}")
-    return v
+INT, NAT, POS = integer(), integer(0), integer(1)
+BOOL = _scalar("a bool", lambda v: type(v) is bool)
+STR = _scalar("a string", lambda v: type(v) is str)
+_object = _scalar("an object", lambda d: isinstance(d, dict)).dec
+_list = _scalar("a list", lambda d: isinstance(d, list)).dec
 
 
-def _object(d: Any, where: str) -> dict:
-    _expect(isinstance(d, dict), f"{where}: expected an object, got {d!r}")
-    return d
+def required(codec: Codec) -> Codec:
+    return Codec(codec.enc, codec.dec)
 
 
-def _list_field(d: dict, key: str, where: str) -> list:
-    """d[key], a list, empty when absent."""
-    v = d.get(key, [])
-    _expect(isinstance(v, list), f"{where}.{key}: expected a list, got {v!r}")
-    return v
+def optional(codec: Codec) -> Codec:
+    return Codec(lambda v: None if v is None else codec.enc(v),
+                 lambda d: None if d is None else codec.dec(d), None)
 
 
-def _objects(d: dict, key: str, where: str) -> list[dict]:
-    """d[key], a list of objects, empty when absent."""
-    return [_object(e, f"{where}.{key}[{i}]") for i, e in enumerate(_list_field(d, key, where))]
+def listof(item: Codec, nonempty: bool = False) -> Codec:
+    """A list, read as a tuple."""
+    def dec(d):
+        if not _list(d) and nonempty:
+            raise FormatError("expected a nonempty list")
+        return tuple([_at(i, item.dec, v) for i, v in enumerate(d)])
+    return Codec(lambda xs: [item.enc(x) for x in xs], dec, [])
 
 
-def _indexed(d: Any, where: str) -> dict[int, Any]:
-    """d, an object keyed by indices as `str` writes them (ASCII digits, no
-    leading zero, so one spelling per index), with int keys; a key too long
+def indexed(value: Codec) -> Codec:
+    """An object keyed by indices as `str` writes them (ASCII digits, no
+    leading zero: one spelling per index), read with int keys; a key too long
     for `int` (`sys.get_int_max_str_digits`) is refused before it is read."""
-    _object(d, where)
-    limit = sys.get_int_max_str_digits()
-    for k in d:
-        _expect(k == "0" or (k.isascii() and k.isdecimal() and k[0] != "0"),
-                f"{where}: expected an object keyed by indices (ASCII digits, no leading "
-                f"zero), got the key {k!r}")
-        _expect(not limit or len(k) <= limit,
-                f"{where}: a key of {len(k)} digits, more than {limit}")
-    return {int(k): v for k, v in d.items()}
+    def dec(d):
+        limit = sys.get_int_max_str_digits()
+        for k in _object(d):
+            if not (k == "0" or (k.isascii() and k.isdecimal() and k[0] != "0")):
+                raise FormatError("expected an object keyed by indices (ASCII digits, no "
+                                  f"leading zero), got the key {k!r}")
+            if limit and len(k) > limit:
+                raise FormatError(f"a key of {len(k)} digits, more than {limit}")
+        return {int(k): _at(k, value.dec, v) for k, v in d.items()}
+    return Codec(lambda m: {str(k): value.enc(v) for k, v in dict(m).items()}, dec, {})
 
 
-def _nat_pair(p: Any, where: str) -> tuple[int, int]:
-    _expect(isinstance(p, list) and len(p) == 2
-            and all(type(v) is int and v >= 0 for v in p),
-            f"{where}: expected a pair of ints >= 0, got {p!r}")
-    return p[0], p[1]
+def _field(d: dict, name: str, codec: Codec) -> Any:
+    v = d.get(name, codec.absent)
+    if v is REQUIRED:
+        raise FormatError("missing", name)
+    return _at(name, codec.dec, v)
 
 
-# -- scalars -----------------------------------------------------------------
+def record(construct: Optional[Callable], *fields: tuple,
+           parts: Optional[Callable] = None) -> Codec:
+    """An object of (name, codec) fields, written from `parts(v)` (by default
+    v's attributes of those names) and read into `construct(*values)`, which
+    runs the cross-field checks and makes the value."""
+    parts = parts or attrgetter(*(name for name, _ in fields))
 
-def enc_ordinal(o: Ordinal) -> dict:
-    return {"w": o.w, "n": o.n}
+    def dec(d):
+        _object(d)
+        return construct(*[_field(d, name, codec) for name, codec in fields])
+    return Codec(lambda v: {name: codec.enc(x) for (name, codec), x in zip(fields, parts(v))},
+                 dec)
 
-def dec_ordinal(d: Any, where: str = "ordinal") -> Ordinal:
-    _object(d, where)
-    return Ordinal(_int_field(d, "w", where, 0), _int_field(d, "n", where, 0))
+
+def keyed(key_field: str, key: Codec, value_field: str, value: Codec) -> Codec:
+    """A list of {key_field: k, value_field: v} objects, read as a dict in
+    list order; a key listed twice is refused before its value is read."""
+    def dec(d):
+        out = {}
+
+        def entry(e):
+            k = _field(_object(e), key_field, key)
+            if k in out:
+                raise FormatError(f"repeated {key_field} {k}", key_field)
+            out[k] = _field(e, value_field, value)
+        listof(Codec(None, entry)).dec(d)
+        return out
+    return Codec(lambda pairs: [{key_field: key.enc(k), value_field: value.enc(v)}
+                                for k, v in pairs], dec, [])
 
 
-def enc_upset(u: UPSet) -> dict:
+def versioned(kind: str, codec: Codec, named: bool = False) -> Codec:
+    """codec's object with "format": FORMAT beside its fields; a value that is
+    no object is refused under the name `kind` when `named`."""
+    def dec(d):
+        if named:
+            _at(kind, _object, d)
+        if not (isinstance(d, dict) and type(d.get("format")) is int and d["format"] == FORMAT):
+            raise FormatError(f"unknown {kind} format")
+        return codec.dec(d)
+    return Codec(lambda v: {"format": FORMAT, **codec.enc(v)}, dec)
+
+
+# -- scalars and nodes -------------------------------------------------------------
+
+def _upset(threshold: int, period: int, residues, add, remove) -> UPSet:
+    residues = frozenset(residues)
+    low = {k for k in range(threshold) if k % period in residues}
+    return UPSet.make(threshold, period, residues, frozenset((low | set(add)) - set(remove)))
+
+
+def _upset_parts(u: UPSet) -> tuple:
+    """u's fields: its members below the threshold as patches of its period."""
     periodic_low = {k for k in range(u.threshold) if u.rmask >> (k % u.period) & 1}
-    low = u.low
-    return {"threshold": u.threshold, "period": u.period,
-            "residues": sorted(u.residues),
-            "patch_add": sorted(low - periodic_low),
-            "patch_remove": sorted(periodic_low - low)}
-
-def dec_upset(d: Any, where: str = "set") -> UPSet:
-    _object(d, where)
-    for key in ("threshold", "period", "residues"):
-        _required(d, key, where)
-    t, p = _int_field(d, "threshold", where, 0), _int_field(d, "period", where, 1)
-    residues = frozenset(_int_list(d, "residues", where))
-    low = {k for k in range(t) if k % p in residues}
-    low |= set(_int_list(d, "patch_add", where))
-    low -= set(_int_list(d, "patch_remove", where))
-    return UPSet.make(t, p, residues, frozenset(low))
+    return (u.threshold, u.period, sorted(u.residues),
+            sorted(u.low - periodic_low), sorted(periodic_low - u.low))
 
 
-def enc_entry(e: Entry) -> dict:
-    if isinstance(e, int):
-        return {"const": e}
-    return {"ramp": {"a": e.a, "b": e.b}}
-
-def dec_entry(d: Any, ap: Optional[AP], where: str) -> Entry:
-    if type(d) is int:
-        return d
-    if "const" in _object(d, where):
-        return _int_field(d, "const", where)
-    if "ramp" in d:
-        where = f"{where}.ramp"
-        return Ramp(_int_field(d["ramp"], "a", where, 1), _int_field(d["ramp"], "b", where, 0))
-    if d.get("param"):
-        _expect(ap is not None, f"{where}: param entry outside a cell")
-        return Ramp(ap.step, ap.start)
-    raise FormatError(f"{where}: bad entry {d!r}")
+ORDINAL = record(Ordinal, ("w", NAT), ("n", NAT))
+RAMP = record(Ramp, ("a", POS), ("b", NAT))
+UPSET = record(_upset, ("threshold", NAT), ("period", POS), ("residues", required(listof(INT))),
+               ("patch_add", listof(INT)), ("patch_remove", listof(INT)), parts=_upset_parts)
 
 
-def _entries(d: dict, key: str, where: str, ap: Optional[AP]) -> list[Entry]:
-    """d[key], a list of entries, empty when absent."""
-    return [dec_entry(e, ap, f"{where}.{key}[{j}]") for j, e in enumerate(_list_field(d, key, where))]
+def entry(ap: Optional[AP]) -> Codec:
+    """An entry: an int, {"const": int}, {"ramp": {"a", "b"}} or, in the
+    template of a cell over `ap`, {"param": true}, that cell's ramp."""
+    def dec(d):
+        if type(d) is int:
+            return d
+        for name, codec in (("const", INT), ("ramp", RAMP)):
+            if name in _object(d):
+                return _at(name, codec.dec, d[name])
+        if "param" in d:
+            if d["param"] is not True:
+                raise FormatError(f"expected true, got {d['param']!r}", "param")
+            if ap is None:
+                raise FormatError("param entry outside a cell")
+            return Ramp(ap.step, ap.start)
+        raise FormatError(f"bad entry {d!r}")
+    return Codec(lambda e: {"const": e} if isinstance(e, int) else {"ramp": RAMP.enc(e)}, dec)
 
 
-# -- nodes -------------------------------------------------------------------
-
-def enc_node(s: SymNode) -> dict:
-    return {"dom": enc_ordinal(s.dom),
-            "blocks": [{"prefix": [enc_entry(e) for e in b.prefix],
-                        "period": len(b.tail),
-                        "tail": [enc_entry(e) for e in b.tail]} for b in s.blocks],
-            "final": [enc_entry(e) for e in s.final]}
-
-def dec_node(d: Any, ap: Optional[AP] = None, where: str = "node") -> SymNode:
-    _expect("blocks" in _object(d, where), f"{where}.blocks: missing")
-    blocks = []
-    for i, b in enumerate(_objects(d, "blocks", where)):
-        bw = f"{where}.blocks[{i}]"
-        _expect(bool(_list_field(b, "tail", bw)), f"{bw}.tail: expected a nonempty list")
-        blocks.append(BlockWord.make(_entries(b, "prefix", bw, ap), _entries(b, "tail", bw, ap)))
-    node = SymNode(tuple(blocks), tuple(_entries(d, "final", where, ap)))
-    if "dom" in d:
-        _expect(node.dom == dec_ordinal(d["dom"]),
-                f"{where}: node domain mismatch: {node.dom} vs {d['dom']}")
-    return node
+def _node(blocks, final, dom: Optional[Ordinal]) -> SymNode:
+    s = SymNode(blocks, final)
+    if dom is not None and s.dom != dom:
+        raise FormatError(f"node domain mismatch: {s.dom} vs {dom}")
+    return s
 
 
-def enc_cell(c: Cell) -> dict:
-    return {"start": c.ap.start, "step": c.ap.step, "template": enc_node(c.template)}
+def node(ap: Optional[AP]) -> Codec:
+    """A node whose entries are read by `entry(ap)`. A block's `period` is
+    written for a reader and not read back."""
+    item = entry(ap)
+    entries = listof(item)
+    block = record(lambda prefix, _, tail: BlockWord.make(prefix, tail),
+                   ("prefix", entries), ("period", Codec(_same, _same, None)),
+                   ("tail", listof(item, True)),
+                   parts=lambda b: (b.prefix, len(b.tail), b.tail))
+    return record(_node, ("blocks", required(listof(block))), ("final", entries),
+                  ("dom", optional(ORDINAL)))
 
-def dec_cell(d: Any, where: str) -> Cell:
-    ap = AP(_int_field(d, "start", where, 0), _int_field(d, "step", where, 1))
-    return Cell(ap, dec_node(d.get("template"), ap, f"{where}.template"))
+
+def _cell(d: Any) -> Cell:
+    """A cell, the one place an AP reaches the entries of its template."""
+    ap = AP(_field(_object(d), "start", NAT), _field(d, "step", POS))
+    return Cell(ap, _field(d, "template", node(ap)))
 
 
-def enc_level(lvl: AscentLevel) -> dict:
-    return {"height": enc_ordinal(lvl.height),
-            "cells": [enc_cell(c) for c in lvl.cells],
-            "exceptions": {str(k): enc_node(v) for k, v in lvl.exceptions}}
+NODE, ENTRY = node(None), entry(None)
+CELL = Codec(lambda c: {"start": c.ap.start, "step": c.ap.step, "template": NODE.enc(c.template)},
+             _cell)
 
-def dec_level(d: Any, where: str) -> AscentLevel:
-    exc = _indexed(_object(d, where).get("exceptions", {}), f"{where}.exceptions")
-    height = dec_ordinal(d.get("height"))
-    cells = [dec_cell(c, f"{where}.cells[{i}]")
-             for i, c in enumerate(_list_field(d, "cells", where))]
-    exceptions = {k: dec_node(v, where=f"{where}.exceptions.{k}") for k, v in exc.items()}
+
+# -- levels, paths and trees ------------------------------------------------------------
+
+def _level(height: Ordinal, cells, exceptions: dict) -> AscentLevel:
     try:
         return AscentLevel.make(height, cells, exceptions)
     except ValueError as e:   # pieces that overlap, leave an index out or have another height
-        raise FormatError(f"{where}: {e}") from None
+        raise FormatError(str(e)) from None
 
 
-def enc_scheme(s: AppendScheme) -> dict:
-    return {"cell_entries": [enc_entry(e) for e in s.cell_entries],
-            "exception_labels": {str(k): v for k, v in s.exception_labels.items()}}
-
-def dec_scheme(d: Any, where: str) -> AppendScheme:
-    _expect("cell_entries" in _object(d, where), f"{where}.cell_entries: missing")
-    lw = f"{where}.exception_labels"
-    labels = d.get("exception_labels", {})
-    return AppendScheme(tuple(_entries(d, "cell_entries", where, None)),
-                        {k: _int_field(labels, str(k), lw) for k in _indexed(labels, lw)})
-
-
-def enc_tail_rule(r: TailRule) -> dict:
-    return {"start": r.start, "base": enc_level(r.base),
-            "schemes": [enc_scheme(s) for s in r.schemes]}
-
-def dec_tail_rule(d: Any, where: str = "rule") -> TailRule:
+def _rule(start: int, base: AscentLevel, schemes) -> TailRule:
     """A rule whose `start` is its base's height in the block (n of
     omega*w + n): the level it generates at n has height omega*w + n."""
-    _required(_object(d, where), "start", where)
-    start = _int_field(d, "start", where, 0)
-    base = dec_level(_required(d, "base", where), f"{where}.base")
-    _expect(start == base.height.n,
-            f"{where}.start: expected {base.height.n}, the base height {base.height}'s "
-            f"offset in its block, got {start}")
-    _required(d, "schemes", where)
-    schemes = _objects(d, "schemes", where)
-    _expect(bool(schemes), f"{where}.schemes: expected a nonempty list")
-    return TailRule(start, base, tuple(dec_scheme(s, f"{where}.schemes[{i}]")
-                                       for i, s in enumerate(schemes)))
+    if start != base.height.n:
+        raise FormatError(f"expected {base.height.n}, the base height {base.height}'s "
+                          f"offset in its block, got {start}", "start")
+    return TailRule(start, base, schemes)
 
 
-def enc_path(p: AscentPath) -> dict:
-    return {"levels": [{"height": enc_ordinal(h), "level": enc_level(lvl)}
-                       for h, lvl in p.levels],
-            "tails": [{"block": w, "rule": enc_tail_rule(r)} for w, r in p.tails]}
-
-def dec_path(d: Any, where: str) -> AscentPath:
-    _required(_object(d, where), "levels", where)
-    levels, tails = {}, {}
-    for i, e in enumerate(_objects(d, "levels", where)):
-        lw = f"{where}.levels[{i}]"
-        height = dec_ordinal(_required(e, "height", lw), f"{lw}.height")
-        _expect(height not in levels, f"{lw}.height: repeated height {height}")
-        levels[height] = dec_level(_required(e, "level", lw), f"{lw}.level")
-        _expect(levels[height].height == height,
-                f"{lw}.height: {height} is not the height {levels[height].height} of its level")
-    for i, e in enumerate(_objects(d, "tails", where)):
-        tw = f"{where}.tails[{i}]"
-        _required(e, "block", tw)
-        block = _int_field(e, "block", tw, 0)
-        _expect(block not in tails, f"{tw}.block: repeated block {block}")
-        rule = dec_tail_rule(_required(e, "rule", tw), f"{tw}.rule")
-        _expect(rule.base.height.w == block,
-                f"{tw}.rule.base: height {rule.base.height} is not in block {block}")
-        tails[block] = rule
+def _path(levels: dict, tails: dict) -> AscentPath:
+    """Each level stands at its own height, and each tail rule in its block."""
+    for i, (h, lvl) in enumerate(levels.items()):
+        if lvl.height != h:
+            raise FormatError(f"{h} is not the height {lvl.height} of its level",
+                              "levels", i, "height")
+    for i, (w, rule) in enumerate(tails.items()):
+        if rule.base.height.w != w:
+            raise FormatError(f"height {rule.base.height} is not in block {w}",
+                              "tails", i, "rule", "base")
     return AscentPath.make(levels, tails)
 
 
-# -- trees ---------------------------------------------------------------------
-
-def enc_catalog(cat: BranchCatalog) -> dict:
-    return {"families": [{"cells": [enc_cell(c) for c in f.cells], "admitted": f.admitted}
-                         for f in cat.families],
-            "singles": [{"tag": s.tag, "node": enc_node(s.node), "admitted": s.admitted}
-                        for s in cat.singles]}
-
-def dec_catalog(d: Any, where: str) -> BranchCatalog:
-    families, singles = [], []
-    for i, f in enumerate(_objects(_object(d, where), "families", where)):
-        fw = f"{where}.families[{i}]"
-        _required(f, "cells", fw)
-        families.append(CatalogFamily(tuple(dec_cell(c, f"{fw}.cells[{j}]")
-                                            for j, c in enumerate(_objects(f, "cells", fw))),
-                                      _bool_field(f, "admitted", fw)))
-    for i, e in enumerate(_objects(d, "singles", where)):
-        sw = f"{where}.singles[{i}]"
-        singles.append(CatalogSingle(str(_required(e, "tag", sw)),
-                                     dec_node(_required(e, "node", sw), where=f"{sw}.node"),
-                                     _bool_field(e, "admitted", sw)))
-    return BranchCatalog(tuple(families), tuple(singles))
+LEVEL = record(_level, ("height", ORDINAL), ("cells", listof(CELL)),
+               ("exceptions", indexed(NODE)))
+SCHEME = record(AppendScheme, ("cell_entries", required(listof(ENTRY))),
+                ("exception_labels", indexed(INT)))
+RULE = record(_rule, ("start", NAT), ("base", LEVEL), ("schemes", required(listof(SCHEME, True))))
+PATH = record(_path, ("levels", required(keyed("height", ORDINAL, "level", LEVEL))),
+              ("tails", keyed("block", NAT, "rule", RULE)))
+CATALOG = record(BranchCatalog,
+                 ("families", listof(record(CatalogFamily, ("cells", required(listof(CELL))),
+                                            ("admitted", BOOL)))),
+                 ("singles", listof(record(CatalogSingle, ("tag", STR), ("node", NODE),
+                                           ("admitted", BOOL)))))
+TREE = record(SymTree.make, ("height", ORDINAL),
+              ("explicit", keyed("height", ORDINAL, "nodes", listof(NODE))),
+              ("catalogs", keyed("height", ORDINAL, "catalog", CATALOG)))
 
 
-def enc_tree(t: SymTree) -> dict:
-    return {"height": enc_ordinal(t.height),
-            "explicit": [{"height": enc_ordinal(h), "nodes": [enc_node(n) for n in ns]}
-                         for h, ns in t.explicit],
-            "catalogs": [{"height": enc_ordinal(h), "catalog": enc_catalog(c)}
-                         for h, c in t.catalogs]}
+# -- the documents ---------------------------------------------------------------
 
-def dec_tree(d: Any, where: str) -> SymTree:
-    height = dec_ordinal(_object(d, where).get("height"))
-    explicit, catalogs = {}, {}
-    for i, e in enumerate(_objects(d, "explicit", where)):
-        ew = f"{where}.explicit[{i}]"
-        h = dec_ordinal(e.get("height"))
-        _expect(h not in explicit, f"{ew}.height: repeated height {h}")
-        explicit[h] = tuple(dec_node(n) for n in _list_field(e, "nodes", ew))
-    for i, e in enumerate(_objects(d, "catalogs", where)):
-        cw = f"{where}.catalogs[{i}]"
-        h = dec_ordinal(e.get("height"))
-        _expect(h not in catalogs, f"{cw}.height: repeated height {h}")
-        catalogs[h] = dec_catalog(_required(e, "catalog", cw), f"{cw}.catalog")
-    return SymTree.make(height, explicit, catalogs)
-
-
-# -- the big composites ----------------------------------------------------------
-
-def enc_x(x: XSequence) -> dict:
-    if x == DEFAULT_X:
-        return {"kind": "default"}
-    return {"x0": enc_upset(x.x0), "base": x.base}
-
-def dec_x(d: Any) -> XSequence:
-    if d is None or _object(d, "x").get("kind") == "default":
-        return DEFAULT_X
-    base = _int_field(d, "base", "x") if "base" in d else 4
-    x = XSequence(dec_upset(_required(d, "x0", "x"), "x.x0"), base)
-    x.validate("s3")
-    return x
-
-
-def enc_condition(c: Condition) -> dict:
-    return {"format": FORMAT, "variant": c.variant, "x": enc_x(c.x),
-            "tree": enc_tree(c.tree), "path": enc_path(c.path)}
-
-def dec_condition(d: Any, where: str = "") -> Condition:
-    """A condition at JSON path `where`, "" when it is the document."""
-    _expect(isinstance(d, dict) and d.get("format") == FORMAT, "unknown condition format")
-    return Condition(dec_tree(_required(d, "tree", where), _child(where, "tree")),
-                     dec_path(_required(d, "path", where), _child(where, "path")),
-                     str(_required(d, "variant", where)), dec_x(d.get("x")))
-
-
-def enc_zmap(z: ZMap) -> dict:
-    return {"lo": enc_ordinal(z.lo), "hi": enc_ordinal(z.hi), "closed_hi": z.closed_hi,
-            "cells": [{"block": w, "cell": enc_cell(c)} for w, c in z.cells],
-            "entries": [{"key": enc_ordinal(k), "node": enc_node(v)} for k, v in z.entries]}
-
-def dec_zmap(d: Any, where: str = "z") -> ZMap:
-    lo, hi = (dec_ordinal(_object(d, where).get(k), f"{where}.{k}") for k in ("lo", "hi"))
-    closed_hi = d.get("closed_hi")
-    _expect(type(closed_hi) is bool, f"{where}.closed_hi: expected a bool, got {closed_hi!r}")
-    cells = [(_int_field(e, "block", f"{where}.cells[{i}]", 0),
-              dec_cell(e.get("cell"), f"{where}.cells[{i}].cell"))
-             for i, e in enumerate(_objects(d, "cells", where))]
-    entries = {}
-    for i, e in enumerate(_objects(d, "entries", where)):
-        k = dec_ordinal(e.get("key"), f"{where}.entries[{i}].key")
-        _expect(k not in entries, f"{where}.entries[{i}].key: repeated key {k}")
-        entries[k] = dec_node(e.get("node"), where=f"{where}.entries[{i}].node")
-    return amalgam.ZMap.make(lo, hi, closed_hi, cells, entries)
-
-
-def enc_chain_tail(t: ChainTail) -> dict:
-    return {"beta_step": t.beta_step, "schemes": [enc_scheme(s) for s in t.schemes],
-            "z_tokens": [list(tok) for tok in t.z_tokens]}
-
-def _z_token(tok: Any, where: str) -> tuple:
-    _expect(tok == ["last"] or (isinstance(tok, list) and len(tok) == 2
-                                and tok[0] == "const" and type(tok[1]) is int),
-            f"{where}: expected [\"last\"] or [\"const\", int], got {tok!r}")
-    return tuple(tok)
-
-def dec_chain_tail(d: Any, where: str) -> ChainTail:
-    _object(d, where)
-    for key in ("schemes", "z_tokens"):
-        _expect(bool(_list_field(d, key, where)), f"{where}.{key}: expected a nonempty list")
-    return amalgam.ChainTail(_int_field(d, "beta_step", where, 1),
-                             tuple(dec_scheme(s, f"{where}.schemes[{i}]")
-                                   for i, s in enumerate(d["schemes"])),
-                             tuple(_z_token(tok, f"{where}.z_tokens[{i}]")
-                                   for i, tok in enumerate(d["z_tokens"])))
-
-
-def enc_chain(ch: ChainDescriptor) -> dict:
-    return {"format": FORMAT, "gamma": enc_ordinal(ch.gamma), "delta": enc_ordinal(ch.delta),
-            "closed_delta": ch.closed_delta,
-            "members": [{"beta": enc_ordinal(m.beta), "condition": enc_condition(m.cond),
-                         "z": enc_zmap(m.z)} for m in ch.members],
-            "tail": enc_chain_tail(ch.tail) if ch.tail else None}
-
-def dec_chain(d: Any) -> ChainDescriptor:
-    _expect(_object(d, "chain").get("format") == FORMAT, "unknown chain format")
-    return amalgam.ChainDescriptor(
-        tuple(amalgam.ChainMember(dec_ordinal(m.get("beta"), f"chain.members[{i}].beta"),
-                                  dec_condition(m.get("condition"),
-                                                f"chain.members[{i}].condition"),
-                                  dec_zmap(m.get("z"), f"chain.members[{i}].z"))
-              for i, m in enumerate(_objects(d, "members", "chain"))),
-        dec_chain_tail(d["tail"], "chain.tail") if d.get("tail") else None,
-        dec_ordinal(_required(d, "gamma", "chain"), "chain.gamma"),
-        dec_ordinal(_required(d, "delta", "chain"), "chain.delta"),
-        bool(d.get("closed_delta", False)))
-
-
-def enc_path_descriptor(p: PathDescriptor) -> dict:
-    return {"format": FORMAT, "base": enc_condition(p.base),
-            "rule": enc_tail_rule(p.rule) if p.rule else None}
-
-def dec_path_descriptor(d: Any) -> PathDescriptor:
+def _path_descriptor(base: Condition, rule: Optional[TailRule]) -> aposet.PathDescriptor:
     """A rule continues its base condition: it starts one height above the
     condition's top, with an acceptable support from that top. The support
     is held only against a valid condition; `surgery.branch_surgery` rejects
     an invalid one with its own violations."""
-    _expect(_object(d, "path").get("format") == FORMAT, "unknown path format")
-    base = dec_condition(_required(d, "base", ""), "base")
-    rule = dec_tail_rule(d["rule"]) if d.get("rule") else None
     if rule is not None:
         h = rule.base.height
-        _expect(h == base.eta.succ(), f"rule.base: height {h} is not {base.eta.succ()}, "
-                f"one above the base condition's top height {base.eta}")
+        if h != base.eta.succ():
+            raise FormatError(f"height {h} is not {base.eta.succ()}, one above the base "
+                              f"condition's top height {base.eta}", "rule", "base")
         s = supp(base.top, rule.base)
         if not _supp_ok(base.variant, s, base.x) and check_condition(base).ok:
             raise aposet.NotLinked(f"rule.base: supp({base.eta},{h}) = {s} unacceptable: "
-                                  "the rule does not continue the base condition")
+                                   "the rule does not continue the base condition")
     return aposet.PathDescriptor(base, rule)
 
 
-def dec_map(d: Any) -> PiecewiseMap:
-    """A piece's slope `a` is only checked to be an int: a constant or
-    decreasing piece is well formed and fails `is_injective`."""
-    _object(d, "pi")
-    pieces = []
-    for i, p in enumerate(_list_field(d, "pieces", "pi")):
-        where = f"pi.pieces[{i}]"
-        ap = AP(_int_field(p, "start", where, 0), _int_field(p, "step", where, 1))
-        pieces.append(MapPiece(ap, _int_field(p, "a", where), _int_field(p, "b", where, 0)))
-    return PiecewiseMap(tuple(pieces), tuple(_nat_pair(p, f"pi.points[{i}]")
-                                             for i, p in enumerate(_list_field(d, "points", "pi"))))
+def _transcript_parts(t) -> tuple:
+    """A transcript's fields, each condition written once and each move
+    naming its condition by `condition_ref`, its index in `conditions`."""
+    conds = {id(mv.cond): mv.cond for mv in t.moves}
+    ref = {key: i for i, key in enumerate(conds)}
+    moves = [(mv.stage, mv.mover, ref[id(mv.cond)], mv.z) for mv in t.moves]
+    return t.mu, t.xi, t.verdict, t.illegal_stage, t.notes, moves, list(conds.values())
 
 
-def dec_triple(d: Any) -> SealTriple:
-    _expect(_object(d, "triple").get("format") == FORMAT, "unknown triple format")
-    return sealing.SealTriple(dec_level(_required(d, "x_family", ""), "x_family"),
-                              dec_upset(_required(d, "y", ""), "y"), dec_map(_required(d, "pi", "")))
+def _x(d: Any) -> XSequence:
+    """DEFAULT_X, for `null` or {"kind": "default"}, or a sequence in profile s3."""
+    if d is None or _object(d).get("kind") == "default":
+        return DEFAULT_X
+    x = XSEQ.dec(d)
+    x.validate("s3")
+    return x
 
 
-def enc_transcript(t: Transcript) -> dict:
-    conds = []
-    index: dict[int, int] = {}
-    moves = []
-    for mv in t.moves:
-        key = id(mv.cond)
-        if key not in index:
-            index[key] = len(conds)
-            conds.append(enc_condition(mv.cond))
-        moves.append({"stage": enc_ordinal(mv.stage), "mover": mv.mover,
-                      "condition_ref": index[key],
-                      "z": enc_zmap(mv.z) if mv.z else None})
-    return {"format": FORMAT, "mu": enc_ordinal(t.mu), "xi": t.xi,
-            "verdict": t.verdict,
-            "illegal_stage": enc_ordinal(t.illegal_stage) if t.illegal_stage else None,
-            "notes": list(t.notes), "moves": moves, "conditions": conds}
+XSEQ = record(XSequence, ("x0", UPSET), ("base", Codec(_same, INT.dec, 4)))
+X = Codec(lambda x: {"kind": "default"} if x == DEFAULT_X else XSEQ.enc(x), _x, None)
+CONDITION = versioned("condition", record(Condition, ("tree", TREE), ("path", PATH),
+                                          ("variant", STR), ("x", X)))
+Z_TOKEN = _scalar('["last"] or ["const", int]', lambda t: t == ["last"] or (
+    isinstance(t, list) and len(t) == 2 and t[0] == "const" and type(t[1]) is int), tuple, list)
+ZMAP = record(_lazy(amalgam, "ZMap.make"), ("lo", ORDINAL), ("hi", ORDINAL),
+              ("closed_hi", BOOL),
+              ("cells", listof(record(lambda w, c: (w, c), ("block", NAT), ("cell", CELL),
+                                      parts=_same))),
+              ("entries", keyed("key", ORDINAL, "node", NODE)))
+CHAIN = versioned("chain", record(
+    _lazy(amalgam, "ChainDescriptor"),
+    ("members", listof(record(_lazy(amalgam, "ChainMember"), ("beta", ORDINAL),
+                              ("condition", CONDITION), ("z", ZMAP),
+                              parts=attrgetter("beta", "cond", "z")))),
+    ("tail", optional(record(_lazy(amalgam, "ChainTail"), ("beta_step", POS),
+                             ("schemes", listof(SCHEME, True)),
+                             ("z_tokens", listof(Z_TOKEN, True))))),
+    ("gamma", ORDINAL), ("delta", ORDINAL), ("closed_delta", BOOL)))
+PATH_DESCRIPTOR = versioned("path", record(_path_descriptor, ("base", CONDITION),
+                                           ("rule", optional(RULE))), True)
+# A piece's slope `a` is only checked to be an int: a constant or decreasing
+# piece is well formed and fails `is_injective`.
+TRIPLE = versioned("triple", record(
+    _lazy(sealing, "SealTriple"), ("x_family", LEVEL), ("y", UPSET),
+    ("pi", record(PiecewiseMap,
+                  ("pieces", listof(record(
+                      lambda start, step, a, b: MapPiece(AP(start, step), a, b),
+                      ("start", NAT), ("step", POS), ("a", INT), ("b", NAT)))),
+                  ("points", listof(_scalar(
+                      "a pair of ints >= 0", lambda p: isinstance(p, list) and len(p) == 2
+                      and all(type(v) is int and v >= 0 for v in p), tuple)))))), True)
+TRANSCRIPT = versioned("transcript", record(
+    None, ("mu", ORDINAL), ("xi", INT), ("verdict", STR), ("illegal_stage", optional(ORDINAL)),
+    ("notes", listof(STR)),
+    ("moves", listof(record(None, ("stage", ORDINAL), ("mover", STR), ("condition_ref", NAT),
+                            ("z", optional(ZMAP)), parts=_same))),
+    ("conditions", listof(CONDITION)), parts=_transcript_parts))
+
+
+# -- the names the CLI and the benchmark call, one argument each ----------------------
+
+enc_ordinal, dec_ordinal = ORDINAL.enc, ORDINAL.dec
+enc_node, enc_zmap, enc_transcript = NODE.enc, ZMAP.enc, TRANSCRIPT.enc
+enc_condition, dec_condition = CONDITION.enc, CONDITION.dec
+enc_chain, enc_path_descriptor = CHAIN.enc, PATH_DESCRIPTOR.enc
+dec_chain, dec_x = partial(_at, "chain", CHAIN.dec), partial(_at, "x", X.dec)
+dec_path_descriptor, dec_triple = PATH_DESCRIPTOR.dec, TRIPLE.dec

@@ -80,7 +80,7 @@ def raw_window(raw, bound: int) -> set[int]:
 
 
 def enc_from_window(t: int, p: int, member) -> dict:
-    """serialize.enc_upset's dict for the set decided pointwise by `member`,
+    """serialize.UPSET's encoding for the set decided pointwise by `member`,
     written with threshold t and period p."""
     residues = sorted(r for r in range(p) if member(t + (r - t) % p))
     periodic = {k for k in range(t) if k % p in residues}

@@ -38,8 +38,8 @@ def bad_triple_file(tmp_path, field: str, value) -> str:
     cells, exc = level_reindex(c.top, pi)
     piece = {"start": pi.pieces[0].ap.start, "step": pi.pieces[0].ap.step,
              "a": pi.pieces[0].a, "b": pi.pieces[0].b}
-    d = {"format": sz.FORMAT, "x_family": sz.enc_level(fill_level(c.eta, cells, exc, c.top)),
-         "y": sz.enc_upset(ODDS), "pi": {"pieces": [piece], "points": []}}
+    d = {"format": sz.FORMAT, "x_family": sz.LEVEL.enc(fill_level(c.eta, cells, exc, c.top)),
+         "y": sz.UPSET.enc(ODDS), "pi": {"pieces": [piece], "points": []}}
     if field == "pi":
         d["pi"] = value
     elif field == "points":
@@ -93,8 +93,10 @@ class RawJSON:
 
 def edited_input_file(tmp_path, cmd: str, edit) -> str:
     """The encoding after `edit` of the input `cmd` reads: the standard
-    amalgamation chain for amalgamate, the tower(2) condition otherwise."""
+    amalgamation chain for amalgamate, the standard path descriptor of height
+    4 for surgery and derive-branches, the tower(2) condition otherwise."""
     d = sz.enc_chain(uniform_chain(3, Ordinal(1, 2))) if cmd == "amalgamate" \
+        else sz.enc_path_descriptor(uniform_path(4)) if cmd in ("surgery", "derive-branches") \
         else sz.enc_condition(tower(2))
     edit(d)
     raws = []
@@ -193,7 +195,7 @@ def test_negative_natural_exit_2(argv, cond_file, capsys):
 
 def own_x(x0, base: int):
     """An edit of a condition: its own X-sequence set to (x0, base)."""
-    return set_at(("x",), {"x0": sz.enc_upset(x0), "base": base})
+    return set_at(("x",), {"x0": sz.UPSET.enc(x0), "base": base})
 
 
 SEAL = ["seal", "--triple", "transpose:1,3", "--xi", "1"]
@@ -218,11 +220,11 @@ SEAL = ["seal", "--triple", "transpose:1,3", "--xi", "1"]
      "pi.points[0]: expected a pair of ints >= 0, got ['x', 3]"),
     (["seal", "--triple-file", ("points", [[1]])], "pi.points[0]: expected a pair of ints >= 0"),
     (["validate", set_at(("tree", "height"), {"w": 0, "n": -1})],
-     "ordinal.n: expected an int >= 0, got -1"),
+     "tree.height.n: expected an int >= 0, got -1"),
     (["validate", set_at(("tree", "height"), {"w": "x", "n": 0})],
-     "ordinal.w: expected an int >= 0, got 'x'"),
+     "tree.height.w: expected an int >= 0, got 'x'"),
     (["validate", set_at(("tree", "height"), {"w": None, "n": 0})],
-     "ordinal.w: expected an int >= 0, got None"),
+     "tree.height.w: expected an int >= 0, got None"),
     (["validate", set_at(("path", "levels", 1, "level", "cells", 0, "start"), "x")],
      "path.levels[1].level.cells[0].start: expected an int >= 0, got 'x'"),
     (["validate", set_at(("tree", "explicit"), 5)], "tree.explicit: expected a list, got 5"),
@@ -290,6 +292,39 @@ SEAL = ["seal", "--triple", "transpose:1,3", "--xi", "1"]
     (["validate", set_at(EXCEPTIONS, {"1" * 5000: NODE_0})],
      "path.levels[1].level.exceptions: a key of 5000 digits, more than 4300"),
     (["extend", "--beta", "1" * 5000], "bad ordinal of 5000 characters, more than 4300"),
+    # an optional sub-object is absent or null; any other value is decoded (a
+    # rule of 0, false or {} was read as no rule: derive-branches exited 0 and
+    # surgery exited 2 with "surgery needs a path cofinal below a limit")
+    (["derive-branches", "--path", set_at(("rule",), 0)], "rule: expected an object, got 0"),
+    (["derive-branches", "--path", set_at(("rule",), False)],
+     "rule: expected an object, got False"),
+    (["derive-branches", "--path", set_at(("rule",), {})], "rule.start: missing"),
+    (["surgery", "--n0", "2", "--path", set_at(("rule",), 0)], "rule: expected an object, got 0"),
+    (["surgery", "--n0", "2", "--path", set_at(("rule",), {})], "rule.start: missing"),
+    # no truthiness and no str(): "false" was read as true, 0 and [] as false,
+    # {"param": "yes"} as a param entry, and the variant 5 as the string '5'
+    (["amalgamate", set_at(("closed_delta",), "false")],
+     "chain.closed_delta: expected a bool, got 'false'"),
+    (["amalgamate", set_at(("closed_delta",), 0)], "chain.closed_delta: expected a bool, got 0"),
+    (["amalgamate", set_at(("closed_delta",), [])], "chain.closed_delta: expected a bool, got []"),
+    (["amalgamate", set_at(("closed_delta",), None)],
+     "chain.closed_delta: expected a bool, got None"),
+    (["validate", set_at(TEMPLATE + ("final", 0), {"param": "yes"})],
+     "path.levels[1].level.cells[0].template.final[0].param: expected true, got 'yes'"),
+    (["validate", set_at(TEMPLATE + ("final", 0), {"param": 1})],
+     "path.levels[1].level.cells[0].template.final[0].param: expected true, got 1"),
+    (["validate", set_at(("variant",), 5)], "variant: expected a string, got 5"),
+    # every message names the field's whole JSON path (these named "ordinal",
+    # "node" or "x" alone)
+    (["validate", set_at(("path", "levels", 1, "level", "height"), {"w": 0, "n": -1})],
+     "path.levels[1].level.height.n: expected an int >= 0, got -1"),
+    (["validate", set_at(("tree", "explicit"), [{"height": {"w": 0, "n": -1}, "nodes": []}])],
+     "tree.explicit[0].height.n: expected an int >= 0, got -1"),
+    (["validate", set_at(("tree", "explicit"), [{"height": {"w": 0, "n": 1},
+                                                 "nodes": [{"blocks": 5}]}])],
+     "tree.explicit[0].nodes[0].blocks: expected a list, got 5"),
+    (["amalgamate", set_at(("members", 0, "condition", "x"), [1])],
+     "chain.members[0].condition.x: expected an object, got [1]"),
 ], ids=["extend-nu-abc", "extend-nu-negative", "absorb-node-not-int", "absorb-node-not-in-tree",
         "demo-bad-antichain-count-0", "demo-bad-antichain-count-1",
         "derive-branches-not-linked", "surgery-not-linked",
@@ -312,7 +347,13 @@ SEAL = ["seal", "--triple", "transpose:1,3", "--xi", "1"]
         "x-base-0-seal", "x-base-0-absorb", "x-base-1-seal", "x0-omega-validate",
         "x0-odds-validate", "x0-empty-validate", "validate-key-repeated",
         "validate-int-too-long", "validate-int-too-long-in-list", "validate-index-key-too-long",
-        "extend-beta-too-long"])
+        "extend-beta-too-long", "derive-branches-rule-0", "derive-branches-rule-false",
+        "derive-branches-rule-empty", "surgery-rule-0", "surgery-rule-empty",
+        "amalgamate-closed-delta-string", "amalgamate-closed-delta-0",
+        "amalgamate-closed-delta-list", "amalgamate-closed-delta-null", "validate-param-string",
+        "validate-param-1", "validate-variant-int", "validate-level-height-negative",
+        "validate-explicit-height-negative", "validate-explicit-node-blocks-not-list",
+        "amalgamate-member-x-not-object"])
 def test_bad_value_exit_2(argv, error, cond_file, tmp_path, capsys):
     if isinstance(argv[-1], tuple):
         argv = argv[:-1] + [bad_triple_file(tmp_path, *argv[-1])]
@@ -364,9 +405,13 @@ def drop_at(keys):
      "chain.members[0].condition.path.levels[0].height: missing"),
     ("amalgamate", drop_at(("gamma",)), "chain.gamma: missing"),
     ("amalgamate", drop_at(("delta",)), "chain.delta: missing"),
+    # an empty tail object is a tail without its fields, not "no tail"
+    ("amalgamate", set_at(("tail",), {}), "chain.tail.beta_step: missing"),
+    ("amalgamate", drop_at(("closed_delta",)), "chain.closed_delta: missing"),
 ], ids=["level-height", "level-level", "tail-block", "tail-rule", "tail-rule-start",
         "tail-not-object", "condition-tree", "condition-path", "condition-variant",
-        "member-condition-path", "member-level-height", "chain-gamma", "chain-delta"])
+        "member-condition-path", "member-level-height", "chain-gamma", "chain-delta",
+        "chain-tail-empty", "chain-closed-delta"])
 def test_missing_field_exit_2(cmd, edit, error, tmp_path, capsys):
     """A decoded object without a required field exits 2 with the field's
     JSON path, not the bare key of a KeyError."""
@@ -739,9 +784,9 @@ X_DOC = {"x0": {"threshold": 2, "period": 3, "residues": [0], "patch_add": [1],
     # decoded, an X-sequence outside profile s3 is refused
     (("base",), 0, "tail base must be >= 2"),
     (("base",), 1, "tail base must be >= 2"),
-    (("x0",), sz.enc_upset(FULL_SET), "omega minus X_0 must be infinite"),
-    (("x0",), sz.enc_upset(ODDS), "X_1 is not a subset of X_0"),
-    (("x0",), sz.enc_upset(EMPTY_SET), "X_0 is empty"),
+    (("x0",), sz.UPSET.enc(FULL_SET), "omega minus X_0 must be infinite"),
+    (("x0",), sz.UPSET.enc(ODDS), "X_1 is not a subset of X_0"),
+    (("x0",), sz.UPSET.enc(EMPTY_SET), "X_0 is empty"),
 ])
 def test_x_sequence_fields_exit_2(keys, value, error, cond_file, tmp_path, capsys):
     """Each field of an X-sequence is read as an int, or a list of ints,
@@ -976,8 +1021,10 @@ AT_CATALOG = "tree.catalogs[0].catalog"
     (set_at(CATALOG + ("families",), 5), f"{AT_CATALOG}.families: expected a list, got 5"),
     (set_at(CATALOG + ("singles",), [3]), f"{AT_CATALOG}.singles[0]: expected an object, got 3"),
     (drop_at(CATALOG), "tree.catalogs[0].catalog: missing"),
+    (set_at(CATALOG + ("singles", 1, "tag"), 5),
+     f"{AT_CATALOG}.singles[1].tag: expected a string, got 5"),
 ], ids=["single-admitted-string", "family-admitted-int", "admitted", "tag", "node", "cells",
-        "families-not-list", "single-not-object", "catalog"])
+        "families-not-list", "single-not-object", "catalog", "tag-int"])
 def test_catalog_fields_exit_2(edit, error, tmp_path, capsys):
     """The amalgam of the golden chain, written by `amalgamate -o`, with one
     field of its limit level's branch catalog changed: validate exits 2 and

@@ -189,7 +189,7 @@ def test_a_record_is_read_only_for_the_objects_it_names(run, kind, how, data):
             moves[i] = copy_record(mv, z=copy_record(mv.z))
         elif how == "decoded":
             moves[i] = Move(mv.stage, mv.mover, decoded(mv.cond),
-                            sz.dec_zmap(sz.enc_zmap(mv.z)))
+                            sz.ZMAP.dec(sz.enc_zmap(mv.z)))
         nxt = t.moves[i + 2]
         with z_walks() as walks:
             got = strategy_ii_move(GameState(t.mu, t.xi, moves[0].cond.x, moves), nxt.stage)

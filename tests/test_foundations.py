@@ -18,7 +18,7 @@ from ascentlab.foundations import (
     UndecidableRepresentation, UPSet, XSequence, filter_classify, finite_set, is_cobounded, multiples,
     meet, ord_compare, singleton, upset_algebra,
 )
-from ascentlab.serialize import dec_upset, enc_upset
+from ascentlab.serialize import UPSET
 from oracles import (
     brute_classify, brute_op, copy_record, enc_from_window, preimage_classify, raw_member,
     raw_window, upset_window,
@@ -476,8 +476,8 @@ def test_queries_match_window(ra, rb):
 @given(raw_upsets())
 def test_encoding_matches_window(raw):
     u = made(raw)
-    enc = enc_upset(u)
-    assert dec_upset(enc) == u
+    enc = UPSET.enc(u)
+    assert UPSET.dec(enc) == u
     assert enc == enc_from_window(u.threshold, u.period, lambda k: raw_member(raw, k))
 
 

@@ -183,7 +183,7 @@ def test_dom_stored_on_every_route():
         s, t = rand_template(rng), rand_template(rng)
         out = [s, s.append(rand_entry(rng)), s.reindex(rng.randrange(1, 4), rng.randrange(3)),
                s.instantiate(rng.randrange(5)), graft(s, t), graft(t, s),
-               sz.dec_node(sz.enc_node(s)), s.restrict(Ordinal(0, 0))]
+               sz.NODE.dec(sz.enc_node(s)), s.restrict(Ordinal(0, 0))]
         if not s.dom.is_zero:
             out += [s.restrict(rand_point(rng, s)),
                     node_patch(s, {rand_point(rng, s): rng.randrange(6)})]
@@ -205,7 +205,7 @@ def test_equal_nodes_from_different_routes():
         (node(Ramp(2, 1)).reindex(1, 0).instantiate(2), node(5)),
         (node_patch(node(4, 0), {Ordinal(0, 1): 6}), node(4, 6)),
         (node(0).extend_to_limit((0,)), const_node(0, OMEGA)),
-        (sz.dec_node(sz.enc_node(const_node(3, Ordinal(1, 2)))), const_node(3, Ordinal(1, 2))),
+        (sz.NODE.dec(sz.enc_node(const_node(3, Ordinal(1, 2)))), const_node(3, Ordinal(1, 2))),
     ]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b) and a.dom == b.dom and repr(a) == repr(b)
@@ -297,7 +297,7 @@ def test_concrete_slot_equals_entry_walk(s, m, a, b):
     """The slot set at construction equals the entry walk on every route
     that builds a node."""
     out = [s, s.instantiate(m), s.reindex(a, b), graft(s, s.instantiate(m)),
-           sz.dec_node(sz.enc_node(s))]
+           sz.NODE.dec(sz.enc_node(s))]
     if not s.dom.is_zero:
         out.append(s.restrict(min(s.dom, Ordinal(0, 2))))
     for u in out:
