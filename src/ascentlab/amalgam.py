@@ -46,6 +46,11 @@ class NotUniformTail(Rejected):
     """The chain has no closed-form continuation."""
 
 
+class NotAFunction(Rejected):
+    """A z-map whose pieces do not hold each key of its domain exactly once
+    (`ZMap.fault`)."""
+
+
 # z-append tokens: ("const", v) appends the label v, ("last",) repeats the
 # node's final entry.
 ZToken = tuple
@@ -70,7 +75,10 @@ def resolve_tokens(tokens: tuple[ZToken, ...], tmpl: SymNode) -> tuple[Entry, ..
 class ZMap:
     """Auxiliary branch enumerator on an ordinal interval (lo, hi) or
     (lo, hi]: cells over the finite-part keys of a block plus explicit
-    entries for the sparse high keys."""
+    entries for the sparse high keys. Its pieces, the entries and the
+    cells, hold each key of the domain exactly once and share no key past
+    it either: `make` checks that (`fault`), and every other map is derived
+    from a made one by a step that keeps it."""
 
     lo: Ordinal
     hi: Ordinal
@@ -84,8 +92,31 @@ class ZMap:
     @staticmethod
     def make(lo: Ordinal, hi: Ordinal, closed_hi: bool, cells,
              entries: Mapping[Ordinal, SymNode]) -> "ZMap":
-        """The map with the entries of a mapping, listed by key."""
-        return ZMap(lo, hi, closed_hi, tuple(cells), tuple(sorted(entries.items())))
+        """The map with the entries of a mapping, listed by key; NotAFunction
+        when it has a fault."""
+        z = ZMap(lo, hi, closed_hi, tuple(cells), tuple(sorted(entries.items())))
+        fault = z.fault()
+        if fault is not None:
+            raise NotAFunction(f"key {fault[1]} {fault[0]}")
+        return z
+
+    def fault(self) -> Optional[tuple[str, Ordinal]]:
+        """The least fault of the pieces, or None: ("outside the domain", k)
+        for the least entry key k outside the domain; else ("held twice", k)
+        for the least key k that two pieces hold, read as written, so also
+        past the domain, as `whole` reads the cells; else ("missing", k) for
+        the least key k of the domain that no piece holds."""
+        found = {"outside the domain": [k for k, _ in self.entries if not self.in_domain(k)],
+                 "held twice": [], "missing": []}
+        for w in sorted({w for w, _ in self.cells} | set(range(self.lo.w, self.hi.w + 1))):
+            held = shared = EMPTY_SET
+            for keys in [singleton(k.n) for k, _ in self.entries if k.w == w] + \
+                    [c.ap.upset() for cw, c in self.cells if cw == w]:
+                shared, held = shared.union(held.intersect(keys)), held.union(keys)
+            for kind, keys in (("held twice", shared), ("missing", self.block_keys(w).difference(held))):
+                if not keys.is_empty:
+                    found[kind].append(Ordinal(w, keys.min_member()))
+        return next(((kind, min(keys)) for kind, keys in found.items() if keys), None)
 
     def in_domain(self, i: Ordinal) -> bool:
         if i <= self.lo:
@@ -93,7 +124,7 @@ class ZMap:
         return i <= self.hi if self.closed_hi else i < self.hi
 
     def at(self, i: Ordinal) -> SymNode:
-        """The first listed entry keyed i, else the first cell holding i."""
+        """The value at key i: its entry, else that of the cell holding i."""
         if not self.in_domain(i):
             raise KeyError(f"{i} outside z domain ({self.lo}, {self.hi}{']' if self.closed_hi else ')'}")
         for k, v in self.entries:
@@ -112,43 +143,30 @@ class ZMap:
         return finite_set(range(start, self.hi.n + self.closed_hi)) if w == self.hi.w else multiples(1, start)
 
     def pieces(self) -> list[tuple[int, int | AP, SymNode]]:
-        """The map cut by `at`'s rule into pieces (w, loc, t): a point (w, n,
-        node) holds the key (w, n), a cell piece (w, ap, template) the keys
-        (w, ap.member(m)) with values template(m). The entries in the domain
-        are points, the first entry of a key listed twice only; each cell
-        then holds its block's keys in the domain that no entry or earlier
-        cell holds: cells (`Cell.on`) on that set's infinite progressions,
-        points (instantiated) at its others."""
-        out = [(k.w, k.n, v) for k, v in self._points().items()]
-        held = {w: finite_set(k.n for k, _ in self.entries if k.w == w) for w, _ in self.cells}
+        """The map cut into pieces (w, loc, t) that hold exactly its keys: a
+        point (w, n, node) holds the key (w, n), a cell piece (w, ap,
+        template) the keys (w, ap.member(m)) with values template(m). The
+        entries are points; each cell holds its keys in the domain: cells
+        (`Cell.on`) on that set's infinite progressions, points
+        (instantiated) at its others."""
+        out = [(k.w, k.n, v) for k, v in self.entries]
         for w, cell in self.cells:
-            parts, points = _split((cell,), self.block_keys(w).difference(held[w]))
-            held[w] = held[w].union(cell.ap.upset())
+            parts, points = _split((cell,), self.block_keys(w))
             out.extend((w, c.ap, c.template) for c in parts)
             out.extend((w, n, v) for n, v in points)
         return out
 
-    def _points(self) -> dict[Ordinal, SymNode]:
-        """The entries in the domain, the first of a key listed twice."""
-        out: dict[Ordinal, SymNode] = {}
-        for k, v in self.entries:
-            if k not in out and self.in_domain(k):
-                out[k] = v
-        return out
-
     def whole(self) -> tuple[tuple[int, int | AP, SymNode], ...]:
-        """The map uncarved, in the form of `pieces`: the entries in the
-        domain as points and every cell whole. These hold every key and
-        value of the map and maybe more: keys past the domain, keys an entry
-        or an earlier cell holds, so two pieces may share a key. A statement
-        about every key, or every pair of distinct keys, and its value holds
-        on the map when it holds on these pieces; `incoherent_key` and
-        `check_z_bullets` decide on them first and carve (`pieces`) only
-        when that fails (for z-pairwise, also when two share a key,
-        `_keys_apart`)."""
+        """The map uncarved, in the form of `pieces`: the entries as points
+        and every cell whole. These hold every key and value of the map and
+        maybe keys past the domain, no two the same key. A statement about
+        every key, or every pair of distinct keys, and its value holds on the
+        map when it holds on these pieces; `incoherent_key` and
+        `check_z_bullets` decide on them first and carve (`pieces`) only when
+        that fails."""
         whole = self._whole
         if whole is None:
-            whole = tuple((k.w, k.n, v) for k, v in self._points().items()) + \
+            whole = tuple((k.w, k.n, v) for k, v in self.entries) + \
                 tuple((w, c.ap, c.template) for w, c in self.cells)
             object.__setattr__(self, "_whole", whole)
         return whole
@@ -164,7 +182,9 @@ class ZMap:
 
     def above(self, new_lo: Ordinal) -> "ZMap":
         """The map on the keys above new_lo: lower keys and lower blocks drop
-        out, and a cell straddling new_lo is re-based past it."""
+        out, and a cell straddling new_lo is re-based past it. Built without
+        `make`: only keys at or below new_lo, which leave the domain, are
+        dropped, so each key keeps the one piece that held it."""
         cells = []
         for w, cell in self.cells:
             if w < new_lo.w:
@@ -172,9 +192,8 @@ class ZMap:
             if w == new_lo.w and cell.ap.start <= new_lo.n:
                 cell = cell.drop((new_lo.n - cell.ap.start) // cell.ap.step + 1)
             cells.append((w, cell))
-        # read backwards, so that a key listed twice keeps its first entry, as in `at`
-        entries = {k: v for k, v in reversed(self.entries) if k > new_lo}
-        return ZMap.make(new_lo, self.hi, self.closed_hi, cells, entries)
+        return ZMap(new_lo, self.hi, self.closed_hi, tuple(cells),
+                    tuple((k, v) for k, v in self.entries if k > new_lo))
 
     def stepped(self, new_lo: Ordinal, tokens: tuple[ZToken, ...]) -> "ZMap":
         """The next member's z-map: the map above new_lo, every value gaining
@@ -289,10 +308,9 @@ def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal,
     - z-exclusive: `_least_meeting_position`; only on a failure is the
       member built and `me_set_concrete` read for the least tau != 0.
     Each bullet speaks of every key, or pair of distinct keys, and its
-    value, so it is decided first on the map's whole pieces (`ZMap.whole`)
-    when no two of them share a key (`_keys_apart`), and on its carved
-    pieces (`ZMap.pieces`) only when that fails: every failure, its bullet
-    and its least key come from the carved pieces.
+    value, so it is decided first on the map's whole pieces (`ZMap.whole`),
+    and on its carved pieces (`ZMap.pieces`) only when that fails: every
+    failure, its bullet and its least key come from the carved pieces.
 
     The evidence read is `after` alone, the record of the stage before, by
     the stage lemma in the `ascentlab.conditions` docstring. The caller
@@ -310,40 +328,14 @@ def check_z_bullets(beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal,
     if (z.lo, z.hi, z.closed_hi) != (beta, delta, closed):
         raise HypothesisViolated("z-domain", f"z of stage {beta} has domain "
                                  f"({z.lo},{z.hi}{']' if z.closed_hi else ')'}")
-    if not _whole_pass(beta, cond, z, delta, closed, after):
+    whole = z.whole()
+    passed = after is not None and _follows(after, beta, cond, delta, closed) \
+        and _z_fault(cond, z, whole, after.objects[0].eta) is None
+    if not passed and _z_fault(cond, z, whole) is not None:
         fault = _z_fault(cond, z, z.pieces())
         if fault:
             raise HypothesisViolated(*fault)
     return prove("z-bullets", (cond, z), (beta, delta, closed))
-
-
-def _whole_pass(beta: Ordinal, cond: Condition, z: ZMap, delta: Ordinal, closed: bool,
-                after: Optional[Proof]) -> bool:
-    """Whether z's whole pieces, when their keys lie apart, pass the four
-    bullets: by the stage lemma from `after` when its record is read
-    (`_follows`), and otherwise, or when that finds a fault, in full."""
-    whole = z.whole()
-    if not _keys_apart(whole):
-        return False
-    if after is not None and _follows(after, beta, cond, delta, closed) \
-            and _z_fault(cond, z, whole, after.objects[0].eta) is None:
-        return True
-    return _z_fault(cond, z, whole) is None
-
-
-def _keys_apart(pieces) -> bool:
-    """Whether no two of the pieces share a key. z-pairwise at a successor
-    (`_first_collision`) skips a common value at one key, which two pieces
-    sharing a key may hide a collision behind, so whole pieces are read
-    only when their keys lie apart, as in every map the game builds."""
-    points = {(w, loc) for w, loc, _ in pieces if loc.__class__ is int}
-    cells = [(w, loc) for w, loc, _ in pieces if loc.__class__ is not int]
-    for i, (w, ap) in enumerate(cells):
-        if any(pw == w and n in ap for pw, n in points):
-            return False
-        if any(w2 == w and ap.intersect(ap2) is not None for w2, ap2 in cells[i + 1:]):
-            return False
-    return True
 
 
 def _follows(after: Proof, beta: Ordinal, cond: Condition, delta: Ordinal,
@@ -665,8 +657,7 @@ def _verify_conclusions(ch: ChainDescriptor, out: Condition, z_gamma: ZMap,
         raise PostconditionFailed(f"z union at {k} does not extend stage {last.beta}")
     # membership characterization: admitted branches and their grafts are in,
     # the vanishing union is out
-    if not family_in_tree(out.tree, [c for _, c in z_gamma.cells],
-                          [(k, v) for k, v in z_gamma.entries if z_gamma.in_domain(k)]):
+    if not family_in_tree(out.tree, [c for _, c in z_gamma.cells], z_gamma.entries):
         raise PostconditionFailed("z union missing from the top level")
     if not family_in_tree(out.tree, out.top.cells, out.top.exceptions):
         raise PostconditionFailed("ascent union missing from the top level")

@@ -354,15 +354,15 @@ def supp(f: AscentLevel, g: AscentLevel) -> UPSet:
     With f the lower level, each piece pairs f's node or template with g's
     unrestricted one: `_slot_pairs` reads g's entries at f's coordinates
     (u.dom <= v.dom), and `is_prefix` compares two point nodes, so no
-    restricted copy of g is built. A level g = graft_levels(low, h), its
-    graft record (`AscentLevel.grafted`) accepted, keeps low's nodes below
-    low's height, so their support is everything at once."""
-    if (f.grafted or g.grafted) and (
-            proves(g.grafted, "graft", (f, g.cells, g.exceptions), ())
-            or proves(f.grafted, "graft", (g, f.cells, f.exceptions), ())):
-        return FULL_SET
+    restricted copy of g is built. A level g = graft_levels(f, h), its
+    graft record (`AscentLevel.grafted`) accepted, keeps f's nodes below
+    f's height, so their support is everything at once. Only the higher
+    level's record is read; a pair it does not answer is computed, to the
+    same verdict."""
     if f.height > g.height:
         f, g = g, f
+    if g.grafted and proves(g.grafted, "graft", (f, g.cells, g.exceptions), ()):
+        return FULL_SET
     return _agree_set(f, g, _slot_pairs, is_prefix)
 
 

@@ -99,13 +99,11 @@ explicit members: a pair (m, t_k) holds when (m, t_0) does, through t_0.
 
 Whole pieces. Each z-bullet speaks of every key, or every pair of distinct
 keys, and its value. So it holds on a z-map when it holds on pieces that
-hold every key and value of the map and maybe more: the entries in the
-domain and the cells uncarved (`amalgam.ZMap.whole`), the argument
-`ZMap.incoherent_key` already makes for z-coherence. z-pairwise at a
-successor skips a common value at one key, so those pieces are read only
-when no two share a key. `check_z_bullets` decides on them first and carves
-(`ZMap.pieces`) only when that fails, so each failure and its least key
-come from the carved pieces.
+hold every key and value of the map and maybe more: the entries and the
+cells uncarved (`amalgam.ZMap.whole`), the argument
+`ZMap.incoherent_key` already makes for z-coherence. `check_z_bullets`
+decides on them first and carves (`ZMap.pieces`) only when that fails, so
+each failure and its least key come from the carved pieces.
 """
 
 from __future__ import annotations

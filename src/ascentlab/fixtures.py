@@ -1,9 +1,8 @@
 """Canonical construction fixtures: one-step towers, the uniform chain
-feeding amalgamation, and randomized variants for the property sweeps."""
+feeding amalgamation, the uniform path and bad paths."""
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from .foundations import AP, DEFAULT_X, Ordinal, XSequence
@@ -28,14 +27,6 @@ def tower(k: int, variant: str = S_X, x: XSequence = DEFAULT_X,
         beta = betas[j] if betas else c.eta
         base = label_bases[j] if label_bases else 0
         c = one_step_extension(c, beta, label_base=base)
-    return c
-
-
-def random_tower(rng: random.Random, max_height: int) -> Condition:
-    c = root_condition()
-    for _ in range(rng.randrange(1, max_height + 1)):
-        beta = Ordinal(0, rng.randrange(0, c.eta.n + 1))
-        c = one_step_extension(c, beta, label_base=rng.randrange(0, 3))
     return c
 
 

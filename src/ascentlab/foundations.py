@@ -624,14 +624,10 @@ def _normal(t: int, p: int, rmask: int, lmask: int) -> UPSet:
                 if rmask >> d != rmask & ((1 << (p - d)) - 1):
                     break
                 p, rmask = d, rmask & ((1 << d) - 1)
-    # Least threshold: drop t while the low bit at t-1 equals the periodic rule.
-    while t:
-        k = t - 1
-        if (lmask >> k ^ rmask >> (k % p)) & 1:
-            break
-        lmask &= (1 << k) - 1
-        t = k
-    return UPSet(t, p, rmask, lmask)
+    # Least threshold: one past the highest low bit that differs from the
+    # periodic rule.
+    t = (lmask ^ _tile(rmask, p, t)).bit_length()
+    return UPSet(t, p, rmask, lmask & ((1 << t) - 1))
 
 
 def _prime_factors(n: int) -> list[int]:

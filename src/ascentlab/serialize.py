@@ -22,7 +22,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Optional
 
-from .foundations import AP, Ordinal, Rejected, UPSet, XSequence, DEFAULT_X
+from .foundations import AP, Ordinal, Rejected, UPSet, XSequence, DEFAULT_X, finite_set
 from .ascent import AppendScheme, AscentLevel, Cell, MapPiece, PiecewiseMap, supp
 from .nodes import BlockWord, Ramp, SymNode
 from .conditions import AscentPath, Condition, TailRule, _supp_ok, check_condition
@@ -183,16 +183,23 @@ def versioned(kind: str, codec: Codec, named: bool = False) -> Codec:
 # -- scalars and nodes -------------------------------------------------------------
 
 def _upset(threshold: int, period: int, residues, add, remove) -> UPSet:
-    residues = frozenset(residues)
-    low = {k for k in range(threshold) if k % period in residues}
-    return UPSet.make(threshold, period, residues, frozenset((low | set(add)) - set(remove)))
+    """The periodic set of the residues with the patch members below the
+    threshold added, then removed: built in the document's size, not in the
+    threshold's."""
+    for i, r in enumerate(residues):
+        if not 0 <= r < period:
+            raise FormatError(f"expected a residue in [0, {period}), got {r}", "residues", i)
+    return UPSet.make(0, period, residues).union(
+        finite_set(k for k in add if 0 <= k < threshold)).difference(
+        finite_set(k for k in remove if 0 <= k < threshold))
 
 
 def _upset_parts(u: UPSet) -> tuple:
-    """u's fields: its members below the threshold as patches of its period."""
-    periodic_low = {k for k in range(u.threshold) if u.rmask >> (k % u.period) & 1}
+    """u's fields: its members below the threshold as patches of the
+    periodic set of its period and residues."""
+    periodic = UPSet.make(0, u.period, u.residues)
     return (u.threshold, u.period, sorted(u.residues),
-            sorted(u.low - periodic_low), sorted(periodic_low - u.low))
+            sorted(u.difference(periodic).low), sorted(periodic.difference(u).low))
 
 
 ORDINAL = record(Ordinal, ("w", NAT), ("n", NAT))
@@ -227,13 +234,18 @@ def _node(blocks, final, dom: Optional[Ordinal]) -> SymNode:
     return s
 
 
+def _block(prefix, period: Optional[int], tail) -> BlockWord:
+    if period is not None and period != len(tail):
+        raise FormatError(f"expected {len(tail)}, the length of the tail, got {period}", "period")
+    return BlockWord.make(prefix, tail)
+
+
 def node(ap: Optional[AP]) -> Codec:
-    """A node whose entries are read by `entry(ap)`. A block's `period` is
-    written for a reader and not read back."""
+    """A node whose entries are read by `entry(ap)`. A block's `period`, the
+    length of its tail, is written for a reader and may be left out."""
     item = entry(ap)
     entries = listof(item)
-    block = record(lambda prefix, _, tail: BlockWord.make(prefix, tail),
-                   ("prefix", entries), ("period", Codec(_same, _same, None)),
+    block = record(_block, ("prefix", entries), ("period", optional(POS)),
                    ("tail", listof(item, True)),
                    parts=lambda b: (b.prefix, len(b.tail), b.tail))
     return record(_node, ("blocks", required(listof(block))), ("final", entries),
@@ -318,6 +330,14 @@ def _path_descriptor(base: Condition, rule: Optional[TailRule]) -> aposet.PathDe
     return aposet.PathDescriptor(base, rule)
 
 
+def _zmap(*fields) -> amalgam.ZMap:
+    """A z-map whose pieces hold each key of its domain exactly once."""
+    try:
+        return amalgam.ZMap.make(*fields)
+    except amalgam.NotAFunction as e:
+        raise FormatError(str(e)) from None
+
+
 def _transcript_parts(t) -> tuple:
     """A transcript's fields, each condition written once and each move
     naming its condition by `condition_ref`, its index in `conditions`."""
@@ -342,7 +362,7 @@ CONDITION = versioned("condition", record(Condition, ("tree", TREE), ("path", PA
                                           ("variant", STR), ("x", X)))
 Z_TOKEN = _scalar('["last"] or ["const", int]', lambda t: t == ["last"] or (
     isinstance(t, list) and len(t) == 2 and t[0] == "const" and type(t[1]) is int), tuple, list)
-ZMAP = record(_lazy(amalgam, "ZMap.make"), ("lo", ORDINAL), ("hi", ORDINAL),
+ZMAP = record(_zmap, ("lo", ORDINAL), ("hi", ORDINAL),
               ("closed_hi", BOOL),
               ("cells", listof(record(lambda w, c: (w, c), ("block", NAT), ("cell", CELL),
                                       parts=_same))),

@@ -551,12 +551,23 @@ def all_probes_paths_agree(p1, p2, eta: Ordinal) -> bool:
     return True
 
 
+def _zmap_inside(z, k: Ordinal) -> bool:
+    """Whether k lies in the interval (lo, hi) or (lo, hi] of the z-map."""
+    return z.lo < k and (k <= z.hi if z.closed_hi else k < z.hi)
+
+
+def _zmap_holds(z, k: Ordinal) -> int:
+    """How many of the z-map's entries and cells hold the key k."""
+    return sum(key == k for key, _ in z.entries) + sum(
+        w == k.w and k.n >= c.ap.start and (k.n - c.ap.start) % c.ap.step == 0 for w, c in z.cells)
+
+
 def zmap_value(z, k: Ordinal):
     """The value of the z-map at key k read from its fields, not through
-    `ZMap.at`: None outside the interval (lo, hi) or (lo, hi]; else the first
-    listed entry keyed k; else the first cell of k's block whose progression
-    holds k.n, its template instantiated at k.n's position; else None."""
-    if not (z.lo < k and (k <= z.hi if z.closed_hi else k < z.hi)):
+    `ZMap.at`: None outside the interval (lo, hi) or (lo, hi]; else the entry
+    keyed k; else the cell of k's block whose progression holds k.n, its
+    template instantiated at k.n's position; else None."""
+    if not _zmap_inside(z, k):
         return None
     for key, v in z.entries:
         if key == k:
@@ -578,6 +589,25 @@ def zmap_window(z, blocks: int, bound: int) -> dict:
             if v is not None:
                 out[Ordinal(w, n)] = v
     return out
+
+
+def zmap_fault_window(z, blocks: int, bound: int):
+    """The least fault of a z-map's fields, each key (w, n) with w < blocks
+    and n < bound read on its own: ("outside the domain", k) for the least
+    entry key k outside the interval; else ("held twice", k) for the least
+    key k that two entries or cells hold, inside the interval or not; else
+    ("missing", k) for the least key k inside it that none holds; else
+    None."""
+    outside = sorted(k for k, _ in z.entries if not _zmap_inside(z, k))
+    if outside:
+        return "outside the domain", outside[0]
+    keys = [Ordinal(w, n) for w in range(blocks) for n in range(bound)]
+    for kind, bad in (("held twice", lambda k: _zmap_holds(z, k) > 1),
+                      ("missing", lambda k: _zmap_inside(z, k) and not _zmap_holds(z, k))):
+        k = next((k for k in keys if bad(k)), None)
+        if k is not None:
+            return kind, k
+    return None
 
 
 Z_BULLETS = ("z-domain", "z-top-level", "z-pairwise", "z-vs-zero", "z-exclusive")

@@ -27,7 +27,7 @@ from ascentlab.conditions import (
     one_step_extension,
 )
 from ascentlab.fixtures import (
-    bad_path_conditions, random_tower, tower, uniform_chain, uniform_path,
+    bad_path_conditions, tower, uniform_chain, uniform_path,
 )
 from ascentlab.game import check_run_invariants, play_game, random_opponent
 from ascentlab.nodes import delta, eq_star, graft, mutually_exclusive, node
@@ -37,6 +37,7 @@ from ascentlab.sealing import (
 )
 from ascentlab.surgery import branch_surgery
 from ascentlab.trees import tree_contains, vanishing_levels
+from builders import random_tower
 from oracles import brute_delta, brute_eq_star, brute_me, brute_op, clause, upset_window
 
 import test_foundations

@@ -17,10 +17,10 @@ from ascentlab.fixtures import uniform_chain
 from ascentlab.game import check_run_invariants, onestep_opponent, play_game, random_opponent
 from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, node_patch
 from ascentlab.trees import BranchCatalog, SymTree, tree_contains, vanishing_levels
+from builders import with_values
 from oracles import (
     Z_BULLETS, copy_record, probe_key_z_bullets, probe_keys, window_incoherent_key,
-    window_z_bullets,
-    zmap_value, zmap_window,
+    window_z_bullets, zmap_fault_window, zmap_value, zmap_window,
 )
 from test_chain_lemma import ENTRIES, nodes_of
 
@@ -165,8 +165,8 @@ def test_coherence_checked_on_all_pairs_when_stages_do_not_increase():
     from ascentlab.ascent import standard_append
     from ascentlab.fixtures import _fixture_zmap, tower
     delta = Ordinal(1, 2)
-    z = _fixture_zmap(1, Ordinal(0, 4), delta, False, 0)
-    z = ZMap.make(z.lo, z.hi, False, z.cells, dict(z.entries) | {Ordinal(0, 2): const_node(1001, Ordinal(0, 4))})
+    z = with_values(_fixture_zmap(1, Ordinal(0, 4), delta, False, 0),
+                    {Ordinal(0, 2): const_node(1001, Ordinal(0, 4))})
     members = (ChainMember(Ordinal(0, 0), tower(1, S_X), _fixture_zmap(0, Ordinal(0, 1), delta, False, 0)),
                ChainMember(Ordinal(0, 2), tower(3, S_X), _fixture_zmap(2, Ordinal(0, 3), delta, False, 0)),
                ChainMember(Ordinal(0, 1), tower(4, S_X), z))
@@ -230,21 +230,29 @@ def test_failed_reverification_raises_postcondition(monkeypatch):
 
 @st.composite
 def zmaps_and_cuts(draw):
-    """A z-map on (lo, hi) and a cut new_lo above lo, with a cell straddling
-    new_lo, a cell in a block below new_lo's, random extra cells and entries."""
+    """A z-map on (lo, hi) or (lo, hi], hi in block 3, and a cut new_lo above
+    lo. In each block the keys of the domain below a drawn threshold are
+    entries and the others lie on cells over the residues of a drawn step
+    from the threshold on, which in block 3 run on past the domain (or
+    there are none, when the entries hold every key); a cell straddles
+    new_lo when its block's threshold is not above it. The cells come in a
+    drawn order."""
     new_lo = Ordinal(draw(st.integers(1, 2)), draw(st.integers(0, 20)))
     lo = Ordinal(0, draw(st.integers(0, 5)))
-    hi = Ordinal(3, draw(st.integers(0, 30)))
+    z = ZMap(lo, Ordinal(3, draw(st.integers(0, 30))), draw(st.booleans()), (), ())
     template = nodes_of(Ordinal(1, 1), ENTRIES)
-    straddle = Cell(AP(draw(st.integers(0, new_lo.n)), draw(st.integers(1, 4))), draw(template))
-    below = Cell(AP(draw(st.integers(0, 5)), draw(st.integers(1, 3))), draw(template))
-    cells = [(new_lo.w, straddle), (draw(st.integers(0, new_lo.w - 1)), below)]
-    cells += draw(st.lists(st.tuples(st.integers(0, 3), st.builds(
-        Cell, st.builds(AP, st.integers(0, 25), st.integers(1, 4)), template)), max_size=2))
-    keys = st.builds(Ordinal, st.integers(0, 3), st.integers(0, 30))
-    entries = draw(st.dictionaries(keys, nodes_of(Ordinal(1, 1), st.integers(0, 9)), max_size=4))
+    cells, entries = [], {}
+    for w in range(4):
+        keys = z.block_keys(w)
+        start = 0 if keys.is_empty else keys.min_member()
+        cut = draw(st.integers(start, start + 3))
+        entries.update((Ordinal(w, n), draw(nodes_of(Ordinal(1, 1), st.integers(0, 9))))
+                       for n in range(start, cut) if n in keys)
+        if w < 3 or cut in keys or draw(st.booleans()):
+            step = draw(st.integers(1, 3))
+            cells += [(w, Cell(AP(cut + r, step), draw(template))) for r in range(step)]
     order = draw(st.permutations(range(len(cells))))
-    return ZMap.make(lo, hi, draw(st.booleans()), [cells[i] for i in order], entries), new_lo
+    return ZMap.make(lo, z.hi, z.closed_hi, [cells[i] for i in order], entries), new_lo
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,35 +270,15 @@ def test_zmap_above_matches_pointwise(case):
     assert all(Ordinal(w, c.ap.start) > new_lo for w, c in got.cells)
 
 
-@st.composite
-def zmaps_with_repeated_keys(draw):
-    """A z-map built without `ZMap.make`, so that its entries keep their
-    drawn order and may repeat a key, with entries at keys its cells hold."""
-    lo = Ordinal(draw(st.integers(0, 1)), draw(st.integers(0, 6)))
-    hi = Ordinal(draw(st.integers(0, 2)), draw(st.integers(0, 12)))
-    template = nodes_of(Ordinal(1, 1), ENTRIES)
-    cells = draw(st.lists(st.tuples(st.integers(0, 2), st.builds(
-        Cell, st.builds(AP, st.integers(0, 8), st.integers(1, 3)), template)), max_size=3))
-    keys = [Ordinal(w, c.ap.member(draw(st.integers(0, 3)))) for w, c in cells]
-    keys += draw(st.lists(st.builds(Ordinal, st.integers(0, 2), st.integers(0, 12)), min_size=1, max_size=3))
-    entries = draw(st.lists(st.tuples(st.sampled_from(keys), nodes_of(Ordinal(1, 1), st.integers(0, 9))),
-                            max_size=6))
-    return ZMap(lo, hi, draw(st.booleans()), tuple(cells), tuple(entries))
-
-
 @settings(max_examples=100, deadline=None)
-@given(zmaps_with_repeated_keys())
-@example(ZMap(Ordinal(0, 0), Ordinal(1, 0), False,
-              ((0, Cell(AP(1, 2), SymNode((BlockWord.make((), (Ramp(1, 0),)),), (0,)))),),
-              ((Ordinal(0, 3), SymNode((BlockWord.make((), (7,)),), (1,))),
-               (Ordinal(0, 3), SymNode((BlockWord.make((), (8,)),), (2,))))))
-def test_zmap_at_matches_field_oracle(z):
+@given(zmaps_and_cuts())
+def test_zmap_at_matches_field_oracle(case):
     """`ZMap.at` is the oracle's reading of the map's fields at every key of
-    a window: the first listed entry, else the first cell holding the key,
-    and KeyError outside the domain or where neither holds it. In the
-    example key (0, 3) is listed twice over a cell that holds it."""
-    for w in range(3):
-        for n in range(16):
+    a window: the entry, else the cell holding the key, and KeyError
+    outside the domain."""
+    z, _ = case
+    for w in range(4):
+        for n in range(40):
             k = Ordinal(w, n)
             want = zmap_value(z, k)
             if want is None:
@@ -300,18 +288,54 @@ def test_zmap_at_matches_field_oracle(z):
                 assert z.at(k) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(zmaps_with_repeated_keys(), st.builds(Ordinal, st.integers(0, 2), st.integers(0, 12)))
-def test_zmap_above_keeps_the_first_entry_of_a_repeated_key(z, new_lo):
-    """`ZMap.above` passes `ZMap.make` one entry per key: of a key listed
-    twice, the first, the one `at` reads, so the map above new_lo holds the
-    map's values there."""
-    got = z.above(new_lo)
-    for w in range(3):
-        for n in range(16):
-            k = Ordinal(w, n)
-            if k > new_lo and z.in_domain(k):
-                assert zmap_value(got, k) == zmap_value(z, k)
+def raw_zmaps():
+    """Maps built without `make`: drawn cells and entries, or a map of
+    `zmaps_and_cuts` with a piece dropped, an entry added at a drawn key or
+    a cell added; so with holes, keys held twice and entries outside the
+    domain, and maps without a fault."""
+    key = st.builds(Ordinal, st.integers(0, 3), st.integers(0, 30))
+    cell = st.tuples(st.integers(0, 3), st.builds(
+        Cell, st.builds(AP, st.integers(0, 25), st.integers(1, 4)), st.just(SymNode((), (1,)))))
+    value = st.just(SymNode((), (0,)))
+
+    @st.composite
+    def edited(draw):
+        z, _ = draw(zmaps_and_cuts())
+        cells, entries = list(z.cells), list(z.entries)
+        edit = draw(st.sampled_from(["none", "drop-cell", "drop-entry", "entry", "cell"]))
+        if edit == "drop-cell" and cells:
+            cells.pop(draw(st.integers(0, len(cells) - 1)))
+        elif edit == "drop-entry" and entries:
+            entries.pop(draw(st.integers(0, len(entries) - 1)))
+        elif edit == "entry":
+            entries.append((draw(key), draw(value)))
+        elif edit == "cell":
+            cells.append(draw(cell))
+        return ZMap(z.lo, z.hi, z.closed_hi, tuple(cells), tuple(entries))
+    drawn = st.builds(ZMap, st.builds(Ordinal, st.integers(0, 1), st.integers(0, 6)),
+                      st.builds(Ordinal, st.integers(0, 3), st.integers(0, 12)), st.booleans(),
+                      st.lists(cell, max_size=3).map(tuple),
+                      st.lists(st.tuples(key, value), max_size=4).map(tuple))
+    return edited() | drawn
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_zmaps())
+def test_zmap_fault_matches_window(z):
+    """`ZMap.fault` names the least fault that a key-by-key scan of the
+    map's fields finds (`oracles.zmap_fault_window`); `make` refuses a map
+    with a fault, naming its key, and returns one without."""
+    assert z.fault() == zmap_fault_window(z, 4, 64)
+    cells, entries = z.cells, dict(z.entries)
+    if len(entries) < len(z.entries):
+        return      # a key listed twice, which a mapping cannot hold
+    if z.fault() is None:
+        assert ZMap.make(z.lo, z.hi, z.closed_hi, cells, entries) == copy_record(
+            z, entries=tuple(sorted(entries.items())))
+    else:
+        kind, k = z.fault()
+        with pytest.raises(amalgam.NotAFunction, match=re.escape(f"key {k} {kind}")):
+            ZMap.make(z.lo, z.hi, z.closed_hi, cells, entries)
 
 
 # -- exact checks over the whole z-domain and the whole top level ---------------
@@ -334,35 +358,18 @@ def test_z_pairwise_collision_between_cells_past_the_probe_keys():
     assert e.value.bullet == "z-pairwise"
 
 
-def test_z_pairwise_collision_behind_a_shared_key():
-    """II's stage-2 move with its z cell replaced by two overlapping cells
-    of one template, over the keys 3, 5, 7 and 3, 4, 5, ...: whole, they
-    first take one value at the one key 3 (position 0 of both), which
-    `_first_collision` skips; carved, the second holds 4 and 6, and z(5)
-    and z(4) share their last entry. So pieces that share a key are not
-    read whole."""
-    from ascentlab.amalgam import _keys_apart, check_z_bullets
-    from ascentlab.game import onestep_opponent, play_game
-    move = play_game(Ordinal(0, 8), onestep_opponent(), 0).moves[2]
-    z = move.z
-    t = SymNode((), (0, Ramp(16, 337)))
-    bad = ZMap.make(z.lo, z.hi, z.closed_hi, [(0, Cell(AP(3, 2), t)), (0, Cell(AP(3, 1), t))], {})
-    assert bad.at(Ordinal(0, 5)) == bad.at(Ordinal(0, 4)) and not _keys_apart(bad.whole())
-    with pytest.raises(HypothesisViolated, match=r"\(z-pairwise\): z\(5\) =\* z\(4\)"):
-        check_z_bullets(move.stage, move.cond, bad, z.hi, z.closed_hi)
-
-
 @settings(max_examples=80, deadline=None)
 @given(zmaps_and_cuts())
-@example((ZMap.make(Ordinal(0, 0), Ordinal(2, 0), False,
+@example((ZMap.make(Ordinal(0, 0), Ordinal(1, 6), False,
                     [(0, Cell(AP(1, 1), SymNode((BlockWord.make((), (0,)),), (Ramp(2, 0),))))],
-                    {Ordinal(1, 5): SymNode((BlockWord.make((), (0,)),), (40,))}), None))
+                    {Ordinal(1, n): SymNode((BlockWord.make((), (0,)),), (v,))
+                     for n, v in enumerate((1, 3, 5, 7, 9, 40))}), None))
 def test_last_entry_collision_matches_window(case):
     """The collision found among a z-map's last-entry pieces names two
     distinct keys of its domain whose values share their last entry, and
     one is found whenever two keys of a window share it. In the example an
-    entry of block 1 and a ramp cell of block 0 collide: z(1, 5) and
-    z(0, 21) both end in 40."""
+    entry of block 1 and a ramp cell of block 0 collide: z(w+5) and z(21)
+    both end in 40."""
     from ascentlab.amalgam import _last_entry_pieces
     from ascentlab.ascent import _first_collision
     z, _ = case
@@ -378,34 +385,22 @@ def test_last_entry_collision_matches_window(case):
 
 
 @settings(max_examples=80, deadline=None)
-@given(zmaps_and_cuts(), st.builds(Ordinal, st.integers(1, 3), st.integers(0, 30)))
+@given(zmaps_and_cuts())
 @example((ZMap.make(Ordinal(0, 0), Ordinal(3, 4), False,
-                    [(3, Cell(AP(0, 1), SymNode((BlockWord.make((), (0,)),), (0,))))], {}), None),
-         Ordinal(3, 4))
-@example((ZMap.make(Ordinal(0, 0), Ordinal(1, 0), False,
-                    [(0, Cell(AP(0, 2), SymNode((BlockWord.make((), (0,)),), (Ramp(1, 0),)))),
-                     (0, Cell(AP(0, 1), SymNode((BlockWord.make((), (0,)),), (Ramp(1, 0),))))], {}),
-          None), Ordinal(1, 0))
-def test_whole_pieces_keep_every_collision(case, hi):
+                    [(w, Cell(AP(int(w == 0), 1), SymNode((BlockWord.make((), (0,)),), (e,))))
+                     for w, e in enumerate((Ramp(4, 1), Ramp(4, 2), Ramp(4, 3), 0))], {}), None))
+def test_whole_pieces_keep_every_collision(case):
     """z-pairwise is decided on a map's carved pieces only when its whole
-    pieces (`ZMap.whole`) have a collision or two of them share a key.
-    These hold z's keys and values and more, so when their keys lie apart
-    each collision of z is one of them. In the first example the cell runs
-    past the top block's end (w3+4). In the second the first cell holds the
-    even keys, key 2 valued 1, and the second the odd keys, key 1 valued 1;
-    whole, the two cells first meet at the one key 0, which the collision
-    test skips, so whole pieces that share keys are not read."""
-    from ascentlab.amalgam import _keys_apart, _last_entry_pieces
+    pieces (`ZMap.whole`) have a collision. These hold z's keys and values
+    and more, no two the same key, so each collision of z is one of them.
+    In the example the cell of block 3 runs past the top block's end
+    (w3+4)."""
+    from ascentlab.amalgam import _last_entry_pieces
     from ascentlab.ascent import _first_collision
-    z = copy_record(case[0], hi=hi)
+    z = case[0]
     last = Ordinal(1, 0)
-    whole = z.whole()
-    if _first_collision(_last_entry_pieces(z.pieces(), last)) is not None and _keys_apart(whole):
-        assert _first_collision(_last_entry_pieces(whole, last)) is not None
-    keys = [(w, loc) for w, loc, _ in whole if loc.__class__ is int] + \
-        [(w, loc.member(m)) for w, loc, _ in whole if loc.__class__ is not int for m in range(40)]
-    if len(set(keys)) < len(keys):
-        assert not _keys_apart(whole)
+    if _first_collision(_last_entry_pieces(z.pieces(), last)) is not None:
+        assert _first_collision(_last_entry_pieces(z.whole(), last)) is not None
 
 
 def test_amalgam_top_member_outside_the_tree_raises(monkeypatch):
@@ -462,19 +457,20 @@ def z_outcome(check, beta, cond, z, mu):
 def game_stage_zmaps(draw):
     """A game stage (successor or limit height) and its z-map, with one
     corruption: a cell's last entry, one constant, the tail of one block or
-    the progression changed, or an entry copied from another key, set to the
-    top's member 0 or given another last entry."""
+    its positions (`reindex`) changed, or the value at a key copied from
+    another key, set to the top's member 0 or given another last entry
+    (`with_values`)."""
     mu = draw(st.sampled_from(GAME_LENGTHS))
     mv = draw(st.sampled_from(even_moves(mu, draw(st.integers(0, 9)))))
     z, top = mv.z, mv.cond.top
-    cells, entries = list(z.cells), dict(z.entries)
+    cells, values = list(z.cells), {}
     keys = probe_keys(z)
     c0 = top.at(0).entry_at(top.height.pred()) if top.height.is_successor else 0
     labels = st.integers(0, 40) | st.just(c0)
     ramps = st.builds(Ramp, st.integers(1, 4), st.integers(0, 40))
     corruption = draw(st.sampled_from(
-        ["none", "cell-last", "cell-const", "cell-tail", "cell-ap", "entry-copy", "entry-zero",
-         "entry-last"]))
+        ["none", "cell-last", "cell-const", "cell-tail", "cell-reindex", "entry-copy",
+         "entry-zero", "entry-last"]))
     if corruption.startswith("cell") and cells:
         i = draw(st.integers(0, len(cells) - 1))
         w, c = cells[i]
@@ -493,17 +489,19 @@ def game_stage_zmaps(draw):
             b = draw(st.integers(0, len(t.blocks) - 1))
             word = BlockWord.make(t.blocks[b].prefix, (draw(labels | ramps),))
             cells[i] = (w, Cell(c.ap, SymNode(t.blocks[:b] + (word,) + t.blocks[b + 1:], t.final)))
-        elif corruption == "cell-ap":
-            cells[i] = (w, Cell(AP(draw(st.integers(0, 12)), draw(st.integers(1, 3))), c.template))
+        elif corruption == "cell-reindex":
+            cells[i] = (w, Cell(c.ap, c.template.reindex(draw(st.integers(1, 3)),
+                                                         draw(st.integers(0, 12)))))
     elif corruption.startswith("entry") and keys:
         k = draw(st.sampled_from(keys))
         if corruption == "entry-copy":
-            entries[k] = z.at(draw(st.sampled_from(keys)))
+            values[k] = z.at(draw(st.sampled_from(keys)))
         elif corruption == "entry-zero":
-            entries[k] = top.at(0)
+            values[k] = top.at(0)
         else:
-            entries[k] = with_last(z.at(k), draw(labels))
-    return mv.stage, mv.cond, ZMap.make(z.lo, z.hi, z.closed_hi, cells, entries), z.hi
+            values[k] = with_last(z.at(k), draw(labels))
+    z = with_values(ZMap(z.lo, z.hi, z.closed_hi, tuple(cells), z.entries), values)
+    return mv.stage, mv.cond, z, z.hi
 
 
 ORDINAL = re.compile(r"^(?:w(\d*)(?:\+(\d+))?|(\d+))$")
@@ -537,9 +535,8 @@ def test_z_bullets_against_probe_keys_and_window(case):
     """On corrupted game stages, successor and limit heights alike:
     1. when the key-by-key reference fails at a bullet that the window
        oracle confirms at or before it, the exact check fails at or before
-       that bullet (the reference also fails falsely: a key listed twice
-       when an entry shadows a cell member, a cell read past the domain, a
-       finite collision with the exception keyed 0);
+       that bullet (the reference also fails falsely: a cell read past the
+       domain, a finite collision with the exception keyed 0);
     2. an exact failure is confirmed by the oracle at the keys it names,
        and no key of the window below the named one fails that bullet;
     3. on an exact pass the window oracle passes."""
@@ -696,12 +693,12 @@ def test_z_pairwise_at_a_limit_cell_with_its_ramp_in_a_prefix():
 def coherence_pairs(draw):
     """The z-maps of two consecutive even moves of a game, in order or
     swapped, the later one possibly corrupted: a coordinate below the
-    earlier height patched, or a cell's progression moved."""
+    earlier height patched, or a cell's positions moved (`reindex`)."""
     mu = draw(st.sampled_from(GAME_LENGTHS))
     moves = even_moves(mu, draw(st.integers(0, 9)))
     i = draw(st.integers(0, len(moves) - 2))
     a, b = moves[i].z, moves[i + 1].z
-    corruption = draw(st.sampled_from(["none", "swap", "patch", "cell-ap"]))
+    corruption = draw(st.sampled_from(["none", "swap", "patch", "cell-reindex"]))
     if corruption == "swap":
         return b, a
     cells, entries = list(b.cells), dict(b.entries)
@@ -717,10 +714,10 @@ def coherence_pairs(draw):
         elif entries:
             k = draw(st.sampled_from(sorted(entries)))
             entries[k] = node_patch(entries[k], {e: v for e, v in patch.items() if isinstance(v, int)})
-    elif corruption == "cell-ap" and cells:
+    elif corruption == "cell-reindex" and cells:
         j = draw(st.integers(0, len(cells) - 1))
         w, c = cells[j]
-        cells[j] = (w, Cell(AP(c.ap.start + draw(st.integers(0, 3)), draw(st.integers(1, 3))), c.template))
+        cells[j] = (w, Cell(c.ap, c.template.reindex(draw(st.integers(1, 3)), draw(st.integers(0, 3)))))
     return a, ZMap.make(b.lo, b.hi, b.closed_hi, cells, entries)
 
 

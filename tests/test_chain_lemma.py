@@ -22,12 +22,13 @@ from ascentlab.ascent import (
     graft_levels, restrict_level_domain,
 )
 from ascentlab.conditions import S_THETA, S_X, VARIANTS, Condition, check_condition
-from ascentlab.fixtures import bad_path_conditions, random_tower
+from ascentlab.fixtures import bad_path_conditions
 from ascentlab.foundations import (
     DEFAULT_X, ZERO, Ordinal, Proof, UPSet, XSequence, multiples, proves,
 )
 from ascentlab.game import check_run_invariants, play_game, random_opponent
 from ascentlab.nodes import BlockWord, Ramp, SymNode, const_node, mk_entry, node_patch
+from builders import random_tower
 from oracles import (
     all_pairs_chain_violations, all_pairs_run_invariants, append_via_make, clause, copy_record,
     full_walk_me_chain, graft_via_make, probe_keys, restrict_via_make, tail_level_via_make,

@@ -654,12 +654,16 @@ def test_roundtrip_catalog_conditions():
         assert sz.enc_condition(again) == data
 
 
-@pytest.mark.parametrize("block", [0, 3])
-def test_amalgamate_low_z_cell_exit_2(block, tmp_path, capsys):
+@pytest.mark.parametrize("block, error", [
+    (0, "chain.members[0].z: key 40 held twice"),
+    (3, "chain hypothesis failed (z-top-level): a cell of block 3 has height 0"),
+], ids=["0", "3"])
+def test_amalgamate_low_z_cell_exit_2(block, error, tmp_path, capsys):
     """A cell of height 0 appended to the first member's z-map: in block 0 an
-    earlier cell holds its keys 40 and 41, and block 3 lies outside the
-    domain, so no probe key reads it. The cell heights are checked before
-    any cell is read at the top's last coordinate."""
+    earlier cell holds its keys from 40 on, and the decoder refuses the map;
+    block 3 lies outside the domain, so no probe key reads it. The cell
+    heights are checked before any cell is read at the top's last
+    coordinate."""
     d = sz.enc_chain(uniform_chain(3, Ordinal(1, 2)))
     d["members"][0]["z"]["cells"].append({"block": block, "cell": {
         "start": 40, "step": 1,
@@ -669,24 +673,20 @@ def test_amalgamate_low_z_cell_exit_2(block, tmp_path, capsys):
     code = main(["amalgamate", str(p)])
     out = capsys.readouterr().out
     assert code == 2 and out.count("\n") == 1
-    assert json.loads(out) == {
-        "command": "amalgamate",
-        "error": f"chain hypothesis failed (z-top-level): a cell of block {block} has height 0"}
+    assert json.loads(out) == {"command": "amalgamate", "error": error}
 
 
 def test_amalgamate_non_periodic_tail_tokens_exit_2(tmp_path, capsys):
-    """The standard chain with each member's z-map cut to its entry at w,
-    and a tail cycle of two appends with z tokens ["last"], ["const", 5]:
-    the first cycle appends z(w)'s own last entry 3, every later one 5
-    again, so z(w) runs 3,3,3,3,5,5,5,... along the tail, while the closed
-    form repeats the first cycle's (3,5). The tokens do not repeat from
-    their first cycle, so no closed-form union exists: exit 2, where the
-    skipped branch used to be read as <3,3,3|(3,5)*> and the run exit 0."""
+    """The standard chain with a tail cycle of two appends with z tokens
+    ["last"], ["const", 5]: the first cycle appends z(w)'s own last entry
+    3, every later one 5 again, so z(w) runs 3,3,3,3,5,5,5,... along the
+    tail, while the closed form repeats the first cycle's (3,5). The tokens
+    do not repeat from their first cycle, so no closed-form union exists:
+    exit 2, where the skipped branch used to be read as <3,3,3|(3,5)*> and
+    the run exit 0."""
     from oracles import tail_members
 
     def edit(d):
-        for m in d["members"]:
-            m["z"]["entries"], m["z"]["cells"] = m["z"]["entries"][:1], []
         scheme = d["tail"]["schemes"][0]
         d["tail"]["schemes"], d["tail"]["z_tokens"] = [scheme, scheme], [["last"], ["const", 5]]
     path = edited_input_file(tmp_path, "amalgamate", edit)
@@ -1009,6 +1009,33 @@ CATALOG = ("tree", "catalogs", 0, "catalog")
 AT_CATALOG = "tree.catalogs[0].catalog"
 
 
+def z_entries(i):
+    return ("members", i, "z", "entries")
+
+
+@pytest.mark.parametrize("edit, error", [
+    (set_at(z_entries(2) + (1, "key", "n"), 7), "chain.members[2].z: key w+7 outside the domain"),
+    (drop_at(z_entries(1) + (0,)), "chain.members[1].z: key w missing"),
+    (set_at(z_entries(2) + (0, "key", "w"), 0), "chain.members[2].z: key 0 outside the domain"),
+    (set_at(z_entries(2) + (0, "key"), {"w": 0, "n": 3}), "chain.members[2].z: key 3 held twice"),
+], ids=["entry-past-the-domain", "entry-dropped", "entry-below-the-domain", "entry-on-a-cell"])
+def test_amalgamate_zmap_not_a_function_exit_2(edit, error, tmp_path, capsys):
+    """The golden chain with one z-map entry moved or dropped: the decoder
+    refuses a map whose pieces do not hold each key of its domain exactly
+    once, naming the member and the key. The first two exited 0 with
+    "valid": true (an entry past the domain was even read as a z-union,
+    "z_keys": ["w1n7"]), the third exited 2 only through the KeyError of
+    `ZMap.at`, and the fourth failed z-coherence at key 3."""
+    with open(GOLDEN_CHAIN) as f:
+        d = json.load(f)
+    edit(d)
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps(d))
+    code = main(["amalgamate", str(p)])
+    text = capsys.readouterr().out
+    assert code == 2 and json.loads(text) == {"command": "amalgamate", "error": error}
+
+
 @pytest.mark.parametrize("edit, error", [
     (set_at(CATALOG + ("singles", 1, "admitted"), "false"),
      f"{AT_CATALOG}.singles[1].admitted: expected a bool, got 'false'"),
@@ -1191,7 +1218,8 @@ REJECTED = {
     "cli": "InputError", "serialize": "FormatError",
     "foundations": "OrdinalBoundError ProfileViolation",
     "conditions": "WrongVariant InvalidBeta NonExclusiveTop LostComparability NotSuccessorHeight",
-    "ascent": "ShortScheme", "trees": "NoCatalog", "amalgam": "NotUniformTail HypothesisViolated",
+    "ascent": "ShortScheme", "trees": "NoCatalog",
+    "amalgam": "NotUniformTail HypothesisViolated NotAFunction",
     "sealing": "SealTripleInvalid OracleMismatch NodeNotInTree",
     "surgery": "BadPi NonExclusiveBranches", "aposet": "NotLinked InvalidPathBase",
 }

@@ -275,7 +275,8 @@ def routed_conditions() -> tuple[Condition, ...]:
     node into random towers, and seal steps over towers with the identity
     and a transposition triple."""
     from ascentlab import sealing
-    from ascentlab.fixtures import random_tower, tower as fixture_tower
+    from ascentlab.fixtures import tower as fixture_tower
+    from builders import random_tower
     out = []
     for seed in range(6):
         rng = random.Random(seed)
@@ -367,7 +368,7 @@ def appended_levels(draw):
     one label per exception: each one the parity-coded standard label (exclusive on
     its own), a random ramp or a constant."""
     from ascentlab.ascent import AppendScheme, AscentLevel, standard_append
-    from ascentlab.fixtures import random_tower
+    from builders import random_tower
     cond = random_tower(random.Random(draw(st.integers(0, 10**6))), max_height=5)
     step = draw(st.sampled_from([1, 2, 3, 4]))
     split = residue_level(cond.top, step, draw(st.permutations(range(step))))

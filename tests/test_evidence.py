@@ -21,9 +21,10 @@ from ascentlab import ascent
 from ascentlab import serialize as sz
 from ascentlab.ascent import supp
 from ascentlab.conditions import Condition, one_step_extension
-from ascentlab.fixtures import random_tower, tower
+from ascentlab.fixtures import tower
 from ascentlab.foundations import EMPTY_SET, FULL_SET, Ordinal
 from ascentlab.game import GameState, Move, play_game, random_opponent, strategy_ii_move
+from builders import random_tower
 from oracles import copy_record
 from scaling import z_walks
 

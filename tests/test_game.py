@@ -17,6 +17,7 @@ from ascentlab.game import (
     onestep_opponent, play_game, random_opponent, strategy_ii_move, _game_tail,
 )
 from ascentlab.nodes import const_node
+from builders import with_values
 from oracles import all_pairs_validate_chain, copy_record, probe_keys, tail_members
 
 
@@ -121,11 +122,7 @@ def test_tampered_transcript_fails_invariants():
     t = play_game(Ordinal(0, 6), onestep_opponent(), 0)
     # duplicate one auxiliary branch onto another key: breaks pairwise
     mv = next(m for m in t.moves if m.z is not None)
-    from ascentlab.amalgam import ZMap
-    k1, k2 = Ordinal(0, 3), Ordinal(0, 4)
-    dup = dict(mv.z.entries)
-    tampered_entries = {k1: mv.z.at(k2), k2: mv.z.at(k2)} | dup
-    bad_z = ZMap.make(mv.z.lo, mv.z.hi, mv.z.closed_hi, (), tampered_entries)
+    bad_z = with_values(mv.z, {Ordinal(0, 3): mv.z.at(Ordinal(0, 4))})
     bad_moves = tuple(Move(m.stage, m.mover, m.cond, bad_z if m is mv else m.z)
                       for m in t.moves)
     rep = check_run_invariants(Transcript(t.mu, t.xi, bad_moves, t.verdict))
@@ -217,9 +214,9 @@ def with_member(ch, i, **changes) -> ChainDescriptor:
 
 
 def duplicated_z(z: ZMap) -> ZMap:
-    """z with the value at its least key copied onto its second key."""
+    """z with the value at its second key copied onto its least key."""
     k1, k2 = probe_keys(z)[:2]
-    return ZMap.make(z.lo, z.hi, z.closed_hi, (), dict(z.entries) | {k1: z.at(k2), k2: z.at(k2)})
+    return with_values(z, {k1: z.at(k2)})
 
 
 def relabelled(cond: Condition) -> Condition:
@@ -348,6 +345,29 @@ def test_tail_shape_is_refused_exactly_when_the_closed_form_misses_the_tail(ch, 
     got = outcome(validate_chain, ch)
     assert (got is not None and "(tail-shape)" in got[1]) == missed
     assert got == outcome(all_pairs_validate_chain, ch)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(game_chains(), fixture_chains()), st.integers(0, 4))
+def test_derived_zmaps_have_no_fault(ch, n):
+    """No z-map derived from a drawn chain's has a fault (`ZMap.fault`):
+    neither the members' maps, nor those that `above`, `stepped` and
+    `limit_map` derive from them (cut n keys above their stages), that
+    `game._z_graft_step` derives from a member for the next one, or the
+    amalgam's z-unions. Only `make` checks the rule; these keep it."""
+    tokens = (("const", 5),)
+    derived = []
+    for m in ch.members:
+        cut = Ordinal(m.z.lo.w, m.z.lo.n + n)
+        derived += [m.z, m.z.above(cut), m.z.stepped(cut, tokens), m.z.limit_map(ch.gamma, tokens)]
+    for a, b in zip(ch.members, ch.members[1:]):
+        if b.beta == Ordinal(a.beta.w, a.beta.n + 2) and b.cond.eta.is_successor:
+            derived.append(game._z_graft_step(a.z, b.beta, b.cond, game.Z_OFFSET))
+    try:
+        derived.append(amalgamate(ch)[1])
+    except Rejected:
+        pass
+    assert [z.fault() for z in derived] == [None] * len(derived)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,9 @@ fails).
   reader must still check.
 - No test-only code: every function and method is named in `src/` or
   `perfbench/` besides its definition, or is a package-root export
-  (`ascentlab._EXPORTS`) (TEST_ONLY). Code only tests name never runs.
+  (`ascentlab._EXPORTS`) (TEST_ONLY). Code only tests name never runs. A
+  `perfbench/` module that defines a function of the same name does not
+  name it.
 
 All three match by name only: a call by the called name (`f(...)`,
 `obj.f(...)`), whatever it is bound to; an `__init__` or `__new__` is called
@@ -203,8 +205,15 @@ def functions(modules: Modules) -> list[tuple[str, str]]:
 
 
 def names(modules: Modules) -> set[str]:
-    """Every name the modules read."""
-    return set().union(*(_uses(tree)[1] for _, tree in modules))
+    """Every name the modules read, but a `perfbench/` module's read of a
+    name it defines itself, which names its own function."""
+    out: set[str] = set()
+    for where, tree in modules:
+        read = _uses(tree)[1]
+        if where.startswith("perfbench/"):
+            read = read - {name for name, _ in functions(((where, tree),))}
+        out |= read
+    return out
 
 
 def unset(package, callers) -> list[Param]:
@@ -296,6 +305,8 @@ class Box:
 def helper(k, *, scale=1): pass
 Rec(1, 2), Rec(1, b=3), Box(4).used(5), helper(6, scale=7), helper(*[8]), Pair(1, y=2)
 ''')),)
+# a benchmark module with its own `spare`, and a call of `used`
+BENCH = (("perfbench/sample.py", ast.parse("def spare(): pass\nspare()\nused()\n")),)
 
 
 def test_the_scans_on_a_sample():
@@ -304,9 +315,13 @@ def test_the_scans_on_a_sample():
     the starred call sets it too), and reads a `@record` class's fields as
     a `@dataclass`'s (`Pair.z`, init=False, is no parameter); the test-only
     scan finds a method no code names (`spare`), and counts a method that
-    names itself (`used`) as named; an exempt name is never found."""
+    names itself (`used`) as named; an exempt name is never found. A
+    `perfbench/` module's read of a name it defines itself (`spare`) does
+    not name the package's function, and its other reads (`used`) do."""
     assert {(p.name, p.param) for p in always_set(SAMPLE, SAMPLE)} \
         == {("Rec", "b"), ("Pair", "y"), ("Box", "size"), ("used", "k"), ("helper", "scale")}
     assert unset(SAMPLE, SAMPLE) == []
     assert [name for name, _ in named_only_by_tests(SAMPLE, SAMPLE)] == ["spare"]
     assert named_only_by_tests(SAMPLE, SAMPLE, frozenset({"spare"})) == []
+    assert [name for name, _ in named_only_by_tests(SAMPLE, SAMPLE + BENCH)] == ["spare"]
+    assert [name for name, _ in named_only_by_tests(SAMPLE, BENCH)] == ["spare", "helper"]

@@ -6,6 +6,7 @@ that the document it read has."""
 import json
 import os
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from ascentlab.aposet import PathDescriptor
 from ascentlab.fixtures import tower, uniform_path
 from ascentlab.foundations import Ordinal, XSequence, multiples
 from ascentlab.game import onestep_opponent, random_opponent
+from ascentlab.nodes import const_node
 from test_chain_lemma import levels_and_heights, towers
 from test_foundations import made, raw_upsets
 from test_game import game_chains, limit_chains
@@ -70,6 +72,62 @@ def test_levels_round_trip(case):
 @given(raw_upsets())
 def test_upsets_round_trip(raw):
     round_trips(sz.UPSET, made(raw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 8), st.data())
+def test_upsets_read_pointwise(threshold, period, data):
+    """A decoded UPSet holds k >= threshold when k mod period is a residue,
+    and k < threshold when k is a patch_add member or such a k, and is no
+    patch_remove member; patch members at or past the threshold, or
+    negative, are not read."""
+    residues = data.draw(st.lists(st.integers(0, period - 1), max_size=period))
+    add, remove = (data.draw(st.lists(st.integers(-3, 50), max_size=6)) for _ in range(2))
+    u = sz.UPSET.dec({"threshold": threshold, "period": period, "residues": residues,
+                      "patch_add": add, "patch_remove": remove})
+    for k in range(threshold + 3 * period):
+        periodic = k % period in residues
+        want = periodic if k >= threshold else (periodic or k in add) and k not in remove
+        assert (k in u) == want, k
+
+
+def test_upset_residues_lie_below_the_period():
+    """A residue outside [0, period) is refused: the tail read -3 as 1 and
+    5 as 1, and the members below the threshold read neither, so the set
+    lacked 1, 3 and 5 and held every odd number from 7 on."""
+    with pytest.raises(sz.FormatError) as e:
+        sz.UPSET.dec({"threshold": 6, "period": 2, "residues": [0, -3, 5]})
+    assert str(e.value) == "residues[1]: expected a residue in [0, 2), got -3"
+
+
+def test_upset_codec_time_is_in_the_document_size():
+    """A set whose threshold is 10**6 decodes and encodes in its document's
+    size: 25 s and 51 s when each walked every k below the threshold. The
+    bound is generous; it takes milliseconds."""
+    d = {"threshold": 10**6, "period": 2, "residues": [0], "patch_add": [999_999],
+         "patch_remove": [2]}
+    start = time.perf_counter()
+    u = sz.UPSET.dec(d)
+    assert sz.UPSET.enc(u) == d and u.threshold == 10**6
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("period, error", [
+    ("x", "expected an int >= 1, got 'x'"), (0, "expected an int >= 1, got 0"),
+    (2, "expected 1, the length of the tail, got 2"),
+], ids=["string", "zero", "not-the-tail-length"])
+def test_a_block_period_is_its_tail_length(period, error):
+    """A block's `period` is read back: the length of its tail, or absent.
+    Any value used to decode without a word."""
+    node = const_node(3, Ordinal(1, 2))
+    d = sz.enc_node(node)
+    assert d["blocks"][0]["period"] == 1
+    d["blocks"][0]["period"] = period
+    with pytest.raises(sz.FormatError) as e:
+        sz.NODE.dec(d)
+    assert str(e.value) == f"blocks[0].period: {error}"
+    del d["blocks"][0]["period"]
+    assert sz.NODE.dec(d) == node
 
 
 @pytest.mark.parametrize("path", [
